@@ -20,23 +20,36 @@ degrees of freedom by two, giving the closed forms
     g(y, r, t) = (r/t) * f_ncx2(r^2/2t; d,   y^2/2t)
     G(y, r, t) = (y/t) * f_ncx2(r^2/2t; d+2, y^2/2t).
 
-For d = 1 and d = 3 everything reduces to Gaussian image formulas, which the
-grid engine exploits: applying G_t to a step profile is a finite mixture
-sum_j c_j w(a_j, r, t), computed either by lattice convolutions (d = 1, 3)
-or by collapsing the Poisson weights of all jumps into one vector and
-sweeping the shared incomplete-gamma basis once (any d).  Both routes are
-exact finite sums up to the stated tolerance; no quadrature is involved.
+For d = 1 and d = 3 everything reduces to Gaussian image formulas.  The
+grid engine applies G_t to a step profile as the finite mixture
+sum_j c_j w(a_j, r, t), and every apply costs the kernel's support, not the
+domain:
+
+* image route (d = 1, 3, lattice jumps and nodes): the saturated parts of
+  the image kernels are prefix sums of the jump sizes, and the remainders,
+  cut to a band of B cells, are one FFT convolution of length about
+  n_act + 2B (n_act = cells carrying jumps);
+* series route (any d): each jump's Poisson weights and each node's
+  incomplete-gamma basis are swept only over a window of about c*sqrt(z)
+  indices, with indices below a node's window entering through a prefix
+  sum.  On a lattice the windows and start values are built once per
+  (dim, t, h) and cached.
+
+The returned ``eval_err`` books, per unit of mixture mass, the image terms
+beyond the band (erfc and Gaussian tails), the four series window tails,
+and FFT, prefix-sum and recurrence roundoff.  Bands and windows are sized
+so that every dropped tail stays below 2^-56 per unit mass; no quadrature
+is involved.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 from scipy import fft
-from scipy.special import erf, gammainc, gammaln, ive
-from scipy.stats import poisson as _poisson
+from scipy.special import erf, erfc, gammainc, gammaincc, gammaln, ive
 
 from .core import RadialProfile
 
@@ -85,111 +98,246 @@ def support_band(t: float, tol: float = 1e-15, dim: int = 3) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Noncentral chi-squared machinery (explicit truncation bound)
+# Noncentral chi-squared machinery: one windowed sweep, explicit tails
 # ---------------------------------------------------------------------------
+#
+# A mixture sum_j c_j w(a_j, r, t) expands as sum_m q[m] P(d/2 + m, z) with
+# z = r^2/(4t) and q[m] = sum_j c_j Poisson(m; mu_j), mu_j = a_j^2/(4t).
+# Each jump's Poisson weights are negligible outside a window of about
+# c*sqrt(mu_j) indices around mu_j, and each node's basis P(d/2 + m, z) is
+# within a tail of 1 below, and of 0 above, a window of about c*sqrt(z)
+# indices around z.  Every window edge is verified with gammainc/gammaincc,
+# indices below a node's window enter through a prefix sum of q, and the
+# dropped tails are booked per unit of mixture mass.
+#
+# Every tail is cut at _TAIL per unit mass (or finer, if the caller's tol
+# asks), below double rounding: the solver freezes its flat tail where values
+# come within 1e-12 of the total mass, so a kernel that is only tol-accurate
+# there would move the active grid.
 
-def _poisson_term_count(mu_max: float, tol: float) -> int:
-    """Smallest index M with the Poisson(mu) tail beyond M below tol, verified.
-
-    This is an index bound, not an evaluation cost: windowed callers only
-    sweep O(sqrt(mu)) terms around the mode.  The hard cap guards integer
-    and special-function overflow.
-    """
-    m = int(mu_max + 12.0 * math.sqrt(mu_max + 4.0) + 30.0)
-    while True:
-        if m > 10 ** 15:
-            raise EvaluationError(
-                f"noncentral series index overflow at {m} terms "
-                f"(noncentrality/2 = {mu_max:.3g}, tol = {tol:.1e})")
-        if _poisson.sf(m, mu_max) <= tol:
-            return m
-        m = int(1.3 * m) + 10
-
-
-def _poisson_mixture_weights(sizes: np.ndarray, mu: np.ndarray, m_terms: int) -> np.ndarray:
-    """q[m] = sum_j sizes_j * PoissonPMF(m; mu_j), shape (m_terms + 1,)."""
-    q = np.zeros(m_terms + 1)
-    small = mu <= 650.0  # exp(-mu) representable: plain pmf recurrence
-    if small.any():
-        p = sizes[small] * np.exp(-mu[small])
-        z = mu[small]
-        q[0] += p.sum()
-        for m in range(1, m_terms + 1):
-            p *= z
-            p /= m
-            q[m] += p.sum()
-    if (~small).any():
-        mm = np.arange(m_terms + 1)
-        mu_b = mu[~small][:, None]
-        log_a = mm[None, :] * np.log(mu_b) - mu_b - gammaln(mm + 1)[None, :]
-        q += sizes[~small] @ np.exp(log_a)
-    return q
+_MAX_WINDOW = 5_000_000  # series terms per window before giving up
+_TAIL = 2.0 ** -56       # per-unit-mass cap on every dropped tail
+_LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 
 
-def _chi2_basis_sweep(q: np.ndarray, dim: int, z: np.ndarray) -> np.ndarray:
-    """sum_m q[m] * P(dim/2 + m, z) via the incomplete-gamma recurrence."""
-    a = 0.5 * dim
-    basis = gammainc(a, z)
-    out = q[0] * basis
-    with np.errstate(divide="ignore"):
-        log_z = np.where(z > 0.0, np.log(np.maximum(z, 1e-300)), -np.inf)
-    term = np.exp(a * log_z - z - gammaln(a + 1.0))
-    for m in range(1, q.size):
-        basis = np.maximum(basis - term, 0.0)
-        out += q[m] * basis
-        term *= z
-        term /= a + m
+def _series_eps(tol: float) -> float:
+    """Per-unit-mass budget of each of the four series window tails."""
+    return min(0.125 * tol, _TAIL)
+
+
+def _bd0(k: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """k log(k/x) + x - k without cancellation near k = x (Loader 2000)."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = k * np.log(k / x) + x - k
+    near = np.abs(k - x) < 0.1 * (k + x)
+    if near.any():
+        kk, d = k[near], k[near] - x[near]
+        v = d / (k[near] + x[near])
+        acc, ej, v2 = d * v, 2.0 * kk * v, v * v
+        for j in range(1, 60):
+            ej = ej * v2
+            step = ej / (2 * j + 1)
+            acc += step
+            if np.all(np.abs(step) <= 1e-17 * np.abs(acc)):
+                break
+        out[near] = acc
     return out
+
+
+def _stirlerr(k: np.ndarray) -> np.ndarray:
+    """log Gamma(k+1) - (k + 1/2) log k + k - log sqrt(2 pi), for k > 0."""
+    out = np.empty_like(k)
+    big = k >= 15.0
+    kb = k[big]
+    kb2 = kb * kb
+    out[big] = (1 / 12 - (1 / 360 - (1 / 1260 - 1 / (1680 * kb2)) / kb2) / kb2) / kb
+    ks = k[~big]
+    out[~big] = gammaln(ks + 1.0) - (ks + 0.5) * np.log(ks) + ks - _LOG_SQRT_2PI
+    return out
+
+
+def _gamma_weight(k: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """x^k e^-x / Gamma(k+1) for k, x >= 0 to a few ulps (saddle point form).
+
+    At integer k this is the Poisson(x) pmf at k; at k = d/2 + m it is the
+    step P(d/2 + m, x) - P(d/2 + m + 1, x) of the incomplete-gamma basis.
+    """
+    k = np.asarray(k, dtype=float)
+    x = np.asarray(x, dtype=float)
+    out = np.where(k == 0.0, np.exp(-x), 0.0)
+    pos = (k > 0.0) & (x > 0.0)
+    kp, xp = k[pos], x[pos]
+    out[pos] = np.exp(-_stirlerr(kp) - _bd0(kp, xp)) / np.sqrt(2.0 * math.pi * kp)
+    return out
+
+
+def _smallest_passing(passes, x: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Elementwise smallest integer m in (lo, hi] with passes(m, x).
+
+    ``passes`` is monotone in m and holds at hi; lo itself is never tested.
+    """
+    lo, hi = lo.copy(), hi.copy()
+    idx = np.flatnonzero(hi - lo > 1)
+    while idx.size:
+        mid = (lo[idx] + hi[idx]) // 2
+        ok = passes(mid, x[idx])
+        hi[idx[ok]] = mid[ok]
+        lo[idx[~ok]] = mid[~ok]
+        idx = idx[hi[idx] - lo[idx] > 1]
+    return hi
+
+
+def _window_edges(x: np.ndarray, s_lo: float, s_hi: float, eps: float
+                  ) -> tuple[np.ndarray, np.ndarray]:
+    """Verified windows [lo, hi] in m for means x (sorted ascending).
+
+    hi is the smallest m >= 0 with gammainc(s_hi + m, x) <= eps; lo is the
+    largest m >= 1 with gammaincc(s_lo + m, x) <= eps, or 0.  Both edges are
+    made nondecreasing in x (widening a window only shrinks its tails).
+    """
+    k = math.sqrt(2.0 * math.log(1.0 / eps))
+    spread = k * np.sqrt(x) + k * k
+    if x.size and 2.0 * float(spread[-1]) > _MAX_WINDOW:
+        raise EvaluationError(
+            f"noncentral series window needs {2.0 * float(spread[-1]):.3g} terms "
+            f"(mean {float(x[-1]):.3g}, tol = {eps:.1e})")
+
+    def upper_ok(m, xx):
+        return gammainc(s_hi + m, xx) <= eps
+
+    def lower_bad(m, xx):
+        return gammaincc(s_lo + m, xx) > eps
+
+    hi = np.ceil(x + spread).astype(np.int64)
+    bad = np.flatnonzero(~upper_ok(hi, x))
+    while bad.size:
+        hi[bad] += np.ceil(spread[bad]).astype(np.int64)
+        bad = bad[~upper_ok(hi[bad], x[bad])]
+    start = np.maximum(np.floor(x - s_hi).astype(np.int64), 0) - 1
+    hi = _smallest_passing(upper_ok, x, start, hi)
+
+    lo = np.maximum(np.floor(x - spread).astype(np.int64), 0)
+    lo[(lo > 0) & lower_bad(np.maximum(lo, 1), x)] = 0
+    first_bad = _smallest_passing(lower_bad, x, lo, np.ceil(x).astype(np.int64) + 2)
+    lo = np.minimum(first_bad - 1, hi)
+    hi = np.maximum.accumulate(hi)
+    lo = np.minimum.accumulate(lo[::-1])[::-1]
+    return lo, hi
+
+
+class _Windows:
+    """Per-entry window arrays; ``head(n)`` views the first n entries."""
+
+    def head(self, n: int):
+        return type(self)(*(getattr(self, f.name)[:n] for f in fields(self)))
+
+    @property
+    def nbytes(self) -> int:
+        return sum(getattr(self, f.name).nbytes for f in fields(self))
+
+
+@dataclass(frozen=True)
+class _JumpWindows(_Windows):
+    """Poisson(mu_j) weights kept on [lo_j, hi_j]; p0_j is the pmf at lo_j."""
+
+    mu: np.ndarray
+    lo: np.ndarray
+    hi: np.ndarray
+    p0: np.ndarray
+
+    @classmethod
+    def build(cls, mu: np.ndarray, eps: float) -> "_JumpWindows":
+        lo, hi = _window_edges(mu, 0.0, 1.0, eps)
+        return cls(mu, lo, hi, _gamma_weight(lo.astype(float), mu))
+
+
+@dataclass(frozen=True)
+class _NodeWindows(_Windows):
+    """P(a + m, z_i) swept on [lo_i, hi_i] from basis0 = P(a + lo_i, z_i)
+    and term0 = z^(a+lo) e^-z / Gamma(a + lo + 1)."""
+
+    z: np.ndarray
+    lo: np.ndarray
+    hi: np.ndarray
+    basis0: np.ndarray
+    term0: np.ndarray
+
+    @classmethod
+    def build(cls, a: float, z: np.ndarray, eps: float,
+              support: tuple[int, int] | None = None) -> "_NodeWindows":
+        lo, hi = _window_edges(z, a - 1.0, a + 1.0, eps)
+        if support is not None:
+            # weights vanish outside the support: nothing to sweep there
+            lo, hi = np.maximum(lo, support[0]), np.minimum(hi, support[1])
+        k = a + lo
+        return cls(z, lo, hi, gammainc(k, z), _gamma_weight(k, z))
+
+
+def _series_sweep(a: float, c: np.ndarray, jw: _JumpWindows, nw: _NodeWindows
+                  ) -> tuple[np.ndarray, int]:
+    """sum_j c_j sum_m Poisson(m; mu_j) P(a + m, z_i) over the windows.
+
+    Jumps and nodes are sorted with nondecreasing window edges, so the ones
+    active at index m are contiguous slices; one pass over m builds
+    q[m] = sum_j c_j Poisson(m; mu_j) and advances every active node's
+    basis.  The jump windows must start at or below every node window.
+    Returns the node values and the number of indices swept.
+    """
+    q0 = int(jw.lo[0])
+    m_top = int(jw.hi[-1])
+    inside = nw.lo <= m_top
+    m_end = max(min(m_top, int(nw.hi[inside].max(initial=q0 - 1))), q0 - 1)
+    ms = np.arange(q0 - 1, m_end + 1)
+    j_end = np.searchsorted(jw.lo, ms, side="right")    # jumps started by m
+    j_beg = np.searchsorted(jw.hi, ms, side="left")     # jumps not yet done
+    i_end = np.searchsorted(nw.lo, ms, side="right")
+    i_beg = np.searchsorted(nw.hi, ms, side="left")
+    p, basis, term = jw.p0.copy(), nw.basis0.copy(), nw.term0.copy()
+    mu, z = jw.mu, nw.z
+    out = np.zeros(z.size)
+    q = np.zeros(ms.size)  # q[k] is the weight of index q0 - 1 + k
+    for k in range(1, ms.size):
+        m = q0 - 1 + k
+        lo, mid, hi = j_beg[k], j_end[k - 1], j_end[k]
+        if mid > lo:  # advance running pmfs from m - 1 to m
+            p[lo:mid] *= mu[lo:mid]
+            p[lo:mid] *= 1.0 / m
+        qm = float(c[lo:hi] @ p[lo:hi])
+        q[k] = qm
+        lo, mid, hi = i_beg[k], i_end[k - 1], i_end[k]
+        if mid > lo:  # P(a + m) = P(a + m - 1) - term(m - 1)
+            basis[lo:mid] -= term[lo:mid]
+            term[lo:mid] *= z[lo:mid]
+            term[lo:mid] *= 1.0 / (a + m)
+        if qm != 0.0 and hi > lo:
+            out[lo:hi] += qm * basis[lo:hi]
+    # indices below a node's window: P(a + m, z) = 1 up to the booked tail
+    prefix = np.cumsum(q)
+    below = np.clip(nw.lo - q0, 0, ms.size - 1)
+    # a node window past every jump window sees all the (windowed) mass
+    out += np.where(inside, prefix[below], c.sum())
+    return out, ms.size
 
 
 def _ncx2_cdf(x: np.ndarray, dim: int, lam: float, tol: float) -> np.ndarray:
     """Noncentral chi-squared CDF with certified truncation error <= tol.
 
-    The Poisson mixture is summed over a window around its mode, so the
-    term count scales with sqrt(noncentrality) rather than the
-    noncentrality itself; both tails of the window are below tol/2.
+    One jump of unit size in the shared windowed sweep; its four window
+    tails are each below tol/8.
     """
     x = np.asarray(x, dtype=float)
     mu = 0.5 * lam
     if mu == 0.0:
         return gammainc(0.5 * dim, 0.5 * x)
-    half_width = 12.0 * math.sqrt(mu + 4.0) + 30.0
-    m_lo = max(0, int(mu - half_width))
-    m_hi = _poisson_term_count(mu, 0.25 * tol)
-    if m_lo > 0:
-        # verified lower tail below the window
-        while _poisson.cdf(m_lo - 1, mu) > 0.25 * tol:
-            m_lo = max(0, m_lo - int(half_width))
-            if m_lo == 0:
-                break
-    n_terms = m_hi - m_lo + 1
-    if n_terms > 5_000_000:
-        raise EvaluationError(
-            f"noncentral series window has {n_terms} terms "
-            f"(noncentrality/2 = {mu:.3g}, tol = {tol:.1e})")
-    # multiplicative recurrence from the mode, then normalize over the
-    # window: avoids the exponent cancellation of the direct log formula
-    mode = min(max(int(mu), m_lo), m_hi)
-    q = np.empty(m_hi - m_lo + 1)
-    q[mode - m_lo] = 1.0
-    for mm in range(mode + 1, m_hi + 1):
-        q[mm - m_lo] = q[mm - 1 - m_lo] * (mu / mm)
-    for mm in range(mode - 1, m_lo - 1, -1):
-        q[mm - m_lo] = q[mm + 1 - m_lo] * ((mm + 1) / mu)
-    q /= q.sum()  # window tail mass below tol/2 by construction
-    a0 = 0.5 * dim + m_lo
-    z = 0.5 * x
-    basis = gammainc(a0, z)
-    out = q[0] * basis
-    with np.errstate(divide="ignore"):
-        log_z = np.where(z > 0.0, np.log(np.maximum(z, 1e-300)), -np.inf)
-    term = np.exp(a0 * log_z - z - gammaln(a0 + 1.0))
-    for i in range(1, n_terms):
-        basis = np.maximum(basis - term, 0.0)
-        out += q[i] * basis
-        term *= z
-        term /= a0 + i
-    return out
+    eps = _series_eps(tol)
+    jw = _JumpWindows.build(np.array([mu]), eps)
+    z = 0.5 * x.ravel()
+    order = np.argsort(z, kind="stable")
+    nw = _NodeWindows.build(0.5 * dim, z[order], eps,
+                            support=(int(jw.lo[0]), int(jw.hi[0])))
+    out = np.empty(z.size)
+    out[order], _ = _series_sweep(0.5 * dim, np.ones(1), jw, nw)
+    return np.clip(out, 0.0, 1.0).reshape(x.shape)
 
 
 def _ncx2_pdf(x, dim: int, lam: float):
@@ -298,96 +446,199 @@ def _maxwell_cdf(r: np.ndarray, t: float) -> np.ndarray:
     return erf(q) - (2.0 / _SQRT_PI) * q * np.exp(-q * q)
 
 
+_CACHE_BYTES = 64 << 20  # byte budget of the cross-call kernel cache
+
+# Cross-call kernel data keyed by lattice: image engines and series windows.
+# Entries report their own ``nbytes``; the least recently used go first once
+# the budget is exceeded.
+_IMAGE_CACHE: dict[tuple, object] = {}
+
+
+def _cached(key: tuple, build):
+    entry = _IMAGE_CACHE.pop(key, None)
+    if entry is None:
+        entry = build()
+    _IMAGE_CACHE[key] = entry
+    total = sum(e.nbytes for e in _IMAGE_CACHE.values())
+    while total > _CACHE_BYTES and len(_IMAGE_CACHE) > 1:
+        total -= _IMAGE_CACHE.pop(next(iter(_IMAGE_CACHE))).nbytes
+    return entry
+
+
+def _series_eval_err(c: np.ndarray, tol: float, steps: int) -> float:
+    """Booked error of a windowed sweep: four window tails per unit mass
+    (jumps below and above, nodes below and above) plus recurrence and
+    start-value roundoff."""
+    per_mass = 4.0 * _series_eps(tol) + 1e-15 * steps + 64.0 * np.finfo(float).eps
+    return float(np.abs(c).sum()) * per_mass
+
+
 def _mixture_series(dim: int, t: float, locs: np.ndarray, sizes: np.ndarray,
                     r_nodes: np.ndarray, tol: float) -> tuple[np.ndarray, float]:
-    """sum_j sizes_j * w(locs_j, r, t) via the collapsed Poisson mixture.
-
-    The jumps span noncentralities from 0 up, so the full range 0..M is
-    swept (no mode window applies); M is capped to keep the sweep feasible.
-    """
-    mu = locs * locs / (4.0 * t)
-    total = sizes.sum()
-    m_terms = _poisson_term_count(float(mu.max(initial=0.0)), 0.5 * tol / max(total, 1e-300))
-    if m_terms > 2_000_000:
-        raise EvaluationError(
-            f"profile mixture needs {m_terms} series terms; the largest jump "
-            f"radius is too far out for this time step (max mu = {mu.max():.3g})")
-    q = _poisson_mixture_weights(sizes, mu, m_terms)
+    """sum_j sizes_j * w(locs_j, r, t) by the windowed sweep, windows per call."""
+    a = 0.5 * dim
+    order = np.argsort(locs, kind="stable")
+    jw = _JumpWindows.build(locs[order] ** 2 / (4.0 * t), _series_eps(tol))
     z = r_nodes * r_nodes / (4.0 * t)
-    vals = _chi2_basis_sweep(q, dim, z)
-    eval_err = tol + 1e-15 * m_terms
-    return np.clip(vals, 0.0, total), eval_err
+    z_order = np.argsort(z, kind="stable")
+    nw = _NodeWindows.build(a, z[z_order], _series_eps(tol),
+                            support=(int(jw.lo[0]), int(jw.hi[-1])))
+    c = sizes[order]
+    vals = np.empty(z.size)
+    vals[z_order], steps = _series_sweep(a, c, jw, nw)
+    return np.clip(vals, 0.0, max(c.sum(), 0.0)), _series_eval_err(c, tol, steps)
+
+
+class _SeriesLattice:
+    """Series windows and start values on the lattice r_i = i*h, i < n.
+
+    Jump means mu_i and node arguments z_i are both (i h)^2 / (4t), so one
+    lattice serves as jump and node set for every apply with step t.
+    """
+
+    def __init__(self, dim: int, t: float, h: float, tol: float, n: int):
+        x = (np.arange(n, dtype=float) * h) ** 2 / (4.0 * t)
+        self.n = n
+        self.jumps = _JumpWindows.build(x, _series_eps(tol))
+        self.nodes = _NodeWindows.build(0.5 * dim, x, _series_eps(tol))
+        self.nbytes = self.jumps.nbytes + self.nodes.nbytes
+
+
+def _mixture_series_lattice(dim: int, t: float, c: np.ndarray, h: float, n_out: int,
+                            tol: float) -> tuple[np.ndarray, float]:
+    """Mixture of lattice jumps c on the lattice nodes i*h, i < n_out."""
+    key = ("series", dim, t, h, tol)
+    if key in _IMAGE_CACHE and _IMAGE_CACHE[key].n < n_out:
+        del _IMAGE_CACHE[key]  # rebuilt longer, with headroom as mass spreads
+    lattice = _cached(key, lambda: _SeriesLattice(dim, t, h, tol, n_out + n_out // 4))
+    vals, steps = _series_sweep(0.5 * dim, c, lattice.jumps.head(c.size),
+                                lattice.nodes.head(n_out))
+    return np.clip(vals, 0.0, max(c.sum(), 0.0)), _series_eval_err(c, tol, steps)
+
+
+def _image_tail(dim: int, t: float, x: float, mass: float, w_mass: float,
+                c0: float) -> float:
+    """Bound on the image terms dropped beyond a band edge at x = (B+1)h/(2 sqrt t)."""
+    tail = math.erfc(x) * mass
+    if dim == 3:
+        gauss = math.exp(-x * x)
+        # Gaussian image terms, and the Maxwell origin table (q e^-q^2 falls for q >= 1)
+        tail += 2.0 * math.sqrt(t / math.pi) * gauss * w_mass
+        tail += c0 * (2.0 / _SQRT_PI) * x * gauss
+    return tail
 
 
 class _ImageEngine:
-    """Cached FFT plans for lattice mixtures in d = 1 or 3.
+    """Band-limited image kernels for lattice mixtures in d = 1 or 3.
 
-    For jumps and outputs on the common lattice i*h, the image formulas
-    reduce the mixture to convolutions sum_j c_j K[i-j] and correlations
-    sum_j c_j K[i+j] against fixed kernel tables: exact finite sums.  All
-    terms share one padded length, the reversed-input transforms come from
-    the conjugate-phase identity, and everything is summed in the spectral
-    domain, so one apply costs one forward and one inverse real FFT per
-    weight vector.
+    For jumps c_j at j*h and nodes i*h the image formulas give
+    sum_j c_j w(jh, ih, t) = 0.5 sum_j c_j [K(i-j) + K(i+j)] with
+    K(m) = erf(mh / 2 sqrt t) (d = 1).  Split K = sgn - k with
+    k(m) = sgn(m) erfc(|m| h / 2 sqrt t): the sgn part and the constant
+    limit of the reflection are prefix sums of c, and k, cut to |m| <= band,
+    is one linear convolution u = c * k over m in [-band, n_act + band).
+    Its negative half gives the reflection remainder, since
+    sum_j c_j erfc((i+j) h / 2 sqrt t) = -u[-i] (+ c_0 at i = 0).  In d = 3
+    the Gaussian image terms with weights c_j / (jh) ride in the same
+    spectral sum, and a jump at the origin adds the Maxwell correction.
+    One apply costs one forward FFT per weight vector and one inverse, of
+    length about n_act + 2 band.
     """
 
-    def __init__(self, dim: int, t: float, h: float, n: int):
-        self.dim, self.t, self.h, self.n = dim, t, h, n
-        m = np.arange(-(n - 1), 2 * n - 1)  # offsets needed by conv and corr
-        self.n_fft = fft.next_fast_len(4 * n - 3)
-        freqs = np.arange(self.n_fft // 2 + 1)
-        # rfft of the reversed, zero-padded c equals conj(rfft(c)) * phase
-        self.rev_phase = np.exp(-2j * math.pi * freqs * (n - 1) / self.n_fft)
-        k_erf = erf(m * h / (2.0 * math.sqrt(t)))
-        self.erf_conv = fft.rfft(k_erf, self.n_fft)
-        self.erf_corr = fft.rfft(k_erf[n - 1:], self.n_fft)
+    def __init__(self, dim: int, t: float, h: float, band: int, n_fft: int):
+        self.dim, self.t, self.h, self.band, self.n_fft = dim, t, h, band, n_fft
+        m = np.arange(-band, band + 1)
+        x = np.abs(m) * (h / (2.0 * math.sqrt(t)))
+        kern = np.zeros(n_fft)
+        kern[m % n_fft] = 0.5 * np.sign(m) * erfc(x)
+        self.k_hat = fft.rfft(kern)
+        self.nbytes = self.k_hat.nbytes
         if dim == 3:
-            k_exp = np.exp(-((m * h) ** 2) / (4.0 * t))
-            self.exp_conv = fft.rfft(k_exp, self.n_fft)
-            self.exp_corr = fft.rfft(k_exp[n - 1:], self.n_fft)
-            lat = np.arange(n) * h
+            kern[m % n_fft] = math.sqrt(t / math.pi) * np.exp(-x * x)
+            self.e_hat = fft.rfft(kern)
+            lat = np.arange(band + 1) * h
             self.maxwell_origin = _maxwell_cdf(lat, t) - erf(lat / (2.0 * math.sqrt(t)))
+            self.nbytes += self.e_hat.nbytes + self.maxwell_origin.nbytes
 
-    def apply(self, c: np.ndarray) -> np.ndarray:
-        c_hat = fft.rfft(c, self.n_fft)
-        c_rev_hat = np.conj(c_hat) * self.rev_phase
-        spec = 0.5 * (c_hat * self.erf_conv + c_rev_hat * self.erf_corr)
+    def apply(self, c: np.ndarray, w2: np.ndarray | None, n_out: int) -> np.ndarray:
+        """Node values from jump sizes c and, in d = 3, weights w2 = c_j / (jh)."""
+        n_act, band, n_fft = c.size, self.band, self.n_fft
+        spec = fft.rfft(c, n_fft) * self.k_hat
         if self.dim == 3:
-            w2 = np.zeros_like(c)
-            w2[1:] = c[1:] / (np.arange(1, self.n) * self.h)
-            w_hat = fft.rfft(w2, self.n_fft)
-            w_rev_hat = np.conj(w_hat) * self.rev_phase
-            spec -= math.sqrt(self.t / math.pi) * (
-                w_hat * self.exp_conv - w_rev_hat * self.exp_corr)
-        vals = fft.irfft(spec, self.n_fft)[self.n - 1: 2 * self.n - 1]
+            spec += fft.rfft(w2, n_fft) * self.e_hat
+        u = fft.irfft(spec, n_fft)  # u[p mod n_fft] for p in [-band, n_act + band)
+        cum = np.full(n_out, c.sum())
+        cum[:min(n_act, n_out)] = _prefix_sums(c)[:n_out]
+        vals = 0.5 * cum
+        vals[1:] += 0.5 * cum[:-1]
+        k = min(n_out, n_act + band)
+        vals[:k] -= u[:k]
+        k = min(n_out - 1, band)
+        vals[1:k + 1] += u[::-1][:k]
         if self.dim == 3 and c[0] != 0.0:
-            # a jump at the origin follows the Maxwell limit; the image
-            # terms above already cancel there (w2[0] = 0)
-            vals += c[0] * self.maxwell_origin
+            k = min(n_out, band + 1)
+            vals[:k] += c[0] * self.maxwell_origin[:k]
+        vals[0] = 0.0  # w(a, 0, t) = 0
         return vals
 
 
-_IMAGE_CACHE: dict[tuple, _ImageEngine] = {}
-_IMAGE_PAD = 256  # lattice sizes are bucketed so the kernel FFTs get reused
+def _prefix_sums(c: np.ndarray) -> np.ndarray:
+    """cumsum(c) with rounding error of order (n/256 + 256) ulps, not n:
+    sums within blocks of 256, then one running sum over the block totals."""
+    n, block = c.size, 256
+    padded = np.zeros(-(-n // block) * block)
+    padded[:n] = c
+    within = np.cumsum(padded.reshape(-1, block), axis=1)
+    offsets = np.concatenate(([0.0], np.cumsum(within[:-1, -1])))
+    return (within + offsets[:, None]).ravel()[:n]
 
 
-def _mixture_images_lattice(dim: int, t: float, c: np.ndarray, h: float
-                            ) -> tuple[np.ndarray, float]:
-    """Mixture on the lattice r_i = i*h for d in {1, 3} via image formulas."""
-    n_out = c.size
-    n = min(-(-n_out // _IMAGE_PAD) * _IMAGE_PAD, max(n_out, 1) + _IMAGE_PAD)
-    key = (dim, float(t), float(h), n)
-    engine = _IMAGE_CACHE.get(key)
-    if engine is None:
-        if len(_IMAGE_CACHE) > 32:
-            _IMAGE_CACHE.clear()
-        engine = _ImageEngine(dim, float(t), float(h), n)
-        _IMAGE_CACHE[key] = engine
-    c_pad = np.zeros(n)
-    c_pad[:n_out] = c
-    vals = engine.apply(c_pad)[:n_out]
-    eval_err = 64.0 * np.finfo(float).eps * max(n, 1)
+_BAND_STEP = 256  # bands and FFT lengths are bucketed so engines get reused
+
+
+def _mixture_images_lattice(dim: int, t: float, c: np.ndarray, h: float, n_out: int,
+                            tol: float) -> tuple[np.ndarray, float]:
+    """Mixture of lattice jumps c on the nodes i*h, i < n_out, for d in {1, 3}."""
+    mass = float(np.abs(c).sum())
+    w2, w_mass = None, 0.0
+    if dim == 3:
+        w2 = np.zeros(c.size)
+        w2[1:] = c[1:] / (np.arange(1, c.size, dtype=float) * h)
+        w_mass = float(np.abs(w2).sum())
+    c0 = abs(float(c[0]))
+    budget = min(0.5 * tol, _TAIL * mass)
+    # start near the edge (each tail term is about its weight times e^-x^2);
+    # the scan only moves outwards, so the edge it stops at always passes
+    x = max(1.0, math.sqrt(math.log((mass + w_mass + c0) / budget)) - 1.0)
+    while _image_tail(dim, t, x, mass, w_mass, c0) > budget:
+        x += 0.02
+    scale = h / (2.0 * math.sqrt(t))
+    band = -(-int(math.ceil(x / scale)) // _BAND_STEP) * _BAND_STEP
+    band = min(band, n_out + c.size)
+    # past n_out + n_act - 1 no lattice pair is dropped
+    tail = 0.0 if band >= n_out + c.size - 1 else \
+        _image_tail(dim, t, (band + 1) * scale, mass, w_mass, c0)
+    need = -(-(c.size + 2 * band) // _BAND_STEP) * _BAND_STEP
+    key = ("image", dim, t, h, band, fft.next_fast_len(need, real=True))
+    engine = _cached(key, lambda: _ImageEngine(dim, t, h, band, key[-1]))
+    vals = engine.apply(c, w2, n_out)
+    eval_err = tail + 64.0 * np.finfo(float).eps * engine.n_fft * mass
     return np.clip(vals, 0.0, c.sum()), eval_err
+
+
+def _lattice_jumps(locs: np.ndarray, sizes: np.ndarray, r_nodes: np.ndarray,
+                   h: float) -> np.ndarray:
+    """Jump sizes by lattice index, trimmed after the last nonzero one."""
+    slack = 1e-9 * h
+    n = r_nodes.size
+    if np.any(np.abs(r_nodes - np.arange(n, dtype=float) * h) > slack):
+        raise ValueError("r_nodes must be the lattice i*lattice_h for i = 0..n-1")
+    idx = np.rint(locs / h)
+    if np.any(np.abs(locs - idx * h) > slack) or idx.min() < 0 or idx.max() >= n:
+        raise ValueError("locs must lie on the lattice i*lattice_h inside the nodes")
+    c = np.bincount(idx.astype(np.int64), weights=sizes)
+    nz = np.flatnonzero(c)
+    return c[: nz[-1] + 1] if nz.size else c[:0]
 
 
 def mixture_node_values(dim: int, t: float, locs: np.ndarray, sizes: np.ndarray,
@@ -395,22 +646,26 @@ def mixture_node_values(dim: int, t: float, locs: np.ndarray, sizes: np.ndarray,
                         lattice_h: float | None = None) -> tuple[np.ndarray, float]:
     """Evaluate sum_j sizes_j * w(locs_j, r, t) at the given nodes.
 
-    When ``lattice_h`` is given, ``locs`` and ``r_nodes`` must both be the
-    lattice i*lattice_h for i = 0..n-1; d in {1, 3} then uses the fast image
-    route.  Returns (values, certified absolute evaluation error).
+    When ``lattice_h`` is given, ``r_nodes`` must be the lattice i*lattice_h
+    for i = 0..n-1 and ``locs`` must lie on it (to 1e-9 * lattice_h, else
+    ``ValueError``); d in {1, 3} then takes the band-limited image route and
+    every other d the series with windows cached per lattice.  Returns
+    (values, certified absolute evaluation error).
     """
     _check_time(t)
     locs = np.asarray(locs, dtype=float)
     sizes = np.asarray(sizes, dtype=float)
-    if locs.size == 0:
-        return np.zeros_like(np.asarray(r_nodes, dtype=float)), 0.0
-    if lattice_h is not None and dim in (1, 3):
-        n = np.asarray(r_nodes).size
-        c = np.zeros(n)
-        idx = np.rint(locs / lattice_h).astype(int)
-        np.add.at(c, idx, sizes)
-        return _mixture_images_lattice(dim, t, c, lattice_h)
-    return _mixture_series(dim, t, locs, sizes, np.asarray(r_nodes, dtype=float), tol)
+    r_nodes = np.asarray(r_nodes, dtype=float)
+    if lattice_h is None:
+        if locs.size == 0:
+            return np.zeros_like(r_nodes), 0.0
+        return _mixture_series(dim, t, locs, sizes, r_nodes, tol)
+    h = float(lattice_h)
+    c = _lattice_jumps(locs, sizes, r_nodes, h) if locs.size else np.zeros(0)
+    if c.size == 0:
+        return np.zeros_like(r_nodes), 0.0
+    route = _mixture_images_lattice if dim in (1, 3) else _mixture_series_lattice
+    return route(dim, float(t), c, h, r_nodes.size, tol)
 
 
 # ---------------------------------------------------------------------------

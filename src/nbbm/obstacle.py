@@ -234,9 +234,8 @@ class SandwichSolver:
         live = sizes > 0.0
         locs = self.grid[:n_act][live]
         nodes = self.grid[:n_need]
-        lattice = self.h if self.dim in (1, 3) else None
         vals, eval_err = mixture_node_values(self.dim, self.delta, locs, sizes[live],
-                                             nodes, tol=self.tol, lattice_h=lattice)
+                                             nodes, tol=self.tol, lattice_h=self.h)
         vals = np.maximum.accumulate(vals)
         tail = min(e_d * float(p_in[n_act - 1]), 1.0)
         w = np.minimum(e_d * vals, 1.0)

@@ -2,13 +2,15 @@ import math
 
 import numpy as np
 import pytest
-from scipy import integrate
+from scipy import integrate, stats
 from scipy.special import chndtr, erf
 
+from nbbm import kernels
 from nbbm.core import RadialProfile
 from nbbm.kernels import (GridFunction, KernelContext, apply_Gt, bessel_density,
                           cutoff, kernel_G, linear_evolve, mixture_node_values,
                           radial_cdf)
+from nbbm.obstacle import SolveRequest, solve_sandwich, stationary_state
 from nbbm.sim import replica_rng
 
 
@@ -54,6 +56,16 @@ class TestRadialCdf:
                 ours = radial_cdf(ctx, y, r, t)
                 ref = chndtr(r * r / (2 * t), ctx.dim, y * y / (2 * t))
                 assert np.abs(ours - ref).max() < 5e-9
+
+    @pytest.mark.parametrize("d", [2, 4, 5])
+    @pytest.mark.parametrize("y, t", [(2.0, 1e-4), (20.0, 0.01)])
+    def test_matches_noncentral_chi2_cdf_large_noncentrality(self, d, y, t):
+        # y^2/4t = 1e4: the Poisson window sits far from index 0
+        c = KernelContext(d)
+        r = y + np.linspace(-8.0, 8.0, 81) * math.sqrt(2 * t)
+        ours = radial_cdf(c, y, r, t)
+        ref = chndtr(r * r / (2 * t), d, y * y / (2 * t))
+        assert np.abs(ours - ref).max() < 5e-9
 
     def test_monte_carlo_identity(self, ctx):
         # the norm-process law must match simulation; light version of the
@@ -263,3 +275,69 @@ class TestLinearEvolve:
         out = linear_evolve(ctx, RadialProfile.step(y, 1.0), t, spacing=1e-3)
         rr = np.linspace(0.0, 5.0, 80)
         assert np.abs(out(rr) - math.exp(t) * radial_cdf(ctx, y, rr, t)).max() < 2e-3
+
+
+# ---------------------------------------------------------------------------
+# mixture_node_values on a lattice (the solver's route)
+# ---------------------------------------------------------------------------
+
+class TestLatticeMixture:
+    H = 0.01
+    N = 2000  # nodes i*H, r up to 20
+
+    @staticmethod
+    def _reference(d, t, locs, sizes, r):
+        # independent of the windowed sweep: closed forms in d = 1, 3 and
+        # scipy's noncentral chi-squared CDF in d = 2
+        if d == 2:
+            return sum(c * stats.ncx2.cdf(r * r / (2 * t), 2, a * a / (2 * t))
+                       for a, c in zip(locs, sizes))
+        ctx = KernelContext(d)
+        return sum(c * radial_cdf(ctx, float(a), r, t) for a, c in zip(locs, sizes))
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("t", [0.01, 0.3])
+    def test_matches_pointwise_kernel(self, d, t):
+        # jumps at and near 0, mid-range, and far beyond the image band
+        # (about 120 cells at t = 0.01 and 660 at t = 0.3)
+        idx = np.array([0, 1, 3, 400, 1500])
+        sizes = np.array([0.05, 0.2, 0.1, 0.4, 0.25])
+        r = np.arange(self.N) * self.H
+        kernels._IMAGE_CACHE.clear()
+        vals, err = mixture_node_values(d, t, idx * self.H, sizes, r,
+                                        tol=1e-10, lattice_h=self.H)
+        ref = self._reference(d, t, idx * self.H, sizes, r)
+        assert 0.0 < err < 1e-8
+        assert np.abs(vals - ref).max() <= err + 1e-13
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_off_lattice_input_rejected(self, d):
+        r = np.arange(200) * self.H
+        with pytest.raises(ValueError):
+            mixture_node_values(d, 0.01, [0.505], [1.0], r + 0.003, lattice_h=self.H)
+        with pytest.raises(ValueError):
+            mixture_node_values(d, 0.01, [0.505], [1.0], r, lattice_h=self.H)
+        with pytest.raises(ValueError):  # jump beyond the last node
+            mixture_node_values(d, 0.01, [2.5], [1.0], r, lattice_h=self.H)
+        vals, _ = mixture_node_values(d, 0.01, [0.5 + 1e-13], [1.0], r, lattice_h=self.H)
+        assert vals[-1] == pytest.approx(1.0, abs=1e-12)
+
+    def test_cache_stays_under_byte_budget(self, monkeypatch):
+        kernels._IMAGE_CACHE.clear()
+
+        def solve(d):
+            st = stationary_state(d)
+            req = SolveRequest(dim=d, initial=st.as_profile(801, "lower"), horizon=0.03,
+                               step_size=0.01, initial_upper=st.as_profile(801, "upper"))
+            solve_sandwich(req)
+            return sum(e.nbytes for e in kernels._IMAGE_CACHE.values())
+
+        for d in (1, 3, 2):
+            assert 0 < solve(d) <= kernels._CACHE_BYTES
+        kinds = {key[0] for key in kernels._IMAGE_CACHE}
+        assert kinds == {"image", "series"}
+        # a budget below one engine keeps only the newest entry
+        monkeypatch.setattr(kernels, "_CACHE_BYTES", 1)
+        solve(1)
+        assert len(kernels._IMAGE_CACHE) == 1
+        assert next(iter(kernels._IMAGE_CACHE))[0] == "image"
