@@ -3,7 +3,7 @@
 Subpackages:
 
 * ``core``        shared value types and empirical statistics
-* ``kernels``     radial Brownian transition kernels w, g, G and operators
+* ``kernels``     radial Brownian kernels w, g, G and their lattice mixtures
 * ``obstacle``    certified sandwich solver, free boundary, stationary state
 * ``sim``         event-driven particle simulation and couplings
 * ``experiments`` desk-scale reproductions with machine-readable reports
@@ -12,11 +12,10 @@ Subpackages:
 
 from .core import (ParticleEnsemble, RadialProfile, SandwichPair, StationaryState,
                    empirical_cdf, in_gamma, max_radius, measure_of_set)
-from .kernels import KernelContext, apply_Gt, bessel_density, cutoff, kernel_G, \
-    linear_evolve, radial_cdf
+from .kernels import KernelContext, bessel_density, kernel_G, radial_cdf
 from .obstacle import (SandwichSolver, SolveRequest, analytic_gap, check_contraction,
                        converge_to_V, free_boundary_radius, mass_movement_check,
-                       solve_sandwich, stationary_state, step_minus, step_plus)
+                       solve_sandwich, stationary_state)
 from .sim import (BbmForest, SimParams, advance_bbm, advance_nbbm, coupled_run,
                   killed_survival_density, replica_rng, spherically_ordered_pair,
                   spherically_ordered_pairs, survival_curve)

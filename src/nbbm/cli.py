@@ -103,7 +103,7 @@ def _run_simulate(cfg: RunConfig, w: _ArtifactWriter) -> int:
     sampler = _sampler(p["sampler"], d, p["sampler_radius"])
     rng = replica_rng(cfg.seed, 0)
     ens = ParticleEnsemble(d, sampler.sample(n, rng))
-    params = SimParams(dim=d, population=n, mode=p["mode"], batch_dt=p["batch_dt"],
+    params = SimParams(dim=d, population=n,
                        record_schedule=tuple(s for s in p["snapshots"] if s <= p["t"]))
     snap_lines = ["time,label," + ",".join(f"x{i+1}" for i in range(d))]
     ev_lines = ["time,branching_label,removed_label"]

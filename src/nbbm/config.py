@@ -54,8 +54,6 @@ SCHEMAS: dict[str, dict[str, tuple[str, object]]] = {
         "n": ("int", 1000),
         "d": ("int", 1),
         "t": ("float", 1.0),
-        "mode": ("str", "exact"),
-        "batch_dt": ("float", 0.01),
         "sampler": ("str", "uniform-ball"),
         "sampler_radius": ("float", 1.0),
         "snapshots": ("floatlist", (0.5, 1.0)),
@@ -133,8 +131,6 @@ def _validate(subcommand: str, p: dict):
         positive("delta")
     if "replicas" in p:
         positive("replicas")
-    if subcommand == "simulate" and p["mode"] not in ("exact", "frozen-batch"):
-        raise ValueError(f"mode must be exact or frozen-batch, got {p['mode']!r}")
     if subcommand in ("simulate", "hydro", "selection") and \
             p["sampler"] not in ("origin", "uniform-ball", "stationary"):
         raise ValueError(f"unknown sampler {p['sampler']!r}")

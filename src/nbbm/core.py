@@ -25,6 +25,7 @@ __all__ = [
     "RadialProfile",
     "SandwichPair",
     "StationaryState",
+    "discretize_cdf",
     "empirical_cdf",
     "max_radius",
     "in_gamma",
@@ -303,28 +304,34 @@ class StationaryState:
         return self._cumulative(r)
 
     def as_profile(self, n_nodes: int = 4001, mode: str = "nearest") -> RadialProfile:
-        """Discretize V as a step profile.
-
-        mode 'upper'/'lower' round V up/down onto the grid so the result
-        brackets V from the requested side; 'nearest' samples exactly.
-        """
-        grid = np.linspace(0.0, self.r_infinity, n_nodes)
-        v = np.clip(self._cumulative(grid), 0.0, 1.0)
-        v[-1] = 1.0
-        if mode == "upper":
-            loc, val = np.concatenate(([0.0], grid[1:-1])), v[1:]
-        elif mode == "lower":
-            loc, val = grid[1:], v[1:]
-        elif mode == "nearest":
-            loc, val = grid[1:], np.concatenate((0.5 * (v[1:-1] + v[2:]), [1.0]))
-        else:
-            raise ValueError(f"unknown mode {mode!r}")
-        keep = np.diff(val, prepend=0.0) > 0.0
-        return RadialProfile(loc[keep], np.minimum(val[keep], 1.0),
-                             default_domain_cap(self.r_infinity), self.dim)
+        """Discretize V on [0, R_inf] as a step profile (see ``discretize_cdf``)."""
+        return discretize_cdf(self._cumulative, self.r_infinity, n_nodes, mode, self.dim)
 
     def __repr__(self):
         return f"StationaryState(dim={self.dim}, r_infinity={self.r_infinity:.12g})"
+
+
+def discretize_cdf(cdf, r_max: float, n_nodes: int, mode: str,
+                   dim: int | None = None) -> RadialProfile:
+    """Step profile of a continuous radial CDF that reaches 1 at r_max.
+
+    On n_nodes equispaced nodes of [0, r_max], mode 'upper' takes each
+    cell's value from its right node and 'lower' from its left node, so the
+    result brackets the CDF from that side; 'nearest' takes the mean of the
+    two node values (the first cell stays 0, as in 'lower').
+    """
+    grid = np.linspace(0.0, r_max, n_nodes)
+    v = np.clip(np.asarray(cdf(grid), dtype=float), 0.0, 1.0)
+    if mode == "upper":
+        loc, val = np.concatenate(([0.0], grid[1:-1])), v[1:]
+    elif mode == "lower":
+        loc, val = grid[1:], v[1:]
+    elif mode == "nearest":
+        loc, val = grid[1:], np.append(0.5 * (v[1:-1] + v[2:]), v[-1])
+    else:
+        raise ValueError(f"unknown mode {mode!r}")
+    keep = np.diff(val, prepend=0.0) > 0.0
+    return RadialProfile(loc[keep], val[keep], default_domain_cap(r_max), dim)
 
 
 # ---------------------------------------------------------------------------

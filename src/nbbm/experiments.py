@@ -17,8 +17,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import ParticleEnsemble, RadialProfile, SandwichPair, empirical_cdf, \
-    in_gamma, max_radius, measure_of_set
+from .core import ParticleEnsemble, RadialProfile, SandwichPair, discretize_cdf, \
+    empirical_cdf, in_gamma, max_radius, measure_of_set
 from .obstacle import SandwichSolver, SolveRequest, solve_sandwich, stationary_state
 from .sim import SimParams, advance_nbbm, replica_rng
 
@@ -108,7 +108,7 @@ class UniformBallSampler:
         return np.clip(np.asarray(r, dtype=float) / self.radius, 0.0, 1.0) ** self.dim
 
     def limit_profile(self, mode: str = "nearest", n_nodes: int = 4001) -> RadialProfile:
-        return _profile_from_cdf(self.cdf, self.radius, n_nodes, mode, self.dim)
+        return discretize_cdf(self.cdf, self.radius, n_nodes, mode, self.dim)
 
 
 @dataclass(frozen=True)
@@ -131,21 +131,6 @@ class StationarySampler:
 
     def limit_profile(self, mode: str = "nearest", n_nodes: int = 4001) -> RadialProfile:
         return stationary_state(self.dim).as_profile(n_nodes, mode)
-
-
-def _profile_from_cdf(fn, r_max: float, n_nodes: int, mode: str,
-                      dim: int | None) -> RadialProfile:
-    grid = np.linspace(0.0, r_max, n_nodes)
-    v = np.clip(np.asarray(fn(grid), dtype=float), 0.0, 1.0)
-    v[-1] = float(fn(r_max))
-    if mode == "upper":
-        loc, val = np.concatenate(([0.0], grid[1:-1])), v[1:]
-    elif mode == "lower":
-        loc, val = grid[1:], v[1:]
-    else:
-        loc, val = grid[1:], v[1:]
-    keep = np.diff(val, prepend=0.0) > 0.0
-    return RadialProfile.from_jumps(loc[keep], val[keep], dim=dim)
 
 
 # ---------------------------------------------------------------------------

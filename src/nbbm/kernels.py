@@ -21,19 +21,20 @@ degrees of freedom by two, giving the closed forms
     G(y, r, t) = (y/t) * f_ncx2(r^2/2t; d+2, y^2/2t).
 
 For d = 1 and d = 3 everything reduces to Gaussian image formulas.  The
-grid engine applies G_t to a step profile as the finite mixture
-sum_j c_j w(a_j, r, t), and every apply costs the kernel's support, not the
-domain:
+lattice engine ``mixture_node_values``, which the solver's branch step
+calls, evaluates G_t of a step profile with jumps c_j at lattice points a_j
+as the finite mixture sum_j c_j w(a_j, r, t) on the lattice nodes, and
+every apply costs the kernel's support, not the domain:
 
-* image route (d = 1, 3, lattice jumps and nodes): the saturated parts of
-  the image kernels are prefix sums of the jump sizes, and the remainders,
-  cut to a band of B cells, are one FFT convolution of length about
-  n_act + 2B (n_act = cells carrying jumps);
-* series route (any d): each jump's Poisson weights and each node's
+* image route (d = 1, 3): the saturated parts of the image kernels are
+  prefix sums of the jump sizes, and the remainders, cut to a band of B
+  cells, are one FFT convolution of length about n_act + 2B (n_act = cells
+  carrying jumps);
+* series route (any other d): each jump's Poisson weights and each node's
   incomplete-gamma basis are swept only over a window of about c*sqrt(z)
   indices, with indices below a node's window entering through a prefix
-  sum.  On a lattice the windows and start values are built once per
-  (dim, t, h) and cached.
+  sum.  The windows and start values are built once per (dim, t, h) and
+  cached.
 
 The returned ``eval_err`` books, per unit of mixture mass, the image terms
 beyond the band (erfc and Gaussian tails), the four series window tails,
@@ -51,18 +52,12 @@ import numpy as np
 from scipy import fft
 from scipy.special import erf, erfc, gammainc, gammaincc, gammaln, ive
 
-from .core import RadialProfile
-
 __all__ = [
     "KernelContext",
     "EvaluationError",
-    "GridFunction",
     "radial_cdf",
     "bessel_density",
     "kernel_G",
-    "apply_Gt",
-    "cutoff",
-    "linear_evolve",
     "mixture_node_values",
 ]
 
@@ -473,22 +468,6 @@ def _series_eval_err(c: np.ndarray, tol: float, steps: int) -> float:
     return float(np.abs(c).sum()) * per_mass
 
 
-def _mixture_series(dim: int, t: float, locs: np.ndarray, sizes: np.ndarray,
-                    r_nodes: np.ndarray, tol: float) -> tuple[np.ndarray, float]:
-    """sum_j sizes_j * w(locs_j, r, t) by the windowed sweep, windows per call."""
-    a = 0.5 * dim
-    order = np.argsort(locs, kind="stable")
-    jw = _JumpWindows.build(locs[order] ** 2 / (4.0 * t), _series_eps(tol))
-    z = r_nodes * r_nodes / (4.0 * t)
-    z_order = np.argsort(z, kind="stable")
-    nw = _NodeWindows.build(a, z[z_order], _series_eps(tol),
-                            support=(int(jw.lo[0]), int(jw.hi[-1])))
-    c = sizes[order]
-    vals = np.empty(z.size)
-    vals[z_order], steps = _series_sweep(a, c, jw, nw)
-    return np.clip(vals, 0.0, max(c.sum(), 0.0)), _series_eval_err(c, tol, steps)
-
-
 class _SeriesLattice:
     """Series windows and start values on the lattice r_i = i*h, i < n.
 
@@ -504,8 +483,8 @@ class _SeriesLattice:
         self.nbytes = self.jumps.nbytes + self.nodes.nbytes
 
 
-def _mixture_series_lattice(dim: int, t: float, c: np.ndarray, h: float, n_out: int,
-                            tol: float) -> tuple[np.ndarray, float]:
+def _lattice_series(dim: int, t: float, c: np.ndarray, h: float, n_out: int,
+                    tol: float) -> tuple[np.ndarray, float]:
     """Mixture of lattice jumps c on the lattice nodes i*h, i < n_out."""
     key = ("series", dim, t, h, tol)
     if key in _IMAGE_CACHE and _IMAGE_CACHE[key].n < n_out:
@@ -596,8 +575,8 @@ def _prefix_sums(c: np.ndarray) -> np.ndarray:
 _BAND_STEP = 256  # bands and FFT lengths are bucketed so engines get reused
 
 
-def _mixture_images_lattice(dim: int, t: float, c: np.ndarray, h: float, n_out: int,
-                            tol: float) -> tuple[np.ndarray, float]:
+def _lattice_images(dim: int, t: float, c: np.ndarray, h: float, n_out: int,
+                    tol: float) -> tuple[np.ndarray, float]:
     """Mixture of lattice jumps c on the nodes i*h, i < n_out, for d in {1, 3}."""
     mass = float(np.abs(c).sum())
     w2, w_mass = None, 0.0
@@ -642,109 +621,23 @@ def _lattice_jumps(locs: np.ndarray, sizes: np.ndarray, r_nodes: np.ndarray,
 
 
 def mixture_node_values(dim: int, t: float, locs: np.ndarray, sizes: np.ndarray,
-                        r_nodes: np.ndarray, tol: float = 1e-12,
-                        lattice_h: float | None = None) -> tuple[np.ndarray, float]:
-    """Evaluate sum_j sizes_j * w(locs_j, r, t) at the given nodes.
+                        r_nodes: np.ndarray, tol: float = 1e-12, *,
+                        lattice_h: float) -> tuple[np.ndarray, float]:
+    """Evaluate sum_j sizes_j * w(locs_j, r, t) at the lattice nodes.
 
-    When ``lattice_h`` is given, ``r_nodes`` must be the lattice i*lattice_h
-    for i = 0..n-1 and ``locs`` must lie on it (to 1e-9 * lattice_h, else
-    ``ValueError``); d in {1, 3} then takes the band-limited image route and
-    every other d the series with windows cached per lattice.  Returns
-    (values, certified absolute evaluation error).
+    ``r_nodes`` must be the lattice i*lattice_h for i = 0..n-1 and ``locs``
+    must lie on it (to 1e-9 * lattice_h, else ``ValueError``); d in {1, 3}
+    takes the band-limited image route and every other d the series with
+    windows cached per lattice.  Returns (values, certified absolute
+    evaluation error).
     """
     _check_time(t)
     locs = np.asarray(locs, dtype=float)
     sizes = np.asarray(sizes, dtype=float)
     r_nodes = np.asarray(r_nodes, dtype=float)
-    if lattice_h is None:
-        if locs.size == 0:
-            return np.zeros_like(r_nodes), 0.0
-        return _mixture_series(dim, t, locs, sizes, r_nodes, tol)
     h = float(lattice_h)
     c = _lattice_jumps(locs, sizes, r_nodes, h) if locs.size else np.zeros(0)
     if c.size == 0:
         return np.zeros_like(r_nodes), 0.0
-    route = _mixture_images_lattice if dim in (1, 3) else _mixture_series_lattice
+    route = _lattice_images if dim in (1, 3) else _lattice_series
     return route(dim, float(t), c, h, r_nodes.size, tol)
-
-
-# ---------------------------------------------------------------------------
-# Operators on profiles
-# ---------------------------------------------------------------------------
-
-def cutoff(f: RadialProfile, m: float) -> RadialProfile:
-    """C_m f = pointwise min(f, m), preserving the step structure."""
-    return f.clipped(m)
-
-
-def _default_grid(f: RadialProfile, t: float, spacing: float | None) -> np.ndarray:
-    r_scale = max(1.0, f.locations[-1] if f.locations.size else 1.0)
-    h = spacing if spacing is not None else 2e-3 * r_scale
-    hi = min(f.domain_cap, (f.locations[-1] if f.locations.size else 0.0)
-             + support_band(t) + 1.0)
-    grid = np.arange(0.0, hi + h, h)
-    if f.locations.size:
-        grid = np.union1d(grid, f.locations)
-    return grid
-
-
-def apply_Gt(ctx: KernelContext, f: RadialProfile, t: float, mode: str = "upper",
-             grid: np.ndarray | None = None, spacing: float | None = None) -> RadialProfile:
-    """G_t f as a step profile, rounded up or down onto the output grid.
-
-    A step profile is a finite mixture of unit steps, and integrating G
-    against a unit step at a gives w(a, r, t), so G_t f(r) =
-    sum_j c_j w(a_j, r, t) with c_j the jump sizes.  ``mode='upper'`` rounds
-    node values up across each grid cell, ``mode='lower'`` rounds down, so
-    the two modes bracket the exact operator image pointwise.
-    """
-    _check_time(t)
-    if mode not in ("upper", "lower"):
-        raise ValueError("mode must be 'upper' or 'lower'")
-    if grid is None:
-        grid = _default_grid(f, t, spacing)
-    grid = np.unique(np.asarray(grid, dtype=float))
-    if grid[0] != 0.0:
-        grid = np.concatenate(([0.0], grid))
-    vals, _ = mixture_node_values(ctx.dim, t, f.locations, f.jump_sizes, grid,
-                                  tol=ctx.tolerance)
-    vals = np.maximum.accumulate(vals)  # enforce monotonicity against roundoff
-    tail = float(f.final_value)
-    out_cap = f.domain_cap + support_band(t)
-    if mode == "upper":
-        loc = grid
-        val = np.concatenate((vals[1:], [tail]))
-    else:
-        loc = grid[1:]
-        val = vals[1:]
-    keep = np.diff(val, prepend=0.0) > 0.0
-    return RadialProfile(loc[keep], np.clip(val[keep], 0.0, 1.0), out_cap, ctx.dim)
-
-
-@dataclass(frozen=True)
-class GridFunction:
-    """Plain sampled function on radius nodes; values may exceed 1."""
-
-    nodes: np.ndarray
-    values: np.ndarray
-    clamped: bool = False
-
-    def __call__(self, r):
-        return np.interp(r, self.nodes, self.values)
-
-    @property
-    def sup(self) -> float:
-        return float(self.values.max()) if self.values.size else 0.0
-
-
-def linear_evolve(ctx: KernelContext, f0: RadialProfile, t: float,
-                  grid: np.ndarray | None = None, spacing: float | None = None
-                  ) -> GridFunction:
-    """e^t * (G_t f0): the growing linear evolution, returned unclamped."""
-    _check_time(t)
-    if grid is None:
-        grid = _default_grid(f0, t, spacing)
-    grid = np.unique(np.asarray(grid, dtype=float))
-    vals, _ = mixture_node_values(ctx.dim, t, f0.locations, f0.jump_sizes, grid,
-                                  tol=ctx.tolerance)
-    return GridFunction(grid, math.exp(t) * vals, clamped=False)

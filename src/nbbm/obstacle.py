@@ -38,8 +38,7 @@ __all__ = [
     "analytic_gap",
     "default_grid_step",
     "solve_sandwich",
-    "step_plus",
-    "step_minus",
+    "branch_step",
     "free_boundary_radius",
     "stationary_state",
     "check_contraction",
@@ -141,6 +140,58 @@ class SolveTrace:
         return self.boundary_lo[i], self.boundary_hi[i]
 
 
+def _active_len(p: np.ndarray) -> int:
+    """Index one past the last strictly increasing cell."""
+    nz = np.nonzero(np.diff(p) > 0.0)[0]
+    return int(nz[-1]) + 2 if nz.size else 1
+
+
+def branch_step(dim: int, delta: float, h: float, p: np.ndarray, upper: bool,
+                tol: float = 1e-10) -> tuple[np.ndarray, float]:
+    """One sandwich step of one branch on the lattice i*h.
+
+    ``p[i]`` is the branch value on the cell (i h, (i+1) h].  The upper step
+    is C_1 e^delta G_delta p rounded up across each cell, the lower step
+    e^delta G_delta C_{exp(-delta)} p rounded down; past the first node
+    within _TRUNC_TOL of the total mass the tail is frozen.  When the
+    kernel's support band needs n_need > p.size cells, the result has
+    n_need + max(64, n_need // 8) cells, padded with its last value.
+    Returns the stepped array and the allowance this step adds to the
+    branch's grid gap: the largest cell oscillation, e^delta times the
+    kernel's evaluation error, and the tail freeze.
+    """
+    if delta <= 0.0:
+        raise ValueError("delta must be positive")
+    e_d = math.exp(delta)
+    p_in = p if upper else np.minimum(p, math.exp(-delta))
+    n_act = _active_len(p_in)
+    n_need = n_act + int(math.ceil(support_band(delta, tol=1e-15, dim=dim) / h)) + 2
+    n = p.size if n_need <= p.size else n_need + max(64, n_need // 8)
+    nodes = np.arange(n_need, dtype=float) * h
+    sizes = np.diff(p_in[:n_act], prepend=0.0)
+    live = sizes > 0.0
+    vals, eval_err = mixture_node_values(dim, delta, nodes[:n_act][live], sizes[live],
+                                         nodes, tol=tol, lattice_h=h)
+    vals = np.maximum.accumulate(vals)
+    tail = min(e_d * float(p_in[n_act - 1]), 1.0)
+    w = np.minimum(e_d * vals, 1.0)
+    # freeze the numerically flat tail to keep the active window bounded
+    flat = np.nonzero(w >= tail - _TRUNC_TOL)[0]
+    i_star = int(flat[0]) if flat.size else n_need - 1
+    if upper:
+        p_new = np.full(n, tail)
+        p_new[: n_need - 1] = w[1:]
+        p_new[i_star:] = tail
+    else:
+        p_new = np.full(n, float(w[i_star]))
+        p_new[:n_need] = w
+        p_new[i_star:] = w[i_star]
+    p_new = np.maximum.accumulate(np.clip(p_new, 0.0, 1.0))
+    eps = float(np.max(np.diff(w)))
+    eps += e_d * eval_err + _TRUNC_TOL
+    return p_new, eps
+
+
 class SandwichSolver:
     """Incremental sandwich iteration on one shared uniform grid.
 
@@ -164,14 +215,13 @@ class SandwichSolver:
         if grid_step is None:
             grid_step = default_grid_step(dim, horizon_hint or 1.0, delta, r_scale)
         self.h = float(grid_step)
-        self.band = support_band(delta, tol=1e-15, dim=self.dim)
-        self._band_cells = int(math.ceil(self.band / self.h)) + 2
+        band = support_band(delta, tol=1e-15, dim=self.dim)
         upper0 = initial if initial_upper is None else initial_upper
         max_jump = max(
             initial.locations[-1] if initial.locations.size else 0.0,
             upper0.locations[-1] if upper0.locations.size else 0.0,
         )
-        n0 = int(math.ceil((max_jump + self.band + 1.0) / self.h)) + 2
+        n0 = int(math.ceil((max_jump + band + 1.0) / self.h)) + 2
         self.grid = np.arange(n0) * self.h
         self.p_lo = self._round_down(initial, self.grid)
         self.p_up = self._round_up(upper0, self.grid)
@@ -208,63 +258,17 @@ class SandwichSolver:
             return np.concatenate((p, np.full(self.grid.size - p.size, p[-1])))
         return p
 
-    @staticmethod
-    def _active_len(p: np.ndarray) -> int:
-        """Index one past the last strictly increasing cell."""
-        nz = np.nonzero(np.diff(p) > 0.0)[0]
-        return int(nz[-1]) + 2 if nz.size else 1
-
-    # -- one step of one branch ----------------------------------------------
-
-    def _branch_step(self, which: str) -> tuple[np.ndarray, float]:
-        e_d = math.exp(self.delta)
-        plus = which == "up"
-
-        def take():
-            p = self.p_up if plus else self.p_lo
-            return p if plus else np.minimum(p, math.exp(-self.delta))
-
-        p_in = take()
-        n_act = self._active_len(p_in)
-        n_need = n_act + self._band_cells
-        if n_need > self.grid.size:
-            self._extend_to(n_need + max(64, n_need // 8))
-            p_in = take()
-        sizes = np.diff(p_in[:n_act], prepend=0.0)
-        live = sizes > 0.0
-        locs = self.grid[:n_act][live]
-        nodes = self.grid[:n_need]
-        vals, eval_err = mixture_node_values(self.dim, self.delta, locs, sizes[live],
-                                             nodes, tol=self.tol, lattice_h=self.h)
-        vals = np.maximum.accumulate(vals)
-        tail = min(e_d * float(p_in[n_act - 1]), 1.0)
-        w = np.minimum(e_d * vals, 1.0)
-        # freeze the numerically flat tail to keep the active window bounded
-        flat = np.nonzero(w >= tail - _TRUNC_TOL)[0]
-        i_star = int(flat[0]) if flat.size else n_need - 1
-        if plus:
-            p_new = np.full(self.grid.size, tail)
-            p_new[: n_need - 1] = w[1:]
-            p_new[i_star:] = tail
-        else:
-            p_new = np.full(self.grid.size, float(w[i_star]))
-            p_new[:n_need] = w
-            p_new[i_star:] = w[i_star]
-        p_new = np.maximum.accumulate(np.clip(p_new, 0.0, 1.0))
-        eps = float(np.max(np.diff(w))) if w.size > 1 else 0.0
-        eps += e_d * eval_err + _TRUNC_TOL
-        return p_new, eps
-
     # -- public ---------------------------------------------------------------
 
     def advance(self, k: int):
         e_d = math.exp(self.delta)
         for _ in range(int(k)):
-            new_up, eps_up = self._branch_step("up")
-            self.p_up = new_up
-            new_lo, eps_lo = self._branch_step("lo")
-            self.p_lo = new_lo
-            self.p_up = self._fit(self.p_up)
+            self.p_up, eps_up = branch_step(self.dim, self.delta, self.h, self.p_up,
+                                            True, self.tol)
+            self._extend_to(self.p_up.size)
+            self.p_lo, eps_lo = branch_step(self.dim, self.delta, self.h, self.p_lo,
+                                            False, self.tol)
+            self._extend_to(self.p_lo.size)
             self.d_up = e_d * self.d_up + eps_up
             self.d_lo = e_d * self.d_lo + eps_lo
             self.steps += 1
@@ -311,7 +315,7 @@ class SandwichSolver:
         return self.steps > 0 and self.grid_gap > self.analytic_gap
 
     def _profile(self, p: np.ndarray) -> RadialProfile:
-        n_act = self._active_len(p)
+        n_act = _active_len(p)
         loc = self.grid[:n_act]
         val = np.clip(p[:n_act], 0.0, 1.0)
         keep = np.diff(val, prepend=0.0) > 0.0
@@ -346,35 +350,6 @@ def solve_sandwich(req: SolveRequest, with_trace: bool = False):
     if with_trace:
         return pair, solver.trace
     return pair
-
-
-# ---------------------------------------------------------------------------
-# Single public steps (convenient for tests and small experiments)
-# ---------------------------------------------------------------------------
-
-def step_plus(ctx: KernelContext, v: RadialProfile, delta: float,
-              grid: np.ndarray | None = None, spacing: float | None = None) -> RadialProfile:
-    """One upper-branch step C_1(e^delta G_delta v), rounded up."""
-    from .kernels import apply_Gt
-    if delta <= 0.0:
-        raise ValueError("delta must be positive")
-    g = apply_Gt(ctx, v, delta, mode="upper", grid=grid, spacing=spacing)
-    vals = np.minimum(math.exp(delta) * g.values, 1.0)
-    keep = np.diff(vals, prepend=0.0) > 0.0
-    return RadialProfile(g.locations[keep], vals[keep], g.domain_cap, ctx.dim)
-
-
-def step_minus(ctx: KernelContext, v: RadialProfile, delta: float,
-               grid: np.ndarray | None = None, spacing: float | None = None) -> RadialProfile:
-    """One lower-branch step e^delta G_delta (C_{exp(-delta)} v), rounded down."""
-    from .kernels import apply_Gt, cutoff
-    if delta <= 0.0:
-        raise ValueError("delta must be positive")
-    g = apply_Gt(ctx, cutoff(v, math.exp(-delta)), delta, mode="lower",
-                 grid=grid, spacing=spacing)
-    vals = np.minimum(math.exp(delta) * g.values, 1.0)
-    keep = np.diff(vals, prepend=0.0) > 0.0
-    return RadialProfile(g.locations[keep], vals[keep], g.domain_cap, ctx.dim)
 
 
 # ---------------------------------------------------------------------------

@@ -68,8 +68,6 @@ class SimParams:
     dim: int
     population: int
     seed: int = 0
-    mode: str = "exact"          # "exact" or "frozen-batch"
-    batch_dt: float = 0.01       # frozen-batch window width
     record_schedule: tuple[float, ...] = ()
 
     def __post_init__(self):
@@ -77,8 +75,6 @@ class SimParams:
             raise ValueError("population must be >= 1")
         if self.dim < 1:
             raise ValueError("dim must be >= 1")
-        if self.mode not in ("exact", "frozen-batch"):
-            raise ValueError("mode must be 'exact' or 'frozen-batch'")
         sched = tuple(float(s) for s in self.record_schedule)
         if any(s < 0.0 for s in sched) or any(
                 b <= a for a, b in zip(sched, sched[1:])):
@@ -103,13 +99,10 @@ def _diffuse(pos: np.ndarray, dt: float, rng: np.random.Generator):
 
 def advance_nbbm(params: SimParams, state: ParticleEnsemble, duration: float,
                  rng: np.random.Generator) -> tuple[ParticleEnsemble, EventLog]:
-    """Evolve the N-particle system for ``duration``, exactly by default.
+    """Evolve the N-particle system for ``duration`` exactly.
 
-    Exact mode draws Exponential(N) gaps, diffuses every particle across
-    each gap, and applies the duplicate/remove rule at the event.  The
-    frozen-batch mode diffuses once per ``batch_dt`` window and replays the
-    window's Poisson(N*batch_dt) events against frozen positions; it is a
-    documented O(batch_dt)-bias approximation intended for profiling only.
+    Draws Exponential(N) gaps, diffuses every particle across each gap, and
+    applies the duplicate/remove rule at the event.
     """
     if duration < 0.0:
         raise ValueError("duration must be nonnegative")
@@ -118,24 +111,15 @@ def advance_nbbm(params: SimParams, state: ParticleEnsemble, duration: float,
         raise ValueError(f"state has {state.population} particles, params say {n}")
     pos = state.positions.copy()
     log = EventLog()
-    if params.mode == "exact":
-        t_done = 0.0
-        while True:
-            gap = rng.exponential(1.0 / n)
-            if t_done + gap >= duration:
-                _diffuse(pos, duration - t_done, rng)
-                break
-            _diffuse(pos, gap, rng)
-            t_done += gap
-            _apply_event(pos, state.clock + t_done, log, rng)
-    else:
-        t_done = 0.0
-        while t_done < duration - 1e-15:
-            dt = min(params.batch_dt, duration - t_done)
-            _diffuse(pos, dt, rng)
-            t_done += dt
-            for _ in range(rng.poisson(n * dt)):
-                _apply_event(pos, state.clock + t_done, log, rng)
+    t_done = 0.0
+    while True:
+        gap = rng.exponential(1.0 / n)
+        if t_done + gap >= duration:
+            _diffuse(pos, duration - t_done, rng)
+            break
+        _diffuse(pos, gap, rng)
+        t_done += gap
+        _apply_event(pos, state.clock + t_done, log, rng)
     return state.with_positions(pos, state.clock + duration), log
 
 
@@ -467,28 +451,22 @@ def _boundary_fn(boundary):
     return lambda s: level
 
 
-def survival_curve(dim: int, x: np.ndarray, boundary, t_grid: np.ndarray,
-                   n_samples: int, rng: np.random.Generator,
-                   dt: float | None = None) -> np.ndarray:
-    """Fraction of Brownian paths from x never leaving the moving ball.
+def _killed_chunks(dim: int, x, boundary, dt: float, steps: int, n_samples: int,
+                   rng: np.random.Generator, record: dict[int, int]):
+    """Brownian paths from x over ``steps`` steps of dt, killed at the first
+    step k with ||B|| >= R(k dt), in chunks of at most 100k paths.
 
-    Killing is checked at grid times only, so survival is overestimated by
-    a one-sided O(sqrt(dt)) discretization bias.
+    Yields per chunk the positions, the alive mask after the last step and
+    the alive counts after step k at index ``record[k]``.
     """
-    t_grid = np.asarray(t_grid, dtype=float)
-    t_end = float(t_grid[-1])
-    if dt is None:
-        dt = 1e-3 * t_end
     r_of = _boundary_fn(boundary)
-    steps = int(round(t_end / dt))
-    out = np.zeros(t_grid.size)
-    record = {int(round(t / dt)): i for i, t in enumerate(t_grid)}
     chunk = max(1, min(n_samples, int(4e6 // max(steps, 1)) or 1, 100_000))
     done = 0
     while done < n_samples:
         m = min(chunk, n_samples - done)
         pos = np.tile(np.asarray(x, dtype=float), (m, 1))
         alive = np.ones(m, dtype=bool)
+        counts = np.zeros(len(record))
         for k in range(1, steps + 1):
             live_idx = np.nonzero(alive)[0]
             if not live_idx.size:
@@ -499,8 +477,31 @@ def survival_curve(dim: int, x: np.ndarray, boundary, t_grid: np.ndarray,
                 dead = _norms(pos[live_idx]) >= r_lim
                 alive[live_idx[dead]] = False
             if k in record:
-                out[record[k]] += float(alive.sum())
+                counts[record[k]] = float(alive.sum())
+        yield pos, alive, counts
         done += m
+
+
+def survival_curve(dim: int, x: np.ndarray, boundary, t_grid: np.ndarray,
+                   n_samples: int, rng: np.random.Generator,
+                   dt: float | None = None) -> np.ndarray:
+    """Fraction of Brownian paths from x never leaving the moving ball.
+
+    Killing is checked at grid times only, so survival is overestimated by
+    a one-sided O(sqrt(dt)) discretization bias.  ``t_grid`` must round to
+    strictly increasing positive multiples of dt.
+    """
+    t_grid = np.asarray(t_grid, dtype=float)
+    if dt is None:
+        dt = 1e-3 * float(t_grid[-1])
+    at = [int(round(t / dt)) for t in t_grid]
+    if at[0] < 1 or any(b <= a for a, b in zip(at, at[1:])):
+        raise ValueError(f"t_grid must round to strictly increasing positive "
+                         f"multiples of dt = {dt:g}")
+    out = np.zeros(t_grid.size)
+    for _, _, counts in _killed_chunks(dim, x, boundary, dt, at[-1], n_samples, rng,
+                                       {k: i for i, k in enumerate(at)}):
+        out += counts
     return out / n_samples
 
 
@@ -518,31 +519,15 @@ def killed_survival_density(dim: int, x, boundary, t: float, n_samples: int,
     if dt is None:
         dt = 1e-3 * t
     steps = max(1, int(round(t / dt)))
-    dt = t / steps
-    r_of = _boundary_fn(boundary)
     hits = 0
-    done = 0
-    chunk = max(1, min(n_samples, int(4e6 // steps) or 1, 100_000))
-    scale = math.exp(t)
-    while done < n_samples:
-        m = min(chunk, n_samples - done)
-        pos = np.tile(np.asarray(x, dtype=float), (m, 1))
-        alive = np.ones(m, dtype=bool)
-        for k in range(1, steps + 1):
-            live_idx = np.nonzero(alive)[0]
-            if not live_idx.size:
-                break
-            pos[live_idx] += rng.standard_normal((live_idx.size, dim)) * math.sqrt(2.0 * dt)
-            r_lim = r_of(k * dt)
-            if math.isfinite(r_lim):
-                dead = _norms(pos[live_idx]) >= r_lim
-                alive[live_idx[dead]] = False
+    for pos, alive, _ in _killed_chunks(dim, x, boundary, t / steps, steps, n_samples,
+                                        rng, {}):
         if indicator is None:
             hits += int(alive.sum())
         else:
             live_idx = np.nonzero(alive)[0]
             if live_idx.size:
                 hits += int(np.asarray(indicator(pos[live_idx]), dtype=bool).sum())
-        done += m
+    scale = math.exp(t)
     p = hits / n_samples
     return scale * p, scale * math.sqrt(max(p * (1.0 - p), 1e-300) / n_samples)

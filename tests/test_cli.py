@@ -30,8 +30,6 @@ def random_config(rng) -> RunConfig:
             params[key] = tuple(sorted(rng.uniform(0.1, 5.0, int(rng.integers(1, 5)))))
         elif key == "sampler":
             params[key] = ["origin", "uniform-ball", "stationary"][int(rng.integers(3))]
-        elif key == "mode":
-            params[key] = ["exact", "frozen-batch"][int(rng.integers(2))]
         elif key == "initial":
             params[key] = ["stationary", "uniform"][int(rng.integers(2))]
     try:

@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nbbm.core import (ParticleEnsemble, RadialProfile, empirical_cdf, in_gamma,
-                       max_radius, measure_of_set)
+from nbbm.core import (ParticleEnsemble, RadialProfile, discretize_cdf, empirical_cdf,
+                       in_gamma, max_radius, measure_of_set)
 from nbbm.experiments import StationarySampler
 from nbbm.sim import replica_rng
 
@@ -63,6 +63,22 @@ class TestRadialProfile:
         assert f.clipped(1.0) is f
         assert f.clipped(0.0).final_value == 0.0
 
+    def test_clipped_pairwise_bound(self):
+        # C_m f - C_m h <= max(0, sup(f - h)) pointwise
+        rng = np.random.default_rng(3)
+
+        def random_profile():
+            locs = np.unique(rng.uniform(0.05, 2.0, int(rng.integers(3, 25))))
+            return RadialProfile.from_jumps(locs, np.sort(rng.uniform(0.0, 1.0, locs.size)))
+
+        for _ in range(20):
+            f, h = random_profile(), random_profile()
+            m = rng.uniform(0.2, 1.0)
+            cf, ch = f.clipped(m), h.clipped(m)
+            pts = np.union1d(f.locations, h.locations)
+            gap = np.max(np.concatenate((f(pts) - h(pts), [0.0])))
+            assert np.all(cf(pts) - ch(pts) <= gap + 1e-12)
+
     def test_csv_round_trip(self):
         f = RadialProfile.from_jumps([0.25, 1.5], [0.5, 1.0], domain_cap=9.0, dim=2)
         g = RadialProfile.from_csv(f.to_csv(), dim=2)
@@ -75,6 +91,34 @@ class TestRadialProfile:
         g = RadialProfile.from_json_obj(json.loads(json.dumps(f.to_json_obj())))
         assert np.array_equal(f.locations, g.locations)
         assert g.dim == 3
+
+
+# ---------------------------------------------------------------------------
+# discretize_cdf
+# ---------------------------------------------------------------------------
+
+class TestDiscretizeCdf:
+    @staticmethod
+    def cdf(r):
+        return np.clip(np.asarray(r) / 2.0, 0.0, 1.0) ** 2
+
+    def test_modes_bracket_the_cdf(self):
+        rr = np.linspace(0.0, 2.5, 2001)
+        exact = self.cdf(rr)
+        lo = discretize_cdf(self.cdf, 2.0, 41, "lower", dim=2)
+        up = discretize_cdf(self.cdf, 2.0, 41, "upper", dim=2)
+        mid = discretize_cdf(self.cdf, 2.0, 41, "nearest", dim=2)
+        assert np.all(lo(rr) <= exact + 1e-15) and np.all(exact <= up(rr) + 1e-15)
+        assert np.all(lo(rr) <= mid(rr)) and np.all(mid(rr) <= up(rr))
+        assert lo.final_value == up.final_value == mid.final_value == 1.0
+        assert lo.domain_cap == up.domain_cap == mid.domain_cap
+
+    def test_nearest_is_the_cell_midpoint_rule(self):
+        mid = discretize_cdf(self.cdf, 2.0, 5, "nearest")
+        nodes = np.linspace(0.0, 2.0, 5)
+        v = self.cdf(nodes)
+        assert np.array_equal(mid.locations, nodes[1:])
+        assert np.array_equal(mid.values, np.append(0.5 * (v[1:-1] + v[2:]), 1.0))
 
 
 # ---------------------------------------------------------------------------

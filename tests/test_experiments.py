@@ -23,6 +23,8 @@ class TestSamplers:
         prof = UniformBallSampler(2).limit_profile()
         rr = np.linspace(0.01, 0.99, 50)
         assert np.abs(prof(rr) - rr ** 2).max() < 1e-3
+        with pytest.raises(ValueError, match="bogus"):
+            UniformBallSampler(1).limit_profile("bogus")
 
     def test_stationary_sampler_matches_V(self):
         for d in (1, 3):

@@ -7,10 +7,9 @@ from scipy.special import chndtr, erf
 
 from nbbm import kernels
 from nbbm.core import RadialProfile
-from nbbm.kernels import (GridFunction, KernelContext, apply_Gt, bessel_density,
-                          cutoff, kernel_G, linear_evolve, mixture_node_values,
+from nbbm.kernels import (KernelContext, bessel_density, kernel_G, mixture_node_values,
                           radial_cdf)
-from nbbm.obstacle import SolveRequest, solve_sandwich, stationary_state
+from nbbm.obstacle import SolveRequest, branch_step, solve_sandwich, stationary_state
 from nbbm.sim import replica_rng
 
 
@@ -182,99 +181,100 @@ class TestKernelG:
 
 
 # ---------------------------------------------------------------------------
-# apply_Gt / cutoff / linear_evolve
+# G_t, the cutoffs and e^t G_t applied to step profiles on the lattice
 # ---------------------------------------------------------------------------
 
-def _random_profile(rng, max_r=2.0, reach_one=False) -> RadialProfile:
-    nj = int(rng.integers(3, 25))
-    locs = np.unique(rng.uniform(0.05, max_r, nj))
-    vals = np.sort(rng.uniform(0.0, 1.0, locs.size))
-    if reach_one:
-        vals[-1] = 1.0
-    return RadialProfile.from_jumps(locs, vals)
+def _lattice_branch(rng, n: int, top: float) -> np.ndarray:
+    """Nondecreasing node array with random jumps in the first n/4 cells, ending at top."""
+    idx = np.sort(rng.choice(np.arange(1, n // 4), int(rng.integers(3, 20)), replace=False))
+    jumps = np.zeros(n)
+    jumps[idx] = np.diff(np.sort(rng.uniform(0.0, top, idx.size)), prepend=0.0)
+    jumps[idx[-1]] += top - jumps.sum()
+    return np.cumsum(jumps)
 
 
 class TestApplyGt:
+    H = 2e-3
+
     def test_unit_step_at_origin_gives_radial_cdf(self, ctx):
-        f = RadialProfile.step(0.0, 1.0)
-        out = apply_Gt(ctx, f, 0.3, mode="lower", spacing=5e-4)
-        rr = np.linspace(0.05, 3.5, 60)
-        exact = radial_cdf(ctx, 0.0, rr, 0.3)
-        assert np.all(out(rr) <= exact + 1e-12)
-        assert np.max(exact - out(rr)) < 2e-3
+        r = np.arange(2000) * self.H
+        vals, err = mixture_node_values(ctx.dim, 0.3, [0.0], [1.0], r, lattice_h=self.H)
+        exact = radial_cdf(ctx, 0.0, r, 0.3)
+        assert np.abs(vals - exact).max() <= err + 1e-13
 
     def test_zero_profile(self, ctx):
-        out = apply_Gt(ctx, RadialProfile.zero(), 0.5)
-        assert out.final_value == 0.0
+        r = np.arange(500) * self.H
+        vals, err = mixture_node_values(ctx.dim, 0.5, [], [], r, lattice_h=self.H)
+        assert err == 0.0 and not vals.any()
 
     def test_modes_bracket_exact(self, ctx):
+        # below e^-delta neither cutoff acts, so the lower and upper branch
+        # steps bracket the uncut e^delta G_delta f, and they differ on each
+        # cell by no more than the allowance the step reports
         rng = np.random.default_rng(7)
-        f = _random_profile(rng)
-        up = apply_Gt(ctx, f, 0.2, mode="upper", spacing=2e-3)
-        lo = apply_Gt(ctx, f, 0.2, mode="lower", spacing=2e-3)
-        rr = np.linspace(0.0, 4.0, 300)
-        exact, _ = mixture_node_values(ctx.dim, 0.2, f.locations, f.jump_sizes, rr)
-        assert np.all(lo(rr) <= exact + 1e-10)
-        assert np.all(up(rr) >= exact - 1e-10)
-
-    def test_contraction_same_grid(self, ctx):
-        rng = np.random.default_rng(11)
-        grid = np.arange(0.0, 5.0, 2e-3)
-        for _ in range(5):
-            f, h = _random_profile(rng), _random_profile(rng)
-            gf = apply_Gt(ctx, f, 0.4, mode="upper", grid=grid)
-            gh = apply_Gt(ctx, h, 0.4, mode="upper", grid=grid)
-            assert gf.sup_distance(gh) <= f.sup_distance(h) + 1e-9
-
-    def test_semigroup(self, ctx):
-        rng = np.random.default_rng(13)
-        f = _random_profile(rng)
-        grid = np.arange(0.0, 6.0, 1e-3)
-        once = apply_Gt(ctx, f, 0.5, mode="upper", grid=grid)
-        twice = apply_Gt(ctx, apply_Gt(ctx, f, 0.25, mode="upper", grid=grid),
-                         0.25, mode="upper", grid=grid)
-        inter = apply_Gt(ctx, f, 0.25, mode="upper", grid=grid)
-        cell = float(np.max(np.diff(np.concatenate(([0.0], inter.values)))))
-        assert once.sup_distance(twice) <= 2 * cell + 1e-8
+        delta, n = 0.2, 2000
+        p = _lattice_branch(rng, n, math.exp(-delta))
+        up, eps = branch_step(ctx.dim, delta, self.H, p, True)
+        lo, _ = branch_step(ctx.dim, delta, self.H, p, False)
+        m = min(up.size, lo.size)
+        assert np.all(up[:m] - lo[:m] <= eps)
+        rr = rng.uniform(0.0, (n - 1) * self.H, 300)
+        cell = np.ceil(rr / self.H).astype(int) - 1
+        sizes = np.diff(p, prepend=0.0)
+        live = np.flatnonzero(sizes > 0.0)
+        exact = math.exp(delta) * sum(sizes[i] * radial_cdf(ctx, i * self.H, rr, delta)
+                                      for i in live)
+        assert np.all(lo[cell] <= exact + 1e-10)
+        assert np.all(up[cell] >= exact - 1e-10)
 
 
 class TestCutoff:
     def test_identity_and_zero(self):
+        # C_m on profiles, and the cutoffs inside the branch step: C_{e^-delta}
+        # is the identity on an input already below e^-delta, C_1 keeps the
+        # upper step at most 1, and the zero input stays zero
         f = RadialProfile.from_jumps([0.5, 1.0], [0.4, 1.0])
-        assert cutoff(f, 1.0)(2.0) == 1.0
-        assert cutoff(f, 0.0).final_value == 0.0
-
-    def test_pairwise_bound(self):
-        # C_m f - C_m h <= max(0, sup(f - h)) pointwise
-        rng = np.random.default_rng(3)
-        for _ in range(20):
-            f, h = _random_profile(rng), _random_profile(rng)
-            m = rng.uniform(0.2, 1.0)
-            cf, ch = cutoff(f, m), cutoff(h, m)
-            pts = np.union1d(f.locations, h.locations)
-            gap = np.max(np.concatenate((f(pts) - h(pts), [0.0])))
-            assert np.all(cf(pts) - ch(pts) <= gap + 1e-12)
+        assert f.clipped(1.0)(2.0) == 1.0
+        assert f.clipped(0.0).final_value == 0.0
+        rng = np.random.default_rng(5)
+        delta, h = 0.1, 2e-3
+        p = _lattice_branch(rng, 1500, 1.0)
+        lo, _ = branch_step(1, delta, h, p, False)
+        lo_cut, _ = branch_step(1, delta, h, np.minimum(p, math.exp(-delta)), False)
+        assert np.array_equal(lo, lo_cut)
+        up, _ = branch_step(1, delta, h, p, True)
+        assert up.max() == 1.0
+        for upper in (True, False):
+            out, _ = branch_step(1, delta, h, np.zeros(p.size), upper)
+            assert not out.any()
 
 
 class TestLinearEvolve:
+    H = 1e-3
+
     def test_doubling_from_unit_step(self):
+        # e^t G_t 1{0 < r} at t = ln 2 is 2 w(0, r, ln 2), rising to 2 uncut
         c = KernelContext(1)
-        out = linear_evolve(c, RadialProfile.step(0.0, 1.0), math.log(2.0), spacing=1e-3)
-        assert isinstance(out, GridFunction) and not out.clamped
-        rr = np.linspace(0.1, 4.0, 50)
-        assert np.abs(out(rr) - 2.0 * radial_cdf(c, 0.0, rr, math.log(2.0))).max() < 1e-3
-        assert out.sup == pytest.approx(2.0, abs=1e-6)
+        t = math.log(2.0)
+        r = np.arange(8000) * self.H
+        vals, err = mixture_node_values(1, t, [0.0], [1.0], r, lattice_h=self.H)
+        out = math.exp(t) * vals
+        assert np.abs(out - 2.0 * radial_cdf(c, 0.0, r, t)).max() <= 2.0 * err + 1e-12
+        assert out.max() == pytest.approx(2.0, abs=1e-6)
 
     def test_zero(self, ctx):
-        out = linear_evolve(ctx, RadialProfile.zero(), 1.0)
-        assert out.sup == 0.0
+        r = np.arange(500) * self.H
+        vals, err = mixture_node_values(ctx.dim, 1.0, [0.1, 0.2], [0.0, 0.0], r,
+                                        lattice_h=self.H)
+        assert err == 0.0 and not vals.any()
 
     def test_unit_step_special_case(self, ctx):
-        # for f0 = 1{y <= r} the growing solution is e^t w(y, r, t)
+        # for f0 = 1{y < r} the growing solution is e^t w(y, r, t)
         y, t = 0.8, 0.6
-        out = linear_evolve(ctx, RadialProfile.step(y, 1.0), t, spacing=1e-3)
-        rr = np.linspace(0.0, 5.0, 80)
-        assert np.abs(out(rr) - math.exp(t) * radial_cdf(ctx, y, rr, t)).max() < 2e-3
+        r = np.arange(5000) * self.H
+        vals, err = mixture_node_values(ctx.dim, t, [y], [1.0], r, lattice_h=self.H)
+        exact = math.exp(t) * radial_cdf(ctx, y, r, t)
+        assert np.abs(math.exp(t) * vals - exact).max() <= math.exp(t) * err + 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -309,6 +309,21 @@ class TestLatticeMixture:
         ref = self._reference(d, t, idx * self.H, sizes, r)
         assert 0.0 < err < 1e-8
         assert np.abs(vals - ref).max() <= err + 1e-13
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_semigroup(self, d):
+        # G_0.5 f = G_0.25 G_0.25 f, up to resampling G_0.25 f as a lattice
+        # step function, which moves it by at most one cell's oscillation
+        rng = np.random.default_rng(13)
+        idx = np.unique(rng.integers(5, 200, 12))
+        sizes = np.diff(np.sort(rng.uniform(0.0, 1.0, idx.size)), prepend=0.0)
+        r = np.arange(600) * self.H
+        once, err1 = mixture_node_values(d, 0.5, idx * self.H, sizes, r, lattice_h=self.H)
+        inter, err2 = mixture_node_values(d, 0.25, idx * self.H, sizes, r, lattice_h=self.H)
+        jumps = np.diff(inter, prepend=0.0)
+        twice, err3 = mixture_node_values(d, 0.25, r, jumps, r, lattice_h=self.H)
+        cell = float(np.max(jumps[1:]))
+        assert np.abs(once - twice).max() <= cell + err1 + err2 + err3 + 1e-12
 
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_off_lattice_input_rejected(self, d):

@@ -1,15 +1,16 @@
+import inspect
 import math
 
 import numpy as np
 import pytest
-from scipy import integrate
+from scipy import integrate, stats
 
+from nbbm import obstacle
 from nbbm.core import RadialProfile
 from nbbm.kernels import KernelContext, radial_cdf
-from nbbm.obstacle import (SandwichSolver, SolveRequest, analytic_gap,
+from nbbm.obstacle import (SandwichSolver, SolveRequest, analytic_gap, branch_step,
                            check_contraction, converge_to_V, free_boundary_radius,
-                           mass_movement_check, solve_sandwich, stationary_state,
-                           step_minus, step_plus)
+                           mass_movement_check, solve_sandwich, stationary_state)
 from nbbm.sim import replica_rng
 
 
@@ -23,43 +24,102 @@ def random_cdf_profile(rng, d=1, max_r=3.0) -> RadialProfile:
 
 
 # ---------------------------------------------------------------------------
-# Single steps
+# Single branch steps
 # ---------------------------------------------------------------------------
+
+def mixture_reference(d, t, locs, sizes, r):
+    """sum_j sizes_j w(locs_j, r, t) from the closed forms (d = 1, 3) and
+    scipy's noncentral chi-squared CDF (d = 2), independent of the lattice
+    kernel routes."""
+    if d == 2:
+        return sum(c * stats.ncx2.cdf(r * r / (2 * t), 2, a * a / (2 * t))
+                   for a, c in zip(locs, sizes))
+    ctx = KernelContext(d)
+    return sum(c * radial_cdf(ctx, float(a), r, t) for a, c in zip(locs, sizes))
+
+
+def random_branch(rng, n) -> np.ndarray:
+    """Nondecreasing branch array reaching 1, with jumps in the first n/4 cells."""
+    idx = np.sort(rng.choice(np.arange(1, n // 4), int(rng.integers(3, 20)), replace=False))
+    jumps = np.zeros(n)
+    jumps[idx] = np.diff(np.sort(rng.uniform(0.0, 1.0, idx.size)), prepend=0.0)
+    jumps[idx[-1]] += 1.0 - jumps.sum()
+    return np.cumsum(jumps)
+
+
+def exact_step(d, delta, h, p, upper, r):
+    """e^delta G_delta of the branch's step function at r: cut at 1 after the
+    step on the upper branch, at e^-delta before it on the lower one."""
+    e = math.exp(delta)
+    q = p if upper else np.minimum(p, math.exp(-delta))
+    sizes = np.diff(q, prepend=0.0)
+    live = sizes > 0.0
+    out = e * mixture_reference(d, delta, np.flatnonzero(live) * h, sizes[live], r)
+    return np.minimum(out, 1.0) if upper else out
+
 
 class TestSteps:
     def test_zero_profile_fixed(self):
-        ctx = KernelContext(1)
-        z = RadialProfile.zero()
-        assert step_plus(ctx, z, 0.1).final_value == 0.0
-        assert step_minus(ctx, z, 0.1).final_value == 0.0
+        for d in (1, 2, 3):
+            for upper in (True, False):
+                out, _ = branch_step(d, 0.1, 1e-2, np.zeros(100), upper)
+                assert not out.any()
 
     def test_step_plus_from_origin_step(self):
-        # one upper step from the unit step at 0 is min(1, 2 w(0, ., ln 2))
+        # one upper step from the unit step at 0 is min(1, 2 w(0, ., ln 2)),
+        # rounded up by at most one cell; the band outgrows the input array
         ctx = KernelContext(1)
-        delta = math.log(2.0)
-        out = step_plus(ctx, RadialProfile.step(0.0, 1.0), delta, spacing=5e-4)
+        delta, h = math.log(2.0), 1e-3
+        p = np.ones(2000)
+        out, _ = branch_step(1, delta, h, p, True)
+        assert out.size > p.size and out[-1] == 1.0
         rr = np.linspace(0.05, 4.0, 80)
-        target = np.minimum(1.0, 2.0 * radial_cdf(ctx, 0.0, rr, delta))
-        assert np.all(out(rr) >= target - 1e-10)      # upper rounding
-        assert np.max(out(rr) - target) < 3e-3
+        cell = np.ceil(rr / h).astype(int) - 1
+
+        def target(r):
+            return np.minimum(1.0, 2.0 * radial_cdf(ctx, 0.0, r, delta))
+        assert np.all(out[cell] >= target(rr) - 1e-10)
+        assert np.all(out[cell] <= target(rr + h) + 1e-10)
 
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_minus_below_plus(self, d):
-        ctx = KernelContext(d)
+        # lower step <= exact e^delta G_delta (cut input) <= upper step on
+        # every cell, each the exact value at a cell end, from the unit step
+        # at 0 and from random branches
         rng = replica_rng(17, d)
-        grid = np.arange(0.0, 5.0, 2e-3)
-        for _ in range(6):
-            v = random_cdf_profile(rng, d)
-            lo = step_minus(ctx, v, 0.05, grid=grid)
-            hi = step_plus(ctx, v, 0.05, grid=grid)
-            pts = np.union1d(lo.locations, hi.locations)
-            assert np.all(lo(pts) <= hi(pts) + 1e-12)
-            assert np.all(lo.value_right(pts) <= hi.value_right(pts) + 1e-12)
+        h, delta, n = 2e-3, 0.05, 2500
+        for p in [np.ones(n)] + [random_branch(rng, n) for _ in range(3)]:
+            up, _ = branch_step(d, delta, h, p, True)
+            lo, _ = branch_step(d, delta, h, p, False)
+            m = min(up.size, lo.size)
+            assert np.all(lo[:m] <= up[:m] + 1e-12)
+            rr = rng.uniform(0.0, (n - 1) * h, 400)
+            cell = np.ceil(rr / h).astype(int) - 1
+            exact_up = exact_step(d, delta, h, p, True, rr)
+            exact_lo = exact_step(d, delta, h, p, False, rr)
+            assert np.all(up[cell] >= exact_up - 1e-10)
+            assert np.all(lo[cell] <= exact_lo + 1e-10)
+            assert np.all(up[cell] <= exact_step(d, delta, h, p, True, (cell + 1) * h) + 1e-10)
+            assert np.all(lo[cell] >= exact_step(d, delta, h, p, False, cell * h) - 1e-10)
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_contraction_same_grid(self, d):
+        # sup|step(f) - step(g)| <= e^delta sup|f - g| + eps_f + eps_g
+        rng = np.random.default_rng(11)
+        h, delta, n = 2e-3, 0.1, 4000
+        for _ in range(3):
+            f, g = random_branch(rng, n), random_branch(rng, n)
+            for upper in (True, False):
+                sf, eps_f = branch_step(d, delta, h, f, upper)
+                sg, eps_g = branch_step(d, delta, h, g, upper)
+                assert sf.size == sg.size == n
+                bound = math.exp(delta) * np.abs(f - g).max() + eps_f + eps_g
+                assert np.abs(sf - sg).max() <= bound
 
     def test_rejects_nonpositive_delta(self):
-        ctx = KernelContext(1)
-        with pytest.raises(ValueError):
-            step_plus(ctx, RadialProfile.step(1.0), 0.0)
+        for delta in (0.0, -0.1):
+            with pytest.raises(ValueError):
+                branch_step(1, delta, 1e-3, np.ones(10), True)
 
 
 # ---------------------------------------------------------------------------
@@ -112,6 +172,27 @@ class TestSolveSandwich:
                                            step_size=0.02, grid_step=1e-3))
         assert pair.measured_gap <= pair.analytic_gap + pair.grid_gap + 1e-12
         assert pair.upper.final_value == 1.0
+
+    def test_kernel_calls_go_through_module_binding(self, monkeypatch):
+        # per-layer tracing swaps obstacle.mixture_node_values and binds its
+        # arguments by name: two lattice calls per step must pass through it
+        orig = obstacle.mixture_node_values
+        sig = inspect.signature(orig)
+        assert {"dim", "t", "locs", "sizes", "r_nodes", "tol",
+                "lattice_h"} <= set(sig.parameters)
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(sig.bind(*args, **kwargs).arguments)
+            return orig(*args, **kwargs)
+
+        monkeypatch.setattr(obstacle, "mixture_node_values", counting)
+        st = stationary_state(1)
+        solve_sandwich(SolveRequest(dim=1, initial=st.as_profile(801, "lower"),
+                                    horizon=0.03, step_size=0.01, grid_step=1e-3,
+                                    initial_upper=st.as_profile(801, "upper")))
+        assert len(calls) == 2 * 3
+        assert all(a.get("lattice_h") == 1e-3 for a in calls)
 
     def test_target_gap_selects_step(self):
         req = SolveRequest(dim=1, initial=RadialProfile.step(1.0), horizon=0.5,
@@ -248,9 +329,8 @@ class TestContraction:
         assert rep.holds
 
     def test_cutoff_pair_ratio(self):
-        from nbbm.kernels import cutoff
         v0 = random_cdf_profile(replica_rng(8, 2), 1)
-        w0 = cutoff(v0, 0.9)
+        w0 = v0.clipped(0.9)
         rep = check_contraction(1, v0, w0, t=1.0, delta=0.02, grid_step=1e-3)
         assert rep.holds
         assert rep.sup_final_mid <= math.e * rep.sup_initial + 0.15

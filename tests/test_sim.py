@@ -73,12 +73,6 @@ class TestAdvanceNbbm:
         _, p, _, _ = stats.chi2_contingency(table)
         assert p > 0.001
 
-    def test_frozen_batch_mode_runs(self):
-        params = SimParams(dim=1, population=200, mode="frozen-batch", batch_dt=0.05)
-        out, log = advance_nbbm(params, origin_ensemble(200, 1), 1.0, replica_rng(7, 0))
-        assert out.population == 200
-        assert abs(len(log) - 200) < 4 * math.sqrt(200)
-
     def test_population_mismatch_rejected(self):
         params = SimParams(dim=1, population=5)
         with pytest.raises(ValueError):
@@ -224,3 +218,12 @@ class TestKilledSurvival:
                               replica_rng(24, 0), dt=2e-3)
         slope = np.polyfit(tg, np.log(surv), 1)[0]
         assert slope == pytest.approx(-1.0, abs=0.15)
+
+    def test_lost_grid_times_rejected(self):
+        # times that share a step or run backwards used to read 0
+        rng = replica_rng(25, 0)
+        surv = survival_curve(1, [0.0], math.inf, [0.3, 0.6], 10, rng, dt=1e-3)
+        assert np.array_equal(surv, [1.0, 1.0])
+        for t_grid in ([0.5, 0.5004], [0.6, 0.3]):
+            with pytest.raises(ValueError):
+                survival_curve(1, [0.0], math.inf, t_grid, 10, rng, dt=1e-3)
