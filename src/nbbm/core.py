@@ -255,14 +255,6 @@ class SandwichPair:
     def measured_gap(self) -> float:
         return self.upper.sup_distance(self.lower)
 
-    def midpoint_values(self, r: np.ndarray) -> np.ndarray:
-        return 0.5 * (self.upper(r) + self.lower(r))
-
-    def contains(self, profile_or_fn, r: np.ndarray, slack: float = 0.0) -> bool:
-        """Check lower - slack <= f <= upper + slack on the given radii."""
-        f = profile_or_fn(r)
-        return bool(np.all(f <= self.upper(r) + slack) and np.all(f >= self.lower(r) - slack))
-
 
 def _min_margin(upper: RadialProfile, lower: RadialProfile) -> float:
     pts = np.union1d(upper.locations, lower.locations)

@@ -135,10 +135,6 @@ class SolveTrace:
         self.boundary_lo: list[float] = []
         self.boundary_hi: list[float] = []
 
-    def boundary_interval_at(self, t: float) -> tuple[float, float]:
-        i = int(np.argmin(np.abs(np.asarray(self.times) - t)))
-        return self.boundary_lo[i], self.boundary_hi[i]
-
 
 def _active_len(p: np.ndarray) -> int:
     """Index one past the last strictly increasing cell."""
@@ -309,10 +305,6 @@ class SandwichSolver:
     @property
     def combined_gap(self) -> float:
         return self.analytic_gap + self.grid_gap
-
-    @property
-    def grid_too_coarse(self) -> bool:
-        return self.steps > 0 and self.grid_gap > self.analytic_gap
 
     def _profile(self, p: np.ndarray) -> RadialProfile:
         n_act = _active_len(p)

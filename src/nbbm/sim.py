@@ -7,10 +7,12 @@ uniformly chosen label k duplicates and the particle furthest from the
 origin (lowest index on ties) is removed: its slot is overwritten with the
 position of particle k, keeping the population at N.
 
-Also here: the plain branching Brownian motion (no selection) with
-Ulam-Harris labels, the red/blue coupling realizing the N-particle system
-as the blue subset of the free BBM, spherically ordered Brownian pairs,
-and killed-Brownian-motion survival estimates.
+Also here: the red/blue coupling, spherically ordered Brownian pairs and
+killed-Brownian-motion survival estimates.  The coupling grows the free
+branching Brownian motion (BBM: rate-1 binary branching, no selection,
+Ulam-Harris labels) and realizes the N-particle system as its blue subset,
+so the forest it returns is the free BBM; :func:`coupled_run` is the one
+BBM engine.
 """
 
 from __future__ import annotations
@@ -33,9 +35,7 @@ __all__ = [
     "ResourceError",
     "replica_rng",
     "advance_nbbm",
-    "advance_bbm",
     "coupled_run",
-    "spherically_ordered_pair",
     "spherically_ordered_pairs",
     "killed_survival_density",
     "survival_curve",
@@ -137,72 +137,32 @@ def _apply_event(pos: np.ndarray, when: float, log: EventLog,
 
 
 # ---------------------------------------------------------------------------
-# Free branching Brownian motion with Ulam-Harris labels
+# Red/blue coupling: the free BBM with the N-particle system as its blue subset
 # ---------------------------------------------------------------------------
 
 @dataclass
 class BbmForest:
-    """Particles of a free BBM: Ulam-Harris labels, positions, colours.
+    """The free BBM grown by :func:`coupled_run`: Ulam-Harris labels,
+    positions and colours.
 
-    Children of a particle labelled u are u + (1,) and u + (2,).  When the
-    red/blue coupling is active, ``blue`` marks the selected subpopulation
-    of fixed size N.
+    The initial particles are labelled (1,), ..., (N,); children of a
+    particle labelled u are u + (1,) and u + (2,).  ``blue`` marks the
+    selected subpopulation of fixed size N.
     """
 
     dim: int
     labels: list[tuple[int, ...]]
     positions: np.ndarray
-    clock: float = 0.0
-    blue: np.ndarray | None = None
-
-    @staticmethod
-    def from_ensemble(ens: ParticleEnsemble, coloured: bool = False) -> "BbmForest":
-        labels = [(i + 1,) for i in range(ens.population)]
-        blue = np.ones(ens.population, dtype=bool) if coloured else None
-        return BbmForest(ens.dim, labels, ens.positions.copy(), ens.clock, blue)
+    clock: float
+    blue: np.ndarray
 
     @property
     def population(self) -> int:
         return self.positions.shape[0]
 
-    def norms(self) -> np.ndarray:
-        return np.sqrt(np.einsum("ij,ij->i", self.positions, self.positions))
-
 
 _POPULATION_CAP = 10_000_000
 
-
-def advance_bbm(params: SimParams, forest: BbmForest, duration: float,
-                rng: np.random.Generator,
-                population_cap: int = _POPULATION_CAP) -> BbmForest:
-    """Evolve the free BBM: rate-1 binary branching, no selection."""
-    if duration < 0.0:
-        raise ValueError("duration must be nonnegative")
-    pos = forest.positions.copy()
-    labels = list(forest.labels)
-    heap = [(forest.clock + rng.exponential(1.0), i) for i in range(len(labels))]
-    heapq.heapify(heap)
-    now = forest.clock
-    end = forest.clock + duration
-    while heap and heap[0][0] < end:
-        when, idx = heapq.heappop(heap)
-        _diffuse(pos, when - now, rng)
-        now = when
-        parent = labels[idx]
-        labels[idx] = parent + (1,)
-        labels.append(parent + (2,))
-        pos = np.vstack((pos, pos[idx][None, :]))
-        if pos.shape[0] > population_cap:
-            raise ResourceError(f"BBM population exceeded cap {population_cap}")
-        heapq.heappush(heap, (now + rng.exponential(1.0), idx))
-        heapq.heappush(heap, (now + rng.exponential(1.0), pos.shape[0] - 1))
-    _diffuse(pos, end - now, rng)
-    return BbmForest(forest.dim, labels, pos, end, None)
-
-
-# ---------------------------------------------------------------------------
-# Red/blue coupling
-# ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class CoupledObservation:
@@ -235,7 +195,9 @@ def _dominated(blue_norms: np.ndarray, all_norms: np.ndarray, n: int) -> bool:
 def coupled_run(params: SimParams, initial: ParticleEnsemble, duration: float,
                 rng: np.random.Generator,
                 population_cap: int = _POPULATION_CAP) -> CoupledRunResult:
-    """One BBM driving both processes: blue subset evolves as the N-system.
+    """One BBM driving both processes: ``forest_final`` is the free BBM
+    (ResourceError past ``population_cap`` particles) and its blue subset
+    evolves as the N-system.
 
     When a blue particle branches both offspring are blue and the furthest
     blue turns red; red particles breed red.  Records at each observation
@@ -246,6 +208,8 @@ def coupled_run(params: SimParams, initial: ParticleEnsemble, duration: float,
     maximum exactly at their flip event, where the event-time check is
     inconclusive by construction.
     """
+    if duration < 0.0:
+        raise ValueError("duration must be nonnegative")
     n = params.population
     if initial.population != n:
         raise ValueError("initial population must equal params.population")
@@ -426,18 +390,6 @@ def _align_reflections(reflect: np.ndarray, b: np.ndarray, bp: np.ndarray,
         else:
             w = diff / nd
             reflect[i] = np.eye(d) - 2.0 * np.outer(w, w)
-
-
-def spherically_ordered_pair(x, x_plus, horizon: float, sample_times,
-                             rng: np.random.Generator):
-    """Single-pair wrapper around :func:`spherically_ordered_pairs`."""
-    times = np.asarray(sample_times, dtype=float)
-    if times.size and times[-1] > horizon + 1e-12:
-        raise ValueError("sample times must not exceed the horizon")
-    p, pp, coupled = spherically_ordered_pairs(
-        np.asarray(x, dtype=float)[None, :], np.asarray(x_plus, dtype=float)[None, :],
-        times, rng)
-    return p[0], pp[0], bool(coupled[0])
 
 
 # ---------------------------------------------------------------------------

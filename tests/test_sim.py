@@ -5,14 +5,19 @@ import pytest
 from scipy import stats
 
 from nbbm.core import ParticleEnsemble, empirical_cdf, max_radius
-from nbbm.sim import (BbmForest, ResourceError, SimParams, advance_bbm, advance_nbbm,
-                      coupled_run, killed_survival_density, replica_rng,
-                      spherically_ordered_pair, spherically_ordered_pairs,
+from nbbm.sim import (ResourceError, SimParams, advance_nbbm, coupled_run,
+                      killed_survival_density, replica_rng, spherically_ordered_pairs,
                       survival_curve)
 
 
 def origin_ensemble(n, d):
     return ParticleEnsemble(d, np.zeros((n, d)))
+
+
+def free_bbm(ens, duration, rng, **kw):
+    """The free BBM grown from ``ens``: the forest of the red/blue coupling."""
+    params = SimParams(dim=ens.dim, population=ens.population)
+    return coupled_run(params, ens, duration, rng, **kw).forest_final
 
 
 class TestAdvanceNbbm:
@@ -80,35 +85,32 @@ class TestAdvanceNbbm:
 
 
 class TestAdvanceBbm:
+    """The free BBM, advanced by coupled_run."""
+
     def test_zero_duration_identity(self):
-        f = BbmForest.from_ensemble(origin_ensemble(3, 2))
-        out = advance_bbm(SimParams(dim=2, population=3), f, 0.0, replica_rng(9, 0))
+        ens = origin_ensemble(3, 2)
+        out = free_bbm(ens, 0.0, replica_rng(9, 0))
         assert out.population == 3
-        assert np.array_equal(out.positions, f.positions)
+        assert np.array_equal(out.positions, ens.positions)
 
     def test_yule_population_moments(self):
         # population from one ancestor is geometric: mean e^t, var e^2t - e^t
-        params = SimParams(dim=1, population=1)
         t = 2.0
-        pops = np.array([advance_bbm(params, BbmForest.from_ensemble(
-            origin_ensemble(1, 1)), t, replica_rng(10, rep)).population
-            for rep in range(2500)])
+        pops = np.array([free_bbm(origin_ensemble(1, 1), t, replica_rng(10, rep)).population
+                         for rep in range(2500)])
         mean, var = math.exp(t), math.exp(2 * t) - math.exp(t)
         assert abs(pops.mean() - mean) < 4 * math.sqrt(var / 2500)
 
     def test_mean_from_m_particles(self):
-        params = SimParams(dim=1, population=5)
         t = 1.0
-        pops = np.array([advance_bbm(params, BbmForest.from_ensemble(
-            origin_ensemble(5, 1)), t, replica_rng(11, rep)).population
-            for rep in range(800)])
+        pops = np.array([free_bbm(origin_ensemble(5, 1), t, replica_rng(11, rep)).population
+                         for rep in range(800)])
         mean = 5 * math.exp(t)
         var = 5 * (math.exp(2 * t) - math.exp(t))
         assert abs(pops.mean() - mean) < 4 * math.sqrt(var / 800)
 
     def test_ulam_harris_labels(self):
-        f = BbmForest.from_ensemble(origin_ensemble(2, 1))
-        out = advance_bbm(SimParams(dim=1, population=2), f, 3.0, replica_rng(12, 0))
+        out = free_bbm(origin_ensemble(2, 1), 3.0, replica_rng(12, 0))
         labels = set(out.labels)
         assert len(labels) == out.population  # prefix-free at a fixed time
         for lab in labels:
@@ -118,10 +120,8 @@ class TestAdvanceBbm:
                 assert lab[:k] not in labels
 
     def test_population_cap(self):
-        f = BbmForest.from_ensemble(origin_ensemble(4, 1))
         with pytest.raises(ResourceError):
-            advance_bbm(SimParams(dim=1, population=4), f, 6.0, replica_rng(13, 0),
-                        population_cap=20)
+            free_bbm(origin_ensemble(4, 1), 6.0, replica_rng(13, 0), population_cap=20)
 
 
 class TestCoupledRun:
@@ -154,14 +154,20 @@ class TestCoupledRun:
         assert int(res.forest_final.blue.sum()) == 30
         assert res.forest_final.population >= 30
 
+    def test_negative_duration_rejected(self):
+        # a negative duration would run the clock backwards (5 -> 4)
+        params = SimParams(dim=1, population=3)
+        ens = ParticleEnsemble(1, np.zeros((3, 1)), 5.0)
+        with pytest.raises(ValueError):
+            coupled_run(params, ens, -1.0, replica_rng(26, 0))
+
 
 class TestSphericallyOrderedPairs:
     def test_identical_starts_stay_identical(self):
-        x = np.array([0.5, 0.5])
-        p, pp, coupled = spherically_ordered_pair(x, x, 1.0,
-                                                  np.linspace(0.1, 1.0, 10),
-                                                  replica_rng(17, 0))
-        assert coupled
+        x = np.array([[0.5, 0.5]])
+        p, pp, coupled = spherically_ordered_pairs(x, x, np.linspace(0.1, 1.0, 10),
+                                                   replica_rng(17, 0))
+        assert coupled.tolist() == [True]
         assert np.allclose(p, pp)
 
     def test_ordering_every_sample_time(self):
@@ -189,8 +195,8 @@ class TestSphericallyOrderedPairs:
 
     def test_precondition(self):
         with pytest.raises(ValueError):
-            spherically_ordered_pair(np.array([2.0, 0.0]), np.array([1.0, 0.0]),
-                                     1.0, [0.5, 1.0], replica_rng(20, 0))
+            spherically_ordered_pairs(np.array([[2.0, 0.0]]), np.array([[1.0, 0.0]]),
+                                      [0.5, 1.0], replica_rng(20, 0))
 
 
 class TestKilledSurvival:
