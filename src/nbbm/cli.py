@@ -218,7 +218,7 @@ def _run_stationarity(cfg: RunConfig, w: _ArtifactWriter) -> int:
     p = cfg.params
     rows = stationarity_report(p["n"], p["d"], p["burn_in"], p["window"],
                                p["n_windows"], cfg.seed, p["snapshot_dt"],
-                               p["pairwise_tol"], workers=cfg.workers)
+                               p["pairwise_tol"])
     return _write_report(w, rows)
 
 

@@ -239,17 +239,15 @@ def boundary_report(N: int, d: int, T: float, eta: float, sampler,
     limit = sampler.limit_profile("nearest")
     if limit is None:
         raise ValueError("sampler has no solver-compatible limit profile")
-    k = round(T / delta)
-    solver = SandwichSolver(d, limit, T / k, grid_step, horizon_hint=T)
-    solver.advance(k)
-    trace = solver.trace
-    times = np.asarray(trace.times)
+    solver = SandwichSolver(d, limit, delta, grid_step, horizon_hint=T)
     snap_times = tuple(float(s) for s in np.arange(eta, T + 1e-9, snapshot_dt))
     # conservative upper end of the boundary interval at each snapshot
-    r_upper = tuple(float(trace.boundary_hi[int(np.argmin(np.abs(times - s)))])
-                    for s in snap_times)
+    r_upper = []
+    for s in snap_times:
+        solver.advance_to(s)
+        r_upper.append(solver.boundary_interval()[1])
     flags = _run_replicas(_boundary_replica, replicas, workers,
-                          (seed, N, d, T, eta, sampler, snap_times, r_upper))
+                          (seed, N, d, T, eta, sampler, snap_times, tuple(r_upper)))
     frac = float(np.mean(flags))
     return [ReportRow.make("boundary", "exceedance_fraction", frac, tolerance,
                            N, d, T, replicas, seed)]
@@ -282,14 +280,8 @@ def selection_report(N: int, d: int, t: float, K: float, c: float, sampler,
                      replicas: int, seed: int, window_dt: float = 0.05,
                      sup_tol: float = 0.07, m_tol: float = 0.15,
                      mass_tol: float = 0.05, good_fraction: float = 0.9,
-                     workers: int = 1, return_snapshots: bool = False,
-                     extra_sets=()):
-    """Long-time statistics against the stationary state (U, R_inf, V).
-
-    ``extra_sets`` takes (name, indicator, expected_mass) triples to compare
-    the empirical measure of further sets against their stationary mass, on
-    top of the built-in ball-of-R_inf and half-space checks.
-    """
+                     workers: int = 1, return_snapshots: bool = False):
+    """Long-time statistics against the stationary state (U, R_inf, V)."""
     if N < _MIN_POPULATION:
         raise ValueError(f"selection check needs N >= {_MIN_POPULATION}")
     state = stationary_state(d)
@@ -320,14 +312,6 @@ def selection_report(N: int, d: int, t: float, K: float, c: float, sampler,
     rows.append(ReportRow.make("selection", "half_space_mass_error",
                                abs(float(half.mean()) - 0.5), mass_tol,
                                N, d, t, replicas, seed))
-    for name, indicator, expected in extra_sets:
-        # evaluated in-process on the returned snapshots, so indicators
-        # need not survive a trip through the worker pool
-        mean_mass = float(np.mean([np.asarray(indicator(r[5]), dtype=bool).mean()
-                                   for r in res]))
-        rows.append(ReportRow.make("selection", f"set_mass_error_{name}",
-                                   abs(mean_mass - expected), mass_tol,
-                                   N, d, t, replicas, seed))
     if return_snapshots:
         return rows, [r[5] for r in res]
     return rows
@@ -335,8 +319,7 @@ def selection_report(N: int, d: int, t: float, K: float, c: float, sampler,
 
 def stationarity_report(N: int, d: int, burn_in: float, window: float,
                         n_windows: int, seed: int, snapshot_dt: float = 0.25,
-                        pairwise_tol: float = 0.05,
-                        workers: int = 1) -> list[ReportRow]:
+                        pairwise_tol: float = 0.05) -> list[ReportRow]:
     """Mixing diagnostic: time-averaged CDFs over successive windows of one
     long trajectory, compared pairwise and against V."""
     if burn_in <= 0.0 or window <= 0.0:

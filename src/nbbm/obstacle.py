@@ -29,7 +29,7 @@ import numpy as np
 from scipy.special import gammaln, jv
 
 from .core import RadialProfile, SandwichPair, StationaryState, default_domain_cap
-from .kernels import KernelContext, mixture_node_values, support_band
+from .kernels import mixture_node_values, support_band
 
 __all__ = [
     "SolveRequest",
@@ -51,6 +51,7 @@ __all__ = [
 
 _TRUNC_TOL = 1e-12  # per-step allowance for freezing the numerically flat tail
 _SLOPE_GUESS = 1.5  # generic profile slope used when sizing the default grid
+_KERNEL_TOL = 1e-10  # absolute tolerance of each kernel apply (``tol`` of mixture_node_values)
 
 
 def analytic_gap(k: int, delta: float) -> float:
@@ -81,46 +82,42 @@ def default_grid_step(dim: int, horizon: float, delta: float,
     return float(min(max(budget, h_min), h_max))
 
 
+def _check_initial(initial: RadialProfile):
+    # the obstacle problem pins v(0, t) = 0; an upper-bracket start may
+    # still carry a first-cell jump at 0 since it is a majorant, not a measure
+    if initial.locations.size and initial.locations[0] == 0.0:
+        raise ValueError("solver initial profile may not jump at radius 0")
+
+
 @dataclass(frozen=True)
 class SolveRequest:
-    """Inputs for a sandwich solve.
+    """Inputs for a sandwich solve to ``horizon``.
 
-    Exactly one of ``step_size`` or ``target_gap`` must be given; the step
-    is rounded down so the horizon is an integer number of steps.
-    ``initial`` may not jump at radius 0 (the obstacle problem pins
-    v(0, t) = 0).  ``initial_upper`` optionally starts the upper branch
-    from a separate profile, so a smooth initial condition can be bracketed
-    from both sides and containment statements become structural.
+    ``step_size`` is the largest admissible step: the solve takes
+    k = ceil(horizon / step_size) steps of horizon / k, so it ends exactly
+    at the horizon.  ``initial`` may not jump at radius 0 (the obstacle
+    problem pins v(0, t) = 0).  ``initial_upper`` optionally starts the
+    upper branch from a separate profile, so a smooth initial condition can
+    be bracketed from both sides and containment statements become
+    structural.  ``grid_step`` defaults to :func:`default_grid_step`.
     """
 
     dim: int
     initial: RadialProfile
     horizon: float
-    step_size: float | None = None
-    target_gap: float | None = None
+    step_size: float
     grid_step: float | None = None
-    tolerance: float = 1e-10
     initial_upper: RadialProfile | None = None
 
     def __post_init__(self):
         if self.horizon <= 0.0:
             raise ValueError("horizon must be positive")
-        if (self.step_size is None) == (self.target_gap is None):
-            raise ValueError("give exactly one of step_size or target_gap")
-        # the obstacle problem pins v(0, t) = 0; an upper-bracket start may
-        # still carry a first-cell jump at 0 since it is a majorant, not a measure
-        if self.initial.locations.size and self.initial.locations[0] == 0.0:
-            raise ValueError("solver initial profile may not jump at radius 0")
+        if self.step_size <= 0.0:
+            raise ValueError("step size must be positive")
+        _check_initial(self.initial)
 
     def resolve_steps(self) -> tuple[int, float]:
-        if self.step_size is not None:
-            delta0 = self.step_size
-        else:
-            # invert the gap formula with slack, then make k integral
-            delta0 = self.target_gap / (2.0 * (math.exp(self.horizon) + 1.0) * math.e)
-        if delta0 <= 0.0:
-            raise ValueError("step size must be positive")
-        k = max(1, math.ceil(self.horizon / delta0 - 1e-12))
+        k = max(1, math.ceil(self.horizon / self.step_size - 1e-12))
         return k, self.horizon / k
 
 
@@ -128,7 +125,6 @@ class SolveTrace:
     """Per-step diagnostics recorded during a sandwich solve."""
 
     def __init__(self):
-        self.times: list[float] = []
         self.max_gap: list[float] = []
         self.analytic_gap: list[float] = []
         self.grid_gap: list[float] = []
@@ -142,16 +138,18 @@ def _active_len(p: np.ndarray) -> int:
     return int(nz[-1]) + 2 if nz.size else 1
 
 
-def branch_step(dim: int, delta: float, h: float, p: np.ndarray, upper: bool,
-                tol: float = 1e-10) -> tuple[np.ndarray, float]:
+def branch_step(dim: int, delta: float, h: float, p: np.ndarray,
+                upper: bool) -> tuple[np.ndarray, float]:
     """One sandwich step of one branch on the lattice i*h.
 
     ``p[i]`` is the branch value on the cell (i h, (i+1) h].  The upper step
     is C_1 e^delta G_delta p rounded up across each cell, the lower step
     e^delta G_delta C_{exp(-delta)} p rounded down; past the first node
-    within _TRUNC_TOL of the total mass the tail is frozen.  When the
-    kernel's support band needs n_need > p.size cells, the result has
-    n_need + max(64, n_need // 8) cells, padded with its last value.
+    within _TRUNC_TOL of the total mass the tail is frozen.  The kernel is
+    applied through the module binding ``mixture_node_values`` at absolute
+    tolerance _KERNEL_TOL.  When the kernel's support band needs
+    n_need > p.size cells, the result has n_need + max(64, n_need // 8)
+    cells, padded with its last value.
     Returns the stepped array and the allowance this step adds to the
     branch's grid gap: the largest cell oscillation, e^delta times the
     kernel's evaluation error, and the tail freeze.
@@ -167,7 +165,7 @@ def branch_step(dim: int, delta: float, h: float, p: np.ndarray, upper: bool,
     sizes = np.diff(p_in[:n_act], prepend=0.0)
     live = sizes > 0.0
     vals, eval_err = mixture_node_values(dim, delta, nodes[:n_act][live], sizes[live],
-                                         nodes, tol=tol, lattice_h=h)
+                                         nodes, tol=_KERNEL_TOL, lattice_h=h)
     vals = np.maximum.accumulate(vals)
     tail = min(e_d * float(p_in[n_act - 1]), 1.0)
     w = np.minimum(e_d * vals, 1.0)
@@ -191,6 +189,12 @@ def branch_step(dim: int, delta: float, h: float, p: np.ndarray, upper: bool,
 class SandwichSolver:
     """Incremental sandwich iteration on one shared uniform grid.
 
+    Time moves only in whole steps of ``delta``: ``advance(k)`` takes k more
+    steps and ``advance_to(t)`` moves to the step-lattice time t.
+    ``horizon_hint`` is the latest time the caller will ask for; it sizes
+    the default grid (:func:`default_grid_step`).  ``initial`` may not jump
+    at radius 0; ``initial_upper``, if given, starts the upper branch.
+
     Branch state arrays hold node-sampled step functions: ``p[i]`` is the
     branch value on the half-open cell (g_i, g_{i+1}].  The grid extends
     and the active window truncates dynamically as mass spreads, so cost
@@ -198,18 +202,17 @@ class SandwichSolver:
     """
 
     def __init__(self, dim: int, initial: RadialProfile, delta: float,
-                 grid_step: float | None = None, tolerance: float = 1e-10,
-                 initial_upper: RadialProfile | None = None,
-                 horizon_hint: float | None = None):
+                 grid_step: float | None = None,
+                 initial_upper: RadialProfile | None = None, *,
+                 horizon_hint: float):
         if delta <= 0.0:
             raise ValueError("delta must be positive")
+        _check_initial(initial)
         self.dim = int(dim)
         self.delta = float(delta)
-        self.tol = float(tolerance)
-        self.ctx = KernelContext(self.dim, tolerance)
         r_scale = max(1.0, initial.locations[-1] if initial.locations.size else 1.0)
         if grid_step is None:
-            grid_step = default_grid_step(dim, horizon_hint or 1.0, delta, r_scale)
+            grid_step = default_grid_step(dim, horizon_hint, delta, r_scale)
         self.h = float(grid_step)
         band = support_band(delta, tol=1e-15, dim=self.dim)
         upper0 = initial if initial_upper is None else initial_upper
@@ -256,14 +259,23 @@ class SandwichSolver:
 
     # -- public ---------------------------------------------------------------
 
+    def advance_to(self, t: float):
+        """Advance to time t, a multiple of the step no earlier than now."""
+        k = round(t / self.delta)
+        if abs(k * self.delta - t) > 1e-9 * max(1.0, t):
+            raise ValueError(f"time {t!r} is not a multiple of the step {self.delta!r}")
+        if k < self.steps:
+            raise ValueError(f"time {t!r} lies before the solver's time "
+                             f"{self.steps * self.delta!r}")
+        self.advance(k - self.steps)
+
     def advance(self, k: int):
+        """Take k more steps."""
         e_d = math.exp(self.delta)
         for _ in range(int(k)):
-            self.p_up, eps_up = branch_step(self.dim, self.delta, self.h, self.p_up,
-                                            True, self.tol)
+            self.p_up, eps_up = branch_step(self.dim, self.delta, self.h, self.p_up, True)
             self._extend_to(self.p_up.size)
-            self.p_lo, eps_lo = branch_step(self.dim, self.delta, self.h, self.p_lo,
-                                            False, self.tol)
+            self.p_lo, eps_lo = branch_step(self.dim, self.delta, self.h, self.p_lo, False)
             self._extend_to(self.p_lo.size)
             self.d_up = e_d * self.d_up + eps_up
             self.d_lo = e_d * self.d_lo + eps_lo
@@ -278,7 +290,6 @@ class SandwichSolver:
             self._record()
 
     def _record(self):
-        self.trace.times.append(self.steps * self.delta)
         measured = float(np.max(self.p_up - self.p_lo))
         self.trace.max_gap.append(measured)
         self.trace.analytic_gap.append(self.analytic_gap)
@@ -324,20 +335,16 @@ class SandwichSolver:
             step_size=self.delta,
         )
 
-    def midpoint_nodes(self) -> tuple[np.ndarray, np.ndarray]:
-        return self.grid, 0.5 * (self.p_up + self.p_lo)
-
     def boundary_interval(self) -> tuple[float, float]:
         return self.trace.boundary_lo[-1], self.trace.boundary_hi[-1]
 
 
 def solve_sandwich(req: SolveRequest, with_trace: bool = False):
     """Iterate the sandwich to the horizon and certify the bracket."""
-    k, delta = req.resolve_steps()
+    _, delta = req.resolve_steps()
     solver = SandwichSolver(req.dim, req.initial, delta, req.grid_step,
-                            req.tolerance, req.initial_upper,
-                            horizon_hint=req.horizon)
-    solver.advance(k)
+                            req.initial_upper, horizon_hint=req.horizon)
+    solver.advance_to(req.horizon)
     pair = solver.pair()
     if with_trace:
         return pair, solver.trace
@@ -451,21 +458,27 @@ class ContractionReport:
     holds: bool
 
 
+def _midpoint(pair: SandwichPair) -> RadialProfile:
+    """(lower + upper) / 2 as a step profile."""
+    loc = np.union1d(pair.lower.locations, pair.upper.locations)
+    val = 0.5 * (pair.lower.value_right(loc) + pair.upper.value_right(loc))
+    return RadialProfile(loc, val, pair.upper.domain_cap, pair.upper.dim)
+
+
 def check_contraction(dim: int, v0: RadialProfile, w0: RadialProfile, t: float,
                       delta: float = 0.01, grid_step: float | None = None) -> ContractionReport:
     """Continuity in the initial condition: the solution map expands sup
-    distance by at most e^t, verified on sandwich midpoints up to the gaps."""
-    s1 = SandwichSolver(dim, v0, delta, grid_step, horizon_hint=t)
-    s2 = SandwichSolver(dim, w0, delta, grid_step, horizon_hint=t)
-    k = max(1, round(t / delta))
-    s1.advance(k)
-    s2.advance(k)
-    n = min(s1.grid.size, s2.grid.size)
-    mid1 = 0.5 * (s1.p_up[:n] + s1.p_lo[:n])
-    mid2 = 0.5 * (s2.p_up[:n] + s2.p_lo[:n])
-    lhs = float(np.max(np.abs(mid1 - mid2)))
+    distance by at most e^t, verified on sandwich midpoints up to the gaps.
+
+    Both solves reach exactly t with steps of at most ``delta``; their
+    midpoints are compared at every radius.
+    """
+    pairs = [solve_sandwich(SolveRequest(dim=dim, initial=f, horizon=t, step_size=delta,
+                                         grid_step=grid_step)) for f in (v0, w0)]
+    mid1, mid2 = (_midpoint(p) for p in pairs)
+    lhs = mid1.sup_distance(mid2)
     sup0 = v0.sup_distance(w0)
-    rhs = math.exp(t) * sup0 + 0.5 * (s1.combined_gap + s2.combined_gap)
+    rhs = math.exp(t) * sup0 + 0.5 * sum(p.analytic_gap + p.grid_gap for p in pairs)
     return ContractionReport(sup0, lhs, rhs, t, lhs <= rhs + 1e-12)
 
 
@@ -492,13 +505,10 @@ def converge_to_V(dim: int, v0: RadialProfile, schedule, K: float = 3.0,
     state = stationary_state(dim)
     solver = SandwichSolver(dim, v0, delta, grid_step, horizon_hint=max(schedule))
     rows = []
-    done = 0
     for t in schedule:
-        k = round(t / delta)
-        solver.advance(k - done)
-        done = k
-        grid, mid = solver.midpoint_nodes()
-        dev = float(np.max(np.abs(mid - state.V(grid))))
+        solver.advance_to(t)
+        mid = 0.5 * (solver.p_up + solver.p_lo)
+        dev = float(np.max(np.abs(mid - state.V(solver.grid))))
         lo, hi = solver.boundary_interval()
         bd = max(abs(lo - state.r_infinity), abs(hi - state.r_infinity)) \
             if math.isfinite(hi) else math.inf
@@ -526,13 +536,10 @@ def mass_movement_check(dim: int, c: float, K: float, t_grid,
     t_grid = sorted(float(t) for t in t_grid)
     v0 = RadialProfile.step(K, c, domain_cap=default_domain_cap(K, max(t_grid)))
     solver = SandwichSolver(dim, v0, delta, grid_step, horizon_hint=max(t_grid))
-    done = 0
     hit = None
     history = []
     for t in t_grid:
-        k = round(t / delta)
-        solver.advance(k - done)
-        done = k
+        solver.advance_to(t)
         # lower-branch value just right of K - 1 (cell containing it)
         i = int(np.searchsorted(solver.grid, K - 1.0, side="right")) - 1
         val = float(solver.p_lo[max(min(i, solver.p_lo.size - 1), 0)])

@@ -62,12 +62,12 @@ def replica_rng(seed: int, replica: int = 0) -> np.random.Generator:
 
 @dataclass(frozen=True)
 class SimParams:
-    """Run parameters; ``seed`` is the base that orchestration mixes with a
-    replica index to derive the Philox stream (see :func:`replica_rng`)."""
+    """Run parameters: dimension, population N and the times at which
+    :func:`coupled_run` records an observation.  Randomness comes from the
+    generator passed to each run (see :func:`replica_rng`)."""
 
     dim: int
     population: int
-    seed: int = 0
     record_schedule: tuple[float, ...] = ()
 
     def __post_init__(self):

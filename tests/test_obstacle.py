@@ -194,22 +194,51 @@ class TestSolveSandwich:
         assert len(calls) == 2 * 3
         assert all(a.get("lattice_h") == 1e-3 for a in calls)
 
-    def test_target_gap_selects_step(self):
-        req = SolveRequest(dim=1, initial=RadialProfile.step(1.0), horizon=0.5,
-                           target_gap=0.05)
-        k, delta = req.resolve_steps()
-        assert k * delta == pytest.approx(0.5)
-        assert analytic_gap(k, delta) <= 0.05
-
     def test_rejects_jump_at_zero_and_bad_steps(self):
         with pytest.raises(ValueError):
             SolveRequest(dim=1, initial=RadialProfile.step(0.0), horizon=1.0,
                          step_size=0.01)
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError):
             SolveRequest(dim=1, initial=RadialProfile.step(1.0), horizon=1.0)
+        for step in (0.0, -0.01):
+            with pytest.raises(ValueError):
+                SolveRequest(dim=1, initial=RadialProfile.step(1.0), horizon=1.0,
+                             step_size=step)
+
+    def test_step_divides_horizon(self):
+        req = SolveRequest(dim=1, initial=RadialProfile.step(1.0), horizon=0.27,
+                           step_size=0.02, grid_step=2e-3)
+        assert req.resolve_steps() == (14, 0.27 / 14)
+        pair = solve_sandwich(req)
+        assert pair.steps_taken == 14 and pair.step_size == 0.27 / 14
+
+
+class TestSandwichSolver:
+    def test_rejects_initial_jump_at_zero(self):
         with pytest.raises(ValueError):
-            SolveRequest(dim=1, initial=RadialProfile.step(1.0), horizon=1.0,
-                         step_size=0.01, target_gap=0.05)
+            SandwichSolver(1, RadialProfile.step(0.0), 0.01, horizon_hint=0.1)
+        # an upper-branch start is a majorant and may jump at 0
+        solver = SandwichSolver(1, RadialProfile.step(0.5), 0.01, 1e-2,
+                                initial_upper=RadialProfile.step(0.0), horizon_hint=0.1)
+        solver.advance(1)
+        assert solver.steps == 1
+
+    def test_horizon_hint_is_required(self):
+        with pytest.raises(TypeError):
+            SandwichSolver(1, RadialProfile.step(1.0), 0.01, 1e-2)
+
+    def test_advance_to_step_lattice(self):
+        solver = SandwichSolver(1, RadialProfile.step(1.0), 0.01, 5e-3, horizon_hint=2.0)
+        for t in np.arange(0.2, 2.0 + 1e-9, 0.05):
+            solver.advance_to(t)
+            assert solver.steps == round(t / 0.01)
+        solver.advance_to(2.0)
+        assert solver.steps == 200
+        with pytest.raises(ValueError, match="not a multiple"):
+            solver.advance_to(2.005)
+        with pytest.raises(ValueError, match="before"):
+            solver.advance_to(1.99)
+        assert solver.steps == 200
 
 
 # ---------------------------------------------------------------------------
@@ -335,6 +364,33 @@ class TestContraction:
         assert rep.holds
         assert rep.sup_final_mid <= math.e * rep.sup_initial + 0.15
 
+    def test_compares_by_radius_across_grids(self):
+        # default grids differ (h = 2.5e-3 and 1e-3); the midpoints are
+        # compared at equal radius, checked here on a fine radius grid
+        v0 = RadialProfile.from_jumps([0.5, 2.5], [0.5, 1.0])
+        w0 = RadialProfile.from_jumps([0.3, 0.8], [0.5, 1.0])
+        rep = check_contraction(1, v0, w0, t=0.5, delta=0.1)
+        pairs = [solve_sandwich(SolveRequest(dim=1, initial=f, horizon=0.5,
+                                             step_size=0.1)) for f in (v0, w0)]
+        rr = np.arange(0.0, 8.0, 1e-4) + 5e-5
+        mid1, mid2 = (0.5 * (p.lower(rr) + p.upper(rr)) for p in pairs)
+        assert rep.sup_final_mid == pytest.approx(float(np.max(np.abs(mid1 - mid2))),
+                                                  abs=1e-12)
+        assert rep.holds
+
+    def test_off_lattice_horizon_reached_exactly(self):
+        v0 = random_cdf_profile(replica_rng(8, 4), 1, max_r=2.0)
+        w0 = v0.clipped(0.8)
+        rep = check_contraction(1, v0, w0, t=0.27, delta=0.02, grid_step=2e-3)
+        pairs = [solve_sandwich(SolveRequest(dim=1, initial=f, horizon=0.27,
+                                             step_size=0.02, grid_step=2e-3))
+                 for f in (v0, w0)]
+        assert all(p.steps_taken * p.step_size == pytest.approx(0.27) for p in pairs)
+        gaps = sum(p.analytic_gap + p.grid_gap for p in pairs)
+        assert rep.bound == pytest.approx(math.exp(0.27) * rep.sup_initial + gaps / 2,
+                                          rel=1e-12)
+        assert rep.holds
+
     def test_random_pairs_property(self):
         rng = replica_rng(8, 3)
         for i in range(50):
@@ -370,6 +426,11 @@ class TestConvergeToV:
         with pytest.raises(ValueError):
             converge_to_V(1, RadialProfile.step(5.0, 1.0), [1.0], K=3.0, c=0.5)
 
+    def test_off_lattice_time_rejected(self):
+        with pytest.raises(ValueError, match="not a multiple"):
+            converge_to_V(1, RadialProfile.step(0.5, 1.0), [0.255], K=1.0, c=0.5,
+                          delta=0.01, grid_step=2e-3)
+
 
 class TestMassMovement:
     def test_no_doubling_at_time_zero(self):
@@ -389,6 +450,10 @@ class TestMassMovement:
                                       t_grid=np.arange(0.5, 10.1, 0.5), grid_step=2e-3)
             times[c] = rep.doubling_time
         assert all(v is not None for v in times.values())
+
+    def test_off_lattice_time_rejected(self):
+        with pytest.raises(ValueError, match="not a multiple"):
+            mass_movement_check(1, c=0.05, K=2.0, t_grid=[0.015], grid_step=2e-3)
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
