@@ -401,12 +401,11 @@ def bessel_density(ctx: KernelContext, y: float, r, t: float):
     return float(out) if np.isscalar(r) or r_arr.ndim == 0 else out
 
 
-def kernel_G(ctx: KernelContext, y: float, r, t: float, method: str = "analytic"):
-    """G(y, r, t) = -dw/dy, evaluated analytically or by Richardson differences.
+def kernel_G(ctx: KernelContext, y: float, r, t: float):
+    """G(y, r, t) = -dw/dy, evaluated analytically.
 
-    The analytic route uses that differentiating the noncentral series in
-    its noncentrality shifts the degrees of freedom by two:
-    G = (y/t) * f_ncx2(r^2/2t; d+2, y^2/2t).
+    Differentiating the noncentral series in its noncentrality shifts the
+    degrees of freedom by two: G = (y/t) * f_ncx2(r^2/2t; d+2, y^2/2t).
     """
     _check_time(t)
     if y < 0.0:
@@ -414,19 +413,7 @@ def kernel_G(ctx: KernelContext, y: float, r, t: float, method: str = "analytic"
     r_arr = np.asarray(r, dtype=float)
     if np.any(r_arr < 0.0):
         raise ValueError("r must be nonnegative")
-    if method == "analytic":
-        out = (y / t) * _ncx2_pdf(r_arr * r_arr / (2.0 * t), ctx.dim + 2, y * y / (2.0 * t))
-    elif method == "fd":
-        h = max(1e-5, 1e-3 * y)
-        if y < h:
-            h = 0.5 * y if y > 0 else 1e-6
-        def diff(step):
-            return -(radial_cdf(ctx, y + step, r_arr, t)
-                     - radial_cdf(ctx, max(y - step, 0.0), r_arr, t)) / (2.0 * step)
-        d1, d2 = diff(h), diff(0.5 * h)
-        out = (4.0 * np.asarray(d2) - np.asarray(d1)) / 3.0
-    else:
-        raise ValueError(f"unknown method {method!r}")
+    out = (y / t) * _ncx2_pdf(r_arr * r_arr / (2.0 * t), ctx.dim + 2, y * y / (2.0 * t))
     out = np.maximum(out, -ctx.tolerance)
     return float(out) if np.isscalar(r) or r_arr.ndim == 0 else out
 

@@ -10,14 +10,21 @@ with G_t the radial kernel operator and C_m the cutoff min(., m),
 
 brackets the true solution v(., k*delta) pointwise, with an analytic gap of
 (e^{k delta} + 1)(e^delta - 1).  Discretization only ever widens the
-bracket: node values are rounded up on the upper branch and down on the
-lower branch, and every rounding, truncation, and kernel-evaluation
-allowance is accumulated (with the e^delta per-step growth) into
-``grid_gap``, so
+bracket, by construction: each step moves the upper branch up and the lower
+branch down by e^delta times the kernel's certified evaluation error, rounds
+node values up across each cell on the upper branch and down on the lower,
+and freezes, clips and repairs ties only in the outward direction.  So the
+true solution lies between the emitted pair, and the measured width
+sup (upper - lower) is the certificate.
 
-    sup (upper - lower)  <=  analytic_gap + grid_gap
+Every cell oscillation, kernel-evaluation error, outward move and tail
+freeze is also booked (with the e^delta per-step growth) into ``grid_gap``;
+analytic_gap + grid_gap is reported as the a priori bound of the width.
 
-holds for the emitted pair and the true solution lies inside it.
+The default grid step (:func:`default_grid_step`) is sized by the measured
+width: cell rounding drifts each branch by up to a cell per step, which puts
+about (h / delta)(1 - e^-T) into the width on top of a floor of about delta
+from the splitting, so h grows like delta^2 / (1 - e^-T).
 """
 
 from __future__ import annotations
@@ -50,8 +57,9 @@ __all__ = [
 ]
 
 _TRUNC_TOL = 1e-12  # per-step allowance for freezing the numerically flat tail
-_SLOPE_GUESS = 1.5  # generic profile slope used when sizing the default grid
+_GRID_WIDTH = 0.7  # c of the default grid step h = c delta^2 / (1 - e^-T)
 _KERNEL_TOL = 1e-10  # absolute tolerance of each kernel apply (``tol`` of mixture_node_values)
+_EPS = float(np.finfo(float).eps)
 
 
 def analytic_gap(k: int, delta: float) -> float:
@@ -61,25 +69,29 @@ def analytic_gap(k: int, delta: float) -> float:
 
 def default_grid_step(dim: int, horizon: float, delta: float,
                       r_scale: float = 1.0) -> float:
-    """Grid step sized so the tracked grid gap stays near the analytic gap.
+    """Grid step sized so the measured width stays near its splitting floor.
 
-    Cell-rounding errors accumulate like 2 h L (e^t - 1)/delta across the
-    two branches, so h is chosen to keep that comparable to the analytic
-    gap.  Dimensions without the Gaussian-image fast path (everything but
-    1 and 3) get a cost floor; very long horizons fall back to a scale cap
-    since the analytic certificate is loose there anyway.
+    The splitting alone leaves a width of about delta.  Rounding to cells
+    drifts each branch by up to one cell per step, a drift of order h/delta
+    that the flow relaxes at about unit rate (measured at T = 0.5, 1, 2),
+    so the grid adds about (h/delta)(1 - e^-T) to the width.  Keeping that
+    near a tenth of the floor gives h = c delta^2 / (1 - e^-T); c is
+    calibrated on solves to T = 1 at delta = 0.01 (h = 1.1e-4: widths
+    1.07-1.09x those at h = 3.6e-5 for d = 1 and 6.3e-5 for d = 3, from the
+    stationary and the empirical starts).
+    Dimensions without the Gaussian-image fast path (everything but 1 and 3)
+    keep a cost floor.  Once the a priori bound is vacuous (analytic gap
+    above 0.5) h grows with it up to the scale cap, so long horizons cost
+    what a coarse grid costs; their measured width still certifies.
     """
     k = max(1, round(horizon / delta))
+    h = _GRID_WIDTH * delta * delta / -math.expm1(-horizon)
     gap = analytic_gap(k, delta)
-    budget = gap * delta / (4.0 * math.expm1(horizon) * _SLOPE_GUESS)
     if gap > 0.5:
-        # the analytic certificate is already vacuous; do not burn grid on it
-        budget *= gap / 0.5
-    if dim >= 2:
-        budget *= math.sqrt(dim)  # radial slopes flatten with dimension
+        h *= gap / 0.5
     h_min = 2e-5 if dim in (1, 3) else 1.5e-4
     h_max = 1e-3 * max(1.0, r_scale)
-    return float(min(max(budget, h_min), h_max))
+    return float(min(max(h, h_min), h_max))
 
 
 def _check_initial(initial: RadialProfile):
@@ -144,15 +156,18 @@ def branch_step(dim: int, delta: float, h: float, p: np.ndarray,
 
     ``p[i]`` is the branch value on the cell (i h, (i+1) h].  The upper step
     is C_1 e^delta G_delta p rounded up across each cell, the lower step
-    e^delta G_delta C_{exp(-delta)} p rounded down; past the first node
-    within _TRUNC_TOL of the total mass the tail is frozen.  The kernel is
+    e^delta G_delta C_{exp(-delta)} p rounded down; node values are first
+    moved up (upper) or down (lower) by e^delta times the kernel's certified
+    evaluation error, so each branch bounds its exact step.  Past the first
+    node within _TRUNC_TOL of the total mass the tail is frozen.  The kernel is
     applied through the module binding ``mixture_node_values`` at absolute
     tolerance _KERNEL_TOL.  When the kernel's support band needs
     n_need > p.size cells, the result has n_need + max(64, n_need // 8)
     cells, padded with its last value.
     Returns the stepped array and the allowance this step adds to the
     branch's grid gap: the largest cell oscillation, e^delta times the
-    kernel's evaluation error, and the tail freeze.
+    kernel's evaluation error, the outward move by as much again, and the
+    tail freeze.
     """
     if delta <= 0.0:
         raise ValueError("delta must be positive")
@@ -166,12 +181,18 @@ def branch_step(dim: int, delta: float, h: float, p: np.ndarray,
     live = sizes > 0.0
     vals, eval_err = mixture_node_values(dim, delta, nodes[:n_act][live], sizes[live],
                                          nodes, tol=_KERNEL_TOL, lattice_h=h)
-    vals = np.maximum.accumulate(vals)
+    vals = e_d * np.maximum.accumulate(vals)
     tail = min(e_d * float(p_in[n_act - 1]), 1.0)
-    w = np.minimum(e_d * vals, 1.0)
-    # freeze the numerically flat tail to keep the active window bounded
-    flat = np.nonzero(w >= tail - _TRUNC_TOL)[0]
+    # freeze the numerically flat tail to keep the active window bounded;
+    # found before the move below, which keeps the lower branch from ever
+    # coming within _TRUNC_TOL of the tail
+    flat = np.nonzero(vals >= tail - _TRUNC_TOL)[0]
     i_star = int(flat[0]) if flat.size else n_need - 1
+    # move the branch outward by the certified kernel error (and a few ulps
+    # of the e^delta product), so it contains the exact step by construction
+    eval_err = float(eval_err)
+    shift = e_d * (eval_err + 4.0 * _EPS)
+    w = np.minimum(vals + shift, tail) if upper else np.minimum(vals - shift, 1.0)
     if upper:
         p_new = np.full(n, tail)
         p_new[: n_need - 1] = w[1:]
@@ -182,7 +203,7 @@ def branch_step(dim: int, delta: float, h: float, p: np.ndarray,
         p_new[i_star:] = w[i_star]
     p_new = np.maximum.accumulate(np.clip(p_new, 0.0, 1.0))
     eps = float(np.max(np.diff(w)))
-    eps += e_d * eval_err + _TRUNC_TOL
+    eps += e_d * eval_err + shift + _TRUNC_TOL
     return p_new, eps
 
 
@@ -294,7 +315,7 @@ class SandwichSolver:
         self.trace.max_gap.append(measured)
         self.trace.analytic_gap.append(self.analytic_gap)
         self.trace.grid_gap.append(self.grid_gap)
-        lvl_lo = 1.0 - min(min(self.combined_gap, measured) + 1e-6, 0.999)
+        lvl_lo = 1.0 - min(measured + 1e-6, 0.999)
         lvl_hi = 1.0 - 1e-6
         self.trace.boundary_lo.append(self._first_reach(self.p_up, lvl_lo))
         self.trace.boundary_hi.append(self._first_reach(self.p_lo, lvl_hi))
@@ -359,15 +380,13 @@ def free_boundary_radius(v, tol: float | None = None):
     """inf{r : v(r) >= 1 - tol}, or +inf when the level is never reached.
 
     On a SandwichPair this returns a two-sided interval: the left end from
-    the upper profile at level 1 - (combined gap + tol), the right end from
-    the lower profile at level 1 - tol.  Together they bracket the radius
-    at which the certified solution is within tolerance of 1.
+    the upper profile at level 1 - (measured width + tol), the right end
+    from the lower profile at level 1 - tol.  Together they bracket the
+    radius at which the certified solution is within tolerance of 1.
     """
     if isinstance(v, SandwichPair):
         base = 1e-6 if tol is None else tol
-        # the measured width also certifies sup(upper - v): use the tighter
-        width = min(v.analytic_gap + v.grid_gap, v.measured_gap)
-        lvl_gap = min(width + base, 0.999)
+        lvl_gap = min(v.measured_gap + base, 0.999)
         return (free_boundary_radius(v.upper, lvl_gap),
                 free_boundary_radius(v.lower, base))
     if tol is None:
@@ -479,7 +498,7 @@ def check_contraction(dim: int, v0: RadialProfile, w0: RadialProfile, t: float,
     lhs = mid1.sup_distance(mid2)
     sup0 = v0.sup_distance(w0)
     rhs = math.exp(t) * sup0 + 0.5 * sum(p.analytic_gap + p.grid_gap for p in pairs)
-    return ContractionReport(sup0, lhs, rhs, t, lhs <= rhs + 1e-12)
+    return ContractionReport(sup0, lhs, float(rhs), float(t), bool(lhs <= rhs + 1e-12))
 
 
 @dataclass(frozen=True)

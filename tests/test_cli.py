@@ -98,6 +98,9 @@ class TestRun:
         lo, hi = summary["boundary_interval"]
         assert lo <= math.pi / 2 <= hi
         assert summary["analytic_gap"] == pytest.approx(0.03737, abs=5e-5)
+        # the grid widens the bracket but the splitting still dominates it
+        assert summary["measured_gap"] <= summary["analytic_gap"]
+        assert summary["grid_too_coarse"] is False
 
     def test_selection_small_config_exit_zero(self, tmp_path):
         # mechanics check at reduced scale: loosen the desk tolerances so the

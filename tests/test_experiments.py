@@ -67,6 +67,14 @@ class TestHydrodynamicReport:
         assert q90.passed
         assert all(r.value >= 0.0 for r in rows)
 
+    def test_measured_width_row(self):
+        rows = hydrodynamic_report(N=400, d=1, t=0.5, sampler=UniformBallSampler(1),
+                                   replicas=2, seed=11, grid_step=1e-3,
+                                   tolerance_q90=0.2)
+        by_name = {r.statistic: r.value for r in rows}
+        # the measured width is the certificate; the a priori bound sits above it
+        assert 0.0 < by_name["mean_measured_width"] <= by_name["mean_bracket_width"]
+
     def test_short_time_limit(self):
         # with t -> 0 almost no events occur: the empirical CDF barely moves
         # and must sit within the bracket up to ~2/N plus its width

@@ -1,4 +1,6 @@
+import dataclasses
 import inspect
+import json
 import math
 
 import numpy as np
@@ -9,8 +11,9 @@ from nbbm import obstacle
 from nbbm.core import RadialProfile
 from nbbm.kernels import KernelContext, radial_cdf
 from nbbm.obstacle import (SandwichSolver, SolveRequest, analytic_gap, branch_step,
-                           check_contraction, converge_to_V, free_boundary_radius,
-                           mass_movement_check, solve_sandwich, stationary_state)
+                           check_contraction, converge_to_V, default_grid_step,
+                           free_boundary_radius, mass_movement_check, solve_sandwich,
+                           stationary_state)
 from nbbm.sim import replica_rng
 
 
@@ -65,13 +68,23 @@ class TestSteps:
                 out, _ = branch_step(d, 0.1, 1e-2, np.zeros(100), upper)
                 assert not out.any()
 
-    def test_step_plus_from_origin_step(self):
+    def test_step_plus_from_origin_step(self, monkeypatch):
         # one upper step from the unit step at 0 is min(1, 2 w(0, ., ln 2)),
-        # rounded up by at most one cell; the band outgrows the input array
+        # rounded up by at most one cell and moved up by e^delta times the
+        # kernel's reported error; the band outgrows the input array
+        orig, errs = obstacle.mixture_node_values, []
+
+        def recording(*args, **kwargs):
+            vals, err = orig(*args, **kwargs)
+            errs.append(err)
+            return vals, err
+
+        monkeypatch.setattr(obstacle, "mixture_node_values", recording)
         ctx = KernelContext(1)
         delta, h = math.log(2.0), 1e-3
         p = np.ones(2000)
         out, _ = branch_step(1, delta, h, p, True)
+        move = 2.0 * errs[0]
         assert out.size > p.size and out[-1] == 1.0
         rr = np.linspace(0.05, 4.0, 80)
         cell = np.ceil(rr / h).astype(int) - 1
@@ -79,7 +92,7 @@ class TestSteps:
         def target(r):
             return np.minimum(1.0, 2.0 * radial_cdf(ctx, 0.0, r, delta))
         assert np.all(out[cell] >= target(rr) - 1e-10)
-        assert np.all(out[cell] <= target(rr + h) + 1e-10)
+        assert np.all(out[cell] <= target(rr + h) + move + 1e-10)
 
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_minus_below_plus(self, d):
@@ -164,6 +177,49 @@ class TestSolveSandwich:
         slack = pair.analytic_gap + pair.grid_gap + 1e-12
         assert np.abs(pair.upper(rr) - v).max() <= slack
         assert np.abs(pair.lower(rr) - v).max() <= slack
+
+    @pytest.mark.parametrize("sign", [-1.0, 1.0])
+    def test_contains_stationary_profile_without_bookkeeping(self, monkeypatch, sign):
+        # a kernel that errs by 1e-4 in one direction and reports it: each
+        # branch moves outward by the reported error, so V stays inside the
+        # pair by construction, not because grid_gap happens to be large
+        orig = obstacle.mixture_node_values
+
+        def skewed(*args, **kwargs):
+            vals, err = orig(*args, **kwargs)
+            return vals + sign * 1e-4, err + 1e-4
+
+        monkeypatch.setattr(obstacle, "mixture_node_values", skewed)
+        st = stationary_state(1)
+        pair = solve_sandwich(SolveRequest(dim=1, initial=st.as_profile(4001, "lower"),
+                                           horizon=0.2, step_size=0.01, grid_step=2e-4,
+                                           initial_upper=st.as_profile(4001, "upper")))
+        rr = np.linspace(0.0, st.r_infinity * 1.05, 1500)
+        v = st.V(rr)
+        assert np.all(v <= pair.upper(rr) + 1e-12)
+        assert np.all(v >= pair.lower(rr) - 1e-12)
+
+    @pytest.mark.parametrize("d, fine_width", [(1, 0.010043), (3, 0.010027)])
+    def test_default_grid_width(self, d, fine_width):
+        # the `nbbm solve` defaults from the stationary start: the default
+        # grid keeps the measured width within 10% of the widths on the finer
+        # grids h = 3.6e-5 (d = 1) and 6.3e-5 (d = 3)
+        st = stationary_state(d)
+        pair = solve_sandwich(SolveRequest(dim=d, initial=st.as_profile(4001, "lower"),
+                                           horizon=1.0, step_size=0.01,
+                                           initial_upper=st.as_profile(4001, "upper")))
+        assert pair.measured_gap <= 1.10 * fine_width
+
+    def test_default_grid_step_rule(self):
+        # h ~ delta^2 / (1 - e^-T), a cost floor off the image route, and the
+        # scale cap once the a priori bound is vacuous
+        h1 = default_grid_step(1, 1.0, 0.01)
+        assert 1e-4 <= h1 <= 1.2e-4
+        assert default_grid_step(3, 1.0, 0.01) == h1
+        assert default_grid_step(1, 1.0, 0.005) == pytest.approx(h1 / 4)
+        assert default_grid_step(2, 1.0, 0.01) == 1.5e-4
+        assert default_grid_step(1, 16.0, 0.01) == 1e-3
+        assert default_grid_step(1, 16.0, 0.01, r_scale=3.0) == pytest.approx(3e-3)
 
     def test_generic_dimension_series_route(self):
         # dimensions without an image formula run through the series engine
@@ -398,6 +454,12 @@ class TestContraction:
             w0 = random_cdf_profile(rng, 1, max_r=2.0)
             rep = check_contraction(1, v0, w0, t=0.2, delta=0.02, grid_step=2e-3)
             assert rep.holds, f"pair {i}: {rep}"
+
+    def test_report_round_trips_through_json(self):
+        rep = check_contraction(1, RadialProfile.step(1.0), RadialProfile.step(1.2),
+                                t=0.1, delta=0.05, grid_step=2e-3)
+        fields = dataclasses.asdict(rep)
+        assert json.loads(json.dumps(fields)) == fields
 
 
 class TestConvergeToV:
