@@ -107,11 +107,12 @@ def _run_simulate(cfg: RunConfig, w: _ArtifactWriter) -> int:
                        record_schedule=tuple(s for s in p["snapshots"] if s <= p["t"]))
     snap_lines = ["time,label," + ",".join(f"x{i+1}" for i in range(d))]
     ev_lines = ["time,branching_label,removed_label"]
+    times = list(params.record_schedule)
+    if not times or times[-1] < p["t"]:
+        times.append(p["t"])  # the final state is a snapshot, written once
     now = 0.0
     events = 0
-    for s in list(params.record_schedule) + [p["t"]]:
-        if s < now:
-            continue
+    for s in times:
         ens, log = advance_nbbm(params, ens, s - now, rng)
         now = s
         events += len(log)

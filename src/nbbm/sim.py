@@ -12,7 +12,11 @@ killed-Brownian-motion survival estimates.  The coupling grows the free
 branching Brownian motion (BBM: rate-1 binary branching, no selection,
 Ulam-Harris labels) and realizes the N-particle system as its blue subset,
 so the forest it returns is the free BBM; :func:`coupled_run` is the one
-BBM engine.
+BBM engine.  It draws a forest particle's Brownian increment only when its
+position is read, from the time of its previous read: a red event reads
+the branching particle (O(d)), a blue event reads the N blues (O(N d)), and
+an observation reads every particle (O(population d)).  Red particles are
+never selected, so the positions skipped between reads enter no output.
 """
 
 from __future__ import annotations
@@ -200,13 +204,35 @@ def coupled_run(params: SimParams, initial: ParticleEnsemble, duration: float,
     evolves as the N-system.
 
     When a blue particle branches both offspring are blue and the furthest
-    blue turns red; red particles breed red.  Records at each observation
-    time whether the blue empirical CDF is dominated by the clipped BBM CDF
-    (a pathwise identity under this coupling), and verifies at event times
-    that the blue set equals the set of particles whose paths never
-    exceeded the running blue maximum -- excluding lineages that tied the
-    maximum exactly at their flip event, where the event-time check is
-    inconclusive by construction.
+    blue (lowest forest index on ties) turns red; red particles breed red.
+    Records at each observation time whether the blue empirical CDF is
+    dominated by the clipped BBM CDF (a pathwise identity under this
+    coupling), and verifies at event times that the blue set equals the set
+    of particles whose paths never exceeded the running blue maximum --
+    excluding lineages that tied the maximum exactly at their flip event,
+    where the event-time check is inconclusive by construction.
+
+    Positions are drawn only when read.  Particle i keeps ``last[i]``, the
+    time its position was last drawn, and a read at time t adds
+    sqrt(2 (t - last[i])) times a standard normal vector.  A red event
+    reads its parent (d normals), a blue event reads the N blues (every
+    blue event and observation reads them all, so they share one clock),
+    and each observation and the end read every particle.  This is exact: the
+    branching clocks do not depend on positions, every read time is a clock
+    time or a fixed observation time, Brownian increments over disjoint
+    intervals are independent N(0, 2 dt I), and no selection acts on red
+    particles, so their positions between reads enter no output.  The
+    forest, blue set, observations and flags have the joint law of a loop
+    that diffuses every particle across every gap.
+
+    The reconstruction check keeps its meaning.  ``exceeded`` is updated
+    from the norms read at each blue event.  A particle turns red with
+    ``exceeded`` or ``tie_lineage`` already set, both flags only grow and
+    children inherit both, so a red particle passes the check whatever its
+    later norms; a blue particle's flags can change only at blue events,
+    where every blue is read.  Checking the particles read at each blue
+    event, and every particle at each observation and at the end, therefore
+    checks the predicate over the whole forest at every event.
     """
     if duration < 0.0:
         raise ValueError("duration must be nonnegative")
@@ -214,17 +240,22 @@ def coupled_run(params: SimParams, initial: ParticleEnsemble, duration: float,
     if initial.population != n:
         raise ValueError("initial population must equal params.population")
     d = initial.dim
-    pos = initial.positions.copy()
-    labels = [(i + 1,) for i in range(n)]
-    blue = np.ones(n, dtype=bool)
-    exceeded = np.zeros(n, dtype=bool)   # ever strictly above the blue max
-    tie_lineage = np.zeros(n, dtype=bool)
-    tie_flips = 0
-
-    heap = [(initial.clock + rng.exponential(1.0), i) for i in range(n)]
-    heapq.heapify(heap)
     now = initial.clock
     end = initial.clock + duration
+    # the forest is the first m rows of arrays that double when full
+    m, cap = n, 2 * n
+    pos = np.empty((cap, d))
+    pos[:n] = initial.positions
+    last = np.full(cap, now)               # time each position was last drawn
+    blue = np.ones(cap, dtype=bool)
+    exceeded = np.zeros(cap, dtype=bool)   # ever strictly above the blue max
+    tie_lineage = np.zeros(cap, dtype=bool)
+    blue_idx = np.arange(n + 1)            # sorted blue indices; slot n takes a blue child
+    labels = [(i + 1,) for i in range(n)]
+    tie_flips = 0
+
+    heap = list(zip((now + rng.exponential(1.0, n)).tolist(), range(n)))
+    heapq.heapify(heap)
     schedule = [s for s in params.record_schedule
                 if initial.clock <= s <= end + 1e-12]
     obs: list[CoupledObservation] = []
@@ -232,62 +263,82 @@ def coupled_run(params: SimParams, initial: ParticleEnsemble, duration: float,
     domination_ok = True
     reconstruction_ok = True
 
+    def read(idx):
+        # idx: one forest index or an index array
+        x = pos[idx]
+        x = x + rng.standard_normal(x.shape) * np.sqrt(2.0 * (now - last[idx]))[..., None]
+        if not np.isfinite(x).all():
+            raise SimulationError(f"nonfinite position at event {events}")
+        pos[idx] = x
+        last[idx] = now
+
+    def read_all():
+        nonlocal reconstruction_ok
+        read(np.flatnonzero(last[:m] < now))
+        check = tie_lineage[:m] | (~exceeded[:m] == blue[:m])
+        reconstruction_ok = reconstruction_ok and bool(np.all(check))
+
     def observe(at: float):
         nonlocal domination_ok
-        norms = np.sqrt(np.einsum("ij,ij->i", pos, pos))
-        ok = _dominated(norms[blue], norms, n)
+        norms = np.sqrt(np.einsum("ij,ij->i", pos[:m], pos[:m]))
+        on = blue[:m]
+        ok = _dominated(norms[on], norms, n)
         domination_ok = domination_ok and ok
-        obs.append(CoupledObservation(at, np.sort(norms[blue]), np.sort(norms),
-                                      ok, int(blue.sum())))
+        obs.append(CoupledObservation(at, np.sort(norms[on]), np.sort(norms),
+                                      ok, int(on.sum())))
 
     while True:
         next_event = heap[0][0] if heap else math.inf
         if schedule and schedule[0] <= min(next_event, end):
-            target = schedule.pop(0)
-            _diffuse(pos, target - now, rng)
-            now = target
+            now = schedule.pop(0)
+            read_all()
             observe(now)
             continue
         if next_event >= end:
-            _diffuse(pos, end - now, rng)
             now = end
+            read_all()
             break
-        when, idx = heapq.heappop(heap)
-        _diffuse(pos, when - now, rng)
-        now = when
+        now, idx = heapq.heappop(heap)
         events += 1
         parent_blue = bool(blue[idx])
-        parent_tie = bool(tie_lineage[idx])
+        read(blue_idx[:n] if parent_blue else idx)
+
+        if m == cap:
+            cap *= 2
+            pos, last, blue, exceeded, tie_lineage = (
+                _grown(a, cap) for a in (pos, last, blue, exceeded, tie_lineage))
+        child = m
+        m += 1
+        pos[child] = pos[idx]
+        last[child] = now
+        blue[child] = parent_blue
+        exceeded[child] = exceeded[idx]
+        tie_lineage[child] = tie_lineage[idx]
         labels.append(labels[idx] + (2,))
         labels[idx] = labels[idx] + (1,)
-        pos = np.vstack((pos, pos[idx][None, :]))
-        blue = np.append(blue, parent_blue)
-        exceeded = np.append(exceeded, exceeded[idx])
-        tie_lineage = np.append(tie_lineage, parent_tie)
-        if pos.shape[0] > population_cap:
+        if m > population_cap:
             raise ResourceError(f"coupled BBM population exceeded cap {population_cap}")
         heapq.heappush(heap, (now + rng.exponential(1.0), idx))
-        heapq.heappush(heap, (now + rng.exponential(1.0), pos.shape[0] - 1))
+        heapq.heappush(heap, (now + rng.exponential(1.0), child))
 
-        norms = np.sqrt(np.einsum("ij,ij->i", pos, pos))
-        if not np.all(np.isfinite(norms)):
-            raise SimulationError(f"nonfinite position at event {events}")
         if parent_blue:
-            blue_idx = np.nonzero(blue)[0]
-            flip = blue_idx[int(np.argmax(norms[blue_idx]))]
+            blue_idx[n] = child
+            x = pos[blue_idx]
+            norms = np.sqrt(np.einsum("ij,ij->i", x, x))
+            k = int(np.argmax(norms))   # ties resolve to the lowest forest index
+            flip = int(blue_idx[k])
             blue[flip] = False
-            m_blue = float(norms[blue].max())
-            if norms[flip] <= m_blue + 1e-15:
+            m_blue = float(max(norms[:k].max(initial=-math.inf),
+                               norms[k + 1:].max(initial=-math.inf)))
+            if norms[k] <= m_blue + 1e-15:
                 tie_lineage[flip] = True
                 tie_flips += 1
-        else:
-            m_blue = float(norms[blue].max())
-        exceeded |= norms > m_blue
-        # blue particles never exceed the blue maximum; a mismatch on a
-        # non-tie lineage means the bookkeeping (not randomness) is wrong
-        rec_blue = ~exceeded
-        check = tie_lineage | (rec_blue == blue)
-        reconstruction_ok = reconstruction_ok and bool(np.all(check))
+            exceeded[blue_idx] |= norms > m_blue
+            # blue particles never exceed the blue maximum; a mismatch on a
+            # non-tie lineage means the bookkeeping (not randomness) is wrong
+            check = tie_lineage[blue_idx] | (~exceeded[blue_idx] == blue[blue_idx])
+            reconstruction_ok = reconstruction_ok and bool(np.all(check))
+            blue_idx[k:n] = blue_idx[k + 1:]
 
     while schedule:
         target = schedule.pop(0)
@@ -295,10 +346,18 @@ def coupled_run(params: SimParams, initial: ParticleEnsemble, duration: float,
             break
         observe(target)
 
+    pos, blue = pos[:m].copy(), blue[:m].copy()
     final_blue = ParticleEnsemble(d, pos[blue], now)
     forest = BbmForest(d, labels, pos, now, blue)
     return CoupledRunResult(obs, final_blue, forest, events,
                             domination_ok, reconstruction_ok, tie_flips)
+
+
+def _grown(a: np.ndarray, cap: int) -> np.ndarray:
+    """``a`` copied into the head of an uninitialised array of ``cap`` rows."""
+    out = np.empty((cap,) + a.shape[1:], dtype=a.dtype)
+    out[:a.shape[0]] = a
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -131,6 +131,17 @@ class TestRun:
         ev = (tmp_path / "sim" / "events.csv").read_text().splitlines()
         assert ev[0] == "time,branching_label,removed_label"
 
+    @pytest.mark.parametrize("t, times", [("1.0", ["0.5", "1.0"]),
+                                          ("1.5", ["0.5", "1.0", "1.5"])])
+    def test_simulate_writes_each_snapshot_once(self, tmp_path, t, times):
+        # the default snapshots end at the default t = 1.0
+        cfg = parse_config(None, "simulate",
+                           {"out": str(tmp_path / "sim"), "n": "3", "t": t})
+        assert run(cfg) == 0
+        rows = (tmp_path / "sim" / "snapshots.csv").read_text().splitlines()[1:]
+        stamps = [row.split(",")[0] for row in rows]
+        assert stamps == [s for s in times for _ in range(3)]
+
     def test_runtime_error_exit_two(self, tmp_path):
         cfg = parse_config(None, "solve",
                            {"out": str(tmp_path / "bad"), "initial": "missing.csv"})

@@ -20,6 +20,22 @@ def free_bbm(ens, duration, rng, **kw):
     return coupled_run(params, ens, duration, rng, **kw).forest_final
 
 
+class _CountingRng:
+    """A generator that counts the standard normals drawn through it."""
+
+    def __init__(self, rng):
+        self._rng = rng
+        self.normals = 0
+
+    def standard_normal(self, *args, **kwargs):
+        out = self._rng.standard_normal(*args, **kwargs)
+        self.normals += np.size(out)
+        return out
+
+    def __getattr__(self, name):
+        return getattr(self._rng, name)
+
+
 class TestAdvanceNbbm:
     def test_population_and_clock(self):
         params = SimParams(dim=2, population=50)
@@ -153,6 +169,52 @@ class TestCoupledRun:
         res = coupled_run(params, ens, 1.0, replica_rng(16, 1))
         assert int(res.forest_final.blue.sum()) == 30
         assert res.forest_final.population >= 30
+
+    def test_last_observation_reads_every_particle(self):
+        params = SimParams(dim=2, population=40, record_schedule=(0.5, 1.0, 1.5))
+        ens = ParticleEnsemble(2, replica_rng(27, 0).uniform(-1, 1, (40, 2)))
+        res = coupled_run(params, ens, 1.5, replica_rng(27, 1))
+        last = res.observations[-1]
+        forest = ParticleEnsemble(2, res.forest_final.positions)
+        assert np.array_equal(last.all_norms, np.sort(forest.norms()))
+        assert np.array_equal(last.blue_norms, np.sort(res.blue_final.norms()))
+
+    def test_red_particles_drawn_only_when_read(self):
+        # a blue event reads the N blues, a red event its parent, and each
+        # observation and the end the whole forest; an eager loop that
+        # diffuses every particle at every event draws ~8x this bound
+        n, d = 50, 2
+        params = SimParams(dim=d, population=n, record_schedule=(1.0, 2.0, 3.0))
+        for rep in range(3):
+            ens = ParticleEnsemble(d, replica_rng(28, rep).uniform(-1, 1, (n, d)))
+            rng = _CountingRng(replica_rng(29, rep))
+            res = coupled_run(params, ens, 3.0, rng)
+            reads = (d * (n + 1) * res.events
+                     + d * res.forest_final.population * (len(res.observations) + 1))
+            assert 0 < rng.normals <= reads
+
+    def test_blue_set_has_the_n_particle_law(self):
+        # the blue subset is the N-particle system: compare its max |x| at
+        # t = 1 with advance_nbbm's from the same start
+        n, reps = 20, 400
+        params = SimParams(dim=1, population=n)
+        ens = ParticleEnsemble(1, replica_rng(30, 0).uniform(-1, 1, (n, 1)))
+        blue = [coupled_run(params, ens, 1.0, replica_rng(31, rep)).blue_final.norms().max()
+                for rep in range(reps)]
+        nbbm = [advance_nbbm(params, ens, 1.0, replica_rng(32, rep))[0].norms().max()
+                for rep in range(reps)]
+        assert stats.ks_2samp(blue, nbbm).pvalue > 1e-3
+
+    def test_forest_particle_marginal(self):
+        # a uniformly chosen free-BBM particle at t started at the origin is
+        # N(0, 2t I) whatever its lineage
+        t, reps = 1.0, 2000
+        xs = np.empty(reps)
+        for rep in range(reps):
+            rng = replica_rng(33, rep)
+            forest = free_bbm(origin_ensemble(5, 2), t, rng)
+            xs[rep] = forest.positions[int(rng.integers(forest.population)), 0]
+        assert stats.kstest(xs, "norm", args=(0.0, math.sqrt(2 * t))).pvalue > 1e-3
 
     def test_negative_duration_rejected(self):
         # a negative duration would run the clock backwards (5 -> 4)
