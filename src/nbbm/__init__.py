@@ -12,7 +12,7 @@ Subpackages:
 
 from .core import (ParticleEnsemble, RadialProfile, SandwichPair, StationaryState,
                    empirical_cdf, in_gamma, max_radius, measure_of_set)
-from .kernels import KernelContext, bessel_density, kernel_G, radial_cdf
+from .kernels import bessel_density, kernel_G, radial_cdf
 from .obstacle import (SandwichSolver, SolveRequest, analytic_gap, check_contraction,
                        converge_to_V, free_boundary_radius, mass_movement_check,
                        solve_sandwich, stationary_state)

@@ -26,7 +26,7 @@ from .core import ParticleEnsemble, RadialProfile
 from .experiments import (PointMassSampler, StationarySampler, UniformBallSampler,
                           hydrodynamic_report, rows_to_csv, selection_report,
                           stationarity_report)
-from .kernels import KernelContext, bessel_density, kernel_G, radial_cdf
+from .kernels import bessel_density, kernel_G, radial_cdf
 from .obstacle import SolveRequest, free_boundary_radius, solve_sandwich, stationary_state
 from .sim import SimParams, advance_nbbm, replica_rng
 
@@ -226,15 +226,15 @@ def _run_stationarity(cfg: RunConfig, w: _ArtifactWriter) -> int:
 
 def _run_kernel_dump(cfg: RunConfig, w: _ArtifactWriter) -> int:
     p = cfg.params
-    ctx = KernelContext(p["d"])
+    d = p["d"]
     lines = ["d,y,r,t,w,g,G"]
     for y in p["y_values"]:
         for r in p["r_values"]:
             for t in p["t_values"]:
-                lines.append(f"{p['d']},{y!r},{r!r},{t!r},"
-                             f"{radial_cdf(ctx, y, r, t)!r},"
-                             f"{bessel_density(ctx, y, r, t)!r},"
-                             f"{kernel_G(ctx, y, r, t)!r}")
+                lines.append(f"{d},{y!r},{r!r},{t!r},"
+                             f"{radial_cdf(d, y, r, t)!r},"
+                             f"{bessel_density(d, y, r, t)!r},"
+                             f"{kernel_G(d, y, r, t)!r}")
     w.write("kernel_table.csv", "\n".join(lines) + "\n")
     return 0
 

@@ -30,6 +30,7 @@ __all__ = [
     "max_radius",
     "in_gamma",
     "measure_of_set",
+    "whole_steps",
 ]
 
 # Padding used for the default constant-extension radius of a profile: beyond
@@ -40,6 +41,17 @@ _DEFAULT_CAP_HORIZON = 1.0
 
 def default_domain_cap(max_jump: float, t_horizon: float = _DEFAULT_CAP_HORIZON) -> float:
     return float(max_jump) + 12.0 * math.sqrt(2.0 * float(t_horizon))
+
+
+def whole_steps(span: float, step: float, what: str) -> int:
+    """The k with k * step = span to 1e-9 * max(1, span), else ``ValueError``
+    (also for step <= 0); ``what`` names the span in the message."""
+    if not step > 0.0:
+        raise ValueError(f"step must be positive, got {step!r}")
+    k = round(span / step)
+    if abs(k * step - span) > 1e-9 * max(1.0, span):
+        raise ValueError(f"{what} {span!r} is not a multiple of the step {step!r}")
+    return k
 
 
 @dataclass(frozen=True)
@@ -124,12 +136,6 @@ class RadialProfile:
     @property
     def final_value(self) -> float:
         return float(self.values[-1]) if self.values.size else 0.0
-
-    @property
-    def jump_sizes(self) -> np.ndarray:
-        if not self.values.size:
-            return np.empty(0)
-        return np.diff(self.values, prepend=0.0)
 
     def sup_distance(self, other: "RadialProfile") -> float:
         """sup_r |self(r) - other(r)|, exact for step functions."""

@@ -18,7 +18,7 @@ from functools import cached_property
 import numpy as np
 
 from .core import ParticleEnsemble, RadialProfile, SandwichPair, discretize_cdf, \
-    empirical_cdf, in_gamma, max_radius, measure_of_set
+    empirical_cdf, in_gamma, max_radius, measure_of_set, whole_steps
 from .obstacle import SandwichSolver, SolveRequest, solve_sandwich, stationary_state
 from .sim import SimParams, advance_nbbm, replica_rng
 
@@ -37,6 +37,7 @@ __all__ = [
 ]
 
 _MIN_POPULATION = 100  # experiments refuse degenerate particle counts
+_LIMIT_NODES = 4001  # nodes of a sampler's limit profile
 
 
 @dataclass(frozen=True)
@@ -83,7 +84,6 @@ class PointMassSampler:
     """All particles start at the origin."""
 
     dim: int
-    name: str = "origin"
 
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
         return np.zeros((n, self.dim))
@@ -98,7 +98,6 @@ class UniformBallSampler:
 
     dim: int
     radius: float = 1.0
-    name: str = "uniform-ball"
 
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
         r = self.radius * rng.random(n) ** (1.0 / self.dim)
@@ -107,8 +106,8 @@ class UniformBallSampler:
     def cdf(self, r):
         return np.clip(np.asarray(r, dtype=float) / self.radius, 0.0, 1.0) ** self.dim
 
-    def limit_profile(self, mode: str = "nearest", n_nodes: int = 4001) -> RadialProfile:
-        return discretize_cdf(self.cdf, self.radius, n_nodes, mode, self.dim)
+    def limit_profile(self, mode: str = "nearest") -> RadialProfile:
+        return discretize_cdf(self.cdf, self.radius, _LIMIT_NODES, mode, self.dim)
 
 
 @dataclass(frozen=True)
@@ -116,7 +115,6 @@ class StationarySampler:
     """I.i.d. from the stationary density: radius by inverting V, uniform direction."""
 
     dim: int
-    name: str = "stationary"
 
     @cached_property
     def _inverse_table(self):
@@ -129,8 +127,8 @@ class StationarySampler:
         radii = np.interp(rng.random(n), v, r)
         return _unit_directions(n, self.dim, rng) * radii[:, None]
 
-    def limit_profile(self, mode: str = "nearest", n_nodes: int = 4001) -> RadialProfile:
-        return stationary_state(self.dim).as_profile(n_nodes, mode)
+    def limit_profile(self, mode: str = "nearest") -> RadialProfile:
+        return stationary_state(self.dim).as_profile(_LIMIT_NODES, mode)
 
 
 # ---------------------------------------------------------------------------
@@ -261,7 +259,7 @@ def boundary_report(N: int, d: int, T: float, eta: float, sampler,
 
 
 def _selection_replica(rep: int, seed: int, N: int, d: int, t: float, K: float,
-                       c: float, sampler, window_dt: float, r_inf: float):
+                       c: float, sampler, window_dt: float, n_window: int, r_inf: float):
     rng = replica_rng(seed, rep)
     ens = ParticleEnsemble(d, sampler.sample(N, rng))
     if not in_gamma(ens, K, c):
@@ -274,7 +272,7 @@ def _selection_replica(rep: int, seed: int, N: int, d: int, t: float, K: float,
     m_t = max_radius(ens)
     running_max = m_t
     cur = ens
-    for _ in np.arange(window_dt, 1.0 + 1e-9, window_dt):
+    for _ in range(n_window):
         cur, _ = advance_nbbm(params, cur, window_dt, rng)
         running_max = max(running_max, max_radius(cur))
     ball = float((np.sqrt(np.einsum("ij,ij->i", ens.positions, ens.positions))
@@ -288,12 +286,15 @@ def selection_report(N: int, d: int, t: float, K: float, c: float, sampler,
                      sup_tol: float = 0.07, m_tol: float = 0.15,
                      mass_tol: float = 0.05, good_fraction: float = 0.9,
                      workers: int = 1, return_snapshots: bool = False):
-    """Long-time statistics against the stationary state (U, R_inf, V)."""
+    """Long-time statistics against the stationary state (U, R_inf, V);
+    ``window_excess`` reads the unit window after t every ``window_dt``."""
     if N < _MIN_POPULATION:
         raise ValueError(f"selection check needs N >= {_MIN_POPULATION}")
+    n_window = whole_steps(1.0, window_dt, "window")
     state = stationary_state(d)
     res = _run_replicas(_selection_replica, replicas, workers,
-                        (seed, N, d, t, K, c, sampler, window_dt, state.r_infinity))
+                        (seed, N, d, t, K, c, sampler, window_dt, n_window,
+                         state.r_infinity))
     sup_v = np.array([r[0] for r in res])
     m_t = np.array([r[1] for r in res])
     run_max = np.array([r[2] for r in res])
@@ -328,11 +329,13 @@ def stationarity_report(N: int, d: int, burn_in: float, window: float,
                         n_windows: int, seed: int, snapshot_dt: float = 0.25,
                         pairwise_tol: float = 0.05) -> list[ReportRow]:
     """Mixing diagnostic: time-averaged CDFs over successive windows of one
-    long trajectory, compared pairwise and against V."""
+    long trajectory (snapshots every ``snapshot_dt``), compared pairwise and
+    against V."""
     if burn_in <= 0.0 or window <= 0.0:
         raise ValueError("burn_in and window must be positive")
     if N < _MIN_POPULATION:
         raise ValueError(f"stationarity check needs N >= {_MIN_POPULATION}")
+    per_window = whole_steps(window, snapshot_dt, "window")
     state = stationary_state(d)
     rng = replica_rng(seed, 0)
     params = SimParams(dim=d, population=N)
@@ -340,7 +343,6 @@ def stationarity_report(N: int, d: int, burn_in: float, window: float,
     ens, _ = advance_nbbm(params, ens, burn_in, rng)
     r_grid = np.linspace(0.0, state.r_infinity + 1.0, 2001)
     averages = []
-    per_window = max(1, round(window / snapshot_dt))
     for _ in range(n_windows):
         acc = np.zeros_like(r_grid)
         for _ in range(per_window):

@@ -53,7 +53,6 @@ from scipy import fft
 from scipy.special import erf, erfc, gammainc, gammaincc, gammaln, ive
 
 __all__ = [
-    "KernelContext",
     "EvaluationError",
     "radial_cdf",
     "bessel_density",
@@ -65,21 +64,7 @@ _SQRT_PI = math.sqrt(math.pi)
 
 
 class EvaluationError(RuntimeError):
-    """Series evaluation failed to converge within the tolerance budget."""
-
-
-@dataclass(frozen=True)
-class KernelContext:
-    """Dimension and target absolute accuracy for kernel evaluations."""
-
-    dim: int
-    tolerance: float = 1e-10
-
-    def __post_init__(self):
-        if self.dim < 1:
-            raise ValueError("dim must be >= 1")
-        if not (0.0 < self.tolerance <= 1e-6):
-            raise ValueError("tolerance must lie in (0, 1e-6]")
+    """A series window would need more than _MAX_WINDOW terms."""
 
 
 def _check_time(t: float):
@@ -87,9 +72,13 @@ def _check_time(t: float):
         raise ValueError(f"t must be positive and finite, got {t}")
 
 
-def support_band(t: float, tol: float = 1e-15, dim: int = 3) -> float:
-    """Radial displacement beyond which transition mass is below tol."""
-    return math.sqrt(4.0 * t * max(math.log(2.0 * dim / tol), 1.0)) + 4.0 * math.sqrt(t / dim)
+_BAND_TAIL = 1e-15  # transition mass left beyond support_band
+
+
+def support_band(t: float, dim: int) -> float:
+    """Radial displacement beyond which transition mass is below _BAND_TAIL."""
+    return (math.sqrt(4.0 * t * max(math.log(2.0 * dim / _BAND_TAIL), 1.0))
+            + 4.0 * math.sqrt(t / dim))
 
 
 # ---------------------------------------------------------------------------
@@ -105,19 +94,14 @@ def support_band(t: float, tol: float = 1e-15, dim: int = 3) -> float:
 # indices below a node's window enter through a prefix sum of q, and the
 # dropped tails are booked per unit of mixture mass.
 #
-# Every tail is cut at _TAIL per unit mass (or finer, if the caller's tol
-# asks), below double rounding: the solver freezes its flat tail where values
-# come within 1e-12 of the total mass, so a kernel that is only tol-accurate
-# there would move the active grid.
+# Every tail is cut at _TAIL per unit mass, below double rounding: the
+# solver freezes its flat tail where values come within 1e-12 of the total
+# mass, so a coarser kernel there would move the active grid.  There is no
+# accuracy option.
 
 _MAX_WINDOW = 5_000_000  # series terms per window before giving up
 _TAIL = 2.0 ** -56       # per-unit-mass cap on every dropped tail
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
-
-
-def _series_eps(tol: float) -> float:
-    """Per-unit-mass budget of each of the four series window tails."""
-    return min(0.125 * tol, _TAIL)
 
 
 def _bd0(k: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -195,7 +179,7 @@ def _window_edges(x: np.ndarray, s_lo: float, s_hi: float, eps: float
     if x.size and 2.0 * float(spread[-1]) > _MAX_WINDOW:
         raise EvaluationError(
             f"noncentral series window needs {2.0 * float(spread[-1]):.3g} terms "
-            f"(mean {float(x[-1]):.3g}, tol = {eps:.1e})")
+            f"(mean {float(x[-1]):.3g}, tail cut {eps:.1e})")
 
     def upper_ok(m, xx):
         return gammainc(s_hi + m, xx) <= eps
@@ -314,21 +298,20 @@ def _series_sweep(a: float, c: np.ndarray, jw: _JumpWindows, nw: _NodeWindows
     return out, ms.size
 
 
-def _ncx2_cdf(x: np.ndarray, dim: int, lam: float, tol: float) -> np.ndarray:
-    """Noncentral chi-squared CDF with certified truncation error <= tol.
+def _ncx2_cdf(x: np.ndarray, dim: int, lam: float) -> np.ndarray:
+    """Noncentral chi-squared CDF with certified truncation error <= 4 _TAIL.
 
     One jump of unit size in the shared windowed sweep; its four window
-    tails are each below tol/8.
+    tails are each below _TAIL.
     """
     x = np.asarray(x, dtype=float)
     mu = 0.5 * lam
     if mu == 0.0:
         return gammainc(0.5 * dim, 0.5 * x)
-    eps = _series_eps(tol)
-    jw = _JumpWindows.build(np.array([mu]), eps)
+    jw = _JumpWindows.build(np.array([mu]), _TAIL)
     z = 0.5 * x.ravel()
     order = np.argsort(z, kind="stable")
-    nw = _NodeWindows.build(0.5 * dim, z[order], eps,
+    nw = _NodeWindows.build(0.5 * dim, z[order], _TAIL,
                             support=(int(jw.lo[0]), int(jw.hi[0])))
     out = np.empty(z.size)
     out[order], _ = _series_sweep(0.5 * dim, np.ones(1), jw, nw)
@@ -362,60 +345,56 @@ def _ncx2_pdf(x, dim: int, lam: float):
 # Pointwise kernels
 # ---------------------------------------------------------------------------
 
-def radial_cdf(ctx: KernelContext, y: float, r, t: float):
-    """w(y, r, t) = P(||B_t|| < r | ||B_0|| = y); vectorized in r."""
+def _check_point(dim: int, y: float, r, t: float) -> np.ndarray:
+    """Check the arguments of a pointwise kernel; returns r as an array."""
+    if dim < 1:
+        raise ValueError("dim must be >= 1")
     _check_time(t)
     if y < 0.0:
         raise ValueError("y must be nonnegative")
     r_arr = np.asarray(r, dtype=float)
     if np.any(r_arr < 0.0):
         raise ValueError("r must be nonnegative")
-    d = ctx.dim
+    return r_arr
+
+
+def radial_cdf(dim: int, y: float, r, t: float):
+    """w(y, r, t) = P(||B_t|| < r | ||B_0|| = y); vectorized in r."""
+    r_arr = _check_point(dim, y, r, t)
     s2 = 2.0 * math.sqrt(t)
-    if d == 1:
+    if dim == 1:
         out = 0.5 * (erf((r_arr - y) / s2) + erf((r_arr + y) / s2))
-    elif d == 3 and y > 0.0:
+    elif dim == 3 and y > 0.0:
         expm = np.exp(-((r_arr - y) ** 2) / (4.0 * t))
         expp = np.exp(-((r_arr + y) ** 2) / (4.0 * t))
         out = (0.5 * (erf((r_arr - y) / s2) + erf((r_arr + y) / s2))
                - math.sqrt(t / math.pi) / y * (expm - expp))
     else:
-        out = _ncx2_cdf(r_arr * r_arr / (2.0 * t), d, y * y / (2.0 * t), ctx.tolerance)
+        out = _ncx2_cdf(r_arr * r_arr / (2.0 * t), dim, y * y / (2.0 * t))
     out = np.clip(out, 0.0, 1.0)
-    return float(out) if np.isscalar(r) or r_arr.ndim == 0 else out
+    return float(out) if r_arr.ndim == 0 else out
 
 
-def bessel_density(ctx: KernelContext, y: float, r, t: float):
+def bessel_density(dim: int, y: float, r, t: float):
     """g(y, r, t) = dw/dr, the radial transition density.
 
     The y = 0 case is the continuity limit: the chi distribution with d
     degrees of freedom scaled by sqrt(2t).
     """
-    _check_time(t)
-    if y < 0.0:
-        raise ValueError("y must be nonnegative")
-    r_arr = np.asarray(r, dtype=float)
-    if np.any(r_arr < 0.0):
-        raise ValueError("r must be nonnegative")
-    out = (r_arr / t) * _ncx2_pdf(r_arr * r_arr / (2.0 * t), ctx.dim, y * y / (2.0 * t))
-    return float(out) if np.isscalar(r) or r_arr.ndim == 0 else out
+    r_arr = _check_point(dim, y, r, t)
+    out = (r_arr / t) * _ncx2_pdf(r_arr * r_arr / (2.0 * t), dim, y * y / (2.0 * t))
+    return float(out) if r_arr.ndim == 0 else out
 
 
-def kernel_G(ctx: KernelContext, y: float, r, t: float):
-    """G(y, r, t) = -dw/dy, evaluated analytically.
+def kernel_G(dim: int, y: float, r, t: float):
+    """G(y, r, t) = -dw/dy >= 0, evaluated analytically.
 
     Differentiating the noncentral series in its noncentrality shifts the
     degrees of freedom by two: G = (y/t) * f_ncx2(r^2/2t; d+2, y^2/2t).
     """
-    _check_time(t)
-    if y < 0.0:
-        raise ValueError("y must be nonnegative")
-    r_arr = np.asarray(r, dtype=float)
-    if np.any(r_arr < 0.0):
-        raise ValueError("r must be nonnegative")
-    out = (y / t) * _ncx2_pdf(r_arr * r_arr / (2.0 * t), ctx.dim + 2, y * y / (2.0 * t))
-    out = np.maximum(out, -ctx.tolerance)
-    return float(out) if np.isscalar(r) or r_arr.ndim == 0 else out
+    r_arr = _check_point(dim, y, r, t)
+    out = (y / t) * _ncx2_pdf(r_arr * r_arr / (2.0 * t), dim + 2, y * y / (2.0 * t))
+    return float(out) if r_arr.ndim == 0 else out
 
 
 # ---------------------------------------------------------------------------
@@ -447,11 +426,11 @@ def _cached(key: tuple, build):
     return entry
 
 
-def _series_eval_err(c: np.ndarray, tol: float, steps: int) -> float:
+def _series_eval_err(c: np.ndarray, steps: int) -> float:
     """Booked error of a windowed sweep: four window tails per unit mass
     (jumps below and above, nodes below and above) plus recurrence and
     start-value roundoff."""
-    per_mass = 4.0 * _series_eps(tol) + 1e-15 * steps + 64.0 * np.finfo(float).eps
+    per_mass = 4.0 * _TAIL + 1e-15 * steps + 64.0 * np.finfo(float).eps
     return float(np.abs(c).sum()) * per_mass
 
 
@@ -462,24 +441,24 @@ class _SeriesLattice:
     lattice serves as jump and node set for every apply with step t.
     """
 
-    def __init__(self, dim: int, t: float, h: float, tol: float, n: int):
+    def __init__(self, dim: int, t: float, h: float, n: int):
         x = (np.arange(n, dtype=float) * h) ** 2 / (4.0 * t)
         self.n = n
-        self.jumps = _JumpWindows.build(x, _series_eps(tol))
-        self.nodes = _NodeWindows.build(0.5 * dim, x, _series_eps(tol))
+        self.jumps = _JumpWindows.build(x, _TAIL)
+        self.nodes = _NodeWindows.build(0.5 * dim, x, _TAIL)
         self.nbytes = self.jumps.nbytes + self.nodes.nbytes
 
 
-def _lattice_series(dim: int, t: float, c: np.ndarray, h: float, n_out: int,
-                    tol: float) -> tuple[np.ndarray, float]:
+def _lattice_series(dim: int, t: float, c: np.ndarray, h: float, n_out: int
+                    ) -> tuple[np.ndarray, float]:
     """Mixture of lattice jumps c on the lattice nodes i*h, i < n_out."""
-    key = ("series", dim, t, h, tol)
+    key = ("series", dim, t, h)
     if key in _IMAGE_CACHE and _IMAGE_CACHE[key].n < n_out:
         del _IMAGE_CACHE[key]  # rebuilt longer, with headroom as mass spreads
-    lattice = _cached(key, lambda: _SeriesLattice(dim, t, h, tol, n_out + n_out // 4))
+    lattice = _cached(key, lambda: _SeriesLattice(dim, t, h, n_out + n_out // 4))
     vals, steps = _series_sweep(0.5 * dim, c, lattice.jumps.head(c.size),
                                 lattice.nodes.head(n_out))
-    return np.clip(vals, 0.0, max(c.sum(), 0.0)), _series_eval_err(c, tol, steps)
+    return np.clip(vals, 0.0, max(c.sum(), 0.0)), _series_eval_err(c, steps)
 
 
 def _image_tail(dim: int, t: float, x: float, mass: float, w_mass: float,
@@ -562,8 +541,8 @@ def _prefix_sums(c: np.ndarray) -> np.ndarray:
 _BAND_STEP = 256  # bands and FFT lengths are bucketed so engines get reused
 
 
-def _lattice_images(dim: int, t: float, c: np.ndarray, h: float, n_out: int,
-                    tol: float) -> tuple[np.ndarray, float]:
+def _lattice_images(dim: int, t: float, c: np.ndarray, h: float, n_out: int
+                    ) -> tuple[np.ndarray, float]:
     """Mixture of lattice jumps c on the nodes i*h, i < n_out, for d in {1, 3}."""
     mass = float(np.abs(c).sum())
     w2, w_mass = None, 0.0
@@ -572,7 +551,7 @@ def _lattice_images(dim: int, t: float, c: np.ndarray, h: float, n_out: int,
         w2[1:] = c[1:] / (np.arange(1, c.size, dtype=float) * h)
         w_mass = float(np.abs(w2).sum())
     c0 = abs(float(c[0]))
-    budget = min(0.5 * tol, _TAIL * mass)
+    budget = _TAIL * mass
     # start near the edge (each tail term is about its weight times e^-x^2);
     # the scan only moves outwards, so the edge it stops at always passes
     x = max(1.0, math.sqrt(math.log((mass + w_mass + c0) / budget)) - 1.0)
@@ -608,15 +587,15 @@ def _lattice_jumps(locs: np.ndarray, sizes: np.ndarray, r_nodes: np.ndarray,
 
 
 def mixture_node_values(dim: int, t: float, locs: np.ndarray, sizes: np.ndarray,
-                        r_nodes: np.ndarray, tol: float = 1e-12, *,
+                        r_nodes: np.ndarray, *,
                         lattice_h: float) -> tuple[np.ndarray, float]:
     """Evaluate sum_j sizes_j * w(locs_j, r, t) at the lattice nodes.
 
     ``r_nodes`` must be the lattice i*lattice_h for i = 0..n-1 and ``locs``
     must lie on it (to 1e-9 * lattice_h, else ``ValueError``); d in {1, 3}
     takes the band-limited image route and every other d the series with
-    windows cached per lattice.  Returns (values, certified absolute
-    evaluation error).
+    windows cached per lattice.  Every dropped tail is at most 2^-56 per
+    unit mass.  Returns (values, certified absolute evaluation error).
     """
     _check_time(t)
     locs = np.asarray(locs, dtype=float)
@@ -627,4 +606,4 @@ def mixture_node_values(dim: int, t: float, locs: np.ndarray, sizes: np.ndarray,
     if c.size == 0:
         return np.zeros_like(r_nodes), 0.0
     route = _lattice_images if dim in (1, 3) else _lattice_series
-    return route(dim, float(t), c, h, r_nodes.size, tol)
+    return route(dim, float(t), c, h, r_nodes.size)

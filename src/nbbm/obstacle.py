@@ -35,7 +35,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammaln, jv
 
-from .core import RadialProfile, SandwichPair, StationaryState, default_domain_cap
+from .core import (RadialProfile, SandwichPair, StationaryState, default_domain_cap,
+                   whole_steps)
 from .kernels import mixture_node_values, support_band
 
 __all__ = [
@@ -58,7 +59,7 @@ __all__ = [
 
 _TRUNC_TOL = 1e-12  # per-step allowance for freezing the numerically flat tail
 _GRID_WIDTH = 0.7  # c of the default grid step h = c delta^2 / (1 - e^-T)
-_KERNEL_TOL = 1e-10  # absolute tolerance of each kernel apply (``tol`` of mixture_node_values)
+_BOUNDARY_LEVEL = 1e-6  # boundary radii are where profiles come within this of 1
 _EPS = float(np.finfo(float).eps)
 
 
@@ -160,10 +161,9 @@ def branch_step(dim: int, delta: float, h: float, p: np.ndarray,
     moved up (upper) or down (lower) by e^delta times the kernel's certified
     evaluation error, so each branch bounds its exact step.  Past the first
     node within _TRUNC_TOL of the total mass the tail is frozen.  The kernel is
-    applied through the module binding ``mixture_node_values`` at absolute
-    tolerance _KERNEL_TOL.  When the kernel's support band needs
-    n_need > p.size cells, the result has n_need + max(64, n_need // 8)
-    cells, padded with its last value.
+    applied through the module binding ``mixture_node_values``.  When its
+    support band needs n_need > p.size cells, the result has
+    n_need + max(64, n_need // 8) cells, padded with its last value.
     Returns the stepped array and the allowance this step adds to the
     branch's grid gap: the largest cell oscillation, e^delta times the
     kernel's evaluation error, the outward move by as much again, and the
@@ -174,13 +174,13 @@ def branch_step(dim: int, delta: float, h: float, p: np.ndarray,
     e_d = math.exp(delta)
     p_in = p if upper else np.minimum(p, math.exp(-delta))
     n_act = _active_len(p_in)
-    n_need = n_act + int(math.ceil(support_band(delta, tol=1e-15, dim=dim) / h)) + 2
+    n_need = n_act + int(math.ceil(support_band(delta, dim) / h)) + 2
     n = p.size if n_need <= p.size else n_need + max(64, n_need // 8)
     nodes = np.arange(n_need, dtype=float) * h
     sizes = np.diff(p_in[:n_act], prepend=0.0)
     live = sizes > 0.0
     vals, eval_err = mixture_node_values(dim, delta, nodes[:n_act][live], sizes[live],
-                                         nodes, tol=_KERNEL_TOL, lattice_h=h)
+                                         nodes, lattice_h=h)
     vals = e_d * np.maximum.accumulate(vals)
     tail = min(e_d * float(p_in[n_act - 1]), 1.0)
     # freeze the numerically flat tail to keep the active window bounded;
@@ -235,7 +235,7 @@ class SandwichSolver:
         if grid_step is None:
             grid_step = default_grid_step(dim, horizon_hint, delta, r_scale)
         self.h = float(grid_step)
-        band = support_band(delta, tol=1e-15, dim=self.dim)
+        band = support_band(delta, self.dim)
         upper0 = initial if initial_upper is None else initial_upper
         max_jump = max(
             initial.locations[-1] if initial.locations.size else 0.0,
@@ -282,9 +282,7 @@ class SandwichSolver:
 
     def advance_to(self, t: float):
         """Advance to time t, a multiple of the step no earlier than now."""
-        k = round(t / self.delta)
-        if abs(k * self.delta - t) > 1e-9 * max(1.0, t):
-            raise ValueError(f"time {t!r} is not a multiple of the step {self.delta!r}")
+        k = whole_steps(t, self.delta, "time")
         if k < self.steps:
             raise ValueError(f"time {t!r} lies before the solver's time "
                              f"{self.steps * self.delta!r}")
@@ -315,8 +313,8 @@ class SandwichSolver:
         self.trace.max_gap.append(measured)
         self.trace.analytic_gap.append(self.analytic_gap)
         self.trace.grid_gap.append(self.grid_gap)
-        lvl_lo = 1.0 - min(measured + 1e-6, 0.999)
-        lvl_hi = 1.0 - 1e-6
+        lvl_lo = 1.0 - min(measured + _BOUNDARY_LEVEL, 0.999)
+        lvl_hi = 1.0 - _BOUNDARY_LEVEL
         self.trace.boundary_lo.append(self._first_reach(self.p_up, lvl_lo))
         self.trace.boundary_hi.append(self._first_reach(self.p_lo, lvl_hi))
 
@@ -357,6 +355,8 @@ class SandwichSolver:
         )
 
     def boundary_interval(self) -> tuple[float, float]:
+        """The radius band where the pair comes within 1e-6 of full mass, not
+        R_t itself: :func:`free_boundary_radius` of the current pair."""
         return self.trace.boundary_lo[-1], self.trace.boundary_hi[-1]
 
 
@@ -376,28 +376,28 @@ def solve_sandwich(req: SolveRequest, with_trace: bool = False):
 # Free boundary and the stationary state
 # ---------------------------------------------------------------------------
 
-def free_boundary_radius(v, tol: float | None = None):
-    """inf{r : v(r) >= 1 - tol}, or +inf when the level is never reached.
+def _level_radius(f: RadialProfile, gap: float) -> float:
+    """inf{r : f(r) >= 1 - gap}, or +inf when f does not get there."""
+    idx = int(np.searchsorted(f.values, 1.0 - gap, side="left"))
+    if idx >= f.values.size:
+        return math.inf
+    r = float(f.locations[idx])
+    return r if r <= f.domain_cap else math.inf
 
-    On a SandwichPair this returns a two-sided interval: the left end from
-    the upper profile at level 1 - (measured width + tol), the right end
-    from the lower profile at level 1 - tol.  Together they bracket the
-    radius at which the certified solution is within tolerance of 1.
+
+def free_boundary_radius(v):
+    """The radius where v comes within 1e-6 of full mass, not R_t itself.
+
+    On a profile: inf{r : v(r) >= 1 - 1e-6}, or +inf if never reached.  On a
+    SandwichPair: the radius band where the pair comes within 1e-6 of full
+    mass, from the upper profile at level 1 - (measured width + 1e-6) to the
+    lower one at 1 - 1e-6.  Where 1 - v vanishes to second order (as V does
+    at R_inf) the band is wide even when the pair is narrow.
     """
     if isinstance(v, SandwichPair):
-        base = 1e-6 if tol is None else tol
-        lvl_gap = min(v.measured_gap + base, 0.999)
-        return (free_boundary_radius(v.upper, lvl_gap),
-                free_boundary_radius(v.lower, base))
-    if tol is None:
-        tol = 1e-6
-    if not v.values.size:
-        return math.inf
-    idx = int(np.searchsorted(v.values, 1.0 - tol, side="left"))
-    if idx >= v.values.size:
-        return math.inf
-    r = float(v.locations[idx])
-    return r if r <= v.domain_cap else math.inf
+        return (_level_radius(v.upper, min(v.measured_gap + _BOUNDARY_LEVEL, 0.999)),
+                _level_radius(v.lower, _BOUNDARY_LEVEL))
+    return _level_radius(v, _BOUNDARY_LEVEL)
 
 
 def _first_bessel_zero(nu: float) -> float:

@@ -18,7 +18,7 @@ from nbbm.config import parse_config
 from nbbm.cli import run as cli_run
 from nbbm.experiments import (UniformBallSampler, bracket_distance,
                               hydrodynamic_report, sup_distance_to_fn)
-from nbbm.kernels import KernelContext, radial_cdf
+from nbbm.kernels import radial_cdf
 from nbbm.obstacle import (SandwichSolver, SolveRequest, solve_sandwich,
                            stationary_state)
 from nbbm.sim import (SimParams, advance_nbbm, coupled_run, replica_rng,
@@ -53,7 +53,6 @@ def test_01_kernel_matches_monte_carlo():
     levels = (np.arange(20) + 0.5) / 20.0
     worst = 0.0
     for d in (1, 2, 3):
-        ctx = KernelContext(d)
         for iy, y in enumerate((0.0, 0.5, 2.0)):
             for it, t in enumerate((0.1, 1.0, 4.0)):
                 rng = replica_rng(10_000 + d, 7 * iy + it)
@@ -66,10 +65,10 @@ def test_01_kernel_matches_monte_carlo():
                 else:
                     r_pts = np.sqrt(2.0 * t * stats.ncx2.ppf(levels, d, y * y / (2 * t)))
                 emp = np.searchsorted(norms, r_pts, side="left") / n
-                w = radial_cdf(ctx, y, r_pts, t)
+                w = radial_cdf(d, y, r_pts, t)
                 se = np.sqrt(np.maximum(w * (1.0 - w), 1e-12) / n)
                 worst = max(worst, float(np.max(np.abs(w - emp) / (4.0 * se))))
-    analytic_ok = abs(radial_cdf(KernelContext(1), 0.0, 2.0, 1.0)
+    analytic_ok = abs(radial_cdf(1, 0.0, 2.0, 1.0)
                       - math.erf(1.0)) <= 1e-8
     elapsed = time.time() - t0
     _report(1, "kernel vs Monte Carlo", worst <= 1.0 and analytic_ok

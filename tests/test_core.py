@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nbbm.core import (ParticleEnsemble, RadialProfile, discretize_cdf, empirical_cdf,
-                       in_gamma, max_radius, measure_of_set)
+                       in_gamma, max_radius, measure_of_set, whole_steps)
 from nbbm.experiments import StationarySampler
 from nbbm.sim import replica_rng
 
@@ -119,6 +119,25 @@ class TestDiscretizeCdf:
         v = self.cdf(nodes)
         assert np.array_equal(mid.locations, nodes[1:])
         assert np.array_equal(mid.values, np.append(0.5 * (v[1:-1] + v[2:]), 1.0))
+
+
+# ---------------------------------------------------------------------------
+# whole_steps
+# ---------------------------------------------------------------------------
+
+class TestWholeSteps:
+    def test_lattice_spans(self):
+        # the drivers' default windows keep their step counts
+        assert whole_steps(1.0, 0.05, "window") == 20
+        assert whole_steps(5.0, 0.25, "window") == 20
+        assert whole_steps(2.0 + 1e-10, 0.01, "time") == 200  # within 1e-9 * max(1, span)
+        with pytest.raises(ValueError, match="time 2.005 is not a multiple"):
+            whole_steps(2.005, 0.01, "time")
+
+    @pytest.mark.parametrize("step", [0.0, -0.1, math.nan])
+    def test_step_must_be_positive(self, step):
+        with pytest.raises(ValueError, match="positive"):
+            whole_steps(1.0, step, "window")
 
 
 # ---------------------------------------------------------------------------

@@ -140,6 +140,13 @@ class TestSelectionReport:
             selection_report(N=150, d=1, t=1.0, K=0.5, c=1.0,
                              sampler=UniformBallSampler(1), replicas=1, seed=1)
 
+    @pytest.mark.parametrize("window_dt", [0.3, 0.7, 1.5, 0.0])
+    def test_window_must_fit(self, window_dt):
+        # the excess is read over a unit window in whole steps of window_dt
+        with pytest.raises(ValueError, match="window|step"):
+            selection_report(N=100, d=1, t=0.2, K=1.0, c=1.0, sampler=PointMassSampler(1),
+                             replicas=1, seed=1, window_dt=window_dt)
+
 
 class TestStationarityReport:
     def test_desk_scale_windows_agree(self):
@@ -167,3 +174,10 @@ class TestStationarityReport:
             vals[n] = np.mean([r.value for r in rows if r.statistic.endswith("_to_V")])
         # recorded, not asserted per-seed: larger N should not be wildly worse
         assert vals[1000] < vals[250] + 0.05
+
+    @pytest.mark.parametrize("snapshot_dt", [0.3, 0.0, 2.0])
+    def test_window_must_fit(self, snapshot_dt):
+        # each window is a whole number of snapshots, so its time label holds
+        with pytest.raises(ValueError, match="window|step"):
+            stationarity_report(N=100, d=1, burn_in=0.2, window=1.0, n_windows=2,
+                                seed=1, snapshot_dt=snapshot_dt)

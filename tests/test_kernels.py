@@ -7,15 +7,14 @@ from scipy.special import chndtr, erf
 
 from nbbm import kernels
 from nbbm.core import RadialProfile
-from nbbm.kernels import (KernelContext, bessel_density, kernel_G, mixture_node_values,
-                          radial_cdf)
+from nbbm.kernels import bessel_density, kernel_G, mixture_node_values, radial_cdf
 from nbbm.obstacle import SolveRequest, branch_step, solve_sandwich, stationary_state
 from nbbm.sim import replica_rng
 
 
 @pytest.fixture(params=[1, 2, 3])
-def ctx(request):
-    return KernelContext(request.param)
+def d(request):
+    return request.param
 
 
 # ---------------------------------------------------------------------------
@@ -23,83 +22,82 @@ def ctx(request):
 # ---------------------------------------------------------------------------
 
 class TestRadialCdf:
-    def test_cdf_axioms(self, ctx):
+    def test_cdf_axioms(self, d):
         r = np.linspace(0.0, 12.0, 200)
         for y in (0.0, 0.5, 2.0):
-            w = radial_cdf(ctx, y, r, 1.0)
+            w = radial_cdf(d, y, r, 1.0)
             assert w[0] == 0.0
             assert np.all(np.diff(w) >= -1e-14)
             assert w[-1] > 1.0 - 1e-8
 
-    def test_nonincreasing_in_y(self, ctx):
+    def test_nonincreasing_in_y(self, d):
         for t in (0.1, 1.0):
-            vals = [radial_cdf(ctx, y, 1.3, t) for y in (0.0, 0.4, 0.8, 1.6, 3.0)]
+            vals = [radial_cdf(d, y, 1.3, t) for y in (0.0, 0.4, 0.8, 1.6, 3.0)]
             assert np.all(np.diff(vals) <= 1e-14)
 
     def test_d1_y0_gaussian(self):
-        c = KernelContext(1)
-        assert radial_cdf(c, 0.0, 2.0, 1.0) == pytest.approx(erf(1.0), abs=1e-12)
+        assert radial_cdf(1, 0.0, 2.0, 1.0) == pytest.approx(erf(1.0), abs=1e-12)
         for r, t in [(0.5, 0.25), (3.0, 2.0)]:
-            assert radial_cdf(c, 0.0, r, t) == pytest.approx(erf(r / (2 * math.sqrt(t))),
+            assert radial_cdf(1, 0.0, r, t) == pytest.approx(erf(r / (2 * math.sqrt(t))),
                                                              abs=1e-12)
 
-    def test_small_time_indicator(self, ctx):
-        assert radial_cdf(ctx, 0.5, 1.0, 1e-8) == pytest.approx(1.0, abs=1e-9)
-        assert radial_cdf(ctx, 1.0, 0.5, 1e-8) == pytest.approx(0.0, abs=1e-9)
+    def test_small_time_indicator(self, d):
+        assert radial_cdf(d, 0.5, 1.0, 1e-8) == pytest.approx(1.0, abs=1e-9)
+        assert radial_cdf(d, 1.0, 0.5, 1e-8) == pytest.approx(0.0, abs=1e-9)
 
-    def test_matches_noncentral_chi2_cdf(self, ctx):
+    def test_matches_noncentral_chi2_cdf(self, d):
         # cross-validation of the series against an independent implementation
         r = np.linspace(0.01, 6.0, 97)
         for y in (0.3, 1.0, 2.5):
             for t in (0.05, 0.7, 3.0):
-                ours = radial_cdf(ctx, y, r, t)
-                ref = chndtr(r * r / (2 * t), ctx.dim, y * y / (2 * t))
+                ours = radial_cdf(d, y, r, t)
+                ref = chndtr(r * r / (2 * t), d, y * y / (2 * t))
                 assert np.abs(ours - ref).max() < 5e-9
 
     @pytest.mark.parametrize("d", [2, 4, 5])
     @pytest.mark.parametrize("y, t", [(2.0, 1e-4), (20.0, 0.01)])
     def test_matches_noncentral_chi2_cdf_large_noncentrality(self, d, y, t):
         # y^2/4t = 1e4: the Poisson window sits far from index 0
-        c = KernelContext(d)
         r = y + np.linspace(-8.0, 8.0, 81) * math.sqrt(2 * t)
-        ours = radial_cdf(c, y, r, t)
+        ours = radial_cdf(d, y, r, t)
         ref = chndtr(r * r / (2 * t), d, y * y / (2 * t))
         assert np.abs(ours - ref).max() < 5e-9
 
-    def test_monte_carlo_identity(self, ctx):
+    def test_monte_carlo_identity(self, d):
         # the norm-process law must match simulation; light version of the
         # full acceptance matrix
-        rng = replica_rng(123, ctx.dim)
+        rng = replica_rng(123, d)
         n = 200_000
         for y, t in [(0.0, 0.5), (1.5, 1.0)]:
-            b = rng.standard_normal((n, ctx.dim)) * math.sqrt(2 * t)
+            b = rng.standard_normal((n, d)) * math.sqrt(2 * t)
             b[:, 0] += y
             norms = np.sqrt(np.einsum("ij,ij->i", b, b))
             for q in (0.1, 0.5, 0.9):
                 r = float(np.quantile(norms, q))
-                w = radial_cdf(ctx, y, r, t)
+                w = radial_cdf(d, y, r, t)
                 se = math.sqrt(w * (1 - w) / n)
                 assert abs(w - (norms < r).mean()) < 4 * se + 1e-4
 
-    def test_domain_errors(self, ctx):
+    def test_domain_errors(self, d):
         with pytest.raises(ValueError):
-            radial_cdf(ctx, 0.5, 1.0, 0.0)
+            radial_cdf(d, 0.5, 1.0, 0.0)
         with pytest.raises(ValueError):
-            radial_cdf(ctx, 0.5, 1.0, -1.0)
+            radial_cdf(d, 0.5, 1.0, -1.0)
         with pytest.raises(ValueError):
-            radial_cdf(ctx, -0.5, 1.0, 1.0)
+            radial_cdf(d, -0.5, 1.0, 1.0)
+        for kernel in (radial_cdf, bessel_density, kernel_G):
+            with pytest.raises(ValueError, match="dim"):
+                kernel(0, 0.5, 1.0, 1.0)
 
     def test_series_window_blowup_is_diagnosed(self):
         from nbbm.kernels import EvaluationError
-        c = KernelContext(2)
         with pytest.raises(EvaluationError):
-            radial_cdf(c, 1e6, 1e6, 1e-12)
+            radial_cdf(2, 1e6, 1e6, 1e-12)
 
     def test_large_index_moderate_window_still_works(self):
         # huge noncentrality with a manageable mode window must evaluate
-        c = KernelContext(2)
-        assert radial_cdf(c, 1.0, 0.5, 1e-8) == pytest.approx(0.0, abs=1e-9)
-        assert radial_cdf(c, 1.0, 1.5, 1e-8) == pytest.approx(1.0, abs=1e-9)
+        assert radial_cdf(2, 1.0, 0.5, 1e-8) == pytest.approx(0.0, abs=1e-9)
+        assert radial_cdf(2, 1.0, 1.5, 1e-8) == pytest.approx(1.0, abs=1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -111,27 +109,25 @@ class TestBesselDensity:
     @pytest.mark.parametrize("y", [0.5, 2.0])
     @pytest.mark.parametrize("t", [0.1, 1.0])
     def test_normalization(self, d, y, t):
-        c = KernelContext(d)
-        val, err = integrate.quad(lambda r: bessel_density(c, y, r, t),
+        val, err = integrate.quad(lambda r: bessel_density(d, y, r, t),
                                   0.0, y + 12 * math.sqrt(2 * t), limit=200)
         assert abs(val - 1.0) < 1e-8
 
-    def test_matches_dw_dr(self, ctx):
+    def test_matches_dw_dr(self, d):
         h = 1e-5
         for y, r, t in [(0.5, 1.0, 0.3), (2.0, 1.5, 1.0)]:
-            fd = (radial_cdf(ctx, y, r + h, t) - radial_cdf(ctx, y, r - h, t)) / (2 * h)
-            assert fd == pytest.approx(bessel_density(ctx, y, r, t), abs=1e-6)
+            fd = (radial_cdf(d, y, r + h, t) - radial_cdf(d, y, r - h, t)) / (2 * h)
+            assert fd == pytest.approx(bessel_density(d, y, r, t), abs=1e-6)
 
     def test_maxwell_limit_d3(self):
-        c = KernelContext(3)
         for r, t in [(0.5, 0.25), (2.0, 1.0)]:
             expected = r * r * math.exp(-r * r / (4 * t)) / (2 * math.sqrt(math.pi) * t ** 1.5)
-            assert bessel_density(c, 0.0, r, t) == pytest.approx(expected, rel=1e-10)
+            assert bessel_density(3, 0.0, r, t) == pytest.approx(expected, rel=1e-10)
 
-    def test_y0_matches_small_y(self, ctx):
+    def test_y0_matches_small_y(self, d):
         r = np.linspace(0.05, 4.0, 50)
-        g0 = bessel_density(ctx, 0.0, r, 0.5)
-        g_eps = bessel_density(ctx, 1e-7, r, 0.5)
+        g0 = bessel_density(d, 0.0, r, 0.5)
+        g_eps = bessel_density(d, 1e-7, r, 0.5)
         assert np.abs(g0 - g_eps).max() < 1e-6
 
 
@@ -140,37 +136,37 @@ class TestBesselDensity:
 # ---------------------------------------------------------------------------
 
 class TestKernelG:
-    def test_matches_minus_dw_dy(self, ctx):
+    def test_matches_minus_dw_dy(self, d):
         h = 1e-5
         for y, r, t in [(0.5, 1.0, 0.3), (2.0, 1.5, 1.0), (1.0, 2.5, 0.2)]:
-            fd = -(radial_cdf(ctx, y + h, r, t) - radial_cdf(ctx, y - h, r, t)) / (2 * h)
-            assert fd == pytest.approx(kernel_G(ctx, y, r, t), abs=1e-6)
+            fd = -(radial_cdf(d, y + h, r, t) - radial_cdf(d, y - h, r, t)) / (2 * h)
+            assert fd == pytest.approx(kernel_G(d, y, r, t), abs=1e-6)
 
-    def test_vanishes_at_r0(self, ctx):
+    def test_vanishes_at_r0(self, d):
         for y, t in [(0.5, 0.3), (2.0, 1.0)]:
-            assert kernel_G(ctx, y, 0.0, t) == 0.0
+            assert kernel_G(d, y, 0.0, t) == 0.0
 
-    def test_nonnegative(self, ctx):
+    def test_nonnegative(self, d):
         r = np.linspace(0.0, 6.0, 100)
-        assert np.all(kernel_G(ctx, 1.0, r, 0.5) >= -ctx.tolerance)
+        assert np.all(kernel_G(d, 1.0, r, 0.5) >= 0.0)
 
-    def test_integral_over_y_is_w_from_origin(self, ctx):
+    def test_integral_over_y_is_w_from_origin(self, d):
         # int_0^inf G(y, r, t) dy telescopes -dw/dy down to w(0, r, t)
         for r, t in [(1.0, 0.5), (2.0, 1.0)]:
-            val, _ = integrate.quad(lambda y: kernel_G(ctx, y, r, t),
+            val, _ = integrate.quad(lambda y: kernel_G(d, y, r, t),
                                     0.0, r + 12 * math.sqrt(2 * t), limit=200)
-            assert val == pytest.approx(radial_cdf(ctx, 0.0, r, t), abs=1e-8)
+            assert val == pytest.approx(radial_cdf(d, 0.0, r, t), abs=1e-8)
             assert val <= 1.0 + 1e-10
 
-    def test_cross_relation_dr_G_eq_minus_dy_g(self, ctx):
+    def test_cross_relation_dr_G_eq_minus_dy_g(self, d):
         # dG/dr = -dg/dy on a grid of (y, r, t)
         h = 1e-4
         for y in (0.7, 1.5):
             for r in (0.6, 1.8):
                 for t in (0.3, 1.0):
-                    dG = (kernel_G(ctx, y, r + h, t) - kernel_G(ctx, y, r - h, t)) / (2 * h)
-                    dg = (bessel_density(ctx, y + h, r, t)
-                          - bessel_density(ctx, y - h, r, t)) / (2 * h)
+                    dG = (kernel_G(d, y, r + h, t) - kernel_G(d, y, r - h, t)) / (2 * h)
+                    dg = (bessel_density(d, y + h, r, t)
+                          - bessel_density(d, y - h, r, t)) / (2 * h)
                     assert dG == pytest.approx(-dg, abs=5e-6)
 
 
@@ -190,33 +186,33 @@ def _lattice_branch(rng, n: int, top: float) -> np.ndarray:
 class TestApplyGt:
     H = 2e-3
 
-    def test_unit_step_at_origin_gives_radial_cdf(self, ctx):
+    def test_unit_step_at_origin_gives_radial_cdf(self, d):
         r = np.arange(2000) * self.H
-        vals, err = mixture_node_values(ctx.dim, 0.3, [0.0], [1.0], r, lattice_h=self.H)
-        exact = radial_cdf(ctx, 0.0, r, 0.3)
+        vals, err = mixture_node_values(d, 0.3, [0.0], [1.0], r, lattice_h=self.H)
+        exact = radial_cdf(d, 0.0, r, 0.3)
         assert np.abs(vals - exact).max() <= err + 1e-13
 
-    def test_zero_profile(self, ctx):
+    def test_zero_profile(self, d):
         r = np.arange(500) * self.H
-        vals, err = mixture_node_values(ctx.dim, 0.5, [], [], r, lattice_h=self.H)
+        vals, err = mixture_node_values(d, 0.5, [], [], r, lattice_h=self.H)
         assert err == 0.0 and not vals.any()
 
-    def test_modes_bracket_exact(self, ctx):
+    def test_modes_bracket_exact(self, d):
         # below e^-delta neither cutoff acts, so the lower and upper branch
         # steps bracket the uncut e^delta G_delta f, and they differ on each
         # cell by no more than the allowance the step reports
         rng = np.random.default_rng(7)
         delta, n = 0.2, 2000
         p = _lattice_branch(rng, n, math.exp(-delta))
-        up, eps = branch_step(ctx.dim, delta, self.H, p, True)
-        lo, _ = branch_step(ctx.dim, delta, self.H, p, False)
+        up, eps = branch_step(d, delta, self.H, p, True)
+        lo, _ = branch_step(d, delta, self.H, p, False)
         m = min(up.size, lo.size)
         assert np.all(up[:m] - lo[:m] <= eps)
         rr = rng.uniform(0.0, (n - 1) * self.H, 300)
         cell = np.ceil(rr / self.H).astype(int) - 1
         sizes = np.diff(p, prepend=0.0)
         live = np.flatnonzero(sizes > 0.0)
-        exact = math.exp(delta) * sum(sizes[i] * radial_cdf(ctx, i * self.H, rr, delta)
+        exact = math.exp(delta) * sum(sizes[i] * radial_cdf(d, i * self.H, rr, delta)
                                       for i in live)
         assert np.all(lo[cell] <= exact + 1e-10)
         assert np.all(up[cell] >= exact - 1e-10)
@@ -248,26 +244,25 @@ class TestLinearEvolve:
 
     def test_doubling_from_unit_step(self):
         # e^t G_t 1{0 < r} at t = ln 2 is 2 w(0, r, ln 2), rising to 2 uncut
-        c = KernelContext(1)
         t = math.log(2.0)
         r = np.arange(8000) * self.H
         vals, err = mixture_node_values(1, t, [0.0], [1.0], r, lattice_h=self.H)
         out = math.exp(t) * vals
-        assert np.abs(out - 2.0 * radial_cdf(c, 0.0, r, t)).max() <= 2.0 * err + 1e-12
+        assert np.abs(out - 2.0 * radial_cdf(1, 0.0, r, t)).max() <= 2.0 * err + 1e-12
         assert out.max() == pytest.approx(2.0, abs=1e-6)
 
-    def test_zero(self, ctx):
+    def test_zero(self, d):
         r = np.arange(500) * self.H
-        vals, err = mixture_node_values(ctx.dim, 1.0, [0.1, 0.2], [0.0, 0.0], r,
+        vals, err = mixture_node_values(d, 1.0, [0.1, 0.2], [0.0, 0.0], r,
                                         lattice_h=self.H)
         assert err == 0.0 and not vals.any()
 
-    def test_unit_step_special_case(self, ctx):
+    def test_unit_step_special_case(self, d):
         # for f0 = 1{y < r} the growing solution is e^t w(y, r, t)
         y, t = 0.8, 0.6
         r = np.arange(5000) * self.H
-        vals, err = mixture_node_values(ctx.dim, t, [y], [1.0], r, lattice_h=self.H)
-        exact = math.exp(t) * radial_cdf(ctx, y, r, t)
+        vals, err = mixture_node_values(d, t, [y], [1.0], r, lattice_h=self.H)
+        exact = math.exp(t) * radial_cdf(d, y, r, t)
         assert np.abs(math.exp(t) * vals - exact).max() <= math.exp(t) * err + 1e-12
 
 
@@ -286,8 +281,7 @@ class TestLatticeMixture:
         if d == 2:
             return sum(c * stats.ncx2.cdf(r * r / (2 * t), 2, a * a / (2 * t))
                        for a, c in zip(locs, sizes))
-        ctx = KernelContext(d)
-        return sum(c * radial_cdf(ctx, float(a), r, t) for a, c in zip(locs, sizes))
+        return sum(c * radial_cdf(d, float(a), r, t) for a, c in zip(locs, sizes))
 
     @pytest.mark.parametrize("d", [1, 2, 3])
     @pytest.mark.parametrize("t", [0.01, 0.3])
@@ -299,7 +293,7 @@ class TestLatticeMixture:
         r = np.arange(self.N) * self.H
         kernels._IMAGE_CACHE.clear()
         vals, err = mixture_node_values(d, t, idx * self.H, sizes, r,
-                                        tol=1e-10, lattice_h=self.H)
+                                        lattice_h=self.H)
         ref = self._reference(d, t, idx * self.H, sizes, r)
         assert 0.0 < err < 1e-8
         assert np.abs(vals - ref).max() <= err + 1e-13

@@ -9,7 +9,7 @@ from scipy import integrate, stats
 
 from nbbm import obstacle
 from nbbm.core import RadialProfile
-from nbbm.kernels import KernelContext, radial_cdf
+from nbbm.kernels import radial_cdf
 from nbbm.obstacle import (SandwichSolver, SolveRequest, analytic_gap, branch_step,
                            check_contraction, converge_to_V, default_grid_step,
                            free_boundary_radius, mass_movement_check, solve_sandwich,
@@ -37,8 +37,7 @@ def mixture_reference(d, t, locs, sizes, r):
     if d == 2:
         return sum(c * stats.ncx2.cdf(r * r / (2 * t), 2, a * a / (2 * t))
                    for a, c in zip(locs, sizes))
-    ctx = KernelContext(d)
-    return sum(c * radial_cdf(ctx, float(a), r, t) for a, c in zip(locs, sizes))
+    return sum(c * radial_cdf(d, float(a), r, t) for a, c in zip(locs, sizes))
 
 
 def random_branch(rng, n) -> np.ndarray:
@@ -80,7 +79,6 @@ class TestSteps:
             return vals, err
 
         monkeypatch.setattr(obstacle, "mixture_node_values", recording)
-        ctx = KernelContext(1)
         delta, h = math.log(2.0), 1e-3
         p = np.ones(2000)
         out, _ = branch_step(1, delta, h, p, True)
@@ -90,7 +88,7 @@ class TestSteps:
         cell = np.ceil(rr / h).astype(int) - 1
 
         def target(r):
-            return np.minimum(1.0, 2.0 * radial_cdf(ctx, 0.0, r, delta))
+            return np.minimum(1.0, 2.0 * radial_cdf(1, 0.0, r, delta))
         assert np.all(out[cell] >= target(rr) - 1e-10)
         assert np.all(out[cell] <= target(rr + h) + move + 1e-10)
 
@@ -234,7 +232,7 @@ class TestSolveSandwich:
         # arguments by name: two lattice calls per step must pass through it
         orig = obstacle.mixture_node_values
         sig = inspect.signature(orig)
-        assert {"dim", "t", "locs", "sizes", "r_nodes", "tol",
+        assert {"dim", "t", "locs", "sizes", "r_nodes",
                 "lattice_h"} <= set(sig.parameters)
         calls = []
 
@@ -305,13 +303,13 @@ class TestFreeBoundary:
     def test_stationary_profile_level(self):
         st = stationary_state(1)
         v = st.as_profile(20001, "nearest")
-        r = free_boundary_radius(v, tol=1e-6)
+        r = free_boundary_radius(v)
         # V is quadratically flat at its edge: 1 - V ~ (pi/2 - r)^2 / 2
         assert abs(r - math.pi / 2) < math.sqrt(2e-6) + 1e-3
 
     def test_constant_profile_sentinel(self):
         v = RadialProfile.from_jumps([1.0], [0.5])
-        assert free_boundary_radius(v, tol=1e-6) == math.inf
+        assert free_boundary_radius(v) == math.inf
 
     def test_pair_interval_brackets_stationary_radius(self):
         st = stationary_state(1)
