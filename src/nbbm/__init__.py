@@ -16,8 +16,7 @@ from .kernels import bessel_density, kernel_G, radial_cdf
 from .obstacle import (SandwichSolver, SolveRequest, analytic_gap, check_contraction,
                        converge_to_V, free_boundary_radius, mass_movement_check,
                        solve_sandwich, stationary_state)
-from .sim import (BbmForest, SimParams, advance_nbbm, coupled_run,
-                  killed_survival_density, replica_rng, spherically_ordered_pairs,
-                  survival_curve)
+from .sim import (BbmForest, SimParams, advance_nbbm, coupled_run, replica_rng,
+                  spherically_ordered_pairs, survival_curve)
 
 __version__ = "0.1.0"

@@ -80,6 +80,15 @@ def _json_dumps(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
+def _snapshot_csv(snaps) -> str:
+    """``time,label,x1..xd`` rows for a list of (time, (N, d) positions)."""
+    lines = ["time,label," + ",".join(f"x{i+1}" for i in range(snaps[0][1].shape[1]))]
+    for t, pos in snaps:
+        for label, row in enumerate(pos):
+            lines.append(f"{float(t)!r},{label}," + ",".join(repr(float(v)) for v in row))
+    return "\n".join(lines) + "\n"
+
+
 def _initial_profile(p: dict, d: int) -> tuple[RadialProfile, RadialProfile | None]:
     name = p["initial"]
     if name == "stationary":
@@ -105,7 +114,7 @@ def _run_simulate(cfg: RunConfig, w: _ArtifactWriter) -> int:
     ens = ParticleEnsemble(d, sampler.sample(n, rng))
     params = SimParams(dim=d, population=n,
                        record_schedule=tuple(s for s in p["snapshots"] if s <= p["t"]))
-    snap_lines = ["time,label," + ",".join(f"x{i+1}" for i in range(d))]
+    snaps = []
     ev_lines = ["time,branching_label,removed_label"]
     times = list(params.record_schedule)
     if not times or times[-1] < p["t"]:
@@ -118,10 +127,8 @@ def _run_simulate(cfg: RunConfig, w: _ArtifactWriter) -> int:
         events += len(log)
         for when, k, ell in zip(log.times, log.branching, log.removed):
             ev_lines.append(f"{float(when)!r},{k},{ell}")
-        for label, row in enumerate(ens.positions):
-            snap_lines.append(f"{float(now)!r},{label},"
-                              + ",".join(repr(float(v)) for v in row))
-    w.write("snapshots.csv", "\n".join(snap_lines) + "\n")
+        snaps.append((now, ens.positions))
+    w.write("snapshots.csv", _snapshot_csv(snaps))
     w.write("events.csv", "\n".join(ev_lines) + "\n")
     w.write("summary.json", _json_dumps({
         "n": n, "d": d, "t": p["t"], "events": events,
@@ -180,11 +187,7 @@ def _write_report(w: _ArtifactWriter, rows) -> int:
 
 def _write_replica_snapshots(w: _ArtifactWriter, snaps, t: float):
     for rep, pos in enumerate(snaps):
-        lines = ["time,label," + ",".join(f"x{i+1}" for i in range(pos.shape[1]))]
-        for label, row in enumerate(pos):
-            lines.append(f"{float(t)!r},{label},"
-                         + ",".join(repr(float(v)) for v in row))
-        w.write(f"rep{rep}/final.csv", "\n".join(lines) + "\n")
+        w.write(f"rep{rep}/final.csv", _snapshot_csv([(t, pos)]))
 
 
 def _run_hydro(cfg: RunConfig, w: _ArtifactWriter) -> int:

@@ -183,21 +183,6 @@ class RadialProfile:
         val = np.array([v for _, v in jumps])
         return RadialProfile(loc, val, cap, dim)
 
-    def to_json_obj(self) -> dict:
-        obj: dict = {"jumps": [[float(r), float(v)] for r, v in zip(self.locations, self.values)],
-                     "domain_cap": float(self.domain_cap)}
-        if self.dim is not None:
-            obj["dim"] = int(self.dim)
-        return obj
-
-    @staticmethod
-    def from_json_obj(obj: dict) -> "RadialProfile":
-        jumps = obj["jumps"]
-        loc = np.array([r for r, _ in jumps], dtype=float)
-        val = np.array([v for _, v in jumps], dtype=float)
-        cap = obj.get("domain_cap")
-        return RadialProfile.from_jumps(loc, val, cap, obj.get("dim"))
-
 
 @dataclass(frozen=True)
 class ParticleEnsemble:
@@ -287,15 +272,8 @@ class StationaryState:
         self._density = radial_density      # U as a function of ||x||
         self._cumulative = cumulative       # V(r)
 
-    def U(self, x) -> np.ndarray | float:
-        """Density at point(s) x in R^d (accepts radii or position vectors)."""
-        x_arr = np.asarray(x, dtype=float)
-        if x_arr.ndim >= 1 and x_arr.shape[-1] == self.dim and x_arr.ndim > 0:
-            r = np.sqrt(np.sum(np.atleast_2d(x_arr) ** 2, axis=-1))
-            if x_arr.ndim == 1:
-                r = float(r[0])
-        else:
-            r = x_arr
+    def U(self, r) -> np.ndarray | float:
+        """Density at radius (or radii) r."""
         return self._density(r)
 
     def V(self, r) -> np.ndarray | float:

@@ -38,6 +38,7 @@ __all__ = [
 
 _MIN_POPULATION = 100  # experiments refuse degenerate particle counts
 _LIMIT_NODES = 4001  # nodes of a sampler's limit profile
+_GOOD_FRACTION = 0.9  # share of selection replicas that must meet both tolerances
 
 
 @dataclass(frozen=True)
@@ -236,7 +237,8 @@ def boundary_report(N: int, d: int, T: float, eta: float, sampler,
                     grid_step: float | None = None, snapshot_dt: float = 0.05,
                     tolerance: float = 0.1, workers: int = 1) -> list[ReportRow]:
     """Fraction of replicas whose max particle radius ever exceeds the
-    solver's boundary trajectory by eta on snapshots within [eta, T]."""
+    solver's boundary trajectory by eta on the snapshots eta, eta +
+    snapshot_dt, ..., T (``snapshot_dt`` must divide T - eta)."""
     if not (0.0 < eta < T):
         raise ValueError("need 0 < eta < T")
     if N < _MIN_POPULATION:
@@ -244,8 +246,12 @@ def boundary_report(N: int, d: int, T: float, eta: float, sampler,
     limit = sampler.limit_profile("nearest")
     if limit is None:
         raise ValueError("sampler has no solver-compatible limit profile")
+    # the step rounds as (eta + dt) - eta, as in np.arange; eta + i * dt
+    # differs in the last bit and would move the solver's snapshot times
+    k = whole_steps(T - eta, snapshot_dt, "T - eta")
+    snap_times = tuple(float(s) for s in
+                       eta + np.arange(k + 1) * ((eta + snapshot_dt) - eta))
     solver = SandwichSolver(d, limit, delta, grid_step, horizon_hint=T)
-    snap_times = tuple(float(s) for s in np.arange(eta, T + 1e-9, snapshot_dt))
     # conservative upper end of the boundary interval at each snapshot
     r_upper = []
     for s in snap_times:
@@ -284,8 +290,8 @@ def _selection_replica(rep: int, seed: int, N: int, d: int, t: float, K: float,
 def selection_report(N: int, d: int, t: float, K: float, c: float, sampler,
                      replicas: int, seed: int, window_dt: float = 0.05,
                      sup_tol: float = 0.07, m_tol: float = 0.15,
-                     mass_tol: float = 0.05, good_fraction: float = 0.9,
-                     workers: int = 1, return_snapshots: bool = False):
+                     mass_tol: float = 0.05, workers: int = 1,
+                     return_snapshots: bool = False):
     """Long-time statistics against the stationary state (U, R_inf, V);
     ``window_excess`` reads the unit window after t every ``window_dt``."""
     if N < _MIN_POPULATION:
@@ -312,7 +318,7 @@ def selection_report(N: int, d: int, t: float, K: float, c: float, sampler,
                                    N, d, t, replicas, seed))
     good = (sup_v <= sup_tol) & (np.abs(m_t - state.r_infinity) <= m_tol)
     rows.append(ReportRow.make("selection", "fraction_outside_tolerance",
-                               1.0 - float(good.mean()), 1.0 - good_fraction,
+                               1.0 - float(good.mean()), 1.0 - _GOOD_FRACTION,
                                N, d, t, replicas, seed))
     rows.append(ReportRow.make("selection", "ball_mass_error",
                                abs(float(ball.mean()) - 1.0), mass_tol,

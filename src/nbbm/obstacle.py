@@ -210,8 +210,8 @@ def branch_step(dim: int, delta: float, h: float, p: np.ndarray,
 class SandwichSolver:
     """Incremental sandwich iteration on one shared uniform grid.
 
-    Time moves only in whole steps of ``delta``: ``advance(k)`` takes k more
-    steps and ``advance_to(t)`` moves to the step-lattice time t.
+    Time moves only through ``advance_to(t)``, to a time t on the lattice
+    of whole steps of ``delta``.
     ``horizon_hint`` is the latest time the caller will ask for; it sizes
     the default grid (:func:`default_grid_step`).  ``initial`` may not jump
     at radius 0; ``initial_upper``, if given, starts the upper branch.
@@ -286,9 +286,9 @@ class SandwichSolver:
         if k < self.steps:
             raise ValueError(f"time {t!r} lies before the solver's time "
                              f"{self.steps * self.delta!r}")
-        self.advance(k - self.steps)
+        self._advance(k - self.steps)
 
-    def advance(self, k: int):
+    def _advance(self, k: int):
         """Take k more steps."""
         e_d = math.exp(self.delta)
         for _ in range(int(k)):

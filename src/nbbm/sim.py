@@ -41,7 +41,6 @@ __all__ = [
     "advance_nbbm",
     "coupled_run",
     "spherically_ordered_pairs",
-    "killed_survival_density",
     "survival_curve",
 ]
 
@@ -185,7 +184,6 @@ class CoupledRunResult:
     events: int
     domination_ok: bool
     reconstruction_ok: bool
-    tie_flips: int
 
 
 def _dominated(blue_norms: np.ndarray, all_norms: np.ndarray, n: int) -> bool:
@@ -252,7 +250,6 @@ def coupled_run(params: SimParams, initial: ParticleEnsemble, duration: float,
     tie_lineage = np.zeros(cap, dtype=bool)
     blue_idx = np.arange(n + 1)            # sorted blue indices; slot n takes a blue child
     labels = [(i + 1,) for i in range(n)]
-    tie_flips = 0
 
     heap = list(zip((now + rng.exponential(1.0, n)).tolist(), range(n)))
     heapq.heapify(heap)
@@ -332,7 +329,6 @@ def coupled_run(params: SimParams, initial: ParticleEnsemble, duration: float,
                                norms[k + 1:].max(initial=-math.inf)))
             if norms[k] <= m_blue + 1e-15:
                 tie_lineage[flip] = True
-                tie_flips += 1
             exceeded[blue_idx] |= norms > m_blue
             # blue particles never exceed the blue maximum; a mismatch on a
             # non-tie lineage means the bookkeeping (not randomness) is wrong
@@ -350,7 +346,7 @@ def coupled_run(params: SimParams, initial: ParticleEnsemble, duration: float,
     final_blue = ParticleEnsemble(d, pos[blue], now)
     forest = BbmForest(d, labels, pos, now, blue)
     return CoupledRunResult(obs, final_blue, forest, events,
-                            domination_ok, reconstruction_ok, tie_flips)
+                            domination_ok, reconstruction_ok)
 
 
 def _grown(a: np.ndarray, cap: int) -> np.ndarray:
@@ -398,32 +394,26 @@ def spherically_ordered_pairs(x: np.ndarray, x_plus: np.ndarray,
     path[:, 0], path_p[:, 0] = x, xp
     b, bp = x.copy(), xp.copy()
     coupled = _norms(b) >= _norms(bp) - 1e-15
-    reflect = np.tile(np.eye(d), (n, 1, 1))
-    _align_reflections(reflect, b, bp, coupled)
+    w = np.zeros((n, d))  # unit normal of the mirror taking bp to b; 0 is the identity
+    w[coupled] = _mirror_normals(b[coupled], bp[coupled])
     for i in range(1, times.size):
         dt = times[i] - times[i - 1]
         step_p = rng.standard_normal((n, d)) * math.sqrt(2.0 * dt)
         step_i = rng.standard_normal((n, d)) * math.sqrt(2.0 * dt)
         bp = bp + step_p
+        bp_c, w_c = bp[coupled], w[coupled]
+        b[coupled] = bp_c - 2.0 * np.einsum("ij,ij->i", bp_c, w_c)[:, None] * w_c
         free = ~coupled
         b_free = b[free] + step_i[free]
         cross = _norms(b_free) > _norms(bp[free])
-        if cross.any():
-            sel = np.nonzero(free)[0][cross]
-            tgt = _norms(bp[sel])
-            src = _norms(b_free[cross])
-            scale = np.where(src > 0.0, tgt / np.maximum(src, 1e-300), 0.0)
-            b_free[cross] *= scale[:, None]
-            coupled[sel] = True
+        sel = np.nonzero(free)[0][cross]
+        tgt = _norms(bp[sel])
+        src = _norms(b_free[cross])
+        scale = np.where(src > 0.0, tgt / np.maximum(src, 1e-300), 0.0)
+        b_free[cross] *= scale[:, None]
         b[free] = b_free
-        newly = np.zeros(n, dtype=bool)
-        if cross.any():
-            newly[np.nonzero(free)[0][cross]] = True
-            _align_reflections(reflect, b, bp, newly)
-        old_coupled = coupled & ~newly
-        if old_coupled.any():
-            b[old_coupled] = np.einsum("nij,nj->ni", reflect[old_coupled],
-                                       bp[old_coupled])
+        coupled[sel] = True
+        w[sel] = _mirror_normals(b[sel], bp[sel])
         path[:, i], path_p[:, i] = b, bp
     return path, path_p, coupled
 
@@ -432,23 +422,15 @@ def _norms(a: np.ndarray) -> np.ndarray:
     return np.sqrt(np.einsum("...i,...i->...", a, a))
 
 
-def _align_reflections(reflect: np.ndarray, b: np.ndarray, bp: np.ndarray,
-                       mask: np.ndarray):
-    """Set reflect[mask] to the orthogonal map taking bp to b (equal norms)."""
-    idx = np.nonzero(mask)[0]
-    if not idx.size:
-        return
-    d = b.shape[1]
-    for i in idx:
-        u = bp[i]
-        v = b[i]
-        diff = u - v
-        nd = np.linalg.norm(diff)
-        if nd < 1e-14:
-            reflect[i] = np.eye(d)
-        else:
-            w = diff / nd
-            reflect[i] = np.eye(d) - 2.0 * np.outer(w, w)
+def _mirror_normals(b: np.ndarray, bp: np.ndarray) -> np.ndarray:
+    """Row-wise unit normals w with bp - 2 (bp . w) w = b (equal norms);
+    0 where bp and b agree to 1e-14."""
+    diff = bp - b
+    nd = _norms(diff)
+    far = nd >= 1e-14
+    w = np.zeros_like(diff)
+    w[far] = diff[far] / nd[far, None]
+    return w
 
 
 # ---------------------------------------------------------------------------
@@ -462,22 +444,34 @@ def _boundary_fn(boundary):
     return lambda s: level
 
 
-def _killed_chunks(dim: int, x, boundary, dt: float, steps: int, n_samples: int,
-                   rng: np.random.Generator, record: dict[int, int]):
-    """Brownian paths from x over ``steps`` steps of dt, killed at the first
-    step k with ||B|| >= R(k dt), in chunks of at most 100k paths.
+def survival_curve(dim: int, x: np.ndarray, boundary, t_grid: np.ndarray,
+                   n_samples: int, rng: np.random.Generator,
+                   dt: float | None = None) -> np.ndarray:
+    """Fraction of Brownian paths from x never leaving the moving ball
+    ||B|| < R(s), where ``boundary`` is R (a callable of time) or a constant.
 
-    Yields per chunk the positions, the alive mask after the last step and
-    the alive counts after step k at index ``record[k]``.
+    Killing is checked at grid times only, so survival is overestimated by
+    a one-sided O(sqrt(dt)) discretization bias.  ``t_grid`` must round to
+    strictly increasing positive multiples of dt.  Paths run in chunks of
+    at most 100k.
     """
+    t_grid = np.asarray(t_grid, dtype=float)
+    if dt is None:
+        dt = 1e-3 * float(t_grid[-1])
+    at = [int(round(t / dt)) for t in t_grid]
+    if at[0] < 1 or any(b <= a for a, b in zip(at, at[1:])):
+        raise ValueError(f"t_grid must round to strictly increasing positive "
+                         f"multiples of dt = {dt:g}")
     r_of = _boundary_fn(boundary)
-    chunk = max(1, min(n_samples, int(4e6 // max(steps, 1)) or 1, 100_000))
+    steps = at[-1]
+    record = {k: i for i, k in enumerate(at)}
+    chunk = max(1, min(n_samples, int(4e6 // steps), 100_000))
+    alive_at = np.zeros(t_grid.size)
     done = 0
     while done < n_samples:
         m = min(chunk, n_samples - done)
         pos = np.tile(np.asarray(x, dtype=float), (m, 1))
         alive = np.ones(m, dtype=bool)
-        counts = np.zeros(len(record))
         for k in range(1, steps + 1):
             live_idx = np.nonzero(alive)[0]
             if not live_idx.size:
@@ -488,57 +482,6 @@ def _killed_chunks(dim: int, x, boundary, dt: float, steps: int, n_samples: int,
                 dead = _norms(pos[live_idx]) >= r_lim
                 alive[live_idx[dead]] = False
             if k in record:
-                counts[record[k]] = float(alive.sum())
-        yield pos, alive, counts
+                alive_at[record[k]] += alive.sum()
         done += m
-
-
-def survival_curve(dim: int, x: np.ndarray, boundary, t_grid: np.ndarray,
-                   n_samples: int, rng: np.random.Generator,
-                   dt: float | None = None) -> np.ndarray:
-    """Fraction of Brownian paths from x never leaving the moving ball.
-
-    Killing is checked at grid times only, so survival is overestimated by
-    a one-sided O(sqrt(dt)) discretization bias.  ``t_grid`` must round to
-    strictly increasing positive multiples of dt.
-    """
-    t_grid = np.asarray(t_grid, dtype=float)
-    if dt is None:
-        dt = 1e-3 * float(t_grid[-1])
-    at = [int(round(t / dt)) for t in t_grid]
-    if at[0] < 1 or any(b <= a for a, b in zip(at, at[1:])):
-        raise ValueError(f"t_grid must round to strictly increasing positive "
-                         f"multiples of dt = {dt:g}")
-    out = np.zeros(t_grid.size)
-    for _, _, counts in _killed_chunks(dim, x, boundary, dt, at[-1], n_samples, rng,
-                                       {k: i for i, k in enumerate(at)}):
-        out += counts
-    return out / n_samples
-
-
-def killed_survival_density(dim: int, x, boundary, t: float, n_samples: int,
-                            rng: np.random.Generator, indicator=None,
-                            dt: float | None = None) -> tuple[float, float]:
-    """Estimate e^t * P(B_t in A, ||B_s|| < R_s for grid s in (0, t]).
-
-    Returns (estimate, binomial standard error).  With an infinite boundary
-    and full-space A this is exactly e^t.  The grid-time killing bias is
-    one-sided: survival is never underestimated.
-    """
-    if n_samples < 1:
-        raise ValueError("n_samples must be >= 1")
-    if dt is None:
-        dt = 1e-3 * t
-    steps = max(1, int(round(t / dt)))
-    hits = 0
-    for pos, alive, _ in _killed_chunks(dim, x, boundary, t / steps, steps, n_samples,
-                                        rng, {}):
-        if indicator is None:
-            hits += int(alive.sum())
-        else:
-            live_idx = np.nonzero(alive)[0]
-            if live_idx.size:
-                hits += int(np.asarray(indicator(pos[live_idx]), dtype=bool).sum())
-    scale = math.exp(t)
-    p = hits / n_samples
-    return scale * p, scale * math.sqrt(max(p * (1.0 - p), 1e-300) / n_samples)
+    return alive_at / n_samples

@@ -111,10 +111,8 @@ def test_03_stationary_fixed_point():
         solver = SandwichSolver(d, st.as_profile(4001, "lower"), 0.01,
                                 initial_upper=st.as_profile(4001, "upper"),
                                 horizon_hint=2.0)
-        done = 0
         for t in (0.5, 1.0, 2.0):
-            solver.advance(round(t / 0.01) - done)
-            done = round(t / 0.01)
+            solver.advance_to(t)
             rr = np.linspace(0.0, st.r_infinity * 1.05, 1500)
             v = st.V(rr)
             pair = solver.pair()

@@ -1,4 +1,3 @@
-import json
 import math
 
 import numpy as np
@@ -85,12 +84,6 @@ class TestRadialProfile:
         assert np.array_equal(f.locations, g.locations)
         assert np.array_equal(f.values, g.values)
         assert g.domain_cap == 9.0
-
-    def test_json_round_trip(self):
-        f = RadialProfile.from_jumps([0.25, 1.5], [0.5, 1.0], dim=3)
-        g = RadialProfile.from_json_obj(json.loads(json.dumps(f.to_json_obj())))
-        assert np.array_equal(f.locations, g.locations)
-        assert g.dim == 3
 
 
 # ---------------------------------------------------------------------------

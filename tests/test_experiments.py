@@ -8,7 +8,7 @@ from nbbm.core import ParticleEnsemble, RadialProfile, empirical_cdf, max_radius
 from nbbm.experiments import (PointMassSampler, StationarySampler, UniformBallSampler,
                               bracket_distance, boundary_report, hydrodynamic_report,
                               selection_report, stationarity_report, sup_distance_to_fn)
-from nbbm.obstacle import SolveRequest, solve_sandwich, stationary_state
+from nbbm.obstacle import SandwichSolver, SolveRequest, solve_sandwich, stationary_state
 from nbbm.sim import SimParams, advance_nbbm, replica_rng
 
 
@@ -110,6 +110,24 @@ class TestBoundaryReport:
                                grid_step=1e-3)
         assert rows[0].statistic == "exceedance_fraction"
         assert 0.0 <= rows[0].value <= 1.0
+
+    @pytest.mark.parametrize("snapshot_dt", [0.3, 0.0])
+    def test_snapshots_must_fit(self, snapshot_dt):
+        # 0.3 does not divide T - eta = 1.0: the last snapshot would stop at
+        # 1.0 while the row is labelled t = T = 1.1
+        with pytest.raises(ValueError, match="T - eta|step"):
+            boundary_report(N=100, d=1, T=1.1, eta=0.1, sampler=UniformBallSampler(1),
+                            replicas=1, seed=0, grid_step=1e-2, snapshot_dt=snapshot_dt)
+
+    def test_snapshot_times_keep_arange_rounding(self, monkeypatch):
+        seen = []
+        advance_to = SandwichSolver.advance_to
+        monkeypatch.setattr(SandwichSolver, "advance_to",
+                            lambda self, t: (seen.append(t), advance_to(self, t)))
+        boundary_report(N=100, d=1, T=0.8, eta=0.25, sampler=UniformBallSampler(1),
+                        replicas=1, seed=0, grid_step=1e-2)
+        assert seen == [float(s) for s in np.arange(0.25, 0.8 + 1e-9, 0.05)]
+        assert seen[-1] == pytest.approx(0.8, abs=1e-12)
 
 
 class TestSelectionReport:

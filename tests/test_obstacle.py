@@ -274,7 +274,7 @@ class TestSandwichSolver:
         # an upper-branch start is a majorant and may jump at 0
         solver = SandwichSolver(1, RadialProfile.step(0.5), 0.01, 1e-2,
                                 initial_upper=RadialProfile.step(0.0), horizon_hint=0.1)
-        solver.advance(1)
+        solver.advance_to(0.01)
         assert solver.steps == 1
 
     def test_horizon_hint_is_required(self):
@@ -346,6 +346,13 @@ class TestStationaryState:
         assert np.abs(st.U(r) - 0.5 * np.cos(r)).max() < 1e-12
         assert np.abs(st.V(r) - np.sin(r)).max() < 1e-12
         assert st.U(2.0) == 0.0 and st.V(2.0) == 1.0
+
+    def test_U_takes_radii(self):
+        # a length-d array is d radii, not one position vector
+        st = stationary_state(2)
+        r = np.array([0.5, 1.0])
+        assert np.array_equal(st.U(r), [st.U(0.5), st.U(1.0)])
+        assert st.U(0.5) > st.U(1.0) > 0.0
 
     def test_d3_closed_forms(self):
         st = stationary_state(3)

@@ -5,9 +5,8 @@ import pytest
 from scipy import stats
 
 from nbbm.core import ParticleEnsemble, empirical_cdf, max_radius
-from nbbm.sim import (ResourceError, SimParams, advance_nbbm, coupled_run,
-                      killed_survival_density, replica_rng, spherically_ordered_pairs,
-                      survival_curve)
+from nbbm.sim import (ResourceError, SimParams, advance_nbbm, coupled_run, replica_rng,
+                      spherically_ordered_pairs, survival_curve)
 
 
 def origin_ensemble(n, d):
@@ -255,6 +254,19 @@ class TestSphericallyOrderedPairs:
                 ks = stats.kstest(inc, "norm", args=(0.0, math.sqrt(2.0)))
                 assert ks.pvalue > 0.001
 
+    def test_norms_agree_once_coupled(self):
+        rng = replica_rng(27, 0)
+        x = rng.uniform(-0.3, 0.3, (500, 3))
+        times = np.linspace(0.05, 1.0, 20)
+        p, pp, coupled = spherically_ordered_pairs(x, 2.0 * x, times, rng)
+        nr = np.sqrt((p ** 2).sum(-1))
+        nrp = np.sqrt((pp ** 2).sum(-1))
+        assert coupled.any()
+        # the first sample time at which each coupled pair's norms meet
+        first = np.argmax(np.isclose(nr, nrp, rtol=0.0, atol=1e-12), axis=1)
+        later = np.arange(times.size + 1) >= first[:, None]
+        assert np.all(np.abs(nr - nrp)[later & coupled[:, None]] <= 1e-12)
+
     def test_precondition(self):
         with pytest.raises(ValueError):
             spherically_ordered_pairs(np.array([[2.0, 0.0]]), np.array([[1.0, 0.0]]),
@@ -262,24 +274,6 @@ class TestSphericallyOrderedPairs:
 
 
 class TestKilledSurvival:
-    def test_infinite_boundary_exact(self):
-        est, se = killed_survival_density(2, [0.1, 0.0], math.inf, 0.75, 500,
-                                          replica_rng(21, 0))
-        assert est == pytest.approx(math.exp(0.75), rel=1e-12)
-        assert se < 1e-6
-
-    def test_short_time_continuity(self):
-        est, _ = killed_survival_density(1, [0.0], math.pi / 2, 1e-3, 4000,
-                                         replica_rng(22, 0))
-        assert est == pytest.approx(1.0, abs=0.01)
-
-    def test_indicator_restriction(self):
-        # with A the right half-space and no killing, the estimate is e^t / 2
-        est, _ = killed_survival_density(2, [0.0, 0.0], math.inf, 0.5, 20000,
-                                         replica_rng(23, 0),
-                                         indicator=lambda x: x[:, 0] > 0.0)
-        assert est == pytest.approx(0.5 * math.exp(0.5), rel=0.05)
-
     def test_survival_decay_rate_light(self):
         tg = np.linspace(2.0, 5.0, 7)
         surv = survival_curve(1, [0.0], math.pi / 2, tg, 12000,
