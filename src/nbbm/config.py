@@ -159,6 +159,8 @@ class RunConfig:
             merged[k] = v
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
+        if not 0 <= self.seed < 2**64:
+            raise ValueError(f"seed must lie in [0, 2^64), got {self.seed}")
         _validate(self.subcommand, merged)
         object.__setattr__(self, "params", merged)
 

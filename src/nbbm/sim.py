@@ -59,6 +59,8 @@ def replica_rng(seed: int, replica: int = 0) -> np.random.Generator:
     Distinct replicas get statistically independent streams and the mapping
     is reproducible regardless of how replicas are scheduled across workers.
     """
+    if not (0 <= seed < 2**64 and 0 <= replica < 2**64):
+        raise ValueError(f"seed and replica must lie in [0, 2^64), got {seed}, {replica}")
     key = np.array([seed, replica], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
@@ -95,17 +97,14 @@ class EventLog:
         return len(self.times)
 
 
-def _diffuse(pos: np.ndarray, dt: float, rng: np.random.Generator):
-    if dt > 0.0:
-        pos += rng.standard_normal(pos.shape) * math.sqrt(2.0 * dt)
-
-
 def advance_nbbm(params: SimParams, state: ParticleEnsemble, duration: float,
                  rng: np.random.Generator) -> tuple[ParticleEnsemble, EventLog]:
     """Evolve the N-particle system for ``duration`` exactly.
 
-    Draws Exponential(N) gaps, diffuses every particle across each gap, and
-    applies the duplicate/remove rule at the event.
+    Each event draws ``exponential(1/N)`` (the gap), N*d standard normals
+    (every particle diffuses across it) and ``integers(N)`` (the branching
+    label), in this order, which is part of the contract.  An event costs
+    O(N*d), and the normal draws are its floor.
     """
     if duration < 0.0:
         raise ValueError("duration must be nonnegative")
@@ -113,30 +112,31 @@ def advance_nbbm(params: SimParams, state: ParticleEnsemble, duration: float,
     if state.population != n:
         raise ValueError(f"state has {state.population} particles, params say {n}")
     pos = state.positions.copy()
+    step, sq = np.empty_like(pos), np.empty(n)
     log = EventLog()
     t_done = 0.0
     while True:
         gap = rng.exponential(1.0 / n)
-        if t_done + gap >= duration:
-            _diffuse(pos, duration - t_done, rng)
+        last = t_done + gap >= duration
+        dt = duration - t_done if last else gap
+        if dt > 0.0:
+            rng.standard_normal(out=step)
+            step *= math.sqrt(2.0 * dt)
+            pos += step
+        if last:
             break
-        _diffuse(pos, gap, rng)
         t_done += gap
-        _apply_event(pos, state.clock + t_done, log, rng)
+        np.einsum("ij,ij->i", pos, pos, out=sq)
+        furthest = int(sq.argmax())  # the first NaN, else the lowest max index
+        if not math.isfinite(sq[furthest]):
+            raise SimulationError(f"nonfinite position at event {len(log)} "
+                                  f"(t={state.clock + t_done:.6g})")
+        k = int(rng.integers(n))
+        pos[furthest] = pos[k]
+        log.times.append(state.clock + t_done)
+        log.branching.append(k)
+        log.removed.append(furthest)
     return state.with_positions(pos, state.clock + duration), log
-
-
-def _apply_event(pos: np.ndarray, when: float, log: EventLog,
-                 rng: np.random.Generator):
-    sq = np.einsum("ij,ij->i", pos, pos)
-    if not np.all(np.isfinite(sq)):
-        raise SimulationError(f"nonfinite position at event {len(log)} (t={when:.6g})")
-    k = int(rng.integers(pos.shape[0]))
-    furthest = int(np.argmax(sq))  # ties resolve to the lowest index
-    pos[furthest] = pos[k]
-    log.times.append(when)
-    log.branching.append(k)
-    log.removed.append(furthest)
 
 
 # ---------------------------------------------------------------------------
@@ -323,6 +323,8 @@ def coupled_run(params: SimParams, initial: ParticleEnsemble, duration: float,
             x = pos[blue_idx]
             norms = np.sqrt(np.einsum("ij,ij->i", x, x))
             k = int(np.argmax(norms))   # ties resolve to the lowest forest index
+            if not math.isfinite(norms[k]):   # argmax returns the first NaN
+                raise SimulationError(f"nonfinite blue norm at event {events}")
             flip = int(blue_idx[k])
             blue[flip] = False
             m_blue = float(max(norms[:k].max(initial=-math.inf),
@@ -455,6 +457,10 @@ def survival_curve(dim: int, x: np.ndarray, boundary, t_grid: np.ndarray,
     strictly increasing positive multiples of dt.  Paths run in chunks of
     at most 100k.
     """
+    if np.shape(x) != (dim,):
+        raise ValueError(f"x must have shape ({dim},), got {np.shape(x)}")
+    if not isinstance(n_samples, (int, np.integer)) or n_samples < 1:
+        raise ValueError(f"n_samples must be an integer >= 1, got {n_samples!r}")
     t_grid = np.asarray(t_grid, dtype=float)
     if dt is None:
         dt = 1e-3 * float(t_grid[-1])

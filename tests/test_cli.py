@@ -189,6 +189,16 @@ class TestCliEntry:
     def test_bad_set_syntax(self):
         assert main(["stationary", "--set", "nonsense"]) == 2
 
+    @pytest.mark.parametrize("seed", ["-1", str(2**64)])
+    def test_out_of_range_seed_exit_two_before_output(self, tmp_path, seed, capsys):
+        # -1 used to fail inside the run, after the output directory was made
+        out = tmp_path / "neg"
+        assert main(["simulate", "--seed", seed, "--out", str(out)]) == 2
+        assert "seed" in capsys.readouterr().err
+        assert not out.exists()
+        with pytest.raises(ValueError, match="seed"):
+            parse_config(f"seed = {seed}\n[simulate]\n", "simulate", is_path=False)
+
     def test_bad_key_exit_two(self, tmp_path):
         assert main(["stationary", "--out", str(tmp_path / "x"),
                      "--set", "zzz=1"]) == 2

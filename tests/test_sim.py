@@ -5,8 +5,8 @@ import pytest
 from scipy import stats
 
 from nbbm.core import ParticleEnsemble, empirical_cdf, max_radius
-from nbbm.sim import (ResourceError, SimParams, advance_nbbm, coupled_run, replica_rng,
-                      spherically_ordered_pairs, survival_curve)
+from nbbm.sim import (EventLog, ResourceError, SimParams, SimulationError, advance_nbbm,
+                      coupled_run, replica_rng, spherically_ordered_pairs, survival_curve)
 
 
 def origin_ensemble(n, d):
@@ -35,7 +35,82 @@ class _CountingRng:
         return getattr(self._rng, name)
 
 
+class _NanRng(_CountingRng):
+    """A generator whose standard normals are all NaN."""
+
+    def standard_normal(self, *args, **kwargs):
+        out = super().standard_normal(*args, **kwargs)
+        out[...] = np.nan
+        return out
+
+
+def reference_advance_nbbm(params, state, duration, rng):
+    """The per-event loop that ``advance_nbbm`` replaced (its ``_diffuse``
+    and ``_apply_event`` helpers as closures): the reference its output
+    must match bit for bit."""
+
+    def diffuse(pos, dt):
+        if dt > 0.0:
+            pos += rng.standard_normal(pos.shape) * math.sqrt(2.0 * dt)
+
+    def apply_event(pos, when, log):
+        sq = np.einsum("ij,ij->i", pos, pos)
+        if not np.all(np.isfinite(sq)):
+            raise SimulationError(f"nonfinite position at event {len(log)} (t={when:.6g})")
+        k = int(rng.integers(pos.shape[0]))
+        furthest = int(np.argmax(sq))  # ties resolve to the lowest index
+        pos[furthest] = pos[k]
+        log.times.append(when)
+        log.branching.append(k)
+        log.removed.append(furthest)
+
+    n = params.population
+    pos = state.positions.copy()
+    log = EventLog()
+    t_done = 0.0
+    while True:
+        gap = rng.exponential(1.0 / n)
+        if t_done + gap >= duration:
+            diffuse(pos, duration - t_done)
+            break
+        diffuse(pos, gap)
+        t_done += gap
+        apply_event(pos, state.clock + t_done, log)
+    return state.with_positions(pos, state.clock + duration), log
+
+
+def far_start(n, d):
+    """n particles near the origin and particle 1 at 1e200, whose squared
+    norm overflows to inf."""
+    pos = replica_rng(31, 0).standard_normal((n, d))
+    pos[1, 0] = 1e200
+    return ParticleEnsemble(d, pos)
+
+
 class TestAdvanceNbbm:
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_matches_reference_loop(self, d):
+        for n in (1, 2, 50, 400):
+            start = ParticleEnsemble(d, replica_rng(30, n).standard_normal((n, d)),
+                                     clock=0.25)
+            params = SimParams(dim=d, population=n)
+            for duration in (0.0, 0.05, 0.7):
+                for seed in (0, 1, 2**40 + 3):
+                    out, log = advance_nbbm(params, start, duration, replica_rng(seed, d))
+                    ref, ref_log = reference_advance_nbbm(params, start, duration,
+                                                          replica_rng(seed, d))
+                    assert np.array_equal(out.positions, ref.positions)
+                    assert out.clock == ref.clock
+                    assert log.times == ref_log.times
+                    assert log.branching == ref_log.branching
+                    assert log.removed == ref_log.removed
+
+    @pytest.mark.parametrize("d", [1, 3])
+    def test_nonfinite_norm_raises_at_first_event(self, d):
+        params = SimParams(dim=d, population=5)
+        with pytest.raises(SimulationError, match="at event 0 "):
+            advance_nbbm(params, far_start(5, d), 1.0, replica_rng(32, 0))
+
     def test_population_and_clock(self):
         params = SimParams(dim=2, population=50)
         ens = origin_ensemble(50, 2)
@@ -222,6 +297,16 @@ class TestCoupledRun:
         with pytest.raises(ValueError):
             coupled_run(params, ens, -1.0, replica_rng(26, 0))
 
+    def test_nonfinite_norm_raises_at_first_event(self):
+        params = SimParams(dim=2, population=5, record_schedule=(0.5,))
+        with pytest.raises(SimulationError, match="at event 1$"):
+            coupled_run(params, far_start(5, 2), 1.0, replica_rng(32, 0))
+
+    def test_nonfinite_draw_raises_in_read(self):
+        params = SimParams(dim=2, population=5)
+        with pytest.raises(SimulationError, match="nonfinite position at event 1$"):
+            coupled_run(params, origin_ensemble(5, 2), 1.0, _NanRng(replica_rng(33, 0)))
+
 
 class TestSphericallyOrderedPairs:
     def test_identical_starts_stay_identical(self):
@@ -289,3 +374,29 @@ class TestKilledSurvival:
         for t_grid in ([0.5, 0.5004], [0.6, 0.3]):
             with pytest.raises(ValueError):
                 survival_curve(1, [0.0], math.inf, t_grid, 10, rng, dt=1e-3)
+
+    @pytest.mark.parametrize("n_samples", [0, -5, 2.5])
+    def test_bad_sample_count_rejected(self, n_samples):
+        # 0 used to return [nan, nan] and -5 returned [-0., -0.]
+        with pytest.raises(ValueError, match="n_samples"):
+            survival_curve(1, [0.0], math.pi / 2, [0.5, 1.0], n_samples,
+                           replica_rng(26, 0), dt=1e-2)
+
+    def test_start_must_match_dim(self):
+        # a 2-vector start at d=1 used to broadcast the 1-d increments onto
+        # both coordinates, so the tracked norm was sqrt(2)|B|
+        for x in ([0.0, 0.0], [[0.0]], 0.0):
+            with pytest.raises(ValueError, match="shape"):
+                survival_curve(1, x, math.pi / 2, [0.5, 1.0], 100,
+                               replica_rng(27, 0), dt=1e-2)
+
+
+class TestReplicaRng:
+    @pytest.mark.parametrize("seed, replica", [(-1, 0), (2**64, 0), (0, -1), (0, 2**64)])
+    def test_out_of_range_rejected(self, seed, replica):
+        with pytest.raises(ValueError, match="2\\^64"):
+            replica_rng(seed, replica)
+
+    def test_range_ends_accepted(self):
+        replica_rng(0, 0)
+        replica_rng(2**64 - 1, 2**64 - 1)
