@@ -226,11 +226,11 @@ def parse_config(source: str | None = None, subcommand: str | None = None,
         params[key] = _parse_value(schema[key][0], raw, key)
     for key, val in (overrides or {}).items():
         if key == "seed":
-            seed = int(val)
+            seed = _parse_value("int", str(val), key)
         elif key == "out":
             out = str(val)
         elif key == "workers":
-            workers = int(val)
+            workers = _parse_value("int", str(val), key)
         elif key in schema:
             params[key] = _parse_value(schema[key][0], str(val), key) \
                 if isinstance(val, str) else val

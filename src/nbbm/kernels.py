@@ -21,10 +21,11 @@ degrees of freedom by two, giving the closed forms
     G(y, r, t) = (y/t) * f_ncx2(r^2/2t; d+2, y^2/2t).
 
 For d = 1 and d = 3 everything reduces to Gaussian image formulas.  The
-lattice engine ``mixture_node_values``, which the solver's branch step
-calls, evaluates G_t of a step profile with jumps c_j at lattice points a_j
-as the finite mixture sum_j c_j w(a_j, r, t) on the lattice nodes, and
-every apply costs the kernel's support, not the domain:
+lattice engine ``mixture_node_values``, which the solver's sandwich step
+calls once for both branches, evaluates G_t of step profiles with jumps
+c_j at lattice points a_j as the finite mixtures sum_j c_j w(a_j, r, t) on
+the lattice nodes, and every apply costs the kernel's support, not the
+domain:
 
 * image route (d = 1, 3): the saturated parts of the image kernels are
   prefix sums of the jump sizes, and the remainders, cut to a band of B
@@ -34,7 +35,7 @@ every apply costs the kernel's support, not the domain:
   incomplete-gamma basis are swept only over a window of about c*sqrt(z)
   indices, with indices below a node's window entering through a prefix
   sum.  The windows and start values are built once per (dim, t, h) and
-  cached.
+  cached, and one sweep serves every mixture of a call.
 
 The returned ``eval_err`` books, per unit of mixture mass, the image terms
 beyond the band (erfc and Gaussian tails), the four series window tails,
@@ -252,50 +253,60 @@ class _NodeWindows(_Windows):
         return cls(z, lo, hi, gammainc(k, z), _gamma_weight(k, z))
 
 
-def _series_sweep(a: float, c: np.ndarray, jw: _JumpWindows, nw: _NodeWindows
-                  ) -> tuple[np.ndarray, int]:
-    """sum_j c_j sum_m Poisson(m; mu_j) P(a + m, z_i) over the windows.
+def _series_sweep(a: float, cs: list[np.ndarray], jw: _JumpWindows, nw: _NodeWindows
+                  ) -> tuple[np.ndarray, list[int]]:
+    """Row k: sum_j cs[k]_j sum_m Poisson(m; mu_j) P(a + m, z_i) over the windows.
 
     Jumps and nodes are sorted with nondecreasing window edges, so the ones
-    active at index m are contiguous slices; one pass over m builds
-    q[m] = sum_j c_j Poisson(m; mu_j) and advances every active node's
-    basis.  The jump windows must start at or below every node window.
-    Returns the node values and the number of indices swept.
+    active at index m are contiguous slices.  One pass over m advances every
+    active jump's pmf and node's basis once for all rows, and builds each
+    row's q[m] = sum_j c_j Poisson(m; mu_j) as its own dot product over its
+    first cs[k].size jumps (at least one).  The jump windows must start at
+    or below every node window.  Returns the (rows, nodes) values and, per
+    row, the number of indices from the first jump window's start to the
+    end of the row's last one, which bounds the recurrence steps behind any
+    of its terms.  Neither depends on the other rows, nor a node's value on
+    the nodes after it.
     """
     q0 = int(jw.lo[0])
-    m_top = int(jw.hi[-1])
-    inside = nw.lo <= m_top
-    m_end = max(min(m_top, int(nw.hi[inside].max(initial=q0 - 1))), q0 - 1)
-    ms = np.arange(q0 - 1, m_end + 1)
+    tops = [int(jw.hi[c.size - 1]) for c in cs]
+    insides = [nw.lo <= m_top for m_top in tops]
+    ends = [max(min(m_top, int(nw.hi[inside].max(initial=q0 - 1))), q0 - 1)
+            for m_top, inside in zip(tops, insides)]
+    ms = np.arange(q0 - 1, max(ends) + 1)
     j_end = np.searchsorted(jw.lo, ms, side="right")    # jumps started by m
     j_beg = np.searchsorted(jw.hi, ms, side="left")     # jumps not yet done
     i_end = np.searchsorted(nw.lo, ms, side="right")
     i_beg = np.searchsorted(nw.hi, ms, side="left")
     p, basis, term = jw.p0.copy(), nw.basis0.copy(), nw.term0.copy()
     mu, z = jw.mu, nw.z
-    out = np.zeros(z.size)
-    q = np.zeros(ms.size)  # q[k] is the weight of index q0 - 1 + k
+    out = np.zeros((len(cs), z.size))
+    q = np.zeros((len(cs), ms.size))  # q[:, k] is the weight of index q0 - 1 + k
     for k in range(1, ms.size):
         m = q0 - 1 + k
         lo, mid, hi = j_beg[k], j_end[k - 1], j_end[k]
         if mid > lo:  # advance running pmfs from m - 1 to m
             p[lo:mid] *= mu[lo:mid]
             p[lo:mid] *= 1.0 / m
-        qm = float(c[lo:hi] @ p[lo:hi])
-        q[k] = qm
+        for row, c in zip(q, cs):
+            row[k] = c[lo:hi] @ p[lo:min(hi, c.size)]
         lo, mid, hi = i_beg[k], i_end[k - 1], i_end[k]
         if mid > lo:  # P(a + m) = P(a + m - 1) - term(m - 1)
             basis[lo:mid] -= term[lo:mid]
             term[lo:mid] *= z[lo:mid]
             term[lo:mid] *= 1.0 / (a + m)
-        if qm != 0.0 and hi > lo:
-            out[lo:hi] += qm * basis[lo:hi]
-    # indices below a node's window: P(a + m, z) = 1 up to the booked tail
-    prefix = np.cumsum(q)
+        if hi > lo:
+            for row, qm in zip(out, q[:, k].tolist()):
+                if qm != 0.0:
+                    row[lo:hi] += qm * basis[lo:hi]
+    # indices below a node's window: P(a + m, z) = 1 up to the booked tail;
+    # a row's inside nodes read its prefix below its own sweep's end
+    prefix = np.cumsum(q, axis=1)
     below = np.clip(nw.lo - q0, 0, ms.size - 1)
-    # a node window past every jump window sees all the (windowed) mass
-    out += np.where(inside, prefix[below], c.sum())
-    return out, ms.size
+    for row, c, inside, pre in zip(out, cs, insides, prefix):
+        # a node window past every jump window sees all the (windowed) mass
+        row += np.where(inside, pre[below], c.sum())
+    return out, [m_top - q0 + 2 for m_top in tops]
 
 
 def _ncx2_cdf(x: np.ndarray, dim: int, lam: float) -> np.ndarray:
@@ -314,7 +325,8 @@ def _ncx2_cdf(x: np.ndarray, dim: int, lam: float) -> np.ndarray:
     nw = _NodeWindows.build(0.5 * dim, z[order], _TAIL,
                             support=(int(jw.lo[0]), int(jw.hi[0])))
     out = np.empty(z.size)
-    out[order], _ = _series_sweep(0.5 * dim, np.ones(1), jw, nw)
+    vals, _ = _series_sweep(0.5 * dim, [np.ones(1)], jw, nw)
+    out[order] = vals[0]
     return np.clip(out, 0.0, 1.0).reshape(x.shape)
 
 
@@ -449,16 +461,22 @@ class _SeriesLattice:
         self.nbytes = self.jumps.nbytes + self.nodes.nbytes
 
 
-def _lattice_series(dim: int, t: float, c: np.ndarray, h: float, n_out: int
-                    ) -> tuple[np.ndarray, float]:
-    """Mixture of lattice jumps c on the lattice nodes i*h, i < n_out."""
+def _lattice_series(dim: int, t: float, cs: list[np.ndarray], h: float, n_out: int
+                    ) -> tuple[np.ndarray, np.ndarray]:
+    """Mixtures of nonempty lattice jump rows cs on the nodes i*h, i < n_out,
+    in one shared sweep."""
     key = ("series", dim, t, h)
     if key in _IMAGE_CACHE and _IMAGE_CACHE[key].n < n_out:
         del _IMAGE_CACHE[key]  # rebuilt longer, with headroom as mass spreads
     lattice = _cached(key, lambda: _SeriesLattice(dim, t, h, n_out + n_out // 4))
-    vals, steps = _series_sweep(0.5 * dim, c, lattice.jumps.head(c.size),
+    n_jumps = max(c.size for c in cs)
+    vals, steps = _series_sweep(0.5 * dim, cs, lattice.jumps.head(n_jumps),
                                 lattice.nodes.head(n_out))
-    return np.clip(vals, 0.0, max(c.sum(), 0.0)), _series_eval_err(c, steps)
+    errs = np.empty(len(cs))
+    for k, c in enumerate(cs):
+        np.clip(vals[k], 0.0, max(c.sum(), 0.0), out=vals[k])
+        errs[k] = _series_eval_err(c, steps[k])
+    return vals, errs
 
 
 def _image_tail(dim: int, t: float, x: float, mass: float, w_mass: float,
@@ -559,10 +577,9 @@ def _lattice_images(dim: int, t: float, c: np.ndarray, h: float, n_out: int
         x += 0.02
     scale = h / (2.0 * math.sqrt(t))
     band = -(-int(math.ceil(x / scale)) // _BAND_STEP) * _BAND_STEP
-    band = min(band, n_out + c.size)
-    # past n_out + n_act - 1 no lattice pair is dropped
-    tail = 0.0 if band >= n_out + c.size - 1 else \
-        _image_tail(dim, t, (band + 1) * scale, mass, w_mass, c0)
+    # neither the band nor the booked tail depends on n_out, so the values
+    # at a node do not depend on how many nodes are asked for
+    tail = _image_tail(dim, t, (band + 1) * scale, mass, w_mass, c0)
     need = -(-(c.size + 2 * band) // _BAND_STEP) * _BAND_STEP
     key = ("image", dim, t, h, band, fft.next_fast_len(need, real=True))
     engine = _cached(key, lambda: _ImageEngine(dim, t, h, band, key[-1]))
@@ -572,8 +589,9 @@ def _lattice_images(dim: int, t: float, c: np.ndarray, h: float, n_out: int
 
 
 def _lattice_jumps(locs: np.ndarray, sizes: np.ndarray, r_nodes: np.ndarray,
-                   h: float) -> np.ndarray:
-    """Jump sizes by lattice index, trimmed after the last nonzero one."""
+                   h: float) -> list[np.ndarray]:
+    """Jump sizes by lattice index, one array per row of ``sizes``, each
+    trimmed after its own last nonzero jump."""
     slack = 1e-9 * h
     n = r_nodes.size
     if np.any(np.abs(r_nodes - np.arange(n, dtype=float) * h) > slack):
@@ -581,14 +599,18 @@ def _lattice_jumps(locs: np.ndarray, sizes: np.ndarray, r_nodes: np.ndarray,
     idx = np.rint(locs / h)
     if np.any(np.abs(locs - idx * h) > slack) or idx.min() < 0 or idx.max() >= n:
         raise ValueError("locs must lie on the lattice i*lattice_h inside the nodes")
-    c = np.bincount(idx.astype(np.int64), weights=sizes)
-    nz = np.flatnonzero(c)
-    return c[: nz[-1] + 1] if nz.size else c[:0]
+    idx = idx.astype(np.int64)
+    cs = []
+    for row in sizes:
+        c = np.bincount(idx, weights=row)
+        nz = np.flatnonzero(c)
+        cs.append(c[: nz[-1] + 1] if nz.size else c[:0])
+    return cs
 
 
 def mixture_node_values(dim: int, t: float, locs: np.ndarray, sizes: np.ndarray,
                         r_nodes: np.ndarray, *,
-                        lattice_h: float) -> tuple[np.ndarray, float]:
+                        lattice_h: float) -> tuple[np.ndarray, float | np.ndarray]:
     """Evaluate sum_j sizes_j * w(locs_j, r, t) at the lattice nodes.
 
     ``r_nodes`` must be the lattice i*lattice_h for i = 0..n-1 and ``locs``
@@ -596,14 +618,30 @@ def mixture_node_values(dim: int, t: float, locs: np.ndarray, sizes: np.ndarray,
     takes the band-limited image route and every other d the series with
     windows cached per lattice.  Every dropped tail is at most 2^-56 per
     unit mass.  Returns (values, certified absolute evaluation error).
+
+    ``sizes`` of shape (k, len(locs)) holds k mixtures on the same ``locs``
+    and nodes, and the call returns (k, n) values and k errors.  The
+    lattice is checked once; the series route evaluates all rows in one
+    shared sweep and the image route one row at a time.  Each row gets the
+    bits that a call with that row alone returns, and a node's value does
+    not depend on how many nodes follow it.
     """
     _check_time(t)
     locs = np.asarray(locs, dtype=float)
     sizes = np.asarray(sizes, dtype=float)
     r_nodes = np.asarray(r_nodes, dtype=float)
+    if sizes.ndim not in (1, 2) or sizes.shape[-1] != locs.size:
+        raise ValueError(f"sizes must have shape ({locs.size},) or (k, {locs.size}), "
+                         f"got {sizes.shape}")
+    rows = sizes if sizes.ndim == 2 else sizes[None]
     h = float(lattice_h)
-    c = _lattice_jumps(locs, sizes, r_nodes, h) if locs.size else np.zeros(0)
-    if c.size == 0:
-        return np.zeros_like(r_nodes), 0.0
-    route = _lattice_images if dim in (1, 3) else _lattice_series
-    return route(dim, float(t), c, h, r_nodes.size)
+    cs = _lattice_jumps(locs, rows, r_nodes, h) if locs.size else [locs[:0]] * len(rows)
+    vals, errs = np.zeros((len(cs), r_nodes.size)), np.zeros(len(cs))
+    live = [k for k, c in enumerate(cs) if c.size]
+    if dim in (1, 3):
+        for k in live:
+            vals[k], errs[k] = _lattice_images(dim, float(t), cs[k], h, r_nodes.size)
+    elif live:
+        vals[live], errs[live] = _lattice_series(dim, float(t), [cs[k] for k in live],
+                                                 h, r_nodes.size)
+    return (vals, errs) if sizes.ndim == 2 else (vals[0], float(errs[0]))

@@ -145,66 +145,110 @@ class SolveTrace:
         self.boundary_hi: list[float] = []
 
 
+def _running_max(x: np.ndarray) -> np.ndarray:
+    """The values of np.maximum.accumulate(x), NaN propagation included,
+    touching only the entries after a descent.
+
+    Between descents (a NaN counts as one) x is nondecreasing, so each run
+    after a descent is raised to the running max up to its first entry
+    that reaches it, found by bisection.  The bisection orders NaN after
+    every number, which carries a NaN to the end.  Branch arrays are
+    nondecreasing but for a few rounding-level descents, and
+    np.maximum.accumulate is a scalar loop that costs about as much as ten
+    array additions.
+    """
+    starts = np.flatnonzero(~(x[1:] >= x[:-1])) + 1
+    out = x.copy()
+    for s, e in zip(starts.tolist(), starts[1:].tolist() + [x.size]):
+        top = out[s - 1]
+        out[s:s + int(np.searchsorted(x[s:e], top))] = top
+    return out
+
+
 def _active_len(p: np.ndarray) -> int:
-    """Index one past the last strictly increasing cell."""
-    nz = np.nonzero(np.diff(p) > 0.0)[0]
-    return int(nz[-1]) + 2 if nz.size else 1
+    """Index one past the last strictly increasing cell of a nondecreasing p."""
+    return int(np.searchsorted(p, p[-1])) + 1
 
 
 def branch_step(dim: int, delta: float, h: float, p: np.ndarray,
                 upper: bool) -> tuple[np.ndarray, float]:
     """One sandwich step of one branch on the lattice i*h.
 
-    ``p[i]`` is the branch value on the cell (i h, (i+1) h].  The upper step
-    is C_1 e^delta G_delta p rounded up across each cell, the lower step
-    e^delta G_delta C_{exp(-delta)} p rounded down; node values are first
-    moved up (upper) or down (lower) by e^delta times the kernel's certified
-    evaluation error, so each branch bounds its exact step.  Past the first
-    node within _TRUNC_TOL of the total mass the tail is frozen.  The kernel is
-    applied through the module binding ``mixture_node_values``.  When its
-    support band needs n_need > p.size cells, the result has
-    n_need + max(64, n_need // 8) cells, padded with its last value.
+    ``p[i]`` is the branch value on the cell (i h, (i+1) h] and p is
+    nondecreasing.  The upper step is C_1 e^delta G_delta p rounded up
+    across each cell, the lower step e^delta G_delta C_{exp(-delta)} p
+    rounded down; node values are first moved up (upper) or down (lower)
+    by e^delta times the kernel's certified evaluation error, so each
+    branch bounds its exact step.  Past the first node within _TRUNC_TOL of
+    the total mass the tail is frozen.  When the kernel's support band
+    needs n_need > p.size cells, the result has n_need + max(64, n_need // 8)
+    cells, padded with its last value.
     Returns the stepped array and the allowance this step adds to the
     branch's grid gap: the largest cell oscillation, e^delta times the
     kernel's evaluation error, the outward move by as much again, and the
-    tail freeze.
+    tail freeze.  This is the one-branch case of the solver's step, which
+    steps both branches with one kernel call (:func:`_sandwich_step`).
+    """
+    return _sandwich_step(dim, delta, h, [(p, upper)])[0]
+
+
+def _sandwich_step(dim: int, delta: float, h: float,
+                   branches: list[tuple[np.ndarray, bool]]
+                   ) -> list[tuple[np.ndarray, float]]:
+    """:func:`branch_step` of each (p, upper) branch, all of one length,
+    with one call to the module binding ``mixture_node_values``.
+
+    The kernel gets one row of jump sizes per branch, zero past the
+    branch's own active cells, on the nodes of the branch with the largest
+    n_need, and each branch reads its own n_need of them: a row's values
+    there do not depend on the nodes past them.  All branches come out at
+    one length: the input length while each branch's n_need fits in it; a
+    branch that needs more sets it to n_need + max(64, n_need // 8), in
+    branch order, and the others are padded with their last value.
     """
     if delta <= 0.0:
         raise ValueError("delta must be positive")
     e_d = math.exp(delta)
-    p_in = p if upper else np.minimum(p, math.exp(-delta))
-    n_act = _active_len(p_in)
-    n_need = n_act + int(math.ceil(support_band(delta, dim) / h)) + 2
-    n = p.size if n_need <= p.size else n_need + max(64, n_need // 8)
-    nodes = np.arange(n_need, dtype=float) * h
-    sizes = np.diff(p_in[:n_act], prepend=0.0)
-    live = sizes > 0.0
-    vals, eval_err = mixture_node_values(dim, delta, nodes[:n_act][live], sizes[live],
-                                         nodes, lattice_h=h)
-    vals = e_d * np.maximum.accumulate(vals)
-    tail = min(e_d * float(p_in[n_act - 1]), 1.0)
-    # freeze the numerically flat tail to keep the active window bounded;
-    # found before the move below, which keeps the lower branch from ever
-    # coming within _TRUNC_TOL of the tail
-    flat = np.nonzero(vals >= tail - _TRUNC_TOL)[0]
-    i_star = int(flat[0]) if flat.size else n_need - 1
-    # move the branch outward by the certified kernel error (and a few ulps
-    # of the e^delta product), so it contains the exact step by construction
-    eval_err = float(eval_err)
-    shift = e_d * (eval_err + 4.0 * _EPS)
-    w = np.minimum(vals + shift, tail) if upper else np.minimum(vals - shift, 1.0)
-    if upper:
-        p_new = np.full(n, tail)
-        p_new[: n_need - 1] = w[1:]
-        p_new[i_star:] = tail
-    else:
-        p_new = np.full(n, float(w[i_star]))
-        p_new[:n_need] = w
-        p_new[i_star:] = w[i_star]
-    p_new = np.maximum.accumulate(np.clip(p_new, 0.0, 1.0))
-    eps = float(np.max(np.diff(w)))
-    eps += e_d * eval_err + shift + _TRUNC_TOL
-    return p_new, eps
+    band = int(math.ceil(support_band(delta, dim) / h)) + 2
+    p_ins = [p if upper else np.minimum(p, math.exp(-delta)) for p, upper in branches]
+    n_acts = [_active_len(p_in) for p_in in p_ins]
+    n = branches[0][0].size
+    for n_act in n_acts:
+        if n_act + band > n:
+            n = n_act + band + max(64, (n_act + band) // 8)
+    n_jumps = max(n_acts)
+    nodes = np.arange(n_jumps + band, dtype=float) * h
+    sizes = np.zeros((len(branches), n_jumps))
+    for row, p_in, n_act in zip(sizes, p_ins, n_acts):
+        row[:n_act] = np.diff(p_in[:n_act], prepend=0.0)
+    vals, errs = mixture_node_values(dim, delta, nodes[:n_jumps], sizes, nodes, lattice_h=h)
+    stepped = []
+    for (_, upper), p_in, n_act, v, eval_err in zip(branches, p_ins, n_acts, vals,
+                                                    errs.tolist()):
+        n_need = n_act + band
+        v = e_d * _running_max(v[:n_need])
+        tail = min(e_d * float(p_in[n_act - 1]), 1.0)
+        # freeze the numerically flat tail to keep the active window bounded;
+        # found before the move below, which keeps the lower branch from ever
+        # coming within _TRUNC_TOL of the tail
+        i_star = min(int(np.searchsorted(v, tail - _TRUNC_TOL)), n_need - 1)
+        # move the branch outward by the certified kernel error (and a few ulps
+        # of the e^delta product), so it contains the exact step by construction
+        shift = e_d * (eval_err + 4.0 * _EPS)
+        w = np.minimum(v + shift, tail) if upper else np.minimum(v - shift, 1.0)
+        if upper:
+            p_new = np.full(n, tail)
+            p_new[: n_need - 1] = w[1:]
+            p_new[i_star:] = tail
+        else:
+            p_new = np.full(n, float(w[i_star]))
+            p_new[:n_need] = w
+            p_new[i_star:] = w[i_star]
+        p_new = _running_max(np.clip(p_new, 0.0, 1.0))
+        eps = float(np.max(np.diff(w)))
+        eps += e_d * eval_err + shift + _TRUNC_TOL
+        stepped.append((p_new, eps))
+    return stepped
 
 
 class SandwichSolver:
@@ -260,23 +304,11 @@ class SandwichSolver:
         p = np.empty(grid.size)
         p[:-1] = f(grid[1:])          # sup of f over (g_i, g_{i+1}]
         p[-1] = f.final_value
-        return np.maximum.accumulate(np.clip(p, 0.0, 1.0))
+        return _running_max(np.clip(p, 0.0, 1.0))
 
     @staticmethod
     def _round_down(f: RadialProfile, grid: np.ndarray) -> np.ndarray:
-        return np.maximum.accumulate(np.clip(f.value_right(grid), 0.0, 1.0))
-
-    def _extend_to(self, n_new: int):
-        if n_new <= self.grid.size:
-            return
-        self.grid = np.arange(n_new) * self.h
-        self.p_lo = self._fit(self.p_lo)
-        self.p_up = self._fit(self.p_up)
-
-    def _fit(self, p: np.ndarray) -> np.ndarray:
-        if p.size < self.grid.size:
-            return np.concatenate((p, np.full(self.grid.size - p.size, p[-1])))
-        return p
+        return _running_max(np.clip(f.value_right(grid), 0.0, 1.0))
 
     # -- public ---------------------------------------------------------------
 
@@ -292,10 +324,10 @@ class SandwichSolver:
         """Take k more steps."""
         e_d = math.exp(self.delta)
         for _ in range(int(k)):
-            self.p_up, eps_up = branch_step(self.dim, self.delta, self.h, self.p_up, True)
-            self._extend_to(self.p_up.size)
-            self.p_lo, eps_lo = branch_step(self.dim, self.delta, self.h, self.p_lo, False)
-            self._extend_to(self.p_lo.size)
+            (self.p_up, eps_up), (self.p_lo, eps_lo) = _sandwich_step(
+                self.dim, self.delta, self.h, [(self.p_up, True), (self.p_lo, False)])
+            if self.p_up.size > self.grid.size:
+                self.grid = np.arange(self.p_up.size) * self.h
             self.d_up = e_d * self.d_up + eps_up
             self.d_lo = e_d * self.d_lo + eps_lo
             self.steps += 1

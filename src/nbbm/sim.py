@@ -462,8 +462,14 @@ def survival_curve(dim: int, x: np.ndarray, boundary, t_grid: np.ndarray,
     if not isinstance(n_samples, (int, np.integer)) or n_samples < 1:
         raise ValueError(f"n_samples must be an integer >= 1, got {n_samples!r}")
     t_grid = np.asarray(t_grid, dtype=float)
+    if (t_grid.ndim != 1 or not t_grid.size or not np.all(np.isfinite(t_grid))
+            or t_grid[-1] <= 0.0):
+        raise ValueError("t_grid must be a nonempty 1-d sequence of finite times "
+                         "ending after 0")
     if dt is None:
         dt = 1e-3 * float(t_grid[-1])
+    elif not (dt > 0.0 and math.isfinite(dt)):
+        raise ValueError(f"dt must be positive and finite, got {dt!r}")
     at = [int(round(t / dt)) for t in t_grid]
     if at[0] < 1 or any(b <= a for a, b in zip(at, at[1:])):
         raise ValueError(f"t_grid must round to strictly increasing positive "

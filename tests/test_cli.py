@@ -199,6 +199,14 @@ class TestCliEntry:
         with pytest.raises(ValueError, match="seed"):
             parse_config(f"seed = {seed}\n[simulate]\n", "simulate", is_path=False)
 
+    @pytest.mark.parametrize("key", ["seed", "workers"])
+    def test_bad_int_override_names_key(self, tmp_path, key, capsys):
+        # --set seed=abc used to report int()'s message without the key
+        out = tmp_path / "x"
+        assert main(["stationary", "--out", str(out), "--set", f"{key}=abc"]) == 2
+        assert f"'{key}'" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_bad_key_exit_two(self, tmp_path):
         assert main(["stationary", "--out", str(tmp_path / "x"),
                      "--set", "zzz=1"]) == 2

@@ -325,6 +325,29 @@ class TestLatticeMixture:
         vals, _ = mixture_node_values(d, 0.01, [0.5 + 1e-13], [1.0], r, lattice_h=self.H)
         assert vals[-1] == pytest.approx(1.0, abs=1e-12)
 
+    @pytest.mark.parametrize("d", [1, 2, 3, 5])
+    def test_rows_match_one_row_calls(self, d):
+        # k mixtures on shared locs and nodes: each row gets the bits of a
+        # call with that row alone, whatever the other rows hold, and a
+        # node's value does not depend on how many nodes follow it (the
+        # image band once shrank with the node count on small lattices)
+        rng = np.random.default_rng(17 + d)
+        m, n = 150, 600
+        r = np.arange(n) * self.H
+        sizes = rng.uniform(0.0, 1.0, (3, m)) * (rng.uniform(size=(3, m)) < 0.3)
+        sizes[0, 40:] = 0.0
+        sizes[2] = 0.0
+        vals, errs = mixture_node_values(d, 0.05, r[:m], sizes, r, lattice_h=self.H)
+        assert vals.shape == (3, n) and errs.shape == (3,)
+        assert not vals[2].any() and errs[2] == 0.0
+        for row, v, e in zip(sizes, vals, errs):
+            for n_out in (n, m + 10):
+                one, err = mixture_node_values(d, 0.05, r[:m], row, r[:n_out],
+                                               lattice_h=self.H)
+                assert np.array_equal(one, v[:n_out]) and err == e
+        with pytest.raises(ValueError, match="sizes"):
+            mixture_node_values(d, 0.05, r[:m], sizes[:, 1:], r, lattice_h=self.H)
+
     def test_cache_stays_under_byte_budget(self, monkeypatch):
         kernels._IMAGE_CACHE.clear()
 

@@ -5,6 +5,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from scipy import integrate, stats
 
 from nbbm import obstacle
@@ -132,6 +135,60 @@ class TestSteps:
             with pytest.raises(ValueError):
                 branch_step(1, delta, 1e-3, np.ones(10), True)
 
+    @pytest.mark.parametrize("d", [1, 2, 3, 5])
+    @pytest.mark.parametrize("h", [2e-3, 2e-2])
+    def test_two_branch_step_is_two_branch_steps(self, d, h):
+        # the solver steps both branches with one kernel call; each branch
+        # must get the bits of its own branch_step, taken the way the solver
+        # once took them: the upper first, then the lower padded to its
+        # length, then the upper padded to the lower's.  Either branch may be
+        # the longer one, outgrow the input array, or be all zero; at
+        # h = 2e-2 the kernel's band is wider than the lattice
+        def pad(p, n):
+            return np.concatenate((p, np.full(n - p.size, p[-1]))) if p.size < n else p
+
+        def branch(n_act, top):
+            p = np.zeros(n)
+            if n_act:
+                rise = rng.uniform(0.0, 1.0, n_act) * (rng.uniform(size=n_act) < 0.5)
+                rise[-1] = 1.0
+                p[:n_act] = top * np.cumsum(rise) / rise.sum()
+                p[n_act:] = p[n_act - 1]
+            return p
+
+        rng = np.random.default_rng(40 + d)
+        delta, n = 0.01, 400
+        for n_up, n_lo in ((300, 40), (40, 300), (3, 390), (390, 0), (0, 120)):
+            up = branch(n_up, rng.uniform(0.5, 1.0))
+            lo = branch(n_lo, rng.uniform(0.5, 1.0))
+            (up2, eps_up2), (lo2, eps_lo2) = obstacle._sandwich_step(
+                d, delta, h, [(up, True), (lo, False)])
+            up1, eps_up1 = branch_step(d, delta, h, up, True)
+            lo1, eps_lo1 = branch_step(d, delta, h, pad(lo, up1.size), False)
+            assert np.array_equal(up2, pad(up1, lo1.size)) and eps_up2 == eps_up1
+            assert np.array_equal(lo2, lo1) and eps_lo2 == eps_lo1
+
+
+_ARRAYS = hnp.arrays(np.float64, st.integers(0, 40), elements=st.one_of(
+    st.sampled_from([-math.inf, -1.0, -0.0, 0.0, 0.5, 1.0, math.inf, math.nan]),
+    st.floats(allow_nan=True, allow_infinity=True)))
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(
+    _ARRAYS,
+    _ARRAYS.map(np.sort),  # sorted, NaNs last
+    st.builds(lambda x, n, i: np.where(np.arange(x.size) % n == i, -x, x),
+              _ARRAYS.map(np.sort), st.integers(2, 9), st.integers(0, 1)),
+    st.builds(np.full, st.integers(1, 30), st.floats(allow_nan=True, allow_infinity=True)),
+))
+@example(np.array([1.0, math.nan, 0.5, 2.0]))
+@example(np.array([math.nan, 1.0, 2.0]))
+@example(np.array([0.0, 0.3, 0.2, 0.25, 0.4, 0.1, 0.5]))
+def test_running_max_is_maximum_accumulate(x):
+    # same values as np.maximum.accumulate, with a NaN carried to the end
+    np.testing.assert_array_equal(obstacle._running_max(x), np.maximum.accumulate(x))
+
 
 # ---------------------------------------------------------------------------
 # solve_sandwich
@@ -229,7 +286,8 @@ class TestSolveSandwich:
 
     def test_kernel_calls_go_through_module_binding(self, monkeypatch):
         # per-layer tracing swaps obstacle.mixture_node_values and binds its
-        # arguments by name: two lattice calls per step must pass through it
+        # arguments by name: one lattice call per step, with one row of jump
+        # sizes per branch, must pass through it
         orig = obstacle.mixture_node_values
         sig = inspect.signature(orig)
         assert {"dim", "t", "locs", "sizes", "r_nodes",
@@ -245,8 +303,9 @@ class TestSolveSandwich:
         solve_sandwich(SolveRequest(dim=1, initial=st.as_profile(801, "lower"),
                                     horizon=0.03, step_size=0.01, grid_step=1e-3,
                                     initial_upper=st.as_profile(801, "upper")))
-        assert len(calls) == 2 * 3
+        assert len(calls) == 3
         assert all(a.get("lattice_h") == 1e-3 for a in calls)
+        assert all(np.shape(a["sizes"]) == (2, np.size(a["locs"])) for a in calls)
 
     def test_rejects_jump_at_zero_and_bad_steps(self):
         with pytest.raises(ValueError):

@@ -382,6 +382,20 @@ class TestKilledSurvival:
             survival_curve(1, [0.0], math.pi / 2, [0.5, 1.0], n_samples,
                            replica_rng(26, 0), dt=1e-2)
 
+    @pytest.mark.parametrize("t_grid", [[], [0.0], [[0.5, 1.0]], [0.5, math.nan]])
+    def test_bad_t_grid_rejected(self, t_grid):
+        # an empty grid used to raise a bare IndexError, and [0.0] a bare
+        # NaN-to-integer error after a divide-by-zero warning
+        with pytest.raises(ValueError, match="t_grid"):
+            survival_curve(1, [0.0], math.pi / 2, t_grid, 10, replica_rng(28, 0))
+
+    @pytest.mark.parametrize("dt", [0.0, -1e-3, math.nan, math.inf])
+    def test_bad_dt_rejected(self, dt):
+        # dt = 0 used to raise OverflowError after a divide-by-zero warning
+        with pytest.raises(ValueError, match="dt"):
+            survival_curve(1, [0.0], math.pi / 2, [0.5, 1.0], 10, replica_rng(29, 0),
+                           dt=dt)
+
     def test_start_must_match_dim(self):
         # a 2-vector start at d=1 used to broadcast the 1-d increments onto
         # both coordinates, so the tracked norm was sqrt(2)|B|
