@@ -112,27 +112,20 @@ def _run_simulate(cfg: RunConfig, w: _ArtifactWriter) -> int:
     sampler = _sampler(p["sampler"], d, p["sampler_radius"])
     rng = replica_rng(cfg.seed, 0)
     ens = ParticleEnsemble(d, sampler.sample(n, rng))
-    params = SimParams(dim=d, population=n,
-                       record_schedule=tuple(s for s in p["snapshots"] if s <= p["t"]))
-    snaps = []
-    ev_lines = ["time,branching_label,removed_label"]
-    times = list(params.record_schedule)
+    times = [s for s in p["snapshots"] if s <= p["t"]]
     if not times or times[-1] < p["t"]:
         times.append(p["t"])  # the final state is a snapshot, written once
-    now = 0.0
-    events = 0
-    for s in times:
-        ens, log = advance_nbbm(params, ens, s - now, rng)
-        now = s
-        events += len(log)
-        for when, k, ell in zip(log.times, log.branching, log.removed):
-            ev_lines.append(f"{float(when)!r},{k},{ell}")
-        snaps.append((now, ens.positions))
-    w.write("snapshots.csv", _snapshot_csv(snaps))
+    final, log = advance_nbbm(SimParams(dim=d, population=n), ens,
+                              np.diff([0.0, *times]), rng)
+    w.write("snapshots.csv", _snapshot_csv([(s, r.positions)
+                                            for s, r in zip(times, log.reads)]))
+    ev_lines = ["time,branching_label,removed_label"] + [
+        f"{float(when)!r},{k},{ell}"
+        for when, k, ell in zip(log.times, log.branching, log.removed)]
     w.write("events.csv", "\n".join(ev_lines) + "\n")
     w.write("summary.json", _json_dumps({
-        "n": n, "d": d, "t": p["t"], "events": events,
-        "final_max_radius": float(np.max(np.linalg.norm(ens.positions, axis=1))),
+        "n": n, "d": d, "t": p["t"], "events": len(log),
+        "final_max_radius": float(np.max(np.linalg.norm(final.positions, axis=1))),
     }))
     return 0
 

@@ -118,8 +118,9 @@ SCHEMAS: dict[str, dict[str, tuple[str, object]]] = {
 
 def _validate(subcommand: str, p: dict):
     def positive(key):
-        if p[key] <= 0:
-            raise ValueError(f"config key '{key}' must be positive, got {p[key]}")
+        if not 0 < p[key] < math.inf:
+            raise ValueError(f"config key '{key}' must be positive and finite, "
+                             f"got {p[key]}")
 
     if "n" in p and p["n"] < 1:
         raise ValueError(f"config key 'n' must be >= 1, got {p['n']}")
@@ -134,6 +135,12 @@ def _validate(subcommand: str, p: dict):
     if subcommand in ("simulate", "hydro", "selection") and \
             p["sampler"] not in ("origin", "uniform-ball", "stationary"):
         raise ValueError(f"unknown sampler {p['sampler']!r}")
+    if subcommand == "simulate":
+        snaps = p["snapshots"]
+        if not all(0 <= s < math.inf for s in snaps) or any(
+                b <= a for a, b in zip(snaps, snaps[1:])):
+            raise ValueError(f"config key 'snapshots' must be finite, nonnegative "
+                             f"and strictly increasing, got {list(snaps)}")
     if subcommand == "stationarity":
         positive("burn_in")
         positive("window")

@@ -45,9 +45,10 @@ def default_domain_cap(max_jump: float, t_horizon: float = _DEFAULT_CAP_HORIZON)
 
 def whole_steps(span: float, step: float, what: str) -> int:
     """The k with k * step = span to 1e-9 * max(1, span), else ``ValueError``
-    (also for step <= 0); ``what`` names the span in the message."""
-    if not step > 0.0:
-        raise ValueError(f"step must be positive, got {step!r}")
+    (also for a step that is not positive and finite); ``what`` names the
+    span in the message."""
+    if not 0.0 < step < math.inf:
+        raise ValueError(f"step must be positive and finite, got {step!r}")
     k = round(span / step)
     if abs(k * step - span) > 1e-9 * max(1.0, span):
         raise ValueError(f"{what} {span!r} is not a multiple of the step {step!r}")

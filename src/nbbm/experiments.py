@@ -217,19 +217,13 @@ def hydrodynamic_report(N: int, d: int, t: float, sampler, replicas: int,
     return rows
 
 
-def _boundary_replica(rep: int, seed: int, N: int, d: int, T: float, eta: float,
+def _boundary_replica(rep: int, seed: int, N: int, d: int, eta: float,
                       sampler, snap_times: tuple, r_upper: tuple):
     rng = replica_rng(seed, rep)
     ens = ParticleEnsemble(d, sampler.sample(N, rng))
-    params = SimParams(dim=d, population=N)
-    now = 0.0
-    exceeded = False
-    for s, r_t in zip(snap_times, r_upper):
-        ens, _ = advance_nbbm(params, ens, s - now, rng)
-        now = s
-        if max_radius(ens) > r_t + eta:
-            exceeded = True
-    return exceeded
+    _, log = advance_nbbm(SimParams(dim=d, population=N), ens,
+                          np.diff([0.0, *snap_times]), rng)
+    return any(max_radius(r) > r_t + eta for r, r_t in zip(log.reads, r_upper))
 
 
 def boundary_report(N: int, d: int, T: float, eta: float, sampler,
@@ -258,7 +252,7 @@ def boundary_report(N: int, d: int, T: float, eta: float, sampler,
         solver.advance_to(s)
         r_upper.append(solver.boundary_interval()[1])
     flags = _run_replicas(_boundary_replica, replicas, workers,
-                          (seed, N, d, T, eta, sampler, snap_times, tuple(r_upper)))
+                          (seed, N, d, eta, sampler, snap_times, tuple(r_upper)))
     frac = float(np.mean(flags))
     return [ReportRow.make("boundary", "exceedance_fraction", frac, tolerance,
                            N, d, T, replicas, seed)]
@@ -270,17 +264,14 @@ def _selection_replica(rep: int, seed: int, N: int, d: int, t: float, K: float,
     ens = ParticleEnsemble(d, sampler.sample(N, rng))
     if not in_gamma(ens, K, c):
         raise ValueError(f"replica {rep}: initial configuration not in Gamma({K}, {c})")
-    params = SimParams(dim=d, population=N)
-    ens, _ = advance_nbbm(params, ens, t, rng)
+    _, log = advance_nbbm(SimParams(dim=d, population=N), ens,
+                          (t,) + (window_dt,) * n_window, rng)
+    ens = log.reads[0]
     state = stationary_state(d)
     f = empirical_cdf(ens)
     sup_v = sup_distance_to_fn(f, state.V, state.r_infinity)
     m_t = max_radius(ens)
-    running_max = m_t
-    cur = ens
-    for _ in range(n_window):
-        cur, _ = advance_nbbm(params, cur, window_dt, rng)
-        running_max = max(running_max, max_radius(cur))
+    running_max = max(max_radius(r) for r in log.reads)
     ball = float((np.sqrt(np.einsum("ij,ij->i", ens.positions, ens.positions))
                   < r_inf).mean())
     half = measure_of_set(ens, lambda x: x[:, 0] > 0.0)
@@ -343,18 +334,14 @@ def stationarity_report(N: int, d: int, burn_in: float, window: float,
         raise ValueError(f"stationarity check needs N >= {_MIN_POPULATION}")
     per_window = whole_steps(window, snapshot_dt, "window")
     state = stationary_state(d)
-    rng = replica_rng(seed, 0)
-    params = SimParams(dim=d, population=N)
-    ens = ParticleEnsemble(d, np.zeros((N, d)))
-    ens, _ = advance_nbbm(params, ens, burn_in, rng)
+    _, log = advance_nbbm(SimParams(dim=d, population=N),
+                          ParticleEnsemble(d, np.zeros((N, d))),
+                          (burn_in,) + (snapshot_dt,) * (n_windows * per_window),
+                          replica_rng(seed, 0))
     r_grid = np.linspace(0.0, state.r_infinity + 1.0, 2001)
-    averages = []
-    for _ in range(n_windows):
-        acc = np.zeros_like(r_grid)
-        for _ in range(per_window):
-            ens, _ = advance_nbbm(params, ens, snapshot_dt, rng)
-            acc += empirical_cdf(ens)(r_grid)
-        averages.append(acc / per_window)
+    cdfs = [empirical_cdf(ens)(r_grid) for ens in log.reads[1:]]
+    averages = [sum(cdfs[i * per_window:(i + 1) * per_window]) / per_window
+                for i in range(n_windows)]
     rows = []
     worst = 0.0
     for i in range(n_windows):

@@ -626,6 +626,8 @@ def mixture_node_values(dim: int, t: float, locs: np.ndarray, sizes: np.ndarray,
     bits that a call with that row alone returns, and a node's value does
     not depend on how many nodes follow it.
     """
+    if dim < 1:
+        raise ValueError("dim must be >= 1")
     _check_time(t)
     locs = np.asarray(locs, dtype=float)
     sizes = np.asarray(sizes, dtype=float)

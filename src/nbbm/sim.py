@@ -89,54 +89,71 @@ class SimParams:
 
 @dataclass
 class EventLog:
+    """Each event's time, branching and removed label (``len`` counts
+    events), and the ensemble at each window's end."""
+
     times: list[float] = field(default_factory=list)
     branching: list[int] = field(default_factory=list)
     removed: list[int] = field(default_factory=list)
+    reads: list[ParticleEnsemble] = field(default_factory=list)
 
     def __len__(self):
         return len(self.times)
 
 
-def advance_nbbm(params: SimParams, state: ParticleEnsemble, duration: float,
+def advance_nbbm(params: SimParams, state: ParticleEnsemble, windows,
                  rng: np.random.Generator) -> tuple[ParticleEnsemble, EventLog]:
-    """Evolve the N-particle system for ``duration`` exactly.
+    """Evolve the N-particle system exactly across consecutive windows.
+
+    ``windows`` is one duration or a sequence of durations; the ensemble at
+    each window's end goes to ``log.reads`` and the last one is returned.  A
+    window runs as its own call would: a fresh exponential gap (exact by
+    memorylessness), the crossing gap cut and discarded (a zero-length window
+    still draws one), and the clock moved to ``clock + duration``.  They are
+    durations because differences of read times do not round back to them.
 
     Each event draws ``exponential(1/N)`` (the gap), N*d standard normals
     (every particle diffuses across it) and ``integers(N)`` (the branching
     label), in this order, which is part of the contract.  An event costs
     O(N*d), and the normal draws are its floor.
     """
-    if duration < 0.0:
-        raise ValueError("duration must be nonnegative")
+    durations = [float(w) for w in ((windows,) if np.ndim(windows) == 0 else windows)]
+    if not durations or not all(0.0 <= w < math.inf for w in durations):
+        raise ValueError(f"windows must be one or more finite nonnegative "
+                         f"durations, got {windows!r}")
     n = params.population
     if state.population != n:
         raise ValueError(f"state has {state.population} particles, params say {n}")
     pos = state.positions.copy()
     step, sq = np.empty_like(pos), np.empty(n)
     log = EventLog()
-    t_done = 0.0
-    while True:
-        gap = rng.exponential(1.0 / n)
-        last = t_done + gap >= duration
-        dt = duration - t_done if last else gap
-        if dt > 0.0:
-            rng.standard_normal(out=step)
-            step *= math.sqrt(2.0 * dt)
-            pos += step
-        if last:
-            break
-        t_done += gap
-        np.einsum("ij,ij->i", pos, pos, out=sq)
-        furthest = int(sq.argmax())  # the first NaN, else the lowest max index
-        if not math.isfinite(sq[furthest]):
-            raise SimulationError(f"nonfinite position at event {len(log)} "
-                                  f"(t={state.clock + t_done:.6g})")
-        k = int(rng.integers(n))
-        pos[furthest] = pos[k]
-        log.times.append(state.clock + t_done)
-        log.branching.append(k)
-        log.removed.append(furthest)
-    return state.with_positions(pos, state.clock + duration), log
+    clock = state.clock
+    for duration in durations:
+        t_done = 0.0
+        while True:
+            gap = rng.exponential(1.0 / n)
+            last = t_done + gap >= duration
+            dt = duration - t_done if last else gap
+            if dt > 0.0:
+                rng.standard_normal(out=step)
+                step *= math.sqrt(2.0 * dt)
+                pos += step
+            if last:
+                break
+            t_done += gap
+            np.einsum("ij,ij->i", pos, pos, out=sq)
+            furthest = int(sq.argmax())  # the first NaN, else the lowest max index
+            if not math.isfinite(sq[furthest]):
+                raise SimulationError(f"nonfinite position at event {len(log)} "
+                                      f"(t={clock + t_done:.6g})")
+            k = int(rng.integers(n))
+            pos[furthest] = pos[k]
+            log.times.append(clock + t_done)
+            log.branching.append(k)
+            log.removed.append(furthest)
+        clock += duration
+        log.reads.append(state.with_positions(pos, clock))
+    return log.reads[-1], log
 
 
 # ---------------------------------------------------------------------------

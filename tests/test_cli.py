@@ -72,6 +72,29 @@ class TestConfig:
         with pytest.raises(ValueError, match="sampler"):
             parse_config("[hydro]\nsampler = martian\n", "hydro", is_path=False)
 
+    @pytest.mark.parametrize("sub, key, value", [
+        ("simulate", "t", "nan"), ("simulate", "t", "inf"), ("solve", "t", "inf"),
+        ("hydro", "delta", "nan"), ("stationarity", "burn_in", "inf"),
+        ("stationarity", "window", "nan")])
+    def test_nonfinite_value_exit_two_before_output(self, tmp_path, sub, key, value,
+                                                    capsys):
+        # t = nan or inf used to run forever
+        out = tmp_path / "x"
+        assert main([sub, "--out", str(out), "--set", f"{key}={value}"]) == 2
+        assert f"'{key}'" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("snapshots", ["0.5,0.2", "0.2,0.2", "-0.1,0.5",
+                                           "0.1,nan", "0.1,inf"])
+    def test_bad_snapshots_exit_two_before_output(self, tmp_path, snapshots, capsys):
+        # a decreasing list used to fail inside the run, naming an internal
+        # parameter, after error.json and manifest.json were written
+        out = tmp_path / "x"
+        assert main(["simulate", "--out", str(out), "--set",
+                     f"snapshots={snapshots}"]) == 2
+        assert "'snapshots'" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_file(self):
         with pytest.raises(FileNotFoundError):
             parse_config("/nonexistent/path.cfg", "solve")

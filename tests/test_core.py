@@ -127,8 +127,10 @@ class TestWholeSteps:
         with pytest.raises(ValueError, match="time 2.005 is not a multiple"):
             whole_steps(2.005, 0.01, "time")
 
-    @pytest.mark.parametrize("step", [0.0, -0.1, math.nan])
+    @pytest.mark.parametrize("step", [0.0, -0.1, math.nan, math.inf])
     def test_step_must_be_positive(self, step):
+        # an infinite step used to give 0 steps: 0 * inf is nan, which
+        # passes the multiple check
         with pytest.raises(ValueError, match="positive"):
             whole_steps(1.0, step, "window")
 

@@ -283,6 +283,14 @@ class TestLatticeMixture:
                        for a, c in zip(locs, sizes))
         return sum(c * radial_cdf(d, float(a), r, t) for a, c in zip(locs, sizes))
 
+    @pytest.mark.parametrize("dim", [0, -1])
+    def test_dim_below_one_rejected(self, dim):
+        # dim 0 used to take the series route and return NaN at node 0
+        r = np.arange(50) * self.H
+        with pytest.raises(ValueError, match="dim must be >= 1"):
+            mixture_node_values(dim, 0.1, np.array([0.1]), np.array([1.0]), r,
+                                lattice_h=self.H)
+
     @pytest.mark.parametrize("d", [1, 2, 3])
     @pytest.mark.parametrize("t", [0.01, 0.3])
     def test_matches_pointwise_kernel(self, d, t):

@@ -1,6 +1,10 @@
+import ast
 import subprocess
 import sys
 import textwrap
+from pathlib import Path
+
+import pytest
 
 # run in a fresh interpreter so that modules other tests imported do not count
 _PROBE = textwrap.dedent("""
@@ -28,3 +32,53 @@ def test_import_is_light_and_exports_resolve():
     assert proc.returncode == 0, proc.stderr
     assert set(proc.stdout.split()) >= {"cli", "config", "core", "experiments",
                                         "kernels", "obstacle", "sim"}
+
+
+_SRC = Path(__file__).resolve().parents[1] / "src" / "nbbm"
+
+
+def _engine_calls(node) -> list[int]:
+    """Line numbers of the ``advance_nbbm`` calls inside ``node``."""
+    return [c.lineno for c in ast.walk(node) if isinstance(c, ast.Call)
+            and "advance_nbbm" in (getattr(c.func, "id", None),
+                                   getattr(c.func, "attr", None))]
+
+
+def _per_iteration(node) -> list:
+    """The parts of a loop or comprehension that run once per iteration."""
+    if isinstance(node, (ast.For, ast.AsyncFor)):
+        return node.body
+    if isinstance(node, ast.While):
+        return [node.test, *node.body]
+    if isinstance(node, (ast.ListComp, ast.SetComp, ast.GeneratorExp, ast.DictComp)):
+        gens = node.generators
+        return [*(getattr(node, f) for f in ("elt", "key", "value") if hasattr(node, f)),
+                *(c for g in gens for c in g.ifs), *(g.iter for g in gens[1:])]
+    return []
+
+
+def _looped_engine_calls(source: str) -> list[int]:
+    return sorted({line for node in ast.walk(ast.parse(source))
+                   for part in _per_iteration(node) for line in _engine_calls(part)})
+
+
+def test_no_module_outside_sim_loops_over_advance_nbbm():
+    # advance_nbbm takes every read window of a particle run, so that the
+    # engine knows each read time in advance
+    assert _looped_engine_calls("for s in x:\n    sim.advance_nbbm(p, e, s, r)\n") == [2]
+    assert _looped_engine_calls("while go:\n    go = advance_nbbm(p, e, s, r)\n") == [2]
+    assert _looped_engine_calls("m = [x for x in advance_nbbm(p, e, w, r)[1].reads]") == []
+    offenders = [f"{path.name}:{line}" for path in sorted(_SRC.glob("*.py"))
+                 if path.name != "sim.py"
+                 for line in _looped_engine_calls(path.read_text())]
+    assert offenders == []
+
+
+@pytest.mark.parametrize("module, function", [
+    ("cli", "_run_simulate"), ("experiments", "_hydro_replica"),
+    ("experiments", "_boundary_replica"), ("experiments", "_selection_replica"),
+    ("experiments", "stationarity_report")])
+def test_each_particle_run_is_one_engine_call(module, function):
+    tree = ast.parse((_SRC / f"{module}.py").read_text())
+    [fn] = [n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == function]
+    assert len(_engine_calls(fn)) == 1

@@ -105,6 +105,41 @@ class TestAdvanceNbbm:
                     assert log.branching == ref_log.branching
                     assert log.removed == ref_log.removed
 
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_windows_match_chained_reference(self, d):
+        # one call over the windows equals one reference call per window,
+        # all drawing from one generator
+        windows = (0.0, 0.05, 0.7, 0.0, 0.3)
+        for n in (1, 2, 50, 400):
+            start = ParticleEnsemble(d, replica_rng(33, n).standard_normal((n, d)),
+                                     clock=0.25)
+            params = SimParams(dim=d, population=n)
+            for seed in (0, 1, 2**40 + 3):
+                out, log = advance_nbbm(params, start, windows, replica_rng(seed, d))
+                rng = replica_rng(seed, d)
+                cur, reads, times, branching, removed = start, [], [], [], []
+                for duration in windows:
+                    cur, ref_log = reference_advance_nbbm(params, cur, duration, rng)
+                    reads.append(cur)
+                    times += ref_log.times
+                    branching += ref_log.branching
+                    removed += ref_log.removed
+                assert len(log.reads) == len(windows)
+                for got, ref in zip(log.reads, reads):
+                    assert np.array_equal(got.positions, ref.positions)
+                    assert got.clock == ref.clock
+                assert out is log.reads[-1]
+                assert log.times == times
+                assert log.branching == branching
+                assert log.removed == removed
+
+    @pytest.mark.parametrize("windows", [math.nan, math.inf, -0.1, (0.1, math.nan),
+                                         (0.1, -1e-300), (0.2, math.inf), ()])
+    def test_bad_windows_rejected(self, windows):
+        params = SimParams(dim=1, population=5)
+        with pytest.raises(ValueError, match="windows"):
+            advance_nbbm(params, origin_ensemble(5, 1), windows, replica_rng(9, 0))
+
     @pytest.mark.parametrize("d", [1, 3])
     def test_nonfinite_norm_raises_at_first_event(self, d):
         params = SimParams(dim=d, population=5)
