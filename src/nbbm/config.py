@@ -126,12 +126,12 @@ def _validate(subcommand: str, p: dict):
         raise ValueError(f"config key 'n' must be >= 1, got {p['n']}")
     if "d" in p and not (1 <= p["d"] <= 12):
         raise ValueError(f"config key 'd' must be in 1..12, got {p['d']}")
-    if "t" in p:
-        positive("t")
-    if "delta" in p:
-        positive("delta")
-    if "replicas" in p:
-        positive("replicas")
+    for key in ("t", "delta", "replicas", "sampler_radius", "initial_radius",
+                "window_dt", "snapshot_dt", "burn_in", "window", "n_windows"):
+        if key in p:
+            positive(key)
+    if p.get("grid_step") is not None:
+        positive("grid_step")
     if subcommand in ("simulate", "hydro", "selection") and \
             p["sampler"] not in ("origin", "uniform-ball", "stationary"):
         raise ValueError(f"unknown sampler {p['sampler']!r}")
@@ -141,10 +141,6 @@ def _validate(subcommand: str, p: dict):
                 b <= a for a, b in zip(snaps, snaps[1:])):
             raise ValueError(f"config key 'snapshots' must be finite, nonnegative "
                              f"and strictly increasing, got {list(snaps)}")
-    if subcommand == "stationarity":
-        positive("burn_in")
-        positive("window")
-        positive("n_windows")
 
 
 @dataclass(frozen=True)

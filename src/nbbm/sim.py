@@ -12,17 +12,18 @@ killed-Brownian-motion survival estimates.  The coupling grows the free
 branching Brownian motion (BBM: rate-1 binary branching, no selection,
 Ulam-Harris labels) and realizes the N-particle system as its blue subset,
 so the forest it returns is the free BBM; :func:`coupled_run` is the one
-BBM engine.  It draws a forest particle's Brownian increment only when its
-position is read, from the time of its previous read: a red event reads
-the branching particle (O(d)), a blue event reads the N blues (O(N d)), and
-an observation reads every particle (O(population d)).  Red particles are
-never selected, so the positions skipped between reads enter no output.
+BBM engine.  One Poisson clock of rate m (the forest's size) picks the
+branching particle uniformly, and a particle's Brownian increment is drawn
+only when its position is read.  The N blues are one dense block that a
+blue event diffuses (O(N d)), a red event only records its branching (O(1)),
+and an observation replays those and reads every particle (O(population d)).
+Red particles are never selected, so the skipped positions enter no output.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
+from array import array
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -81,20 +82,20 @@ class SimParams:
         if self.dim < 1:
             raise ValueError("dim must be >= 1")
         sched = tuple(float(s) for s in self.record_schedule)
-        if any(s < 0.0 for s in sched) or any(
+        if not all(0.0 <= s < math.inf for s in sched) or any(
                 b <= a for a, b in zip(sched, sched[1:])):
-            raise ValueError("record_schedule must be strictly increasing and nonnegative")
+            raise ValueError("record_schedule must be finite, nonnegative, strictly increasing")
         object.__setattr__(self, "record_schedule", sched)
 
 
 @dataclass
 class EventLog:
-    """Each event's time, branching and removed label (``len`` counts
-    events), and the ensemble at each window's end."""
+    """Each event's time, branching and removed label as 8-byte typed arrays
+    (``len`` counts events), and the ensemble at each window's end."""
 
-    times: list[float] = field(default_factory=list)
-    branching: list[int] = field(default_factory=list)
-    removed: list[int] = field(default_factory=list)
+    times: array = field(default_factory=lambda: array("d"))
+    branching: array = field(default_factory=lambda: array("q"))
+    removed: array = field(default_factory=lambda: array("q"))
     reads: list[ParticleEnsemble] = field(default_factory=list)
 
     def __len__(self):
@@ -182,6 +183,7 @@ class BbmForest:
 
 
 _POPULATION_CAP = 10_000_000
+_CLOCK_BLOCK = 256   # events whose gaps and picks are drawn in one call
 
 
 @dataclass(frozen=True)
@@ -227,27 +229,29 @@ def coupled_run(params: SimParams, initial: ParticleEnsemble, duration: float,
     excluding lineages that tied the maximum exactly at their flip event,
     where the event-time check is inconclusive by construction.
 
-    Positions are drawn only when read.  Particle i keeps ``last[i]``, the
-    time its position was last drawn, and a read at time t adds
-    sqrt(2 (t - last[i])) times a standard normal vector.  A red event
-    reads its parent (d normals), a blue event reads the N blues (every
-    blue event and observation reads them all, so they share one clock),
-    and each observation and the end read every particle.  This is exact: the
-    branching clocks do not depend on positions, every read time is a clock
-    time or a fixed observation time, Brownian increments over disjoint
-    intervals are independent N(0, 2 dt I), and no selection acts on red
-    particles, so their positions between reads enter no output.  The
-    forest, blue set, observations and flags have the joint law of a loop
-    that diffuses every particle across every gap.
+    One clock drives the forest: with m particles the next branching comes
+    after an Exp(m) gap at a uniform index below m (superposition and
+    memorylessness), drawn in blocks since m grows by one per event.
+    Positions are drawn only when read, as sqrt(2 dt) standard normals over
+    the time since the last read.  The N blues are one dense block that a
+    blue event diffuses; a flipped blue is written to its forest row.  A red
+    event only records (time, parent, child), replayed at each observation
+    and at the end in chronological rounds, parents before children; then
+    every particle is read.  This is exact: the clock does not depend on
+    positions, every read time is an event or observation time, Brownian
+    increments over disjoint intervals are independent N(0, 2 dt I), and no
+    selection acts on red particles, so their positions between reads enter
+    no output.  The forest, blue set, observations and flags have the joint
+    law of a loop that diffuses every particle across every gap.
 
     The reconstruction check keeps its meaning.  ``exceeded`` is updated
     from the norms read at each blue event.  A particle turns red with
     ``exceeded`` or ``tie_lineage`` already set, both flags only grow and
     children inherit both, so a red particle passes the check whatever its
     later norms; a blue particle's flags can change only at blue events,
-    where every blue is read.  Checking the particles read at each blue
-    event, and every particle at each observation and at the end, therefore
-    checks the predicate over the whole forest at every event.
+    where every blue is read.  Checking the N+1 blues at each blue event,
+    and every particle at each observation and at the end, therefore checks
+    the predicate over the whole forest at every event.
     """
     if duration < 0.0:
         raise ValueError("duration must be nonnegative")
@@ -258,18 +262,24 @@ def coupled_run(params: SimParams, initial: ParticleEnsemble, duration: float,
     now = initial.clock
     end = initial.clock + duration
     # the forest is the first m rows of arrays that double when full
-    m, cap = n, 2 * n
-    pos = np.empty((cap, d))
+    m = n
+    pos = np.empty((2 * n, d))
     pos[:n] = initial.positions
-    last = np.full(cap, now)               # time each position was last drawn
-    blue = np.ones(cap, dtype=bool)
-    exceeded = np.zeros(cap, dtype=bool)   # ever strictly above the blue max
-    tie_lineage = np.zeros(cap, dtype=bool)
-    blue_idx = np.arange(n + 1)            # sorted blue indices; slot n takes a blue child
+    last = np.full(2 * n, now)               # time each position was last drawn
+    exceeded = np.zeros(2 * n, dtype=bool)   # ever strictly above the blue max
+    tie_lineage = np.zeros(2 * n, dtype=bool)
     labels = [(i + 1,) for i in range(n)]
+    # the blues, drawn at b_clock (their forest rows are stale), and their
+    # forest indices; row n takes a blue event's child
+    block = np.empty((n + 1, d))
+    block[:n] = initial.positions
+    ids = np.arange(n + 1)
+    row = {i: i for i in range(n)}         # forest index -> block row
+    b_clock = now
+    step, norms = np.empty((n, d)), np.empty(n + 1)
+    pending = []                           # unread red branchings (time, parent, child)
+    blue = None
 
-    heap = list(zip((now + rng.exponential(1.0, n)).tolist(), range(n)))
-    heapq.heapify(heap)
     schedule = [s for s in params.record_schedule
                 if initial.clock <= s <= end + 1e-12]
     obs: list[CoupledObservation] = []
@@ -277,102 +287,126 @@ def coupled_run(params: SimParams, initial: ParticleEnsemble, duration: float,
     domination_ok = True
     reconstruction_ok = True
 
-    def read(idx):
-        # idx: one forest index or an index array
-        x = pos[idx]
-        x = x + rng.standard_normal(x.shape) * np.sqrt(2.0 * (now - last[idx]))[..., None]
+    def read(idx, at):
+        x = pos[idx] + (rng.standard_normal((idx.size, d))
+                        * np.sqrt(2.0 * (at - last[idx]))[:, None])
         if not np.isfinite(x).all():
             raise SimulationError(f"nonfinite position at event {events}")
-        pos[idx] = x
-        last[idx] = now
+        pos[idx], last[idx] = x, at
+        return x
 
-    def read_all():
-        nonlocal reconstruction_ok
-        read(np.flatnonzero(last[:m] < now))
-        check = tie_lineage[:m] | (~exceeded[:m] == blue[:m])
+    def diffuse_blues(at):
+        nonlocal b_clock
+        if at > b_clock:
+            np.multiply(rng.standard_normal(out=step), math.sqrt(2.0 * (at - b_clock)),
+                        out=step)
+            block[:n] += step
+        b_clock = at
+
+    def read_all(at):
+        nonlocal reconstruction_ok, blue
+        diffuse_blues(at)
+        on = ids[:n]
+        pos[on], last[on] = block[:n], at
+        if pending:
+            # round r holds each particle's r-th pending branching, as parent
+            # or child, so a round reads disjoint particles already drawn
+            rounds, depth = {}, {}
+            for e, (_, p, c) in enumerate(pending):
+                r = depth[p] = depth[c] = depth.get(p, 0) + 1
+                rounds.setdefault(r, []).append(e)
+            t_rec, parents, children = np.array(pending).T
+            parents, children = parents.astype(np.intp), children.astype(np.intp)
+            for r in rounds.values():
+                p, c, t = parents[r], children[r], t_rec[r]
+                pos[c], last[c] = read(p, t), t
+                exceeded[c], tie_lineage[c] = exceeded[p], tie_lineage[p]
+            pending.clear()
+        read(np.flatnonzero(last[:m] < at), at)
+        blue = np.zeros(m, dtype=bool)
+        blue[on] = True
+        check = tie_lineage[:m] | (~exceeded[:m] == blue)
         reconstruction_ok = reconstruction_ok and bool(np.all(check))
 
     def observe(at: float):
         nonlocal domination_ok
-        norms = np.sqrt(np.einsum("ij,ij->i", pos[:m], pos[:m]))
-        on = blue[:m]
-        ok = _dominated(norms[on], norms, n)
+        all_norms = np.sqrt(np.einsum("ij,ij->i", pos[:m], pos[:m]))
+        ok = _dominated(all_norms[blue], all_norms, n)
         domination_ok = domination_ok and ok
-        obs.append(CoupledObservation(at, np.sort(norms[on]), np.sort(norms),
-                                      ok, int(on.sum())))
+        obs.append(CoupledObservation(at, np.sort(all_norms[blue]), np.sort(all_norms),
+                                      ok, int(blue.sum())))
 
+    gaps, picks, i = [], [], 0
     while True:
-        next_event = heap[0][0] if heap else math.inf
-        if schedule and schedule[0] <= min(next_event, end):
-            now = schedule.pop(0)
-            read_all()
-            observe(now)
-            continue
-        if next_event >= end:
-            now = end
-            read_all()
+        if i == len(gaps):
+            rates = m + np.arange(_CLOCK_BLOCK)
+            gaps = (rng.standard_exponential(_CLOCK_BLOCK) / rates).tolist()
+            picks = rng.integers(0, rates).tolist()
+            i = 0
+        t_next, idx = now + gaps[i], picks[i]
+        i += 1
+        while schedule and schedule[0] <= min(t_next, end):
+            at = schedule.pop(0)
+            read_all(at)
+            observe(at)
+        if t_next >= end:
             break
-        now, idx = heapq.heappop(heap)
+        now = t_next
         events += 1
-        parent_blue = bool(blue[idx])
-        read(blue_idx[:n] if parent_blue else idx)
-
-        if m == cap:
-            cap *= 2
-            pos, last, blue, exceeded, tie_lineage = (
-                _grown(a, cap) for a in (pos, last, blue, exceeded, tie_lineage))
-        child = m
-        m += 1
-        pos[child] = pos[idx]
-        last[child] = now
-        blue[child] = parent_blue
-        exceeded[child] = exceeded[idx]
-        tie_lineage[child] = tie_lineage[idx]
-        labels.append(labels[idx] + (2,))
-        labels[idx] = labels[idx] + (1,)
+        if m == len(last):
+            pos, last, exceeded, tie_lineage = (np.concatenate((a, np.empty_like(a)))
+                                                for a in (pos, last, exceeded, tie_lineage))
+        child, m = m, m + 1
         if m > population_cap:
             raise ResourceError(f"coupled BBM population exceeded cap {population_cap}")
-        heapq.heappush(heap, (now + rng.exponential(1.0), idx))
-        heapq.heappush(heap, (now + rng.exponential(1.0), child))
+        labels.append(labels[idx] + (2,))
+        labels[idx] = labels[idx] + (1,)
+        j = row.get(idx)
+        if j is None:   # red: read at the next observation or the end
+            pending.append((now, idx, child))
+            continue
 
-        if parent_blue:
-            blue_idx[n] = child
-            x = pos[blue_idx]
-            norms = np.sqrt(np.einsum("ij,ij->i", x, x))
-            k = int(np.argmax(norms))   # ties resolve to the lowest forest index
-            if not math.isfinite(norms[k]):   # argmax returns the first NaN
-                raise SimulationError(f"nonfinite blue norm at event {events}")
-            flip = int(blue_idx[k])
-            blue[flip] = False
-            m_blue = float(max(norms[:k].max(initial=-math.inf),
-                               norms[k + 1:].max(initial=-math.inf)))
-            if norms[k] <= m_blue + 1e-15:
-                tie_lineage[flip] = True
-            exceeded[blue_idx] |= norms > m_blue
-            # blue particles never exceed the blue maximum; a mismatch on a
-            # non-tie lineage means the bookkeeping (not randomness) is wrong
-            check = tie_lineage[blue_idx] | (~exceeded[blue_idx] == blue[blue_idx])
-            reconstruction_ok = reconstruction_ok and bool(np.all(check))
-            blue_idx[k:n] = blue_idx[k + 1:]
+        diffuse_blues(now)
+        block[n] = block[j]
+        np.einsum("ij,ij->i", block, block, out=norms)
+        np.sqrt(norms, out=norms)
+        k = int(norms.argmax())   # the first NaN, else the first max
+        top = norms[k]
+        if not math.isfinite(top):
+            raise SimulationError(f"nonfinite position at event {events}")
+        m_blue = max(norms[:k].max(initial=-math.inf), norms[k + 1:].max(initial=-math.inf))
+        ids[n] = child
+        exceeded[child], tie_lineage[child] = exceeded[idx], tie_lineage[idx]
+        tie = top <= m_blue + 1e-15
+        if tie:   # exact ties resolve to the lowest forest index
+            tied = np.flatnonzero(norms == top)
+            k = int(tied[ids[tied].argmin()])
+        flip = int(ids[k])
+        tie_lineage[flip] |= tie
+        exceeded[ids] |= norms > m_blue
+        # blue particles never exceed the blue maximum; a mismatch on a
+        # non-tie lineage means the bookkeeping (not randomness) is wrong
+        wrong = exceeded[ids] > tie_lineage[ids]
+        wrong[k] = not (exceeded[flip] or tie_lineage[flip])
+        reconstruction_ok = reconstruction_ok and not wrong.any()
+        pos[flip], last[flip] = block[k], now
+        del row[flip]
+        if k < n:   # the child takes the flipped blue's row
+            block[k], ids[k], row[child] = block[n], child, k
 
+    now = end
+    read_all(end)
     while schedule:
         target = schedule.pop(0)
         if target > now + 1e-12:
             break
         observe(target)
 
-    pos, blue = pos[:m].copy(), blue[:m].copy()
+    pos = pos[:m].copy()
     final_blue = ParticleEnsemble(d, pos[blue], now)
     forest = BbmForest(d, labels, pos, now, blue)
     return CoupledRunResult(obs, final_blue, forest, events,
                             domination_ok, reconstruction_ok)
-
-
-def _grown(a: np.ndarray, cap: int) -> np.ndarray:
-    """``a`` copied into the head of an uninitialised array of ``cap`` rows."""
-    out = np.empty((cap,) + a.shape[1:], dtype=a.dtype)
-    out[:a.shape[0]] = a
-    return out
 
 
 # ---------------------------------------------------------------------------

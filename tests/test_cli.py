@@ -75,10 +75,26 @@ class TestConfig:
     @pytest.mark.parametrize("sub, key, value", [
         ("simulate", "t", "nan"), ("simulate", "t", "inf"), ("solve", "t", "inf"),
         ("hydro", "delta", "nan"), ("stationarity", "burn_in", "inf"),
-        ("stationarity", "window", "nan")])
+        ("stationarity", "window", "nan"), ("solve", "grid_step", "nan"),
+        ("solve", "grid_step", "inf"), ("solve", "initial_radius", "inf"),
+        ("simulate", "sampler_radius", "inf"), ("hydro", "sampler_radius", "nan"),
+        ("selection", "window_dt", "inf"), ("selection", "window_dt", "nan"),
+        ("stationarity", "snapshot_dt", "inf")])
     def test_nonfinite_value_exit_two_before_output(self, tmp_path, sub, key, value,
                                                     capsys):
-        # t = nan or inf used to run forever
+        # t = nan or inf used to run forever; grid_step = nan, sampler_radius
+        # = inf and the others failed inside the run, after manifest.json
+        out = tmp_path / "x"
+        assert main([sub, "--out", str(out), "--set", f"{key}={value}"]) == 2
+        assert f"'{key}'" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("sub, key, value", [
+        ("hydro", "grid_step", "0"), ("solve", "grid_step", "-1e-3"),
+        ("solve", "initial_radius", "0"), ("selection", "sampler_radius", "-1"),
+        ("selection", "window_dt", "0"), ("stationarity", "snapshot_dt", "0")])
+    def test_nonpositive_value_exit_two_before_output(self, tmp_path, sub, key, value,
+                                                      capsys):
         out = tmp_path / "x"
         assert main([sub, "--out", str(out), "--set", f"{key}={value}"]) == 2
         assert f"'{key}'" in capsys.readouterr().err

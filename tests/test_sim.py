@@ -1,11 +1,16 @@
+import heapq
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy import stats
 
 from nbbm.core import ParticleEnsemble, empirical_cdf, max_radius
-from nbbm.sim import (EventLog, ResourceError, SimParams, SimulationError, advance_nbbm,
+from nbbm.experiments import PointMassSampler, _selection_replica
+from nbbm.obstacle import stationary_state
+from nbbm.sim import (BbmForest, CoupledObservation, CoupledRunResult, EventLog,
+                      ResourceError, SimParams, SimulationError, _dominated, advance_nbbm,
                       coupled_run, replica_rng, spherically_ordered_pairs, survival_curve)
 
 
@@ -79,6 +84,122 @@ def reference_advance_nbbm(params, state, duration, rng):
     return state.with_positions(pos, state.clock + duration), log
 
 
+def reference_coupled_run(params, initial, duration, rng, population_cap=10_000_000):
+    """The heap-based ``coupled_run`` that the one-clock engine replaced:
+    one Exp(1) clock per particle, a red event reading its parent and a
+    blue event reading the N blues through fancy indexing.  Its RNG stream
+    differs from the engine's, so tests compare the two in law."""
+    n = params.population
+    d = initial.dim
+    now = initial.clock
+    end = initial.clock + duration
+    m, cap = n, 2 * n
+    pos = np.empty((cap, d))
+    pos[:n] = initial.positions
+    last = np.full(cap, now)
+    blue = np.ones(cap, dtype=bool)
+    exceeded = np.zeros(cap, dtype=bool)
+    tie_lineage = np.zeros(cap, dtype=bool)
+    blue_idx = np.arange(n + 1)            # sorted blue indices; slot n takes a blue child
+    labels = [(i + 1,) for i in range(n)]
+
+    heap = list(zip((now + rng.exponential(1.0, n)).tolist(), range(n)))
+    heapq.heapify(heap)
+    schedule = [s for s in params.record_schedule
+                if initial.clock <= s <= end + 1e-12]
+    obs = []
+    events = 0
+    domination_ok = True
+    reconstruction_ok = True
+
+    def read(idx):
+        x = pos[idx]
+        x = x + rng.standard_normal(x.shape) * np.sqrt(2.0 * (now - last[idx]))[..., None]
+        if not np.isfinite(x).all():
+            raise SimulationError(f"nonfinite position at event {events}")
+        pos[idx] = x
+        last[idx] = now
+
+    def read_all():
+        nonlocal reconstruction_ok
+        read(np.flatnonzero(last[:m] < now))
+        check = tie_lineage[:m] | (~exceeded[:m] == blue[:m])
+        reconstruction_ok = reconstruction_ok and bool(np.all(check))
+
+    def observe(at):
+        nonlocal domination_ok
+        norms = np.sqrt(np.einsum("ij,ij->i", pos[:m], pos[:m]))
+        on = blue[:m]
+        ok = _dominated(norms[on], norms, n)
+        domination_ok = domination_ok and ok
+        obs.append(CoupledObservation(at, np.sort(norms[on]), np.sort(norms),
+                                      ok, int(on.sum())))
+
+    while True:
+        next_event = heap[0][0] if heap else math.inf
+        if schedule and schedule[0] <= min(next_event, end):
+            now = schedule.pop(0)
+            read_all()
+            observe(now)
+            continue
+        if next_event >= end:
+            now = end
+            read_all()
+            break
+        now, idx = heapq.heappop(heap)
+        events += 1
+        parent_blue = bool(blue[idx])
+        read(blue_idx[:n] if parent_blue else idx)
+
+        if m == cap:
+            cap *= 2
+            pos, last, blue, exceeded, tie_lineage = (
+                np.concatenate((a, np.empty_like(a))) for a in
+                (pos, last, blue, exceeded, tie_lineage))
+        child = m
+        m += 1
+        pos[child] = pos[idx]
+        last[child] = now
+        blue[child] = parent_blue
+        exceeded[child] = exceeded[idx]
+        tie_lineage[child] = tie_lineage[idx]
+        labels.append(labels[idx] + (2,))
+        labels[idx] = labels[idx] + (1,)
+        if m > population_cap:
+            raise ResourceError(f"coupled BBM population exceeded cap {population_cap}")
+        heapq.heappush(heap, (now + rng.exponential(1.0), idx))
+        heapq.heappush(heap, (now + rng.exponential(1.0), child))
+
+        if parent_blue:
+            blue_idx[n] = child
+            x = pos[blue_idx]
+            norms = np.sqrt(np.einsum("ij,ij->i", x, x))
+            k = int(np.argmax(norms))   # ties resolve to the lowest forest index
+            if not math.isfinite(norms[k]):
+                raise SimulationError(f"nonfinite blue norm at event {events}")
+            flip = int(blue_idx[k])
+            blue[flip] = False
+            m_blue = float(max(norms[:k].max(initial=-math.inf),
+                               norms[k + 1:].max(initial=-math.inf)))
+            if norms[k] <= m_blue + 1e-15:
+                tie_lineage[flip] = True
+            exceeded[blue_idx] |= norms > m_blue
+            check = tie_lineage[blue_idx] | (~exceeded[blue_idx] == blue[blue_idx])
+            reconstruction_ok = reconstruction_ok and bool(np.all(check))
+            blue_idx[k:n] = blue_idx[k + 1:]
+
+    while schedule:
+        target = schedule.pop(0)
+        if target > now + 1e-12:
+            break
+        observe(target)
+
+    pos, blue = pos[:m].copy(), blue[:m].copy()
+    return CoupledRunResult(obs, ParticleEnsemble(d, pos[blue], now),
+                            BbmForest(d, labels, pos, now, blue), events,
+                            domination_ok, reconstruction_ok)
+
+
 def far_start(n, d):
     """n particles near the origin and particle 1 at 1e200, whose squared
     norm overflows to inf."""
@@ -129,9 +250,9 @@ class TestAdvanceNbbm:
                     assert np.array_equal(got.positions, ref.positions)
                     assert got.clock == ref.clock
                 assert out is log.reads[-1]
-                assert log.times == times
-                assert log.branching == branching
-                assert log.removed == removed
+                assert log.times.tolist() == times
+                assert log.branching.tolist() == branching
+                assert log.removed.tolist() == removed
 
     @pytest.mark.parametrize("windows", [math.nan, math.inf, -0.1, (0.1, math.nan),
                                          (0.1, -1e-300), (0.2, math.inf), ()])
@@ -153,6 +274,21 @@ class TestAdvanceNbbm:
         assert out.population == 50
         assert out.clock == pytest.approx(0.7)
         assert len(log.times) == len(log.branching) == len(log.removed)
+        assert [a.typecode for a in (log.times, log.branching, log.removed)] == ["d", "q", "q"]
+
+    def test_selection_replica_memory(self):
+        # a default selection replica (N=2000, t=15) logs ~32k events; as
+        # Python lists at ~100 B an event its tracemalloc peak was 3.8 MB,
+        # as typed arrays of 8 B an entry it is 1.2 MB
+        r_inf = stationary_state(1).r_infinity
+        tracemalloc.start()
+        try:
+            _selection_replica(0, 0, 2000, 1, 15.0, 1.0, 1.0, PointMassSampler(1),
+                               0.05, 20, r_inf)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2e6
 
     def test_zero_duration_identity(self):
         params = SimParams(dim=1, population=10)
@@ -249,6 +385,39 @@ class TestAdvanceBbm:
             free_bbm(origin_ensemble(4, 1), 6.0, replica_rng(13, 0), population_cap=20)
 
 
+@pytest.fixture(scope="module")
+def coupled_law_samples():
+    """Four statistics of 300 coupled runs (d=2, N=50, t=1, observed at 0.5
+    and 1) from ``coupled_run`` and from ``reference_coupled_run``."""
+    n, d, reps = 50, 2, 300
+    params = SimParams(dim=d, population=n, record_schedule=(0.5, 1.0))
+    ens = ParticleEnsemble(d, replica_rng(34, 0).uniform(-1, 1, (n, d)))
+
+    def sample(engine, seed):
+        rows = []
+        for rep in range(reps):
+            res = engine(params, ens, 1.0, replica_rng(seed, rep))
+            first, last = res.observations
+            rows.append((res.forest_final.population, first.blue_norms[-1],
+                         last.all_norms[-1], np.median(last.all_norms)))
+        cols = np.array(rows).T
+        return dict(zip(("final_population", "first_blue_max", "last_forest_max",
+                         "last_forest_median"), cols))
+
+    return sample(coupled_run, 35), sample(reference_coupled_run, 36)
+
+
+class TestSimParams:
+    @pytest.mark.parametrize("schedule", [(0.1, math.nan, math.inf), (math.nan,),
+                                          (0.5, math.inf), (-0.1, 0.5), (0.5, 0.5),
+                                          (0.5, 0.2)])
+    def test_bad_record_schedule_rejected(self, schedule):
+        # NaN fails every comparison, so (0.1, nan, inf) used to pass and
+        # coupled_run dropped the nonfinite times without a word
+        with pytest.raises(ValueError, match="record_schedule"):
+            SimParams(dim=1, population=2, record_schedule=schedule)
+
+
 class TestCoupledRun:
     def test_domination_and_blue_count(self):
         params = SimParams(dim=2, population=100, record_schedule=(0.5, 1.0, 1.5))
@@ -289,16 +458,17 @@ class TestCoupledRun:
         assert np.array_equal(last.blue_norms, np.sort(res.blue_final.norms()))
 
     def test_red_particles_drawn_only_when_read(self):
-        # a blue event reads the N blues, a red event its parent, and each
-        # observation and the end the whole forest; an eager loop that
-        # diffuses every particle at every event draws ~8x this bound
+        # a blue event reads the N blues, a red event its parent (when it is
+        # replayed), and each observation and the end the whole forest; an
+        # eager loop that diffuses every particle at every event draws ~8x
+        # this bound
         n, d = 50, 2
         params = SimParams(dim=d, population=n, record_schedule=(1.0, 2.0, 3.0))
         for rep in range(3):
             ens = ParticleEnsemble(d, replica_rng(28, rep).uniform(-1, 1, (n, d)))
             rng = _CountingRng(replica_rng(29, rep))
             res = coupled_run(params, ens, 3.0, rng)
-            reads = (d * (n + 1) * res.events
+            reads = (d * n * res.events
                      + d * res.forest_final.population * (len(res.observations) + 1))
             assert 0 < rng.normals <= reads
 
@@ -324,6 +494,43 @@ class TestCoupledRun:
             forest = free_bbm(origin_ensemble(5, 2), t, rng)
             xs[rep] = forest.positions[int(rng.integers(forest.population)), 0]
         assert stats.kstest(xs, "norm", args=(0.0, math.sqrt(2 * t))).pvalue > 1e-3
+
+    @pytest.mark.parametrize("stat", ["final_population", "first_blue_max",
+                                      "last_forest_max", "last_forest_median"])
+    def test_law_matches_reference(self, stat, coupled_law_samples):
+        # the one-clock engine and the heap-based one draw different streams
+        # but must give the same joint law
+        engine, ref = coupled_law_samples
+        assert stats.ks_2samp(engine[stat], ref[stat]).pvalue > 1e-3
+
+    @pytest.mark.parametrize("engine", [coupled_run, reference_coupled_run])
+    def test_parent_child_tie_flips_the_parent(self, engine):
+        # with N = 1 a blue event's parent and child tie exactly; the parent,
+        # the lower forest index, turns red, so the blue is always the
+        # second child of the previous blue
+        params = SimParams(dim=2, population=1, record_schedule=(0.5,))
+        for rep in range(20):
+            res = engine(params, origin_ensemble(1, 2), 1.5, replica_rng(37, rep))
+            forest = res.forest_final
+            assert res.reconstruction_ok and res.domination_ok
+            (b,) = np.flatnonzero(forest.blue)
+            assert forest.labels[b][0] == 1 and set(forest.labels[b][1:]) <= {2}
+            assert np.array_equal(res.blue_final.positions, forest.positions[[b]])
+
+    def test_replayed_red_particle_marginal(self):
+        # with one blue nearly every event is red and replayed at an
+        # observation or the end; a uniformly chosen particle at t is still
+        # N(0, 2t I), so |x|^2 / (2 t d) has mean 1 and variance 2 / d
+        t, d, reps = 2.0, 2, 2000
+        params = SimParams(dim=d, population=1, record_schedule=(1.0,))
+        xs = np.empty((reps, d))
+        for rep in range(reps):
+            rng = replica_rng(38, rep)
+            forest = coupled_run(params, origin_ensemble(1, d), t, rng).forest_final
+            xs[rep] = forest.positions[int(rng.integers(forest.population))]
+        scaled = (xs ** 2).sum(axis=1) / (2 * t * d)
+        assert abs(scaled.mean() - 1.0) < 4 * math.sqrt(2 / (d * reps))
+        assert stats.kstest(xs[:, 0], "norm", args=(0.0, math.sqrt(2 * t))).pvalue > 1e-3
 
     def test_negative_duration_rejected(self):
         # a negative duration would run the clock backwards (5 -> 4)
