@@ -20,7 +20,7 @@ def _fmt(value) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, float):
-        return "none" if math.isnan(value) else f"{value:.17g}"
+        return f"{value:.17g}"
     if isinstance(value, tuple):
         return ",".join(f"{v:.17g}" for v in value)
     return str(value)
@@ -127,11 +127,19 @@ def _validate(subcommand: str, p: dict):
     if "d" in p and not (1 <= p["d"] <= 12):
         raise ValueError(f"config key 'd' must be in 1..12, got {p['d']}")
     for key in ("t", "delta", "replicas", "sampler_radius", "initial_radius",
-                "window_dt", "snapshot_dt", "burn_in", "window", "n_windows"):
+                "window_dt", "snapshot_dt", "burn_in", "window", "n_windows", "k",
+                "sup_tol", "m_tol", "mass_tol", "tolerance_q90", "pairwise_tol"):
         if key in p:
             positive(key)
     if p.get("grid_step") is not None:
         positive("grid_step")
+    if "c" in p and not 0.0 <= p["c"] <= 1.0:
+        raise ValueError(f"config key 'c' must be a fraction in [0, 1], got {p['c']}")
+    if "profile_nodes" in p and p["profile_nodes"] < 2:
+        raise ValueError(f"config key 'profile_nodes' must be >= 2, got {p['profile_nodes']}")
+    if "t_values" in p and not all(0 < t < math.inf for t in p["t_values"]):
+        raise ValueError(f"config key 't_values' must be positive and finite, "
+                         f"got {list(p['t_values'])}")
     if subcommand in ("simulate", "hydro", "selection") and \
             p["sampler"] not in ("origin", "uniform-ball", "stationary"):
         raise ValueError(f"unknown sampler {p['sampler']!r}")

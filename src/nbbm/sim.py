@@ -6,6 +6,14 @@ so branch events arrive as a Poisson process with rate N.  At an event a
 uniformly chosen label k duplicates and the particle furthest from the
 origin (lowest index on ties) is removed: its slot is overwritten with the
 position of particle k, keeping the population at N.
+:func:`advance_nbbm` draws a position only when the particle could be the
+furthest, when it branches, or when it is read: the particles well inside
+the swarm carry exact one-dimensional interval states (:class:`_Interval`)
+instead of being diffused at every event, so an event costs
+O(candidates * d) and not O(N * d).  Its exactness rests on four facts: the
+clock and branching labels are independent of the positions, the interval
+states are Markov, every read is an exact rejection sample, and the
+selection reads only radii at event times.
 
 Also here: the red/blue coupling, spherically ordered Brownian pairs and
 killed-Brownian-motion survival estimates.  The coupling grows the free
@@ -27,6 +35,7 @@ from array import array
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.special import ndtr, ndtri
 
 from .core import ParticleEnsemble
 
@@ -44,6 +53,9 @@ __all__ = [
     "spherically_ordered_pairs",
     "survival_curve",
 ]
+
+
+_CLOCK_BLOCK = 256   # events whose gaps and picks are drawn in one call
 
 
 class SimulationError(RuntimeError):
@@ -108,15 +120,27 @@ def advance_nbbm(params: SimParams, state: ParticleEnsemble, windows,
 
     ``windows`` is one duration or a sequence of durations; the ensemble at
     each window's end goes to ``log.reads`` and the last one is returned.  A
-    window runs as its own call would: a fresh exponential gap (exact by
-    memorylessness), the crossing gap cut and discarded (a zero-length window
-    still draws one), and the clock moved to ``clock + duration``.  They are
-    durations because differences of read times do not round back to them.
+    window runs as its own call would: it draws a fresh block of gaps (exact
+    by memorylessness), discards the crossing gap and the rest of the block,
+    and moves the clock to ``clock + duration``.  They are durations because
+    differences of read times do not round back to them.
 
-    Each event draws ``exponential(1/N)`` (the gap), N*d standard normals
-    (every particle diffuses across it) and ``integers(N)`` (the branching
-    label), in this order, which is part of the contract.  An event costs
-    O(N*d), and the normal draws are its floor.
+    The clock (Exp(N) gaps) and the branching labels (uniform) are drawn in
+    blocks.  A position is drawn only when the particle could be the
+    furthest, when it branches, or at the end of an internal window (see
+    :class:`_Swarm`), so an event costs O(candidates * d) and not O(N * d).
+
+    The clock, branching labels, removed labels and reads have the joint law
+    of the loop that diffuses every particle across every gap, for four
+    reasons.  The clock and labels are independent of the positions.  Each
+    boxed coordinate's state (it stays in its interval until a time, or
+    first leaves it then through a side) is an exact draw from its law, and
+    given its state and last read the coordinate is still a Markov process
+    (Brownian motion under an h-transform), so a later read needs only
+    those.  Every read is an exact rejection sample from that law.  And the
+    selection reads only radii at event times: while some candidate is at
+    radius >= g, no boxed particle (inside its box, inside the ball of
+    radius g) can be the furthest, and otherwise every particle is read.
     """
     durations = [float(w) for w in ((windows,) if np.ndim(windows) == 0 else windows)]
     if not durations or not all(0.0 <= w < math.inf for w in durations):
@@ -125,36 +149,482 @@ def advance_nbbm(params: SimParams, state: ParticleEnsemble, windows,
     n = params.population
     if state.population != n:
         raise ValueError(f"state has {state.population} particles, params say {n}")
-    pos = state.positions.copy()
-    step, sq = np.empty_like(pos), np.empty(n)
+    swarm = _Swarm(state.positions.copy(), rng)
     log = EventLog()
     clock = state.clock
     for duration in durations:
-        t_done = 0.0
+        end = clock + duration
+        swarm.reset(clock, end)
+        gaps, picks, i = (), (), 0
+        now = clock
         while True:
-            gap = rng.exponential(1.0 / n)
-            last = t_done + gap >= duration
-            dt = duration - t_done if last else gap
-            if dt > 0.0:
-                rng.standard_normal(out=step)
-                step *= math.sqrt(2.0 * dt)
-                pos += step
-            if last:
+            if i == len(gaps):
+                gaps = (rng.standard_exponential(_CLOCK_BLOCK) / n).tolist()
+                picks = rng.integers(0, n, _CLOCK_BLOCK).tolist()
+                i = 0
+            now += gaps[i]
+            k = picks[i]
+            i += 1
+            if now >= end:
                 break
-            t_done += gap
-            np.einsum("ij,ij->i", pos, pos, out=sq)
-            furthest = int(sq.argmax())  # the first NaN, else the lowest max index
-            if not math.isfinite(sq[furthest]):
-                raise SimulationError(f"nonfinite position at event {len(log)} "
-                                      f"(t={clock + t_done:.6g})")
-            k = int(rng.integers(n))
-            pos[furthest] = pos[k]
-            log.times.append(clock + t_done)
+            removed = swarm.event(now, k, len(log))
+            log.times.append(now)
             log.branching.append(k)
-            log.removed.append(furthest)
-        clock += duration
-        log.reads.append(state.with_positions(pos, clock))
+            log.removed.append(removed)
+        clock = end
+        log.reads.append(state.with_positions(swarm.finish(), clock))
     return log.reads[-1], log
+
+
+_SPAN = 0.1           # internal windows last _SPAN * min(1, (2000 / N)^(1/3))
+_TOP = 2.0            # ... and start with _TOP * sqrt(N L) + 8 particles beyond g
+_EXIT_COST = 400.0    # events over which diffusing a candidate costs one box exit
+
+
+class _Swarm:
+    """The particles of :func:`advance_nbbm` within one read window.
+
+    The read window is split into internal windows of length
+    L = _SPAN * min(1, (2000 / N)^(1/3)) (the last one shorter): the box
+    work of a window is O(N), so longer windows spend less on it, while the
+    candidates and box exits of a window grow with sqrt(N L).  At an internal
+    window's start every position is known, and the guard radius g is that
+    of the (ceil(_TOP sqrt(N L)) + 8)-th furthest particle.  A particle
+    closer than g gets its own box (-c_1, c_1) x ... x (-c_d, c_d) with
+    c_j = |x_j| + s, where s > 0 solves ||(|x_j| + s)_j|| = g, so the box
+    lies inside the ball of radius g.  It keeps the box if s is at least
+    max(0.75, kappa) sqrt(2 L), where a particle at kappa sqrt(2 L) leaves
+    with probability about N L / _EXIT_COST: one exit costs about as much as
+    _EXIT_COST candidate diffusions, so nearer particles are cheaper as
+    candidates.  The floor keeps every :class:`_Interval` series at
+    rho = w^2 / t >= 4.  Every other particle is a candidate, a row of a
+    dense block diffused at every event.
+
+    Each boxed coordinate draws its state with :meth:`_Interval.draw_exit`:
+    it stays in its interval until the internal window ends, or first leaves
+    it at a time through a side.  The particle leaves its box at the earliest
+    of these.  The other coordinates need only have stayed until then (their
+    own exit times are dropped, which marginalizes them), and from then on
+    the particle is a candidate, a free Brownian motion.  A boxed particle is
+    read, an exact rejection sample given its state (which stays Markov),
+    when it branches, when it leaves its box, when no candidate reaches g at
+    an event, and when the internal window ends.
+    """
+
+    def __init__(self, pos: np.ndarray, rng: np.random.Generator):
+        n, d = pos.shape
+        self.pos, self.rng, self.n, self.d = pos, rng, n, d
+        self.span = _SPAN * min(1.0, (2000.0 / n) ** (1.0 / 3.0))
+        self.tr = np.empty(n)                 # a boxed particle's last read
+        self.hor = np.empty(n)                # when its box state ends
+        self.xdim = np.empty(n, dtype=np.intp)  # the coordinate that leaves then, or -1
+        self.xside = np.empty(n)              # ... through this side
+        self.half = np.empty((n, d))          # its box's half-widths c_j
+        self.row = np.empty(n, dtype=np.intp)   # block row of a candidate, -1 if boxed
+        self.cpos, self.cslot = np.empty((n, d)), np.empty(n, dtype=np.intp)
+        self.step, self.sq = np.empty((n, d)), np.empty(n)
+        self.m = 0
+
+    def reset(self, clock: float, end: float):
+        """Start a read window: positions are those at ``clock``."""
+        self.now = self.s1 = clock
+        self.end = end
+        self.open = False
+
+    def finish(self) -> np.ndarray:
+        """Positions at the read window's end (no event lies after ``now``)."""
+        if self.open:
+            self._close()
+        if self.s1 < self.end:
+            self.pos += (self.rng.standard_normal(self.pos.shape)
+                         * math.sqrt(2.0 * (self.end - self.s1)))
+        return self.pos
+
+    def event(self, t: float, k: int, count: int) -> int:
+        """Branch particle k at time t; return the removed (furthest) label."""
+        while t >= self.s1:
+            if self.open:
+                self._close()
+            self._open(self.s1, min(self.s1 + self.span, self.end))
+        moved = t > self.now
+        self._diffuse(t)
+        if self.ei < len(self.exit_t) and self.exit_t[self.ei] <= t:
+            self._exits(t)
+        m = self.m
+        f = -1
+        if m:
+            sq, cpos = self.sq[:m], self.cpos[:m]
+            if self.d == 1:
+                np.square(cpos[:, 0], out=sq)
+            else:
+                np.einsum("ij,ij->i", cpos, cpos, out=sq)
+            r = int(sq.argmax())  # the first NaN, else the first max
+            top = sq[r]
+            if not math.isfinite(top):
+                raise SimulationError(f"nonfinite position at event {count} (t={t:.6g})")
+            if top >= self.gate:
+                # equal rows come only from a copy not yet diffused; ties go
+                # to the lowest label
+                if not moved and np.count_nonzero(sq == top) > 1:
+                    tied = np.flatnonzero(sq == top)
+                    r = int(tied[self.cslot[tied].argmin()])
+                f = int(self.cslot[r])
+        if f < 0:
+            f = self._read_all(t, count)
+        rk = self.row[k]
+        z = self.cpos[rk] if rk >= 0 else self._read_one(k, t)
+        rf = self.row[f]
+        if rf < 0:
+            rf = self._add(f)
+        self.cpos[rf] = z
+        return f
+
+    def _add(self, i: int) -> int:
+        r = self.m
+        self.m += 1
+        self.row[i], self.cslot[r] = r, i
+        return r
+
+    def _diffuse(self, t: float):
+        m = self.m
+        if t > self.now and m:
+            step = self.step[:m]
+            self.rng.standard_normal(out=step)
+            step *= math.sqrt(2.0 * (t - self.now))
+            self.cpos[:m] += step
+        self.now = t
+
+    def _open(self, s0: float, s1: float):
+        pos, n, d = self.pos, self.n, self.d
+        self.open, self.now, self.s1 = True, s0, s1
+        length = s1 - s0
+        self.row.fill(-1)
+        self.gate, self.exits, self.exit_t, self.ei = -math.inf, [], [], 0
+        sq = np.einsum("ij,ij->i", pos, pos)
+        inner = np.empty(0, dtype=np.intp)
+        if np.isfinite(sq).all():
+            top = max(1, min(n - 1, math.ceil(_TOP * math.sqrt(n * length)) + 8))
+            g2 = np.partition(sq, n - top)[n - top]
+            inner = np.flatnonzero(sq < g2)
+            x = np.abs(pos[inner])
+            l1, gap = x.sum(axis=1), g2 - sq[inner]
+            slack = gap / (np.sqrt(l1 * l1 + d * gap) + l1)
+            # box only the particles that leave with probability below about
+            # N L / _EXIT_COST
+            margin = max(0.0, -float(ndtri(min(0.5, 0.5 * n * length / _EXIT_COST))))
+            keep = slack >= max(margin, 0.75) * math.sqrt(2.0 * length)
+            inner, c = inner[keep], x[keep] + slack[keep, None]
+        if inner.size:
+            # a boxed particle's radius is below its corners' radius; the
+            # factor covers the rounding of c
+            self.gate = max(g2, float(np.einsum("ij,ij->i", c, c).max())) * (1.0 + 1e-15)
+            tau, side = _Interval.draw_exit(pos[inner].ravel(), c.ravel(), length, self.rng)
+            tau, side = tau.reshape(-1, d), side.reshape(-1, d)
+            j = tau.argmin(axis=1)
+            first = tau[np.arange(inner.size), j]
+            leaves = np.isfinite(first)
+            self.half[inner], self.tr[inner] = c, s0
+            self.hor[inner] = np.where(leaves, np.minimum(s0 + first, s1), s1)
+            self.xdim[inner] = np.where(leaves, j, -1)
+            self.xside[inner] = side[np.arange(inner.size), j]
+            out = inner[leaves]
+            out = out[np.argsort(self.hor[out], kind="stable")]
+            self.exits, self.exit_t = out.tolist(), self.hor[out].tolist()
+        cand = np.ones(n, dtype=bool)
+        cand[inner] = False
+        cs = np.flatnonzero(cand)
+        self.m = cs.size
+        self.cslot[:self.m], self.cpos[:self.m] = cs, pos[cs]
+        self.row[cs] = np.arange(cs.size)
+
+    def _close(self):
+        self._diffuse(self.s1)
+        self._exits(self.s1)
+        self._read(np.flatnonzero(self.row < 0), self.s1)
+        self.pos[self.cslot[:self.m]] = self.cpos[:self.m]
+        self.open = False
+
+    def _exits(self, t: float):
+        """Particles whose boxes ended by t become candidates at t."""
+        while self.ei < len(self.exit_t) and self.exit_t[self.ei] <= t:
+            i, tau = self.exits[self.ei], self.exit_t[self.ei]
+            self.ei += 1
+            if self.row[i] >= 0:   # removed, and its slot refilled, before it left
+                continue
+            x = self._read_one(i, tau)
+            if t > tau:
+                x += self.rng.standard_normal(self.d) * math.sqrt(2.0 * (t - tau))
+            self.cpos[self._add(i)] = x
+
+    def _read_all(self, t: float, count: int) -> int:
+        """Read every particle at t; return the furthest (lowest label on ties)."""
+        self._read(np.flatnonzero(self.row < 0), t)
+        self.pos[self.cslot[:self.m]] = self.cpos[:self.m]
+        sq = np.einsum("ij,ij->i", self.pos, self.pos)
+        f = int(sq.argmax())
+        if not math.isfinite(sq[f]):
+            raise SimulationError(f"nonfinite position at event {count} (t={t:.6g})")
+        return f
+
+    def _read(self, idx: np.ndarray, t: float):
+        """Read the boxed particles idx at t, all coordinates at once."""
+        idx = idx[self.tr[idx] < t]
+        if not idx.size:
+            return
+        d = self.d
+        side = np.where(np.arange(d) == self.xdim[idx, None], self.xside[idx, None], 0.0)
+        z = _Interval.draw_read(self.pos[idx].ravel(), self.half[idx].ravel(),
+                                np.repeat(t - self.tr[idx], d),
+                                np.repeat(self.hor[idx] - t, d), side.ravel(), self.rng)
+        self.pos[idx], self.tr[idx] = z.reshape(-1, d), t
+
+    def _read_one(self, i: int, t: float) -> np.ndarray:
+        """Read boxed particle i at t (its row of ``pos``), one
+        coordinate at a time with :meth:`_Interval.read_one`."""
+        x = self.pos[i]
+        dt = t - self.tr[i]
+        if dt <= 0.0:
+            return x
+        self.tr[i] = t
+        rest, jx = self.hor[i] - t, self.xdim[i]
+        for j in range(self.d):
+            c = float(self.half[i, j])
+            if j != jx:
+                x[j] = _Interval.read_one(float(x[j]), c, dt, rest, 0.0, self.rng)
+            elif rest > 0.0:
+                x[j] = _Interval.read_one(float(x[j]), c, dt, rest, self.xside[i], self.rng)
+            else:   # it leaves its box now, through this side
+                x[j] = c * self.xside[i]
+        return x
+
+
+# ---------------------------------------------------------------------------
+# Brownian motion in an interval
+# ---------------------------------------------------------------------------
+
+_TAIL = 2.0 ** -56   # every dropped series tail is below this, as in kernels
+
+
+def _min_ratio(w, t) -> float:
+    """The smallest w^2 / t over a batch (inf where t = 0 or the batch is empty)."""
+    with np.errstate(divide="ignore"):
+        rho = np.asarray(w * w / t)
+    return float(rho.min()) if rho.size else math.inf
+
+
+class _Interval:
+    """Exact laws of a Brownian motion of variance 2t (diffusivity sqrt(2),
+    as every particle here) in an open interval of width ``w``.
+
+    A point is given by its distance ``a`` from one end (``w - a`` from the
+    other); every law is symmetric under that swap.  Arguments are numpy
+    arrays that broadcast.  Each law is a method-of-images series, cut where
+    a bound on its remainder falls below ``_TAIL``.  The number of terms
+    grows as rho = w^2 / t falls (the smallest rho of the batch sets it), so
+    callers keep rho away from 0: :class:`_Swarm` keeps rho >= 4, where no
+    series needs more than seven terms.
+
+    The one-sided limits (w -> inf) are the reflection-principle laws: a
+    bridge from a to b over time t crosses the end with probability
+    exp(-a b / t), and the first passage through it at time u has density
+    (a / u) phi_u(a), phi_u the N(0, 2u) density.  ``1 - leave_prob`` is
+    the survival of Brownian motion killed outside (-R, R), which is what
+    :func:`survival_curve` needs to kill exactly between grid times in d = 1.
+    """
+
+    @staticmethod
+    def leave_prob(a, w, t):
+        """P(leave by time t) = 2 sum_n (-1)^n [Q((n w + a)/s) + Q(((n+1) w - a)/s)],
+        n >= 0, with Q the normal tail and s = sqrt(2t); 0 where t = 0.  The
+        terms alternate and fall, so the remainder is below the first
+        dropped term, 4 Q(n sqrt(rho / 2))."""
+        a, w, t = np.broadcast_arrays(np.asarray(a, float), np.asarray(w, float),
+                                      np.asarray(t, float))
+        rho = _min_ratio(w, t)
+        total = np.zeros(a.shape)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            s = np.sqrt(2.0 * t)
+            n, sign = 0, 2.0
+            while True:
+                total += sign * (ndtr(-(n * w + a) / s) + ndtr(-((n + 1) * w - a) / s))
+                n, sign = n + 1, -sign
+                if 2.0 * math.erfc(0.5 * n * math.sqrt(rho)) < _TAIL:
+                    break
+        return np.where(t > 0.0, total, 0.0)
+
+    @staticmethod
+    def bridge_stay(a, b, w, t, near=False):
+        """P(the Brownian bridge from a to b over time t stays inside)
+        = sum_k [exp(-k w (k w + b - a) / t) - exp(-(a + k w)(b + k w) / t)]
+        over all integers k.  Every term with |k| > K is below
+        exp(-K^2 rho), so 8 exp(-K^2 rho) bounds the remainder.  With
+        ``near`` it is divided by the k = 0 term 1 - exp(-a b / t), the
+        probability of staying on the near side of the end a and b are
+        measured from."""
+        rho = _min_ratio(w, t)
+        lead = -np.expm1(-a * b / t)
+        rest = np.zeros(np.broadcast(a, b, w, t).shape)
+        k = 0
+        while 8.0 * math.exp(-k * k * rho) >= _TAIL:
+            k += 1
+            kw = k * w
+            rest += (np.exp(-kw * (kw + b - a) / t) + np.exp(-kw * (kw - b + a) / t)
+                     - np.exp(-(a + kw) * (b + kw) / t) - np.exp(-(a - kw) * (b - kw) / t))
+        return 1.0 + rest / lead if near else lead + rest
+
+    @staticmethod
+    def passage_ratio(a, w, u):
+        """The density of the first exit at time u through the near end
+        (a from it), sum_k ((a + 2 k w) / u) phi_u(a + 2 k w), over its
+        one-sided value (a / u) phi_u(a).  With alpha = k w a / u and
+        rho = w^2 / u the terms k and -k pair to
+        2 e^{-k^2 rho} [cosh(alpha) - 2 k^2 rho sinh(alpha) / alpha], below
+        (2 + 4 k^2 rho) e^{-k (k - 1) rho} in size; the pairs past K sum to
+        at most twice the first one."""
+        rho_min = _min_ratio(w, u)
+        rho = w * w / u
+        ratio = np.ones(np.broadcast(a, w, u).shape)
+        k = 0
+        while 2.0 * (2.0 + 4.0 * (k + 1) ** 2 * rho_min) * math.exp(-k * (k + 1) * rho_min) \
+                >= _TAIL:
+            k += 1
+            alpha = np.maximum(k * w * a / u, 1e-300)
+            up = np.exp(alpha - k * k * rho)
+            ratio += (up * (1.0 - 2.0 * k * k * rho * (-np.expm1(-2.0 * alpha) / alpha))
+                      + np.exp(-alpha - k * k * rho))
+        return ratio
+
+    @classmethod
+    def stay_accept(cls, y, z, c, dt, rest):
+        """Acceptance of the proposal z ~ y + N(0, 2 dt) in (-c, c) for a
+        coordinate that stays inside for ``rest`` after the read: the
+        bridge stays, then the coordinate stays from z."""
+        zc = np.clip(z, -c, c)
+        w = 2.0 * c
+        p = cls.bridge_stay(c - y, c - zc, w, dt)
+        if np.any(rest > 0.0):
+            p = p * (1.0 - cls.leave_prob(c - zc, w, rest))
+        return np.where(np.abs(z) < c, p, 0.0)
+
+    @classmethod
+    def draw_exit(cls, x, c, t, rng):
+        """Exact draws, for coordinates at x in (-c, c), of the first exit
+        before time t: (time, side) with side +1 or -1, or (inf, 0) for a
+        coordinate that stays.  Whether it leaves is a uniform against
+        ``leave_prob``.  Then a side is proposed in proportion to its
+        one-sided probability of a hit by t and a time from the one-sided
+        first-passage law cut at t, and accepted with ``passage_ratio``."""
+        w = 2.0 * c
+        tau = np.full(x.shape, math.inf)
+        side = np.zeros(x.shape)
+        todo = np.flatnonzero(rng.random(x.size) < cls.leave_prob(c - x, w, t))
+        s = math.sqrt(2.0 * t)
+        while todo.size:
+            xt, ct = x[todo], c[todo]
+            q_hi, q_lo = ndtr((xt - ct) / s), ndtr(-(ct + xt) / s)
+            u = rng.random((3, todo.size))
+            up = u[0] * (q_hi + q_lo) < q_hi
+            a = np.where(up, ct - xt, ct + xt)
+            z = ndtri((1.0 - u[1]) * np.where(up, q_hi, q_lo))
+            when = 0.5 * (a / z) ** 2
+            ok = u[2] < cls.passage_ratio(a, 2.0 * ct, when)
+            tau[todo[ok]] = when[ok]
+            side[todo[ok]] = np.where(up, 1.0, -1.0)[ok]
+            todo = todo[~ok]
+        return tau, side
+
+    @classmethod
+    def read_one(cls, y, c, dt, rest, side, rng):
+        """One draw of :meth:`draw_read` from Python floats.  Its acceptance
+        p is squeezed by one-sided laws, so the series runs only for a
+        uniform that falls between the bounds.  Staying: the union bound over
+        both ends of the bridge crossings exp(-a b / dt) and the hits
+        erfc(b / (2 sqrt(rest))) bounds p below, either end alone above.
+        Leaving: with a, eta the distances from the exit end and w = 2c,
+        p >= (1 - exp(-(w - a)(w - eta) / dt) / (1 - exp(-a eta / dt)))
+        (1 - 4 rho exp(-w (w - eta) / rest) - 17 rho exp(-2 rho)),
+        rho = w^2 / rest >= 4, from the terms of ``passage_ratio``."""
+        w, sd = 2.0 * c, math.sqrt(2.0 * dt)
+        if side:
+            a, span = c - side * y, dt + rest
+            mean, sd = a * rest / span, math.sqrt(2.0 * dt * rest / span)
+            rho = w * w / rest
+            tail = 17.0 * rho * math.exp(-2.0 * rho)
+        while True:
+            if side:
+                g = rng.standard_normal(3)
+                eta = math.sqrt((mean + sd * g[0]) ** 2 + (sd * g[1]) ** 2 + (sd * g[2]) ** 2)
+                z = side * (c - eta)
+                if not eta < w:
+                    if eta != eta:
+                        raise SimulationError("nonfinite position in a conditioned read")
+                    continue
+                u = rng.random()
+                near = -math.expm1(-a * eta / dt)
+                low = (max(0.0, 1.0 - math.exp(-(w - a) * (w - eta) / dt) / near)
+                       * max(0.0, 1.0 - 4.0 * rho * math.exp(-w * (w - eta) / rest) - tail))
+                if u < low or u < cls.bridge_stay(a, eta, w, dt, near=True) \
+                        * cls.passage_ratio(eta, w, rest):
+                    return z
+                continue
+            z = y + sd * rng.standard_normal()
+            if not -c < z < c:
+                if z != z:
+                    raise SimulationError("nonfinite position in a conditioned read")
+                continue
+            u = rng.random()
+            cross_hi = math.exp(-(c - y) * (c - z) / dt)
+            cross_lo = math.exp(-(c + y) * (c + z) / dt)
+            hit_hi = math.erfc((c - z) / (2.0 * math.sqrt(rest))) if rest > 0.0 else 0.0
+            hit_lo = math.erfc((c + z) / (2.0 * math.sqrt(rest))) if rest > 0.0 else 0.0
+            if u < (1.0 - cross_hi - cross_lo) * (1.0 - hit_hi - hit_lo):
+                return z
+            if u < min((1.0 - cross_hi) * (1.0 - hit_hi), (1.0 - cross_lo) * (1.0 - hit_lo)) \
+                    and u < cls.stay_accept(y, z, c, dt, rest):
+                return z
+
+    @classmethod
+    def draw_read(cls, y, c, dt, rest, side, rng):
+        """Exact rejection reads, dt after a read at y in (-c, c), of
+        coordinates that stay inside for ``rest`` more (side 0) or first
+        leave after ``rest`` more through ``side`` (+1 or -1).  A staying
+        coordinate proposes y + N(0, 2 dt) and accepts with
+        :meth:`stay_accept`.  A leaving one proposes the first-passage
+        bridge, whose distance to the exit end is a 3-d Bessel bridge (the
+        norm of a 3-d Brownian bridge to 0), and accepts with the two-sided
+        over the one-sided bridge and passage laws, both <= 1."""
+        z = np.empty(y.shape)
+        todo, reps = np.arange(y.size), 1
+        while todo.size:
+            at = np.tile(todo, reps)
+            yt, ct, dtt, rt, st = y[at], c[at], dt[at], rest[at], side[at]
+            prop, p = np.empty(at.size), np.empty(at.size)
+            i = np.flatnonzero(st == 0.0)
+            if i.size:
+                prop[i] = yt[i] + np.sqrt(2.0 * dtt[i]) * rng.standard_normal(i.size)
+                p[i] = cls.stay_accept(yt[i], prop[i], ct[i], dtt[i], rt[i])
+            j = np.flatnonzero(st != 0.0)
+            if j.size:
+                sj, cj, dj, uj = st[j], ct[j], dtt[j], rt[j]
+                a, span = cj - sj * yt[j], dj + uj
+                g = rng.standard_normal((j.size, 3)) * np.sqrt(2.0 * dj * uj / span)[:, None]
+                g[:, 0] += a * uj / span
+                eta = np.minimum(np.sqrt(np.einsum("ij,ij->i", g, g)), 2.0 * cj)
+                prop[j] = sj * (cj - eta)
+                p[j] = np.where(eta < 2.0 * cj,
+                                cls.bridge_stay(a, eta, 2.0 * cj, dj, near=True)
+                                * cls.passage_ratio(eta, 2.0 * cj, uj), 0.0)
+            if not np.isfinite(prop).all():
+                raise SimulationError("nonfinite position in a conditioned read")
+            ok = (rng.random(at.size) < p).reshape(reps, todo.size)
+            hit = ok.any(axis=0)
+            first = ok.argmax(axis=0)[hit]
+            z[todo[hit]] = prop.reshape(reps, todo.size)[first, np.flatnonzero(hit)]
+            todo = todo[~hit]
+            # the coordinates left are the hard ones: try many proposals each
+            # and keep the first accepted, which is still one rejection sample
+            reps = max(1, 1024 // max(todo.size, 1))
+        return z
 
 
 # ---------------------------------------------------------------------------
@@ -183,7 +653,6 @@ class BbmForest:
 
 
 _POPULATION_CAP = 10_000_000
-_CLOCK_BLOCK = 256   # events whose gaps and picks are drawn in one call
 
 
 @dataclass(frozen=True)

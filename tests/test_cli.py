@@ -40,6 +40,22 @@ def random_config(rng) -> RunConfig:
 
 
 class TestConfig:
+    @pytest.mark.parametrize("sub", list(SCHEMAS))
+    def test_round_trip_every_key(self, sub):
+        # every float written to the run directory parses back to the same
+        # bits; a NaN float used to be written as "none", which no float key
+        # parses
+        params = {}
+        for key, (kind, default) in SCHEMAS[sub].items():
+            if kind in ("float", "optfloat"):
+                params[key] = math.nextafter(1.0 if key == "c" else 0.7, 0.0)
+            elif kind == "floatlist":
+                params[key] = (1 / 3, 2 / 3)
+        cfg = RunConfig(sub, seed=7, out="x", workers=2, params=params)
+        text = serialize_config(cfg)
+        assert "none" not in text
+        assert parse_config(text, sub, is_path=False) == cfg
+
     def test_round_trip_randomized(self):
         rng = replica_rng(99, 0)
         for _ in range(100):
@@ -79,7 +95,12 @@ class TestConfig:
         ("solve", "grid_step", "inf"), ("solve", "initial_radius", "inf"),
         ("simulate", "sampler_radius", "inf"), ("hydro", "sampler_radius", "nan"),
         ("selection", "window_dt", "inf"), ("selection", "window_dt", "nan"),
-        ("stationarity", "snapshot_dt", "inf")])
+        ("stationarity", "snapshot_dt", "inf"), ("selection", "k", "nan"),
+        ("selection", "k", "inf"), ("selection", "c", "nan"), ("selection", "c", "inf"),
+        ("selection", "sup_tol", "nan"), ("selection", "m_tol", "inf"),
+        ("selection", "mass_tol", "nan"), ("hydro", "tolerance_q90", "inf"),
+        ("stationarity", "pairwise_tol", "nan"), ("kernel-dump", "t_values", "nan"),
+        ("kernel-dump", "t_values", "0.1,inf")])
     def test_nonfinite_value_exit_two_before_output(self, tmp_path, sub, key, value,
                                                     capsys):
         # t = nan or inf used to run forever; grid_step = nan, sampler_radius
@@ -92,7 +113,10 @@ class TestConfig:
     @pytest.mark.parametrize("sub, key, value", [
         ("hydro", "grid_step", "0"), ("solve", "grid_step", "-1e-3"),
         ("solve", "initial_radius", "0"), ("selection", "sampler_radius", "-1"),
-        ("selection", "window_dt", "0"), ("stationarity", "snapshot_dt", "0")])
+        ("selection", "window_dt", "0"), ("stationarity", "snapshot_dt", "0"),
+        ("selection", "k", "0"), ("selection", "c", "-0.1"), ("selection", "c", "1.5"),
+        ("stationary", "profile_nodes", "0"), ("stationary", "profile_nodes", "1"),
+        ("kernel-dump", "t_values", "-1"), ("kernel-dump", "t_values", "0.1,0")])
     def test_nonpositive_value_exit_two_before_output(self, tmp_path, sub, key, value,
                                                       capsys):
         out = tmp_path / "x"

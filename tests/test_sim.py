@@ -9,8 +9,10 @@ from scipy import stats
 from nbbm.core import ParticleEnsemble, empirical_cdf, max_radius
 from nbbm.experiments import PointMassSampler, _selection_replica
 from nbbm.obstacle import stationary_state
+from nbbm import sim
 from nbbm.sim import (BbmForest, CoupledObservation, CoupledRunResult, EventLog,
-                      ResourceError, SimParams, SimulationError, _dominated, advance_nbbm,
+                      ResourceError, SimParams, SimulationError, _dominated, _Interval,
+                      advance_nbbm,
                       coupled_run, replica_rng, spherically_ordered_pairs, survival_curve)
 
 
@@ -50,9 +52,9 @@ class _NanRng(_CountingRng):
 
 
 def reference_advance_nbbm(params, state, duration, rng):
-    """The per-event loop that ``advance_nbbm`` replaced (its ``_diffuse``
-    and ``_apply_event`` helpers as closures): the reference its output
-    must match bit for bit."""
+    """The dense per-event loop that ``advance_nbbm`` replaced: every
+    particle diffuses across every gap.  Its RNG stream differs from the
+    engine's, so tests compare the two in law."""
 
     def diffuse(pos, dt):
         if dt > 0.0:
@@ -210,26 +212,36 @@ def far_start(n, d):
 
 class TestAdvanceNbbm:
     @pytest.mark.parametrize("d", [1, 2, 3])
-    def test_matches_reference_loop(self, d):
-        for n in (1, 2, 50, 400):
-            start = ParticleEnsemble(d, replica_rng(30, n).standard_normal((n, d)),
-                                     clock=0.25)
-            params = SimParams(dim=d, population=n)
-            for duration in (0.0, 0.05, 0.7):
-                for seed in (0, 1, 2**40 + 3):
-                    out, log = advance_nbbm(params, start, duration, replica_rng(seed, d))
-                    ref, ref_log = reference_advance_nbbm(params, start, duration,
-                                                          replica_rng(seed, d))
-                    assert np.array_equal(out.positions, ref.positions)
-                    assert out.clock == ref.clock
-                    assert log.times == ref_log.times
-                    assert log.branching == ref_log.branching
-                    assert log.removed == ref_log.removed
+    @pytest.mark.parametrize("n", [2, 50, 400])
+    def test_law_matches_reference_loop(self, d, n, monkeypatch):
+        # the lazy engine against the dense loop over 300 replicas: final max
+        # radius, the empirical CDF at two radii and the event count.  The
+        # smallest exit cost puts every particle with room in a box, so the
+        # box laws, exits and conditioned reads all run.
+        monkeypatch.setattr(sim, "_EXIT_COST", 1e-9)
+        duration = 1.2 if n < 400 else 0.35
+        start = ParticleEnsemble(d, replica_rng(30, n).standard_normal((n, d)), clock=0.25)
+        params = SimParams(dim=d, population=n)
+        got, ref, normals, events = [], [], 0, 0
+        for rep in range(300):
+            rng = _CountingRng(replica_rng(41, rep))
+            out, log = advance_nbbm(params, start, (duration / 2, duration / 2), rng)
+            normals, events = normals + rng.normals, events + len(log)
+            dense, dense_log = reference_advance_nbbm(params, start, duration,
+                                                      replica_rng(42, rep))
+            for row, ens, k in ((got, out, len(log)), (ref, dense, len(dense_log))):
+                r = ens.norms()
+                row.append((r.max(), np.mean(r < 1.0), np.mean(r < 2.0), k))
+        got, ref = np.array(got), np.array(ref)
+        for j in range(got.shape[1]):
+            assert stats.ks_2samp(got[:, j], ref[:, j]).pvalue > 1e-3, j
+        if n == 400:
+            assert normals < 0.5 * n * d * events
 
     @pytest.mark.parametrize("d", [1, 2, 3])
-    def test_windows_match_chained_reference(self, d):
-        # one call over the windows equals one reference call per window,
-        # all drawing from one generator
+    def test_windows_match_chained_calls(self, d):
+        # one call over the windows has the bits of one call per window, all
+        # drawing from one generator
         windows = (0.0, 0.05, 0.7, 0.0, 0.3)
         for n in (1, 2, 50, 400):
             start = ParticleEnsemble(d, replica_rng(33, n).standard_normal((n, d)),
@@ -240,11 +252,11 @@ class TestAdvanceNbbm:
                 rng = replica_rng(seed, d)
                 cur, reads, times, branching, removed = start, [], [], [], []
                 for duration in windows:
-                    cur, ref_log = reference_advance_nbbm(params, cur, duration, rng)
+                    cur, one_log = advance_nbbm(params, cur, duration, rng)
                     reads.append(cur)
-                    times += ref_log.times
-                    branching += ref_log.branching
-                    removed += ref_log.removed
+                    times += one_log.times.tolist()
+                    branching += one_log.branching.tolist()
+                    removed += one_log.removed.tolist()
                 assert len(log.reads) == len(windows)
                 for got, ref in zip(log.reads, reads):
                     assert np.array_equal(got.positions, ref.positions)
@@ -253,6 +265,16 @@ class TestAdvanceNbbm:
                 assert log.times.tolist() == times
                 assert log.branching.tolist() == branching
                 assert log.removed.tolist() == removed
+
+    def test_draws_few_normals_per_event(self):
+        # the dense loop drew N d normals at every event; the lazy engine at
+        # N = 2000, d = 1 near its stationary state draws fewer than a quarter
+        n = 2000
+        params = SimParams(dim=1, population=n)
+        warm, _ = advance_nbbm(params, origin_ensemble(n, 1), 4.0, replica_rng(43, 0))
+        rng = _CountingRng(replica_rng(43, 1))
+        _, log = advance_nbbm(params, warm, 1.0, rng)
+        assert rng.normals < n / 4 * len(log)
 
     @pytest.mark.parametrize("windows", [math.nan, math.inf, -0.1, (0.1, math.nan),
                                          (0.1, -1e-300), (0.2, math.inf), ()])
@@ -656,3 +678,131 @@ class TestReplicaRng:
     def test_range_ends_accepted(self):
         replica_rng(0, 0)
         replica_rng(2**64 - 1, 2**64 - 1)
+
+
+# ---------------------------------------------------------------------------
+# The interval helper against independent laws: the one-sided reflection
+# formulas, and eigenfunction (sine) series in place of the image series
+# ---------------------------------------------------------------------------
+
+def _sine_modes(w, n_modes=2000):
+    n = np.arange(1, n_modes + 1)
+    return n, (n * math.pi / w) ** 2
+
+
+def sine_density(a, b, w, t):
+    """Density at distance b (scalar or array) of Brownian motion (variance
+    2t) started at distance a from one end of (0, w), killed at both ends."""
+    n, lam = _sine_modes(w)
+    return ((2.0 / w) * np.sin(n * math.pi * a / w) * np.exp(-lam * t)
+            * np.sin(np.multiply.outer(b, n) * math.pi / w)).sum(axis=-1)
+
+
+def sine_passage(a, w, u):
+    """Density of the first exit through the end a is measured from, at u."""
+    n, lam = _sine_modes(w)
+    return ((2.0 / w) * (n * math.pi / w) * np.sin(np.multiply.outer(a, n) * math.pi / w)
+            * np.exp(-np.multiply.outer(u, lam))).sum(axis=-1)
+
+
+def sine_passage_cdf(a, w, u):
+    """Probability of leaving through the end a is measured from by time u."""
+    n, lam = _sine_modes(w)
+    return ((2.0 / w) * (n * math.pi / w) * np.sin(n * math.pi * a / w)
+            * -np.expm1(-np.multiply.outer(u, lam)) / lam).sum(axis=-1)
+
+
+def sine_stay(a, w, t):
+    """Probability of staying in (0, w) until t from distance a."""
+    n, lam = _sine_modes(w)
+    odd = n % 2 == 1
+    return (4.0 / (n[odd] * math.pi) * np.sin(np.multiply.outer(a, n[odd]) * math.pi / w)
+            * np.exp(-lam[odd] * t)).sum(axis=-1)
+
+
+def _grid_cdf(density, lo, hi, m=20001):
+    grid = np.linspace(lo, hi, m)
+    pdf = density(grid)
+    cdf = np.concatenate(([0.0], np.cumsum(0.5 * (pdf[1:] + pdf[:-1]) * np.diff(grid))))
+    return lambda x: np.interp(x, grid, cdf / cdf[-1])
+
+
+class TestInterval:
+    @pytest.mark.parametrize("a, b, t", [(0.3, 0.5, 0.1), (1.0, 2.0, 3.0), (0.01, 0.02, 1e-3)])
+    def test_one_sided_bridge_crossing(self, a, b, t):
+        # a bridge from l - a to l - b over L crosses l with probability
+        # exp(-a b / L) (variance 2 per unit time); the far end is out of reach
+        assert 1.0 - _Interval.bridge_stay(a, b, 1e6, t) == pytest.approx(
+            math.exp(-a * b / t), rel=1e-12, abs=1e-16)
+
+    def test_one_sided_passage_limit(self):
+        assert _Interval.passage_ratio(0.4, 1e6, 0.3) == pytest.approx(1.0, abs=1e-15)
+
+    def test_stay_probability_matches_mpmath(self):
+        mpmath = pytest.importorskip("mpmath")
+        mpmath.mp.dps = 30
+
+        def stay(a, w, t):   # the sine series, summed in mpmath
+            a, w, t = mpmath.mpf(a), mpmath.mpf(w), mpmath.mpf(t)
+            return mpmath.nsum(lambda k: 4 / ((2 * k + 1) * mpmath.pi)
+                               * mpmath.sin((2 * k + 1) * mpmath.pi * a / w)
+                               * mpmath.exp(-((2 * k + 1) * mpmath.pi / w) ** 2 * t),
+                               [0, mpmath.inf])
+
+        rng = replica_rng(61, 0)
+        for _ in range(25):
+            w = float(rng.uniform(0.3, 3.0))
+            t = w * w / float(rng.uniform(0.5, 80.0))   # rho from 0.5 to 80
+            a = w * float(rng.uniform(0.01, 0.99))
+            got = 1.0 - float(_Interval.leave_prob(a, w, t))
+            assert got == pytest.approx(float(stay(a, w, t)), abs=2e-15)
+        assert _Interval.leave_prob(0.3, 1.0, 0.0) == 0.0
+
+    def test_bridge_and_passage_match_sine_series(self):
+        rng = replica_rng(62, 0)
+        for _ in range(25):
+            w = float(rng.uniform(0.3, 3.0))
+            t = w * w / float(rng.uniform(2.0, 80.0))
+            a, b = w * rng.uniform(0.02, 0.98, 2)
+            free = math.exp(-(b - a) ** 2 / (4 * t)) / math.sqrt(4 * math.pi * t)
+            assert _Interval.bridge_stay(a, b, w, t) == pytest.approx(
+                float(sine_density(a, b, w, t)) / free, rel=1e-10, abs=1e-14)
+            near = 1.0 - math.exp(-a * b / t)
+            assert _Interval.bridge_stay(a, b, w, t, near=True) == pytest.approx(
+                float(sine_density(a, b, w, t)) / free / near, rel=1e-10)
+            one_sided = a / t * math.exp(-a * a / (4 * t)) / math.sqrt(4 * math.pi * t)
+            assert _Interval.passage_ratio(a, w, t) == pytest.approx(
+                float(sine_passage(a, w, t)) / one_sided, rel=1e-10, abs=1e-14)
+
+    def test_exit_draw_law(self):
+        # x = 0.3 in (-1, 1) over t = 0.6: the stay fraction, the side
+        # fractions and each side's exit times against the sine series
+        n, x, c, t = 4000, 0.3, 1.0, 0.6
+        tau, side = _Interval.draw_exit(np.full(n, x), np.full(n, c), t, replica_rng(63, 0))
+        p_hi, p_lo = (float(sine_passage_cdf(c - s * x, 2 * c, t)) for s in (1, -1))
+        for hits, p in ((side == 1, p_hi), (side == -1, p_lo), (side == 0, 1 - p_hi - p_lo)):
+            assert stats.binomtest(int(hits.sum()), n, p).pvalue > 1e-3
+        assert np.all(np.isinf(tau[side == 0])) and np.all(tau[side != 0] <= t)
+        for s, total in ((1, p_hi), (-1, p_lo)):
+            cdf = lambda u, s=s, total=total: sine_passage_cdf(c - s * x, 2 * c, u) / total
+            assert stats.kstest(tau[side == s], cdf).pvalue > 1e-3
+
+    @pytest.mark.parametrize("side", [0.0, 1.0, -1.0])
+    def test_conditioned_read_law(self, side):
+        # a read dt after y in (-c, c), given that the coordinate stays in
+        # for rest more (side 0: density q_dt(y, z) * stay_rest(z)) or first
+        # leaves after rest through side (density q_dt(y, z) * passage_rest(z))
+        n, y, c, dt, rest = 3000, 0.2, 1.0, 0.3, 0.25
+        z = _Interval.draw_read(np.full(n, y), np.full(n, c), np.full(n, dt),
+                                np.full(n, rest), np.full(n, side), replica_rng(64, int(side) + 1))
+        assert np.all(np.abs(z) < c)
+        end = 1.0 if side == 0.0 else side   # distances are from this end
+
+        def density(zz):
+            q = sine_density(c - end * y, c - end * zz, 2 * c, dt)
+            if side == 0.0:
+                return q * sine_stay(c - zz, 2 * c, rest)
+            return q * sine_passage(c - end * zz, 2 * c, rest)
+
+        assert stats.kstest(z, _grid_cdf(density, -c, c, 4001)).pvalue > 1e-3
+
