@@ -212,34 +212,36 @@ def far_start(n, d):
 
 class TestAdvanceNbbm:
     @pytest.mark.parametrize("d", [1, 2, 3])
-    @pytest.mark.parametrize("n", [2, 50, 400])
-    def test_law_matches_reference_loop(self, d, n, monkeypatch):
-        # the lazy engine against the dense loop over 300 replicas: final max
+    def test_matches_reference_loop(self, d, monkeypatch):
+        # the lazy engine against the dense loop in law, at N = 2, 50 and
+        # 400 over 300 replicas each: two-sample KS tests of the final max
         # radius, the empirical CDF at two radii and the event count.  The
-        # smallest exit cost puts every particle with room in a box, so the
-        # box laws, exits and conditioned reads all run.
+        # smallest exit cost boxes every particle with room, so the box
+        # laws, exits and conditioned reads all run.
         monkeypatch.setattr(sim, "_EXIT_COST", 1e-9)
-        duration = 1.2 if n < 400 else 0.35
-        start = ParticleEnsemble(d, replica_rng(30, n).standard_normal((n, d)), clock=0.25)
-        params = SimParams(dim=d, population=n)
-        got, ref, normals, events = [], [], 0, 0
-        for rep in range(300):
-            rng = _CountingRng(replica_rng(41, rep))
-            out, log = advance_nbbm(params, start, (duration / 2, duration / 2), rng)
-            normals, events = normals + rng.normals, events + len(log)
-            dense, dense_log = reference_advance_nbbm(params, start, duration,
-                                                      replica_rng(42, rep))
-            for row, ens, k in ((got, out, len(log)), (ref, dense, len(dense_log))):
-                r = ens.norms()
-                row.append((r.max(), np.mean(r < 1.0), np.mean(r < 2.0), k))
-        got, ref = np.array(got), np.array(ref)
-        for j in range(got.shape[1]):
-            assert stats.ks_2samp(got[:, j], ref[:, j]).pvalue > 1e-3, j
-        if n == 400:
-            assert normals < 0.5 * n * d * events
+        for n in (2, 50, 400):
+            duration = 1.2 if n < 400 else 0.35
+            start = ParticleEnsemble(d, replica_rng(30, n).standard_normal((n, d)),
+                                     clock=0.25)
+            params = SimParams(dim=d, population=n)
+            got, ref, normals, events = [], [], 0, 0
+            for rep in range(300):
+                rng = _CountingRng(replica_rng(41, rep))
+                out, log = advance_nbbm(params, start, (duration / 2, duration / 2), rng)
+                normals, events = normals + rng.normals, events + len(log)
+                dense, dense_log = reference_advance_nbbm(params, start, duration,
+                                                          replica_rng(42, rep))
+                for row, ens, k in ((got, out, len(log)), (ref, dense, len(dense_log))):
+                    r = ens.norms()
+                    row.append((r.max(), np.mean(r < 1.0), np.mean(r < 2.0), k))
+            got, ref = np.array(got), np.array(ref)
+            for j in range(got.shape[1]):
+                assert stats.ks_2samp(got[:, j], ref[:, j]).pvalue > 1e-3, (n, j)
+            if n == 400:
+                assert normals < 0.5 * n * d * events
 
     @pytest.mark.parametrize("d", [1, 2, 3])
-    def test_windows_match_chained_calls(self, d):
+    def test_windows_match_chained_reference(self, d):
         # one call over the windows has the bits of one call per window, all
         # drawing from one generator
         windows = (0.0, 0.05, 0.7, 0.0, 0.3)
@@ -265,6 +267,23 @@ class TestAdvanceNbbm:
                 assert log.times.tolist() == times
                 assert log.branching.tolist() == branching
                 assert log.removed.tolist() == removed
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_boxes_lie_inside_the_gate(self, d):
+        # a boxed particle is inside its box and its box's corners are
+        # within the gate, so a candidate at the gate or beyond is the
+        # furthest particle without reading the boxed ones
+        pos = replica_rng(44, d).standard_normal((3000, d))
+        swarm = sim._Swarm(pos.copy(), replica_rng(45, d))
+        swarm.reset(0.0, 1.0)
+        swarm._open(0.0, swarm.span)
+        boxed = np.flatnonzero(swarm.row < 0)
+        assert 0 < boxed.size < 3000
+        assert np.all(np.abs(pos[boxed]) < swarm.half[boxed])
+        assert np.all(np.einsum("ij,ij->i", swarm.half[boxed], swarm.half[boxed]) <= swarm.gate)
+        cand = np.flatnonzero(swarm.row >= 0)
+        assert np.array_equal(swarm.cslot[:swarm.m], cand)
+        assert np.array_equal(swarm.cpos[:swarm.m], pos[cand])
 
     def test_draws_few_normals_per_event(self):
         # the dense loop drew N d normals at every event; the lazy engine at
