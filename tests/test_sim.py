@@ -807,13 +807,21 @@ class TestInterval:
             assert stats.kstest(tau[side == s], cdf).pvalue > 1e-3
 
     @pytest.mark.parametrize("side", [0.0, 1.0, -1.0])
-    def test_conditioned_read_law(self, side):
+    @pytest.mark.parametrize("c, rest", [(1.0, 0.25), (0.6, 0.3)])
+    @pytest.mark.parametrize("scalar", [False, True])
+    def test_conditioned_read_law(self, side, c, rest, scalar):
         # a read dt after y in (-c, c), given that the coordinate stays in
         # for rest more (side 0: density q_dt(y, z) * stay_rest(z)) or first
-        # leaves after rest through side (density q_dt(y, z) * passage_rest(z))
-        n, y, c, dt, rest = 3000, 0.2, 1.0, 0.3, 0.25
-        z = _Interval.draw_read(np.full(n, y), np.full(n, c), np.full(n, dt),
-                                np.full(n, rest), np.full(n, side), replica_rng(64, int(side) + 1))
+        # leaves after rest through side (density q_dt(y, z) * passage_rest(z));
+        # read_one squeezes the acceptance, draw_read does not, and the
+        # narrow interval (w^2 / t = 4.8) brings the far end into play
+        n, y, dt = 3000, 0.2, 0.3
+        rng = replica_rng(64, 8 * int(side + 1) + 2 * int(scalar) + int(c < 1))
+        if scalar:
+            z = np.array([_Interval.read_one(y, c, dt, rest, side, rng) for _ in range(n)])
+        else:
+            z = _Interval.draw_read(np.full(n, y), np.full(n, c), np.full(n, dt),
+                                    np.full(n, rest), np.full(n, side), rng)
         assert np.all(np.abs(z) < c)
         end = 1.0 if side == 0.0 else side   # distances are from this end
 
