@@ -38,6 +38,7 @@ import numpy as np
 from scipy.special import ndtr, ndtri
 
 from .core import ParticleEnsemble
+from .kernels import _TAIL   # every dropped series tail is below this
 
 __all__ = [
     "SimParams",
@@ -401,9 +402,6 @@ class _Swarm:
 # ---------------------------------------------------------------------------
 # Brownian motion in an interval
 # ---------------------------------------------------------------------------
-
-_TAIL = 2.0 ** -56   # every dropped series tail is below this, as in kernels
-
 
 def _min_ratio(w, t) -> float:
     """The smallest w^2 / t over a batch (inf where t = 0 or the batch is empty)."""
