@@ -140,6 +140,10 @@ def _validate(subcommand: str, p: dict):
     if "t_values" in p and not all(0 < t < math.inf for t in p["t_values"]):
         raise ValueError(f"config key 't_values' must be positive and finite, "
                          f"got {list(p['t_values'])}")
+    for key in ("y_values", "r_values"):
+        if key in p and not all(0 <= v < math.inf for v in p[key]):
+            raise ValueError(f"config key '{key}' must be finite and nonnegative, "
+                             f"got {list(p[key])}")
     if subcommand in ("simulate", "hydro", "selection") and \
             p["sampler"] not in ("origin", "uniform-ball", "stationary"):
         raise ValueError(f"unknown sampler {p['sampler']!r}")

@@ -31,23 +31,43 @@ domain:
   prefix sums of the jump sizes, and the remainders, cut to a band of B
   cells, are one FFT convolution of length about n_act + 2B (n_act = cells
   carrying jumps);
-* series route (any other d): each jump's Poisson weights and each node's
-  incomplete-gamma basis are swept only over a window of about c*sqrt(z)
-  indices, with indices below a node's window entering through a prefix
-  sum.  The windows and start values are built once per (dim, t, h) and
-  cached, and one sweep serves every mixture of a call.
+* anchored route (any other d): each lattice argument x = (ih)^2/(4t)
+  lies within 1/2 of an integer anchor A, and both sides of the series are
+  entire in their continuous argument, so they are Taylor expanded about
+  the anchors with N + 1 = 21 terms, the anchor-and-Taylor idea of the fast
+  Gauss transform (Greengard & Strain, SIAM J. Sci. Stat. Comput. 12, 1991).
+  Jumps: moments M_{A,n} = sum_j c_j delta_j^n / n! against a table of
+  Poisson(m; A), folded as q = sum_n (-grad)^n r_n since d/dmu Poisson(m)
+  = Poisson(m-1) - Poisson(m).  Nodes: the mixture is z^a h(z), a = d/2,
+  with h(z) = sum_k Q_k z^k e^-z / Gamma(a+k+1) over the prefix sums Q of
+  q; h^(n)(A) comes from (LQ)_k = (k+1)/(a+k+1) Q_{k+1} - Q_k against a
+  second table, and each node from a Taylor sum in delta = z - A.  Both
+  tables are banded to verified windows, built once per (dim, t, h) and
+  cached.  The pointwise kernels sweep one jump's Poisson weights and each
+  node's incomplete-gamma basis over such windows (``_series_sweep``).
 
-The returned ``eval_err`` books, per unit of mixture mass, the image terms
-beyond the band (erfc and Gaussian tails), the four series window tails,
-and FFT, prefix-sum and recurrence roundoff.  Bands and windows are sized
-so that every dropped tail stays below 2^-56 per unit mass; no quadrature
-is involved.
+The returned ``eval_err`` books, per unit of mixture mass:
+
+* image route: the erfc and Gaussian image terms beyond the band (the
+  bounds of ``_image_tail``) and a margin of 64 eps n_fft for FFT and
+  prefix-sum roundoff;
+* anchored route (``_AnchoredLattice.eval_err``): the Taylor remainders,
+  (1 + max(1, 2^a)) / (N+1)! from ||grad^n||_1 <= 2^n and ||L^n||_inf <=
+  2^n; the four window tails, each verified with gammainc/gammaincc and
+  lifted by at most e max(1, 2^a) to below 2^-56; roundoff, gamma_K times
+  the same sums on absolute values (Higham, Accuracy and Stability of
+  Numerical Algorithms, 2nd ed., 2002, Lemma 3.1, Sec. 3.1 and 5.1); and
+  the rounding of the lattice arguments, through Stirling's bound on the
+  densities.
+
+Bands and windows are sized so that every dropped tail stays below 2^-56
+per unit mass; no quadrature is involved.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import fft
@@ -83,7 +103,7 @@ def support_band(t: float, dim: int) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Noncentral chi-squared machinery: one windowed sweep, explicit tails
+# Noncentral chi-squared machinery: verified windows, explicit tails
 # ---------------------------------------------------------------------------
 #
 # A mixture sum_j c_j w(a_j, r, t) expands as sum_m q[m] P(d/2 + m, z) with
@@ -93,7 +113,9 @@ def support_band(t: float, dim: int) -> float:
 # within a tail of 1 below, and of 0 above, a window of about c*sqrt(z)
 # indices around z.  Every window edge is verified with gammainc/gammaincc,
 # indices below a node's window enter through a prefix sum of q, and the
-# dropped tails are booked per unit of mixture mass.
+# dropped tails are booked per unit of mixture mass.  The pointwise kernels
+# sweep these windows index by index; the lattice route reads them off
+# tables at integer anchors.
 #
 # Every tail is cut at _TAIL per unit mass, below double rounding: the
 # solver freezes its flat tail where values come within 1e-12 of the total
@@ -172,9 +194,11 @@ def _window_edges(x: np.ndarray, s_lo: float, s_hi: float, eps: float
     """Verified windows [lo, hi] in m for means x (sorted ascending).
 
     hi is the smallest m >= 0 with gammainc(s_hi + m, x) <= eps; lo is the
-    largest m >= 1 with gammaincc(s_lo + m, x) <= eps, or 0.  Both edges are
-    made nondecreasing in x (widening a window only shrinks its tails).
+    largest m >= 1 with gammaincc(s_lo + m, x) <= eps, or 0.  Each entry's
+    edges depend on its own mean alone.
     """
+    if np.isnan(x).any():
+        raise ValueError("series means must not be NaN")
     k = math.sqrt(2.0 * math.log(1.0 / eps))
     spread = k * np.sqrt(x) + k * k
     if x.size and 2.0 * float(spread[-1]) > _MAX_WINDOW:
@@ -199,40 +223,11 @@ def _window_edges(x: np.ndarray, s_lo: float, s_hi: float, eps: float
     lo = np.maximum(np.floor(x - spread).astype(np.int64), 0)
     lo[(lo > 0) & lower_bad(np.maximum(lo, 1), x)] = 0
     first_bad = _smallest_passing(lower_bad, x, lo, np.ceil(x).astype(np.int64) + 2)
-    lo = np.minimum(first_bad - 1, hi)
-    hi = np.maximum.accumulate(hi)
-    lo = np.minimum.accumulate(lo[::-1])[::-1]
-    return lo, hi
-
-
-class _Windows:
-    """Per-entry window arrays; ``head(n)`` views the first n entries."""
-
-    def head(self, n: int):
-        return type(self)(*(getattr(self, f.name)[:n] for f in fields(self)))
-
-    @property
-    def nbytes(self) -> int:
-        return sum(getattr(self, f.name).nbytes for f in fields(self))
+    return np.minimum(first_bad - 1, hi), hi
 
 
 @dataclass(frozen=True)
-class _JumpWindows(_Windows):
-    """Poisson(mu_j) weights kept on [lo_j, hi_j]; p0_j is the pmf at lo_j."""
-
-    mu: np.ndarray
-    lo: np.ndarray
-    hi: np.ndarray
-    p0: np.ndarray
-
-    @classmethod
-    def build(cls, mu: np.ndarray, eps: float) -> "_JumpWindows":
-        lo, hi = _window_edges(mu, 0.0, 1.0, eps)
-        return cls(mu, lo, hi, _gamma_weight(lo.astype(float), mu))
-
-
-@dataclass(frozen=True)
-class _NodeWindows(_Windows):
+class _NodeWindows:
     """P(a + m, z_i) swept on [lo_i, hi_i] from basis0 = P(a + lo_i, z_i)
     and term0 = z^(a+lo) e^-z / Gamma(a + lo + 1)."""
 
@@ -244,89 +239,68 @@ class _NodeWindows(_Windows):
 
     @classmethod
     def build(cls, a: float, z: np.ndarray, eps: float,
-              support: tuple[int, int] | None = None) -> "_NodeWindows":
+              support: tuple[int, int]) -> "_NodeWindows":
         lo, hi = _window_edges(z, a - 1.0, a + 1.0, eps)
-        if support is not None:
-            # weights vanish outside the support: nothing to sweep there
-            lo, hi = np.maximum(lo, support[0]), np.minimum(hi, support[1])
+        # nondecreasing edges keep the active nodes of every index contiguous
+        # (widening a window only shrinks its tails); weights vanish outside
+        # the support, so there is nothing to sweep there
+        hi = np.minimum(np.maximum.accumulate(hi), support[1])
+        lo = np.maximum(np.minimum.accumulate(lo[::-1])[::-1], support[0])
         k = a + lo
         return cls(z, lo, hi, gammainc(k, z), _gamma_weight(k, z))
 
 
-def _series_sweep(a: float, cs: list[np.ndarray], jw: _JumpWindows, nw: _NodeWindows
-                  ) -> tuple[np.ndarray, list[int]]:
-    """Row k: sum_j cs[k]_j sum_m Poisson(m; mu_j) P(a + m, z_i) over the windows.
+def _series_sweep(a: float, mu: float, lo: int, hi: int, nw: _NodeWindows
+                  ) -> np.ndarray:
+    """sum_m Poisson(m; mu) P(a + m, z_i), the pmf kept on [lo, hi].
 
-    Jumps and nodes are sorted with nondecreasing window edges, so the ones
-    active at index m are contiguous slices.  One pass over m advances every
-    active jump's pmf and node's basis once for all rows, and builds each
-    row's q[m] = sum_j c_j Poisson(m; mu_j) as its own dot product over its
-    first cs[k].size jumps (at least one).  The jump windows must start at
-    or below every node window.  Returns the (rows, nodes) values and, per
-    row, the number of indices from the first jump window's start to the
-    end of the row's last one, which bounds the recurrence steps behind any
-    of its terms.  Neither depends on the other rows, nor a node's value on
-    the nodes after it.
+    The nodes are sorted with nondecreasing window edges inside [lo, hi], so
+    the ones active at index m are a contiguous slice: one pass over m
+    advances the pmf and every active node's basis once.  Indices below a
+    node's window enter through the pmf's prefix sum, and a node whose
+    window starts past hi sees all the windowed mass.
     """
-    q0 = int(jw.lo[0])
-    tops = [int(jw.hi[c.size - 1]) for c in cs]
-    insides = [nw.lo <= m_top for m_top in tops]
-    ends = [max(min(m_top, int(nw.hi[inside].max(initial=q0 - 1))), q0 - 1)
-            for m_top, inside in zip(tops, insides)]
-    ms = np.arange(q0 - 1, max(ends) + 1)
-    j_end = np.searchsorted(jw.lo, ms, side="right")    # jumps started by m
-    j_beg = np.searchsorted(jw.hi, ms, side="left")     # jumps not yet done
+    ms = np.arange(lo - 1, hi + 1)
     i_end = np.searchsorted(nw.lo, ms, side="right")
     i_beg = np.searchsorted(nw.hi, ms, side="left")
-    p, basis, term = jw.p0.copy(), nw.basis0.copy(), nw.term0.copy()
-    mu, z = jw.mu, nw.z
-    out = np.zeros((len(cs), z.size))
-    q = np.zeros((len(cs), ms.size))  # q[:, k] is the weight of index q0 - 1 + k
+    basis, term, z = nw.basis0.copy(), nw.term0.copy(), nw.z
+    out = np.zeros(z.size)
+    q = np.zeros(ms.size)  # q[k] is the pmf at lo - 1 + k
+    p = float(_gamma_weight(np.array([float(lo)]), np.array([mu]))[0])
     for k in range(1, ms.size):
-        m = q0 - 1 + k
-        lo, mid, hi = j_beg[k], j_end[k - 1], j_end[k]
-        if mid > lo:  # advance running pmfs from m - 1 to m
-            p[lo:mid] *= mu[lo:mid]
-            p[lo:mid] *= 1.0 / m
-        for row, c in zip(q, cs):
-            row[k] = c[lo:hi] @ p[lo:min(hi, c.size)]
-        lo, mid, hi = i_beg[k], i_end[k - 1], i_end[k]
-        if mid > lo:  # P(a + m) = P(a + m - 1) - term(m - 1)
-            basis[lo:mid] -= term[lo:mid]
-            term[lo:mid] *= z[lo:mid]
-            term[lo:mid] *= 1.0 / (a + m)
-        if hi > lo:
-            for row, qm in zip(out, q[:, k].tolist()):
-                if qm != 0.0:
-                    row[lo:hi] += qm * basis[lo:hi]
-    # indices below a node's window: P(a + m, z) = 1 up to the booked tail;
-    # a row's inside nodes read its prefix below its own sweep's end
-    prefix = np.cumsum(q, axis=1)
-    below = np.clip(nw.lo - q0, 0, ms.size - 1)
-    for row, c, inside, pre in zip(out, cs, insides, prefix):
-        # a node window past every jump window sees all the (windowed) mass
-        row += np.where(inside, pre[below], c.sum())
-    return out, [m_top - q0 + 2 for m_top in tops]
+        m = lo - 1 + k
+        if k > 1:  # advance the pmf from m - 1 to m
+            p = p * mu * (1.0 / m)
+        q[k] = p
+        i_lo, i_mid, i_hi = i_beg[k], i_end[k - 1], i_end[k]
+        if i_mid > i_lo:  # P(a + m) = P(a + m - 1) - term(m - 1)
+            basis[i_lo:i_mid] -= term[i_lo:i_mid]
+            term[i_lo:i_mid] *= z[i_lo:i_mid]
+            term[i_lo:i_mid] *= 1.0 / (a + m)
+        if i_hi > i_lo and p != 0.0:
+            out[i_lo:i_hi] += p * basis[i_lo:i_hi]
+    # P(a + m, z) = 1 below a node's window, up to the booked tail
+    below = np.clip(nw.lo - lo, 0, ms.size - 1)
+    out += np.where(nw.lo <= hi, np.cumsum(q)[below], 1.0)
+    return out
 
 
 def _ncx2_cdf(x: np.ndarray, dim: int, lam: float) -> np.ndarray:
     """Noncentral chi-squared CDF with certified truncation error <= 4 _TAIL.
 
-    One jump of unit size in the shared windowed sweep; its four window
-    tails are each below _TAIL.
+    The Poisson(lam/2) mixture of incomplete gamma functions in one windowed
+    sweep; its four window tails are each below _TAIL.
     """
     x = np.asarray(x, dtype=float)
     mu = 0.5 * lam
     if mu == 0.0:
         return gammainc(0.5 * dim, 0.5 * x)
-    jw = _JumpWindows.build(np.array([mu]), _TAIL)
+    (lo,), (hi,) = _window_edges(np.array([mu]), 0.0, 1.0, _TAIL)
     z = 0.5 * x.ravel()
     order = np.argsort(z, kind="stable")
-    nw = _NodeWindows.build(0.5 * dim, z[order], _TAIL,
-                            support=(int(jw.lo[0]), int(jw.hi[0])))
+    nw = _NodeWindows.build(0.5 * dim, z[order], _TAIL, support=(int(lo), int(hi)))
     out = np.empty(z.size)
-    vals, _ = _series_sweep(0.5 * dim, [np.ones(1)], jw, nw)
-    out[order] = vals[0]
+    out[order] = _series_sweep(0.5 * dim, mu, int(lo), int(hi), nw)
     return np.clip(out, 0.0, 1.0).reshape(x.shape)
 
 
@@ -362,11 +336,11 @@ def _check_point(dim: int, y: float, r, t: float) -> np.ndarray:
     if dim < 1:
         raise ValueError("dim must be >= 1")
     _check_time(t)
-    if y < 0.0:
-        raise ValueError("y must be nonnegative")
+    if not 0.0 <= y < math.inf:
+        raise ValueError(f"y must be finite and nonnegative, got {y}")
     r_arr = np.asarray(r, dtype=float)
-    if np.any(r_arr < 0.0):
-        raise ValueError("r must be nonnegative")
+    if not np.all((r_arr >= 0.0) & (r_arr < math.inf)):
+        raise ValueError("r must be finite and nonnegative")
     return r_arr
 
 
@@ -438,45 +412,225 @@ def _cached(key: tuple, build):
     return entry
 
 
-def _series_eval_err(c: np.ndarray, steps: int) -> float:
-    """Booked error of a windowed sweep: four window tails per unit mass
-    (jumps below and above, nodes below and above) plus recurrence and
-    start-value roundoff."""
-    per_mass = 4.0 * _TAIL + 1e-15 * steps + 64.0 * np.finfo(float).eps
-    return float(np.abs(c).sum()) * per_mass
+_TAYLOR_TERMS = 21  # terms about each anchor: 2^6 / 21! < 2^-56 for every d <= 12
+_TABLE_ULPS = 128   # l1 error of one table row in units of 2^-53 (54 measured)
+_BLOCK = 4096       # entries per block of table or Taylor sums: scratch below 1 MB
 
 
-class _SeriesLattice:
-    """Series windows and start values on the lattice r_i = i*h, i < n.
+def _gamma(n: int) -> float:
+    """Higham's gamma_n = n u / (1 - n u), u = 2^-53: a result of n roundings,
+    in any order, is within gamma_n times the same computation on absolute
+    values (Accuracy and Stability of Numerical Algorithms, 2nd ed., 2002,
+    Lemma 3.1, Sec. 3.1 for sums and dot products, Sec. 5.1 for Horner)."""
+    nu = n * 2.0 ** -53
+    return nu / (1.0 - nu)
 
-    Jump means mu_i and node arguments z_i are both (i h)^2 / (4t), so one
-    lattice serves as jump and node set for every apply with step t.
+
+def _taylor_terms(lift: float) -> int:
+    """Terms N + 1 about each anchor: _TAYLOR_TERMS, or more when d > 12
+    would put the node remainder lift / (N+1)! above _TAIL."""
+    n = _TAYLOR_TERMS
+    while lift / math.factorial(n) > _TAIL:
+        n += 1
+    return n
+
+
+class _Banded:
+    """Rows x^(s+k) e^-x / Gamma(s+k+1), one per x, over k in [lo, hi]."""
+
+    def __init__(self, s: float, x: np.ndarray, lo: np.ndarray, hi: np.ndarray):
+        self.lo, self.hi, self.widths = lo, hi, hi - lo + 1
+        off = np.zeros(x.size + 1, dtype=np.int64)
+        np.cumsum(self.widths, out=off[1:])
+        if off[-1] > 4 * _MAX_WINDOW:
+            raise EvaluationError(f"anchored series table needs {off[-1]:.3g} terms")
+        # int32 indices, which scipy.sparse takes without a copy
+        self.off = off.astype(np.int32)
+        self.k = np.arange(off[-1], dtype=np.int32)
+        self.k -= np.repeat((off[:-1] - lo).astype(np.int32), self.widths)
+        row = np.repeat(np.arange(x.size, dtype=np.int32), self.widths)
+        self.data = np.empty(off[-1])
+        for b in range(0, self.data.size, _BLOCK):  # in blocks, to bound scratch
+            e = min(b + _BLOCK, self.data.size)
+            self.data[b:e] = _gamma_weight(s + self.k[b:e], x[row[b:e]])
+
+    def head(self, n: int, pad: int = 0):
+        """Rows 0..n-1 as a CSR matrix, with pad columns past the furthest of
+        their windows."""
+        # imported here: only this route needs it, and loading it with the
+        # package costs every other process, the simulators' too, 1.5 MB
+        from scipy import sparse
+        end = int(self.off[n])
+        return sparse.csr_matrix((self.data[:end], self.k[:end], self.off[:n + 1]),
+                                 shape=(n, int(self.hi[:n].max()) + 1 + pad))
+
+    @property
+    def nbytes(self) -> int:
+        return sum(v.nbytes for v in vars(self).values())
+
+
+class _AnchoredLattice:
+    """Anchors, Taylor offsets and the two banded tables on r_i = i*h, i < n.
+
+    Jump means and node arguments are both x_i = (i h)^2 / (4t).  x_i gets
+    the anchor A = rint(x_i) and the offset delta_i = x_i - A, exact by
+    Sterbenz's lemma, with |delta_i| <= 1/2.  Row A of ``jumps`` holds
+    Poisson(m; A) over the anchor's verified window in m.  Row A of
+    ``nodes`` holds psi_k(A) = A^(a+k) e^-A / Gamma(a+k+1) over a window in
+    k whose upper edge is verified at A and lower edge at A - 1/2, so both
+    hold over the anchor's cell (psi_0(0) = 1/Gamma(a+1)); a node carries
+    the factor (x/A)^a, or x^a at A = 0.  Every entry depends on its own
+    anchor alone and every sum runs over one row in index order, so no
+    value depends on how far the tables reach.
     """
 
-    def __init__(self, dim: int, t: float, h: float, n: int):
+    def __init__(self, dim: int, t: float, h: float, n: int, n_jumps: int):
+        a = 0.5 * dim
+        self.a, self.n, self.n_jumps, self.lift = a, n, n_jumps, max(1.0, 2.0 ** a)
+        self.terms = _taylor_terms(self.lift)
+        self.factorials = np.array([math.factorial(k) for k in range(self.terms)], float)
         x = (np.arange(n, dtype=float) * h) ** 2 / (4.0 * t)
-        self.n = n
-        self.jumps = _JumpWindows.build(x, _TAIL)
-        self.nodes = _NodeWindows.build(0.5 * dim, x, _TAIL)
-        self.nbytes = self.jumps.nbytes + self.nodes.nbytes
+        anchor = np.rint(x)
+        new = np.diff(anchor, prepend=-1.0) != 0.0
+        self.first = np.flatnonzero(new)   # first lattice index of each anchor
+        self.row = np.cumsum(new) - 1      # anchor of each lattice index
+        self.anchors = anchor[self.first]
+        self.delta = x - anchor
+        self.scale = np.where(anchor > 0.0, x / np.maximum(anchor, 1.0), x) ** a
+        jumps = self.anchors[:self.row[n_jumps - 1] + 1]
+        lo, hi = _window_edges(jumps, 0.0, 1.0, _TAIL / 4.0)
+        self.jumps = _Banded(0.0, jumps, lo, hi)
+        self.top_max = int(hi.max()) + self.terms - 1  # the furthest q reaches
+        # node rows up to the first whose window starts past top_max: no
+        # node after it needs a Taylor sum
+        eps = _TAIL / (4.0 * self.lift)
+        lo = _window_edges(np.maximum(self.anchors - 0.5, 0.0), a, a + 1.0, eps)[0]
+        nodes = self.anchors[:np.argmax(np.append(lo, np.inf) > self.top_max) + 1]
+        hi = _window_edges(nodes, a, a + 1.0, eps)[1]
+        self.nodes = _Banded(a, nodes, np.minimum(lo[:nodes.size], hi), hi)
+        self.nodes.data[0] = math.exp(-math.lgamma(a + 1.0))  # anchor 0, window [0, 0]
+        self.nbytes = (self.jumps.nbytes + self.nodes.nbytes
+                       + sum(v.nbytes for v in (self.first, self.row, self.anchors,
+                                                self.delta, self.scale)))
+
+    def apply(self, c: np.ndarray, n_out: int) -> tuple[np.ndarray, float]:
+        """Mixture of the lattice jumps c on the nodes i*h, i < n_out, and its
+        certified error (:meth:`eval_err`); c has at most n_jumps entries."""
+        big_n = self.terms - 1
+        n_a = int(self.row[c.size - 1]) + 1
+        # jumps: the moments M_{A,n}, r_n(m) = sum_A M_{A,n} Poisson(m; A),
+        # and q = sum_n (-grad)^n r_n by Horner's rule
+        seg = self.first[:n_a]
+        moments = np.empty((self.terms, n_a))
+        x, dx = c.copy(), self.delta[:c.size]
+        for n in range(self.terms):
+            if n:
+                x *= dx
+                x /= n
+            np.add.reduceat(x, seg, out=moments[n])
+        r = self.jumps.head(n_a, big_n).T @ moments.T
+        q = r[:, big_n].copy()
+        for n in range(big_n - 1, -1, -1):
+            q, prev = r[:, n] - q, q
+            q[1:] += prev[:-1]
+        cum = np.cumsum(q)
+        # nodes: from the first anchor whose window starts past q on, every
+        # P(a + m, x) with m <= top is 1 up to the lower tail, so the value
+        # is the total.  Before it: Q = prefix sums of q, held at the total;
+        # (L^n Q)_k with (L Q)_k = (k+1)/(a+k+1) Q_{k+1} - Q_k; coefficients
+        # A^a h^(n)(A) = sum_k psi_k(A) (L^n Q)_k; and at each node the
+        # Taylor sum (x/A)^a sum_n A^a h^(n)(A) delta^n / n!
+        n_t = int(np.argmax(self.nodes.lo > q.size - 1))
+        rows = self.row[:n_out]
+        n_in = int(np.searchsorted(rows, n_t))
+        nodes = self.nodes.head(int(rows[n_in - 1]) + 1)
+        k_end = nodes.shape[1]
+        d = np.empty(k_end + big_n)
+        d[:q.size] = cum[:d.size]
+        d[q.size:] = cum[-1]
+        w = np.arange(1.0, d.size) / (self.a + np.arange(1.0, d.size))
+        deriv = np.empty((k_end, self.terms))
+        deriv[:, 0] = d[:k_end]
+        for n in range(1, self.terms):
+            d = w[:d.size - 1] * d[1:] - d[:-1]
+            deriv[:, n] = d[:k_end]
+        coef = np.ascontiguousarray((nodes @ deriv / self.factorials).T)
+        vals = np.full(n_out, cum[-1])
+        for s in range(0, n_in, _BLOCK):
+            e = min(s + _BLOCK, n_in)
+            # each anchor's coefficients, repeated over its run of nodes
+            block = np.repeat(coef[:, rows[s]:rows[e - 1] + 1],
+                              np.bincount(rows[s:e] - rows[s]), axis=1)
+            dx = self.delta[s:e]
+            acc = block[big_n].copy()
+            for n in range(big_n - 1, -1, -1):
+                acc *= dx
+                acc += block[n]
+            vals[s:e] = acc * self.scale[s:e]
+        err = self.eval_err(c, seg, q.size, n_t)
+        return np.clip(vals, 0.0, max(c.sum(), 0.0)), err
+
+    def eval_err(self, c: np.ndarray, seg: np.ndarray, n_q: int, n_t: int) -> float:
+        """Certified error of :meth:`apply`, ||c||_1 times the sum of
+
+        * the Taylor remainders, with |delta| <= 1/2 and N + 1 terms.  Jumps:
+          ||q - q_N||_1 <= sup ||d^(N+1)/dmu^(N+1) Poisson||_1 / (N+1)!
+          <= 2^(N+1) (1/2)^(N+1) / (N+1)!, since ||grad^n||_1 <= 2^n.  Nodes:
+          x^a |h^(N+1)(s)| <= 2^(N+1) ||Q||_inf max(1, 2^a) for s between
+          the anchor and x, since ||L||_inf <= 2 and x^a sum_k phi_k(s) <=
+          max(1, 2^a).  Together (1 + max(1, 2^a)) / (N+1)!.
+        * the window tails.  Each of the four is verified below _TAIL/4 per
+          unit mass (over max(1, 2^a) for the nodes) and lifted by
+          sum_n (2 |delta|)^n / n! <= e (and (x/A)^a <= max(1, 2^a)), so
+          each books at most e _TAIL / 4 < _TAIL: e _TAIL together.  A node
+          past every window start (n_t) drops the lower node tail alone.
+        * roundoff, gamma_K times the same computation on absolute values,
+          which the same lifts bound by e ||c||_1 on the jump side and by
+          e max(1, 2^a) ||c||_1 on the node side.  K counts the roundings on
+          the longest path.  Jumps: 2N for c delta^n / n!, the anchor's
+          jump sum, the table row's l1 error _TABLE_ULPS, the sum over
+          anchors, 2N for the fold.  Nodes: the prefix sum, 3N for L^n, the
+          table again, the window sum, one for 1/n!, 2N for Horner's rule,
+          4 for the factor (x/A)^a (a quotient and a power within one ulp)
+          and its product.
+        * argument rounding: x carries a relative error gamma_3, and
+          |dF/dx| x <= ||c||_1 (sqrt(x) + 1) on each side (Stirling's bound
+          on the Poisson and gamma densities), x below the last anchor
+          before n_t: 3 gamma_3 (sqrt(x_max) + 1).
+
+        ||Q||_inf <= ||q||_1 is ||c||_1 to first order, and the factor 1.01
+        covers the second-order terms.  Every term depends on c alone.
+        """
+        big_n = self.terms - 1
+        k_jump = 4 * big_n + int(np.diff(seg, append=c.size).max()) + _TABLE_ULPS + seg.size
+        k_node = n_q + 5 * big_n + _TABLE_ULPS + int(self.nodes.widths[:n_t].max()) + 5
+        x_max = float(self.anchors[n_t - 1]) + 0.5
+        per_mass = ((1.0 + self.lift) / math.factorial(self.terms)
+                    + math.e * _TAIL
+                    + math.e * (_gamma(k_jump) + self.lift * _gamma(k_node))
+                    + 3.0 * _gamma(3) * (math.sqrt(x_max) + 1.0))
+        return 1.01 * float(np.abs(c).sum()) * per_mass
 
 
-def _lattice_series(dim: int, t: float, cs: list[np.ndarray], h: float, n_out: int
-                    ) -> tuple[np.ndarray, np.ndarray]:
-    """Mixtures of nonempty lattice jump rows cs on the nodes i*h, i < n_out,
-    in one shared sweep."""
+def _lattice_anchored(dim: int, t: float, c: np.ndarray, h: float, n_out: int
+                      ) -> tuple[np.ndarray, float]:
+    """Mixture of nonempty lattice jumps c on the nodes i*h, i < n_out, for
+    every d but 1 and 3, on tables cached per (dim, t, h).
+
+    The tables are rebuilt longer, with headroom as mass spreads, when they
+    hold fewer than n_out nodes or c.size jumps, and twice as long when no
+    node window starts past every jump window.
+    """
     key = ("series", dim, t, h)
-    if key in _IMAGE_CACHE and _IMAGE_CACHE[key].n < n_out:
-        del _IMAGE_CACHE[key]  # rebuilt longer, with headroom as mass spreads
-    lattice = _cached(key, lambda: _SeriesLattice(dim, t, h, n_out + n_out // 4))
-    n_jumps = max(c.size for c in cs)
-    vals, steps = _series_sweep(0.5 * dim, cs, lattice.jumps.head(n_jumps),
-                                lattice.nodes.head(n_out))
-    errs = np.empty(len(cs))
-    for k, c in enumerate(cs):
-        np.clip(vals[k], 0.0, max(c.sum(), 0.0), out=vals[k])
-        errs[k] = _series_eval_err(c, steps[k])
-    return vals, errs
+    lattice = _IMAGE_CACHE.pop(key, None)
+    n, n_jumps = n_out + n_out // 4, c.size + c.size // 4
+    while (lattice is None or lattice.n < n_out or lattice.n_jumps < c.size
+           or lattice.nodes.lo[-1] <= lattice.top_max):
+        if lattice is not None and lattice.n >= n_out and lattice.n_jumps >= c.size:
+            n = max(n, 2 * lattice.n)
+        lattice = None  # the old tables go before the new ones are built
+        lattice = _AnchoredLattice(dim, t, h, n, n_jumps)
+    return _cached(key, lambda: lattice).apply(c, n_out)
 
 
 def _image_tail(dim: int, t: float, x: float, mass: float, w_mass: float,
@@ -594,10 +748,11 @@ def _lattice_jumps(locs: np.ndarray, sizes: np.ndarray, r_nodes: np.ndarray,
     trimmed after its own last nonzero jump."""
     slack = 1e-9 * h
     n = r_nodes.size
-    if np.any(np.abs(r_nodes - np.arange(n, dtype=float) * h) > slack):
+    # written as not <= so that a NaN fails the check
+    if not np.all(np.abs(r_nodes - np.arange(n, dtype=float) * h) <= slack):
         raise ValueError("r_nodes must be the lattice i*lattice_h for i = 0..n-1")
     idx = np.rint(locs / h)
-    if np.any(np.abs(locs - idx * h) > slack) or idx.min() < 0 or idx.max() >= n:
+    if not np.all(np.abs(locs - idx * h) <= slack) or idx.min() < 0 or idx.max() >= n:
         raise ValueError("locs must lie on the lattice i*lattice_h inside the nodes")
     idx = idx.astype(np.int64)
     cs = []
@@ -615,16 +770,16 @@ def mixture_node_values(dim: int, t: float, locs: np.ndarray, sizes: np.ndarray,
 
     ``r_nodes`` must be the lattice i*lattice_h for i = 0..n-1 and ``locs``
     must lie on it (to 1e-9 * lattice_h, else ``ValueError``); d in {1, 3}
-    takes the band-limited image route and every other d the series with
-    windows cached per lattice.  Every dropped tail is at most 2^-56 per
-    unit mass.  Returns (values, certified absolute evaluation error).
+    takes the band-limited image route and every other d the anchored
+    Taylor route on tables cached per lattice.  Every dropped tail is at
+    most 2^-56 per unit mass.  Returns (values, certified absolute
+    evaluation error).
 
     ``sizes`` of shape (k, len(locs)) holds k mixtures on the same ``locs``
     and nodes, and the call returns (k, n) values and k errors.  The
-    lattice is checked once; the series route evaluates all rows in one
-    shared sweep and the image route one row at a time.  Each row gets the
-    bits that a call with that row alone returns, and a node's value does
-    not depend on how many nodes follow it.
+    lattice is checked once and each row evaluated on its own: it gets the
+    bits that a call with that row alone returns, and neither a node's
+    value nor the error depends on how many nodes follow it.
     """
     if dim < 1:
         raise ValueError("dim must be >= 1")
@@ -637,13 +792,12 @@ def mixture_node_values(dim: int, t: float, locs: np.ndarray, sizes: np.ndarray,
                          f"got {sizes.shape}")
     rows = sizes if sizes.ndim == 2 else sizes[None]
     h = float(lattice_h)
+    if not 0.0 < h < math.inf:
+        raise ValueError(f"lattice_h must be positive and finite, got {lattice_h}")
     cs = _lattice_jumps(locs, rows, r_nodes, h) if locs.size else [locs[:0]] * len(rows)
     vals, errs = np.zeros((len(cs), r_nodes.size)), np.zeros(len(cs))
-    live = [k for k, c in enumerate(cs) if c.size]
-    if dim in (1, 3):
-        for k in live:
-            vals[k], errs[k] = _lattice_images(dim, float(t), cs[k], h, r_nodes.size)
-    elif live:
-        vals[live], errs[live] = _lattice_series(dim, float(t), [cs[k] for k in live],
-                                                 h, r_nodes.size)
+    route = _lattice_images if dim in (1, 3) else _lattice_anchored
+    for k, c in enumerate(cs):
+        if c.size:
+            vals[k], errs[k] = route(dim, float(t), c, h, r_nodes.size)
     return (vals, errs) if sizes.ndim == 2 else (vals[0], float(errs[0]))

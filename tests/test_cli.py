@@ -100,11 +100,14 @@ class TestConfig:
         ("selection", "sup_tol", "nan"), ("selection", "m_tol", "inf"),
         ("selection", "mass_tol", "nan"), ("hydro", "tolerance_q90", "inf"),
         ("stationarity", "pairwise_tol", "nan"), ("kernel-dump", "t_values", "nan"),
-        ("kernel-dump", "t_values", "0.1,inf")])
+        ("kernel-dump", "t_values", "0.1,inf"), ("kernel-dump", "y_values", "nan"),
+        ("kernel-dump", "y_values", "0.5,inf"), ("kernel-dump", "r_values", "nan"),
+        ("kernel-dump", "r_values", "1.0,inf")])
     def test_nonfinite_value_exit_two_before_output(self, tmp_path, sub, key, value,
                                                     capsys):
-        # t = nan or inf used to run forever; grid_step = nan, sampler_radius
-        # = inf and the others failed inside the run, after manifest.json
+        # t = nan or inf used to run forever (and y_values = nan at d = 2);
+        # grid_step = nan, sampler_radius = inf and the others failed inside
+        # the run, after manifest.json, and r_values = nan at d = 1 wrote NaN rows
         out = tmp_path / "x"
         assert main([sub, "--out", str(out), "--set", f"{key}={value}"]) == 2
         assert f"'{key}'" in capsys.readouterr().err
@@ -116,7 +119,8 @@ class TestConfig:
         ("selection", "window_dt", "0"), ("stationarity", "snapshot_dt", "0"),
         ("selection", "k", "0"), ("selection", "c", "-0.1"), ("selection", "c", "1.5"),
         ("stationary", "profile_nodes", "0"), ("stationary", "profile_nodes", "1"),
-        ("kernel-dump", "t_values", "-1"), ("kernel-dump", "t_values", "0.1,0")])
+        ("kernel-dump", "t_values", "-1"), ("kernel-dump", "t_values", "0.1,0"),
+        ("kernel-dump", "y_values", "-0.5"), ("kernel-dump", "r_values", "-1")])
     def test_nonpositive_value_exit_two_before_output(self, tmp_path, sub, key, value,
                                                       capsys):
         out = tmp_path / "x"

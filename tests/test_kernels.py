@@ -1,5 +1,6 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy import integrate, stats
@@ -88,6 +89,20 @@ class TestRadialCdf:
         for kernel in (radial_cdf, bessel_density, kernel_G):
             with pytest.raises(ValueError, match="dim"):
                 kernel(0, 0.5, 1.0, 1.0)
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @pytest.mark.parametrize("y, r", [(math.nan, 1.0), (0.5, math.nan), (math.inf, 1.0),
+                                      (0.5, math.inf), (0.5, [0.5, math.nan])])
+    def test_nonfinite_arguments_rejected(self, dim, y, r):
+        # radial_cdf(3, nan, 1, 1) and radial_cdf(2, 0.5, nan, 1) never returned
+        for kernel in (radial_cdf, bessel_density, kernel_G):
+            with pytest.raises(ValueError, match="finite"):
+                kernel(dim, y, r, 1.0)
+
+    def test_nan_series_mean_rejected(self):
+        # a NaN mean used to keep the window search looping forever
+        with pytest.raises(ValueError, match="NaN"):
+            kernels._window_edges(np.array([1.0, math.nan]), 0.0, 1.0, kernels._TAIL)
 
     def test_series_window_blowup_is_diagnosed(self):
         from nbbm.kernels import EvaluationError
@@ -321,6 +336,14 @@ class TestLatticeMixture:
         cell = float(np.max(jumps[1:]))
         assert np.abs(once - twice).max() <= cell + err1 + err2 + err3 + 1e-12
 
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("h", [0.0, -0.01, math.nan, math.inf])
+    def test_lattice_step_must_be_positive(self, d, h):
+        # at h = 0 every node sits at the origin, where the d = 2 tables
+        # would be rebuilt longer without end
+        with pytest.raises(ValueError, match="lattice_h"):
+            mixture_node_values(d, 0.1, [0.0], [1.0], np.zeros(5), lattice_h=h)
+
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_off_lattice_input_rejected(self, d):
         r = np.arange(200) * self.H
@@ -332,6 +355,16 @@ class TestLatticeMixture:
             mixture_node_values(d, 0.01, [2.5], [1.0], r, lattice_h=self.H)
         vals, _ = mixture_node_values(d, 0.01, [0.5 + 1e-13], [1.0], r, lattice_h=self.H)
         assert vals[-1] == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_nan_lattice_input_rejected(self, d):
+        # a NaN location or node used to pass the lattice checks
+        r = np.arange(200) * self.H
+        with pytest.raises(ValueError, match="locs"):
+            mixture_node_values(d, 0.01, [0.5, math.nan], [1.0, 1.0], r, lattice_h=self.H)
+        with pytest.raises(ValueError, match="r_nodes"):
+            mixture_node_values(d, 0.01, [0.5], [1.0], np.r_[r, math.nan],
+                                lattice_h=self.H)
 
     @pytest.mark.parametrize("d", [1, 2, 3, 5])
     def test_rows_match_one_row_calls(self, d):
@@ -375,3 +408,76 @@ class TestLatticeMixture:
         solve(1)
         assert len(kernels._IMAGE_CACHE) == 1
         assert next(iter(kernels._IMAGE_CACHE))[0] == "image"
+
+
+# ---------------------------------------------------------------------------
+# the anchored route (every d but 1 and 3) against the pointwise sweep
+# ---------------------------------------------------------------------------
+
+def _random_lattice(rng, h, n):
+    idx = np.sort(rng.choice(np.arange(n // 2), 12, replace=False))
+    return idx, rng.uniform(0.0, 1.0, idx.size), np.arange(n) * h
+
+
+class TestAnchoredRoute:
+    H, N = 0.01, 400
+
+    @pytest.mark.parametrize("d", [2, 4, 5, 12])
+    @pytest.mark.parametrize("t", [0.01, 0.3])
+    def test_matches_pointwise_sweep(self, d, t):
+        # radial_cdf runs the windowed sweep on one jump; its booking is the
+        # four window tails and a recurrence margin of 1e-15 per index swept
+        # plus 64 ulps, per unit mass
+        rng = np.random.default_rng(d * 1000 + round(100 * t))
+        idx, sizes, r = _random_lattice(rng, self.H, self.N)
+        kernels._IMAGE_CACHE.clear()
+        vals, err = mixture_node_values(d, t, idx * self.H, sizes, r, lattice_h=self.H)
+        ref = np.zeros(r.size)
+        sweep_err = 0.0
+        for i, c in zip(idx, sizes):
+            ref += c * radial_cdf(d, i * self.H, r, t)
+            lo, hi = kernels._window_edges(np.array([(i * self.H) ** 2 / (4 * t)]),
+                                           0.0, 1.0, kernels._TAIL)
+            steps = int(hi[0] - lo[0]) + 2
+            sweep_err += c * (4 * kernels._TAIL + 1e-15 * steps
+                              + 64 * np.finfo(float).eps)
+        assert np.abs(vals - ref).max() <= err + sweep_err
+
+    @pytest.mark.parametrize("s", [0.0, 1.0, 2.5])
+    def test_table_rows_within_booked_l1_error(self, s):
+        # roundoff booking takes each table row x^(s+k) e^-x / Gamma(s+k+1)
+        # over its window to be within _TABLE_ULPS units of 2^-53 in l1 (the
+        # saddle-point weights reach 54 near x = 16)
+        anchors = np.r_[np.arange(1.0, 61.0), 100.0, 400.0]
+        table = kernels._Banded(s, anchors, *kernels._window_edges(
+            anchors, s, s + 1.0, kernels._TAIL / 4))
+        with mp.workdps(30):
+            for i, x in enumerate(anchors):
+                row = slice(table.off[i], table.off[i + 1])
+                l1 = sum(abs(mp.mpf(v) - mp.exp((s + k) * mp.log(x) - x
+                                                 - mp.loggamma(s + k + 1)))
+                         for v, k in zip(table.data[row], table.k[row].tolist()))
+                assert l1 <= kernels._TABLE_ULPS * 2.0 ** -53, (x, float(l1))
+
+    @pytest.mark.parametrize("d", [2, 5])
+    @pytest.mark.parametrize("terms", [6, 21])
+    def test_taylor_remainder_bound(self, d, terms, monkeypatch):
+        # against 8 more Taylor terms, the change stays within the booked
+        # remainder (1 + max(1, 2^(d/2))) / terms! per unit mass (and the
+        # roundoff both evaluations book)
+        rng = np.random.default_rng(31 + d)
+        idx, sizes, r = _random_lattice(rng, self.H, self.N)
+        out = {}
+        for n_terms in (terms, terms + 8):
+            monkeypatch.setattr(kernels, "_taylor_terms", lambda lift, n=n_terms: n)
+            kernels._IMAGE_CACHE.clear()
+            out[n_terms] = mixture_node_values(d, 0.05, idx * self.H, sizes, r,
+                                               lattice_h=self.H)
+        (short, err_short), (long, err_long) = out[terms], out[terms + 8]
+        lift = max(1.0, 2.0 ** (0.5 * d))
+        remainder = (1.0 + lift) / math.factorial(terms) * sizes.sum()
+        change = np.abs(short - long).max()
+        assert change <= remainder + 1e-12
+        assert err_short >= remainder
+        if terms == 6:  # the remainder is what moves the values
+            assert change > 1e-9

@@ -185,6 +185,7 @@ _ARRAYS = hnp.arrays(np.float64, st.integers(0, 40), elements=st.one_of(
 @example(np.array([1.0, math.nan, 0.5, 2.0]))
 @example(np.array([math.nan, 1.0, 2.0]))
 @example(np.array([0.0, 0.3, 0.2, 0.25, 0.4, 0.1, 0.5]))
+@example(np.tile([1.0, 0.5, 2.0], 40))  # past 64 descents: one scalar pass
 def test_running_max_is_maximum_accumulate(x):
     # same values as np.maximum.accumulate, with a NaN carried to the end
     np.testing.assert_array_equal(obstacle._running_max(x), np.maximum.accumulate(x))
