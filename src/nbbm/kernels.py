@@ -31,20 +31,20 @@ domain:
   prefix sums of the jump sizes, and the remainders, cut to a band of B
   cells, are one FFT convolution of length about n_act + 2B (n_act = cells
   carrying jumps);
-* anchored route (any other d): each lattice argument x = (ih)^2/(4t)
-  lies within 1/2 of an integer anchor A, and both sides of the series are
-  entire in their continuous argument, so they are Taylor expanded about
-  the anchors with N + 1 = 21 terms, the anchor-and-Taylor idea of the fast
-  Gauss transform (Greengard & Strain, SIAM J. Sci. Stat. Comput. 12, 1991).
-  Jumps: moments M_{A,n} = sum_j c_j delta_j^n / n! against a table of
-  Poisson(m; A), folded as q = sum_n (-grad)^n r_n since d/dmu Poisson(m)
-  = Poisson(m-1) - Poisson(m).  Nodes: the mixture is z^a h(z), a = d/2,
-  with h(z) = sum_k Q_k z^k e^-z / Gamma(a+k+1) over the prefix sums Q of
-  q; h^(n)(A) comes from (LQ)_k = (k+1)/(a+k+1) Q_{k+1} - Q_k against a
-  second table, and each node from a Taylor sum in delta = z - A.  Both
-  tables are banded to verified windows, built once per (dim, t, h) and
-  cached.  The pointwise kernels sweep one jump's Poisson weights and each
-  node's incomplete-gamma basis over such windows (``_series_sweep``).
+* anchored route (any other d): each jump mean and node argument
+  x = (ih)^2/(4t) lies within 1/2 of an integer anchor A, and both sides of
+  the series are entire in their continuous argument, so they are Taylor
+  expanded about the anchors with N + 1 = 21 terms, the anchor-and-Taylor
+  idea of the fast Gauss transform (Greengard & Strain, SIAM J. Sci. Stat.
+  Comput. 12, 1991).  Jumps: moments M_{A,n} = sum_j c_j delta_j^n / n!
+  against a table of Poisson(m; A), folded as q = sum_n (-grad)^n r_n since
+  d/dmu Poisson(m) = Poisson(m-1) - Poisson(m).  Nodes: the mixture is
+  z^a h(z), a = d/2, with h(z) = sum_k Q_k z^k e^-z / Gamma(a+k+1) over the
+  prefix sums Q of q; h^(n)(A) comes from (LQ)_k = (k+1)/(a+k+1) Q_{k+1} -
+  Q_k against a second table, and each node from a Taylor sum in
+  delta = z - A.  The tables come in blocks of anchors built by a ratio
+  recurrence, kept per (dim, t, h) within the cache budget and streamed
+  past it.  The pointwise kernels run one unit jump through the same route.
 
 The returned ``eval_err`` books, per unit of mixture mass:
 
@@ -52,13 +52,8 @@ The returned ``eval_err`` books, per unit of mixture mass:
   bounds of ``_image_tail``) and a margin of 64 eps n_fft for FFT and
   prefix-sum roundoff;
 * anchored route (``_AnchoredLattice.eval_err``): the Taylor remainders,
-  (1 + max(1, 2^a)) / (N+1)! from ||grad^n||_1 <= 2^n and ||L^n||_inf <=
-  2^n; the four window tails, each verified with gammainc/gammaincc and
-  lifted by at most e max(1, 2^a) to below 2^-56; roundoff, gamma_K times
-  the same sums on absolute values (Higham, Accuracy and Stability of
-  Numerical Algorithms, 2nd ed., 2002, Lemma 3.1, Sec. 3.1 and 5.1); and
-  the rounding of the lattice arguments, through Stirling's bound on the
-  densities.
+  the four window tails, roundoff after Higham (Accuracy and Stability of
+  Numerical Algorithms, 2nd ed., 2002) and the rounding of the arguments.
 
 Bands and windows are sized so that every dropped tail stays below 2^-56
 per unit mass; no quadrature is involved.
@@ -67,7 +62,6 @@ per unit mass; no quadrature is involved.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy import fft
@@ -85,7 +79,8 @@ _SQRT_PI = math.sqrt(math.pi)
 
 
 class EvaluationError(RuntimeError):
-    """A series window would need more than _MAX_WINDOW terms."""
+    """A noncentral series window, of a jump or of a node, would need more
+    than _MAX_WINDOW terms; no table size is limited otherwise."""
 
 
 def _check_time(t: float):
@@ -112,15 +107,10 @@ def support_band(t: float, dim: int) -> float:
 # c*sqrt(mu_j) indices around mu_j, and each node's basis P(d/2 + m, z) is
 # within a tail of 1 below, and of 0 above, a window of about c*sqrt(z)
 # indices around z.  Every window edge is verified with gammainc/gammaincc,
-# indices below a node's window enter through a prefix sum of q, and the
-# dropped tails are booked per unit of mixture mass.  The pointwise kernels
-# sweep these windows index by index; the lattice route reads them off
-# tables at integer anchors.
-#
-# Every tail is cut at _TAIL per unit mass, below double rounding: the
-# solver freezes its flat tail where values come within 1e-12 of the total
-# mass, so a coarser kernel there would move the active grid.  There is no
-# accuracy option.
+# and the dropped tails are booked per unit of mixture mass.  Every tail is
+# cut at _TAIL per unit mass, below double rounding: the solver freezes its
+# flat tail where values come within 1e-12 of the total mass, so a coarser
+# kernel there would move the active grid.  There is no accuracy option.
 
 _MAX_WINDOW = 5_000_000  # series terms per window before giving up
 _TAIL = 2.0 ** -56       # per-unit-mass cap on every dropped tail
@@ -189,13 +179,14 @@ def _smallest_passing(passes, x: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> 
     return hi
 
 
-def _window_edges(x: np.ndarray, s_lo: float, s_hi: float, eps: float
+def _window_edges(x: np.ndarray, s_lo: float, s_hi: float, eps: float, shift: float = 0.0
                   ) -> tuple[np.ndarray, np.ndarray]:
     """Verified windows [lo, hi] in m for means x (sorted ascending).
 
     hi is the smallest m >= 0 with gammainc(s_hi + m, x) <= eps; lo is the
-    largest m >= 1 with gammaincc(s_lo + m, x) <= eps, or 0.  Each entry's
-    edges depend on its own mean alone.
+    largest m >= 1, at most hi, with gammaincc(s_lo + m, x') <= eps at
+    x' = max(x - shift, 0), or 0.  Each entry's edges depend on its own mean
+    alone.
     """
     if np.isnan(x).any():
         raise ValueError("series means must not be NaN")
@@ -220,88 +211,24 @@ def _window_edges(x: np.ndarray, s_lo: float, s_hi: float, eps: float
     start = np.maximum(np.floor(x - s_hi).astype(np.int64), 0) - 1
     hi = _smallest_passing(upper_ok, x, start, hi)
 
+    x = np.maximum(x - shift, 0.0)
     lo = np.maximum(np.floor(x - spread).astype(np.int64), 0)
     lo[(lo > 0) & lower_bad(np.maximum(lo, 1), x)] = 0
     first_bad = _smallest_passing(lower_bad, x, lo, np.ceil(x).astype(np.int64) + 2)
     return np.minimum(first_bad - 1, hi), hi
 
 
-@dataclass(frozen=True)
-class _NodeWindows:
-    """P(a + m, z_i) swept on [lo_i, hi_i] from basis0 = P(a + lo_i, z_i)
-    and term0 = z^(a+lo) e^-z / Gamma(a + lo + 1)."""
-
-    z: np.ndarray
-    lo: np.ndarray
-    hi: np.ndarray
-    basis0: np.ndarray
-    term0: np.ndarray
-
-    @classmethod
-    def build(cls, a: float, z: np.ndarray, eps: float,
-              support: tuple[int, int]) -> "_NodeWindows":
-        lo, hi = _window_edges(z, a - 1.0, a + 1.0, eps)
-        # nondecreasing edges keep the active nodes of every index contiguous
-        # (widening a window only shrinks its tails); weights vanish outside
-        # the support, so there is nothing to sweep there
-        hi = np.minimum(np.maximum.accumulate(hi), support[1])
-        lo = np.maximum(np.minimum.accumulate(lo[::-1])[::-1], support[0])
-        k = a + lo
-        return cls(z, lo, hi, gammainc(k, z), _gamma_weight(k, z))
-
-
-def _series_sweep(a: float, mu: float, lo: int, hi: int, nw: _NodeWindows
-                  ) -> np.ndarray:
-    """sum_m Poisson(m; mu) P(a + m, z_i), the pmf kept on [lo, hi].
-
-    The nodes are sorted with nondecreasing window edges inside [lo, hi], so
-    the ones active at index m are a contiguous slice: one pass over m
-    advances the pmf and every active node's basis once.  Indices below a
-    node's window enter through the pmf's prefix sum, and a node whose
-    window starts past hi sees all the windowed mass.
-    """
-    ms = np.arange(lo - 1, hi + 1)
-    i_end = np.searchsorted(nw.lo, ms, side="right")
-    i_beg = np.searchsorted(nw.hi, ms, side="left")
-    basis, term, z = nw.basis0.copy(), nw.term0.copy(), nw.z
-    out = np.zeros(z.size)
-    q = np.zeros(ms.size)  # q[k] is the pmf at lo - 1 + k
-    p = float(_gamma_weight(np.array([float(lo)]), np.array([mu]))[0])
-    for k in range(1, ms.size):
-        m = lo - 1 + k
-        if k > 1:  # advance the pmf from m - 1 to m
-            p = p * mu * (1.0 / m)
-        q[k] = p
-        i_lo, i_mid, i_hi = i_beg[k], i_end[k - 1], i_end[k]
-        if i_mid > i_lo:  # P(a + m) = P(a + m - 1) - term(m - 1)
-            basis[i_lo:i_mid] -= term[i_lo:i_mid]
-            term[i_lo:i_mid] *= z[i_lo:i_mid]
-            term[i_lo:i_mid] *= 1.0 / (a + m)
-        if i_hi > i_lo and p != 0.0:
-            out[i_lo:i_hi] += p * basis[i_lo:i_hi]
-    # P(a + m, z) = 1 below a node's window, up to the booked tail
-    below = np.clip(nw.lo - lo, 0, ms.size - 1)
-    out += np.where(nw.lo <= hi, np.cumsum(q)[below], 1.0)
-    return out
-
-
 def _ncx2_cdf(x: np.ndarray, dim: int, lam: float) -> np.ndarray:
-    """Noncentral chi-squared CDF with certified truncation error <= 4 _TAIL.
-
-    The Poisson(lam/2) mixture of incomplete gamma functions in one windowed
-    sweep; its four window tails are each below _TAIL.
-    """
+    """Noncentral chi-squared CDF within the booked error of one unit jump of
+    mean lam/2 through the anchored series (:class:`_AnchoredLattice`)."""
     x = np.asarray(x, dtype=float)
     mu = 0.5 * lam
-    if mu == 0.0:
+    if mu == 0.0 or x.size == 0:
         return gammainc(0.5 * dim, 0.5 * x)
-    (lo,), (hi,) = _window_edges(np.array([mu]), 0.0, 1.0, _TAIL)
     z = 0.5 * x.ravel()
     order = np.argsort(z, kind="stable")
-    nw = _NodeWindows.build(0.5 * dim, z[order], _TAIL, support=(int(lo), int(hi)))
-    out = np.empty(z.size)
-    out[order] = _series_sweep(0.5 * dim, mu, int(lo), int(hi), nw)
-    return np.clip(out, 0.0, 1.0).reshape(x.shape)
+    vals, _ = _AnchoredLattice(dim, np.array([mu]), z[order]).apply([np.ones(1)], z.size)
+    return vals[0][np.argsort(order)].reshape(x.shape)  # within [0, 1]
 
 
 def _ncx2_pdf(x, dim: int, lam: float):
@@ -395,9 +322,10 @@ def _maxwell_cdf(r: np.ndarray, t: float) -> np.ndarray:
 
 _CACHE_BYTES = 64 << 20  # byte budget of the cross-call kernel cache
 
-# Cross-call kernel data keyed by lattice: image engines and series windows.
-# Entries report their own ``nbytes``; the least recently used go first once
-# the budget is exceeded.
+# Cross-call kernel data keyed by lattice: image engines and anchored series
+# tables.  Entries report their own ``nbytes``; the least recently used go
+# first once the budget is exceeded, and a series entry keeps table blocks
+# only while it fits (:class:`_AnchoredLattice`).
 _IMAGE_CACHE: dict[tuple, object] = {}
 
 
@@ -413,8 +341,9 @@ def _cached(key: tuple, build):
 
 
 _TAYLOR_TERMS = 21  # terms about each anchor: 2^6 / 21! < 2^-56 for every d <= 12
-_TABLE_ULPS = 128   # l1 error of one table row in units of 2^-53 (54 measured)
-_BLOCK = 4096       # entries per block of table or Taylor sums: scratch below 1 MB
+_WEIGHT_ULPS = 256  # relative error of a _gamma_weight value in units of 2^-53 (196 seen)
+_SPAN = 64          # anchor values per table block
+_BLOCK = 4096       # nodes per block of Taylor sums: scratch below 1 MB
 
 
 def _gamma(n: int) -> float:
@@ -435,143 +364,205 @@ def _taylor_terms(lift: float) -> int:
     return n
 
 
-class _Banded:
-    """Rows x^(s+k) e^-x / Gamma(s+k+1), one per x, over k in [lo, hi]."""
+def _anchored(x: np.ndarray):
+    """Anchors A = rint(x) of sorted x: the distinct anchors, the first index
+    of each, the anchor of each entry and the offsets x - A."""
+    anchor = np.rint(x)
+    new = np.diff(anchor, prepend=-1.0) != 0.0
+    return anchor[new], np.flatnonzero(new), np.cumsum(new) - 1, x - anchor
 
-    def __init__(self, s: float, x: np.ndarray, lo: np.ndarray, hi: np.ndarray):
-        self.lo, self.hi, self.widths = lo, hi, hi - lo + 1
-        off = np.zeros(x.size + 1, dtype=np.int64)
-        np.cumsum(self.widths, out=off[1:])
-        if off[-1] > 4 * _MAX_WINDOW:
-            raise EvaluationError(f"anchored series table needs {off[-1]:.3g} terms")
-        # int32 indices, which scipy.sparse takes without a copy
-        self.off = off.astype(np.int32)
-        self.k = np.arange(off[-1], dtype=np.int32)
-        self.k -= np.repeat((off[:-1] - lo).astype(np.int32), self.widths)
-        row = np.repeat(np.arange(x.size, dtype=np.int32), self.widths)
-        self.data = np.empty(off[-1])
-        for b in range(0, self.data.size, _BLOCK):  # in blocks, to bound scratch
-            e = min(b + _BLOCK, self.data.size)
-            self.data[b:e] = _gamma_weight(s + self.k[b:e], x[row[b:e]])
 
-    def head(self, n: int, pad: int = 0):
-        """Rows 0..n-1 as a CSR matrix, with pad columns past the furthest of
-        their windows."""
-        # imported here: only this route needs it, and loading it with the
-        # package costs every other process, the simulators' too, 1.5 MB
-        from scipy import sparse
-        end = int(self.off[n])
-        return sparse.csr_matrix((self.data[:end], self.k[:end], self.off[:n + 1]),
-                                 shape=(n, int(self.hi[:n].max()) + 1 + pad))
+class _Table:
+    """Rows psi_k(A) = A^(s+k) e^-A / Gamma(s+k+1) of sorted anchors A, each
+    over at least its verified window [lo, hi] (psi_0(0) = 1/Gamma(s+1)).
 
-    @property
-    def nbytes(self) -> int:
-        return sum(v.nbytes for v in vars(self).values())
+    Block b, the anchors in [_SPAN b, _SPAN (b+1)), is one dense array over
+    columns c0[b] .. c1[b] - 1, the union of their windows, built from those
+    anchors alone by the ratio recurrence psi_k = psi_(k-1) A / (s+k) and
+    scaled to one saddle-point value per row at its mode.  The rounded
+    factors up to the mode cancel, so an entry j columns from it is within
+    gamma(_WEIGHT_ULPS + 2j + 2) of psi, relatively.  The recurrence stays
+    below e^100; entries outside a window may underflow, under its tail.
+    """
+
+    def __init__(self, s: float, anchors: np.ndarray, lo: np.ndarray, hi: np.ndarray):
+        self.s, self.anchors, self.lo = s, anchors, lo
+        first = np.flatnonzero(np.diff(anchors // _SPAN, prepend=-1.0))
+        self.rows = np.append(first, anchors.size)  # block b holds rows[b]:rows[b+1]
+        self.c0 = np.minimum.reduceat(lo, first)
+        self.c1 = np.maximum.reduceat(hi, first) + 1
+        block = np.repeat(np.arange(first.size), np.diff(self.rows))
+        self.mode = np.clip(np.floor(anchors - s), self.c0[block], self.c1[block] - 1)
+        self.start = np.where(anchors > 0.0, _gamma_weight(s + self.mode, anchors),
+                              math.exp(-math.lgamma(s + 1.0)))
+        self.blocks: dict[int, np.ndarray] = {}
+        self.nbytes = sum(v.nbytes for v in vars(self).values() if isinstance(v, np.ndarray))
+
+    def block_of(self, row: int) -> int:  # the block holding a row
+        return int(np.searchsorted(self.rows, row, side="right")) - 1
+
+    def build(self, b: int) -> np.ndarray:
+        i0, i1 = self.rows[b], self.rows[b + 1]
+        c0, width = int(self.c0[b]), int(self.c1[b] - self.c0[b])
+        out = np.empty((i1 - i0, width))
+        out[:, 0] = 1.0
+        np.divide(self.anchors[i0:i1, None], self.s + np.arange(c0 + 1.0, c0 + width),
+                  out=out[:, 1:])
+        np.cumprod(out, axis=1, out=out)
+        mode = (self.mode[i0:i1] - c0).astype(np.int64)
+        out *= (self.start[i0:i1] / out[np.arange(i1 - i0), mode])[:, None]
+        return out
 
 
 class _AnchoredLattice:
-    """Anchors, Taylor offsets and the two banded tables on r_i = i*h, i < n.
+    """Mixtures of Poisson(mu_j) jumps on the incomplete-gamma basis at node
+    arguments z_i, both sorted, by Taylor series about integer anchors.
 
-    Jump means and node arguments are both x_i = (i h)^2 / (4t).  x_i gets
-    the anchor A = rint(x_i) and the offset delta_i = x_i - A, exact by
-    Sterbenz's lemma, with |delta_i| <= 1/2.  Row A of ``jumps`` holds
-    Poisson(m; A) over the anchor's verified window in m.  Row A of
-    ``nodes`` holds psi_k(A) = A^(a+k) e^-A / Gamma(a+k+1) over a window in
-    k whose upper edge is verified at A and lower edge at A - 1/2, so both
-    hold over the anchor's cell (psi_0(0) = 1/Gamma(a+1)); a node carries
-    the factor (x/A)^a, or x^a at A = 0.  Every entry depends on its own
-    anchor alone and every sum runs over one row in index order, so no
-    value depends on how far the tables reach.
+    Every mean and argument x gets the anchor A = rint(x) and the offset
+    delta = x - A, exact by Sterbenz's lemma, with |delta| <= 1/2.  Table
+    ``jumps`` holds Poisson(m; A) over each jump anchor's window in m,
+    verified at A.  Table ``nodes`` holds psi_k(A) = A^(a+k) e^-A /
+    Gamma(a+k+1) over a window in k whose upper edge is verified at A and
+    lower edge at A - 1/2, so both hold over the anchor's cell; a node
+    carries the factor (z/A)^a, or z^a at A = 0.  A table block is kept
+    while this entry, the running apply's scratch, the block and an eighth
+    of the budget (the apply's other arrays) fit in _CACHE_BYTES, else built,
+    used and dropped.  Sums run over whole blocks, so no value depends on
+    how far the tables reach or on what is kept.
     """
 
-    def __init__(self, dim: int, t: float, h: float, n: int, n_jumps: int):
+    def __init__(self, dim: int, mu: np.ndarray, z: np.ndarray):
         a = 0.5 * dim
-        self.a, self.n, self.n_jumps, self.lift = a, n, n_jumps, max(1.0, 2.0 ** a)
+        self.a, self.n, self.lift, self.scratch = a, z.size, max(1.0, 2.0 ** a), 0
         self.terms = _taylor_terms(self.lift)
         self.factorials = np.array([math.factorial(k) for k in range(self.terms)], float)
-        x = (np.arange(n, dtype=float) * h) ** 2 / (4.0 * t)
-        anchor = np.rint(x)
-        new = np.diff(anchor, prepend=-1.0) != 0.0
-        self.first = np.flatnonzero(new)   # first lattice index of each anchor
-        self.row = np.cumsum(new) - 1      # anchor of each lattice index
-        self.anchors = anchor[self.first]
-        self.delta = x - anchor
-        self.scale = np.where(anchor > 0.0, x / np.maximum(anchor, 1.0), x) ** a
-        jumps = self.anchors[:self.row[n_jumps - 1] + 1]
-        lo, hi = _window_edges(jumps, 0.0, 1.0, _TAIL / 4.0)
-        self.jumps = _Banded(0.0, jumps, lo, hi)
-        self.top_max = int(hi.max()) + self.terms - 1  # the furthest q reaches
-        # node rows up to the first whose window starts past top_max: no
-        # node after it needs a Taylor sum
-        eps = _TAIL / (4.0 * self.lift)
-        lo = _window_edges(np.maximum(self.anchors - 0.5, 0.0), a, a + 1.0, eps)[0]
-        nodes = self.anchors[:np.argmax(np.append(lo, np.inf) > self.top_max) + 1]
-        hi = _window_edges(nodes, a, a + 1.0, eps)[1]
-        self.nodes = _Banded(a, nodes, np.minimum(lo[:nodes.size], hi), hi)
-        self.nodes.data[0] = math.exp(-math.lgamma(a + 1.0))  # anchor 0, window [0, 0]
-        self.nbytes = (self.jumps.nbytes + self.nodes.nbytes
-                       + sum(v.nbytes for v in (self.first, self.row, self.anchors,
-                                                self.delta, self.scale)))
+        anchors, self.first, _, self.jump_delta = _anchored(mu)
+        self.jumps = _Table(0.0, anchors, *_window_edges(anchors, 0.0, 1.0, _TAIL / 4.0))
+        anchors, _, self.row, self.delta = _anchored(z)
+        node_anchor = anchors[self.row]
+        self.scale = np.where(node_anchor > 0.0, z / np.maximum(node_anchor, 1.0), z) ** a
+        eps = _TAIL / (4.0 * self.lift)  # the node tails are lifted by up to lift
+        self.nodes = _Table(a, anchors, *_window_edges(anchors, a, a + 1.0, eps, 0.5))
+        self.arrays = sum(v.nbytes for v in vars(self).values() if isinstance(v, np.ndarray))
 
-    def apply(self, c: np.ndarray, n_out: int) -> tuple[np.ndarray, float]:
-        """Mixture of the lattice jumps c on the nodes i*h, i < n_out, and its
-        certified error (:meth:`eval_err`); c has at most n_jumps entries."""
-        big_n = self.terms - 1
-        n_a = int(self.row[c.size - 1]) + 1
-        # jumps: the moments M_{A,n}, r_n(m) = sum_A M_{A,n} Poisson(m; A),
-        # and q = sum_n (-grad)^n r_n by Horner's rule
-        seg = self.first[:n_a]
-        moments = np.empty((self.terms, n_a))
-        x, dx = c.copy(), self.delta[:c.size]
-        for n in range(self.terms):
-            if n:
-                x *= dx
-                x /= n
-            np.add.reduceat(x, seg, out=moments[n])
-        r = self.jumps.head(n_a, big_n).T @ moments.T
-        q = r[:, big_n].copy()
-        for n in range(big_n - 1, -1, -1):
-            q, prev = r[:, n] - q, q
-            q[1:] += prev[:-1]
-        cum = np.cumsum(q)
-        # nodes: from the first anchor whose window starts past q on, every
-        # P(a + m, x) with m <= top is 1 up to the lower tail, so the value
-        # is the total.  Before it: Q = prefix sums of q, held at the total;
-        # (L^n Q)_k with (L Q)_k = (k+1)/(a+k+1) Q_{k+1} - Q_k; coefficients
-        # A^a h^(n)(A) = sum_k psi_k(A) (L^n Q)_k; and at each node the
-        # Taylor sum (x/A)^a sum_n A^a h^(n)(A) delta^n / n!
-        n_t = int(np.argmax(self.nodes.lo > q.size - 1))
-        rows = self.row[:n_out]
-        n_in = int(np.searchsorted(rows, n_t))
-        nodes = self.nodes.head(int(rows[n_in - 1]) + 1)
-        k_end = nodes.shape[1]
-        d = np.empty(k_end + big_n)
-        d[:q.size] = cum[:d.size]
-        d[q.size:] = cum[-1]
-        w = np.arange(1.0, d.size) / (self.a + np.arange(1.0, d.size))
-        deriv = np.empty((k_end, self.terms))
-        deriv[:, 0] = d[:k_end]
-        for n in range(1, self.terms):
-            d = w[:d.size - 1] * d[1:] - d[:-1]
-            deriv[:, n] = d[:k_end]
-        coef = np.ascontiguousarray((nodes @ deriv / self.factorials).T)
-        vals = np.full(n_out, cum[-1])
-        for s in range(0, n_in, _BLOCK):
-            e = min(s + _BLOCK, n_in)
-            # each anchor's coefficients, repeated over its run of nodes
-            block = np.repeat(coef[:, rows[s]:rows[e - 1] + 1],
-                              np.bincount(rows[s:e] - rows[s]), axis=1)
-            dx = self.delta[s:e]
-            acc = block[big_n].copy()
+    @property
+    def nbytes(self) -> int:
+        return self.jumps.nbytes + self.nodes.nbytes + self.arrays + self.scratch
+
+    def _room(self) -> int:
+        """Bytes this entry may still grow by in the cache; none outside it."""
+        entries = _IMAGE_CACHE.values()
+        return _CACHE_BYTES - sum(e.nbytes for e in entries) if self in entries else 0
+
+    def _blocks(self, table: _Table, lo: int, hi: int, scratch: int):
+        """Blocks lo..hi-1 of ``table``, each built once; an apply's scratch
+        counts in this entry, and kept blocks go, last first, until it fits."""
+        self.scratch = scratch
+        for kept in (self.nodes, self.jumps):
+            while kept.blocks and self._room() < 0:
+                kept.nbytes -= kept.blocks.pop(max(kept.blocks)).nbytes
+        for b in range(lo, hi):
+            block = table.blocks.get(b)
+            if block is None:
+                block = table.build(b)
+                if block.nbytes + _CACHE_BYTES // 8 <= self._room():
+                    table.blocks[b] = block
+                    table.nbytes += block.nbytes
+            yield b, block
+        self.scratch = 0
+
+    def _jump_sums(self, cs: list[np.ndarray]) -> list[tuple[int, int, np.ndarray]]:
+        """Per row c: its blocks, the index m0 where its q starts and Q, the
+        prefix sums of q = sum_n (-grad)^n r_n (Horner), from the moments
+        M_{A,n} = sum_j c_j delta_j^n / n! and r_n = sum_A M_{A,n} Poisson(A)."""
+        big_n, jumps, acc = self.terms - 1, self.jumps, []
+        for c in cs:
+            seg = self.first[:np.searchsorted(self.first, c.size)]
+            b_end = jumps.block_of(seg.size - 1) + 1
+            moments = np.zeros((self.terms, jumps.rows[b_end]))
+            x, dx = c.copy(), self.jump_delta[:c.size]
+            for n in range(self.terms):
+                if n:
+                    x *= dx
+                    x /= n
+                np.add.reduceat(x, seg, out=moments[n, :seg.size])
+            m0 = int(jumps.c0[:b_end].min())
+            r = np.zeros((self.terms, int(jumps.c1[:b_end].max()) - m0 + big_n))
+            acc.append((b_end, m0, moments, r))
+        for b, block in self._blocks(jumps, 0, max(u[0] for u in acc),
+                                     sum(m.nbytes + r.nbytes for _, _, m, r in acc)):
+            i0, i1 = jumps.rows[b], jumps.rows[b + 1]
+            for b_end, m0, moments, r in acc:
+                if b < b_end:
+                    r[:, jumps.c0[b] - m0:jumps.c1[b] - m0] += moments[:, i0:i1] @ block
+        out = []
+        for b_end, m0, _, r in acc:
+            q = r[big_n].copy()
             for n in range(big_n - 1, -1, -1):
-                acc *= dx
-                acc += block[n]
-            vals[s:e] = acc * self.scale[s:e]
-        err = self.eval_err(c, seg, q.size, n_t)
-        return np.clip(vals, 0.0, max(c.sum(), 0.0)), err
+                q, prev = r[n] - q, q
+                q[1:] += prev[:-1]
+            out.append((b_end, m0, np.cumsum(q)))
+        return out
 
-    def eval_err(self, c: np.ndarray, seg: np.ndarray, n_q: int, n_t: int) -> float:
-        """Certified error of :meth:`apply`, ||c||_1 times the sum of
+    def apply(self, cs: list[np.ndarray], n_out: int) -> tuple[np.ndarray, np.ndarray]:
+        """Mixtures of the jump rows cs, sizes at the first cs[k].size means, on
+        the first n_out nodes, and their certified errors (:meth:`eval_err`).
+
+        One pass over the blocks serves every row, and each row gets the bits
+        of a call with that row alone.  A node whose window starts past q
+        (anchor n_t on) sees the total, one whose block ends below q nothing.
+        Between them: (L^n Q)_k, (L Q)_k = (k+1)/(a+k+1) Q_{k+1} - Q_k, with
+        Q held at the total past q; A^a h^(n)(A) = sum_k psi_k(A) (L^n Q)_k
+        over the block; at each node (z/A)^a sum_n A^a h^(n)(A) delta^n / n!
+        """
+        big_n, nodes = self.terms - 1, self.nodes
+        vals, errs, used = np.empty((len(cs), n_out)), np.empty(len(cs)), []
+        for k, (c, (b_end, m0, cum)) in enumerate(zip(cs, self._jump_sums(cs))):
+            n_t = int(np.argmax(np.append(nodes.lo, np.inf) > m0 + cum.size - 1))
+            b_lo = int(np.argmax(np.append(nodes.c1, np.inf) > m0))
+            i_lo, i_hi = np.searchsorted(self.row[:n_out], [nodes.rows[b_lo], n_t])
+            vals[k, :i_lo], vals[k, i_lo:] = 0.0, cum[-1]
+            errs[k] = self.eval_err(c, b_end, cum.size, b_lo, n_t)
+            if i_hi > i_lo:
+                b_hi = nodes.block_of(self.row[i_hi - 1]) + 1
+                k0, k1 = int(nodes.c0[b_lo:b_hi].min()), int(nodes.c1[b_lo:b_hi].max())
+                kk = np.arange(k0, k1 + big_n, dtype=float)
+                d = np.where(kk < m0, 0.0, cum[np.clip(kk - m0, 0, cum.size - 1).astype(int)])
+                w = (kk[:-1] + 1.0) / (self.a + kk[:-1] + 1.0)
+                deriv = np.empty((self.terms, k1 - k0))
+                deriv[0] = d[:k1 - k0]
+                for n in range(1, self.terms):
+                    d = w[:d.size - 1] * d[1:] - d[:-1]
+                    deriv[n] = d[:k1 - k0]
+                coef = np.empty((self.terms, nodes.rows[b_hi] - nodes.rows[b_lo]))
+                used.append((k, b_lo, b_hi, k0, deriv, coef, i_lo, i_hi))
+        for b, block in self._blocks(nodes, min((u[1] for u in used), default=0),
+                                     max((u[2] for u in used), default=0),
+                                     sum(u[4].nbytes + u[5].nbytes for u in used)):
+            for _, b_lo, b_hi, k0, deriv, coef, _, _ in used:
+                if b_lo <= b < b_hi:
+                    i0 = nodes.rows[b] - nodes.rows[b_lo]
+                    coef[:, i0:i0 + block.shape[0]] = (
+                        deriv[:, nodes.c0[b] - k0:nodes.c1[b] - k0] @ block.T)
+        for k, b_lo, _, _, _, coef, i_lo, i_hi in used:
+            coef /= self.factorials[:, None]
+            base = nodes.rows[b_lo]
+            for s in range(i_lo, i_hi, _BLOCK):
+                e = min(s + _BLOCK, i_hi)
+                # each anchor's coefficients, repeated over its run of nodes
+                block = np.repeat(coef[:, self.row[s] - base:self.row[e - 1] - base + 1],
+                                  np.bincount(self.row[s:e] - self.row[s]), axis=1)
+                horner = block[big_n].copy()
+                for n in range(big_n - 1, -1, -1):
+                    horner *= self.delta[s:e]
+                    horner += block[n]
+                vals[k, s:e] = horner * self.scale[s:e]
+        for v, c in zip(vals, cs):
+            np.clip(v, 0.0, max(c.sum(), 0.0), out=v)
+        return vals, errs
+
+    def eval_err(self, c: np.ndarray, b_end: int, n_q: int, b_lo: int, n_t: int) -> float:
+        """Certified error of :meth:`apply` for jumps c, ||c||_1 times the sum of
 
         * the Taylor remainders, with |delta| <= 1/2 and N + 1 terms.  Jumps:
           ||q - q_N||_1 <= sup ||d^(N+1)/dmu^(N+1) Poisson||_1 / (N+1)!
@@ -582,29 +573,34 @@ class _AnchoredLattice:
         * the window tails.  Each of the four is verified below _TAIL/4 per
           unit mass (over max(1, 2^a) for the nodes) and lifted by
           sum_n (2 |delta|)^n / n! <= e (and (x/A)^a <= max(1, 2^a)), so
-          each books at most e _TAIL / 4 < _TAIL: e _TAIL together.  A node
-          past every window start (n_t) drops the lower node tail alone.
+          each books at most e _TAIL / 4 < _TAIL: e _TAIL together (blocks
+          only add terms past the windows; a node set to the total or to 0
+          drops one node tail alone).
         * roundoff, gamma_K times the same computation on absolute values,
           which the same lifts bound by e ||c||_1 on the jump side and by
           e max(1, 2^a) ||c||_1 on the node side.  K counts the roundings on
-          the longest path.  Jumps: 2N for c delta^n / n!, the anchor's
-          jump sum, the table row's l1 error _TABLE_ULPS, the sum over
-          anchors, 2N for the fold.  Nodes: the prefix sum, 3N for L^n, the
-          table again, the window sum, one for 1/n!, 2N for Horner's rule,
-          4 for the factor (x/A)^a (a quotient and a power within one ulp)
-          and its product.
+          the longest path, _WEIGHT_ULPS + 2w + 2 for an entry of a block w
+          columns wide (:class:`_Table`).  Jumps: 2N for c delta^n / n!, the
+          anchor's jump sum, the table, one per anchor and per block for the
+          sum over anchors, 2N for the fold.  Nodes: the prefix sum, 3N for
+          L^n, the table, the sum over a block row, one for 1/n!, 2N for
+          Horner's rule, 4 for the factor (x/A)^a (a quotient and a power
+          within one ulp) and its product.
         * argument rounding: x carries a relative error gamma_3, and
           |dF/dx| x <= ||c||_1 (sqrt(x) + 1) on each side (Stirling's bound
-          on the Poisson and gamma densities), x below the last anchor
-          before n_t: 3 gamma_3 (sqrt(x_max) + 1).
+          on the densities), x below the last anchor before n_t.
 
-        ||Q||_inf <= ||q||_1 is ||c||_1 to first order, and the factor 1.01
+        ||Q||_inf <= ||q||_1 is ||c||_1 to first order; the factor 1.01
         covers the second-order terms.  Every term depends on c alone.
         """
-        big_n = self.terms - 1
-        k_jump = 4 * big_n + int(np.diff(seg, append=c.size).max()) + _TABLE_ULPS + seg.size
-        k_node = n_q + 5 * big_n + _TABLE_ULPS + int(self.nodes.widths[:n_t].max()) + 5
-        x_max = float(self.anchors[n_t - 1]) + 0.5
+        big_n, table, nodes = self.terms - 1, _WEIGHT_ULPS + 2, self.nodes
+        seg = self.first[:np.searchsorted(self.first, c.size)]
+        w_jump = int((self.jumps.c1 - self.jumps.c0)[:b_end].max())
+        w_node = int((nodes.c1 - nodes.c0)[b_lo:nodes.block_of(n_t - 1) + 1].max(initial=0))
+        k_jump = (4 * big_n + int(np.diff(seg, append=c.size).max()) + table + 2 * w_jump
+                  + seg.size + b_end)
+        k_node = n_q + 5 * big_n + table + 3 * w_node + 5
+        x_max = float(nodes.anchors[max(n_t, 1) - 1]) + 0.5
         per_mass = ((1.0 + self.lift) / math.factorial(self.terms)
                     + math.e * _TAIL
                     + math.e * (_gamma(k_jump) + self.lift * _gamma(k_node))
@@ -612,25 +608,22 @@ class _AnchoredLattice:
         return 1.01 * float(np.abs(c).sum()) * per_mass
 
 
-def _lattice_anchored(dim: int, t: float, c: np.ndarray, h: float, n_out: int
-                      ) -> tuple[np.ndarray, float]:
-    """Mixture of nonempty lattice jumps c on the nodes i*h, i < n_out, for
-    every d but 1 and 3, on tables cached per (dim, t, h).
-
-    The tables are rebuilt longer, with headroom as mass spreads, when they
-    hold fewer than n_out nodes or c.size jumps, and twice as long when no
-    node window starts past every jump window.
-    """
+def _lattice_anchored(dim: int, t: float, cs: list[np.ndarray], h: float, n_out: int
+                      ) -> tuple[np.ndarray, np.ndarray]:
+    """Mixtures of the nonempty lattice jump rows cs on the nodes i*h,
+    i < n_out, for every d but 1 and 3, on tables cached per (dim, t, h).
+    The lattice runs to the end of the anchor block of node n_out - 1, so a
+    longer one has the same blocks; it is rebuilt when shorter than n_out."""
     key = ("series", dim, t, h)
     lattice = _IMAGE_CACHE.pop(key, None)
-    n, n_jumps = n_out + n_out // 4, c.size + c.size // 4
-    while (lattice is None or lattice.n < n_out or lattice.n_jumps < c.size
-           or lattice.nodes.lo[-1] <= lattice.top_max):
-        if lattice is not None and lattice.n >= n_out and lattice.n_jumps >= c.size:
-            n = max(n, 2 * lattice.n)
+    if lattice is None or lattice.n < n_out:
         lattice = None  # the old tables go before the new ones are built
-        lattice = _AnchoredLattice(dim, t, h, n, n_jumps)
-    return _cached(key, lambda: lattice).apply(c, n_out)
+        x = (np.arange(n_out, dtype=float) * h) ** 2 / (4.0 * t)
+        top = (np.rint(x[-1]) // _SPAN + 1) * _SPAN  # the next block's first anchor
+        x = (np.arange(math.ceil(math.sqrt(4.0 * t * (top + 1.0)) / h) + 2) * h) ** 2 / (4.0 * t)
+        x = x[:np.count_nonzero(np.rint(x) < top)]
+        lattice = _AnchoredLattice(dim, x, x)
+    return _cached(key, lambda: lattice).apply(cs, n_out)
 
 
 def _image_tail(dim: int, t: float, x: float, mass: float, w_mass: float,
@@ -790,14 +783,19 @@ def mixture_node_values(dim: int, t: float, locs: np.ndarray, sizes: np.ndarray,
     if sizes.ndim not in (1, 2) or sizes.shape[-1] != locs.size:
         raise ValueError(f"sizes must have shape ({locs.size},) or (k, {locs.size}), "
                          f"got {sizes.shape}")
+    if not np.all(np.isfinite(sizes)):
+        raise ValueError("sizes must be finite")
     rows = sizes if sizes.ndim == 2 else sizes[None]
     h = float(lattice_h)
     if not 0.0 < h < math.inf:
         raise ValueError(f"lattice_h must be positive and finite, got {lattice_h}")
     cs = _lattice_jumps(locs, rows, r_nodes, h) if locs.size else [locs[:0]] * len(rows)
     vals, errs = np.zeros((len(cs), r_nodes.size)), np.zeros(len(cs))
-    route = _lattice_images if dim in (1, 3) else _lattice_anchored
-    for k, c in enumerate(cs):
-        if c.size:
-            vals[k], errs[k] = route(dim, float(t), c, h, r_nodes.size)
+    live = [k for k, c in enumerate(cs) if c.size]
+    if dim in (1, 3):
+        for k in live:
+            vals[k], errs[k] = _lattice_images(dim, float(t), cs[k], h, r_nodes.size)
+    elif live:
+        vals[live], errs[live] = _lattice_anchored(dim, float(t), [cs[k] for k in live], h,
+                                                   r_nodes.size)
     return (vals, errs) if sizes.ndim == 2 else (vals[0], float(errs[0]))

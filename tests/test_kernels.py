@@ -6,7 +6,9 @@ import pytest
 from scipy import integrate, stats
 from scipy.special import chndtr, erf
 
+from mp_exact import exact_series
 from nbbm import kernels
+from nbbm.cli import main
 from nbbm.core import RadialProfile
 from nbbm.kernels import bessel_density, kernel_G, mixture_node_values, radial_cdf
 from nbbm.obstacle import SolveRequest, branch_step, solve_sandwich, stationary_state
@@ -291,7 +293,7 @@ class TestLatticeMixture:
 
     @staticmethod
     def _reference(d, t, locs, sizes, r):
-        # independent of the windowed sweep: closed forms in d = 1, 3 and
+        # independent of the anchored series: closed forms in d = 1, 3 and
         # scipy's noncentral chi-squared CDF in d = 2
         if d == 2:
             return sum(c * stats.ncx2.cdf(r * r / (2 * t), 2, a * a / (2 * t))
@@ -339,8 +341,8 @@ class TestLatticeMixture:
     @pytest.mark.parametrize("d", [1, 2])
     @pytest.mark.parametrize("h", [0.0, -0.01, math.nan, math.inf])
     def test_lattice_step_must_be_positive(self, d, h):
-        # at h = 0 every node sits at the origin, where the d = 2 tables
-        # would be rebuilt longer without end
+        # at h = 0 every node sits at the origin, where the d = 2 lattice
+        # would never reach the end of its first anchor block
         with pytest.raises(ValueError, match="lattice_h"):
             mixture_node_values(d, 0.1, [0.0], [1.0], np.zeros(5), lattice_h=h)
 
@@ -358,8 +360,12 @@ class TestLatticeMixture:
 
     @pytest.mark.parametrize("d", [1, 2])
     def test_nan_lattice_input_rejected(self, d):
-        # a NaN location or node used to pass the lattice checks
+        # a NaN location or node used to pass the lattice checks, and a NaN
+        # or infinite size gave NaN values and a NaN error
         r = np.arange(200) * self.H
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="sizes"):
+                mixture_node_values(d, 0.01, [0.5, 0.6], [1.0, bad], r, lattice_h=self.H)
         with pytest.raises(ValueError, match="locs"):
             mixture_node_values(d, 0.01, [0.5, math.nan], [1.0, 1.0], r, lattice_h=self.H)
         with pytest.raises(ValueError, match="r_nodes"):
@@ -409,9 +415,18 @@ class TestLatticeMixture:
         assert len(kernels._IMAGE_CACHE) == 1
         assert next(iter(kernels._IMAGE_CACHE))[0] == "image"
 
+    def test_wide_d2_solve_stays_in_cache_budget(self, tmp_path):
+        # radius 8 at delta = 0.001 spans anchored tables of about 3.5e7
+        # terms, far past the cache budget: blocks past it must stream
+        kernels._IMAGE_CACHE.clear()
+        assert main(["solve", "--out", str(tmp_path), "--set", "d=2", "--set", "initial=uniform",
+                     "--set", "initial_radius=8", "--set", "delta=0.001",
+                     "--set", "t=0.002"]) == 0
+        assert sum(e.nbytes for e in kernels._IMAGE_CACHE.values()) <= kernels._CACHE_BYTES
+
 
 # ---------------------------------------------------------------------------
-# the anchored route (every d but 1 and 3) against the pointwise sweep
+# the anchored route (every d but 1 and 3) against the exact series
 # ---------------------------------------------------------------------------
 
 def _random_lattice(rng, h, n):
@@ -425,39 +440,37 @@ class TestAnchoredRoute:
     @pytest.mark.parametrize("d", [2, 4, 5, 12])
     @pytest.mark.parametrize("t", [0.01, 0.3])
     def test_matches_pointwise_sweep(self, d, t):
-        # radial_cdf runs the windowed sweep on one jump; its booking is the
-        # four window tails and a recurrence margin of 1e-15 per index swept
-        # plus 64 ulps, per unit mass
+        # against the exact series in mpmath at a few dozen nodes, the jumps'
+        # own among them: the actual error is at most the booked one
         rng = np.random.default_rng(d * 1000 + round(100 * t))
         idx, sizes, r = _random_lattice(rng, self.H, self.N)
         kernels._IMAGE_CACHE.clear()
         vals, err = mixture_node_values(d, t, idx * self.H, sizes, r, lattice_h=self.H)
-        ref = np.zeros(r.size)
-        sweep_err = 0.0
-        for i, c in zip(idx, sizes):
-            ref += c * radial_cdf(d, i * self.H, r, t)
-            lo, hi = kernels._window_edges(np.array([(i * self.H) ** 2 / (4 * t)]),
-                                           0.0, 1.0, kernels._TAIL)
-            steps = int(hi[0] - lo[0]) + 2
-            sweep_err += c * (4 * kernels._TAIL + 1e-15 * steps
-                              + 64 * np.finfo(float).eps)
-        assert np.abs(vals - ref).max() <= err + sweep_err
+        nodes = np.unique(np.r_[np.linspace(0, self.N - 1, 30).astype(int), idx[::2]])
+        c = np.zeros(idx.max() + 1)
+        c[idx] = sizes
+        with mp.workdps(30):
+            exact = np.array([float(v) for v in exact_series(d, c, self.H, nodes, mp.mpf(t))])
+        assert np.all(np.abs(vals[nodes] - exact) <= err)
 
     @pytest.mark.parametrize("s", [0.0, 1.0, 2.5])
     def test_table_rows_within_booked_l1_error(self, s):
-        # roundoff booking takes each table row x^(s+k) e^-x / Gamma(s+k+1)
-        # over its window to be within _TABLE_ULPS units of 2^-53 in l1 (the
-        # saddle-point weights reach 54 near x = 16)
-        anchors = np.r_[np.arange(1.0, 61.0), 100.0, 400.0]
-        table = kernels._Banded(s, anchors, *kernels._window_edges(
+        # roundoff booking takes every entry of a table block w columns wide
+        # to be within gamma(_WEIGHT_ULPS + 2w + 2) of psi_k(A) = A^(s+k)
+        # e^-A / Gamma(s+k+1), relatively; here in l1 over each row
+        anchors = np.r_[np.arange(0.0, 61.0), 100.0, 400.0, 1e4]
+        table = kernels._Table(s, anchors, *kernels._window_edges(
             anchors, s, s + 1.0, kernels._TAIL / 4))
         with mp.workdps(30):
-            for i, x in enumerate(anchors):
-                row = slice(table.off[i], table.off[i + 1])
-                l1 = sum(abs(mp.mpf(v) - mp.exp((s + k) * mp.log(x) - x
-                                                 - mp.loggamma(s + k + 1)))
-                         for v, k in zip(table.data[row], table.k[row].tolist()))
-                assert l1 <= kernels._TABLE_ULPS * 2.0 ** -53, (x, float(l1))
+            for b in range(table.c0.size):
+                block, c0 = table.build(b), int(table.c0[b])
+                booked = kernels._gamma(kernels._WEIGHT_ULPS + 2 * block.shape[1] + 2)
+                for x, row in zip(anchors[table.rows[b]:table.rows[b + 1]], block):
+                    exact = [mp.exp((s + k) * mp.log(x) - x - mp.loggamma(s + k + 1))
+                             if x > 0 else mp.mpf(k == 0) / mp.gamma(s + 1)
+                             for k in range(c0, c0 + row.size)]
+                    l1 = sum(abs(mp.mpf(v) - e) for v, e in zip(row.tolist(), exact))
+                    assert l1 <= booked * sum(exact), (x, float(l1))
 
     @pytest.mark.parametrize("d", [2, 5])
     @pytest.mark.parametrize("terms", [6, 21])
