@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import math
 from array import array
+from bisect import bisect_right
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -204,12 +205,16 @@ class _Swarm:
     Each boxed coordinate draws its state with :meth:`_Interval.draw_exit`:
     it stays in its interval until the internal window ends, or first leaves
     it at a time through a side.  The particle leaves its box at the earliest
-    of these.  The other coordinates need only have stayed until then (their
-    own exit times are dropped, which marginalizes them), and from then on
-    the particle is a candidate, a free Brownian motion.  A boxed particle is
-    read, an exact rejection sample given its state (which stays Markov),
-    when it branches, when it leaves its box, when no candidate reaches g at
-    an event, and when the internal window ends.
+    of these, tau, at the side c_j or -c_j of that coordinate j.  The other
+    coordinates need only have stayed until then (their own exit times are
+    dropped, which marginalizes them), and from then on the particle is a
+    candidate, a free Brownian motion.  The first event at or after tau
+    makes it one: its other coordinates are read at tau (none at d = 1), and
+    it diffuses to the event on d normals drawn when the window opened.  A
+    boxed particle is read, an exact rejection sample given its state (which
+    stays Markov), when it branches, when it leaves its box, and when the
+    internal window ends.  At an event where no candidate reaches g every
+    particle is read, and a new internal window opens there.
     """
 
     def __init__(self, pos: np.ndarray, rng: np.random.Generator):
@@ -331,6 +336,9 @@ class _Swarm:
             out = inner[leaves]
             out = out[np.argsort(self.hor[out], kind="stable")]
             self.exits, self.exit_t = out.tolist(), self.hor[out].tolist()
+            # each one's exit coordinate, and normals for its diffusion after
+            self.exit_x = (self.half[out, self.xdim[out]] * self.xside[out]).tolist()
+            self.exit_z = self.rng.standard_normal((out.size, d)).tolist()
         cand = np.ones(n, dtype=bool)
         cand[inner] = False
         cs = np.flatnonzero(cand)
@@ -347,24 +355,37 @@ class _Swarm:
 
     def _exits(self, t: float):
         """Particles whose boxes ended by t become candidates at t."""
-        while self.ei < len(self.exit_t) and self.exit_t[self.ei] <= t:
-            i, tau = self.exits[self.ei], self.exit_t[self.ei]
-            self.ei += 1
+        lo = self.ei
+        self.ei = bisect_right(self.exit_t, t, lo)
+        for q in range(lo, self.ei):
+            i, tau = self.exits[q], self.exit_t[q]
             if self.row[i] >= 0:   # removed, and its slot refilled, before it left
                 continue
-            x = self._read_one(i, tau)
-            if t > tau:
-                x += self.rng.standard_normal(self.d) * math.sqrt(2.0 * (t - tau))
-            self.cpos[self._add(i)] = x
+            if self.d == 1:
+                x = [self.exit_x[q]]
+            else:   # the other coordinates only had to stay until tau
+                x, jx, dt = self.pos[i].tolist(), self.xdim[i], tau - float(self.tr[i])
+                for j in range(self.d):
+                    if j == jx:
+                        x[j] = self.exit_x[q]
+                    elif dt > 0.0:
+                        x[j] = _Interval.read_one(x[j], float(self.half[i, j]), dt, 0.0, 0.0,
+                                                  self.rng)
+            s, z, r = math.sqrt(2.0 * (t - tau)), self.exit_z[q], self._add(i)
+            for j in range(self.d):
+                self.cpos[r, j] = x[j] + s * z[j]
 
     def _read_all(self, t: float, count: int) -> int:
-        """Read every particle at t; return the furthest (lowest label on ties)."""
+        """Read every particle at t; return the furthest (lowest label on
+        ties).  Every position is then known, so an internal window opens
+        at t and g is recomputed."""
         self._read(np.flatnonzero(self.row < 0), t)
         self.pos[self.cslot[:self.m]] = self.cpos[:self.m]
         sq = np.einsum("ij,ij->i", self.pos, self.pos)
         f = int(sq.argmax())
         if not math.isfinite(sq[f]):
             raise SimulationError(f"nonfinite position at event {count} (t={t:.6g})")
+        self._open(t, min(t + self.span, self.end))
         return f
 
     def _read(self, idx: np.ndarray, t: float):
@@ -383,19 +404,15 @@ class _Swarm:
         """Read boxed particle i at t (its row of ``pos``), one
         coordinate at a time with :meth:`_Interval.read_one`."""
         x = self.pos[i]
-        dt = t - self.tr[i]
+        dt = t - float(self.tr[i])
         if dt <= 0.0:
             return x
         self.tr[i] = t
-        rest, jx = self.hor[i] - t, self.xdim[i]
+        rest = float(self.hor[i]) - t   # > 0: boxes that ended by t were left in _exits
         for j in range(self.d):
-            c = float(self.half[i, j])
-            if j != jx:
-                x[j] = _Interval.read_one(float(x[j]), c, dt, rest, 0.0, self.rng)
-            elif rest > 0.0:
-                x[j] = _Interval.read_one(float(x[j]), c, dt, rest, self.xside[i], self.rng)
-            else:   # it leaves its box now, through this side
-                x[j] = c * self.xside[i]
+            side = float(self.xside[i]) if j == self.xdim[i] else 0.0
+            x[j] = _Interval.read_one(float(x[j]), float(self.half[i, j]), dt, rest, side,
+                                      self.rng)
         return x
 
 

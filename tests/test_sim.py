@@ -285,6 +285,64 @@ class TestAdvanceNbbm:
         assert np.array_equal(swarm.cslot[:swarm.m], cand)
         assert np.array_equal(swarm.cpos[:swarm.m], pos[cand])
 
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_exit_becomes_candidate(self, d):
+        # a particle that leaves its box at tau becomes a candidate there, at
+        # its box's side in the leaving coordinate and read inside it in the
+        # others; one whose slot was refilled before tau is skipped
+        pos = replica_rng(46, d).uniform(-1.0, 1.0, (3000, d))
+        swarm = sim._Swarm(pos.copy(), replica_rng(47, d))
+        swarm.reset(0.0, 1.0)
+        swarm._open(0.0, swarm.span)
+        (i, refilled), (tau, later) = swarm.exits[:2], swarm.exit_t[:2]
+        assert tau < later and swarm.row[i] < 0 and swarm.row[refilled] < 0
+        swarm._exits(tau)
+        r, j = swarm.row[i], swarm.xdim[i]
+        assert r >= 0 and swarm.cslot[r] == i
+        assert swarm.cpos[r, j] == swarm.half[i, j] * swarm.xside[i]
+        others = np.delete(swarm.cpos[r], j)   # read at tau, inside the box
+        assert np.all((np.abs(others) < np.delete(swarm.half[i], j))
+                      & (others != np.delete(pos[i], j)))
+        rf = swarm._add(refilled)
+        swarm.cpos[rf] = 7.0
+        m = swarm.m
+        swarm._exits(later)
+        assert swarm.m == m and swarm.row[refilled] == rf and np.all(swarm.cpos[rf] == 7.0)
+        # the rest leave by the window's end and diffuse freely from tau to it
+        swarm._exits(swarm.s1)
+        left = np.array(swarm.exits[2:])
+        lag = swarm.s1 - np.array(swarm.exit_t[2:])
+        jl = swarm.xdim[left]
+        moved = swarm.cpos[swarm.row[left], jl] - swarm.half[left, jl] * swarm.xside[left]
+        assert left.size > 100 and np.all(swarm.row[left] >= 0)
+        assert stats.kstest(moved[lag > 0] / np.sqrt(2.0 * lag[lag > 0]), "norm").pvalue > 1e-3
+
+    def test_read_all_not_repeated_within_a_window(self, monkeypatch):
+        # after an event that reads every particle an internal window opens
+        # there, so no two consecutive events of one internal window both read
+        # every particle (here, the KS tests' all-boxed setting at d = 2)
+        monkeypatch.setattr(sim, "_EXIT_COST", 1e-9)
+        opened, read_all = sim._Swarm._open, sim._Swarm._read_all
+        windows, reads = [0], []
+
+        def counting_open(swarm, s0, s1):
+            windows[0] += 1
+            opened(swarm, s0, s1)
+
+        def counting_read_all(swarm, t, count):
+            reads.append((count, windows[0]))
+            return read_all(swarm, t, count)
+
+        monkeypatch.setattr(sim._Swarm, "_open", counting_open)
+        monkeypatch.setattr(sim._Swarm, "_read_all", counting_read_all)
+        n, d = 400, 2
+        start = ParticleEnsemble(d, replica_rng(30, n).standard_normal((n, d)), clock=0.25)
+        for rep in range(100):
+            advance_nbbm(SimParams(dim=d, population=n), start, (0.175, 0.175),
+                         replica_rng(41, rep))
+        assert reads
+        assert not any(b == (a[0] + 1, a[1]) for a, b in zip(reads, reads[1:]))
+
     def test_draws_few_normals_per_event(self):
         # the dense loop drew N d normals at every event; the lazy engine at
         # N = 2000, d = 1 near its stationary state draws fewer than a quarter
