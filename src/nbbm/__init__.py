@@ -13,8 +13,7 @@ Subpackages:
 from .core import (ParticleEnsemble, RadialProfile, SandwichPair, StationaryState,
                    empirical_cdf, in_gamma, max_radius, measure_of_set)
 from .kernels import bessel_density, kernel_G, radial_cdf
-from .obstacle import (SandwichSolver, SolveRequest, analytic_gap, check_contraction,
-                       converge_to_V, free_boundary_radius, mass_movement_check,
+from .obstacle import (SandwichSolver, SolveRequest, analytic_gap, free_boundary_radius,
                        solve_sandwich, stationary_state)
 from .sim import (BbmForest, SimParams, advance_nbbm, coupled_run, replica_rng,
                   spherically_ordered_pairs, survival_curve)

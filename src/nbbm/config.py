@@ -127,7 +127,7 @@ def _validate(subcommand: str, p: dict):
     if "d" in p and not (1 <= p["d"] <= 12):
         raise ValueError(f"config key 'd' must be in 1..12, got {p['d']}")
     for key in ("t", "delta", "replicas", "sampler_radius", "initial_radius",
-                "window_dt", "snapshot_dt", "burn_in", "window", "n_windows", "k",
+                "window_dt", "snapshot_dt", "burn_in", "window", "k",
                 "sup_tol", "m_tol", "mass_tol", "tolerance_q90", "pairwise_tol"):
         if key in p:
             positive(key)
@@ -135,6 +135,9 @@ def _validate(subcommand: str, p: dict):
         positive("grid_step")
     if "c" in p and not 0.0 <= p["c"] <= 1.0:
         raise ValueError(f"config key 'c' must be a fraction in [0, 1], got {p['c']}")
+    if "n_windows" in p and not 2 <= p["n_windows"] < math.inf:
+        # windows are compared pairwise: one window has no pair to compare
+        raise ValueError(f"config key 'n_windows' must be >= 2, got {p['n_windows']}")
     if "profile_nodes" in p and p["profile_nodes"] < 2:
         raise ValueError(f"config key 'profile_nodes' must be >= 2, got {p['profile_nodes']}")
     if "t_values" in p and not all(0 < t < math.inf for t in p["t_values"]):

@@ -140,12 +140,7 @@ class RadialProfile:
 
     def sup_distance(self, other: "RadialProfile") -> float:
         """sup_r |self(r) - other(r)|, exact for step functions."""
-        pts = np.union1d(self.locations, other.locations)
-        if not pts.size:
-            return 0.0
-        pre = np.abs(self(pts) - other(pts))
-        post = np.abs(self.value_right(pts) - other.value_right(pts))
-        return float(max(pre.max(), post.max()))
+        return max(_max_excess(self, other), _max_excess(other, self))
 
     def clipped(self, m: float) -> "RadialProfile":
         """Pointwise min with m, preserving the step structure."""
@@ -237,7 +232,7 @@ class SandwichPair:
     step_size: float
 
     def __post_init__(self):
-        worst = -_min_margin(self.upper, self.lower)
+        worst = _max_excess(self.lower, self.upper)
         if worst > 1e-9:
             raise ValueError(f"lower exceeds upper by {worst:.3e}")
         if self.analytic_gap < 0.0 or self.grid_gap < 0.0:
@@ -248,13 +243,20 @@ class SandwichPair:
         return self.upper.sup_distance(self.lower)
 
 
-def _min_margin(upper: RadialProfile, lower: RadialProfile) -> float:
-    pts = np.union1d(upper.locations, lower.locations)
+def _max_excess(a: RadialProfile, b: RadialProfile) -> float:
+    """sup_r (a(r) - b(r)), exact for step functions.
+
+    a - b jumps only where a or b does, so its sup is one of its one-sided
+    limits at the union of their jumps, or the 0 that both profiles take
+    left of their first jump.  So it is 0 when neither profile jumps, and
+    never below 0 (nor -0.0).
+    """
+    pts = np.union1d(a.locations, b.locations)
     if not pts.size:
         return 0.0
-    pre = upper(pts) - lower(pts)
-    post = upper.value_right(pts) - lower.value_right(pts)
-    return float(min(pre.min(), post.min()))
+    pre = a(pts) - b(pts)
+    post = a.value_right(pts) - b.value_right(pts)
+    return float(max(0.0, pre.max(), post.max()))
 
 
 class StationaryState:

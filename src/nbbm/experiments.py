@@ -1,11 +1,13 @@
-"""Desk-scale experiment drivers: hydrodynamics, boundary, selection, mixing.
+"""Desk-scale experiment drivers: hydrodynamics, boundary, selection, mixing,
+and the obstacle flow's convergence to V.
 
 Each driver runs replicas of the particle system against the certified
-obstacle solver (or the known stationary state) and emits ReportRow
-records.  Tolerances are desk-scale budgets recorded in the rows
-themselves, so reports are self-describing; every run is reproducible
-bit-for-bit from (config, seed base) because replica r always draws from
-the Philox stream keyed by (seed, r) regardless of scheduling.
+obstacle solver (or the known stationary state), or the solver alone, and
+emits ReportRow records, the package's one result type.  Tolerances are
+desk-scale budgets recorded in the rows themselves, so reports are
+self-describing; every run is reproducible bit-for-bit from (config, seed
+base) because replica r always draws from the Philox stream keyed by
+(seed, r) regardless of scheduling.
 """
 
 from __future__ import annotations
@@ -17,8 +19,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import ParticleEnsemble, RadialProfile, SandwichPair, discretize_cdf, \
-    empirical_cdf, in_gamma, max_radius, measure_of_set, whole_steps
+from .core import ParticleEnsemble, RadialProfile, SandwichPair, _max_excess, \
+    discretize_cdf, empirical_cdf, in_gamma, max_radius, measure_of_set, whole_steps
 from .obstacle import SandwichSolver, SolveRequest, solve_sandwich, stationary_state
 from .sim import SimParams, advance_nbbm, replica_rng
 
@@ -33,6 +35,7 @@ __all__ = [
     "boundary_report",
     "selection_report",
     "stationarity_report",
+    "convergence_report",
     "rows_to_csv",
 ]
 
@@ -138,15 +141,7 @@ class StationarySampler:
 
 def bracket_distance(f: RadialProfile, pair: SandwichPair) -> float:
     """sup_r of how far f pokes outside [lower, upper]; 0 when inside."""
-    pts = np.union1d(np.union1d(f.locations, pair.lower.locations),
-                     pair.upper.locations)
-    if not pts.size:
-        return 0.0
-    below = np.maximum(pair.lower(pts) - f(pts),
-                       pair.lower.value_right(pts) - f.value_right(pts))
-    above = np.maximum(f(pts) - pair.upper(pts),
-                       f.value_right(pts) - pair.upper.value_right(pts))
-    return float(max(0.0, below.max(), above.max()))
+    return max(_max_excess(pair.lower, f), _max_excess(f, pair.upper))
 
 
 def sup_distance_to_fn(f: RadialProfile, fn, r_hi: float) -> float:
@@ -330,6 +325,9 @@ def stationarity_report(N: int, d: int, burn_in: float, window: float,
     against V."""
     if burn_in <= 0.0 or window <= 0.0:
         raise ValueError("burn_in and window must be positive")
+    if n_windows < 2:
+        raise ValueError(f"n_windows must be >= 2 to compare windows pairwise, "
+                         f"got {n_windows}")
     if N < _MIN_POPULATION:
         raise ValueError(f"stationarity check needs N >= {_MIN_POPULATION}")
     per_window = whole_steps(window, snapshot_dt, "window")
@@ -355,4 +353,39 @@ def stationarity_report(N: int, d: int, burn_in: float, window: float,
         rows.append(ReportRow.make("stationarity", f"window{i}_to_V",
                                    float(np.abs(avg - v_ref).max()), math.inf,
                                    N, d, burn_in + (i + 1) * window, 1, seed))
+    return rows
+
+
+def convergence_report(dim: int, v0: RadialProfile, schedule, K: float = 3.0,
+                       c: float = 0.05, delta: float = 0.01,
+                       grid_step: float | None = None) -> list[ReportRow]:
+    """The obstacle flow from v0 against the stationary state V at each
+    scheduled time, a multiple of ``delta``.
+
+    Per time it reports ``sup_mid_to_V`` on the solver grid, the boundary
+    interval (``boundary_lo``, ``boundary_hi``), its larger distance
+    ``boundary_to_R_inf`` to R_inf and the a priori ``combined_gap``, with
+    no tolerance and N = replicas = seed = 0: no particles run.  v0 must
+    have mass at least c within radius K (checked), the hypothesis under
+    which long-time convergence holds.
+    """
+    schedule = sorted(float(t) for t in schedule)
+    if not schedule:
+        raise ValueError("schedule must name at least one time")
+    if v0(K) < c:
+        raise ValueError(f"initial profile has v0({K}) = {v0(K):.4f} < c = {c}")
+    state = stationary_state(dim)
+    solver = SandwichSolver(dim, v0, delta, grid_step, horizon_hint=schedule[-1])
+    rows = []
+    for t in schedule:
+        solver.advance_to(t)
+        mid = 0.5 * (solver.p_up + solver.p_lo)
+        lo, hi = solver.boundary_interval()
+        values = {"sup_mid_to_V": float(np.max(np.abs(mid - state.V(solver.grid)))),
+                  "boundary_lo": lo, "boundary_hi": hi,
+                  "boundary_to_R_inf": max(abs(lo - state.r_infinity),
+                                           abs(hi - state.r_infinity)),
+                  "combined_gap": solver.combined_gap}
+        rows.extend(ReportRow.make("convergence", name, value, math.inf, 0, dim, t, 0, 0)
+                    for name, value in values.items())
     return rows

@@ -25,6 +25,9 @@ The default grid step (:func:`default_grid_step`) is sized by the measured
 width: cell rounding drifts each branch by up to a cell per step, which puts
 about (h / delta)(1 - e^-T) into the width on top of a floor of about delta
 from the splitting, so h grows like delta^2 / (1 - e^-T).
+
+The module also gives the free boundary (:func:`free_boundary_radius`) and
+the flow's attractor (U, R_inf, V) in closed form (:func:`stationary_state`).
 """
 
 from __future__ import annotations
@@ -49,12 +52,6 @@ __all__ = [
     "branch_step",
     "free_boundary_radius",
     "stationary_state",
-    "check_contraction",
-    "converge_to_V",
-    "mass_movement_check",
-    "ContractionReport",
-    "ConvergenceRow",
-    "MassMovementReport",
 ]
 
 _TRUNC_TOL = 1e-12  # per-step allowance for freezing the numerically flat tail
@@ -497,106 +494,3 @@ def stationary_state(d: int) -> StationaryState:
 
     return StationaryState(d, r_inf, amp, radial_density, cumulative)
 
-
-# ---------------------------------------------------------------------------
-# Comparison properties as runnable checks
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class ContractionReport:
-    sup_initial: float
-    sup_final_mid: float
-    bound: float
-    horizon: float
-    holds: bool
-
-
-def _midpoint(pair: SandwichPair) -> RadialProfile:
-    """(lower + upper) / 2 as a step profile."""
-    loc = np.union1d(pair.lower.locations, pair.upper.locations)
-    val = 0.5 * (pair.lower.value_right(loc) + pair.upper.value_right(loc))
-    return RadialProfile(loc, val, pair.upper.domain_cap, pair.upper.dim)
-
-
-def check_contraction(dim: int, v0: RadialProfile, w0: RadialProfile, t: float,
-                      delta: float = 0.01, grid_step: float | None = None) -> ContractionReport:
-    """Continuity in the initial condition: the solution map expands sup
-    distance by at most e^t, verified on sandwich midpoints up to the gaps.
-
-    Both solves reach exactly t with steps of at most ``delta``; their
-    midpoints are compared at every radius.
-    """
-    pairs = [solve_sandwich(SolveRequest(dim=dim, initial=f, horizon=t, step_size=delta,
-                                         grid_step=grid_step)) for f in (v0, w0)]
-    mid1, mid2 = (_midpoint(p) for p in pairs)
-    lhs = mid1.sup_distance(mid2)
-    sup0 = v0.sup_distance(w0)
-    rhs = math.exp(t) * sup0 + 0.5 * sum(p.analytic_gap + p.grid_gap for p in pairs)
-    return ContractionReport(sup0, lhs, float(rhs), float(t), bool(lhs <= rhs + 1e-12))
-
-
-@dataclass(frozen=True)
-class ConvergenceRow:
-    t: float
-    sup_mid_to_V: float
-    boundary_interval: tuple[float, float]
-    boundary_to_R_inf: float
-    combined_gap: float
-
-
-def converge_to_V(dim: int, v0: RadialProfile, schedule, K: float = 3.0,
-                  c: float = 0.05, delta: float = 0.01,
-                  grid_step: float | None = None) -> list[ConvergenceRow]:
-    """Track sup|mid - V| and boundary drift along a schedule of times.
-
-    Precondition (checked): the initial profile has mass at least c within
-    radius K, the hypothesis under which long-time convergence holds.
-    """
-    if v0(K) < c:
-        raise ValueError(f"initial profile has v0({K}) = {v0(K):.4f} < c = {c}")
-    schedule = sorted(float(t) for t in schedule)
-    state = stationary_state(dim)
-    solver = SandwichSolver(dim, v0, delta, grid_step, horizon_hint=max(schedule))
-    rows = []
-    for t in schedule:
-        solver.advance_to(t)
-        mid = 0.5 * (solver.p_up + solver.p_lo)
-        dev = float(np.max(np.abs(mid - state.V(solver.grid))))
-        lo, hi = solver.boundary_interval()
-        bd = max(abs(lo - state.r_infinity), abs(hi - state.r_infinity)) \
-            if math.isfinite(hi) else math.inf
-        rows.append(ConvergenceRow(t, dev, (lo, hi), bd, solver.combined_gap))
-    return rows
-
-
-@dataclass(frozen=True)
-class MassMovementReport:
-    c: float
-    K: float
-    doubling_time: float | None
-    values_at_K_minus_1: list[tuple[float, float]]
-
-
-def mass_movement_check(dim: int, c: float, K: float, t_grid,
-                        delta: float = 0.01,
-                        grid_step: float | None = None) -> MassMovementReport:
-    """Smallest scheduled t at which the certified lower branch shows mass
-    at least 2c at radius K - 1, starting from v0 = c * 1{r >= K}."""
-    if not (0.0 < c < 0.5):
-        raise ValueError("c must lie in (0, 1/2)")
-    if K < 2.0:
-        raise ValueError("K must be >= 2")
-    t_grid = sorted(float(t) for t in t_grid)
-    v0 = RadialProfile.step(K, c, domain_cap=default_domain_cap(K, max(t_grid)))
-    solver = SandwichSolver(dim, v0, delta, grid_step, horizon_hint=max(t_grid))
-    hit = None
-    history = []
-    for t in t_grid:
-        solver.advance_to(t)
-        # lower-branch value just right of K - 1 (cell containing it)
-        i = int(np.searchsorted(solver.grid, K - 1.0, side="right")) - 1
-        val = float(solver.p_lo[max(min(i, solver.p_lo.size - 1), 0)])
-        history.append((t, val))
-        if hit is None and val >= 2.0 * c:
-            hit = t
-    return MassMovementReport(c, K, hit, history)

@@ -128,6 +128,16 @@ class TestConfig:
         assert f"'{key}'" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("n_windows", ["0", "1"])
+    def test_one_window_exit_two_before_output(self, tmp_path, n_windows, capsys):
+        # stationarity compares windows pairwise; with one window it passed
+        # on a distance of 0.0 between no windows
+        out = tmp_path / "x"
+        assert main(["stationarity", "--out", str(out), "--set",
+                     f"n_windows={n_windows}"]) == 2
+        assert "'n_windows'" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("snapshots", ["0.5,0.2", "0.2,0.2", "-0.1,0.5",
                                            "0.1,nan", "0.1,inf"])
     def test_bad_snapshots_exit_two_before_output(self, tmp_path, snapshots, capsys):

@@ -193,6 +193,14 @@ class TestStationarityReport:
         # recorded, not asserted per-seed: larger N should not be wildly worse
         assert vals[1000] < vals[250] + 0.05
 
+    @pytest.mark.parametrize("n_windows", [0, 1])
+    def test_needs_two_windows(self, n_windows):
+        # one window has no pair to compare: max_pairwise_window_distance
+        # used to read 0.0 and pass
+        with pytest.raises(ValueError, match="n_windows"):
+            stationarity_report(N=100, d=1, burn_in=0.2, window=1.0,
+                                n_windows=n_windows, seed=1)
+
     @pytest.mark.parametrize("snapshot_dt", [0.3, 0.0, 2.0])
     def test_window_must_fit(self, snapshot_dt):
         # each window is a whole number of snapshots, so its time label holds

@@ -1,4 +1,3 @@
-import dataclasses
 import inspect
 import json
 import math
@@ -11,11 +10,12 @@ from hypothesis.extra import numpy as hnp
 from scipy import integrate, stats
 
 from nbbm import obstacle
+from nbbm.cli import _ArtifactWriter, _write_report
 from nbbm.core import RadialProfile
 from nbbm.kernels import radial_cdf
+from nbbm.experiments import UniformBallSampler, convergence_report
 from nbbm.obstacle import (SandwichSolver, SolveRequest, analytic_gap, branch_step,
-                           check_contraction, converge_to_V, default_grid_step,
-                           free_boundary_radius, mass_movement_check, solve_sandwich,
+                           default_grid_step, free_boundary_radius, solve_sandwich,
                            stationary_state)
 from nbbm.sim import replica_rng
 
@@ -470,120 +470,132 @@ class TestStationaryState:
 # Comparison properties
 # ---------------------------------------------------------------------------
 
+def midpoint_contraction(v0, w0, t, delta, grid_step=None):
+    """Continuity in the initial condition on sandwich midpoints: returns
+    (sup|v0 - w0|, sup_r |mid1 - mid2|, e^t sup|v0 - w0| + half the two
+    solves' a priori gaps), for the solves from v0 and w0 to exactly t with
+    steps of at most delta.  The midpoints are compared from both sides at
+    every jump of the four profiles, so at equal radius across grids."""
+    pairs = [solve_sandwich(SolveRequest(dim=1, initial=f, horizon=t, step_size=delta,
+                                         grid_step=grid_step)) for f in (v0, w0)]
+    rr = np.unique(np.concatenate([p.lower.locations for p in pairs]
+                                  + [p.upper.locations for p in pairs]))
+    lhs = max(float(np.max(np.abs(m1 - m2))) for m1, m2 in (
+        [0.5 * (p.lower(rr) + p.upper(rr)) for p in pairs],
+        [0.5 * (p.lower.value_right(rr) + p.upper.value_right(rr)) for p in pairs]))
+    sup0 = v0.sup_distance(w0)
+    rhs = math.exp(t) * sup0 + 0.5 * sum(p.analytic_gap + p.grid_gap for p in pairs)
+    return sup0, lhs, rhs
+
+
 class TestContraction:
     def test_equal_initials(self):
         v0 = random_cdf_profile(replica_rng(8, 1), 1)
-        rep = check_contraction(1, v0, v0, t=0.3, delta=0.01, grid_step=1e-3)
-        assert rep.sup_initial == 0.0
-        assert rep.sup_final_mid <= 0.5 * 2 * rep.bound  # only the gap slack
-        assert rep.holds
+        sup0, lhs, rhs = midpoint_contraction(v0, v0, t=0.3, delta=0.01, grid_step=1e-3)
+        assert sup0 == 0.0
+        assert lhs <= rhs  # only the gap slack
 
     def test_cutoff_pair_ratio(self):
         v0 = random_cdf_profile(replica_rng(8, 2), 1)
         w0 = v0.clipped(0.9)
-        rep = check_contraction(1, v0, w0, t=1.0, delta=0.02, grid_step=1e-3)
-        assert rep.holds
-        assert rep.sup_final_mid <= math.e * rep.sup_initial + 0.15
+        sup0, lhs, rhs = midpoint_contraction(v0, w0, t=1.0, delta=0.02, grid_step=1e-3)
+        assert lhs <= rhs + 1e-12
+        assert lhs <= math.e * sup0 + 0.15
 
     def test_compares_by_radius_across_grids(self):
         # default grids differ (h = 2.5e-3 and 1e-3); the midpoints are
         # compared at equal radius, checked here on a fine radius grid
         v0 = RadialProfile.from_jumps([0.5, 2.5], [0.5, 1.0])
         w0 = RadialProfile.from_jumps([0.3, 0.8], [0.5, 1.0])
-        rep = check_contraction(1, v0, w0, t=0.5, delta=0.1)
+        _, lhs, rhs = midpoint_contraction(v0, w0, t=0.5, delta=0.1)
         pairs = [solve_sandwich(SolveRequest(dim=1, initial=f, horizon=0.5,
                                              step_size=0.1)) for f in (v0, w0)]
         rr = np.arange(0.0, 8.0, 1e-4) + 5e-5
         mid1, mid2 = (0.5 * (p.lower(rr) + p.upper(rr)) for p in pairs)
-        assert rep.sup_final_mid == pytest.approx(float(np.max(np.abs(mid1 - mid2))),
-                                                  abs=1e-12)
-        assert rep.holds
+        assert lhs == pytest.approx(float(np.max(np.abs(mid1 - mid2))), abs=1e-12)
+        assert lhs <= rhs + 1e-12
 
     def test_off_lattice_horizon_reached_exactly(self):
         v0 = random_cdf_profile(replica_rng(8, 4), 1, max_r=2.0)
         w0 = v0.clipped(0.8)
-        rep = check_contraction(1, v0, w0, t=0.27, delta=0.02, grid_step=2e-3)
         pairs = [solve_sandwich(SolveRequest(dim=1, initial=f, horizon=0.27,
                                              step_size=0.02, grid_step=2e-3))
                  for f in (v0, w0)]
         assert all(p.steps_taken * p.step_size == pytest.approx(0.27) for p in pairs)
-        gaps = sum(p.analytic_gap + p.grid_gap for p in pairs)
-        assert rep.bound == pytest.approx(math.exp(0.27) * rep.sup_initial + gaps / 2,
-                                          rel=1e-12)
-        assert rep.holds
+        _, lhs, rhs = midpoint_contraction(v0, w0, t=0.27, delta=0.02, grid_step=2e-3)
+        assert lhs <= rhs + 1e-12
 
     def test_random_pairs_property(self):
         rng = replica_rng(8, 3)
         for i in range(50):
             v0 = random_cdf_profile(rng, 1, max_r=2.0)
             w0 = random_cdf_profile(rng, 1, max_r=2.0)
-            rep = check_contraction(1, v0, w0, t=0.2, delta=0.02, grid_step=2e-3)
-            assert rep.holds, f"pair {i}: {rep}"
+            _, lhs, rhs = midpoint_contraction(v0, w0, t=0.2, delta=0.02, grid_step=2e-3)
+            assert lhs <= rhs + 1e-12, f"pair {i}: {lhs} > {rhs}"
 
-    def test_report_round_trips_through_json(self):
-        rep = check_contraction(1, RadialProfile.step(1.0), RadialProfile.step(1.2),
-                                t=0.1, delta=0.05, grid_step=2e-3)
-        fields = dataclasses.asdict(rep)
-        assert json.loads(json.dumps(fields)) == fields
+
+def convergence_values(rows, t):
+    """The statistics of ``convergence_report`` rows at time t, by name."""
+    return {r.statistic: r.value for r in rows if r.t == t}
 
 
 class TestConvergeToV:
     def test_stationary_initial_stays_put(self):
         st = stationary_state(1)
-        rows = converge_to_V(1, st.as_profile(4001, "nearest"), [0.25, 0.5],
-                             K=2.0, c=0.5, delta=0.01, grid_step=5e-4)
-        for row in rows:
-            assert row.sup_mid_to_V <= row.combined_gap
+        rows = convergence_report(1, st.as_profile(4001, "nearest"), [0.25, 0.5],
+                                  K=2.0, c=0.5, delta=0.01, grid_step=5e-4)
+        for t in (0.25, 0.5):
+            row = convergence_values(rows, t)
+            assert row["sup_mid_to_V"] <= row["combined_gap"]
 
     def test_uniform_ball_reaches_V(self):
         # frozen desk-scale value: the midpoint tracks V to ~3e-3 by t = 6
-        from nbbm.experiments import UniformBallSampler
         v0 = UniformBallSampler(1).limit_profile("nearest")
-        rows = converge_to_V(1, v0, [6.0], K=1.0, c=0.5, delta=0.01, grid_step=5e-4)
-        assert rows[-1].sup_mid_to_V <= 0.05
+        rows = convergence_report(1, v0, [6.0], K=1.0, c=0.5, delta=0.01, grid_step=5e-4)
+        assert convergence_values(rows, 6.0)["sup_mid_to_V"] <= 0.05
 
     def test_point_mass_far_out(self):
-        rows = converge_to_V(1, RadialProfile.step(3.0, 1.0), [10.0],
-                             K=3.5, c=0.5, delta=0.01, grid_step=1e-3)
-        lo, hi = rows[-1].boundary_interval
+        rows = convergence_report(1, RadialProfile.step(3.0, 1.0), [10.0],
+                                  K=3.5, c=0.5, delta=0.01, grid_step=1e-3)
+        row = convergence_values(rows, 10.0)
+        lo, hi = row["boundary_lo"], row["boundary_hi"]
         # the certified interval reaches within 0.1 of the stationary radius
         assert lo <= math.pi / 2 + 0.1 and hi >= math.pi / 2 - 0.1
 
     def test_precondition_checked(self):
         with pytest.raises(ValueError):
-            converge_to_V(1, RadialProfile.step(5.0, 1.0), [1.0], K=3.0, c=0.5)
+            convergence_report(1, RadialProfile.step(5.0, 1.0), [1.0], K=3.0, c=0.5)
 
     def test_off_lattice_time_rejected(self):
         with pytest.raises(ValueError, match="not a multiple"):
-            converge_to_V(1, RadialProfile.step(0.5, 1.0), [0.255], K=1.0, c=0.5,
-                          delta=0.01, grid_step=2e-3)
+            convergence_report(1, RadialProfile.step(0.5, 1.0), [0.255], K=1.0, c=0.5,
+                               delta=0.01, grid_step=2e-3)
 
+    def test_empty_schedule_rejected(self):
+        # used to die in max() with "arg is an empty sequence"
+        with pytest.raises(ValueError, match="schedule"):
+            convergence_report(1, RadialProfile.step(0.5, 1.0), [], K=1.0, c=0.5)
 
-class TestMassMovement:
-    def test_no_doubling_at_time_zero(self):
-        rep = mass_movement_check(1, c=0.05, K=2.0, t_grid=[0.01], grid_step=2e-3)
-        assert rep.doubling_time is None
-
-    def test_doubling_within_ten(self):
-        rep = mass_movement_check(1, c=0.05, K=2.0,
-                                  t_grid=np.arange(0.5, 10.1, 0.5), grid_step=1e-3)
-        assert rep.doubling_time is not None and rep.doubling_time <= 10.0
-
-    def test_smaller_c_sweep_recorded(self):
-        # exploratory: smaller fractions double at least as fast (recorded)
-        times = {}
-        for c in (0.05, 0.02):
-            rep = mass_movement_check(1, c=c, K=2.0,
-                                      t_grid=np.arange(0.5, 10.1, 0.5), grid_step=2e-3)
-            times[c] = rep.doubling_time
-        assert all(v is not None for v in times.values())
-
-    def test_off_lattice_time_rejected(self):
-        with pytest.raises(ValueError, match="not a multiple"):
-            mass_movement_check(1, c=0.05, K=2.0, t_grid=[0.015], grid_step=2e-3)
-
-    def test_parameter_validation(self):
-        with pytest.raises(ValueError):
-            mass_movement_check(1, c=0.6, K=2.0, t_grid=[1.0])
-        with pytest.raises(ValueError):
-            mass_movement_check(1, c=0.1, K=1.0, t_grid=[1.0])
+    def test_rows_go_through_the_report_writer(self, tmp_path):
+        # mass 0.9 grows like e^t, so the lower branch stays short of full
+        # mass and the boundary interval is open above
+        rows = convergence_report(1, RadialProfile.step(0.5, 0.9), [0.05, 0.02],
+                                  K=1.0, c=0.5, delta=0.01, grid_step=2e-3)
+        names = ["sup_mid_to_V", "boundary_lo", "boundary_hi", "boundary_to_R_inf",
+                 "combined_gap"]
+        assert [(r.t, r.statistic) for r in rows] == \
+            [(t, name) for t in (0.02, 0.05) for name in names]
+        assert all((r.experiment, r.N, r.d, r.replicas, r.seed) == ("convergence", 0, 1, 0, 0)
+                   and r.tolerance == math.inf and r.passed for r in rows)
+        assert convergence_values(rows, 0.05)["boundary_hi"] == math.inf
+        w = _ArtifactWriter(str(tmp_path))
+        assert _write_report(w, rows) == 0
+        lines = (tmp_path / "report.csv").read_text().splitlines()
+        assert lines[0] == "experiment,statistic,value,tolerance,passed,N,d,t,replicas,seed"
+        back = [line.split(",") for line in lines[1:]]
+        assert [(f[1], float(f[2]), float(f[3]), f[4], float(f[7])) for f in back] == \
+            [(r.statistic, r.value, r.tolerance, "1", r.t) for r in rows]
+        assert "inf" in [f[2] for f in back]
+        summary = json.loads((tmp_path / "summary.json").read_text())
+        assert summary == {"rows": len(rows), "failed": 0, "failed_statistics": [],
+                           "headline": {}}

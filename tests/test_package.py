@@ -82,3 +82,11 @@ def test_each_particle_run_is_one_engine_call(module, function):
     tree = ast.parse((_SRC / f"{module}.py").read_text())
     [fn] = [n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == function]
     assert len(_engine_calls(fn)) == 1
+
+
+def test_report_row_is_the_only_result_type():
+    # every driver returns ReportRow records; no second result type creeps back
+    classes = [f"{path.name}:{node.name}" for path in sorted(_SRC.glob("*.py"))
+               for node in ast.walk(ast.parse(path.read_text()))
+               if isinstance(node, ast.ClassDef) and node.name.endswith(("Report", "Row"))]
+    assert classes == ["experiments.py:ReportRow"]
