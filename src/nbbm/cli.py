@@ -28,7 +28,7 @@ from .experiments import (PointMassSampler, StationarySampler, UniformBallSample
                           stationarity_report)
 from .kernels import bessel_density, kernel_G, radial_cdf
 from .obstacle import SolveRequest, free_boundary_radius, solve_sandwich, stationary_state
-from .sim import SimParams, advance_nbbm, replica_rng
+from .sim import advance_nbbm, replica_rng
 
 __all__ = ["main", "run"]
 
@@ -97,9 +97,9 @@ def _initial_profile(p: dict, d: int) -> tuple[RadialProfile, RadialProfile | No
             return st.as_profile(4001, "lower"), st.as_profile(4001, "upper")
         return st.as_profile(4001, "nearest"), None
     if name == "uniform":
-        return UniformBallSampler(d, p["initial_radius"]).limit_profile("nearest"), None
+        return UniformBallSampler(d, p["initial_radius"]).limit_profile(), None
     with open(name) as fh:
-        return RadialProfile.from_csv(fh.read(), dim=d), None
+        return RadialProfile.from_csv(fh.read()), None
 
 
 # ---------------------------------------------------------------------------
@@ -115,8 +115,7 @@ def _run_simulate(cfg: RunConfig, w: _ArtifactWriter) -> int:
     times = [s for s in p["snapshots"] if s <= p["t"]]
     if not times or times[-1] < p["t"]:
         times.append(p["t"])  # the final state is a snapshot, written once
-    final, log = advance_nbbm(SimParams(dim=d, population=n), ens,
-                              np.diff([0.0, *times]), rng)
+    final, log = advance_nbbm(ens, np.diff([0.0, *times]), rng)
     w.write("snapshots.csv", _snapshot_csv([(s, r.positions)
                                             for s, r in zip(times, log.reads)]))
     ev_lines = ["time,branching_label,removed_label"] + [

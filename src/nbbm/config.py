@@ -189,9 +189,9 @@ class RunConfig:
         return os.path.join(root, self.subcommand)
 
 
-def parse_config(source: str | None = None, subcommand: str | None = None,
-                 overrides: dict | None = None, is_path: bool = True) -> RunConfig:
-    """Build a RunConfig from an optional file plus CLI-style overrides.
+def parse_config(path: str | None = None, subcommand: str | None = None,
+                 overrides: dict | None = None) -> RunConfig:
+    """Build a RunConfig from an optional config file plus CLI-style overrides.
 
     Unknown keys are rejected with the offending key named; type errors
     name the key and expected type.
@@ -199,14 +199,11 @@ def parse_config(source: str | None = None, subcommand: str | None = None,
     top: dict[str, str] = {}
     section: str | None = None
     section_kv: dict[str, str] = {}
-    if source is not None:
-        if is_path:
-            if not os.path.exists(source):
-                raise FileNotFoundError(f"config file not found: {source}")
-            with open(source) as fh:
-                text = fh.read()
-        else:
-            text = source
+    if path is not None:
+        if not os.path.exists(path):
+            raise FileNotFoundError(f"config file not found: {path}")
+        with open(path) as fh:
+            text = fh.read()
         for lineno, raw in enumerate(text.splitlines(), 1):
             line = raw.split("#", 1)[0].strip()
             if not line:

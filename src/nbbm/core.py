@@ -67,7 +67,6 @@ class RadialProfile:
     locations: np.ndarray
     values: np.ndarray
     domain_cap: float
-    dim: int | None = None
 
     def __post_init__(self):
         loc = np.array(self.locations, dtype=float)
@@ -91,17 +90,18 @@ class RadialProfile:
                 raise ValueError("profile values must lie in [0, 1]")
         if not (self.domain_cap > 0.0) or not math.isfinite(self.domain_cap):
             raise ValueError("domain_cap must be positive and finite")
+        if loc.size and loc[-1] > self.domain_cap:
+            raise ValueError("jump locations must not exceed domain_cap")
 
     # -- construction -----------------------------------------------------
 
     @staticmethod
-    def from_jumps(locations, values, domain_cap: float | None = None,
-                   dim: int | None = None) -> "RadialProfile":
+    def from_jumps(locations, values, domain_cap: float | None = None) -> "RadialProfile":
         loc = np.asarray(locations, dtype=float)
         val = np.asarray(values, dtype=float)
         if domain_cap is None:
             domain_cap = default_domain_cap(loc[-1] if loc.size else 0.0)
-        return RadialProfile(loc, val, float(domain_cap), dim)
+        return RadialProfile(loc, val, float(domain_cap))
 
     @staticmethod
     def zero(domain_cap: float = default_domain_cap(0.0)) -> "RadialProfile":
@@ -150,7 +150,7 @@ class RadialProfile:
             return self
         val = np.minimum(self.values, m)
         keep = np.diff(val, prepend=0.0) > 0.0
-        return RadialProfile(self.locations[keep], val[keep], self.domain_cap, self.dim)
+        return RadialProfile(self.locations[keep], val[keep], self.domain_cap)
 
     # -- serialization -----------------------------------------------------
 
@@ -163,7 +163,7 @@ class RadialProfile:
         return buf.getvalue()
 
     @staticmethod
-    def from_csv(text: str, dim: int | None = None) -> "RadialProfile":
+    def from_csv(text: str) -> "RadialProfile":
         lines = [ln for ln in text.strip().splitlines() if ln.strip()]
         if not lines or lines[0].strip() != "r,value":
             raise ValueError("profile CSV must start with header 'r,value'")
@@ -177,7 +177,7 @@ class RadialProfile:
             raise ValueError("terminal CSV row must repeat the final value")
         loc = np.array([r for r, _ in jumps])
         val = np.array([v for _, v in jumps])
-        return RadialProfile(loc, val, cap, dim)
+        return RadialProfile(loc, val, cap)
 
 
 @dataclass(frozen=True)
@@ -284,14 +284,13 @@ class StationaryState:
 
     def as_profile(self, n_nodes: int = 4001, mode: str = "nearest") -> RadialProfile:
         """Discretize V on [0, R_inf] as a step profile (see ``discretize_cdf``)."""
-        return discretize_cdf(self._cumulative, self.r_infinity, n_nodes, mode, self.dim)
+        return discretize_cdf(self._cumulative, self.r_infinity, n_nodes, mode)
 
     def __repr__(self):
         return f"StationaryState(dim={self.dim}, r_infinity={self.r_infinity:.12g})"
 
 
-def discretize_cdf(cdf, r_max: float, n_nodes: int, mode: str,
-                   dim: int | None = None) -> RadialProfile:
+def discretize_cdf(cdf, r_max: float, n_nodes: int, mode: str) -> RadialProfile:
     """Step profile of a continuous radial CDF that reaches 1 at r_max.
 
     On n_nodes equispaced nodes of [0, r_max], mode 'upper' takes each
@@ -310,7 +309,7 @@ def discretize_cdf(cdf, r_max: float, n_nodes: int, mode: str,
     else:
         raise ValueError(f"unknown mode {mode!r}")
     keep = np.diff(val, prepend=0.0) > 0.0
-    return RadialProfile(loc[keep], val[keep], default_domain_cap(r_max), dim)
+    return RadialProfile(loc[keep], val[keep], default_domain_cap(r_max))
 
 
 # ---------------------------------------------------------------------------
@@ -323,7 +322,7 @@ def empirical_cdf(ensemble: ParticleEnsemble) -> RadialProfile:
     n = norms.size
     loc, counts = np.unique(norms, return_counts=True)
     val = np.cumsum(counts) / n
-    return RadialProfile(loc, val, default_domain_cap(loc[-1]), ensemble.dim)
+    return RadialProfile(loc, val, default_domain_cap(loc[-1]))
 
 
 def max_radius(ensemble: ParticleEnsemble) -> float:

@@ -22,7 +22,7 @@ import numpy as np
 from .core import ParticleEnsemble, RadialProfile, SandwichPair, _max_excess, \
     discretize_cdf, empirical_cdf, in_gamma, max_radius, measure_of_set, whole_steps
 from .obstacle import SandwichSolver, SolveRequest, solve_sandwich, stationary_state
-from .sim import SimParams, advance_nbbm, replica_rng
+from .sim import advance_nbbm, replica_rng
 
 __all__ = [
     "ReportRow",
@@ -92,7 +92,7 @@ class PointMassSampler:
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
         return np.zeros((n, self.dim))
 
-    def limit_profile(self, mode: str = "nearest") -> RadialProfile | None:
+    def limit_profile(self) -> RadialProfile | None:
         return None  # an atom at radius 0 is not a valid solver input
 
 
@@ -110,8 +110,8 @@ class UniformBallSampler:
     def cdf(self, r):
         return np.clip(np.asarray(r, dtype=float) / self.radius, 0.0, 1.0) ** self.dim
 
-    def limit_profile(self, mode: str = "nearest") -> RadialProfile:
-        return discretize_cdf(self.cdf, self.radius, _LIMIT_NODES, mode, self.dim)
+    def limit_profile(self) -> RadialProfile:
+        return discretize_cdf(self.cdf, self.radius, _LIMIT_NODES, "nearest")
 
 
 @dataclass(frozen=True)
@@ -131,8 +131,8 @@ class StationarySampler:
         radii = np.interp(rng.random(n), v, r)
         return _unit_directions(n, self.dim, rng) * radii[:, None]
 
-    def limit_profile(self, mode: str = "nearest") -> RadialProfile:
-        return stationary_state(self.dim).as_profile(_LIMIT_NODES, mode)
+    def limit_profile(self) -> RadialProfile:
+        return stationary_state(self.dim).as_profile(_LIMIT_NODES, "nearest")
 
 
 # ---------------------------------------------------------------------------
@@ -171,7 +171,7 @@ def _hydro_replica(rep: int, seed: int, N: int, d: int, t: float, sampler,
     f0 = empirical_cdf(ens)
     pair = solve_sandwich(SolveRequest(dim=d, initial=f0, horizon=t,
                                        step_size=delta, grid_step=grid_step))
-    final, _ = advance_nbbm(SimParams(dim=d, population=N), ens, t, rng)
+    final, _ = advance_nbbm(ens, t, rng)
     f1 = empirical_cdf(final)
     return bracket_distance(f1, pair), pair.analytic_gap + pair.grid_gap, \
         pair.measured_gap, final.positions
@@ -216,8 +216,7 @@ def _boundary_replica(rep: int, seed: int, N: int, d: int, eta: float,
                       sampler, snap_times: tuple, r_upper: tuple):
     rng = replica_rng(seed, rep)
     ens = ParticleEnsemble(d, sampler.sample(N, rng))
-    _, log = advance_nbbm(SimParams(dim=d, population=N), ens,
-                          np.diff([0.0, *snap_times]), rng)
+    _, log = advance_nbbm(ens, np.diff([0.0, *snap_times]), rng)
     return any(max_radius(r) > r_t + eta for r, r_t in zip(log.reads, r_upper))
 
 
@@ -232,7 +231,7 @@ def boundary_report(N: int, d: int, T: float, eta: float, sampler,
         raise ValueError("need 0 < eta < T")
     if N < _MIN_POPULATION:
         raise ValueError(f"boundary check needs N >= {_MIN_POPULATION}")
-    limit = sampler.limit_profile("nearest")
+    limit = sampler.limit_profile()
     if limit is None:
         raise ValueError("sampler has no solver-compatible limit profile")
     # the step rounds as (eta + dt) - eta, as in np.arange; eta + i * dt
@@ -254,21 +253,19 @@ def boundary_report(N: int, d: int, T: float, eta: float, sampler,
 
 
 def _selection_replica(rep: int, seed: int, N: int, d: int, t: float, K: float,
-                       c: float, sampler, window_dt: float, n_window: int, r_inf: float):
+                       c: float, sampler, window_dt: float, n_window: int):
     rng = replica_rng(seed, rep)
     ens = ParticleEnsemble(d, sampler.sample(N, rng))
     if not in_gamma(ens, K, c):
         raise ValueError(f"replica {rep}: initial configuration not in Gamma({K}, {c})")
-    _, log = advance_nbbm(SimParams(dim=d, population=N), ens,
-                          (t,) + (window_dt,) * n_window, rng)
+    _, log = advance_nbbm(ens, (t,) + (window_dt,) * n_window, rng)
     ens = log.reads[0]
     state = stationary_state(d)
     f = empirical_cdf(ens)
     sup_v = sup_distance_to_fn(f, state.V, state.r_infinity)
     m_t = max_radius(ens)
     running_max = max(max_radius(r) for r in log.reads)
-    ball = float((np.sqrt(np.einsum("ij,ij->i", ens.positions, ens.positions))
-                  < r_inf).mean())
+    ball = float((ens.norms() < state.r_infinity).mean())
     half = measure_of_set(ens, lambda x: x[:, 0] > 0.0)
     return sup_v, m_t, running_max, ball, half, ens.positions
 
@@ -285,8 +282,7 @@ def selection_report(N: int, d: int, t: float, K: float, c: float, sampler,
     n_window = whole_steps(1.0, window_dt, "window")
     state = stationary_state(d)
     res = _run_replicas(_selection_replica, replicas, workers,
-                        (seed, N, d, t, K, c, sampler, window_dt, n_window,
-                         state.r_infinity))
+                        (seed, N, d, t, K, c, sampler, window_dt, n_window))
     sup_v = np.array([r[0] for r in res])
     m_t = np.array([r[1] for r in res])
     run_max = np.array([r[2] for r in res])
@@ -332,8 +328,7 @@ def stationarity_report(N: int, d: int, burn_in: float, window: float,
         raise ValueError(f"stationarity check needs N >= {_MIN_POPULATION}")
     per_window = whole_steps(window, snapshot_dt, "window")
     state = stationary_state(d)
-    _, log = advance_nbbm(SimParams(dim=d, population=N),
-                          ParticleEnsemble(d, np.zeros((N, d))),
+    _, log = advance_nbbm(ParticleEnsemble(d, np.zeros((N, d))),
                           (burn_in,) + (snapshot_dt,) * (n_windows * per_window),
                           replica_rng(seed, 0))
     r_grid = np.linspace(0.0, state.r_infinity + 1.0, 2001)

@@ -120,15 +120,11 @@ class SolveRequest:
     initial_upper: RadialProfile | None = None
 
     def __post_init__(self):
-        if self.horizon <= 0.0:
-            raise ValueError("horizon must be positive")
-        if self.step_size <= 0.0:
-            raise ValueError("step size must be positive")
+        for name in ("horizon", "step_size"):
+            value = getattr(self, name)
+            if not 0.0 < value < math.inf:
+                raise ValueError(f"{name} must be positive and finite, got {value!r}")
         _check_initial(self.initial)
-
-    def resolve_steps(self) -> tuple[int, float]:
-        k = max(1, math.ceil(self.horizon / self.step_size - 1e-12))
-        return k, self.horizon / k
 
 
 class SolveTrace:
@@ -344,16 +340,9 @@ class SandwichSolver:
         self.trace.max_gap.append(measured)
         self.trace.analytic_gap.append(self.analytic_gap)
         self.trace.grid_gap.append(self.grid_gap)
-        lvl_lo = 1.0 - min(measured + _BOUNDARY_LEVEL, 0.999)
-        lvl_hi = 1.0 - _BOUNDARY_LEVEL
-        self.trace.boundary_lo.append(self._first_reach(self.p_up, lvl_lo))
-        self.trace.boundary_hi.append(self._first_reach(self.p_lo, lvl_hi))
-
-    def _first_reach(self, p: np.ndarray, level: float) -> float:
-        idx = int(np.searchsorted(p, level, side="left"))
-        if idx >= p.size:
-            return math.inf
-        return float(self.grid[idx])
+        gap_lo = min(measured + _BOUNDARY_LEVEL, 0.999)
+        self.trace.boundary_lo.append(_level_radius(self.grid, self.p_up, gap_lo))
+        self.trace.boundary_hi.append(_level_radius(self.grid, self.p_lo, _BOUNDARY_LEVEL))
 
     @property
     def analytic_gap(self) -> float:
@@ -373,7 +362,7 @@ class SandwichSolver:
         val = np.clip(p[:n_act], 0.0, 1.0)
         keep = np.diff(val, prepend=0.0) > 0.0
         cap = default_domain_cap(self.grid[n_act - 1], max(self.steps * self.delta, 1.0))
-        return RadialProfile(loc[keep], val[keep], cap, self.dim)
+        return RadialProfile(loc[keep], val[keep], cap)
 
     def pair(self) -> SandwichPair:
         return SandwichPair(
@@ -391,29 +380,24 @@ class SandwichSolver:
         return self.trace.boundary_lo[-1], self.trace.boundary_hi[-1]
 
 
-def solve_sandwich(req: SolveRequest, with_trace: bool = False):
+def solve_sandwich(req: SolveRequest) -> SandwichPair:
     """Iterate the sandwich to the horizon and certify the bracket."""
-    _, delta = req.resolve_steps()
-    solver = SandwichSolver(req.dim, req.initial, delta, req.grid_step,
+    k = max(1, math.ceil(req.horizon / req.step_size - 1e-12))
+    solver = SandwichSolver(req.dim, req.initial, req.horizon / k, req.grid_step,
                             req.initial_upper, horizon_hint=req.horizon)
     solver.advance_to(req.horizon)
-    pair = solver.pair()
-    if with_trace:
-        return pair, solver.trace
-    return pair
+    return solver.pair()
 
 
 # ---------------------------------------------------------------------------
 # Free boundary and the stationary state
 # ---------------------------------------------------------------------------
 
-def _level_radius(f: RadialProfile, gap: float) -> float:
-    """inf{r : f(r) >= 1 - gap}, or +inf when f does not get there."""
-    idx = int(np.searchsorted(f.values, 1.0 - gap, side="left"))
-    if idx >= f.values.size:
-        return math.inf
-    r = float(f.locations[idx])
-    return r if r <= f.domain_cap else math.inf
+def _level_radius(radii: np.ndarray, values: np.ndarray, gap: float) -> float:
+    """The first of ``radii`` whose nondecreasing ``values`` reach 1 - gap,
+    or +inf when none does."""
+    idx = int(np.searchsorted(values, 1.0 - gap, side="left"))
+    return float(radii[idx]) if idx < values.size else math.inf
 
 
 def free_boundary_radius(v):
@@ -426,9 +410,10 @@ def free_boundary_radius(v):
     at R_inf) the band is wide even when the pair is narrow.
     """
     if isinstance(v, SandwichPair):
-        return (_level_radius(v.upper, min(v.measured_gap + _BOUNDARY_LEVEL, 0.999)),
-                _level_radius(v.lower, _BOUNDARY_LEVEL))
-    return _level_radius(v, _BOUNDARY_LEVEL)
+        gap_lo = min(v.measured_gap + _BOUNDARY_LEVEL, 0.999)
+        return (_level_radius(v.upper.locations, v.upper.values, gap_lo),
+                _level_radius(v.lower.locations, v.lower.values, _BOUNDARY_LEVEL))
+    return _level_radius(v.locations, v.values, _BOUNDARY_LEVEL)
 
 
 def _first_bessel_zero(nu: float) -> float:

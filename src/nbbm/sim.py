@@ -82,9 +82,10 @@ def replica_rng(seed: int, replica: int = 0) -> np.random.Generator:
 
 @dataclass(frozen=True)
 class SimParams:
-    """Run parameters: dimension, population N and the times at which
-    :func:`coupled_run` records an observation.  Randomness comes from the
-    generator passed to each run (see :func:`replica_rng`)."""
+    """The input of :func:`coupled_run`: dimension, population N and the
+    times at which it records an observation.  N and the dimension must
+    match the initial ensemble's.  Randomness comes from the generator
+    passed to each run (see :func:`replica_rng`)."""
 
     dim: int
     population: int
@@ -116,9 +117,10 @@ class EventLog:
         return len(self.times)
 
 
-def advance_nbbm(params: SimParams, state: ParticleEnsemble, windows,
+def advance_nbbm(state: ParticleEnsemble, windows,
                  rng: np.random.Generator) -> tuple[ParticleEnsemble, EventLog]:
-    """Evolve the N-particle system exactly across consecutive windows.
+    """Evolve the N-particle system in R^d, N and d those of ``state``,
+    exactly across consecutive windows.
 
     ``windows`` is one duration or a sequence of durations; the ensemble at
     each window's end goes to ``log.reads`` and the last one is returned.  A
@@ -148,9 +150,7 @@ def advance_nbbm(params: SimParams, state: ParticleEnsemble, windows,
     if not durations or not all(0.0 <= w < math.inf for w in durations):
         raise ValueError(f"windows must be one or more finite nonnegative "
                          f"durations, got {windows!r}")
-    n = params.population
-    if state.population != n:
-        raise ValueError(f"state has {state.population} particles, params say {n}")
+    n = state.population
     swarm = _Swarm(state.positions.copy(), rng)
     log = EventLog()
     clock = state.clock
@@ -443,8 +443,9 @@ class _Interval:
     bridge from a to b over time t crosses the end with probability
     exp(-a b / t), and the first passage through it at time u has density
     (a / u) phi_u(a), phi_u the N(0, 2u) density.  ``1 - leave_prob`` is
-    the survival of Brownian motion killed outside (-R, R), which is what
-    :func:`survival_curve` needs to kill exactly between grid times in d = 1.
+    the survival of Brownian motion killed outside (-R, R), which
+    :func:`survival_curve` would need to kill exactly between grid times in
+    d = 1; it does not use it yet (ROADMAP item 5).
     """
 
     @staticmethod
@@ -698,11 +699,10 @@ def _dominated(blue_norms: np.ndarray, all_norms: np.ndarray, n: int) -> bool:
 
 
 def coupled_run(params: SimParams, initial: ParticleEnsemble, duration: float,
-                rng: np.random.Generator,
-                population_cap: int = _POPULATION_CAP) -> CoupledRunResult:
+                rng: np.random.Generator) -> CoupledRunResult:
     """One BBM driving both processes: ``forest_final`` is the free BBM
-    (ResourceError past ``population_cap`` particles) and its blue subset
-    evolves as the N-system.
+    (ResourceError past ``_POPULATION_CAP`` particles) and its blue subset
+    evolves as the N-system.  ``params`` must match ``initial``'s N and d.
 
     When a blue particle branches both offspring are blue and the furthest
     blue (lowest forest index on ties) turns red; red particles breed red.
@@ -739,10 +739,10 @@ def coupled_run(params: SimParams, initial: ParticleEnsemble, duration: float,
     """
     if duration < 0.0:
         raise ValueError("duration must be nonnegative")
-    n = params.population
-    if initial.population != n:
-        raise ValueError("initial population must equal params.population")
-    d = initial.dim
+    n, d = params.population, params.dim
+    if (initial.population, initial.dim) != (n, d):
+        raise ValueError(f"initial ensemble has N={initial.population}, d={initial.dim}; "
+                         f"params say N={n}, d={d}")
     now = initial.clock
     end = initial.clock + duration
     # the forest is the first m rows of arrays that double when full
@@ -841,8 +841,8 @@ def coupled_run(params: SimParams, initial: ParticleEnsemble, duration: float,
             pos, last, exceeded, tie_lineage = (np.concatenate((a, np.empty_like(a)))
                                                 for a in (pos, last, exceeded, tie_lineage))
         child, m = m, m + 1
-        if m > population_cap:
-            raise ResourceError(f"coupled BBM population exceeded cap {population_cap}")
+        if m > _POPULATION_CAP:
+            raise ResourceError(f"coupled BBM population exceeded cap {_POPULATION_CAP}")
         labels.append(labels[idx] + (2,))
         labels[idx] = labels[idx] + (1,)
         j = row.get(idx)
@@ -920,12 +920,14 @@ def spherically_ordered_pairs(x: np.ndarray, x_plus: np.ndarray,
     xp = np.atleast_2d(np.asarray(x_plus, dtype=float))
     if x.shape != xp.shape:
         raise ValueError("x and x_plus must have matching shapes")
+    if not (np.isfinite(x).all() and np.isfinite(xp).all()):
+        raise ValueError("start points must be finite")
     if np.any(_norms(x) > _norms(xp) + 1e-12):
         raise ValueError("need ||x|| <= ||x_plus|| pairwise")
     n, d = x.shape
     times = np.concatenate(([0.0], np.asarray(sample_times, dtype=float)))
-    if np.any(np.diff(times) <= 0.0):
-        raise ValueError("sample times must be strictly increasing and positive")
+    if not (np.isfinite(times).all() and np.all(np.diff(times) > 0.0)):
+        raise ValueError("sample times must be finite, strictly increasing and positive")
     path = np.empty((n, times.size, d))
     path_p = np.empty((n, times.size, d))
     path[:, 0], path_p[:, 0] = x, xp
@@ -994,6 +996,8 @@ def survival_curve(dim: int, x: np.ndarray, boundary, t_grid: np.ndarray,
     """
     if np.shape(x) != (dim,):
         raise ValueError(f"x must have shape ({dim},), got {np.shape(x)}")
+    if not np.all(np.isfinite(x)):
+        raise ValueError(f"x must be finite, got {x!r}")
     if not isinstance(n_samples, (int, np.integer)) or n_samples < 1:
         raise ValueError(f"n_samples must be an integer >= 1, got {n_samples!r}")
     t_grid = np.asarray(t_grid, dtype=float)

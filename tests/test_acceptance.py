@@ -19,10 +19,9 @@ from nbbm.cli import run as cli_run
 from nbbm.experiments import (UniformBallSampler, bracket_distance,
                               hydrodynamic_report, sup_distance_to_fn)
 from nbbm.kernels import radial_cdf
-from nbbm.obstacle import (SandwichSolver, SolveRequest, solve_sandwich,
-                           stationary_state)
-from nbbm.sim import (SimParams, advance_nbbm, coupled_run, replica_rng,
-                      spherically_ordered_pairs, survival_curve)
+from nbbm.obstacle import SandwichSolver, stationary_state
+from nbbm.sim import (SimParams, coupled_run, replica_rng, spherically_ordered_pairs,
+                      survival_curve)
 
 
 ACCEPTANCE_LINES: list[str] = []
@@ -37,12 +36,12 @@ def _report(n, name, ok, detail=""):
     assert ok, line
 
 
-def random_cdf_profile(rng, d):
+def random_cdf_profile(rng):
     nj = int(rng.integers(5, 40))
     locs = np.unique(rng.uniform(0.05, 3.0, nj))
     vals = np.sort(rng.uniform(0.0, 1.0, locs.size))
     vals[-1] = 1.0
-    return RadialProfile.from_jumps(locs, vals, dim=d)
+    return RadialProfile.from_jumps(locs, vals)
 
 
 # ---------------------------------------------------------------------------
@@ -86,10 +85,10 @@ def test_02_sandwich_certificate():
         for _ in range(cnt):
             rng = replica_rng(20_000, idx)
             idx += 1
-            v0 = random_cdf_profile(rng, d)
-            pair, trace = solve_sandwich(
-                SolveRequest(dim=d, initial=v0, horizon=1.0, step_size=0.01,
-                             grid_step=grid_step), with_trace=True)
+            v0 = random_cdf_profile(rng)
+            solver = SandwichSolver(d, v0, 0.01, grid_step, horizon_hint=1.0)
+            solver.advance_to(1.0)
+            pair, trace = solver.pair(), solver.trace
             # ordering holds at every step (the solver raises otherwise) and
             # the bracket width obeys the certificate at every step
             for gap, ana, grid in zip(trace.max_gap, trace.analytic_gap,

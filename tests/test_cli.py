@@ -39,9 +39,19 @@ def random_config(rng) -> RunConfig:
         return RunConfig(sub, seed=int(rng.integers(2 ** 31)))
 
 
+@pytest.fixture
+def parse_text(tmp_path):
+    """parse_config on config text written to a file, as the CLI reads it."""
+    def parse(text, subcommand, **kw):
+        path = tmp_path / "run.cfg"
+        path.write_text(text)
+        return parse_config(str(path), subcommand, **kw)
+    return parse
+
+
 class TestConfig:
     @pytest.mark.parametrize("sub", list(SCHEMAS))
-    def test_round_trip_every_key(self, sub):
+    def test_round_trip_every_key(self, sub, parse_text):
         # every float written to the run directory parses back to the same
         # bits; a NaN float used to be written as "none", which no float key
         # parses
@@ -54,15 +64,15 @@ class TestConfig:
         cfg = RunConfig(sub, seed=7, out="x", workers=2, params=params)
         text = serialize_config(cfg)
         assert "none" not in text
-        assert parse_config(text, sub, is_path=False) == cfg
+        assert parse_text(text, sub) == cfg
 
-    def test_round_trip_randomized(self):
+    def test_round_trip_randomized(self, parse_text):
         rng = replica_rng(99, 0)
         for _ in range(100):
             cfg = random_config(rng)
             text = serialize_config(cfg)
-            back = parse_config(text, cfg.subcommand, is_path=False,
-                                overrides={"workers": cfg.workers, "out": cfg.out})
+            back = parse_text(text, cfg.subcommand,
+                              overrides={"workers": cfg.workers, "out": cfg.out})
             assert back == cfg, f"round trip failed:\n{text}"
 
     def test_defaults_runnable(self):
@@ -70,23 +80,23 @@ class TestConfig:
         assert cfg.params["d"] == 1
         assert cfg.workers == 1
 
-    def test_unknown_key_named(self):
+    def test_unknown_key_named(self, parse_text):
         with pytest.raises(ValueError, match="frobnicate"):
-            parse_config("[solve]\nfrobnicate = 3\n", "solve", is_path=False)
+            parse_text("[solve]\nfrobnicate = 3\n", "solve")
         with pytest.raises(ValueError, match="bogus_top"):
-            parse_config("bogus_top = 1\n[solve]\n", "solve", is_path=False)
+            parse_text("bogus_top = 1\n[solve]\n", "solve")
 
-    def test_type_error_names_key(self):
+    def test_type_error_names_key(self, parse_text):
         with pytest.raises(ValueError, match="'n' expects int"):
-            parse_config("[hydro]\nn = soup\n", "hydro", is_path=False)
+            parse_text("[hydro]\nn = soup\n", "hydro")
 
-    def test_constraint_violations(self):
+    def test_constraint_violations(self, parse_text):
         with pytest.raises(ValueError, match="'n'"):
-            parse_config("[hydro]\nn = 0\n", "hydro", is_path=False)
+            parse_text("[hydro]\nn = 0\n", "hydro")
         with pytest.raises(ValueError, match="'t'"):
-            parse_config("[solve]\nt = -1\n", "solve", is_path=False)
+            parse_text("[solve]\nt = -1\n", "solve")
         with pytest.raises(ValueError, match="sampler"):
-            parse_config("[hydro]\nsampler = martian\n", "hydro", is_path=False)
+            parse_text("[hydro]\nsampler = martian\n", "hydro")
 
     @pytest.mark.parametrize("sub, key, value", [
         ("simulate", "t", "nan"), ("simulate", "t", "inf"), ("solve", "t", "inf"),
@@ -153,9 +163,9 @@ class TestConfig:
         with pytest.raises(FileNotFoundError):
             parse_config("/nonexistent/path.cfg", "solve")
 
-    def test_section_mismatch(self):
+    def test_section_mismatch(self, parse_text):
         with pytest.raises(ValueError, match="does not match"):
-            parse_config("[solve]\n", "hydro", is_path=False)
+            parse_text("[solve]\n", "hydro")
 
 
 class TestRun:
@@ -267,14 +277,15 @@ class TestCliEntry:
         assert main(["stationary", "--set", "nonsense"]) == 2
 
     @pytest.mark.parametrize("seed", ["-1", str(2**64)])
-    def test_out_of_range_seed_exit_two_before_output(self, tmp_path, seed, capsys):
+    def test_out_of_range_seed_exit_two_before_output(self, tmp_path, seed, capsys,
+                                                      parse_text):
         # -1 used to fail inside the run, after the output directory was made
         out = tmp_path / "neg"
         assert main(["simulate", "--seed", seed, "--out", str(out)]) == 2
         assert "seed" in capsys.readouterr().err
         assert not out.exists()
         with pytest.raises(ValueError, match="seed"):
-            parse_config(f"seed = {seed}\n[simulate]\n", "simulate", is_path=False)
+            parse_text(f"seed = {seed}\n[simulate]\n", "simulate")
 
     @pytest.mark.parametrize("key", ["seed", "workers"])
     def test_bad_int_override_names_key(self, tmp_path, key, capsys):

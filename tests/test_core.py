@@ -48,6 +48,9 @@ class TestRadialProfile:
             RadialProfile.from_jumps([1.0], [1.5])
         with pytest.raises(ValueError):
             RadialProfile.from_jumps([-0.1], [0.5])
+        # a jump past the cap used to load, and read as no boundary at all
+        with pytest.raises(ValueError, match="domain_cap"):
+            RadialProfile.from_csv("r,value\n5.0,1.0\n1.0,1.0\n")
 
     def test_sup_distance_exact_on_steps(self):
         f = RadialProfile.from_jumps([1.0], [1.0])
@@ -79,8 +82,8 @@ class TestRadialProfile:
             assert np.all(cf(pts) - ch(pts) <= gap + 1e-12)
 
     def test_csv_round_trip(self):
-        f = RadialProfile.from_jumps([0.25, 1.5], [0.5, 1.0], domain_cap=9.0, dim=2)
-        g = RadialProfile.from_csv(f.to_csv(), dim=2)
+        f = RadialProfile.from_jumps([0.25, 1.5], [0.5, 1.0], domain_cap=9.0)
+        g = RadialProfile.from_csv(f.to_csv())
         assert np.array_equal(f.locations, g.locations)
         assert np.array_equal(f.values, g.values)
         assert g.domain_cap == 9.0
@@ -98,9 +101,9 @@ class TestDiscretizeCdf:
     def test_modes_bracket_the_cdf(self):
         rr = np.linspace(0.0, 2.5, 2001)
         exact = self.cdf(rr)
-        lo = discretize_cdf(self.cdf, 2.0, 41, "lower", dim=2)
-        up = discretize_cdf(self.cdf, 2.0, 41, "upper", dim=2)
-        mid = discretize_cdf(self.cdf, 2.0, 41, "nearest", dim=2)
+        lo = discretize_cdf(self.cdf, 2.0, 41, "lower")
+        up = discretize_cdf(self.cdf, 2.0, 41, "upper")
+        mid = discretize_cdf(self.cdf, 2.0, 41, "nearest")
         assert np.all(lo(rr) <= exact + 1e-15) and np.all(exact <= up(rr) + 1e-15)
         assert np.all(lo(rr) <= mid(rr)) and np.all(mid(rr) <= up(rr))
         assert lo.final_value == up.final_value == mid.final_value == 1.0
@@ -112,6 +115,10 @@ class TestDiscretizeCdf:
         v = self.cdf(nodes)
         assert np.array_equal(mid.locations, nodes[1:])
         assert np.array_equal(mid.values, np.append(0.5 * (v[1:-1] + v[2:]), 1.0))
+
+    def test_unknown_mode_rejected(self):
+        with pytest.raises(ValueError, match="bogus"):
+            discretize_cdf(self.cdf, 2.0, 5, "bogus")
 
 
 # ---------------------------------------------------------------------------

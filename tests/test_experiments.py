@@ -9,7 +9,7 @@ from nbbm.experiments import (PointMassSampler, StationarySampler, UniformBallSa
                               bracket_distance, boundary_report, hydrodynamic_report,
                               selection_report, stationarity_report, sup_distance_to_fn)
 from nbbm.obstacle import SandwichSolver, SolveRequest, solve_sandwich, stationary_state
-from nbbm.sim import SimParams, advance_nbbm, replica_rng
+from nbbm.sim import advance_nbbm, replica_rng
 
 
 class TestSamplers:
@@ -23,8 +23,6 @@ class TestSamplers:
         prof = UniformBallSampler(2).limit_profile()
         rr = np.linspace(0.01, 0.99, 50)
         assert np.abs(prof(rr) - rr ** 2).max() < 1e-3
-        with pytest.raises(ValueError, match="bogus"):
-            UniformBallSampler(1).limit_profile("bogus")
 
     def test_stationary_sampler_matches_V(self):
         for d in (1, 3):
@@ -145,7 +143,7 @@ class TestSelectionReport:
         state = stationary_state(1)
         rng = replica_rng(32, 0)
         ens = ParticleEnsemble(1, PointMassSampler(1).sample(400, rng))
-        ens, _ = advance_nbbm(SimParams(dim=1, population=400), ens, 6.0, rng)
+        ens, _ = advance_nbbm(ens, 6.0, rng)
         f = empirical_cdf(ens)
         eps = sup_distance_to_fn(f, state.V, state.r_infinity)
         m = max_radius(ens)

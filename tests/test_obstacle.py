@@ -20,13 +20,13 @@ from nbbm.obstacle import (SandwichSolver, SolveRequest, analytic_gap, branch_st
 from nbbm.sim import replica_rng
 
 
-def random_cdf_profile(rng, d=1, max_r=3.0) -> RadialProfile:
+def random_cdf_profile(rng, max_r=3.0) -> RadialProfile:
     """Random nondecreasing step initial condition reaching mass 1."""
     nj = int(rng.integers(5, 40))
     locs = np.unique(rng.uniform(0.05, max_r, nj))
     vals = np.sort(rng.uniform(0.0, 1.0, locs.size))
     vals[-1] = 1.0
-    return RadialProfile.from_jumps(locs, vals, dim=d)
+    return RadialProfile.from_jumps(locs, vals)
 
 
 # ---------------------------------------------------------------------------
@@ -210,11 +210,10 @@ class TestSolveSandwich:
     def test_certificate_random_profiles(self):
         rng = replica_rng(2, 0)
         for d in (1, 2, 3):
-            v0 = random_cdf_profile(rng, d)
-            pair, trace = solve_sandwich(
-                SolveRequest(dim=d, initial=v0, horizon=0.3, step_size=0.01,
-                             grid_step=1e-3 if d != 2 else 5e-4),
-                with_trace=True)
+            v0 = random_cdf_profile(rng)
+            solver = SandwichSolver(d, v0, 0.01, 1e-3 if d != 2 else 5e-4, horizon_hint=0.3)
+            solver.advance_to(0.3)
+            pair, trace = solver.pair(), solver.trace
             assert pair.measured_gap <= pair.analytic_gap + pair.grid_gap + 1e-12
             for gap, ana, grid in zip(trace.max_gap, trace.analytic_gap, trace.grid_gap):
                 assert gap <= ana + grid + 1e-12
@@ -279,7 +278,7 @@ class TestSolveSandwich:
 
     def test_generic_dimension_series_route(self):
         # dimensions without an image formula run through the series engine
-        v0 = random_cdf_profile(replica_rng(3, 5), 5)
+        v0 = random_cdf_profile(replica_rng(3, 5))
         pair = solve_sandwich(SolveRequest(dim=5, initial=v0, horizon=0.2,
                                            step_size=0.02, grid_step=1e-3))
         assert pair.measured_gap <= pair.analytic_gap + pair.grid_gap + 1e-12
@@ -319,10 +318,19 @@ class TestSolveSandwich:
                 SolveRequest(dim=1, initial=RadialProfile.step(1.0), horizon=1.0,
                              step_size=step)
 
+    @pytest.mark.parametrize("field, value", [
+        ("horizon", math.nan), ("horizon", math.inf), ("step_size", math.nan),
+        ("step_size", math.inf)])
+    def test_rejects_nonfinite_horizon_and_step(self, field, value):
+        # NaN and inf used to fail inside the solve with "cannot convert float
+        # NaN to integer" or an OverflowError
+        kw = {"horizon": 1.0, "step_size": 0.01, field: value}
+        with pytest.raises(ValueError, match=f"{field} must be positive and finite"):
+            SolveRequest(dim=1, initial=RadialProfile.step(1.0), **kw)
+
     def test_step_divides_horizon(self):
         req = SolveRequest(dim=1, initial=RadialProfile.step(1.0), horizon=0.27,
                            step_size=0.02, grid_step=2e-3)
-        assert req.resolve_steps() == (14, 0.27 / 14)
         pair = solve_sandwich(req)
         assert pair.steps_taken == 14 and pair.step_size == 0.27 / 14
 
@@ -380,7 +388,7 @@ class TestFreeBoundary:
         assert lo <= math.pi / 2 <= hi
 
     def test_nesting_under_refinement(self):
-        v0 = random_cdf_profile(replica_rng(4, 4), 1)
+        v0 = random_cdf_profile(replica_rng(4, 4))
         coarse = solve_sandwich(SolveRequest(dim=1, initial=v0, horizon=0.5,
                                              step_size=0.01, grid_step=2e-3))
         fine = solve_sandwich(SolveRequest(dim=1, initial=v0, horizon=0.5,
@@ -388,6 +396,15 @@ class TestFreeBoundary:
         c_lo, c_hi = free_boundary_radius(coarse)
         f_lo, f_hi = free_boundary_radius(fine)
         assert c_lo <= f_lo + 2e-3 and f_hi <= c_hi + 2e-3
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_solver_band_is_the_pair_band(self, d):
+        # the per-step band on the solver's arrays is the band of its pair
+        solver = SandwichSolver(d, stationary_state(d).as_profile(2001, "nearest"), 0.02,
+                                2e-3, horizon_hint=0.2)
+        for t in (0.02, 0.2):
+            solver.advance_to(t)
+            assert free_boundary_radius(solver.pair()) == solver.boundary_interval()
 
 
 # ---------------------------------------------------------------------------
@@ -490,13 +507,13 @@ def midpoint_contraction(v0, w0, t, delta, grid_step=None):
 
 class TestContraction:
     def test_equal_initials(self):
-        v0 = random_cdf_profile(replica_rng(8, 1), 1)
+        v0 = random_cdf_profile(replica_rng(8, 1))
         sup0, lhs, rhs = midpoint_contraction(v0, v0, t=0.3, delta=0.01, grid_step=1e-3)
         assert sup0 == 0.0
         assert lhs <= rhs  # only the gap slack
 
     def test_cutoff_pair_ratio(self):
-        v0 = random_cdf_profile(replica_rng(8, 2), 1)
+        v0 = random_cdf_profile(replica_rng(8, 2))
         w0 = v0.clipped(0.9)
         sup0, lhs, rhs = midpoint_contraction(v0, w0, t=1.0, delta=0.02, grid_step=1e-3)
         assert lhs <= rhs + 1e-12
@@ -516,7 +533,7 @@ class TestContraction:
         assert lhs <= rhs + 1e-12
 
     def test_off_lattice_horizon_reached_exactly(self):
-        v0 = random_cdf_profile(replica_rng(8, 4), 1, max_r=2.0)
+        v0 = random_cdf_profile(replica_rng(8, 4), max_r=2.0)
         w0 = v0.clipped(0.8)
         pairs = [solve_sandwich(SolveRequest(dim=1, initial=f, horizon=0.27,
                                              step_size=0.02, grid_step=2e-3))
@@ -528,8 +545,8 @@ class TestContraction:
     def test_random_pairs_property(self):
         rng = replica_rng(8, 3)
         for i in range(50):
-            v0 = random_cdf_profile(rng, 1, max_r=2.0)
-            w0 = random_cdf_profile(rng, 1, max_r=2.0)
+            v0 = random_cdf_profile(rng, max_r=2.0)
+            w0 = random_cdf_profile(rng, max_r=2.0)
             _, lhs, rhs = midpoint_contraction(v0, w0, t=0.2, delta=0.02, grid_step=2e-3)
             assert lhs <= rhs + 1e-12, f"pair {i}: {lhs} > {rhs}"
 
@@ -550,7 +567,7 @@ class TestConvergeToV:
 
     def test_uniform_ball_reaches_V(self):
         # frozen desk-scale value: the midpoint tracks V to ~3e-3 by t = 6
-        v0 = UniformBallSampler(1).limit_profile("nearest")
+        v0 = UniformBallSampler(1).limit_profile()
         rows = convergence_report(1, v0, [6.0], K=1.0, c=0.5, delta=0.01, grid_step=5e-4)
         assert convergence_values(rows, 6.0)["sup_mid_to_V"] <= 0.05
 

@@ -65,9 +65,9 @@ def _looped_engine_calls(source: str) -> list[int]:
 def test_no_module_outside_sim_loops_over_advance_nbbm():
     # advance_nbbm takes every read window of a particle run, so that the
     # engine knows each read time in advance
-    assert _looped_engine_calls("for s in x:\n    sim.advance_nbbm(p, e, s, r)\n") == [2]
-    assert _looped_engine_calls("while go:\n    go = advance_nbbm(p, e, s, r)\n") == [2]
-    assert _looped_engine_calls("m = [x for x in advance_nbbm(p, e, w, r)[1].reads]") == []
+    assert _looped_engine_calls("for s in x:\n    sim.advance_nbbm(e, s, r)\n") == [2]
+    assert _looped_engine_calls("while go:\n    go = advance_nbbm(e, s, r)\n") == [2]
+    assert _looped_engine_calls("m = [x for x in advance_nbbm(e, w, r)[1].reads]") == []
     offenders = [f"{path.name}:{line}" for path in sorted(_SRC.glob("*.py"))
                  if path.name != "sim.py"
                  for line in _looped_engine_calls(path.read_text())]
@@ -90,3 +90,14 @@ def test_report_row_is_the_only_result_type():
                for node in ast.walk(ast.parse(path.read_text()))
                if isinstance(node, ast.ClassDef) and node.name.endswith(("Report", "Row"))]
     assert classes == ["experiments.py:ReportRow"]
+
+
+def test_only_coupled_run_takes_sim_params():
+    # N and d come from the ensemble; SimParams is coupled_run's input alone
+    takers = [f"{path.name}:{node.name}" for path in sorted(_SRC.glob("*.py"))
+              for node in ast.walk(ast.parse(path.read_text()))
+              if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+              and any(a.annotation is not None and "SimParams" in ast.unparse(a.annotation)
+                      for a in (*node.args.posonlyargs, *node.args.args,
+                                *node.args.kwonlyargs))]
+    assert takers == ["sim.py:coupled_run"]

@@ -8,7 +8,6 @@ from scipy import stats
 
 from nbbm.core import ParticleEnsemble, empirical_cdf, max_radius
 from nbbm.experiments import PointMassSampler, _selection_replica
-from nbbm.obstacle import stationary_state
 from nbbm import sim
 from nbbm.sim import (BbmForest, CoupledObservation, CoupledRunResult, EventLog,
                       ResourceError, SimParams, SimulationError, _dominated, _Interval,
@@ -20,10 +19,10 @@ def origin_ensemble(n, d):
     return ParticleEnsemble(d, np.zeros((n, d)))
 
 
-def free_bbm(ens, duration, rng, **kw):
+def free_bbm(ens, duration, rng):
     """The free BBM grown from ``ens``: the forest of the red/blue coupling."""
     params = SimParams(dim=ens.dim, population=ens.population)
-    return coupled_run(params, ens, duration, rng, **kw).forest_final
+    return coupled_run(params, ens, duration, rng).forest_final
 
 
 class _CountingRng:
@@ -51,7 +50,7 @@ class _NanRng(_CountingRng):
         return out
 
 
-def reference_advance_nbbm(params, state, duration, rng):
+def reference_advance_nbbm(state, duration, rng):
     """The dense per-event loop that ``advance_nbbm`` replaced: every
     particle diffuses across every gap.  Its RNG stream differs from the
     engine's, so tests compare the two in law."""
@@ -71,7 +70,7 @@ def reference_advance_nbbm(params, state, duration, rng):
         log.branching.append(k)
         log.removed.append(furthest)
 
-    n = params.population
+    n = state.population
     pos = state.positions.copy()
     log = EventLog()
     t_done = 0.0
@@ -223,14 +222,12 @@ class TestAdvanceNbbm:
             duration = 1.2 if n < 400 else 0.35
             start = ParticleEnsemble(d, replica_rng(30, n).standard_normal((n, d)),
                                      clock=0.25)
-            params = SimParams(dim=d, population=n)
             got, ref, normals, events = [], [], 0, 0
             for rep in range(300):
                 rng = _CountingRng(replica_rng(41, rep))
-                out, log = advance_nbbm(params, start, (duration / 2, duration / 2), rng)
+                out, log = advance_nbbm(start, (duration / 2, duration / 2), rng)
                 normals, events = normals + rng.normals, events + len(log)
-                dense, dense_log = reference_advance_nbbm(params, start, duration,
-                                                          replica_rng(42, rep))
+                dense, dense_log = reference_advance_nbbm(start, duration, replica_rng(42, rep))
                 for row, ens, k in ((got, out, len(log)), (ref, dense, len(dense_log))):
                     r = ens.norms()
                     row.append((r.max(), np.mean(r < 1.0), np.mean(r < 2.0), k))
@@ -248,13 +245,12 @@ class TestAdvanceNbbm:
         for n in (1, 2, 50, 400):
             start = ParticleEnsemble(d, replica_rng(33, n).standard_normal((n, d)),
                                      clock=0.25)
-            params = SimParams(dim=d, population=n)
             for seed in (0, 1, 2**40 + 3):
-                out, log = advance_nbbm(params, start, windows, replica_rng(seed, d))
+                out, log = advance_nbbm(start, windows, replica_rng(seed, d))
                 rng = replica_rng(seed, d)
                 cur, reads, times, branching, removed = start, [], [], [], []
                 for duration in windows:
-                    cur, one_log = advance_nbbm(params, cur, duration, rng)
+                    cur, one_log = advance_nbbm(cur, duration, rng)
                     reads.append(cur)
                     times += one_log.times.tolist()
                     branching += one_log.branching.tolist()
@@ -338,8 +334,7 @@ class TestAdvanceNbbm:
         n, d = 400, 2
         start = ParticleEnsemble(d, replica_rng(30, n).standard_normal((n, d)), clock=0.25)
         for rep in range(100):
-            advance_nbbm(SimParams(dim=d, population=n), start, (0.175, 0.175),
-                         replica_rng(41, rep))
+            advance_nbbm(start, (0.175, 0.175), replica_rng(41, rep))
         assert reads
         assert not any(b == (a[0] + 1, a[1]) for a, b in zip(reads, reads[1:]))
 
@@ -347,29 +342,25 @@ class TestAdvanceNbbm:
         # the dense loop drew N d normals at every event; the lazy engine at
         # N = 2000, d = 1 near its stationary state draws fewer than a quarter
         n = 2000
-        params = SimParams(dim=1, population=n)
-        warm, _ = advance_nbbm(params, origin_ensemble(n, 1), 4.0, replica_rng(43, 0))
+        warm, _ = advance_nbbm(origin_ensemble(n, 1), 4.0, replica_rng(43, 0))
         rng = _CountingRng(replica_rng(43, 1))
-        _, log = advance_nbbm(params, warm, 1.0, rng)
+        _, log = advance_nbbm(warm, 1.0, rng)
         assert rng.normals < n / 4 * len(log)
 
     @pytest.mark.parametrize("windows", [math.nan, math.inf, -0.1, (0.1, math.nan),
                                          (0.1, -1e-300), (0.2, math.inf), ()])
     def test_bad_windows_rejected(self, windows):
-        params = SimParams(dim=1, population=5)
         with pytest.raises(ValueError, match="windows"):
-            advance_nbbm(params, origin_ensemble(5, 1), windows, replica_rng(9, 0))
+            advance_nbbm(origin_ensemble(5, 1), windows, replica_rng(9, 0))
 
     @pytest.mark.parametrize("d", [1, 3])
     def test_nonfinite_norm_raises_at_first_event(self, d):
-        params = SimParams(dim=d, population=5)
         with pytest.raises(SimulationError, match="at event 0 "):
-            advance_nbbm(params, far_start(5, d), 1.0, replica_rng(32, 0))
+            advance_nbbm(far_start(5, d), 1.0, replica_rng(32, 0))
 
     def test_population_and_clock(self):
-        params = SimParams(dim=2, population=50)
         ens = origin_ensemble(50, 2)
-        out, log = advance_nbbm(params, ens, 0.7, replica_rng(1, 0))
+        out, log = advance_nbbm(ens, 0.7, replica_rng(1, 0))
         assert out.population == 50
         assert out.clock == pytest.approx(0.7)
         assert len(log.times) == len(log.branching) == len(log.removed)
@@ -379,57 +370,47 @@ class TestAdvanceNbbm:
         # a default selection replica (N=2000, t=15) logs ~32k events; as
         # Python lists at ~100 B an event its tracemalloc peak was 3.8 MB,
         # as typed arrays of 8 B an entry it is 1.2 MB
-        r_inf = stationary_state(1).r_infinity
         tracemalloc.start()
         try:
-            _selection_replica(0, 0, 2000, 1, 15.0, 1.0, 1.0, PointMassSampler(1),
-                               0.05, 20, r_inf)
+            _selection_replica(0, 0, 2000, 1, 15.0, 1.0, 1.0, PointMassSampler(1), 0.05, 20)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 2e6
 
     def test_zero_duration_identity(self):
-        params = SimParams(dim=1, population=10)
         ens = ParticleEnsemble(1, replica_rng(2, 0).standard_normal((10, 1)))
-        out, log = advance_nbbm(params, ens, 0.0, replica_rng(2, 1))
+        out, log = advance_nbbm(ens, 0.0, replica_rng(2, 1))
         assert np.array_equal(out.positions, ens.positions)
         assert len(log) == 0
 
     def test_single_particle_marginal(self):
         # with N = 1 every event is a no-op, so the law at t is N(0, 2t I)
-        params = SimParams(dim=2, population=1)
-        xs = np.array([advance_nbbm(params, origin_ensemble(1, 2), 0.5,
-                                    replica_rng(3, rep))[0].positions[0]
-                       for rep in range(3000)])
+        xs = np.array([advance_nbbm(origin_ensemble(1, 2), 0.5, replica_rng(3, rep))[0]
+                       .positions[0] for rep in range(3000)])
         assert np.abs(xs.mean(axis=0)).max() < 4 * math.sqrt(1.0 / 3000)
         assert np.abs(xs.var(axis=0) - 1.0).max() < 0.1
 
     def test_event_rate(self):
         # branch events arrive at rate N: mean count over [0, t] is N t
-        params = SimParams(dim=1, population=100)
-        total = sum(len(advance_nbbm(params, origin_ensemble(100, 1), 2.0,
-                                     replica_rng(4, rep))[1])
+        total = sum(len(advance_nbbm(origin_ensemble(100, 1), 2.0, replica_rng(4, rep))[1])
                     for rep in range(25))
         mean = total / 25
         assert abs(mean - 200.0) < 4 * math.sqrt(200.0 / 25)
 
     def test_bit_identical_replay(self):
-        params = SimParams(dim=3, population=40)
         ens = ParticleEnsemble(3, replica_rng(5, 0).standard_normal((40, 3)))
-        a, loga = advance_nbbm(params, ens, 1.0, replica_rng(5, 7))
-        b, logb = advance_nbbm(params, ens, 1.0, replica_rng(5, 7))
+        a, loga = advance_nbbm(ens, 1.0, replica_rng(5, 7))
+        b, logb = advance_nbbm(ens, 1.0, replica_rng(5, 7))
         assert np.array_equal(a.positions, b.positions)
         assert loga.times == logb.times and loga.removed == logb.removed
 
     def test_label_exchangeability(self):
         # the removal/relabelling rule is label-symmetric in distribution
-        params = SimParams(dim=1, population=6)
         reps = 1500
         norms = np.empty((reps, 6))
         for rep in range(reps):
-            out, _ = advance_nbbm(params, origin_ensemble(6, 1), 1.5,
-                                  replica_rng(6, rep))
+            out, _ = advance_nbbm(origin_ensemble(6, 1), 1.5, replica_rng(6, rep))
             norms[rep] = out.norms()
         pooled = norms.ravel()
         bins = np.quantile(pooled, np.linspace(0, 1, 7)[1:-1])
@@ -437,11 +418,6 @@ class TestAdvanceNbbm:
             ([-np.inf], bins, [np.inf])))[0] for k in range(6)])
         _, p, _, _ = stats.chi2_contingency(table)
         assert p > 0.001
-
-    def test_population_mismatch_rejected(self):
-        params = SimParams(dim=1, population=5)
-        with pytest.raises(ValueError):
-            advance_nbbm(params, origin_ensemble(6, 1), 0.1, replica_rng(8, 0))
 
 
 class TestAdvanceBbm:
@@ -479,9 +455,10 @@ class TestAdvanceBbm:
             for k in range(1, len(lab)):
                 assert lab[:k] not in labels
 
-    def test_population_cap(self):
-        with pytest.raises(ResourceError):
-            free_bbm(origin_ensemble(4, 1), 6.0, replica_rng(13, 0), population_cap=20)
+    def test_population_cap(self, monkeypatch):
+        monkeypatch.setattr(sim, "_POPULATION_CAP", 20)
+        with pytest.raises(ResourceError, match="cap 20"):
+            free_bbm(origin_ensemble(4, 1), 6.0, replica_rng(13, 0))
 
 
 @pytest.fixture(scope="module")
@@ -579,7 +556,7 @@ class TestCoupledRun:
         ens = ParticleEnsemble(1, replica_rng(30, 0).uniform(-1, 1, (n, 1)))
         blue = [coupled_run(params, ens, 1.0, replica_rng(31, rep)).blue_final.norms().max()
                 for rep in range(reps)]
-        nbbm = [advance_nbbm(params, ens, 1.0, replica_rng(32, rep))[0].norms().max()
+        nbbm = [advance_nbbm(ens, 1.0, replica_rng(32, rep))[0].norms().max()
                 for rep in range(reps)]
         assert stats.ks_2samp(blue, nbbm).pvalue > 1e-3
 
@@ -637,6 +614,17 @@ class TestCoupledRun:
         ens = ParticleEnsemble(1, np.zeros((3, 1)), 5.0)
         with pytest.raises(ValueError):
             coupled_run(params, ens, -1.0, replica_rng(26, 0))
+
+    def test_population_mismatch_rejected(self):
+        params = SimParams(dim=1, population=5)
+        with pytest.raises(ValueError, match="N=6, d=1; params say N=5, d=1"):
+            coupled_run(params, origin_ensemble(6, 1), 0.1, replica_rng(8, 0))
+
+    def test_dim_mismatch_rejected(self):
+        # the forest used to take the ensemble's dimension and ignore params.dim
+        params = SimParams(dim=3, population=5)
+        with pytest.raises(ValueError, match="N=5, d=2; params say N=5, d=3"):
+            coupled_run(params, origin_ensemble(5, 2), 0.1, replica_rng(8, 0))
 
     def test_nonfinite_norm_raises_at_first_event(self):
         params = SimParams(dim=2, population=5, record_schedule=(0.5,))
@@ -698,6 +686,20 @@ class TestSphericallyOrderedPairs:
             spherically_ordered_pairs(np.array([[2.0, 0.0]]), np.array([[1.0, 0.0]]),
                                       [0.5, 1.0], replica_rng(20, 0))
 
+    @pytest.mark.parametrize("times", [[0.5, math.nan], [0.5, math.inf], [math.nan]])
+    def test_nonfinite_sample_times_rejected(self, times):
+        # NaN and inf used to pass the increasing check and give NaN paths
+        with pytest.raises(ValueError, match="sample times"):
+            spherically_ordered_pairs(np.zeros((1, 2)), np.ones((1, 2)), times,
+                                      replica_rng(20, 1))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_nonfinite_start_rejected(self, bad):
+        for x, xp in (([[bad, 0.0]], [[1.0, 0.0]]), ([[0.0, 0.0]], [[bad, 0.0]])):
+            with pytest.raises(ValueError, match="finite"):
+                spherically_ordered_pairs(np.array(x), np.array(xp), [0.5],
+                                          replica_rng(20, 2))
+
 
 class TestKilledSurvival:
     def test_survival_decay_rate_light(self):
@@ -744,6 +746,12 @@ class TestKilledSurvival:
             with pytest.raises(ValueError, match="shape"):
                 survival_curve(1, x, math.pi / 2, [0.5, 1.0], 100,
                                replica_rng(27, 0), dt=1e-2)
+
+    @pytest.mark.parametrize("x", [[math.nan], [math.inf]])
+    def test_nonfinite_start_rejected(self, x):
+        # a NaN start used to survive every step, since nan >= R is False
+        with pytest.raises(ValueError, match="finite"):
+            survival_curve(1, x, math.pi / 2, [0.5, 1.0], 10, replica_rng(27, 1), dt=1e-2)
 
 
 class TestReplicaRng:
