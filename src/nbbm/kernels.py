@@ -386,7 +386,7 @@ class _Table:
     """
 
     def __init__(self, s: float, anchors: np.ndarray, lo: np.ndarray, hi: np.ndarray):
-        self.s, self.anchors, self.lo = s, anchors, lo
+        self.s, self.anchors, self.lo, self.hi = s, anchors, lo, hi
         first = np.flatnonzero(np.diff(anchors // _SPAN, prepend=-1.0))
         self.rows = np.append(first, anchors.size)  # block b holds rows[b]:rows[b+1]
         self.c0 = np.minimum.reduceat(lo, first)
@@ -397,6 +397,19 @@ class _Table:
                               math.exp(-math.lgamma(s + 1.0)))
         self.blocks: dict[int, np.ndarray] = {}
         self.nbytes = sum(v.nbytes for v in vars(self).values() if isinstance(v, np.ndarray))
+
+    @classmethod
+    def grown(cls, prev: _Table | None, s: float, anchors: np.ndarray, *edges) -> _Table:
+        """The table with windows _window_edges(x, *edges) of anchors x; a
+        table ``prev`` over whole blocks of a prefix of them lends its
+        windows and blocks."""
+        if prev is None:
+            return cls(s, anchors, *_window_edges(anchors, *edges))
+        lo, hi = _window_edges(anchors[prev.anchors.size:], *edges)
+        table = cls(s, anchors, np.concatenate((prev.lo, lo)), np.concatenate((prev.hi, hi)))
+        table.blocks.update(prev.blocks)
+        table.nbytes += sum(block.nbytes for block in prev.blocks.values())
+        return table
 
     def block_of(self, row: int) -> int:  # the block holding a row
         return int(np.searchsorted(self.rows, row, side="right")) - 1
@@ -428,21 +441,24 @@ class _AnchoredLattice:
     while this entry, the running apply's scratch, the block and an eighth
     of the budget (the apply's other arrays) fit in _CACHE_BYTES, else built,
     used and dropped.  Sums run over whole blocks, so no value depends on
-    how far the tables reach or on what is kept.
+    how far the tables reach or on what is kept.  A lattice ``prev`` whose
+    means and arguments are prefixes of mu and z ending at block boundaries
+    lends its windows and blocks: they depend on those anchors alone.
     """
 
-    def __init__(self, dim: int, mu: np.ndarray, z: np.ndarray):
+    def __init__(self, dim: int, mu: np.ndarray, z: np.ndarray,
+                 prev: _AnchoredLattice | None = None):
         a = 0.5 * dim
         self.a, self.n, self.lift, self.scratch = a, z.size, max(1.0, 2.0 ** a), 0
         self.terms = _taylor_terms(self.lift)
         self.factorials = np.array([math.factorial(k) for k in range(self.terms)], float)
         anchors, self.first, _, self.jump_delta = _anchored(mu)
-        self.jumps = _Table(0.0, anchors, *_window_edges(anchors, 0.0, 1.0, _TAIL / 4.0))
+        self.jumps = _Table.grown(prev and prev.jumps, 0.0, anchors, 0.0, 1.0, _TAIL / 4.0)
         anchors, _, self.row, self.delta = _anchored(z)
         node_anchor = anchors[self.row]
         self.scale = np.where(node_anchor > 0.0, z / np.maximum(node_anchor, 1.0), z) ** a
         eps = _TAIL / (4.0 * self.lift)  # the node tails are lifted by up to lift
-        self.nodes = _Table(a, anchors, *_window_edges(anchors, a, a + 1.0, eps, 0.5))
+        self.nodes = _Table.grown(prev and prev.nodes, a, anchors, a, a + 1.0, eps, 0.5)
         self.arrays = sum(v.nbytes for v in vars(self).values() if isinstance(v, np.ndarray))
 
     @property
@@ -613,16 +629,16 @@ def _lattice_anchored(dim: int, t: float, cs: list[np.ndarray], h: float, n_out:
     """Mixtures of the nonempty lattice jump rows cs on the nodes i*h,
     i < n_out, for every d but 1 and 3, on tables cached per (dim, t, h).
     The lattice runs to the end of the anchor block of node n_out - 1, so a
-    longer one has the same blocks; it is rebuilt when shorter than n_out."""
+    longer one has the same blocks; when shorter than n_out it grows,
+    keeping its windows and built blocks."""
     key = ("series", dim, t, h)
     lattice = _IMAGE_CACHE.pop(key, None)
     if lattice is None or lattice.n < n_out:
-        lattice = None  # the old tables go before the new ones are built
         x = (np.arange(n_out, dtype=float) * h) ** 2 / (4.0 * t)
         top = (np.rint(x[-1]) // _SPAN + 1) * _SPAN  # the next block's first anchor
         x = (np.arange(math.ceil(math.sqrt(4.0 * t * (top + 1.0)) / h) + 2) * h) ** 2 / (4.0 * t)
         x = x[:np.count_nonzero(np.rint(x) < top)]
-        lattice = _AnchoredLattice(dim, x, x)
+        lattice = _AnchoredLattice(dim, x, x, lattice)
     return _cached(key, lambda: lattice).apply(cs, n_out)
 
 
@@ -673,14 +689,16 @@ class _ImageEngine:
     def apply(self, c: np.ndarray, w2: np.ndarray | None, n_out: int) -> np.ndarray:
         """Node values from jump sizes c and, in d = 3, weights w2 = c_j / (jh)."""
         n_act, band, n_fft = c.size, self.band, self.n_fft
-        spec = fft.rfft(c, n_fft) * self.k_hat
+        spec = fft.rfft(c, n_fft)
+        spec *= self.k_hat
         if self.dim == 3:
-            spec += fft.rfft(w2, n_fft) * self.e_hat
+            images = fft.rfft(w2, n_fft)
+            spec += np.multiply(images, self.e_hat, out=images)
         u = fft.irfft(spec, n_fft)  # u[p mod n_fft] for p in [-band, n_act + band)
-        cum = np.full(n_out, c.sum())
-        cum[:min(n_act, n_out)] = _prefix_sums(c)[:n_out]
-        vals = 0.5 * cum
-        vals[1:] += 0.5 * cum[:-1]
+        half = np.full(n_out, 0.5 * c.sum())  # half the prefix sums: 0.5 scales exactly
+        np.multiply(_prefix_sums(c)[:n_out], 0.5, out=half[:min(n_act, n_out)])
+        vals = half.copy()
+        vals[1:] += half[:-1]
         k = min(n_out, n_act + band)
         vals[:k] -= u[:k]
         k = min(n_out - 1, band)
@@ -696,11 +714,12 @@ def _prefix_sums(c: np.ndarray) -> np.ndarray:
     """cumsum(c) with rounding error of order (n/256 + 256) ulps, not n:
     sums within blocks of 256, then one running sum over the block totals."""
     n, block = c.size, 256
-    padded = np.zeros(-(-n // block) * block)
-    padded[:n] = c
-    within = np.cumsum(padded.reshape(-1, block), axis=1)
+    within = np.zeros((-(-n // block), block))
+    within.ravel()[:n] = c
+    np.cumsum(within, axis=1, out=within)
     offsets = np.concatenate(([0.0], np.cumsum(within[:-1, -1])))
-    return (within + offsets[:, None]).ravel()[:n]
+    within += offsets[:, None]
+    return within.ravel()[:n]
 
 
 _BAND_STEP = 256  # bands and FFT lengths are bucketed so engines get reused
@@ -732,28 +751,39 @@ def _lattice_images(dim: int, t: float, c: np.ndarray, h: float, n_out: int
     engine = _cached(key, lambda: _ImageEngine(dim, t, h, band, key[-1]))
     vals = engine.apply(c, w2, n_out)
     eval_err = tail + 64.0 * np.finfo(float).eps * engine.n_fft * mass
-    return np.clip(vals, 0.0, c.sum()), eval_err
+    return np.clip(vals, 0.0, c.sum(), out=vals), eval_err
+
+
+def _trimmed(c: np.ndarray) -> np.ndarray:
+    """c up to its last nonzero entry, searched from the end in chunks."""
+    for end in range(c.size, 0, -1024):
+        nz = np.flatnonzero(c[max(end - 1024, 0):end])
+        if nz.size:
+            return c[:max(end - 1024, 0) + int(nz[-1]) + 1]
+    return c[:0]
 
 
 def _lattice_jumps(locs: np.ndarray, sizes: np.ndarray, r_nodes: np.ndarray,
                    h: float) -> list[np.ndarray]:
     """Jump sizes by lattice index, one array per row of ``sizes``, each
-    trimmed after its own last nonzero jump."""
+    trimmed after its own last nonzero jump.  When ``locs`` is the lattice
+    prefix r_nodes[:m], one jump per node as the solver's step passes them,
+    each row already is its jump array: adding 0.0 turns -0.0 into 0.0 as
+    the bincount of other locs does."""
     slack = 1e-9 * h
     n = r_nodes.size
     # written as not <= so that a NaN fails the check
     if not np.all(np.abs(r_nodes - np.arange(n, dtype=float) * h) <= slack):
         raise ValueError("r_nodes must be the lattice i*lattice_h for i = 0..n-1")
-    idx = np.rint(locs / h)
-    if not np.all(np.abs(locs - idx * h) <= slack) or idx.min() < 0 or idx.max() >= n:
-        raise ValueError("locs must lie on the lattice i*lattice_h inside the nodes")
-    idx = idx.astype(np.int64)
-    cs = []
-    for row in sizes:
-        c = np.bincount(idx, weights=row)
-        nz = np.flatnonzero(c)
-        cs.append(c[: nz[-1] + 1] if nz.size else c[:0])
-    return cs
+    if locs.size <= n and np.array_equal(locs, r_nodes[:locs.size]):
+        rows = sizes + 0.0
+    else:
+        idx = np.rint(locs / h)
+        if not np.all(np.abs(locs - idx * h) <= slack) or idx.min() < 0 or idx.max() >= n:
+            raise ValueError("locs must lie on the lattice i*lattice_h inside the nodes")
+        idx = idx.astype(np.int64)
+        rows = [np.bincount(idx, weights=row) for row in sizes]
+    return [_trimmed(c) for c in rows]
 
 
 def mixture_node_values(dim: int, t: float, locs: np.ndarray, sizes: np.ndarray,
@@ -772,7 +802,9 @@ def mixture_node_values(dim: int, t: float, locs: np.ndarray, sizes: np.ndarray,
     and nodes, and the call returns (k, n) values and k errors.  The
     lattice is checked once and each row evaluated on its own: it gets the
     bits that a call with that row alone returns, and neither a node's
-    value nor the error depends on how many nodes follow it.
+    value nor the error depends on how many nodes follow it.  ``locs``
+    equal to r_nodes[:m], as the solver passes them, skip the binning of
+    jumps to lattice indices: each row is already its jump array.
     """
     if dim < 1:
         raise ValueError("dim must be >= 1")

@@ -200,13 +200,24 @@ def _sandwich_step(dim: int, delta: float, h: float,
     one length: the input length while each branch's n_need fits in it; a
     branch that needs more sets it to n_need + max(64, n_need // 8), in
     branch order, and the others are padded with their last value.
+
+    Each pass reads only the cells its result needs: a branch its n_act
+    active cells (p and min(p, e^-delta) turn flat at the same cell), the
+    kernel values their first n_need.  The new values w are nondecreasing,
+    for branches in [0, 1] within [0, tail] on the upper branch and at most
+    1, never -0.0, on the lower one, so clipping the new branch to [0, 1]
+    and taking its running max is the identity on the upper branch and
+    max(w, 0) on the lower one.  A NaN in the values a branch reads
+    reaches its allowance and raises ``FloatingPointError``.
     """
     if delta <= 0.0:
         raise ValueError("delta must be positive")
-    e_d = math.exp(delta)
+    e_d, cut = math.exp(delta), math.exp(-delta)
     band = int(math.ceil(support_band(delta, dim) / h)) + 2
-    p_ins = [p if upper else np.minimum(p, math.exp(-delta)) for p, upper in branches]
-    n_acts = [_active_len(p_in) for p_in in p_ins]
+    n_acts = [_active_len(p) if upper else int(np.searchsorted(p, min(p[-1], cut))) + 1
+              for p, upper in branches]
+    p_ins = [p[:n_act] if upper else np.minimum(p[:n_act], cut)
+             for (p, upper), n_act in zip(branches, n_acts)]
     n = branches[0][0].size
     for n_act in n_acts:
         if n_act + band > n:
@@ -214,33 +225,36 @@ def _sandwich_step(dim: int, delta: float, h: float,
     n_jumps = max(n_acts)
     nodes = np.arange(n_jumps + band, dtype=float) * h
     sizes = np.zeros((len(branches), n_jumps))
-    for row, p_in, n_act in zip(sizes, p_ins, n_acts):
-        row[:n_act] = np.diff(p_in[:n_act], prepend=0.0)
+    for row, p_in in zip(sizes, p_ins):
+        row[0] = p_in[0]
+        np.subtract(p_in[1:], p_in[:-1], out=row[1:p_in.size])
     vals, errs = mixture_node_values(dim, delta, nodes[:n_jumps], sizes, nodes, lattice_h=h)
     stepped = []
-    for (_, upper), p_in, n_act, v, eval_err in zip(branches, p_ins, n_acts, vals,
-                                                    errs.tolist()):
-        n_need = n_act + band
-        v = e_d * _running_max(v[:n_need])
-        tail = min(e_d * float(p_in[n_act - 1]), 1.0)
+    for (_, upper), p_in, v, eval_err in zip(branches, p_ins, vals, errs.tolist()):
+        n_need = p_in.size + band
+        w = _running_max(v[:n_need])
+        w *= e_d
+        tail = min(e_d * float(p_in[-1]), 1.0)
         # freeze the numerically flat tail to keep the active window bounded;
         # found before the move below, which keeps the lower branch from ever
         # coming within _TRUNC_TOL of the tail
-        i_star = min(int(np.searchsorted(v, tail - _TRUNC_TOL)), n_need - 1)
+        i_star = min(int(np.searchsorted(w, tail - _TRUNC_TOL)), n_need - 1)
         # move the branch outward by the certified kernel error (and a few ulps
         # of the e^delta product), so it contains the exact step by construction
         shift = e_d * (eval_err + 4.0 * _EPS)
-        w = np.minimum(v + shift, tail) if upper else np.minimum(v - shift, 1.0)
+        p_new = np.empty(n)
         if upper:
-            p_new = np.full(n, tail)
-            p_new[: n_need - 1] = w[1:]
+            np.minimum(np.add(w, shift, out=w), tail, out=w)
+            p_new[:i_star] = w[1:i_star + 1]
             p_new[i_star:] = tail
         else:
-            p_new = np.full(n, float(w[i_star]))
-            p_new[:n_need] = w
-            p_new[i_star:] = w[i_star]
-        p_new = _running_max(np.clip(p_new, 0.0, 1.0))
+            np.minimum(np.subtract(w, shift, out=w), 1.0, out=w)
+            np.maximum(w[:i_star], 0.0, out=p_new[:i_star])
+            p_new[i_star:] = max(float(w[i_star]), 0.0)
         eps = float(np.max(np.diff(w)))
+        if not math.isfinite(eps):
+            raise FloatingPointError(f"{'upper' if upper else 'lower'} branch: step "
+                                     f"allowance {eps} from non-finite kernel values")
         eps += e_d * eval_err + shift + _TRUNC_TOL
         stepped.append((p_new, eps))
     return stepped
@@ -284,13 +298,14 @@ class SandwichSolver:
         self.grid = np.arange(n0) * self.h
         self.p_lo = self._round_down(initial, self.grid)
         self.p_up = self._round_up(upper0, self.grid)
+        measured = float(np.max(self.p_up - self.p_lo))
         # off-lattice initial jumps cost at most one cell oscillation per branch
-        eps0 = float(np.max(self.p_up - self.p_lo)) if initial_upper is None else 0.0
+        eps0 = measured if initial_upper is None else 0.0
         self.d_up = eps0
         self.d_lo = eps0
         self.steps = 0
         self.trace = SolveTrace()
-        self._record()
+        self._record(measured)
 
     # -- grid plumbing ------------------------------------------------------
 
@@ -326,17 +341,20 @@ class SandwichSolver:
             self.d_up = e_d * self.d_up + eps_up
             self.d_lo = e_d * self.d_lo + eps_lo
             self.steps += 1
-            worst = float(np.max(self.p_lo - self.p_up))
+            # one difference serves the ordering check and the measured width
+            gap = self.p_up - self.p_lo
+            worst = -float(np.min(gap))
             if worst > 1e-10:
                 raise AssertionError(f"sandwich ordering violated by {worst:.3e}")
             if worst > 0.0:
                 # repair float-level ties and account for them honestly
                 self.p_lo = np.minimum(self.p_lo, self.p_up)
                 self.d_lo += worst
-            self._record()
+                gap = self.p_up - self.p_lo
+            self._record(float(np.max(gap)))
 
-    def _record(self):
-        measured = float(np.max(self.p_up - self.p_lo))
+    def _record(self, measured: float):
+        """Append this step's diagnostics; ``measured`` is max(p_up - p_lo)."""
         self.trace.max_gap.append(measured)
         self.trace.analytic_gap.append(self.analytic_gap)
         self.trace.grid_gap.append(self.grid_gap)

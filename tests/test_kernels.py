@@ -3,6 +3,9 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from scipy import integrate, stats
 from scipy.special import chndtr, erf
 
@@ -394,6 +397,65 @@ class TestLatticeMixture:
                 assert np.array_equal(one, v[:n_out]) and err == e
         with pytest.raises(ValueError, match="sizes"):
             mixture_node_values(d, 0.05, r[:m], sizes[:, 1:], r, lattice_h=self.H)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 40).flatmap(lambda m: st.tuples(
+        hnp.arrays(np.float64, st.tuples(st.integers(1, 3), st.just(m)), elements=st.one_of(
+            st.sampled_from([-0.0, 0.0, 1.0, 5e-324]), st.floats(-2.0, 2.0))),
+        st.lists(st.integers(0, m), min_size=3, max_size=3),
+        st.integers(0, 5))))
+    @example((np.array([[-0.0, 0.5, -0.0, 0.25, 0.0, -0.0], [0.0, -0.0, 0.0, 0.0, 0.0, 0.0],
+                        [-0.0, 0.0, -0.0, -0.0, -0.0, -0.0]]), [6, 6, 6], 0))
+    @example((np.array([[0.1, 0.2, 0.3, 0.4], [0.5, 0.6, 0.7, 0.8]]), [4, 2, 0], 3))
+    def test_lattice_prefix_jumps_match_bincount(self, case):
+        # the solver passes one jump per node from the origin, and each row
+        # then is its own jump array; it must get the bits bincount gives,
+        # -0.0 made 0.0 and each row trimmed after its own last nonzero.
+        # Moved by a hair inside the lattice slack, locs take the bincount
+        # path.  Rows may hold -0.0, end in zeros or be all zero.
+        sizes, ends, extra = case
+        for row, end in zip(sizes, ends):
+            row[end:] = 0.0
+        m = sizes.shape[1]
+        r = np.arange(m + extra) * self.H
+        got = kernels._lattice_jumps(r[:m], sizes, r, self.H)
+        want = kernels._lattice_jumps(r[:m] + 1e-12 * self.H, sizes, r, self.H)
+        assert len(got) == len(want) == sizes.shape[0]
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("d", [2, 5])
+    def test_grown_lattice_matches_fresh(self, d, monkeypatch):
+        # the anchored lattice grows with the solver's node count: it keeps
+        # its window edges and built blocks, gets windows for the added
+        # anchors only, and its applies keep the bits, values and errors,
+        # of a lattice built at the final length
+        t = 0.05
+        rng = np.random.default_rng(23 + d)
+        rows = [rng.uniform(size=m) * (rng.uniform(size=m) < 0.4) for m in (150, 900)]
+        key = ("series", d, t, self.H)
+        edges, sized = kernels._window_edges, []
+
+        def counting(x, *args):
+            sized.append(x.size)
+            return edges(x, *args)
+
+        monkeypatch.setattr(kernels, "_window_edges", counting)
+        kernels._IMAGE_CACHE.clear()
+        kernels._lattice_anchored(d, t, rows[:1], self.H, 300)
+        small = kernels._IMAGE_CACHE[key]
+        assert small.nodes.blocks and small.jumps.blocks
+        grown = [kernels._lattice_anchored(d, t, rows, self.H, n_out) for n_out in (1200, 3000)]
+        lattice = kernels._IMAGE_CACHE[key]
+        assert lattice.n > small.n
+        assert sum(sized) == lattice.jumps.anchors.size + lattice.nodes.anchors.size
+        for table, old in ((lattice.nodes, small.nodes), (lattice.jumps, small.jumps)):
+            assert all(table.blocks[b] is block for b, block in old.blocks.items())
+        for n_out, (vals, errs) in zip((1200, 3000), grown):
+            kernels._IMAGE_CACHE.clear()
+            fresh_vals, fresh_errs = kernels._lattice_anchored(d, t, rows, self.H, n_out)
+            assert vals.tobytes() == fresh_vals.tobytes()
+            assert errs.tobytes() == fresh_errs.tobytes()
 
     def test_cache_stays_under_byte_budget(self, monkeypatch):
         kernels._IMAGE_CACHE.clear()

@@ -169,6 +169,116 @@ class TestSteps:
             assert np.array_equal(lo2, lo1) and eps_lo2 == eps_lo1
 
 
+def reference_sandwich_step(dim, delta, h, branches):
+    """The sandwich step before its passes were cut to the cells each result
+    needs: every branch cut and stepped over all its cells, then clipped to
+    [0, 1] and raised to its running max.  The step must keep its bits."""
+    e_d = math.exp(delta)
+    band = int(math.ceil(obstacle.support_band(delta, dim) / h)) + 2
+    p_ins = [p if upper else np.minimum(p, math.exp(-delta)) for p, upper in branches]
+    n_acts = [obstacle._active_len(p_in) for p_in in p_ins]
+    n = branches[0][0].size
+    for n_act in n_acts:
+        if n_act + band > n:
+            n = n_act + band + max(64, (n_act + band) // 8)
+    n_jumps = max(n_acts)
+    nodes = np.arange(n_jumps + band, dtype=float) * h
+    sizes = np.zeros((len(branches), n_jumps))
+    for row, p_in, n_act in zip(sizes, p_ins, n_acts):
+        row[:n_act] = np.diff(p_in[:n_act], prepend=0.0)
+    vals, errs = obstacle.mixture_node_values(dim, delta, nodes[:n_jumps], sizes, nodes,
+                                              lattice_h=h)
+    stepped = []
+    for (_, upper), p_in, n_act, v, eval_err in zip(branches, p_ins, n_acts, vals,
+                                                    errs.tolist()):
+        n_need = n_act + band
+        v = e_d * obstacle._running_max(v[:n_need])
+        tail = min(e_d * float(p_in[n_act - 1]), 1.0)
+        i_star = min(int(np.searchsorted(v, tail - obstacle._TRUNC_TOL)), n_need - 1)
+        shift = e_d * (eval_err + 4.0 * obstacle._EPS)
+        w = np.minimum(v + shift, tail) if upper else np.minimum(v - shift, 1.0)
+        if upper:
+            p_new = np.full(n, tail)
+            p_new[: n_need - 1] = w[1:]
+            p_new[i_star:] = tail
+        else:
+            p_new = np.full(n, float(w[i_star]))
+            p_new[:n_need] = w
+            p_new[i_star:] = w[i_star]
+        p_new = obstacle._running_max(np.clip(p_new, 0.0, 1.0))
+        eps = float(np.max(np.diff(w)))
+        eps += e_d * eval_err + shift + obstacle._TRUNC_TOL
+        stepped.append((p_new, eps))
+    return stepped
+
+
+class TestStepShortcuts:
+    @staticmethod
+    def branch(rng, n, n_act, top):
+        """Nondecreasing branch in [0, top], flat from cell n_act on."""
+        p = np.zeros(n)
+        if n_act:
+            rise = rng.uniform(0.0, 1.0, n_act) * (rng.uniform(size=n_act) < 0.6)
+            rise[-1] = 1.0
+            p[:n_act] = top * np.cumsum(rise) / rise.sum()
+            p[n_act:] = p[n_act - 1]
+        return p
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_step_keeps_reference_bits(self, d):
+        # random branch pairs: lower branches that reach past e^-delta (so
+        # the cut binds) or stay below it, active lengths that differ or
+        # that make the support band outgrow the array, and an all-zero one
+        # (the band is about 520 to 570 cells)
+        rng = np.random.default_rng(70 + d)
+        delta, h, n = 0.02, 4e-3, 1200
+        cut = math.exp(-delta)
+        cases = [(500, 1.0, 40, 1.0), (40, 1.0, 600, 0.9), (640, 0.97, 700, 1.0),
+                 (5, 0.5, 1190, 0.999), (600, 1.0, 0, 0.0), (0, 0.0, 0, 0.0)]
+        for n_up, top_up, n_lo, top_lo in cases:
+            up, lo = self.branch(rng, n, n_up, top_up), self.branch(rng, n, n_lo, top_lo)
+            branches = [(up, True), (lo, False)]
+            got = obstacle._sandwich_step(d, delta, h, branches)
+            want = reference_sandwich_step(d, delta, h, branches)
+            for (p, eps), (p_ref, eps_ref) in zip(got, want):
+                assert p.tobytes() == p_ref.tobytes() and eps == eps_ref
+            if top_lo > cut:
+                assert lo.max() > cut  # the lower branch's cut binds
+        # one branch alone, either side, outgrowing the array
+        for upper in (True, False):
+            p = self.branch(rng, 60, 58, 1.0)
+            (got, eps), = obstacle._sandwich_step(d, delta, h, [(p, upper)])
+            (want, eps_ref), = reference_sandwich_step(d, delta, h, [(p, upper)])
+            assert got.size > p.size
+            assert got.tobytes() == want.tobytes() and eps == eps_ref
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("row", [0, 1])
+    def test_nan_kernel_value_raises(self, d, row, monkeypatch):
+        # a NaN in the values a branch reads, here in its last ten cells
+        # (past the tail freeze), used to be frozen away on the third step
+        # and leave a NaN grid gap with no error
+        orig, calls = obstacle.mixture_node_values, []
+
+        def poisoned(dim, t, locs, sizes, r_nodes, *, lattice_h):
+            vals, errs = orig(dim, t, locs, sizes, r_nodes, lattice_h=lattice_h)
+            calls.append(1)
+            if len(calls) == 3:
+                n_act = np.flatnonzero(sizes[row])[-1] + 1
+                vals[row, n_act + r_nodes.size - locs.size - 10] = math.nan
+            return vals, errs
+
+        monkeypatch.setattr(obstacle, "mixture_node_values", poisoned)
+        st = stationary_state(d)
+        solver = SandwichSolver(d, st.as_profile(401, "lower"), 0.01, 1e-3,
+                                initial_upper=st.as_profile(401, "upper"),
+                                horizon_hint=0.1)
+        with pytest.raises(FloatingPointError, match=("upper", "lower")[row] + " branch"):
+            solver.advance_to(0.1)
+        assert len(calls) == 3 and len(solver.trace.grid_gap) == 3
+        assert all(math.isfinite(g) for g in solver.trace.grid_gap)
+
+
 _ARRAYS = hnp.arrays(np.float64, st.integers(0, 40), elements=st.one_of(
     st.sampled_from([-math.inf, -1.0, -0.0, 0.0, 0.5, 1.0, math.inf, math.nan]),
     st.floats(allow_nan=True, allow_infinity=True)))
