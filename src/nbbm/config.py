@@ -13,6 +13,8 @@ import math
 import os
 from dataclasses import dataclass, field
 
+from .core import _positive
+
 __all__ = ["RunConfig", "parse_config", "serialize_config", "SCHEMAS"]
 
 
@@ -117,11 +119,6 @@ SCHEMAS: dict[str, dict[str, tuple[str, object]]] = {
 
 
 def _validate(subcommand: str, p: dict):
-    def positive(key):
-        if not 0 < p[key] < math.inf:
-            raise ValueError(f"config key '{key}' must be positive and finite, "
-                             f"got {p[key]}")
-
     if "n" in p and p["n"] < 1:
         raise ValueError(f"config key 'n' must be >= 1, got {p['n']}")
     if "d" in p and not (1 <= p["d"] <= 12):
@@ -130,9 +127,9 @@ def _validate(subcommand: str, p: dict):
                 "window_dt", "snapshot_dt", "burn_in", "window", "k",
                 "sup_tol", "m_tol", "mass_tol", "tolerance_q90", "pairwise_tol"):
         if key in p:
-            positive(key)
+            _positive(f"config key '{key}'", p[key])
     if p.get("grid_step") is not None:
-        positive("grid_step")
+        _positive("config key 'grid_step'", p["grid_step"])
     if "c" in p and not 0.0 <= p["c"] <= 1.0:
         raise ValueError(f"config key 'c' must be a fraction in [0, 1], got {p['c']}")
     if "n_windows" in p and not 2 <= p["n_windows"] < math.inf:

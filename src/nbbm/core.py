@@ -43,13 +43,31 @@ def default_domain_cap(max_jump: float, t_horizon: float = _DEFAULT_CAP_HORIZON)
     return float(max_jump) + 12.0 * math.sqrt(2.0 * float(t_horizon))
 
 
+def _positive(name: str, value) -> float:
+    """``value`` as a float, else ``ValueError`` naming it when it is not
+    positive and finite (NaN and inf included)."""
+    x = float(value)
+    if not 0.0 < x < math.inf:
+        raise ValueError(f"{name} must be positive and finite, got {value!r}")
+    return x
+
+
+def _nonnegative(name: str, value) -> float:
+    """``value`` as a float, else ``ValueError`` naming it when it is not
+    finite and nonnegative."""
+    x = float(value)
+    if not 0.0 <= x < math.inf:
+        raise ValueError(f"{name} must be finite and nonnegative, got {value!r}")
+    return x
+
+
 def whole_steps(span: float, step: float, what: str) -> int:
     """The k with k * step = span to 1e-9 * max(1, span), else ``ValueError``
-    (also for a step that is not positive and finite); ``what`` names the
-    span in the message."""
-    if not 0.0 < step < math.inf:
-        raise ValueError(f"step must be positive and finite, got {step!r}")
-    k = round(span / step)
+    (also for a non-finite span or a step that is not positive and finite);
+    ``what`` names the span in the message."""
+    if not math.isfinite(span):
+        raise ValueError(f"{what} must be finite, got {span!r}")
+    k = round(span / _positive("step", step))
     if abs(k * step - span) > 1e-9 * max(1.0, span):
         raise ValueError(f"{what} {span!r} is not a multiple of the step {step!r}")
     return k
@@ -88,8 +106,7 @@ class RadialProfile:
                 raise ValueError("profile values must be nondecreasing")
             if val[0] < -1e-12 or np.any(val > 1.0 + 1e-9):
                 raise ValueError("profile values must lie in [0, 1]")
-        if not (self.domain_cap > 0.0) or not math.isfinite(self.domain_cap):
-            raise ValueError("domain_cap must be positive and finite")
+        _positive("domain_cap", self.domain_cap)
         if loc.size and loc[-1] > self.domain_cap:
             raise ValueError("jump locations must not exceed domain_cap")
 
@@ -102,16 +119,6 @@ class RadialProfile:
         if domain_cap is None:
             domain_cap = default_domain_cap(loc[-1] if loc.size else 0.0)
         return RadialProfile(loc, val, float(domain_cap))
-
-    @staticmethod
-    def zero(domain_cap: float = default_domain_cap(0.0)) -> "RadialProfile":
-        return RadialProfile(np.empty(0), np.empty(0), domain_cap)
-
-    @staticmethod
-    def step(location: float, value: float = 1.0,
-             domain_cap: float | None = None) -> "RadialProfile":
-        """Single unit-type step: 0 below ``location``, ``value`` above."""
-        return RadialProfile.from_jumps([location], [value], domain_cap)
 
     # -- evaluation --------------------------------------------------------
 
@@ -144,8 +151,6 @@ class RadialProfile:
 
     def clipped(self, m: float) -> "RadialProfile":
         """Pointwise min with m, preserving the step structure."""
-        if m <= 0.0:
-            return RadialProfile.zero(self.domain_cap)
         if not self.values.size or m >= self.final_value:
             return self
         val = np.minimum(self.values, m)
@@ -198,8 +203,7 @@ class ParticleEnsemble:
             raise ValueError("dim must be >= 1")
         if not np.all(np.isfinite(pos)):
             raise ValueError("positions must be finite")
-        if self.clock < 0.0:
-            raise ValueError("clock must be nonnegative")
+        _nonnegative("clock", self.clock)
         pos.setflags(write=False)  # evolution builds new ensembles, never mutates
         object.__setattr__(self, "positions", pos)
 
@@ -235,8 +239,8 @@ class SandwichPair:
         worst = _max_excess(self.lower, self.upper)
         if worst > 1e-9:
             raise ValueError(f"lower exceeds upper by {worst:.3e}")
-        if self.analytic_gap < 0.0 or self.grid_gap < 0.0:
-            raise ValueError("gaps must be nonnegative")
+        _nonnegative("analytic_gap", self.analytic_gap)
+        _nonnegative("grid_gap", self.grid_gap)
 
     @property
     def measured_gap(self) -> float:
@@ -332,8 +336,7 @@ def max_radius(ensemble: ParticleEnsemble) -> float:
 
 def in_gamma(ensemble: ParticleEnsemble, K: float, c: float) -> bool:
     """True iff at least a fraction c of the particles lie within distance K."""
-    if K <= 0.0:
-        raise ValueError("K must be positive")
+    _positive("K", K)
     frac = float((ensemble.norms() < K).mean())
     return frac >= c
 

@@ -19,7 +19,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import ParticleEnsemble, RadialProfile, SandwichPair, _max_excess, \
+from .core import ParticleEnsemble, RadialProfile, SandwichPair, _max_excess, _positive, \
     discretize_cdf, empirical_cdf, in_gamma, max_radius, measure_of_set, whole_steps
 from .obstacle import SandwichSolver, SolveRequest, solve_sandwich, stationary_state
 from .sim import advance_nbbm, replica_rng
@@ -188,8 +188,7 @@ def hydrodynamic_report(N: int, d: int, t: float, sampler, replicas: int,
     ``mean_bracket_width`` is the mean a priori bound (analytic + grid gap)
     and ``mean_measured_width`` the mean measured width sup(upper - lower),
     the certificate itself."""
-    if t <= 0.0:
-        raise ValueError("t must be positive")
+    _positive("t", t)
     if N < _MIN_POPULATION:
         raise ValueError(f"hydrodynamic check needs N >= {_MIN_POPULATION}")
     res = _run_replicas(_hydro_replica, replicas, workers,
@@ -319,8 +318,8 @@ def stationarity_report(N: int, d: int, burn_in: float, window: float,
     """Mixing diagnostic: time-averaged CDFs over successive windows of one
     long trajectory (snapshots every ``snapshot_dt``), compared pairwise and
     against V."""
-    if burn_in <= 0.0 or window <= 0.0:
-        raise ValueError("burn_in and window must be positive")
+    _positive("burn_in", burn_in)
+    _positive("window", window)
     if n_windows < 2:
         raise ValueError(f"n_windows must be >= 2 to compare windows pairwise, "
                          f"got {n_windows}")

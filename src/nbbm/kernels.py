@@ -67,6 +67,8 @@ import numpy as np
 from scipy import fft
 from scipy.special import erf, erfc, gammainc, gammaincc, gammaln, ive
 
+from .core import _nonnegative, _positive
+
 __all__ = [
     "EvaluationError",
     "radial_cdf",
@@ -81,11 +83,6 @@ _SQRT_PI = math.sqrt(math.pi)
 class EvaluationError(RuntimeError):
     """A noncentral series window, of a jump or of a node, would need more
     than _MAX_WINDOW terms; no table size is limited otherwise."""
-
-
-def _check_time(t: float):
-    if not (t > 0.0) or not math.isfinite(t):
-        raise ValueError(f"t must be positive and finite, got {t}")
 
 
 _BAND_TAIL = 1e-15  # transition mass left beyond support_band
@@ -262,9 +259,8 @@ def _check_point(dim: int, y: float, r, t: float) -> np.ndarray:
     """Check the arguments of a pointwise kernel; returns r as an array."""
     if dim < 1:
         raise ValueError("dim must be >= 1")
-    _check_time(t)
-    if not 0.0 <= y < math.inf:
-        raise ValueError(f"y must be finite and nonnegative, got {y}")
+    _positive("t", t)
+    _nonnegative("y", y)
     r_arr = np.asarray(r, dtype=float)
     if not np.all((r_arr >= 0.0) & (r_arr < math.inf)):
         raise ValueError("r must be finite and nonnegative")
@@ -808,7 +804,7 @@ def mixture_node_values(dim: int, t: float, locs: np.ndarray, sizes: np.ndarray,
     """
     if dim < 1:
         raise ValueError("dim must be >= 1")
-    _check_time(t)
+    _positive("t", t)
     locs = np.asarray(locs, dtype=float)
     sizes = np.asarray(sizes, dtype=float)
     r_nodes = np.asarray(r_nodes, dtype=float)
@@ -818,9 +814,7 @@ def mixture_node_values(dim: int, t: float, locs: np.ndarray, sizes: np.ndarray,
     if not np.all(np.isfinite(sizes)):
         raise ValueError("sizes must be finite")
     rows = sizes if sizes.ndim == 2 else sizes[None]
-    h = float(lattice_h)
-    if not 0.0 < h < math.inf:
-        raise ValueError(f"lattice_h must be positive and finite, got {lattice_h}")
+    h = _positive("lattice_h", lattice_h)
     cs = _lattice_jumps(locs, rows, r_nodes, h) if locs.size else [locs[:0]] * len(rows)
     vals, errs = np.zeros((len(cs), r_nodes.size)), np.zeros(len(cs))
     live = [k for k, c in enumerate(cs) if c.size]

@@ -38,8 +38,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammaln, jv
 
-from .core import (RadialProfile, SandwichPair, StationaryState, default_domain_cap,
-                   whole_steps)
+from .core import (RadialProfile, SandwichPair, StationaryState, _positive,
+                   default_domain_cap, whole_steps)
 from .kernels import mixture_node_values, support_band
 
 __all__ = [
@@ -120,10 +120,10 @@ class SolveRequest:
     initial_upper: RadialProfile | None = None
 
     def __post_init__(self):
-        for name in ("horizon", "step_size"):
-            value = getattr(self, name)
-            if not 0.0 < value < math.inf:
-                raise ValueError(f"{name} must be positive and finite, got {value!r}")
+        _positive("horizon", self.horizon)
+        _positive("step_size", self.step_size)
+        if self.grid_step is not None:
+            _positive("grid_step", self.grid_step)
         _check_initial(self.initial)
 
 
@@ -210,8 +210,8 @@ def _sandwich_step(dim: int, delta: float, h: float,
     max(w, 0) on the lower one.  A NaN in the values a branch reads
     reaches its allowance and raises ``FloatingPointError``.
     """
-    if delta <= 0.0:
-        raise ValueError("delta must be positive")
+    _positive("delta", delta)
+    _positive("h", h)
     e_d, cut = math.exp(delta), math.exp(-delta)
     band = int(math.ceil(support_band(delta, dim) / h)) + 2
     n_acts = [_active_len(p) if upper else int(np.searchsorted(p, min(p[-1], cut))) + 1
@@ -279,15 +279,14 @@ class SandwichSolver:
                  grid_step: float | None = None,
                  initial_upper: RadialProfile | None = None, *,
                  horizon_hint: float):
-        if delta <= 0.0:
-            raise ValueError("delta must be positive")
+        self.delta = _positive("delta", delta)
         _check_initial(initial)
         self.dim = int(dim)
-        self.delta = float(delta)
         r_scale = max(1.0, initial.locations[-1] if initial.locations.size else 1.0)
         if grid_step is None:
-            grid_step = default_grid_step(dim, horizon_hint, delta, r_scale)
-        self.h = float(grid_step)
+            grid_step = default_grid_step(dim, _positive("horizon_hint", horizon_hint),
+                                          delta, r_scale)
+        self.h = _positive("grid_step", grid_step)
         band = support_band(delta, self.dim)
         upper0 = initial if initial_upper is None else initial_upper
         max_jump = max(

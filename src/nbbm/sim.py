@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import ndtr, ndtri
 
-from .core import ParticleEnsemble
+from .core import ParticleEnsemble, _nonnegative, _positive
 from .kernels import _TAIL   # every dropped series tail is below this
 
 __all__ = [
@@ -737,8 +737,7 @@ def coupled_run(params: SimParams, initial: ParticleEnsemble, duration: float,
     and every particle at each observation and at the end, therefore checks
     the predicate over the whole forest at every event.
     """
-    if duration < 0.0:
-        raise ValueError("duration must be nonnegative")
+    _nonnegative("duration", duration)
     n, d = params.population, params.dim
     if (initial.population, initial.dim) != (n, d):
         raise ValueError(f"initial ensemble has N={initial.population}, d={initial.dim}; "
@@ -880,10 +879,7 @@ def coupled_run(params: SimParams, initial: ParticleEnsemble, duration: float,
 
     now = end
     read_all(end)
-    while schedule:
-        target = schedule.pop(0)
-        if target > now + 1e-12:
-            break
+    for target in schedule:
         observe(target)
 
     pos = pos[:m].copy()
@@ -1007,8 +1003,8 @@ def survival_curve(dim: int, x: np.ndarray, boundary, t_grid: np.ndarray,
                          "ending after 0")
     if dt is None:
         dt = 1e-3 * float(t_grid[-1])
-    elif not (dt > 0.0 and math.isfinite(dt)):
-        raise ValueError(f"dt must be positive and finite, got {dt!r}")
+    else:
+        _positive("dt", dt)
     at = [int(round(t / dt)) for t in t_grid]
     if at[0] < 1 or any(b <= a for a, b in zip(at, at[1:])):
         raise ValueError(f"t_grid must round to strictly increasing positive "

@@ -10,14 +10,12 @@ import math
 import time
 
 import numpy as np
-import pytest
 from scipy import integrate, stats
 
-from nbbm.core import ParticleEnsemble, RadialProfile, empirical_cdf, max_radius
+from nbbm.core import ParticleEnsemble, RadialProfile
 from nbbm.config import parse_config
 from nbbm.cli import run as cli_run
-from nbbm.experiments import (UniformBallSampler, bracket_distance,
-                              hydrodynamic_report, sup_distance_to_fn)
+from nbbm.experiments import UniformBallSampler, hydrodynamic_report
 from nbbm.kernels import radial_cdf
 from nbbm.obstacle import SandwichSolver, stationary_state
 from nbbm.sim import (SimParams, coupled_run, replica_rng, spherically_ordered_pairs,

@@ -1,10 +1,8 @@
 import json
 import math
-import os
 import subprocess
 import sys
 
-import numpy as np
 import pytest
 
 from nbbm.config import SCHEMAS, RunConfig, parse_config, serialize_config

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nbbm.core import (ParticleEnsemble, RadialProfile, discretize_cdf, empirical_cdf,
-                       in_gamma, max_radius, measure_of_set, whole_steps)
+from nbbm.core import (ParticleEnsemble, RadialProfile, SandwichPair, discretize_cdf,
+                       empirical_cdf, in_gamma, max_radius, measure_of_set, whole_steps)
 from nbbm.experiments import StationarySampler
 from nbbm.sim import replica_rng
 
@@ -64,6 +64,18 @@ class TestRadialProfile:
         assert g(3.0) == 0.6 and g(0.7) == 0.2
         assert f.clipped(1.0) is f
         assert f.clipped(0.0).final_value == 0.0
+
+    @pytest.mark.parametrize("m", [0.0, -1.0])
+    def test_clipped_to_nothing_is_the_empty_profile(self, m):
+        f = RadialProfile.from_jumps([0.5, 1.0, 2.0], [0.2, 0.6, 1.0], 7.0)
+        g, empty = f.clipped(m), RadialProfile.from_jumps([], [], f.domain_cap)
+        assert (g.locations.tolist(), g.values.tolist(), g.domain_cap) == \
+            (empty.locations.tolist(), empty.values.tolist(), empty.domain_cap)
+
+    @pytest.mark.parametrize("cap", [0.0, -1.0, math.nan, math.inf, -math.inf])
+    def test_domain_cap_must_be_positive(self, cap):
+        with pytest.raises(ValueError, match="domain_cap must be positive and finite"):
+            RadialProfile.from_jumps([], [], cap)
 
     def test_clipped_pairwise_bound(self):
         # C_m f - C_m h <= max(0, sup(f - h)) pointwise
@@ -141,6 +153,13 @@ class TestWholeSteps:
         with pytest.raises(ValueError, match="positive"):
             whole_steps(1.0, step, "window")
 
+    @pytest.mark.parametrize("span", [math.nan, math.inf, -math.inf])
+    def test_span_must_be_finite(self, span):
+        # inf used to raise OverflowError from round(), and NaN a bare
+        # NaN-to-integer error
+        with pytest.raises(ValueError, match="window must be finite"):
+            whole_steps(span, 0.05, "window")
+
 
 # ---------------------------------------------------------------------------
 # empirical_cdf
@@ -185,8 +204,26 @@ class TestEmpiricalCdf:
 
 
 # ---------------------------------------------------------------------------
-# max_radius / in_gamma / measure_of_set
+# ParticleEnsemble / max_radius / in_gamma / measure_of_set
 # ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("clock", [-1.0, math.nan, math.inf, -math.inf])
+def test_ensemble_clock_must_be_finite(clock):
+    # clock = nan used to be accepted, and advance_nbbm then failed with an
+    # AttributeError
+    with pytest.raises(ValueError, match="clock must be finite and nonnegative"):
+        ParticleEnsemble(1, np.zeros((3, 1)), clock)
+
+
+@pytest.mark.parametrize("name", ["analytic_gap", "grid_gap"])
+@pytest.mark.parametrize("gap", [-1.0, math.nan, math.inf])
+def test_sandwich_pair_gaps_must_be_finite(name, gap):
+    # a NaN gap used to be accepted
+    f = RadialProfile.from_jumps([1.0], [1.0])
+    kw = {"analytic_gap": 0.1, "grid_gap": 0.0, name: gap}
+    with pytest.raises(ValueError, match=f"{name} must be finite and nonnegative"):
+        SandwichPair(f, f, steps_taken=1, step_size=0.1, **kw)
+
 
 def test_max_radius_examples():
     assert max_radius(ens(np.zeros((3, 2)))) == 0.0
@@ -202,6 +239,13 @@ def test_in_gamma_threshold():
     assert in_gamma(ens(np.zeros((5, 2))), 0.1, 1.0)
     with pytest.raises(ValueError):
         in_gamma(e, 0.0, 0.5)
+
+
+@pytest.mark.parametrize("K", [0.0, -1.0, math.nan, math.inf, -math.inf])
+def test_in_gamma_radius_must_be_positive(K):
+    # K = inf used to return True and K = nan False
+    with pytest.raises(ValueError, match="K must be positive and finite"):
+        in_gamma(ens(np.zeros((5, 2))), K, 0.5)
 
 
 @settings(max_examples=40, deadline=None)

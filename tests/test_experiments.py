@@ -8,7 +8,7 @@ from nbbm.core import ParticleEnsemble, RadialProfile, empirical_cdf, max_radius
 from nbbm.experiments import (PointMassSampler, StationarySampler, UniformBallSampler,
                               bracket_distance, boundary_report, hydrodynamic_report,
                               selection_report, stationarity_report, sup_distance_to_fn)
-from nbbm.obstacle import SandwichSolver, SolveRequest, solve_sandwich, stationary_state
+from nbbm.obstacle import SandwichSolver, stationary_state
 from nbbm.sim import advance_nbbm, replica_rng
 
 
@@ -86,6 +86,12 @@ class TestHydrodynamicReport:
     def test_refuses_tiny_population(self):
         with pytest.raises(ValueError):
             hydrodynamic_report(N=10, d=1, t=0.5, sampler=UniformBallSampler(1),
+                                replicas=1, seed=0)
+
+    @pytest.mark.parametrize("t", [0.0, -1.0, math.nan, math.inf, -math.inf])
+    def test_time_must_be_positive(self, t):
+        with pytest.raises(ValueError, match="t must be positive and finite"):
+            hydrodynamic_report(N=100, d=1, t=t, sampler=UniformBallSampler(1),
                                 replicas=1, seed=0)
 
     def test_deterministic_given_seed(self):
@@ -198,6 +204,14 @@ class TestStationarityReport:
         with pytest.raises(ValueError, match="n_windows"):
             stationarity_report(N=100, d=1, burn_in=0.2, window=1.0,
                                 n_windows=n_windows, seed=1)
+
+    @pytest.mark.parametrize("name", ["burn_in", "window"])
+    @pytest.mark.parametrize("value", [0.0, -1.0, math.nan, math.inf, -math.inf])
+    def test_spans_must_be_positive(self, name, value):
+        # burn_in = inf used to reach advance_nbbm, which named its windows
+        kw = {"burn_in": 0.2, "window": 1.0, name: value}
+        with pytest.raises(ValueError, match=f"{name} must be positive and finite"):
+            stationarity_report(N=100, d=1, n_windows=2, seed=1, **kw)
 
     @pytest.mark.parametrize("snapshot_dt", [0.3, 0.0, 2.0])
     def test_window_must_fit(self, snapshot_dt):

@@ -95,6 +95,14 @@ class TestRadialCdf:
             with pytest.raises(ValueError, match="dim"):
                 kernel(0, 0.5, 1.0, 1.0)
 
+    @pytest.mark.parametrize("name, y, t", [
+        *(("t", 0.5, t) for t in (0.0, -1.0, math.nan, math.inf, -math.inf)),
+        *(("y", y, 1.0) for y in (-0.5, math.nan, math.inf, -math.inf))])
+    def test_scalar_arguments_named(self, d, name, y, t):
+        for kernel in (radial_cdf, bessel_density, kernel_G):
+            with pytest.raises(ValueError, match=f"{name} must be"):
+                kernel(d, y, 1.0, t)
+
     @pytest.mark.parametrize("dim", [1, 2, 3])
     @pytest.mark.parametrize("y, r", [(math.nan, 1.0), (0.5, math.nan), (math.inf, 1.0),
                                       (0.5, math.inf), (0.5, [0.5, math.nan])])
@@ -302,6 +310,12 @@ class TestLatticeMixture:
             return sum(c * stats.ncx2.cdf(r * r / (2 * t), 2, a * a / (2 * t))
                        for a, c in zip(locs, sizes))
         return sum(c * radial_cdf(d, float(a), r, t) for a, c in zip(locs, sizes))
+
+    @pytest.mark.parametrize("t", [0.0, -1.0, math.nan, math.inf, -math.inf])
+    def test_time_must_be_positive(self, d, t):
+        r = np.arange(50) * self.H
+        with pytest.raises(ValueError, match="t must be positive and finite"):
+            mixture_node_values(d, t, np.array([0.1]), np.array([1.0]), r, lattice_h=self.H)
 
     @pytest.mark.parametrize("dim", [0, -1])
     def test_dim_below_one_rejected(self, dim):

@@ -19,6 +19,8 @@ from nbbm.obstacle import (SandwichSolver, SolveRequest, analytic_gap, branch_st
                            stationary_state)
 from nbbm.sim import replica_rng
 
+_NOT_POSITIVE = (0.0, -1.0, math.nan, math.inf, -math.inf)
+
 
 def random_cdf_profile(rng, max_r=3.0) -> RadialProfile:
     """Random nondecreasing step initial condition reaching mass 1."""
@@ -134,6 +136,14 @@ class TestSteps:
         for delta in (0.0, -0.1):
             with pytest.raises(ValueError):
                 branch_step(1, delta, 1e-3, np.ones(10), True)
+
+    @pytest.mark.parametrize("name, delta, h", [*(("delta", v, 1e-3) for v in _NOT_POSITIVE),
+                                                *(("h", 0.01, v) for v in _NOT_POSITIVE)])
+    def test_step_scalars_named(self, name, delta, h):
+        # delta = nan used to reach an unnamed round() error, and h = 0 a
+        # ZeroDivisionError
+        with pytest.raises(ValueError, match=f"{name} must be positive and finite"):
+            branch_step(1, delta, h, np.ones(10), True)
 
     @pytest.mark.parametrize("d", [1, 2, 3, 5])
     @pytest.mark.parametrize("h", [2e-3, 2e-2])
@@ -312,7 +322,7 @@ class TestSolveSandwich:
         assert analytic_gap(100, 0.01) == pytest.approx(0.03737, abs=5e-5)
 
     def test_zero_initial(self):
-        pair = solve_sandwich(SolveRequest(dim=1, initial=RadialProfile.zero(),
+        pair = solve_sandwich(SolveRequest(dim=1, initial=RadialProfile.from_jumps([], []),
                                            horizon=0.5, step_size=0.05))
         assert pair.upper.final_value == 0.0
         assert pair.lower.final_value == 0.0
@@ -419,13 +429,13 @@ class TestSolveSandwich:
 
     def test_rejects_jump_at_zero_and_bad_steps(self):
         with pytest.raises(ValueError):
-            SolveRequest(dim=1, initial=RadialProfile.step(0.0), horizon=1.0,
+            SolveRequest(dim=1, initial=RadialProfile.from_jumps([0.0], [1.0]), horizon=1.0,
                          step_size=0.01)
         with pytest.raises(TypeError):
-            SolveRequest(dim=1, initial=RadialProfile.step(1.0), horizon=1.0)
+            SolveRequest(dim=1, initial=RadialProfile.from_jumps([1.0], [1.0]), horizon=1.0)
         for step in (0.0, -0.01):
             with pytest.raises(ValueError):
-                SolveRequest(dim=1, initial=RadialProfile.step(1.0), horizon=1.0,
+                SolveRequest(dim=1, initial=RadialProfile.from_jumps([1.0], [1.0]), horizon=1.0,
                              step_size=step)
 
     @pytest.mark.parametrize("field, value", [
@@ -436,10 +446,18 @@ class TestSolveSandwich:
         # NaN to integer" or an OverflowError
         kw = {"horizon": 1.0, "step_size": 0.01, field: value}
         with pytest.raises(ValueError, match=f"{field} must be positive and finite"):
-            SolveRequest(dim=1, initial=RadialProfile.step(1.0), **kw)
+            SolveRequest(dim=1, initial=RadialProfile.from_jumps([1.0], [1.0]), **kw)
+
+    @pytest.mark.parametrize("grid_step", _NOT_POSITIVE)
+    def test_rejects_bad_grid_step(self, grid_step):
+        # the request used to accept any grid_step: 0 failed in the solve with
+        # an OverflowError, -1e-3 with an IndexError
+        with pytest.raises(ValueError, match="grid_step must be positive and finite"):
+            SolveRequest(dim=1, initial=RadialProfile.from_jumps([1.0], [1.0]), horizon=1.0,
+                         step_size=0.01, grid_step=grid_step)
 
     def test_step_divides_horizon(self):
-        req = SolveRequest(dim=1, initial=RadialProfile.step(1.0), horizon=0.27,
+        req = SolveRequest(dim=1, initial=RadialProfile.from_jumps([1.0], [1.0]), horizon=0.27,
                            step_size=0.02, grid_step=2e-3)
         pair = solve_sandwich(req)
         assert pair.steps_taken == 14 and pair.step_size == 0.27 / 14
@@ -448,19 +466,40 @@ class TestSolveSandwich:
 class TestSandwichSolver:
     def test_rejects_initial_jump_at_zero(self):
         with pytest.raises(ValueError):
-            SandwichSolver(1, RadialProfile.step(0.0), 0.01, horizon_hint=0.1)
+            SandwichSolver(1, RadialProfile.from_jumps([0.0], [1.0]), 0.01, horizon_hint=0.1)
         # an upper-branch start is a majorant and may jump at 0
-        solver = SandwichSolver(1, RadialProfile.step(0.5), 0.01, 1e-2,
-                                initial_upper=RadialProfile.step(0.0), horizon_hint=0.1)
+        solver = SandwichSolver(1, RadialProfile.from_jumps([0.5], [1.0]), 0.01, 1e-2,
+                                initial_upper=RadialProfile.from_jumps([0.0], [1.0]),
+                                horizon_hint=0.1)
         solver.advance_to(0.01)
         assert solver.steps == 1
 
+    @pytest.mark.parametrize("name", ["delta", "grid_step", "horizon_hint"])
+    @pytest.mark.parametrize("value", _NOT_POSITIVE)
+    def test_scalars_named(self, name, value):
+        # delta = nan or inf used to fail at the first step without naming it,
+        # and grid_step and horizon_hint, which sizes the default grid, were
+        # not checked
+        kw = {"delta": 0.01, "horizon_hint": 0.1, name: value}
+        with pytest.raises(ValueError, match=f"{name} must be positive and finite"):
+            SandwichSolver(1, RadialProfile.from_jumps([1.0], [1.0]), **kw)
+
+    @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+    def test_advance_to_nonfinite_time_rejected(self, t):
+        # t = inf used to raise OverflowError
+        solver = SandwichSolver(1, RadialProfile.from_jumps([1.0], [1.0]), 0.01, 1e-2,
+                                horizon_hint=0.1)
+        with pytest.raises(ValueError, match="time must be finite"):
+            solver.advance_to(t)
+        assert solver.steps == 0
+
     def test_horizon_hint_is_required(self):
         with pytest.raises(TypeError):
-            SandwichSolver(1, RadialProfile.step(1.0), 0.01, 1e-2)
+            SandwichSolver(1, RadialProfile.from_jumps([1.0], [1.0]), 0.01, 1e-2)
 
     def test_advance_to_step_lattice(self):
-        solver = SandwichSolver(1, RadialProfile.step(1.0), 0.01, 5e-3, horizon_hint=2.0)
+        solver = SandwichSolver(1, RadialProfile.from_jumps([1.0], [1.0]), 0.01, 5e-3,
+                                horizon_hint=2.0)
         for t in np.arange(0.2, 2.0 + 1e-9, 0.05):
             solver.advance_to(t)
             assert solver.steps == round(t / 0.01)
@@ -682,7 +721,7 @@ class TestConvergeToV:
         assert convergence_values(rows, 6.0)["sup_mid_to_V"] <= 0.05
 
     def test_point_mass_far_out(self):
-        rows = convergence_report(1, RadialProfile.step(3.0, 1.0), [10.0],
+        rows = convergence_report(1, RadialProfile.from_jumps([3.0], [1.0]), [10.0],
                                   K=3.5, c=0.5, delta=0.01, grid_step=1e-3)
         row = convergence_values(rows, 10.0)
         lo, hi = row["boundary_lo"], row["boundary_hi"]
@@ -691,22 +730,22 @@ class TestConvergeToV:
 
     def test_precondition_checked(self):
         with pytest.raises(ValueError):
-            convergence_report(1, RadialProfile.step(5.0, 1.0), [1.0], K=3.0, c=0.5)
+            convergence_report(1, RadialProfile.from_jumps([5.0], [1.0]), [1.0], K=3.0, c=0.5)
 
     def test_off_lattice_time_rejected(self):
         with pytest.raises(ValueError, match="not a multiple"):
-            convergence_report(1, RadialProfile.step(0.5, 1.0), [0.255], K=1.0, c=0.5,
+            convergence_report(1, RadialProfile.from_jumps([0.5], [1.0]), [0.255], K=1.0, c=0.5,
                                delta=0.01, grid_step=2e-3)
 
     def test_empty_schedule_rejected(self):
         # used to die in max() with "arg is an empty sequence"
         with pytest.raises(ValueError, match="schedule"):
-            convergence_report(1, RadialProfile.step(0.5, 1.0), [], K=1.0, c=0.5)
+            convergence_report(1, RadialProfile.from_jumps([0.5], [1.0]), [], K=1.0, c=0.5)
 
     def test_rows_go_through_the_report_writer(self, tmp_path):
         # mass 0.9 grows like e^t, so the lower branch stays short of full
         # mass and the boundary interval is open above
-        rows = convergence_report(1, RadialProfile.step(0.5, 0.9), [0.05, 0.02],
+        rows = convergence_report(1, RadialProfile.from_jumps([0.5], [0.9]), [0.05, 0.02],
                                   K=1.0, c=0.5, delta=0.01, grid_step=2e-3)
         names = ["sup_mid_to_V", "boundary_lo", "boundary_hi", "boundary_to_R_inf",
                  "combined_gap"]

@@ -35,6 +35,7 @@ def test_import_is_light_and_exports_resolve():
 
 
 _SRC = Path(__file__).resolve().parents[1] / "src" / "nbbm"
+_TESTS = Path(__file__).resolve().parent
 
 
 def _engine_calls(node) -> list[int]:
@@ -101,3 +102,34 @@ def test_only_coupled_run_takes_sim_params():
                       for a in (*node.args.posonlyargs, *node.args.args,
                                 *node.args.kwonlyargs))]
     assert takers == ["sim.py:coupled_run"]
+
+
+def _unused_imports(source: str) -> list[str]:
+    """``line:name`` of each name the module imports and never reads; a name
+    listed in ``__all__`` is a re-export and counts as read."""
+    tree = ast.parse(source)
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update({a.asname or a.name.split(".")[0]: node.lineno for a in node.names})
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update({a.asname or a.name: node.lineno for a in node.names})
+    read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__"
+                                                for t in node.targets):
+            read.update(ast.literal_eval(node.value))
+    return [f"{line}:{name}" for name, line in sorted(imported.items(), key=lambda kv: kv[1])
+            if name not in read]
+
+
+def test_no_unused_imports():
+    # no linter ships with the package, so the check is an AST walk
+    assert _unused_imports("import os.path\nimport sys\nfrom a import b as c\n"
+                           "print(os.path.sep)\n") == ["2:sys", "3:c"]
+    assert _unused_imports("from a import b\n__all__ = ['b']\n") == []
+    offenders = [f"{path.parent.name}/{path.name}:{hit}"
+                 for path in [*sorted(_SRC.glob("*.py")), *sorted(_TESTS.glob("*.py"))]
+                 if path.name != "__init__.py"
+                 for hit in _unused_imports(path.read_text())]
+    assert offenders == []

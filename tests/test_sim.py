@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from nbbm.core import ParticleEnsemble, empirical_cdf, max_radius
+from nbbm.core import ParticleEnsemble
 from nbbm.experiments import PointMassSampler, _selection_replica
 from nbbm import sim
 from nbbm.sim import (BbmForest, CoupledObservation, CoupledRunResult, EventLog,
@@ -615,6 +615,14 @@ class TestCoupledRun:
         with pytest.raises(ValueError):
             coupled_run(params, ens, -1.0, replica_rng(26, 0))
 
+    @pytest.mark.parametrize("duration", [-1.0, math.nan, math.inf, -math.inf])
+    def test_duration_must_be_finite(self, duration):
+        # only a negative duration was rejected: inf or nan grew the forest
+        # toward the population cap
+        params = SimParams(dim=1, population=3)
+        with pytest.raises(ValueError, match="duration must be finite and nonnegative"):
+            coupled_run(params, origin_ensemble(3, 1), duration, replica_rng(26, 0))
+
     def test_population_mismatch_rejected(self):
         params = SimParams(dim=1, population=5)
         with pytest.raises(ValueError, match="N=6, d=1; params say N=5, d=1"):
@@ -732,7 +740,7 @@ class TestKilledSurvival:
         with pytest.raises(ValueError, match="t_grid"):
             survival_curve(1, [0.0], math.pi / 2, t_grid, 10, replica_rng(28, 0))
 
-    @pytest.mark.parametrize("dt", [0.0, -1e-3, math.nan, math.inf])
+    @pytest.mark.parametrize("dt", [0.0, -1e-3, math.nan, math.inf, -math.inf])
     def test_bad_dt_rejected(self, dt):
         # dt = 0 used to raise OverflowError after a divide-by-zero warning
         with pytest.raises(ValueError, match="dt"):
