@@ -61,15 +61,15 @@ def _nonnegative(name: str, value) -> float:
     return x
 
 
-def whole_steps(span: float, step: float, what: str) -> int:
+def whole_steps(span: float, step: float, what: str, step_name: str) -> int:
     """The k with k * step = span to 1e-9 * max(1, span), else ``ValueError``
     (also for a non-finite span or a step that is not positive and finite);
-    ``what`` names the span in the message."""
+    ``what`` names the span and ``step_name`` the step in the messages."""
     if not math.isfinite(span):
         raise ValueError(f"{what} must be finite, got {span!r}")
-    k = round(span / _positive("step", step))
+    k = round(span / _positive(f"{step_name} (the step of {what})", step))
     if abs(k * step - span) > 1e-9 * max(1.0, span):
-        raise ValueError(f"{what} {span!r} is not a multiple of the step {step!r}")
+        raise ValueError(f"{what} {span!r} is not a multiple of {step_name}={step!r}")
     return k
 
 

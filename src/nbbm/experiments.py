@@ -235,7 +235,7 @@ def boundary_report(N: int, d: int, T: float, eta: float, sampler,
         raise ValueError("sampler has no solver-compatible limit profile")
     # the step rounds as (eta + dt) - eta, as in np.arange; eta + i * dt
     # differs in the last bit and would move the solver's snapshot times
-    k = whole_steps(T - eta, snapshot_dt, "T - eta")
+    k = whole_steps(T - eta, snapshot_dt, "T - eta", "snapshot_dt")
     snap_times = tuple(float(s) for s in
                        eta + np.arange(k + 1) * ((eta + snapshot_dt) - eta))
     solver = SandwichSolver(d, limit, delta, grid_step, horizon_hint=T)
@@ -278,7 +278,7 @@ def selection_report(N: int, d: int, t: float, K: float, c: float, sampler,
     ``window_excess`` reads the unit window after t every ``window_dt``."""
     if N < _MIN_POPULATION:
         raise ValueError(f"selection check needs N >= {_MIN_POPULATION}")
-    n_window = whole_steps(1.0, window_dt, "window")
+    n_window = whole_steps(1.0, window_dt, "window", "window_dt")
     state = stationary_state(d)
     res = _run_replicas(_selection_replica, replicas, workers,
                         (seed, N, d, t, K, c, sampler, window_dt, n_window))
@@ -325,7 +325,7 @@ def stationarity_report(N: int, d: int, burn_in: float, window: float,
                          f"got {n_windows}")
     if N < _MIN_POPULATION:
         raise ValueError(f"stationarity check needs N >= {_MIN_POPULATION}")
-    per_window = whole_steps(window, snapshot_dt, "window")
+    per_window = whole_steps(window, snapshot_dt, "window", "snapshot_dt")
     state = stationary_state(d)
     _, log = advance_nbbm(ParticleEnsemble(d, np.zeros((N, d))),
                           (burn_in,) + (snapshot_dt,) * (n_windows * per_window),

@@ -128,14 +128,12 @@ class SolveRequest:
 
 
 class SolveTrace:
-    """Per-step diagnostics recorded during a sandwich solve."""
+    """Per-step gaps of a sandwich solve: measured width, analytic and grid gap."""
 
     def __init__(self):
         self.max_gap: list[float] = []
         self.analytic_gap: list[float] = []
         self.grid_gap: list[float] = []
-        self.boundary_lo: list[float] = []
-        self.boundary_hi: list[float] = []
 
 
 def _running_max(x: np.ndarray) -> np.ndarray:
@@ -323,7 +321,7 @@ class SandwichSolver:
 
     def advance_to(self, t: float):
         """Advance to time t, a multiple of the step no earlier than now."""
-        k = whole_steps(t, self.delta, "time")
+        k = whole_steps(t, self.delta, "time", "delta")
         if k < self.steps:
             raise ValueError(f"time {t!r} lies before the solver's time "
                              f"{self.steps * self.delta!r}")
@@ -357,9 +355,6 @@ class SandwichSolver:
         self.trace.max_gap.append(measured)
         self.trace.analytic_gap.append(self.analytic_gap)
         self.trace.grid_gap.append(self.grid_gap)
-        gap_lo = min(measured + _BOUNDARY_LEVEL, 0.999)
-        self.trace.boundary_lo.append(_level_radius(self.grid, self.p_up, gap_lo))
-        self.trace.boundary_hi.append(_level_radius(self.grid, self.p_lo, _BOUNDARY_LEVEL))
 
     @property
     def analytic_gap(self) -> float:
@@ -394,7 +389,9 @@ class SandwichSolver:
     def boundary_interval(self) -> tuple[float, float]:
         """The radius band where the pair comes within 1e-6 of full mass, not
         R_t itself: :func:`free_boundary_radius` of the current pair."""
-        return self.trace.boundary_lo[-1], self.trace.boundary_hi[-1]
+        gap_lo = min(self.trace.max_gap[-1] + _BOUNDARY_LEVEL, 0.999)
+        return (_level_radius(self.grid, self.p_up, gap_lo),
+                _level_radius(self.grid, self.p_lo, _BOUNDARY_LEVEL))
 
 
 def solve_sandwich(req: SolveRequest) -> SandwichPair:

@@ -17,14 +17,14 @@ selection reads only radii at event times.
 
 Also here: the red/blue coupling, spherically ordered Brownian pairs and
 killed-Brownian-motion survival estimates.  The coupling grows the free
-branching Brownian motion (BBM: rate-1 binary branching, no selection,
-Ulam-Harris labels) and realizes the N-particle system as its blue subset,
-so the forest it returns is the free BBM; :func:`coupled_run` is the one
-BBM engine.  One Poisson clock of rate m (the forest's size) picks the
-branching particle uniformly, and a particle's Brownian increment is drawn
-only when its position is read.  The N blues are one dense block that a
-blue event diffuses (O(N d)), a red event only records its branching (O(1)),
-and an observation replays those and reads every particle (O(population d)).
+branching Brownian motion (BBM: rate-1 binary branching, no selection) and
+realizes the N-particle system as its blue subset, so the forest it returns
+is the free BBM; :func:`coupled_run` is the one BBM engine.  One Poisson
+clock of rate m (the forest's size) picks the branching particle uniformly,
+and a particle's Brownian increment is drawn only when its position is
+read.  The N blues are one dense block that a blue event diffuses
+(O(N d)), a red event only records its branching (O(1)), and an
+observation replays those and reads every particle (O(population d)).
 Red particles are never selected, so the skipped positions enter no output.
 """
 
@@ -649,16 +649,14 @@ class _Interval:
 
 @dataclass
 class BbmForest:
-    """The free BBM grown by :func:`coupled_run`: Ulam-Harris labels,
-    positions and colours.
+    """The free BBM grown by :func:`coupled_run`: positions and colours.
 
-    The initial particles are labelled (1,), ..., (N,); children of a
-    particle labelled u are u + (1,) and u + (2,).  ``blue`` marks the
-    selected subpopulation of fixed size N.
+    A particle's identity is its forest index: the initial particles are
+    0, ..., N-1, and each branching appends its child at the next index.
+    ``blue`` marks the selected subpopulation of fixed size N.
     """
 
     dim: int
-    labels: list[tuple[int, ...]]
     positions: np.ndarray
     clock: float
     blue: np.ndarray
@@ -751,7 +749,6 @@ def coupled_run(params: SimParams, initial: ParticleEnsemble, duration: float,
     last = np.full(2 * n, now)               # time each position was last drawn
     exceeded = np.zeros(2 * n, dtype=bool)   # ever strictly above the blue max
     tie_lineage = np.zeros(2 * n, dtype=bool)
-    labels = [(i + 1,) for i in range(n)]
     # the blues, drawn at b_clock (their forest rows are stale), and their
     # forest indices; row n takes a blue event's child
     block = np.empty((n + 1, d))
@@ -842,8 +839,6 @@ def coupled_run(params: SimParams, initial: ParticleEnsemble, duration: float,
         child, m = m, m + 1
         if m > _POPULATION_CAP:
             raise ResourceError(f"coupled BBM population exceeded cap {_POPULATION_CAP}")
-        labels.append(labels[idx] + (2,))
-        labels[idx] = labels[idx] + (1,)
         j = row.get(idx)
         if j is None:   # red: read at the next observation or the end
             pending.append((now, idx, child))
@@ -884,7 +879,7 @@ def coupled_run(params: SimParams, initial: ParticleEnsemble, duration: float,
 
     pos = pos[:m].copy()
     final_blue = ParticleEnsemble(d, pos[blue], now)
-    forest = BbmForest(d, labels, pos, now, blue)
+    forest = BbmForest(d, pos, now, blue)
     return CoupledRunResult(obs, final_blue, forest, events,
                             domination_ok, reconstruction_ok)
 

@@ -140,25 +140,25 @@ class TestDiscretizeCdf:
 class TestWholeSteps:
     def test_lattice_spans(self):
         # the drivers' default windows keep their step counts
-        assert whole_steps(1.0, 0.05, "window") == 20
-        assert whole_steps(5.0, 0.25, "window") == 20
-        assert whole_steps(2.0 + 1e-10, 0.01, "time") == 200  # within 1e-9 * max(1, span)
+        assert whole_steps(1.0, 0.05, "window", "window_dt") == 20
+        assert whole_steps(5.0, 0.25, "window", "snapshot_dt") == 20
+        assert whole_steps(2.0 + 1e-10, 0.01, "time", "delta") == 200  # within 1e-9 * max(1, span)
         with pytest.raises(ValueError, match="time 2.005 is not a multiple"):
-            whole_steps(2.005, 0.01, "time")
+            whole_steps(2.005, 0.01, "time", "delta")
 
     @pytest.mark.parametrize("step", [0.0, -0.1, math.nan, math.inf])
     def test_step_must_be_positive(self, step):
         # an infinite step used to give 0 steps: 0 * inf is nan, which
         # passes the multiple check
         with pytest.raises(ValueError, match="positive"):
-            whole_steps(1.0, step, "window")
+            whole_steps(1.0, step, "window", "window_dt")
 
     @pytest.mark.parametrize("span", [math.nan, math.inf, -math.inf])
     def test_span_must_be_finite(self, span):
         # inf used to raise OverflowError from round(), and NaN a bare
         # NaN-to-integer error
         with pytest.raises(ValueError, match="window must be finite"):
-            whole_steps(span, 0.05, "window")
+            whole_steps(span, 0.05, "window", "window_dt")
 
 
 # ---------------------------------------------------------------------------

@@ -123,6 +123,13 @@ class TestBoundaryReport:
             boundary_report(N=100, d=1, T=1.1, eta=0.1, sampler=UniformBallSampler(1),
                             replicas=1, seed=0, grid_step=1e-2, snapshot_dt=snapshot_dt)
 
+    @pytest.mark.parametrize("snapshot_dt", [0.3, 0.0, -0.1, math.nan, math.inf])
+    def test_bad_snapshot_dt_is_named(self, snapshot_dt):
+        # the step check used to name the argument "step"
+        with pytest.raises(ValueError, match="snapshot_dt"):
+            boundary_report(N=100, d=1, T=1.1, eta=0.1, sampler=UniformBallSampler(1),
+                            replicas=1, seed=0, grid_step=1e-2, snapshot_dt=snapshot_dt)
+
     def test_snapshot_times_keep_arange_rounding(self, monkeypatch):
         seen = []
         advance_to = SandwichSolver.advance_to
@@ -166,6 +173,13 @@ class TestSelectionReport:
     def test_window_must_fit(self, window_dt):
         # the excess is read over a unit window in whole steps of window_dt
         with pytest.raises(ValueError, match="window|step"):
+            selection_report(N=100, d=1, t=0.2, K=1.0, c=1.0, sampler=PointMassSampler(1),
+                             replicas=1, seed=1, window_dt=window_dt)
+
+    @pytest.mark.parametrize("window_dt", [0.3, 0.0, -0.05, math.nan, math.inf])
+    def test_bad_window_dt_is_named(self, window_dt):
+        # the step check used to name the argument "step"
+        with pytest.raises(ValueError, match="window_dt"):
             selection_report(N=100, d=1, t=0.2, K=1.0, c=1.0, sampler=PointMassSampler(1),
                              replicas=1, seed=1, window_dt=window_dt)
 
@@ -217,5 +231,12 @@ class TestStationarityReport:
     def test_window_must_fit(self, snapshot_dt):
         # each window is a whole number of snapshots, so its time label holds
         with pytest.raises(ValueError, match="window|step"):
+            stationarity_report(N=100, d=1, burn_in=0.2, window=1.0, n_windows=2,
+                                seed=1, snapshot_dt=snapshot_dt)
+
+    @pytest.mark.parametrize("snapshot_dt", [0.3, 0.0, -0.25, math.nan, math.inf])
+    def test_bad_snapshot_dt_is_named(self, snapshot_dt):
+        # the step check used to name the argument "step"
+        with pytest.raises(ValueError, match="snapshot_dt"):
             stationarity_report(N=100, d=1, burn_in=0.2, window=1.0, n_windows=2,
                                 seed=1, snapshot_dt=snapshot_dt)

@@ -133,3 +133,52 @@ def test_no_unused_imports():
                  if path.name != "__init__.py"
                  for hit in _unused_imports(path.read_text())]
     assert offenders == []
+
+
+def _private_names(tree) -> dict[str, int]:
+    """``name: line`` of the module-level private functions, classes and
+    constants in ``tree`` and of its classes' private methods."""
+    found = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            found[node.name] = node.lineno
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            found.update({n.id: node.lineno for t in targets for n in ast.walk(t)
+                          if isinstance(n, ast.Name)})
+        if isinstance(node, ast.ClassDef):
+            found.update({f.name: f.lineno for f in node.body
+                          if isinstance(f, (ast.FunctionDef, ast.AsyncFunctionDef))})
+    return {name: line for name, line in found.items()
+            if name.startswith("_") and not name.endswith("__")}
+
+
+def _references(tree) -> set[str]:
+    """Every name ``tree`` reads, imports or reaches as an attribute."""
+    refs = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            refs.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            refs.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            refs.update(a.name for a in node.names)
+    return refs
+
+
+def _unreferenced_private_names(sources: dict[str, str]) -> list[str]:
+    trees = {name: ast.parse(src) for name, src in sources.items()}
+    refs = set().union(*map(_references, trees.values()))
+    return [f"{name}:{line}:{priv}" for name, tree in trees.items()
+            for priv, line in _private_names(tree).items() if priv not in refs]
+
+
+def test_every_private_name_is_used_in_the_package():
+    # a private helper that only tests call is a leftover of deleted code
+    assert _unreferenced_private_names({
+        "a.py": "_K = 1\n_J: int = 2\ndef _f():\n    return _K\n"
+                "class _C:\n    def _m(self):\n        pass\n    def __init__(self):\n"
+                "        self._m()\n",
+        "b.py": "from a import _C\n"}) == ["a.py:2:_J", "a.py:3:_f"]
+    sources = {path.name: path.read_text() for path in sorted(_SRC.glob("*.py"))}
+    assert _unreferenced_private_names(sources) == []

@@ -102,7 +102,6 @@ def reference_coupled_run(params, initial, duration, rng, population_cap=10_000_
     exceeded = np.zeros(cap, dtype=bool)
     tie_lineage = np.zeros(cap, dtype=bool)
     blue_idx = np.arange(n + 1)            # sorted blue indices; slot n takes a blue child
-    labels = [(i + 1,) for i in range(n)]
 
     heap = list(zip((now + rng.exponential(1.0, n)).tolist(), range(n)))
     heapq.heapify(heap)
@@ -164,8 +163,6 @@ def reference_coupled_run(params, initial, duration, rng, population_cap=10_000_
         blue[child] = parent_blue
         exceeded[child] = exceeded[idx]
         tie_lineage[child] = tie_lineage[idx]
-        labels.append(labels[idx] + (2,))
-        labels[idx] = labels[idx] + (1,)
         if m > population_cap:
             raise ResourceError(f"coupled BBM population exceeded cap {population_cap}")
         heapq.heappush(heap, (now + rng.exponential(1.0), idx))
@@ -197,7 +194,7 @@ def reference_coupled_run(params, initial, duration, rng, population_cap=10_000_
 
     pos, blue = pos[:m].copy(), blue[:m].copy()
     return CoupledRunResult(obs, ParticleEnsemble(d, pos[blue], now),
-                            BbmForest(d, labels, pos, now, blue), events,
+                            BbmForest(d, pos, now, blue), events,
                             domination_ok, reconstruction_ok)
 
 
@@ -445,16 +442,6 @@ class TestAdvanceBbm:
         var = 5 * (math.exp(2 * t) - math.exp(t))
         assert abs(pops.mean() - mean) < 4 * math.sqrt(var / 800)
 
-    def test_ulam_harris_labels(self):
-        out = free_bbm(origin_ensemble(2, 1), 3.0, replica_rng(12, 0))
-        labels = set(out.labels)
-        assert len(labels) == out.population  # prefix-free at a fixed time
-        for lab in labels:
-            assert lab[0] in (1, 2)
-            assert all(c in (1, 2) for c in lab[1:])
-            for k in range(1, len(lab)):
-                assert lab[:k] not in labels
-
     def test_population_cap(self, monkeypatch):
         monkeypatch.setattr(sim, "_POPULATION_CAP", 20)
         with pytest.raises(ResourceError, match="cap 20"):
@@ -512,10 +499,24 @@ class TestCoupledRun:
             res = coupled_run(params, ens, 0.02, replica_rng(15, rep))
             if res.events == 0:
                 assert res.forest_final.population == 10
-                assert all(len(lab) == 1 for lab in res.forest_final.labels)
                 break
         else:
             pytest.fail("no event-free window found (probability ~ 0.8 each)")
+
+    def test_result_memory_per_particle(self):
+        # the forest keeps a position and a colour per particle, 17 B; with
+        # an Ulam-Harris label tuple per particle a result held ~158 B each
+        n, d = 200, 2
+        params = SimParams(dim=d, population=n)
+        ens = ParticleEnsemble(d, replica_rng(39, 0).uniform(-1, 1, (n, d)))
+        tracemalloc.start()
+        try:
+            res = coupled_run(params, ens, 5.0, replica_rng(39, 1))
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert res.forest_final.population > 10_000
+        assert held <= 48 * res.forest_final.population
 
     def test_blue_subset_of_forest(self):
         params = SimParams(dim=1, population=30)
@@ -582,16 +583,20 @@ class TestCoupledRun:
     @pytest.mark.parametrize("engine", [coupled_run, reference_coupled_run])
     def test_parent_child_tie_flips_the_parent(self, engine):
         # with N = 1 a blue event's parent and child tie exactly; the parent,
-        # the lower forest index, turns red, so the blue is always the
-        # second child of the previous blue
+        # the lower forest index, turns red, so after the first event the
+        # blue is a child, never the initial particle 0 (were the child to
+        # turn red, particle 0 would stay blue for ever)
         params = SimParams(dim=2, population=1, record_schedule=(0.5,))
+        branched = 0
         for rep in range(20):
             res = engine(params, origin_ensemble(1, 2), 1.5, replica_rng(37, rep))
             forest = res.forest_final
             assert res.reconstruction_ok and res.domination_ok
             (b,) = np.flatnonzero(forest.blue)
-            assert forest.labels[b][0] == 1 and set(forest.labels[b][1:]) <= {2}
+            assert (b == 0) == (res.events == 0)
+            branched += res.events > 0
             assert np.array_equal(res.blue_final.positions, forest.positions[[b]])
+        assert branched >= 10
 
     def test_replayed_red_particle_marginal(self):
         # with one blue nearly every event is red and replayed at an
