@@ -689,18 +689,38 @@ class CoupledRunResult:
 
 
 def _dominated(blue_norms: np.ndarray, all_norms: np.ndarray, n: int) -> bool:
-    """Check count_blue(< r) <= min(count_all(< r), N) for every r."""
-    radii = np.unique(np.concatenate((blue_norms, all_norms))) + 1e-12
-    f_blue = np.searchsorted(np.sort(blue_norms), radii, side="left")
-    f_all = np.searchsorted(np.sort(all_norms), radii, side="left")
+    """Check count_blue(< r) <= min(count_all(< r), N) at each norm + 1e-12 (sorted norms)."""
+    radii = np.concatenate((blue_norms, all_norms)) + 1e-12
+    f_blue = np.searchsorted(blue_norms, radii, side="left")
+    f_all = np.searchsorted(all_norms, radii, side="left")
     return bool(np.all(f_blue <= np.minimum(f_all, n)))
+
+
+def _replay_rounds(parents: np.ndarray, children: np.ndarray) -> np.ndarray:
+    """Each logged branching's round: 1 + that of the last earlier one whose parent
+    or child is its parent (1 if none).  A round reads disjoint, drawn particles."""
+    e = parents.size
+    touch = np.concatenate((children, parents))   # a child's birth is its first touch
+    order = np.argsort(touch, kind="stable")
+    same = np.flatnonzero(np.diff(touch[order]) == 0)
+    up = np.full(e, -1)
+    up[order[same + 1] - e] = order[same] % e
+    rounds = np.ones(e, dtype=np.intp)
+    live = np.flatnonzero(up >= 0)
+    while live.size:   # pointer doubling: rounds[i] counts the steps from i to up[i]
+        a = up[live]
+        rounds[live] += rounds[a]
+        up[live] = up[a]
+        live = live[up[live] >= 0]
+    return rounds
 
 
 def coupled_run(params: SimParams, initial: ParticleEnsemble, duration: float,
                 rng: np.random.Generator) -> CoupledRunResult:
     """One BBM driving both processes: ``forest_final`` is the free BBM
     (ResourceError past ``_POPULATION_CAP`` particles) and its blue subset
-    evolves as the N-system.  ``params`` must match ``initial``'s N and d.
+    evolves as the N-system.  ``params`` must match ``initial``'s N and d,
+    and every ``record_schedule`` time must lie in the run.
 
     When a blue particle branches both offspring are blue and the furthest
     blue (lowest forest index on ties) turns red; red particles breed red.
@@ -717,8 +737,8 @@ def coupled_run(params: SimParams, initial: ParticleEnsemble, duration: float,
     Positions are drawn only when read, as sqrt(2 dt) standard normals over
     the time since the last read.  The N blues are one dense block that a
     blue event diffuses; a flipped blue is written to its forest row.  A red
-    event only records (time, parent, child), replayed at each observation
-    and at the end in chronological rounds, parents before children; then
+    event only logs (time, parent, child) in typed arrays, replayed at each
+    observation and at the end in rounds, parents before children; then
     every particle is read.  This is exact: the clock does not depend on
     positions, every read time is an event or observation time, Brownian
     increments over disjoint intervals are independent N(0, 2 dt I), and no
@@ -726,13 +746,15 @@ def coupled_run(params: SimParams, initial: ParticleEnsemble, duration: float,
     no output.  The forest, blue set, observations and flags have the joint
     law of a loop that diffuses every particle across every gap.
 
-    The reconstruction check keeps its meaning.  ``exceeded`` is updated
-    from the norms read at each blue event.  A particle turns red with
-    ``exceeded`` or ``tie_lineage`` already set, both flags only grow and
-    children inherit both, so a red particle passes the check whatever its
-    later norms; a blue particle's flags can change only at blue events,
-    where every blue is read.  Checking the N+1 blues at each blue event,
-    and every particle at each observation and at the end, therefore checks
+    The reconstruction check keeps its meaning.  The blues' ``exceeded``
+    and ``tie_lineage`` live in two arrays aligned with the block, updated
+    from the norms read at each blue event and written to the forest at a
+    flip, and for all N at each observation and at the end.  A particle
+    turns red with a flag already set, both flags only grow and children
+    inherit both, so a red particle passes the check whatever its later
+    norms; a blue particle's flags can change only at blue events, where
+    every blue is read.  Checking the N+1 blues at each blue event, and
+    every particle at each observation and at the end, therefore checks
     the predicate over the whole forest at every event.
     """
     _nonnegative("duration", duration)
@@ -742,30 +764,31 @@ def coupled_run(params: SimParams, initial: ParticleEnsemble, duration: float,
                          f"params say N={n}, d={d}")
     now = initial.clock
     end = initial.clock + duration
+    schedule = list(params.record_schedule)
+    outside = [s for s in schedule if not now <= s <= end + 1e-12]
+    if outside:
+        raise ValueError(f"record_schedule time {outside[0]!r} is outside [{now!r}, {end!r}]")
     # the forest is the first m rows of arrays that double when full
     m = n
-    pos = np.empty((2 * n, d))
-    pos[:n] = initial.positions
+    pos = np.concatenate((initial.positions, np.empty((n, d))))
     last = np.full(2 * n, now)               # time each position was last drawn
-    exceeded = np.zeros(2 * n, dtype=bool)   # ever strictly above the blue max
-    tie_lineage = np.zeros(2 * n, dtype=bool)
-    # the blues, drawn at b_clock (their forest rows are stale), and their
-    # forest indices; row n takes a blue event's child
-    block = np.empty((n + 1, d))
-    block[:n] = initial.positions
+    # ever strictly above the blue max, and tied it at a flip
+    exceeded, tie_lineage = np.zeros((2, 2 * n), dtype=bool)
+    cap = min(2 * n, _POPULATION_CAP)        # at m = cap the arrays grow or the run stops
+    # the blues, drawn at b_clock, their forest indices and flags (their
+    # forest rows are stale); row n takes a blue event's child
+    block = np.concatenate((initial.positions, np.empty((1, d))))
     ids = np.arange(n + 1)
+    b_exc, b_tie = np.zeros((2, n + 1), dtype=bool)
     row = {i: i for i in range(n)}         # forest index -> block row
     b_clock = now
     step, norms = np.empty((n, d)), np.empty(n + 1)
-    pending = []                           # unread red branchings (time, parent, child)
+    red_t, red_p, red_c = array("d"), array("q"), array("q")   # unread red branchings
     blue = None
 
-    schedule = [s for s in params.record_schedule
-                if initial.clock <= s <= end + 1e-12]
     obs: list[CoupledObservation] = []
     events = 0
-    domination_ok = True
-    reconstruction_ok = True
+    domination_ok = reconstruction_ok = True
 
     def read(idx, at):
         x = pos[idx] + (rng.standard_normal((idx.size, d))
@@ -787,21 +810,16 @@ def coupled_run(params: SimParams, initial: ParticleEnsemble, duration: float,
         nonlocal reconstruction_ok, blue
         diffuse_blues(at)
         on = ids[:n]
-        pos[on], last[on] = block[:n], at
-        if pending:
-            # round r holds each particle's r-th pending branching, as parent
-            # or child, so a round reads disjoint particles already drawn
-            rounds, depth = {}, {}
-            for e, (_, p, c) in enumerate(pending):
-                r = depth[p] = depth[c] = depth.get(p, 0) + 1
-                rounds.setdefault(r, []).append(e)
-            t_rec, parents, children = np.array(pending).T
-            parents, children = parents.astype(np.intp), children.astype(np.intp)
-            for r in rounds.values():
+        pos[on], last[on], exceeded[on], tie_lineage[on] = block[:n], at, b_exc[:n], b_tie[:n]
+        if red_t:
+            t_rec, parents, children = (np.array(a) for a in (red_t, red_p, red_c))
+            del red_t[:], red_p[:], red_c[:]
+            rounds = _replay_rounds(parents, children)
+            cuts = np.cumsum(np.bincount(rounds)[1:-1])   # rounds are 1, 2, ...
+            for r in np.split(np.argsort(rounds, kind="stable"), cuts):
                 p, c, t = parents[r], children[r], t_rec[r]
                 pos[c], last[c] = read(p, t), t
                 exceeded[c], tie_lineage[c] = exceeded[p], tie_lineage[p]
-            pending.clear()
         read(np.flatnonzero(last[:m] < at), at)
         blue = np.zeros(m, dtype=bool)
         blue[on] = True
@@ -811,12 +829,13 @@ def coupled_run(params: SimParams, initial: ParticleEnsemble, duration: float,
     def observe(at: float):
         nonlocal domination_ok
         all_norms = np.sqrt(np.einsum("ij,ij->i", pos[:m], pos[:m]))
-        ok = _dominated(all_norms[blue], all_norms, n)
+        blue_norms = np.sort(all_norms[blue])
+        all_norms.sort()
+        ok = _dominated(blue_norms, all_norms, n)
         domination_ok = domination_ok and ok
-        obs.append(CoupledObservation(at, np.sort(all_norms[blue]), np.sort(all_norms),
-                                      ok, int(blue.sum())))
+        obs.append(CoupledObservation(at, blue_norms, all_norms, ok, int(blue.sum())))
 
-    gaps, picks, i = [], [], 0
+    gaps, picks, i, stop = [], [], 0, now
     while True:
         if i == len(gaps):
             rates = m + np.arange(_CLOCK_BLOCK)
@@ -825,63 +844,68 @@ def coupled_run(params: SimParams, initial: ParticleEnsemble, duration: float,
             i = 0
         t_next, idx = now + gaps[i], picks[i]
         i += 1
-        while schedule and schedule[0] <= min(t_next, end):
-            at = schedule.pop(0)
-            read_all(at)
-            observe(at)
-        if t_next >= end:
-            break
+        if t_next >= stop:   # stop: the next observation or the end
+            while schedule and schedule[0] <= min(t_next, end):
+                at = schedule.pop(0)
+                read_all(at)
+                observe(at)
+            if t_next >= end:
+                break
+            stop = min(schedule[0], end) if schedule else end
         now = t_next
         events += 1
-        if m == len(last):
+        if m >= cap:
+            if m >= _POPULATION_CAP:
+                raise ResourceError(f"coupled BBM population exceeded cap {_POPULATION_CAP}")
             pos, last, exceeded, tie_lineage = (np.concatenate((a, np.empty_like(a)))
                                                 for a in (pos, last, exceeded, tie_lineage))
+            cap = min(len(last), _POPULATION_CAP)
         child, m = m, m + 1
-        if m > _POPULATION_CAP:
-            raise ResourceError(f"coupled BBM population exceeded cap {_POPULATION_CAP}")
         j = row.get(idx)
         if j is None:   # red: read at the next observation or the end
-            pending.append((now, idx, child))
+            red_t.append(now)
+            red_p.append(idx)
+            red_c.append(child)
             continue
 
         diffuse_blues(now)
-        block[n] = block[j]
+        block[n], b_exc[n], b_tie[n] = block[j], b_exc[j], b_tie[j]
         np.einsum("ij,ij->i", block, block, out=norms)
         np.sqrt(norms, out=norms)
         k = int(norms.argmax())   # the first NaN, else the first max
         top = norms[k]
         if not math.isfinite(top):
             raise SimulationError(f"nonfinite position at event {events}")
-        m_blue = max(norms[:k].max(initial=-math.inf), norms[k + 1:].max(initial=-math.inf))
+        norms[k] = -math.inf
+        m_blue = norms.max()
+        norms[k] = top
         ids[n] = child
-        exceeded[child], tie_lineage[child] = exceeded[idx], tie_lineage[idx]
         tie = top <= m_blue + 1e-15
         if tie:   # exact ties resolve to the lowest forest index
             tied = np.flatnonzero(norms == top)
             k = int(tied[ids[tied].argmin()])
         flip = int(ids[k])
-        tie_lineage[flip] |= tie
-        exceeded[ids] |= norms > m_blue
+        b_tie[k] |= tie
+        b_exc |= norms > m_blue
         # blue particles never exceed the blue maximum; a mismatch on a
         # non-tie lineage means the bookkeeping (not randomness) is wrong
-        wrong = exceeded[ids] > tie_lineage[ids]
-        wrong[k] = not (exceeded[flip] or tie_lineage[flip])
+        wrong = b_exc > b_tie
+        wrong[k] = not (b_exc[k] or b_tie[k])
         reconstruction_ok = reconstruction_ok and not wrong.any()
         pos[flip], last[flip] = block[k], now
+        exceeded[flip], tie_lineage[flip] = b_exc[k], b_tie[k]
         del row[flip]
         if k < n:   # the child takes the flipped blue's row
             block[k], ids[k], row[child] = block[n], child, k
+            b_exc[k], b_tie[k] = b_exc[n], b_tie[n]
 
-    now = end
     read_all(end)
     for target in schedule:
         observe(target)
 
     pos = pos[:m].copy()
-    final_blue = ParticleEnsemble(d, pos[blue], now)
-    forest = BbmForest(d, pos, now, blue)
-    return CoupledRunResult(obs, final_blue, forest, events,
-                            domination_ok, reconstruction_ok)
+    return CoupledRunResult(obs, ParticleEnsemble(d, pos[blue], end), BbmForest(d, pos, end, blue),
+                            events, domination_ok, reconstruction_ok)
 
 
 # ---------------------------------------------------------------------------

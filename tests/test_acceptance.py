@@ -10,6 +10,7 @@ import math
 import time
 
 import numpy as np
+import pytest
 from scipy import integrate, stats
 
 from nbbm.core import ParticleEnsemble, RadialProfile
@@ -73,6 +74,7 @@ def test_01_kernel_matches_monte_carlo():
             f"max |w-emp|/4se = {worst:.3f}, erf check ok, {elapsed:.1f}s")
 
 
+@pytest.mark.slow
 def test_02_sandwich_certificate():
     t0 = time.time()
     counts = {1: 30, 2: 10, 3: 10}
@@ -170,6 +172,7 @@ def test_05_spherically_ordered_pairs():
             f"{n} pairs, 0 order violations, min KS p = {p_min:.4f}")
 
 
+@pytest.mark.slow
 def test_06_hydrodynamic_desk_check():
     t0 = time.time()
     rows = hydrodynamic_report(N=2000, d=1, t=1.0, sampler=UniformBallSampler(1),
@@ -182,6 +185,7 @@ def test_06_hydrodynamic_desk_check():
             f"{width.value:.4f}, {elapsed:.1f}s")
 
 
+@pytest.mark.slow
 def test_07_boundary_desk_check():
     t0 = time.time()
     from nbbm.experiments import boundary_report
@@ -193,6 +197,7 @@ def test_07_boundary_desk_check():
             f"exceedance fraction {frac.value:.2f} <= 0.1, {elapsed:.1f}s")
 
 
+@pytest.mark.slow
 def test_08_selection_principle_desk_check():
     t0 = time.time()
     from nbbm.experiments import PointMassSampler, selection_report

@@ -4,6 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 from scipy import stats
 
 from nbbm.core import ParticleEnsemble
@@ -11,7 +12,7 @@ from nbbm.experiments import PointMassSampler, _selection_replica
 from nbbm import sim
 from nbbm.sim import (BbmForest, CoupledObservation, CoupledRunResult, EventLog,
                       ResourceError, SimParams, SimulationError, _dominated, _Interval,
-                      advance_nbbm,
+                      _replay_rounds, advance_nbbm,
                       coupled_run, replica_rng, spherically_ordered_pairs, survival_curve)
 
 
@@ -130,7 +131,7 @@ def reference_coupled_run(params, initial, duration, rng, population_cap=10_000_
         nonlocal domination_ok
         norms = np.sqrt(np.einsum("ij,ij->i", pos[:m], pos[:m]))
         on = blue[:m]
-        ok = _dominated(norms[on], norms, n)
+        ok = _dominated(np.sort(norms[on]), np.sort(norms), n)
         domination_ok = domination_ok and ok
         obs.append(CoupledObservation(at, np.sort(norms[on]), np.sort(norms),
                                       ok, int(on.sum())))
@@ -198,6 +199,166 @@ def reference_coupled_run(params, initial, duration, rng, population_cap=10_000_
                             domination_ok, reconstruction_ok)
 
 
+def dominated_unique(blue_norms, all_norms, n):
+    """``sim._dominated`` before it took sorted norms: unsorted inputs, and
+    the radii their sorted union."""
+    radii = np.unique(np.concatenate((blue_norms, all_norms))) + 1e-12
+    f_blue = np.searchsorted(np.sort(blue_norms), radii, side="left")
+    f_all = np.searchsorted(np.sort(all_norms), radii, side="left")
+    return bool(np.all(f_blue <= np.minimum(f_all, n)))
+
+
+def dict_rounds(parents, children):
+    """Replay rounds as ``reference_one_clock_run`` builds them, one dict
+    entry per particle."""
+    depth, rounds = {}, []
+    for p, c in zip(parents, children):
+        r = depth[p] = depth[c] = depth.get(p, 0) + 1
+        rounds.append(r)
+    return rounds
+
+
+def reference_one_clock_run(params, initial, duration, rng):
+    """The one-clock ``coupled_run`` with the blues' flags in forest order,
+    red branchings logged as tuples and replayed in dict-built rounds, and
+    three sorts per observation.  It draws the same stream as
+    ``coupled_run``, so tests compare the two bit for bit."""
+    n, d = params.population, params.dim
+    now = initial.clock
+    end = initial.clock + duration
+    m = n
+    pos = np.empty((2 * n, d))
+    pos[:n] = initial.positions
+    last = np.full(2 * n, now)
+    exceeded = np.zeros(2 * n, dtype=bool)
+    tie_lineage = np.zeros(2 * n, dtype=bool)
+    block = np.empty((n + 1, d))
+    block[:n] = initial.positions
+    ids = np.arange(n + 1)
+    row = {i: i for i in range(n)}
+    b_clock = now
+    step, norms = np.empty((n, d)), np.empty(n + 1)
+    pending = []
+    blue = None
+
+    schedule = [s for s in params.record_schedule
+                if initial.clock <= s <= end + 1e-12]
+    obs = []
+    events = 0
+    domination_ok = True
+    reconstruction_ok = True
+
+    def read(idx, at):
+        x = pos[idx] + (rng.standard_normal((idx.size, d))
+                        * np.sqrt(2.0 * (at - last[idx]))[:, None])
+        if not np.isfinite(x).all():
+            raise SimulationError(f"nonfinite position at event {events}")
+        pos[idx], last[idx] = x, at
+        return x
+
+    def diffuse_blues(at):
+        nonlocal b_clock
+        if at > b_clock:
+            np.multiply(rng.standard_normal(out=step), math.sqrt(2.0 * (at - b_clock)),
+                        out=step)
+            block[:n] += step
+        b_clock = at
+
+    def read_all(at):
+        nonlocal reconstruction_ok, blue
+        diffuse_blues(at)
+        on = ids[:n]
+        pos[on], last[on] = block[:n], at
+        if pending:
+            rounds = {}
+            for e, r in enumerate(dict_rounds([p for _, p, _ in pending],
+                                              [c for _, _, c in pending])):
+                rounds.setdefault(r, []).append(e)
+            t_rec, parents, children = np.array(pending).T
+            parents, children = parents.astype(np.intp), children.astype(np.intp)
+            for r in rounds.values():
+                p, c, t = parents[r], children[r], t_rec[r]
+                pos[c], last[c] = read(p, t), t
+                exceeded[c], tie_lineage[c] = exceeded[p], tie_lineage[p]
+            pending.clear()
+        read(np.flatnonzero(last[:m] < at), at)
+        blue = np.zeros(m, dtype=bool)
+        blue[on] = True
+        check = tie_lineage[:m] | (~exceeded[:m] == blue)
+        reconstruction_ok = reconstruction_ok and bool(np.all(check))
+
+    def observe(at):
+        nonlocal domination_ok
+        all_norms = np.sqrt(np.einsum("ij,ij->i", pos[:m], pos[:m]))
+        ok = dominated_unique(all_norms[blue], all_norms, n)
+        domination_ok = domination_ok and ok
+        obs.append(CoupledObservation(at, np.sort(all_norms[blue]), np.sort(all_norms),
+                                      ok, int(blue.sum())))
+
+    gaps, picks, i = [], [], 0
+    while True:
+        if i == len(gaps):
+            rates = m + np.arange(sim._CLOCK_BLOCK)
+            gaps = (rng.standard_exponential(sim._CLOCK_BLOCK) / rates).tolist()
+            picks = rng.integers(0, rates).tolist()
+            i = 0
+        t_next, idx = now + gaps[i], picks[i]
+        i += 1
+        while schedule and schedule[0] <= min(t_next, end):
+            at = schedule.pop(0)
+            read_all(at)
+            observe(at)
+        if t_next >= end:
+            break
+        now = t_next
+        events += 1
+        if m == len(last):
+            pos, last, exceeded, tie_lineage = (np.concatenate((a, np.empty_like(a)))
+                                                for a in (pos, last, exceeded, tie_lineage))
+        child, m = m, m + 1
+        if m > sim._POPULATION_CAP:
+            raise ResourceError(f"coupled BBM population exceeded cap {sim._POPULATION_CAP}")
+        j = row.get(idx)
+        if j is None:
+            pending.append((now, idx, child))
+            continue
+
+        diffuse_blues(now)
+        block[n] = block[j]
+        np.einsum("ij,ij->i", block, block, out=norms)
+        np.sqrt(norms, out=norms)
+        k = int(norms.argmax())
+        top = norms[k]
+        if not math.isfinite(top):
+            raise SimulationError(f"nonfinite position at event {events}")
+        m_blue = max(norms[:k].max(initial=-math.inf), norms[k + 1:].max(initial=-math.inf))
+        ids[n] = child
+        exceeded[child], tie_lineage[child] = exceeded[idx], tie_lineage[idx]
+        tie = top <= m_blue + 1e-15
+        if tie:
+            tied = np.flatnonzero(norms == top)
+            k = int(tied[ids[tied].argmin()])
+        flip = int(ids[k])
+        tie_lineage[flip] |= tie
+        exceeded[ids] |= norms > m_blue
+        wrong = exceeded[ids] > tie_lineage[ids]
+        wrong[k] = not (exceeded[flip] or tie_lineage[flip])
+        reconstruction_ok = reconstruction_ok and not wrong.any()
+        pos[flip], last[flip] = block[k], now
+        del row[flip]
+        if k < n:
+            block[k], ids[k], row[child] = block[n], child, k
+
+    now = end
+    read_all(end)
+    for target in schedule:
+        observe(target)
+
+    pos = pos[:m].copy()
+    return CoupledRunResult(obs, ParticleEnsemble(d, pos[blue], now), BbmForest(d, pos, now, blue),
+                            events, domination_ok, reconstruction_ok)
+
+
 def far_start(n, d):
     """n particles near the origin and particle 1 at 1e200, whose squared
     norm overflows to inf."""
@@ -207,6 +368,7 @@ def far_start(n, d):
 
 
 class TestAdvanceNbbm:
+    @pytest.mark.slow
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_matches_reference_loop(self, d, monkeypatch):
         # the lazy engine against the dense loop in law, at N = 2, 50 and
@@ -363,6 +525,7 @@ class TestAdvanceNbbm:
         assert len(log.times) == len(log.branching) == len(log.removed)
         assert [a.typecode for a in (log.times, log.branching, log.removed)] == ["d", "q", "q"]
 
+    @pytest.mark.slow
     def test_selection_replica_memory(self):
         # a default selection replica (N=2000, t=15) logs ~32k events; as
         # Python lists at ~100 B an event its tracemalloc peak was 3.8 MB,
@@ -518,6 +681,40 @@ class TestCoupledRun:
         assert res.forest_final.population > 10_000
         assert held <= 48 * res.forest_final.population
 
+    def test_peak_memory_per_particle(self):
+        # the red branchings wait for their replay in typed arrays of 24 B
+        # each; as a tuple each, with the replay rounds built in dicts and
+        # lists, the run's peak was ~344 B per forest particle
+        n, d = 200, 2
+        params = SimParams(dim=d, population=n)
+        ens = ParticleEnsemble(d, replica_rng(39, 0).uniform(-1, 1, (n, d)))
+        tracemalloc.start()
+        try:
+            res = coupled_run(params, ens, 5.0, replica_rng(39, 1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert res.forest_final.population > 10_000
+        assert peak <= 240 * res.forest_final.population
+
+    @pytest.mark.parametrize("clock, schedule, first", [(0.0, (0.5, 1.0, 5.0), "5.0"),
+                                                        (2.0, (0.5, 2.5), "0.5"),
+                                                        (0.0, (1.0 + 1e-11,), "1.00000000001")])
+    def test_schedule_outside_run_rejected(self, clock, schedule, first):
+        # the times outside [clock, clock + duration] used to be dropped
+        # without a word
+        params = SimParams(dim=1, population=3, record_schedule=schedule)
+        ens = ParticleEnsemble(1, np.zeros((3, 1)), clock)
+        with pytest.raises(ValueError, match=rf"record_schedule time {first} is outside"):
+            coupled_run(params, ens, 1.0, replica_rng(26, 0))
+
+    def test_schedule_slack_at_the_end(self):
+        # a time within 1e-12 past the end is observed, at the end's positions
+        params = SimParams(dim=1, population=3, record_schedule=(0.0, 1.0, 1.0 + 5e-13))
+        res = coupled_run(params, origin_ensemble(3, 1), 1.0, replica_rng(26, 0))
+        assert [o.time for o in res.observations] == [0.0, 1.0, 1.0 + 5e-13]
+        assert np.array_equal(res.observations[1].all_norms, res.observations[2].all_norms)
+
     def test_blue_subset_of_forest(self):
         params = SimParams(dim=1, population=30)
         ens = ParticleEnsemble(1, replica_rng(16, 0).standard_normal((30, 1)))
@@ -648,6 +845,74 @@ class TestCoupledRun:
         params = SimParams(dim=2, population=5)
         with pytest.raises(SimulationError, match="nonfinite position at event 1$"):
             coupled_run(params, origin_ensemble(5, 2), 1.0, _NanRng(replica_rng(33, 0)))
+
+
+class TestCoupledRunBits:
+    """``coupled_run`` against ``reference_one_clock_run``, which draws the
+    same stream: every output must keep its bits."""
+
+    @pytest.mark.parametrize("observed", [False, True])
+    @pytest.mark.parametrize("n", [1, 20, 200])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_matches_reference_one_clock_run(self, d, n, observed):
+        clock, duration = 0.25, (1.0 if n == 200 else 2.0)
+        # observations at the start, inside and at the end of the run
+        schedule = (clock, clock + 0.3, clock + 0.8, clock + duration) if observed else ()
+        params = SimParams(dim=d, population=n, record_schedule=schedule)
+        for seed in range(20):
+            ens = ParticleEnsemble(d, replica_rng(seed, 90 + d).uniform(-1, 1, (n, d)), clock)
+            got = coupled_run(params, ens, duration, replica_rng(seed, 100 * d + n))
+            ref = reference_one_clock_run(params, ens, duration, replica_rng(seed, 100 * d + n))
+            assert np.array_equal(got.forest_final.positions, ref.forest_final.positions)
+            assert np.array_equal(got.forest_final.blue, ref.forest_final.blue)
+            assert np.array_equal(got.blue_final.positions, ref.blue_final.positions)
+            assert got.forest_final.clock == ref.forest_final.clock == got.blue_final.clock
+            assert (got.events, got.domination_ok, got.reconstruction_ok) == \
+                (ref.events, ref.domination_ok, ref.reconstruction_ok)
+            assert len(got.observations) == len(ref.observations) == len(schedule)
+            for a, b in zip(got.observations, ref.observations):
+                assert (a.time, a.dominated, a.blue_count) == (b.time, b.dominated, b.blue_count)
+                assert np.array_equal(a.blue_norms, b.blue_norms)
+                assert np.array_equal(a.all_norms, b.all_norms)
+
+    # few distinct values, some 1e-12 apart, so ties and the slack both show
+    _norm = st.one_of(st.sampled_from([0.0, 0.5, 1.0, 1.0 + 1e-12, 1.0 + 2e-12, 3.0]),
+                      st.floats(0.0, 4.0))
+
+    @given(blue=st.lists(_norm, max_size=30), rest=st.lists(_norm, max_size=30),
+           n=st.integers(1, 40), subset=st.booleans())
+    def test_dominated_on_sorted_norms_matches_unique(self, blue, rest, n, subset):
+        # the blues are a subset of the forest in coupled_run; the check
+        # must not rely on it
+        every = blue + rest if subset else rest
+        assert _dominated(np.sort(blue), np.sort(every), n) == \
+            dominated_unique(np.array(blue), np.array(every), n)
+
+    @st.composite
+    def _red_log(draw):
+        """A log of red branchings: each child is a new index, blue events
+        take indices in between, and parents are often the newest child or
+        the last parent, so chains run deep."""
+        m = draw(st.integers(1, 5))
+        parents, children = [], []
+        for _ in range(draw(st.integers(0, 80))):
+            how = draw(st.integers(0, 2)) if children else 0
+            if how == 0:
+                parents.append(draw(st.integers(0, m - 1)))
+            else:   # the newest child, or the last parent again
+                parents.append(children[-1] if how == 1 else parents[-1])
+            m += draw(st.integers(0, 2))
+            children.append(m)
+            m += 1
+        return parents, children
+
+    @given(log=_red_log())
+    @example(log=(list(range(3000)), list(range(1, 3001))))   # one chain, 3000 rounds
+    def test_replay_rounds_match_dict_rounds(self, log):
+        parents, children = log
+        rounds = _replay_rounds(np.array(parents, dtype=np.int64),
+                                np.array(children, dtype=np.int64))
+        assert rounds.tolist() == dict_rounds(parents, children)
 
 
 class TestSphericallyOrderedPairs:
