@@ -92,10 +92,6 @@ class SimParams:
     record_schedule: tuple[float, ...] = ()
 
     def __post_init__(self):
-        if self.population < 1:
-            raise ValueError("population must be >= 1")
-        if self.dim < 1:
-            raise ValueError("dim must be >= 1")
         sched = tuple(float(s) for s in self.record_schedule)
         if not all(0.0 <= s < math.inf for s in sched) or any(
                 b <= a for a, b in zip(sched, sched[1:])):
@@ -671,6 +667,11 @@ _POPULATION_CAP = 10_000_000
 
 @dataclass(frozen=True)
 class CoupledObservation:
+    """The sorted blue and forest norms at one ``record_schedule`` time, and
+    whether the blue count below every radius is at most the forest's
+    (capped at N).  That count form holds for any N particles of the forest,
+    so it cannot tell a wrong selection rule from the right one."""
+
     time: float
     blue_norms: np.ndarray
     all_norms: np.ndarray
@@ -680,6 +681,11 @@ class CoupledObservation:
 
 @dataclass(frozen=True)
 class CoupledRunResult:
+    """A :func:`coupled_run`: its observations, the final blues and forest,
+    the number of branchings, ``domination_ok`` (every observation
+    ``dominated``) and ``reconstruction_ok`` (at every blue event the blue
+    that turned red was a furthest blue)."""
+
     observations: list[CoupledObservation]
     blue_final: ParticleEnsemble
     forest_final: BbmForest
@@ -715,6 +721,17 @@ def _replay_rounds(parents: np.ndarray, children: np.ndarray) -> np.ndarray:
     return rounds
 
 
+def _furthest(norms: np.ndarray, ids: np.ndarray) -> int:
+    """The row of the blue that turns red: the first max of ``norms``, or on
+    exact ties the tied row with the lowest forest index ``ids``."""
+    k = int(norms.argmax())
+    same = norms == norms[k]
+    if np.count_nonzero(same) > 1:
+        tied = np.flatnonzero(same)
+        k = int(tied[ids[tied].argmin()])
+    return k
+
+
 def coupled_run(params: SimParams, initial: ParticleEnsemble, duration: float,
                 rng: np.random.Generator) -> CoupledRunResult:
     """One BBM driving both processes: ``forest_final`` is the free BBM
@@ -723,13 +740,13 @@ def coupled_run(params: SimParams, initial: ParticleEnsemble, duration: float,
     and every ``record_schedule`` time must lie in the run.
 
     When a blue particle branches both offspring are blue and the furthest
-    blue (lowest forest index on ties) turns red; red particles breed red.
-    Records at each observation time whether the blue empirical CDF is
-    dominated by the clipped BBM CDF (a pathwise identity under this
-    coupling), and verifies at event times that the blue set equals the set
-    of particles whose paths never exceeded the running blue maximum --
-    excluding lineages that tied the maximum exactly at their flip event,
-    where the event-time check is inconclusive by construction.
+    blue (lowest forest index on exact ties) turns red; red particles breed
+    red.  ``reconstruction_ok`` checks that at each blue event the blue that
+    turns red has a norm at least that of every other blue, so is a
+    furthest blue.  Each observation records whether the blue empirical CDF
+    is dominated by the clipped BBM CDF; in its count form this holds for
+    any N particles of the forest, so a wrong selection shows in
+    ``reconstruction_ok`` and in the blues' law, not in ``domination_ok``.
 
     One clock drives the forest: with m particles the next branching comes
     after an Exp(m) gap at a uniform index below m (superposition and
@@ -745,17 +762,6 @@ def coupled_run(params: SimParams, initial: ParticleEnsemble, duration: float,
     selection acts on red particles, so their positions between reads enter
     no output.  The forest, blue set, observations and flags have the joint
     law of a loop that diffuses every particle across every gap.
-
-    The reconstruction check keeps its meaning.  The blues' ``exceeded``
-    and ``tie_lineage`` live in two arrays aligned with the block, updated
-    from the norms read at each blue event and written to the forest at a
-    flip, and for all N at each observation and at the end.  A particle
-    turns red with a flag already set, both flags only grow and children
-    inherit both, so a red particle passes the check whatever its later
-    norms; a blue particle's flags can change only at blue events, where
-    every blue is read.  Checking the N+1 blues at each blue event, and
-    every particle at each observation and at the end, therefore checks
-    the predicate over the whole forest at every event.
     """
     _nonnegative("duration", duration)
     n, d = params.population, params.dim
@@ -772,14 +778,11 @@ def coupled_run(params: SimParams, initial: ParticleEnsemble, duration: float,
     m = n
     pos = np.concatenate((initial.positions, np.empty((n, d))))
     last = np.full(2 * n, now)               # time each position was last drawn
-    # ever strictly above the blue max, and tied it at a flip
-    exceeded, tie_lineage = np.zeros((2, 2 * n), dtype=bool)
     cap = min(2 * n, _POPULATION_CAP)        # at m = cap the arrays grow or the run stops
-    # the blues, drawn at b_clock, their forest indices and flags (their
-    # forest rows are stale); row n takes a blue event's child
+    # the blues, drawn at b_clock, and their forest indices (their forest
+    # rows are stale); row n takes a blue event's child
     block = np.concatenate((initial.positions, np.empty((1, d))))
     ids = np.arange(n + 1)
-    b_exc, b_tie = np.zeros((2, n + 1), dtype=bool)
     row = {i: i for i in range(n)}         # forest index -> block row
     b_clock = now
     step, norms = np.empty((n, d)), np.empty(n + 1)
@@ -807,10 +810,10 @@ def coupled_run(params: SimParams, initial: ParticleEnsemble, duration: float,
         b_clock = at
 
     def read_all(at):
-        nonlocal reconstruction_ok, blue
+        nonlocal blue
         diffuse_blues(at)
         on = ids[:n]
-        pos[on], last[on], exceeded[on], tie_lineage[on] = block[:n], at, b_exc[:n], b_tie[:n]
+        pos[on], last[on] = block[:n], at
         if red_t:
             t_rec, parents, children = (np.array(a) for a in (red_t, red_p, red_c))
             del red_t[:], red_p[:], red_c[:]
@@ -819,12 +822,9 @@ def coupled_run(params: SimParams, initial: ParticleEnsemble, duration: float,
             for r in np.split(np.argsort(rounds, kind="stable"), cuts):
                 p, c, t = parents[r], children[r], t_rec[r]
                 pos[c], last[c] = read(p, t), t
-                exceeded[c], tie_lineage[c] = exceeded[p], tie_lineage[p]
         read(np.flatnonzero(last[:m] < at), at)
         blue = np.zeros(m, dtype=bool)
         blue[on] = True
-        check = tie_lineage[:m] | (~exceeded[:m] == blue)
-        reconstruction_ok = reconstruction_ok and bool(np.all(check))
 
     def observe(at: float):
         nonlocal domination_ok
@@ -857,8 +857,7 @@ def coupled_run(params: SimParams, initial: ParticleEnsemble, duration: float,
         if m >= cap:
             if m >= _POPULATION_CAP:
                 raise ResourceError(f"coupled BBM population exceeded cap {_POPULATION_CAP}")
-            pos, last, exceeded, tie_lineage = (np.concatenate((a, np.empty_like(a)))
-                                                for a in (pos, last, exceeded, tie_lineage))
+            pos, last = (np.concatenate((a, np.empty_like(a))) for a in (pos, last))
             cap = min(len(last), _POPULATION_CAP)
         child, m = m, m + 1
         j = row.get(idx)
@@ -869,35 +868,19 @@ def coupled_run(params: SimParams, initial: ParticleEnsemble, duration: float,
             continue
 
         diffuse_blues(now)
-        block[n], b_exc[n], b_tie[n] = block[j], b_exc[j], b_tie[j]
+        block[n], ids[n] = block[j], child
         np.einsum("ij,ij->i", block, block, out=norms)
         np.sqrt(norms, out=norms)
-        k = int(norms.argmax())   # the first NaN, else the first max
-        top = norms[k]
+        top = norms[norms.argmax()]   # the first NaN, else the max
         if not math.isfinite(top):
             raise SimulationError(f"nonfinite position at event {events}")
-        norms[k] = -math.inf
-        m_blue = norms.max()
-        norms[k] = top
-        ids[n] = child
-        tie = top <= m_blue + 1e-15
-        if tie:   # exact ties resolve to the lowest forest index
-            tied = np.flatnonzero(norms == top)
-            k = int(tied[ids[tied].argmin()])
+        k = _furthest(norms, ids)
+        reconstruction_ok = reconstruction_ok and bool(norms[k] >= top)
         flip = int(ids[k])
-        b_tie[k] |= tie
-        b_exc |= norms > m_blue
-        # blue particles never exceed the blue maximum; a mismatch on a
-        # non-tie lineage means the bookkeeping (not randomness) is wrong
-        wrong = b_exc > b_tie
-        wrong[k] = not (b_exc[k] or b_tie[k])
-        reconstruction_ok = reconstruction_ok and not wrong.any()
         pos[flip], last[flip] = block[k], now
-        exceeded[flip], tie_lineage[flip] = b_exc[k], b_tie[k]
         del row[flip]
         if k < n:   # the child takes the flipped blue's row
             block[k], ids[k], row[child] = block[n], child, k
-            b_exc[k], b_tie[k] = b_exc[n], b_tie[n]
 
     read_all(end)
     for target in schedule:

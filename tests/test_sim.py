@@ -795,6 +795,17 @@ class TestCoupledRun:
             assert np.array_equal(res.blue_final.positions, forest.positions[[b]])
         assert branched >= 10
 
+    def test_nearest_blue_selection_fails_reconstruction(self, monkeypatch):
+        # with the nearest blue turning red the blues are still N particles
+        # of the forest, so domination holds; only the event-time check sees it
+        monkeypatch.setattr(sim, "_furthest", lambda norms, ids: int(norms.argmin()))
+        params = SimParams(dim=2, population=20, record_schedule=(0.5,))
+        ens = ParticleEnsemble(2, replica_rng(41, 0).uniform(-1, 1, (20, 2)))
+        res = coupled_run(params, ens, 1.0, replica_rng(41, 1))
+        assert res.events > 0
+        assert res.reconstruction_ok is False
+        assert res.domination_ok
+
     def test_replayed_red_particle_marginal(self):
         # with one blue nearly every event is red and replayed at an
         # observation or the end; a uniformly chosen particle at t is still
