@@ -149,14 +149,6 @@ class RadialProfile:
         """sup_r |self(r) - other(r)|, exact for step functions."""
         return max(_max_excess(self, other), _max_excess(other, self))
 
-    def clipped(self, m: float) -> "RadialProfile":
-        """Pointwise min with m, preserving the step structure."""
-        if not self.values.size or m >= self.final_value:
-            return self
-        val = np.minimum(self.values, m)
-        keep = np.diff(val, prepend=0.0) > 0.0
-        return RadialProfile(self.locations[keep], val[keep], self.domain_cap)
-
     # -- serialization -----------------------------------------------------
 
     def to_csv(self) -> str:
@@ -300,9 +292,12 @@ def discretize_cdf(cdf, r_max: float, n_nodes: int, mode: str) -> RadialProfile:
     On n_nodes equispaced nodes of [0, r_max], mode 'upper' takes each
     cell's value from its right node and 'lower' from its left node, so the
     result brackets the CDF from that side; 'nearest' takes the mean of the
-    two node values (the first cell stays 0, as in 'lower').
+    two node values (the first cell stays 0, as in 'lower').  r_max must be
+    positive and finite and n_nodes at least 2, else ``ValueError``.
     """
-    grid = np.linspace(0.0, r_max, n_nodes)
+    if n_nodes < 2:
+        raise ValueError(f"n_nodes must be at least 2, got {n_nodes!r}")
+    grid = np.linspace(0.0, _positive("r_max", r_max), n_nodes)
     v = np.clip(np.asarray(cdf(grid), dtype=float), 0.0, 1.0)
     if mode == "upper":
         loc, val = np.concatenate(([0.0], grid[1:-1])), v[1:]

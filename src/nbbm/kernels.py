@@ -759,69 +759,47 @@ def _trimmed(c: np.ndarray) -> np.ndarray:
     return c[:0]
 
 
-def _lattice_jumps(locs: np.ndarray, sizes: np.ndarray, r_nodes: np.ndarray,
-                   h: float) -> list[np.ndarray]:
-    """Jump sizes by lattice index, one array per row of ``sizes``, each
-    trimmed after its own last nonzero jump.  When ``locs`` is the lattice
-    prefix r_nodes[:m], one jump per node as the solver's step passes them,
-    each row already is its jump array: adding 0.0 turns -0.0 into 0.0 as
-    the bincount of other locs does."""
-    slack = 1e-9 * h
-    n = r_nodes.size
-    # written as not <= so that a NaN fails the check
-    if not np.all(np.abs(r_nodes - np.arange(n, dtype=float) * h) <= slack):
-        raise ValueError("r_nodes must be the lattice i*lattice_h for i = 0..n-1")
-    if locs.size <= n and np.array_equal(locs, r_nodes[:locs.size]):
-        rows = sizes + 0.0
-    else:
-        idx = np.rint(locs / h)
-        if not np.all(np.abs(locs - idx * h) <= slack) or idx.min() < 0 or idx.max() >= n:
-            raise ValueError("locs must lie on the lattice i*lattice_h inside the nodes")
-        idx = idx.astype(np.int64)
-        rows = [np.bincount(idx, weights=row) for row in sizes]
-    return [_trimmed(c) for c in rows]
-
-
 def mixture_node_values(dim: int, t: float, locs: np.ndarray, sizes: np.ndarray,
                         r_nodes: np.ndarray, *,
-                        lattice_h: float) -> tuple[np.ndarray, float | np.ndarray]:
-    """Evaluate sum_j sizes_j * w(locs_j, r, t) at the lattice nodes.
+                        lattice_h: float) -> tuple[np.ndarray, np.ndarray]:
+    """Evaluate the mixtures sum_j sizes[k, j] * w(locs_j, r, t), one per row
+    of ``sizes``, at the lattice nodes.
 
-    ``r_nodes`` must be the lattice i*lattice_h for i = 0..n-1 and ``locs``
-    must lie on it (to 1e-9 * lattice_h, else ``ValueError``); d in {1, 3}
-    takes the band-limited image route and every other d the anchored
-    Taylor route on tables cached per lattice.  Every dropped tail is at
-    most 2^-56 per unit mass.  Returns (values, certified absolute
-    evaluation error).
-
-    ``sizes`` of shape (k, len(locs)) holds k mixtures on the same ``locs``
-    and nodes, and the call returns (k, n) values and k errors.  The
-    lattice is checked once and each row evaluated on its own: it gets the
-    bits that a call with that row alone returns, and neither a node's
-    value nor the error depends on how many nodes follow it.  ``locs``
-    equal to r_nodes[:m], as the solver passes them, skip the binning of
-    jumps to lattice indices: each row is already its jump array.
+    ``r_nodes`` must be the lattice i*lattice_h for i = 0..n-1 (to 1e-9 *
+    lattice_h), ``locs`` its prefix r_nodes[:m] and ``sizes`` of shape
+    (k, m): one jump per node from the origin, as the solver's step passes
+    them.  Any other shape raises ``ValueError``.  d in {1, 3} takes the
+    band-limited image route and every other d the anchored Taylor route on
+    tables cached per lattice.  Every dropped tail is at most 2^-56 per unit
+    mass.  Returns (k, n) values and k certified absolute evaluation errors.
+    Each row is evaluated on its own: it gets the bits that a call with that
+    row alone returns, and neither a node's value nor the error depends on
+    how many nodes follow it.
     """
     if dim < 1:
         raise ValueError("dim must be >= 1")
     _positive("t", t)
+    h = _positive("lattice_h", lattice_h)
     locs = np.asarray(locs, dtype=float)
     sizes = np.asarray(sizes, dtype=float)
     r_nodes = np.asarray(r_nodes, dtype=float)
-    if sizes.ndim not in (1, 2) or sizes.shape[-1] != locs.size:
-        raise ValueError(f"sizes must have shape ({locs.size},) or (k, {locs.size}), "
-                         f"got {sizes.shape}")
+    n, m = r_nodes.size, locs.size
+    # written as not <= so that a NaN fails the check
+    if not np.all(np.abs(r_nodes - np.arange(n, dtype=float) * h) <= 1e-9 * h):
+        raise ValueError("r_nodes must be the lattice i*lattice_h for i = 0..n-1")
+    if not np.array_equal(locs, r_nodes[:m]):
+        raise ValueError(f"locs must be the lattice prefix r_nodes[:m]; got {locs.shape} "
+                         f"locs that are not the first of {n} nodes")
+    if sizes.ndim != 2 or sizes.shape[1] != m:
+        raise ValueError(f"sizes must have shape (k, {m}), got {sizes.shape}")
     if not np.all(np.isfinite(sizes)):
         raise ValueError("sizes must be finite")
-    rows = sizes if sizes.ndim == 2 else sizes[None]
-    h = _positive("lattice_h", lattice_h)
-    cs = _lattice_jumps(locs, rows, r_nodes, h) if locs.size else [locs[:0]] * len(rows)
-    vals, errs = np.zeros((len(cs), r_nodes.size)), np.zeros(len(cs))
+    cs = [_trimmed(c) for c in sizes + 0.0]  # each row is its jump array; -0.0 becomes 0.0
+    vals, errs = np.zeros((len(cs), n)), np.zeros(len(cs))
     live = [k for k, c in enumerate(cs) if c.size]
     if dim in (1, 3):
         for k in live:
-            vals[k], errs[k] = _lattice_images(dim, float(t), cs[k], h, r_nodes.size)
+            vals[k], errs[k] = _lattice_images(dim, float(t), cs[k], h, n)
     elif live:
-        vals[live], errs[live] = _lattice_anchored(dim, float(t), [cs[k] for k in live], h,
-                                                   r_nodes.size)
-    return (vals, errs) if sizes.ndim == 2 else (vals[0], float(errs[0]))
+        vals[live], errs[live] = _lattice_anchored(dim, float(t), [cs[k] for k in live], h, n)
+    return vals, errs

@@ -49,7 +49,6 @@ __all__ = [
     "analytic_gap",
     "default_grid_step",
     "solve_sandwich",
-    "branch_step",
     "free_boundary_radius",
     "stationary_state",
 ]
@@ -122,9 +121,6 @@ class SolveRequest:
     def __post_init__(self):
         _positive("horizon", self.horizon)
         _positive("step_size", self.step_size)
-        if self.grid_step is not None:
-            _positive("grid_step", self.grid_step)
-        _check_initial(self.initial)
 
 
 class SolveTrace:
@@ -163,41 +159,31 @@ def _active_len(p: np.ndarray) -> int:
     return int(np.searchsorted(p, p[-1])) + 1
 
 
-def branch_step(dim: int, delta: float, h: float, p: np.ndarray,
-                upper: bool) -> tuple[np.ndarray, float]:
-    """One sandwich step of one branch on the lattice i*h.
-
-    ``p[i]`` is the branch value on the cell (i h, (i+1) h] and p is
-    nondecreasing.  The upper step is C_1 e^delta G_delta p rounded up
-    across each cell, the lower step e^delta G_delta C_{exp(-delta)} p
-    rounded down; node values are first moved up (upper) or down (lower)
-    by e^delta times the kernel's certified evaluation error, so each
-    branch bounds its exact step.  Past the first node within _TRUNC_TOL of
-    the total mass the tail is frozen.  When the kernel's support band
-    needs n_need > p.size cells, the result has n_need + max(64, n_need // 8)
-    cells, padded with its last value.
-    Returns the stepped array and the allowance this step adds to the
-    branch's grid gap: the largest cell oscillation, e^delta times the
-    kernel's evaluation error, the outward move by as much again, and the
-    tail freeze.  This is the one-branch case of the solver's step, which
-    steps both branches with one kernel call (:func:`_sandwich_step`).
-    """
-    return _sandwich_step(dim, delta, h, [(p, upper)])[0]
-
-
-def _sandwich_step(dim: int, delta: float, h: float,
-                   branches: list[tuple[np.ndarray, bool]]
+def _sandwich_step(dim: int, delta: float, h: float, p_up: np.ndarray, p_lo: np.ndarray
                    ) -> list[tuple[np.ndarray, float]]:
-    """:func:`branch_step` of each (p, upper) branch, all of one length,
-    with one call to the module binding ``mixture_node_values``.
+    """One sandwich step of the bracket pair on the lattice i*h, with one
+    call to the module binding ``mixture_node_values``.
+
+    ``p[i]`` is a branch's value on the cell (i h, (i+1) h]; both branches
+    are nondecreasing and of one length.  The upper step is C_1 e^delta
+    G_delta p_up rounded up across each cell, the lower step e^delta G_delta
+    C_{exp(-delta)} p_lo rounded down; node values are first moved up
+    (upper) or down (lower) by e^delta times the kernel's certified
+    evaluation error, so each branch bounds its exact step.  Past the first
+    node within _TRUNC_TOL of the total mass the tail is frozen.  Returns
+    [(p_up', eps_up), (p_lo', eps_lo)]: each stepped array and the allowance
+    this step adds to its branch's grid gap, the largest cell oscillation,
+    e^delta times the kernel's evaluation error, the outward move by as much
+    again, and the tail freeze.
 
     The kernel gets one row of jump sizes per branch, zero past the
     branch's own active cells, on the nodes of the branch with the largest
     n_need, and each branch reads its own n_need of them: a row's values
-    there do not depend on the nodes past them.  All branches come out at
-    one length: the input length while each branch's n_need fits in it; a
-    branch that needs more sets it to n_need + max(64, n_need // 8), in
-    branch order, and the others are padded with their last value.
+    there do not depend on the nodes past them, so each branch gets the bits
+    it would get stepped alongside a copy of itself.  Both branches come out
+    at one length: the input length while each branch's n_need fits in it;
+    a branch that needs more sets it to n_need + max(64, n_need // 8), the
+    upper first, and the other is padded with its last value.
 
     Each pass reads only the cells its result needs: a branch its n_act
     active cells (p and min(p, e^-delta) turn flat at the same cell), the
@@ -208,27 +194,23 @@ def _sandwich_step(dim: int, delta: float, h: float,
     max(w, 0) on the lower one.  A NaN in the values a branch reads
     reaches its allowance and raises ``FloatingPointError``.
     """
-    _positive("delta", delta)
-    _positive("h", h)
     e_d, cut = math.exp(delta), math.exp(-delta)
     band = int(math.ceil(support_band(delta, dim) / h)) + 2
-    n_acts = [_active_len(p) if upper else int(np.searchsorted(p, min(p[-1], cut))) + 1
-              for p, upper in branches]
-    p_ins = [p[:n_act] if upper else np.minimum(p[:n_act], cut)
-             for (p, upper), n_act in zip(branches, n_acts)]
-    n = branches[0][0].size
+    n_acts = [_active_len(p_up), int(np.searchsorted(p_lo, min(p_lo[-1], cut))) + 1]
+    p_ins = [p_up[:n_acts[0]], np.minimum(p_lo[:n_acts[1]], cut)]
+    n = p_up.size
     for n_act in n_acts:
         if n_act + band > n:
             n = n_act + band + max(64, (n_act + band) // 8)
     n_jumps = max(n_acts)
     nodes = np.arange(n_jumps + band, dtype=float) * h
-    sizes = np.zeros((len(branches), n_jumps))
+    sizes = np.zeros((2, n_jumps))
     for row, p_in in zip(sizes, p_ins):
         row[0] = p_in[0]
         np.subtract(p_in[1:], p_in[:-1], out=row[1:p_in.size])
     vals, errs = mixture_node_values(dim, delta, nodes[:n_jumps], sizes, nodes, lattice_h=h)
     stepped = []
-    for (_, upper), p_in, v, eval_err in zip(branches, p_ins, vals, errs.tolist()):
+    for upper, p_in, v, eval_err in zip((True, False), p_ins, vals, errs.tolist()):
         n_need = p_in.size + band
         w = _running_max(v[:n_need])
         w *= e_d
@@ -332,7 +314,7 @@ class SandwichSolver:
         e_d = math.exp(self.delta)
         for _ in range(int(k)):
             (self.p_up, eps_up), (self.p_lo, eps_lo) = _sandwich_step(
-                self.dim, self.delta, self.h, [(self.p_up, True), (self.p_lo, False)])
+                self.dim, self.delta, self.h, self.p_up, self.p_lo)
             if self.p_up.size > self.grid.size:
                 self.grid = np.arange(self.p_up.size) * self.h
             self.d_up = e_d * self.d_up + eps_up

@@ -31,6 +31,7 @@ Red particles are never selected, so the skipped positions enter no output.
 from __future__ import annotations
 
 import math
+import operator
 from array import array
 from bisect import bisect_right
 from dataclasses import dataclass, field
@@ -74,8 +75,13 @@ def replica_rng(seed: int, replica: int = 0) -> np.random.Generator:
     Distinct replicas get statistically independent streams and the mapping
     is reproducible regardless of how replicas are scheduled across workers.
     """
-    if not (0 <= seed < 2**64 and 0 <= replica < 2**64):
-        raise ValueError(f"seed and replica must lie in [0, 2^64), got {seed}, {replica}")
+    for name, value in (("seed", seed), ("replica", replica)):
+        try:  # refuses a float, which the uint64 cast would truncate onto another key
+            ok = 0 <= operator.index(value) < 2**64
+        except TypeError:
+            ok = False
+        if not ok:
+            raise ValueError(f"{name} must be an integer in [0, 2^64), got {value!r}")
     key = np.array([seed, replica], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
@@ -83,20 +89,13 @@ def replica_rng(seed: int, replica: int = 0) -> np.random.Generator:
 @dataclass(frozen=True)
 class SimParams:
     """The input of :func:`coupled_run`: dimension, population N and the
-    times at which it records an observation.  N and the dimension must
-    match the initial ensemble's.  Randomness comes from the generator
-    passed to each run (see :func:`replica_rng`)."""
+    times at which it records an observation, all checked by the run.  N
+    and the dimension must match the initial ensemble's.  Randomness comes
+    from the generator passed to each run (see :func:`replica_rng`)."""
 
     dim: int
     population: int
     record_schedule: tuple[float, ...] = ()
-
-    def __post_init__(self):
-        sched = tuple(float(s) for s in self.record_schedule)
-        if not all(0.0 <= s < math.inf for s in sched) or any(
-                b <= a for a, b in zip(sched, sched[1:])):
-            raise ValueError("record_schedule must be finite, nonnegative, strictly increasing")
-        object.__setattr__(self, "record_schedule", sched)
 
 
 @dataclass
@@ -737,7 +736,8 @@ def coupled_run(params: SimParams, initial: ParticleEnsemble, duration: float,
     """One BBM driving both processes: ``forest_final`` is the free BBM
     (ResourceError past ``_POPULATION_CAP`` particles) and its blue subset
     evolves as the N-system.  ``params`` must match ``initial``'s N and d,
-    and every ``record_schedule`` time must lie in the run.
+    and the ``record_schedule`` times must lie in the run, strictly
+    increasing.
 
     When a blue particle branches both offspring are blue and the furthest
     blue (lowest forest index on exact ties) turns red; red particles breed
@@ -770,10 +770,12 @@ def coupled_run(params: SimParams, initial: ParticleEnsemble, duration: float,
                          f"params say N={n}, d={d}")
     now = initial.clock
     end = initial.clock + duration
-    schedule = list(params.record_schedule)
+    schedule = [float(s) for s in params.record_schedule]
     outside = [s for s in schedule if not now <= s <= end + 1e-12]
     if outside:
         raise ValueError(f"record_schedule time {outside[0]!r} is outside [{now!r}, {end!r}]")
+    if any(b <= a for a, b in zip(schedule, schedule[1:])):
+        raise ValueError(f"record_schedule times must be strictly increasing, got {schedule}")
     # the forest is the first m rows of arrays that double when full
     m = n
     pos = np.concatenate((initial.positions, np.empty((n, d))))

@@ -58,40 +58,10 @@ class TestRadialProfile:
         assert f.sup_distance(g) == 1.0
         assert f.sup_distance(f) == 0.0
 
-    def test_clipped(self):
-        f = RadialProfile.from_jumps([0.5, 1.0, 2.0], [0.2, 0.6, 1.0])
-        g = f.clipped(0.6)
-        assert g(3.0) == 0.6 and g(0.7) == 0.2
-        assert f.clipped(1.0) is f
-        assert f.clipped(0.0).final_value == 0.0
-
-    @pytest.mark.parametrize("m", [0.0, -1.0])
-    def test_clipped_to_nothing_is_the_empty_profile(self, m):
-        f = RadialProfile.from_jumps([0.5, 1.0, 2.0], [0.2, 0.6, 1.0], 7.0)
-        g, empty = f.clipped(m), RadialProfile.from_jumps([], [], f.domain_cap)
-        assert (g.locations.tolist(), g.values.tolist(), g.domain_cap) == \
-            (empty.locations.tolist(), empty.values.tolist(), empty.domain_cap)
-
     @pytest.mark.parametrize("cap", [0.0, -1.0, math.nan, math.inf, -math.inf])
     def test_domain_cap_must_be_positive(self, cap):
         with pytest.raises(ValueError, match="domain_cap must be positive and finite"):
             RadialProfile.from_jumps([], [], cap)
-
-    def test_clipped_pairwise_bound(self):
-        # C_m f - C_m h <= max(0, sup(f - h)) pointwise
-        rng = np.random.default_rng(3)
-
-        def random_profile():
-            locs = np.unique(rng.uniform(0.05, 2.0, int(rng.integers(3, 25))))
-            return RadialProfile.from_jumps(locs, np.sort(rng.uniform(0.0, 1.0, locs.size)))
-
-        for _ in range(20):
-            f, h = random_profile(), random_profile()
-            m = rng.uniform(0.2, 1.0)
-            cf, ch = f.clipped(m), h.clipped(m)
-            pts = np.union1d(f.locations, h.locations)
-            gap = np.max(np.concatenate((f(pts) - h(pts), [0.0])))
-            assert np.all(cf(pts) - ch(pts) <= gap + 1e-12)
 
     def test_csv_round_trip(self):
         f = RadialProfile.from_jumps([0.25, 1.5], [0.5, 1.0], domain_cap=9.0)
@@ -131,6 +101,17 @@ class TestDiscretizeCdf:
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError, match="bogus"):
             discretize_cdf(self.cdf, 2.0, 5, "bogus")
+
+    @pytest.mark.parametrize("mode", ["upper", "lower", "nearest"])
+    @pytest.mark.parametrize("name, r_max, n_nodes", [
+        *(("r_max", r, 5) for r in (0.0, math.nan, math.inf)),
+        *(("n_nodes", 2.0, n) for n in (1, 0))])
+    def test_degenerate_grid_rejected(self, mode, name, r_max, n_nodes):
+        # 'upper' and 'lower' used to return the zero profile, so that
+        # stationary_state(1).as_profile(1, "upper") was an empty "upper
+        # bracket" of V, and 'nearest' raised an IndexError
+        with pytest.raises(ValueError, match=name):
+            discretize_cdf(self.cdf, r_max, n_nodes, mode)
 
 
 # ---------------------------------------------------------------------------

@@ -3,18 +3,14 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
-from hypothesis import strategies as st
-from hypothesis.extra import numpy as hnp
 from scipy import integrate, stats
 from scipy.special import chndtr, erf
 
 from mp_exact import exact_series
-from nbbm import kernels
+from nbbm import kernels, obstacle
 from nbbm.cli import main
-from nbbm.core import RadialProfile
 from nbbm.kernels import bessel_density, kernel_G, mixture_node_values, radial_cdf
-from nbbm.obstacle import SolveRequest, branch_step, solve_sandwich, stationary_state
+from nbbm.obstacle import SolveRequest, solve_sandwich, stationary_state
 from nbbm.sim import replica_rng
 
 
@@ -202,6 +198,17 @@ class TestKernelG:
 # G_t, the cutoffs and e^t G_t applied to step profiles on the lattice
 # ---------------------------------------------------------------------------
 
+def one_mixture(d, t, idx, sizes, r, h):
+    """The mixture of jumps ``sizes`` at the distinct lattice indices ``idx``
+    on the nodes r = i*h, in the kernel's one call shape: a single dense row
+    of jump sizes over the lattice prefix r[:max(idx) + 1].  Returns the
+    values and the error of that row."""
+    row = np.zeros((1, int(np.max(idx)) + 1))
+    row[0, idx] = sizes
+    vals, errs = mixture_node_values(d, t, r[:row.shape[1]], row, r, lattice_h=h)
+    return vals[0], float(errs[0])
+
+
 def _lattice_branch(rng, n: int, top: float) -> np.ndarray:
     """Nondecreasing node array with random jumps in the first n/4 cells, ending at top."""
     idx = np.sort(rng.choice(np.arange(1, n // 4), int(rng.integers(3, 20)), replace=False))
@@ -216,14 +223,14 @@ class TestApplyGt:
 
     def test_unit_step_at_origin_gives_radial_cdf(self, d):
         r = np.arange(2000) * self.H
-        vals, err = mixture_node_values(d, 0.3, [0.0], [1.0], r, lattice_h=self.H)
+        vals, err = one_mixture(d, 0.3, [0], [1.0], r, self.H)
         exact = radial_cdf(d, 0.0, r, 0.3)
         assert np.abs(vals - exact).max() <= err + 1e-13
 
     def test_zero_profile(self, d):
         r = np.arange(500) * self.H
-        vals, err = mixture_node_values(d, 0.5, [], [], r, lattice_h=self.H)
-        assert err == 0.0 and not vals.any()
+        vals, errs = mixture_node_values(d, 0.5, r[:0], np.zeros((1, 0)), r, lattice_h=self.H)
+        assert vals.shape == (1, r.size) and errs.tolist() == [0.0] and not vals.any()
 
     def test_modes_bracket_exact(self, d):
         # below e^-delta neither cutoff acts, so the lower and upper branch
@@ -232,10 +239,8 @@ class TestApplyGt:
         rng = np.random.default_rng(7)
         delta, n = 0.2, 2000
         p = _lattice_branch(rng, n, math.exp(-delta))
-        up, eps = branch_step(d, delta, self.H, p, True)
-        lo, _ = branch_step(d, delta, self.H, p, False)
-        m = min(up.size, lo.size)
-        assert np.all(up[:m] - lo[:m] <= eps)
+        (up, eps), (lo, _) = obstacle._sandwich_step(d, delta, self.H, p, p)
+        assert np.all(up - lo <= eps)
         rr = rng.uniform(0.0, (n - 1) * self.H, 300)
         cell = np.ceil(rr / self.H).astype(int) - 1
         sizes = np.diff(p, prepend=0.0)
@@ -248,22 +253,19 @@ class TestApplyGt:
 
 class TestCutoff:
     def test_identity_and_zero(self):
-        # C_m on profiles, and the cutoffs inside the branch step: C_{e^-delta}
-        # is the identity on an input already below e^-delta, C_1 keeps the
-        # upper step at most 1, and the zero input stays zero
-        f = RadialProfile.from_jumps([0.5, 1.0], [0.4, 1.0])
-        assert f.clipped(1.0)(2.0) == 1.0
-        assert f.clipped(0.0).final_value == 0.0
+        # the cutoffs inside the sandwich step: C_{e^-delta} is the identity
+        # on a lower branch already below e^-delta, C_1 keeps the upper step
+        # at most 1, and the zero pair stays zero
         rng = np.random.default_rng(5)
         delta, h = 0.1, 2e-3
         p = _lattice_branch(rng, 1500, 1.0)
-        lo, _ = branch_step(1, delta, h, p, False)
-        lo_cut, _ = branch_step(1, delta, h, np.minimum(p, math.exp(-delta)), False)
+        (up, _), (lo, _) = obstacle._sandwich_step(1, delta, h, p, p)
+        (_, _), (lo_cut, _) = obstacle._sandwich_step(1, delta, h, p,
+                                                      np.minimum(p, math.exp(-delta)))
         assert np.array_equal(lo, lo_cut)
-        up, _ = branch_step(1, delta, h, p, True)
         assert up.max() == 1.0
-        for upper in (True, False):
-            out, _ = branch_step(1, delta, h, np.zeros(p.size), upper)
+        zeros = np.zeros(p.size)
+        for out, _ in obstacle._sandwich_step(1, delta, h, zeros, zeros):
             assert not out.any()
 
 
@@ -274,22 +276,21 @@ class TestLinearEvolve:
         # e^t G_t 1{0 < r} at t = ln 2 is 2 w(0, r, ln 2), rising to 2 uncut
         t = math.log(2.0)
         r = np.arange(8000) * self.H
-        vals, err = mixture_node_values(1, t, [0.0], [1.0], r, lattice_h=self.H)
+        vals, err = one_mixture(1, t, [0], [1.0], r, self.H)
         out = math.exp(t) * vals
         assert np.abs(out - 2.0 * radial_cdf(1, 0.0, r, t)).max() <= 2.0 * err + 1e-12
         assert out.max() == pytest.approx(2.0, abs=1e-6)
 
     def test_zero(self, d):
         r = np.arange(500) * self.H
-        vals, err = mixture_node_values(d, 1.0, [0.1, 0.2], [0.0, 0.0], r,
-                                        lattice_h=self.H)
+        vals, err = one_mixture(d, 1.0, [100, 200], [0.0, 0.0], r, self.H)
         assert err == 0.0 and not vals.any()
 
     def test_unit_step_special_case(self, d):
         # for f0 = 1{y < r} the growing solution is e^t w(y, r, t)
         y, t = 0.8, 0.6
         r = np.arange(5000) * self.H
-        vals, err = mixture_node_values(d, t, [y], [1.0], r, lattice_h=self.H)
+        vals, err = one_mixture(d, t, [round(y / self.H)], [1.0], r, self.H)
         exact = math.exp(t) * radial_cdf(d, y, r, t)
         assert np.abs(math.exp(t) * vals - exact).max() <= math.exp(t) * err + 1e-12
 
@@ -315,15 +316,14 @@ class TestLatticeMixture:
     def test_time_must_be_positive(self, d, t):
         r = np.arange(50) * self.H
         with pytest.raises(ValueError, match="t must be positive and finite"):
-            mixture_node_values(d, t, np.array([0.1]), np.array([1.0]), r, lattice_h=self.H)
+            one_mixture(d, t, [10], [1.0], r, self.H)
 
     @pytest.mark.parametrize("dim", [0, -1])
     def test_dim_below_one_rejected(self, dim):
         # dim 0 used to take the series route and return NaN at node 0
         r = np.arange(50) * self.H
         with pytest.raises(ValueError, match="dim must be >= 1"):
-            mixture_node_values(dim, 0.1, np.array([0.1]), np.array([1.0]), r,
-                                lattice_h=self.H)
+            one_mixture(dim, 0.1, [10], [1.0], r, self.H)
 
     @pytest.mark.parametrize("d", [1, 2, 3])
     @pytest.mark.parametrize("t", [0.01, 0.3])
@@ -334,8 +334,7 @@ class TestLatticeMixture:
         sizes = np.array([0.05, 0.2, 0.1, 0.4, 0.25])
         r = np.arange(self.N) * self.H
         kernels._IMAGE_CACHE.clear()
-        vals, err = mixture_node_values(d, t, idx * self.H, sizes, r,
-                                        lattice_h=self.H)
+        vals, err = one_mixture(d, t, idx, sizes, r, self.H)
         ref = self._reference(d, t, idx * self.H, sizes, r)
         assert 0.0 < err < 1e-8
         assert np.abs(vals - ref).max() <= err + 1e-13
@@ -348,10 +347,10 @@ class TestLatticeMixture:
         idx = np.unique(rng.integers(5, 200, 12))
         sizes = np.diff(np.sort(rng.uniform(0.0, 1.0, idx.size)), prepend=0.0)
         r = np.arange(600) * self.H
-        once, err1 = mixture_node_values(d, 0.5, idx * self.H, sizes, r, lattice_h=self.H)
-        inter, err2 = mixture_node_values(d, 0.25, idx * self.H, sizes, r, lattice_h=self.H)
+        once, err1 = one_mixture(d, 0.5, idx, sizes, r, self.H)
+        inter, err2 = one_mixture(d, 0.25, idx, sizes, r, self.H)
         jumps = np.diff(inter, prepend=0.0)
-        twice, err3 = mixture_node_values(d, 0.25, r, jumps, r, lattice_h=self.H)
+        twice, err3 = one_mixture(d, 0.25, np.arange(r.size), jumps, r, self.H)
         cell = float(np.max(jumps[1:]))
         assert np.abs(once - twice).max() <= cell + err1 + err2 + err3 + 1e-12
 
@@ -361,19 +360,28 @@ class TestLatticeMixture:
         # at h = 0 every node sits at the origin, where the d = 2 lattice
         # would never reach the end of its first anchor block
         with pytest.raises(ValueError, match="lattice_h"):
-            mixture_node_values(d, 0.1, [0.0], [1.0], np.zeros(5), lattice_h=h)
+            mixture_node_values(d, 0.1, [0.0], [[1.0]], np.zeros(5), lattice_h=h)
 
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_off_lattice_input_rejected(self, d):
+        # the one call shape: sizes (k, m) on locs equal to the lattice
+        # prefix r_nodes[:m]; nodes off the lattice, jumps anywhere else (on
+        # the lattice, a hair off it or past the last node) and a 1-D sizes
+        # are refused by name
         r = np.arange(200) * self.H
-        with pytest.raises(ValueError):
-            mixture_node_values(d, 0.01, [0.505], [1.0], r + 0.003, lattice_h=self.H)
-        with pytest.raises(ValueError):
-            mixture_node_values(d, 0.01, [0.505], [1.0], r, lattice_h=self.H)
-        with pytest.raises(ValueError):  # jump beyond the last node
-            mixture_node_values(d, 0.01, [2.5], [1.0], r, lattice_h=self.H)
-        vals, _ = mixture_node_values(d, 0.01, [0.5 + 1e-13], [1.0], r, lattice_h=self.H)
-        assert vals[-1] == pytest.approx(1.0, abs=1e-12)
+        row = np.ones((1, 51))
+        with pytest.raises(ValueError, match="r_nodes"):
+            mixture_node_values(d, 0.01, r[:51], row, r + 0.003, lattice_h=self.H)
+        for locs in ([0.5], r[1:52], r[:51] + 1e-13, np.arange(201) * self.H, r[None, :51]):
+            with pytest.raises(ValueError, match="locs"):
+                mixture_node_values(d, 0.01, locs, np.ones((1, np.size(locs))), r,
+                                    lattice_h=self.H)
+        for sizes in (row[0], row[:, 1:], row[None]):
+            with pytest.raises(ValueError, match=r"sizes must have shape \(k, 51\)"):
+                mixture_node_values(d, 0.01, r[:51], sizes, r, lattice_h=self.H)
+        vals, errs = mixture_node_values(d, 0.01, r[:51], row, r, lattice_h=self.H)
+        assert vals.shape == (1, 200) and errs.shape == (1,)
+        assert vals[0, -1] == pytest.approx(51.0, abs=1e-10)
 
     @pytest.mark.parametrize("d", [1, 2])
     def test_nan_lattice_input_rejected(self, d):
@@ -382,11 +390,12 @@ class TestLatticeMixture:
         r = np.arange(200) * self.H
         for bad in (math.nan, math.inf, -math.inf):
             with pytest.raises(ValueError, match="sizes"):
-                mixture_node_values(d, 0.01, [0.5, 0.6], [1.0, bad], r, lattice_h=self.H)
+                one_mixture(d, 0.01, [50, 60], [1.0, bad], r, self.H)
         with pytest.raises(ValueError, match="locs"):
-            mixture_node_values(d, 0.01, [0.5, math.nan], [1.0, 1.0], r, lattice_h=self.H)
+            mixture_node_values(d, 0.01, np.r_[r[:60], math.nan], np.ones((1, 61)), r,
+                                lattice_h=self.H)
         with pytest.raises(ValueError, match="r_nodes"):
-            mixture_node_values(d, 0.01, [0.5], [1.0], np.r_[r, math.nan],
+            mixture_node_values(d, 0.01, r[:51], np.ones((1, 51)), np.r_[r, math.nan],
                                 lattice_h=self.H)
 
     @pytest.mark.parametrize("d", [1, 2, 3, 5])
@@ -406,37 +415,11 @@ class TestLatticeMixture:
         assert not vals[2].any() and errs[2] == 0.0
         for row, v, e in zip(sizes, vals, errs):
             for n_out in (n, m + 10):
-                one, err = mixture_node_values(d, 0.05, r[:m], row, r[:n_out],
+                one, err = mixture_node_values(d, 0.05, r[:m], row[None], r[:n_out],
                                                lattice_h=self.H)
-                assert np.array_equal(one, v[:n_out]) and err == e
+                assert np.array_equal(one[0], v[:n_out]) and err[0] == e
         with pytest.raises(ValueError, match="sizes"):
             mixture_node_values(d, 0.05, r[:m], sizes[:, 1:], r, lattice_h=self.H)
-
-    @settings(max_examples=300, deadline=None)
-    @given(st.integers(1, 40).flatmap(lambda m: st.tuples(
-        hnp.arrays(np.float64, st.tuples(st.integers(1, 3), st.just(m)), elements=st.one_of(
-            st.sampled_from([-0.0, 0.0, 1.0, 5e-324]), st.floats(-2.0, 2.0))),
-        st.lists(st.integers(0, m), min_size=3, max_size=3),
-        st.integers(0, 5))))
-    @example((np.array([[-0.0, 0.5, -0.0, 0.25, 0.0, -0.0], [0.0, -0.0, 0.0, 0.0, 0.0, 0.0],
-                        [-0.0, 0.0, -0.0, -0.0, -0.0, -0.0]]), [6, 6, 6], 0))
-    @example((np.array([[0.1, 0.2, 0.3, 0.4], [0.5, 0.6, 0.7, 0.8]]), [4, 2, 0], 3))
-    def test_lattice_prefix_jumps_match_bincount(self, case):
-        # the solver passes one jump per node from the origin, and each row
-        # then is its own jump array; it must get the bits bincount gives,
-        # -0.0 made 0.0 and each row trimmed after its own last nonzero.
-        # Moved by a hair inside the lattice slack, locs take the bincount
-        # path.  Rows may hold -0.0, end in zeros or be all zero.
-        sizes, ends, extra = case
-        for row, end in zip(sizes, ends):
-            row[end:] = 0.0
-        m = sizes.shape[1]
-        r = np.arange(m + extra) * self.H
-        got = kernels._lattice_jumps(r[:m], sizes, r, self.H)
-        want = kernels._lattice_jumps(r[:m] + 1e-12 * self.H, sizes, r, self.H)
-        assert len(got) == len(want) == sizes.shape[0]
-        for a, b in zip(got, want):
-            assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
     @pytest.mark.parametrize("d", [2, 5])
     def test_grown_lattice_matches_fresh(self, d, monkeypatch):
@@ -521,7 +504,7 @@ class TestAnchoredRoute:
         rng = np.random.default_rng(d * 1000 + round(100 * t))
         idx, sizes, r = _random_lattice(rng, self.H, self.N)
         kernels._IMAGE_CACHE.clear()
-        vals, err = mixture_node_values(d, t, idx * self.H, sizes, r, lattice_h=self.H)
+        vals, err = one_mixture(d, t, idx, sizes, r, self.H)
         nodes = np.unique(np.r_[np.linspace(0, self.N - 1, 30).astype(int), idx[::2]])
         c = np.zeros(idx.max() + 1)
         c[idx] = sizes
@@ -560,8 +543,7 @@ class TestAnchoredRoute:
         for n_terms in (terms, terms + 8):
             monkeypatch.setattr(kernels, "_taylor_terms", lambda lift, n=n_terms: n)
             kernels._IMAGE_CACHE.clear()
-            out[n_terms] = mixture_node_values(d, 0.05, idx * self.H, sizes, r,
-                                               lattice_h=self.H)
+            out[n_terms] = one_mixture(d, 0.05, idx, sizes, r, self.H)
         (short, err_short), (long, err_long) = out[terms], out[terms + 8]
         lift = max(1.0, 2.0 ** (0.5 * d))
         remainder = (1.0 + lift) / math.factorial(terms) * sizes.sum()

@@ -14,9 +14,8 @@ from nbbm.cli import _ArtifactWriter, _write_report
 from nbbm.core import RadialProfile
 from nbbm.kernels import radial_cdf
 from nbbm.experiments import UniformBallSampler, convergence_report
-from nbbm.obstacle import (SandwichSolver, SolveRequest, analytic_gap, branch_step,
-                           default_grid_step, free_boundary_radius, solve_sandwich,
-                           stationary_state)
+from nbbm.obstacle import (SandwichSolver, SolveRequest, analytic_gap, default_grid_step,
+                           free_boundary_radius, solve_sandwich, stationary_state)
 from nbbm.sim import replica_rng
 
 _NOT_POSITIVE = (0.0, -1.0, math.nan, math.inf, -math.inf)
@@ -32,7 +31,7 @@ def random_cdf_profile(rng, max_r=3.0) -> RadialProfile:
 
 
 # ---------------------------------------------------------------------------
-# Single branch steps
+# Sandwich steps
 # ---------------------------------------------------------------------------
 
 def mixture_reference(d, t, locs, sizes, r):
@@ -68,8 +67,7 @@ def exact_step(d, delta, h, p, upper, r):
 class TestSteps:
     def test_zero_profile_fixed(self):
         for d in (1, 2, 3):
-            for upper in (True, False):
-                out, _ = branch_step(d, 0.1, 1e-2, np.zeros(100), upper)
+            for out, _ in obstacle._sandwich_step(d, 0.1, 1e-2, np.zeros(100), np.zeros(100)):
                 assert not out.any()
 
     def test_step_plus_from_origin_step(self, monkeypatch):
@@ -86,8 +84,8 @@ class TestSteps:
         monkeypatch.setattr(obstacle, "mixture_node_values", recording)
         delta, h = math.log(2.0), 1e-3
         p = np.ones(2000)
-        out, _ = branch_step(1, delta, h, p, True)
-        move = 2.0 * errs[0]
+        (out, _), _ = obstacle._sandwich_step(1, delta, h, p, p)
+        move = 2.0 * errs[0][0]
         assert out.size > p.size and out[-1] == 1.0
         rr = np.linspace(0.05, 4.0, 80)
         cell = np.ceil(rr / h).astype(int) - 1
@@ -105,10 +103,8 @@ class TestSteps:
         rng = replica_rng(17, d)
         h, delta, n = 2e-3, 0.05, 2500
         for p in [np.ones(n)] + [random_branch(rng, n) for _ in range(3)]:
-            up, _ = branch_step(d, delta, h, p, True)
-            lo, _ = branch_step(d, delta, h, p, False)
-            m = min(up.size, lo.size)
-            assert np.all(lo[:m] <= up[:m] + 1e-12)
+            (up, _), (lo, _) = obstacle._sandwich_step(d, delta, h, p, p)
+            assert np.all(lo <= up + 1e-12)
             rr = rng.uniform(0.0, (n - 1) * h, 400)
             cell = np.ceil(rr / h).astype(int) - 1
             exact_up = exact_step(d, delta, h, p, True, rr)
@@ -125,35 +121,38 @@ class TestSteps:
         h, delta, n = 2e-3, 0.1, 4000
         for _ in range(3):
             f, g = random_branch(rng, n), random_branch(rng, n)
-            for upper in (True, False):
-                sf, eps_f = branch_step(d, delta, h, f, upper)
-                sg, eps_g = branch_step(d, delta, h, g, upper)
+            for (sf, eps_f), (sg, eps_g) in zip(obstacle._sandwich_step(d, delta, h, f, f),
+                                                obstacle._sandwich_step(d, delta, h, g, g)):
                 assert sf.size == sg.size == n
                 bound = math.exp(delta) * np.abs(f - g).max() + eps_f + eps_g
                 assert np.abs(sf - sg).max() <= bound
 
     def test_rejects_nonpositive_delta(self):
+        # the step takes delta and h as given: the solver checks them once
         for delta in (0.0, -0.1):
             with pytest.raises(ValueError):
-                branch_step(1, delta, 1e-3, np.ones(10), True)
+                SandwichSolver(1, RadialProfile.from_jumps([1.0], [1.0]), delta, 1e-3,
+                               horizon_hint=0.1)
 
     @pytest.mark.parametrize("name, delta, h", [*(("delta", v, 1e-3) for v in _NOT_POSITIVE),
                                                 *(("h", 0.01, v) for v in _NOT_POSITIVE)])
     def test_step_scalars_named(self, name, delta, h):
         # delta = nan used to reach an unnamed round() error, and h = 0 a
-        # ZeroDivisionError
+        # ZeroDivisionError; the solver names the step's h its grid_step
+        name = {"h": "grid_step"}.get(name, name)
         with pytest.raises(ValueError, match=f"{name} must be positive and finite"):
-            branch_step(1, delta, h, np.ones(10), True)
+            SandwichSolver(1, RadialProfile.from_jumps([1.0], [1.0]), delta, h,
+                           horizon_hint=0.1)
 
     @pytest.mark.parametrize("d", [1, 2, 3, 5])
     @pytest.mark.parametrize("h", [2e-3, 2e-2])
     def test_two_branch_step_is_two_branch_steps(self, d, h):
         # the solver steps both branches with one kernel call; each branch
-        # must get the bits of its own branch_step, taken the way the solver
-        # once took them: the upper first, then the lower padded to its
-        # length, then the upper padded to the lower's.  Either branch may be
-        # the longer one, outgrow the input array, or be all zero; at
-        # h = 2e-2 the kernel's band is wider than the lattice
+        # must get the bits it gets stepped alongside a copy of itself, up to
+        # the padding with its last value that the other branch's length
+        # sets.  Either branch may be the longer one, outgrow the input
+        # array, or be all zero; at h = 2e-2 the kernel's band is wider than
+        # the lattice
         def pad(p, n):
             return np.concatenate((p, np.full(n - p.size, p[-1]))) if p.size < n else p
 
@@ -171,18 +170,20 @@ class TestSteps:
         for n_up, n_lo in ((300, 40), (40, 300), (3, 390), (390, 0), (0, 120)):
             up = branch(n_up, rng.uniform(0.5, 1.0))
             lo = branch(n_lo, rng.uniform(0.5, 1.0))
-            (up2, eps_up2), (lo2, eps_lo2) = obstacle._sandwich_step(
-                d, delta, h, [(up, True), (lo, False)])
-            up1, eps_up1 = branch_step(d, delta, h, up, True)
-            lo1, eps_lo1 = branch_step(d, delta, h, pad(lo, up1.size), False)
-            assert np.array_equal(up2, pad(up1, lo1.size)) and eps_up2 == eps_up1
-            assert np.array_equal(lo2, lo1) and eps_lo2 == eps_lo1
+            (up2, eps_up2), (lo2, eps_lo2) = obstacle._sandwich_step(d, delta, h, up, lo)
+            (up1, eps_up1), _ = obstacle._sandwich_step(d, delta, h, up, up)
+            _, (lo1, eps_lo1) = obstacle._sandwich_step(d, delta, h, lo, lo)
+            m = max(up1.size, lo1.size, up2.size)
+            assert up2.size == lo2.size
+            assert np.array_equal(pad(up2, m), pad(up1, m)) and eps_up2 == eps_up1
+            assert np.array_equal(pad(lo2, m), pad(lo1, m)) and eps_lo2 == eps_lo1
 
 
-def reference_sandwich_step(dim, delta, h, branches):
+def reference_sandwich_step(dim, delta, h, p_up, p_lo):
     """The sandwich step before its passes were cut to the cells each result
     needs: every branch cut and stepped over all its cells, then clipped to
     [0, 1] and raised to its running max.  The step must keep its bits."""
+    branches = [(p_up, True), (p_lo, False)]
     e_d = math.exp(delta)
     band = int(math.ceil(obstacle.support_band(delta, dim) / h)) + 2
     p_ins = [p if upper else np.minimum(p, math.exp(-delta)) for p, upper in branches]
@@ -247,18 +248,16 @@ class TestStepShortcuts:
                  (5, 0.5, 1190, 0.999), (600, 1.0, 0, 0.0), (0, 0.0, 0, 0.0)]
         for n_up, top_up, n_lo, top_lo in cases:
             up, lo = self.branch(rng, n, n_up, top_up), self.branch(rng, n, n_lo, top_lo)
-            branches = [(up, True), (lo, False)]
-            got = obstacle._sandwich_step(d, delta, h, branches)
-            want = reference_sandwich_step(d, delta, h, branches)
+            got = obstacle._sandwich_step(d, delta, h, up, lo)
+            want = reference_sandwich_step(d, delta, h, up, lo)
             for (p, eps), (p_ref, eps_ref) in zip(got, want):
                 assert p.tobytes() == p_ref.tobytes() and eps == eps_ref
             if top_lo > cut:
                 assert lo.max() > cut  # the lower branch's cut binds
-        # one branch alone, either side, outgrowing the array
-        for upper in (True, False):
-            p = self.branch(rng, 60, 58, 1.0)
-            (got, eps), = obstacle._sandwich_step(d, delta, h, [(p, upper)])
-            (want, eps_ref), = reference_sandwich_step(d, delta, h, [(p, upper)])
+        # one branch on both sides, outgrowing the array
+        p = self.branch(rng, 60, 58, 1.0)
+        for (got, eps), (want, eps_ref) in zip(obstacle._sandwich_step(d, delta, h, p, p),
+                                               reference_sandwich_step(d, delta, h, p, p)):
             assert got.size > p.size
             assert got.tobytes() == want.tobytes() and eps == eps_ref
 
@@ -428,9 +427,10 @@ class TestSolveSandwich:
         assert all(np.shape(a["sizes"]) == (2, np.size(a["locs"])) for a in calls)
 
     def test_rejects_jump_at_zero_and_bad_steps(self):
-        with pytest.raises(ValueError):
-            SolveRequest(dim=1, initial=RadialProfile.from_jumps([0.0], [1.0]), horizon=1.0,
-                         step_size=0.01)
+        # the solver checks the initial profile, once
+        with pytest.raises(ValueError, match="radius 0"):
+            solve_sandwich(SolveRequest(dim=1, initial=RadialProfile.from_jumps([0.0], [1.0]),
+                                        horizon=1.0, step_size=0.01))
         with pytest.raises(TypeError):
             SolveRequest(dim=1, initial=RadialProfile.from_jumps([1.0], [1.0]), horizon=1.0)
         for step in (0.0, -0.01):
@@ -450,11 +450,12 @@ class TestSolveSandwich:
 
     @pytest.mark.parametrize("grid_step", _NOT_POSITIVE)
     def test_rejects_bad_grid_step(self, grid_step):
-        # the request used to accept any grid_step: 0 failed in the solve with
-        # an OverflowError, -1e-3 with an IndexError
+        # the solve used to accept any grid_step: 0 failed with an
+        # OverflowError, -1e-3 with an IndexError; the solver checks it once
+        req = SolveRequest(dim=1, initial=RadialProfile.from_jumps([1.0], [1.0]), horizon=1.0,
+                           step_size=0.01, grid_step=grid_step)
         with pytest.raises(ValueError, match="grid_step must be positive and finite"):
-            SolveRequest(dim=1, initial=RadialProfile.from_jumps([1.0], [1.0]), horizon=1.0,
-                         step_size=0.01, grid_step=grid_step)
+            solve_sandwich(req)
 
     def test_step_divides_horizon(self):
         req = SolveRequest(dim=1, initial=RadialProfile.from_jumps([1.0], [1.0]), horizon=0.27,
@@ -636,6 +637,13 @@ class TestStationaryState:
 # Comparison properties
 # ---------------------------------------------------------------------------
 
+def cut_at(f: RadialProfile, m: float) -> RadialProfile:
+    """min(f, m) as a step profile, for m in (0, 1]."""
+    val = np.minimum(f.values, m)
+    keep = np.diff(val, prepend=0.0) > 0.0
+    return RadialProfile(f.locations[keep], val[keep], f.domain_cap)
+
+
 def midpoint_contraction(v0, w0, t, delta, grid_step=None):
     """Continuity in the initial condition on sandwich midpoints: returns
     (sup|v0 - w0|, sup_r |mid1 - mid2|, e^t sup|v0 - w0| + half the two
@@ -663,7 +671,7 @@ class TestContraction:
 
     def test_cutoff_pair_ratio(self):
         v0 = random_cdf_profile(replica_rng(8, 2))
-        w0 = v0.clipped(0.9)
+        w0 = cut_at(v0, 0.9)
         sup0, lhs, rhs = midpoint_contraction(v0, w0, t=1.0, delta=0.02, grid_step=1e-3)
         assert lhs <= rhs + 1e-12
         assert lhs <= math.e * sup0 + 0.15
@@ -683,7 +691,7 @@ class TestContraction:
 
     def test_off_lattice_horizon_reached_exactly(self):
         v0 = random_cdf_profile(replica_rng(8, 4), max_r=2.0)
-        w0 = v0.clipped(0.8)
+        w0 = cut_at(v0, 0.8)
         pairs = [solve_sandwich(SolveRequest(dim=1, initial=f, horizon=0.27,
                                              step_size=0.02, grid_step=2e-3))
                  for f in (v0, w0)]

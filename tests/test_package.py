@@ -104,6 +104,36 @@ def test_only_coupled_run_takes_sim_params():
     assert takers == ["sim.py:coupled_run"]
 
 
+def _callers(name: str, sources: dict[str, str]) -> list[str]:
+    """``module:function`` of each call to ``name``, by bare name or as an
+    attribute, in the modules ``sources``; ``Class.method`` for a method and
+    ``<module>`` outside any function."""
+    found = []
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        scopes = [(f"{c.name}.{f.name}", f) for c in tree.body if isinstance(c, ast.ClassDef)
+                  for f in c.body if isinstance(f, (ast.FunctionDef, ast.AsyncFunctionDef))]
+        scopes += [(f.name, f) for f in tree.body
+                   if isinstance(f, (ast.FunctionDef, ast.AsyncFunctionDef))]
+        for call in ast.walk(tree):
+            if isinstance(call, ast.Call) and name in (getattr(call.func, "id", None),
+                                                       getattr(call.func, "attr", None)):
+                where = [q for q, f in scopes if f.lineno <= call.lineno <= f.end_lineno]
+                found.append(f"{module}:{where[0] if where else '<module>'}")
+    return found
+
+
+def test_one_call_shape_from_solver_to_kernel():
+    # the sandwich step is the lattice kernel's one caller and the solver's
+    # advance the step's, so that a second call shape cannot come back
+    assert _callers("f", {"a": "f()\nclass C:\n    def m(self):\n        x.f(1)\n"
+                               "def g():\n    def h():\n        f()\n"}) == \
+        ["a:<module>", "a:C.m", "a:g"]
+    sources = {path.stem: path.read_text() for path in sorted(_SRC.glob("*.py"))}
+    assert _callers("mixture_node_values", sources) == ["obstacle:_sandwich_step"]
+    assert _callers("_sandwich_step", sources) == ["obstacle:SandwichSolver._advance"]
+
+
 def _unused_imports(source: str) -> list[str]:
     """``line:name`` of each name the module imports and never reads; a name
     listed in ``__all__`` is a re-export and counts as read."""

@@ -639,9 +639,11 @@ class TestSimParams:
                                           (0.5, 0.2)])
     def test_bad_record_schedule_rejected(self, schedule):
         # NaN fails every comparison, so (0.1, nan, inf) used to pass and
-        # coupled_run dropped the nonfinite times without a word
+        # coupled_run dropped the nonfinite times without a word; the run
+        # checks its schedule, once
+        params = SimParams(dim=1, population=2, record_schedule=schedule)
         with pytest.raises(ValueError, match="record_schedule"):
-            SimParams(dim=1, population=2, record_schedule=schedule)
+            coupled_run(params, origin_ensemble(2, 1), 1.0, replica_rng(26, 0))
 
 
 class TestCoupledRun:
@@ -1044,14 +1046,19 @@ class TestKilledSurvival:
 
 
 class TestReplicaRng:
-    @pytest.mark.parametrize("seed, replica", [(-1, 0), (2**64, 0), (0, -1), (0, 2**64)])
+    @pytest.mark.parametrize("seed, replica", [(-1, 0), (2**64, 0), (0, -1), (0, 2**64),
+                                               (1.5, 0), (2.0, 0.7)])
     def test_out_of_range_rejected(self, seed, replica):
+        # a float seed or replica used to be truncated by the uint64 cast:
+        # (1.5, 0) ran the stream of (1, 0) and (2.0, 0.7) that of (2, 0)
         with pytest.raises(ValueError, match="2\\^64"):
             replica_rng(seed, replica)
 
     def test_range_ends_accepted(self):
         replica_rng(0, 0)
         replica_rng(2**64 - 1, 2**64 - 1)
+        # numpy integers are integers
+        assert replica_rng(np.uint64(3), np.int64(1)).random() == replica_rng(3, 1).random()
 
 
 # ---------------------------------------------------------------------------
