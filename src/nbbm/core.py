@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import io
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,6 +60,17 @@ def _nonnegative(name: str, value) -> float:
     if not 0.0 <= x < math.inf:
         raise ValueError(f"{name} must be finite and nonnegative, got {value!r}")
     return x
+
+
+def _integer(name: str, value, lo: int, hi: float = math.inf) -> int:
+    """``value`` as an int, else ``ValueError`` naming it when it lies outside
+    [lo, hi] or ``operator.index`` refuses it, as it does a float."""
+    try:
+        if lo <= operator.index(value) <= hi:
+            return operator.index(value)
+    except TypeError:
+        pass
+    raise ValueError(f"{name} must be an integer in [{lo}, {hi}], got {value!r}")
 
 
 def whole_steps(span: float, step: float, what: str, step_name: str) -> int:
@@ -191,8 +203,7 @@ class ParticleEnsemble:
             raise ValueError(f"positions must have shape (N, {self.dim})")
         if pos.shape[0] < 1:
             raise ValueError("ensemble needs at least one particle")
-        if self.dim < 1:
-            raise ValueError("dim must be >= 1")
+        _integer("dim", self.dim, 1)
         if not np.all(np.isfinite(pos)):
             raise ValueError("positions must be finite")
         _nonnegative("clock", self.clock)
@@ -229,7 +240,7 @@ class SandwichPair:
 
     def __post_init__(self):
         worst = _max_excess(self.lower, self.upper)
-        if worst > 1e-9:
+        if worst > 0.0:
             raise ValueError(f"lower exceeds upper by {worst:.3e}")
         _nonnegative("analytic_gap", self.analytic_gap)
         _nonnegative("grid_gap", self.grid_gap)
@@ -317,10 +328,9 @@ def discretize_cdf(cdf, r_max: float, n_nodes: int, mode: str) -> RadialProfile:
 
 def empirical_cdf(ensemble: ParticleEnsemble) -> RadialProfile:
     """Fraction of particles strictly within radius r, as a step profile."""
-    norms = np.sort(ensemble.norms())
-    n = norms.size
+    norms = ensemble.norms()
     loc, counts = np.unique(norms, return_counts=True)
-    val = np.cumsum(counts) / n
+    val = np.cumsum(counts) / norms.size
     return RadialProfile(loc, val, default_domain_cap(loc[-1]))
 
 

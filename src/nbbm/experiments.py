@@ -19,8 +19,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import ParticleEnsemble, RadialProfile, SandwichPair, _max_excess, _positive, \
-    discretize_cdf, empirical_cdf, in_gamma, max_radius, measure_of_set, whole_steps
+from .core import ParticleEnsemble, RadialProfile, SandwichPair, _integer, _max_excess, \
+    _positive, discretize_cdf, empirical_cdf, in_gamma, max_radius, measure_of_set, whole_steps
 from .obstacle import SandwichSolver, SolveRequest, solve_sandwich, stationary_state
 from .sim import advance_nbbm, replica_rng
 
@@ -189,6 +189,7 @@ def hydrodynamic_report(N: int, d: int, t: float, sampler, replicas: int,
     and ``mean_measured_width`` the mean measured width sup(upper - lower),
     the certificate itself."""
     _positive("t", t)
+    _integer("replicas", replicas, 1)
     if N < _MIN_POPULATION:
         raise ValueError(f"hydrodynamic check needs N >= {_MIN_POPULATION}")
     res = _run_replicas(_hydro_replica, replicas, workers,
@@ -228,6 +229,7 @@ def boundary_report(N: int, d: int, T: float, eta: float, sampler,
     snapshot_dt, ..., T (``snapshot_dt`` must divide T - eta)."""
     if not (0.0 < eta < T):
         raise ValueError("need 0 < eta < T")
+    _integer("replicas", replicas, 1)
     if N < _MIN_POPULATION:
         raise ValueError(f"boundary check needs N >= {_MIN_POPULATION}")
     limit = sampler.limit_profile()
@@ -276,6 +278,7 @@ def selection_report(N: int, d: int, t: float, K: float, c: float, sampler,
                      return_snapshots: bool = False):
     """Long-time statistics against the stationary state (U, R_inf, V);
     ``window_excess`` reads the unit window after t every ``window_dt``."""
+    _integer("replicas", replicas, 1)
     if N < _MIN_POPULATION:
         raise ValueError(f"selection check needs N >= {_MIN_POPULATION}")
     n_window = whole_steps(1.0, window_dt, "window", "window_dt")

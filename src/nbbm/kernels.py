@@ -12,15 +12,15 @@ law with d degrees of freedom and noncentrality y^2 / (2t), so
 
     w(y, r, t) = sum_m  Poisson(m; y^2/(4t)) * P(d/2 + m, r^2/(4t))
 
-with P the regularized lower incomplete gamma function.  The Poisson tail
-gives an explicit truncation bound, so every evaluation carries a certified
-absolute error.  Differentiating the series in the noncentrality shifts the
-degrees of freedom by two, giving the closed forms
+with P the regularized lower incomplete gamma function; in d = 1 and 3, w
+has Gaussian image forms.  The Poisson tail bounds the truncation, so every
+evaluation of w carries a certified absolute error.  Differentiating in the
+noncentrality shifts the degrees of freedom by two, giving
 
     g(y, r, t) = (r/t) * f_ncx2(r^2/2t; d,   y^2/2t)
-    G(y, r, t) = (y/t) * f_ncx2(r^2/2t; d+2, y^2/2t).
+    G(y, r, t) = (y/t) * f_ncx2(r^2/2t; d+2, y^2/2t),
 
-For d = 1 and d = 3 everything reduces to Gaussian image formulas.  The
+evaluated in every d through scipy's ``ive``, with no booked error.  The
 lattice engine ``mixture_node_values``, which the solver's sandwich step
 calls once for both branches, evaluates G_t of step profiles with jumps
 c_j at lattice points a_j as the finite mixtures sum_j c_j w(a_j, r, t) on
@@ -287,6 +287,7 @@ def radial_cdf(dim: int, y: float, r, t: float):
 def bessel_density(dim: int, y: float, r, t: float):
     """g(y, r, t) = dw/dr, the radial transition density.
 
+    Evaluated through scipy's ``ive`` in every d, with no booked error.
     The y = 0 case is the continuity limit: the chi distribution with d
     degrees of freedom scaled by sqrt(2t).
     """
@@ -296,10 +297,11 @@ def bessel_density(dim: int, y: float, r, t: float):
 
 
 def kernel_G(dim: int, y: float, r, t: float):
-    """G(y, r, t) = -dw/dy >= 0, evaluated analytically.
+    """G(y, r, t) = -dw/dy >= 0.
 
     Differentiating the noncentral series in its noncentrality shifts the
-    degrees of freedom by two: G = (y/t) * f_ncx2(r^2/2t; d+2, y^2/2t).
+    degrees of freedom by two: G = (y/t) * f_ncx2(r^2/2t; d+2, y^2/2t),
+    evaluated through scipy's ``ive`` in every d, with no booked error.
     """
     r_arr = _check_point(dim, y, r, t)
     out = (y / t) * _ncx2_pdf(r_arr * r_arr / (2.0 * t), dim + 2, y * y / (2.0 * t))
@@ -394,19 +396,6 @@ class _Table:
         self.blocks: dict[int, np.ndarray] = {}
         self.nbytes = sum(v.nbytes for v in vars(self).values() if isinstance(v, np.ndarray))
 
-    @classmethod
-    def grown(cls, prev: _Table | None, s: float, anchors: np.ndarray, *edges) -> _Table:
-        """The table with windows _window_edges(x, *edges) of anchors x; a
-        table ``prev`` over whole blocks of a prefix of them lends its
-        windows and blocks."""
-        if prev is None:
-            return cls(s, anchors, *_window_edges(anchors, *edges))
-        lo, hi = _window_edges(anchors[prev.anchors.size:], *edges)
-        table = cls(s, anchors, np.concatenate((prev.lo, lo)), np.concatenate((prev.hi, hi)))
-        table.blocks.update(prev.blocks)
-        table.nbytes += sum(block.nbytes for block in prev.blocks.values())
-        return table
-
     def block_of(self, row: int) -> int:  # the block holding a row
         return int(np.searchsorted(self.rows, row, side="right")) - 1
 
@@ -437,24 +426,21 @@ class _AnchoredLattice:
     while this entry, the running apply's scratch, the block and an eighth
     of the budget (the apply's other arrays) fit in _CACHE_BYTES, else built,
     used and dropped.  Sums run over whole blocks, so no value depends on
-    how far the tables reach or on what is kept.  A lattice ``prev`` whose
-    means and arguments are prefixes of mu and z ending at block boundaries
-    lends its windows and blocks: they depend on those anchors alone.
+    how far the tables reach or on what is kept.
     """
 
-    def __init__(self, dim: int, mu: np.ndarray, z: np.ndarray,
-                 prev: _AnchoredLattice | None = None):
+    def __init__(self, dim: int, mu: np.ndarray, z: np.ndarray):
         a = 0.5 * dim
         self.a, self.n, self.lift, self.scratch = a, z.size, max(1.0, 2.0 ** a), 0
         self.terms = _taylor_terms(self.lift)
         self.factorials = np.array([math.factorial(k) for k in range(self.terms)], float)
         anchors, self.first, _, self.jump_delta = _anchored(mu)
-        self.jumps = _Table.grown(prev and prev.jumps, 0.0, anchors, 0.0, 1.0, _TAIL / 4.0)
+        self.jumps = _Table(0.0, anchors, *_window_edges(anchors, 0.0, 1.0, _TAIL / 4.0))
         anchors, _, self.row, self.delta = _anchored(z)
         node_anchor = anchors[self.row]
         self.scale = np.where(node_anchor > 0.0, z / np.maximum(node_anchor, 1.0), z) ** a
         eps = _TAIL / (4.0 * self.lift)  # the node tails are lifted by up to lift
-        self.nodes = _Table.grown(prev and prev.nodes, a, anchors, a, a + 1.0, eps, 0.5)
+        self.nodes = _Table(a, anchors, *_window_edges(anchors, a, a + 1.0, eps, 0.5))
         self.arrays = sum(v.nbytes for v in vars(self).values() if isinstance(v, np.ndarray))
 
     @property
@@ -625,8 +611,8 @@ def _lattice_anchored(dim: int, t: float, cs: list[np.ndarray], h: float, n_out:
     """Mixtures of the nonempty lattice jump rows cs on the nodes i*h,
     i < n_out, for every d but 1 and 3, on tables cached per (dim, t, h).
     The lattice runs to the end of the anchor block of node n_out - 1, so a
-    longer one has the same blocks; when shorter than n_out it grows,
-    keeping its windows and built blocks."""
+    longer one has the same blocks and a node's bits do not depend on
+    n_out; one shorter than n_out is built afresh."""
     key = ("series", dim, t, h)
     lattice = _IMAGE_CACHE.pop(key, None)
     if lattice is None or lattice.n < n_out:
@@ -634,7 +620,7 @@ def _lattice_anchored(dim: int, t: float, cs: list[np.ndarray], h: float, n_out:
         top = (np.rint(x[-1]) // _SPAN + 1) * _SPAN  # the next block's first anchor
         x = (np.arange(math.ceil(math.sqrt(4.0 * t * (top + 1.0)) / h) + 2) * h) ** 2 / (4.0 * t)
         x = x[:np.count_nonzero(np.rint(x) < top)]
-        lattice = _AnchoredLattice(dim, x, x, lattice)
+        lattice = _AnchoredLattice(dim, x, x)
     return _cached(key, lambda: lattice).apply(cs, n_out)
 
 

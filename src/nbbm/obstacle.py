@@ -13,8 +13,9 @@ brackets the true solution v(., k*delta) pointwise, with an analytic gap of
 bracket, by construction: each step moves the upper branch up and the lower
 branch down by e^delta times the kernel's certified evaluation error, rounds
 node values up across each cell on the upper branch and down on the lower,
-and freezes, clips and repairs ties only in the outward direction.  So the
-true solution lies between the emitted pair, and the measured width
+and freezes and clips only in the outward direction.  lower <= upper is
+checked exactly at the start and after every step, and a crossing raises.
+So the true solution lies between the emitted pair, and the measured width
 sup (upper - lower) is the certificate.
 
 Every cell oscillation, kernel-evaluation error, outward move and tail
@@ -38,8 +39,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammaln, jv
 
-from .core import (RadialProfile, SandwichPair, StationaryState, _positive,
-                   default_domain_cap, whole_steps)
+from .core import (RadialProfile, SandwichPair, StationaryState, _integer, _max_excess,
+                   _positive, default_domain_cap, whole_steps)
 from .kernels import mixture_node_values, support_band
 
 __all__ = [
@@ -247,7 +248,8 @@ class SandwichSolver:
     of whole steps of ``delta``.
     ``horizon_hint`` is the latest time the caller will ask for; it sizes
     the default grid (:func:`default_grid_step`).  ``initial`` may not jump
-    at radius 0; ``initial_upper``, if given, starts the upper branch.
+    at radius 0; ``initial_upper``, if given, starts the upper branch and
+    must lie at or above ``initial``, else ``ValueError``.
 
     Branch state arrays hold node-sampled step functions: ``p[i]`` is the
     branch value on the half-open cell (g_i, g_{i+1}].  The grid extends
@@ -261,10 +263,12 @@ class SandwichSolver:
                  horizon_hint: float):
         self.delta = _positive("delta", delta)
         _check_initial(initial)
-        self.dim = int(dim)
+        self.dim = _integer("dim", dim, 1)
+        if initial_upper is not None and (worst := _max_excess(initial, initial_upper)) > 0.0:
+            raise ValueError(f"initial_upper lies below initial by {worst:.3e}")
         r_scale = max(1.0, initial.locations[-1] if initial.locations.size else 1.0)
         if grid_step is None:
-            grid_step = default_grid_step(dim, _positive("horizon_hint", horizon_hint),
+            grid_step = default_grid_step(self.dim, _positive("horizon_hint", horizon_hint),
                                           delta, r_scale)
         self.h = _positive("grid_step", grid_step)
         band = support_band(delta, self.dim)
@@ -322,14 +326,8 @@ class SandwichSolver:
             self.steps += 1
             # one difference serves the ordering check and the measured width
             gap = self.p_up - self.p_lo
-            worst = -float(np.min(gap))
-            if worst > 1e-10:
+            if (worst := -float(np.min(gap))) > 0.0:
                 raise AssertionError(f"sandwich ordering violated by {worst:.3e}")
-            if worst > 0.0:
-                # repair float-level ties and account for them honestly
-                self.p_lo = np.minimum(self.p_lo, self.p_up)
-                self.d_lo += worst
-                gap = self.p_up - self.p_lo
             self._record(float(np.max(gap)))
 
     def _record(self, measured: float):
@@ -444,10 +442,9 @@ def stationary_state(d: int) -> StationaryState:
     with eigenvalue 1 on the ball of radius R_inf, normalized to unit mass.
     The identity d/dr[r^{nu+1} J_{nu+1}(r)] = r^{nu+1} J_nu(r) collapses the
     mass integral, so V(r) = (r/R_inf)^{d/2} J_{d/2}(r) / J_{d/2}(R_inf) in
-    closed form with V(R_inf) = 1 exactly.
+    closed form with V(R_inf) = 1 exactly, for integer d in [1, 12].
     """
-    if not (1 <= d <= 12):
-        raise ValueError("supported dimensions are 1..12")
+    d = _integer("d", d, 1, 12)
     nu = 0.5 * d - 1.0
     r_inf = _first_bessel_zero(nu)
     sphere = 2.0 * math.pi ** (0.5 * d) / math.exp(gammaln(0.5 * d))

@@ -39,7 +39,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import ndtr, ndtri
 
-from .core import ParticleEnsemble, _nonnegative, _positive
+from .core import ParticleEnsemble, _integer, _nonnegative, _positive
 from .kernels import _TAIL   # every dropped series tail is below this
 
 __all__ = [
@@ -976,11 +976,13 @@ def _mirror_normals(b: np.ndarray, bp: np.ndarray) -> np.ndarray:
 # Killed Brownian motion
 # ---------------------------------------------------------------------------
 
-def _boundary_fn(boundary):
-    if callable(boundary):
-        return boundary
-    level = float(boundary)
-    return lambda s: level
+def _radius_at(boundary, s: float) -> float:
+    """R(s) as a float, else ``ValueError`` naming ``boundary`` when it is
+    NaN or not positive; inf kills nothing."""
+    r = float(boundary(s) if callable(boundary) else boundary)
+    if not r > 0.0:
+        raise ValueError(f"boundary must be positive (inf allowed), got {r!r} at time {s!r}")
+    return r
 
 
 def survival_curve(dim: int, x: np.ndarray, boundary, t_grid: np.ndarray,
@@ -991,15 +993,15 @@ def survival_curve(dim: int, x: np.ndarray, boundary, t_grid: np.ndarray,
 
     Killing is checked at grid times only, so survival is overestimated by
     a one-sided O(sqrt(dt)) discretization bias.  ``t_grid`` must round to
-    strictly increasing positive multiples of dt.  Paths run in chunks of
-    at most 100k.
+    strictly increasing positive multiples of dt.  A NaN or nonpositive
+    radius raises ``ValueError``, a constant one before any path runs.
+    Paths run in chunks of at most 100k.
     """
     if np.shape(x) != (dim,):
         raise ValueError(f"x must have shape ({dim},), got {np.shape(x)}")
     if not np.all(np.isfinite(x)):
         raise ValueError(f"x must be finite, got {x!r}")
-    if not isinstance(n_samples, (int, np.integer)) or n_samples < 1:
-        raise ValueError(f"n_samples must be an integer >= 1, got {n_samples!r}")
+    _integer("n_samples", n_samples, 1)
     t_grid = np.asarray(t_grid, dtype=float)
     if (t_grid.ndim != 1 or not t_grid.size or not np.all(np.isfinite(t_grid))
             or t_grid[-1] <= 0.0):
@@ -1013,7 +1015,8 @@ def survival_curve(dim: int, x: np.ndarray, boundary, t_grid: np.ndarray,
     if at[0] < 1 or any(b <= a for a, b in zip(at, at[1:])):
         raise ValueError(f"t_grid must round to strictly increasing positive "
                          f"multiples of dt = {dt:g}")
-    r_of = _boundary_fn(boundary)
+    if not callable(boundary):
+        _radius_at(boundary, 0.0)
     steps = at[-1]
     record = {k: i for i, k in enumerate(at)}
     chunk = max(1, min(n_samples, int(4e6 // steps), 100_000))
@@ -1028,7 +1031,7 @@ def survival_curve(dim: int, x: np.ndarray, boundary, t_grid: np.ndarray,
             if not live_idx.size:
                 break
             pos[live_idx] += rng.standard_normal((live_idx.size, dim)) * math.sqrt(2.0 * dt)
-            r_lim = r_of(k * dt)
+            r_lim = _radius_at(boundary, k * dt)
             if math.isfinite(r_lim):
                 dead = _norms(pos[live_idx]) >= r_lim
                 alive[live_idx[dead]] = False

@@ -196,6 +196,13 @@ def test_ensemble_clock_must_be_finite(clock):
         ParticleEnsemble(1, np.zeros((3, 1)), clock)
 
 
+@pytest.mark.parametrize("dim", [2.0, 0])
+def test_ensemble_dim_must_be_an_integer(dim):
+    # dim = 2.0 used to be kept as a float
+    with pytest.raises(ValueError, match=r"dim must be an integer in \[1, inf\]"):
+        ParticleEnsemble(dim, np.zeros((3, int(dim))))
+
+
 @pytest.mark.parametrize("name", ["analytic_gap", "grid_gap"])
 @pytest.mark.parametrize("gap", [-1.0, math.nan, math.inf])
 def test_sandwich_pair_gaps_must_be_finite(name, gap):
@@ -204,6 +211,14 @@ def test_sandwich_pair_gaps_must_be_finite(name, gap):
     kw = {"analytic_gap": 0.1, "grid_gap": 0.0, name: gap}
     with pytest.raises(ValueError, match=f"{name} must be finite and nonnegative"):
         SandwichPair(f, f, steps_taken=1, step_size=0.1, **kw)
+
+
+def test_sandwich_pair_ordering_is_exact():
+    # lower used to be allowed up to 1e-9 above upper
+    upper = RadialProfile.from_jumps([1.0], [0.5])
+    with pytest.raises(ValueError, match="lower exceeds upper"):
+        SandwichPair(RadialProfile.from_jumps([1.0], [0.5 + 1e-12]), upper, 0.1, 0.0, 1, 0.1)
+    assert SandwichPair(upper, upper, 0.1, 0.0, 1, 0.1).measured_gap == 0.0
 
 
 def test_max_radius_examples():

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from nbbm import experiments
 from nbbm.core import ParticleEnsemble, RadialProfile, empirical_cdf, max_radius
 from nbbm.experiments import (PointMassSampler, StationarySampler, UniformBallSampler,
                               bracket_distance, boundary_report, hydrodynamic_report,
@@ -54,6 +55,24 @@ class TestDistances:
         # |step at 1 - straight line r| peaks at the jump: value 1 just after it
         assert sup_distance_to_fn(f, lambda r: np.clip(r, 0, 1) / 1.0, 1.0) \
             == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("replicas", [0, -1, 2.5])
+@pytest.mark.parametrize("driver", ["hydro", "boundary", "selection"])
+def test_replica_count_named(driver, replicas, monkeypatch):
+    # replicas = 0 used to raise IndexError in hydrodynamic_report and give
+    # NaN rows marked failed in the other two; 2.5 failed inside range
+    def ran(*args, **kwargs):
+        raise AssertionError("a solve or particle run started")
+
+    for name in ("SandwichSolver", "solve_sandwich", "advance_nbbm", "_run_replicas"):
+        monkeypatch.setattr(experiments, name, ran)
+    kw = dict(N=200, d=1, sampler=UniformBallSampler(1), replicas=replicas, seed=0)
+    call = {"hydro": lambda: hydrodynamic_report(t=0.1, **kw),
+            "boundary": lambda: boundary_report(T=0.2, eta=0.1, **kw),
+            "selection": lambda: selection_report(t=0.1, K=1.0, c=0.5, **kw)}[driver]
+    with pytest.raises(ValueError, match=r"replicas must be an integer in \[1, inf\]"):
+        call()
 
 
 class TestHydrodynamicReport:

@@ -485,6 +485,46 @@ class TestSandwichSolver:
         with pytest.raises(ValueError, match=f"{name} must be positive and finite"):
             SandwichSolver(1, RadialProfile.from_jumps([1.0], [1.0]), **kw)
 
+    @pytest.mark.parametrize("dim", [1.5, 2.0, 0, -1])
+    def test_dim_named(self, dim):
+        # dim = 1.5 used to step d = 1 kernels on the grid floor of the other
+        # dimensions, and dim = 0 raised "math domain error"
+        with pytest.raises(ValueError, match=r"dim must be an integer in \[1, inf\]"):
+            SandwichSolver(dim, RadialProfile.from_jumps([1.0], [1.0]), 0.01, horizon_hint=0.1)
+        solver = SandwichSolver(np.int64(2), RadialProfile.from_jumps([1.0], [1.0]), 0.01,
+                                1e-2, horizon_hint=0.1)
+        assert type(solver.dim) is int and solver.dim == 2
+
+    @pytest.mark.parametrize("upper_value", [0.5, float(np.nextafter(1.0, 0.0))])
+    def test_crossing_start_rejected(self, upper_value):
+        # an upper start below the lower one used to give a measured width
+        # of 0.0 at step 0 and, at step 1, an AssertionError blaming the solver
+        lower = RadialProfile.from_jumps([0.5], [1.0])
+        upper = RadialProfile.from_jumps([0.25, 0.5], [upper_value, 1.0])
+        upper_low = RadialProfile.from_jumps([0.5, 1.0], [upper_value, 1.0])
+        SandwichSolver(1, lower, 0.01, 1e-2, initial_upper=upper, horizon_hint=0.1)
+        with pytest.raises(ValueError, match="initial_upper lies below initial"):
+            SandwichSolver(1, lower, 0.01, 1e-2, initial_upper=upper_low, horizon_hint=0.1)
+
+    def test_crossing_step_raises(self, monkeypatch):
+        # a lower cell above the upper one by less than 1e-10 used to be
+        # clipped to it silently and booked into grid_gap
+        step = obstacle._sandwich_step
+
+        def crossing(*args):
+            (p_up, eps_up), (p_lo, eps_lo) = step(*args)
+            i = int(np.argmax((p_up > 0.0) & (p_up < 1.0)))
+            assert 0.0 < p_up[i] < 1.0
+            p_lo[i] = np.nextafter(p_up[i], 2.0)
+            return [(p_up, eps_up), (p_lo, eps_lo)]
+
+        solver = SandwichSolver(1, RadialProfile.from_jumps([0.5, 1.0], [0.5, 1.0]), 0.01,
+                                1e-2, horizon_hint=0.1)
+        solver.advance_to(0.01)
+        monkeypatch.setattr(obstacle, "_sandwich_step", crossing)
+        with pytest.raises(AssertionError, match="ordering violated by"):
+            solver.advance_to(0.02)
+
     @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
     def test_advance_to_nonfinite_time_rejected(self, t):
         # t = inf used to raise OverflowError
@@ -631,6 +671,13 @@ class TestStationaryState:
             stationary_state(13)
         with pytest.raises(ValueError):
             stationary_state(0)
+
+    @pytest.mark.parametrize("d", [1.5, 2.0, 0, 13])
+    def test_dimension_named(self, d):
+        # d = 1.5 used to report dim=1 with the r_infinity of d = 1.5
+        with pytest.raises(ValueError, match=r"d must be an integer in \[1, 12\]"):
+            stationary_state(d)
+        assert stationary_state(np.int64(1)).r_infinity == stationary_state(1).r_infinity
 
 
 # ---------------------------------------------------------------------------

@@ -1044,6 +1044,19 @@ class TestKilledSurvival:
         with pytest.raises(ValueError, match="finite"):
             survival_curve(1, x, math.pi / 2, [0.5, 1.0], 10, replica_rng(27, 1), dt=1e-2)
 
+    @pytest.mark.parametrize("radius", [math.nan, 0.0, -1.0])
+    def test_bad_radius_rejected(self, radius):
+        # a NaN radius used to kill nothing and return all ones, and a
+        # radius <= 0 returned all zeros
+        with pytest.raises(ValueError, match="boundary must be positive"):
+            survival_curve(1, [0.0], radius, [0.5, 1.0], 10, replica_rng(30, 0), dt=1e-2)
+
+        def falling(s):
+            return radius if s > 0.3 else 1.0
+
+        with pytest.raises(ValueError, match="boundary must be positive.* at time 0.31"):
+            survival_curve(1, [0.0], falling, [0.5, 1.0], 10, replica_rng(30, 1), dt=1e-2)
+
 
 class TestReplicaRng:
     @pytest.mark.parametrize("seed, replica", [(-1, 0), (2**64, 0), (0, -1), (0, 2**64),
