@@ -13,7 +13,7 @@ import math
 import os
 from dataclasses import dataclass, field
 
-from .core import _positive
+from .core import _MAX_DIM, _integer, _positive
 
 __all__ = ["RunConfig", "parse_config", "serialize_config", "SCHEMAS"]
 
@@ -119,11 +119,12 @@ SCHEMAS: dict[str, dict[str, tuple[str, object]]] = {
 
 
 def _validate(subcommand: str, p: dict):
-    if "n" in p and p["n"] < 1:
-        raise ValueError(f"config key 'n' must be >= 1, got {p['n']}")
-    if "d" in p and not (1 <= p["d"] <= 12):
-        raise ValueError(f"config key 'd' must be in 1..12, got {p['d']}")
-    for key in ("t", "delta", "replicas", "sampler_radius", "initial_radius",
+    # n_windows >= 2: windows are compared pairwise
+    for key, lo, hi in (("n", 1, math.inf), ("replicas", 1, math.inf), ("d", 1, _MAX_DIM),
+                        ("n_windows", 2, math.inf), ("profile_nodes", 2, math.inf)):
+        if key in p:
+            _integer(f"config key '{key}'", p[key], lo, hi)
+    for key in ("t", "delta", "sampler_radius", "initial_radius",
                 "window_dt", "snapshot_dt", "burn_in", "window", "k",
                 "sup_tol", "m_tol", "mass_tol", "tolerance_q90", "pairwise_tol"):
         if key in p:
@@ -132,11 +133,6 @@ def _validate(subcommand: str, p: dict):
         _positive("config key 'grid_step'", p["grid_step"])
     if "c" in p and not 0.0 <= p["c"] <= 1.0:
         raise ValueError(f"config key 'c' must be a fraction in [0, 1], got {p['c']}")
-    if "n_windows" in p and not 2 <= p["n_windows"] < math.inf:
-        # windows are compared pairwise: one window has no pair to compare
-        raise ValueError(f"config key 'n_windows' must be >= 2, got {p['n_windows']}")
-    if "profile_nodes" in p and p["profile_nodes"] < 2:
-        raise ValueError(f"config key 'profile_nodes' must be >= 2, got {p['profile_nodes']}")
     if "t_values" in p and not all(0 < t < math.inf for t in p["t_values"]):
         raise ValueError(f"config key 't_values' must be positive and finite, "
                          f"got {list(p['t_values'])}")
@@ -172,10 +168,8 @@ class RunConfig:
             if k not in schema:
                 raise ValueError(f"unknown config key '{k}' for [{self.subcommand}]")
             merged[k] = v
-        if self.workers < 1:
-            raise ValueError("workers must be >= 1")
-        if not 0 <= self.seed < 2**64:
-            raise ValueError(f"seed must lie in [0, 2^64), got {self.seed}")
+        _integer("workers", self.workers, 1)
+        _integer("seed", self.seed, 0, 2**64 - 1)
         _validate(self.subcommand, merged)
         object.__setattr__(self, "params", merged)
 

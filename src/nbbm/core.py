@@ -40,6 +40,11 @@ __all__ = [
 _DEFAULT_CAP_HORIZON = 1.0
 
 
+# The numerics (kernels, solver, stationary state) are certified for integer
+# d in 1.._MAX_DIM, the range the anchored series' Taylor terms are sized for.
+_MAX_DIM = 12
+
+
 def default_domain_cap(max_jump: float, t_horizon: float = _DEFAULT_CAP_HORIZON) -> float:
     return float(max_jump) + 12.0 * math.sqrt(2.0 * float(t_horizon))
 
@@ -304,10 +309,9 @@ def discretize_cdf(cdf, r_max: float, n_nodes: int, mode: str) -> RadialProfile:
     cell's value from its right node and 'lower' from its left node, so the
     result brackets the CDF from that side; 'nearest' takes the mean of the
     two node values (the first cell stays 0, as in 'lower').  r_max must be
-    positive and finite and n_nodes at least 2, else ``ValueError``.
+    positive and finite and n_nodes an integer, at least 2, else ``ValueError``.
     """
-    if n_nodes < 2:
-        raise ValueError(f"n_nodes must be at least 2, got {n_nodes!r}")
+    _integer("n_nodes", n_nodes, 2)
     grid = np.linspace(0.0, _positive("r_max", r_max), n_nodes)
     v = np.clip(np.asarray(cdf(grid), dtype=float), 0.0, 1.0)
     if mode == "upper":

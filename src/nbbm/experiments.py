@@ -190,8 +190,7 @@ def hydrodynamic_report(N: int, d: int, t: float, sampler, replicas: int,
     the certificate itself."""
     _positive("t", t)
     _integer("replicas", replicas, 1)
-    if N < _MIN_POPULATION:
-        raise ValueError(f"hydrodynamic check needs N >= {_MIN_POPULATION}")
+    _integer("N", N, _MIN_POPULATION)
     res = _run_replicas(_hydro_replica, replicas, workers,
                         (seed, N, d, t, sampler, delta, grid_step))
     dists = np.array([r[0] for r in res])
@@ -230,8 +229,7 @@ def boundary_report(N: int, d: int, T: float, eta: float, sampler,
     if not (0.0 < eta < T):
         raise ValueError("need 0 < eta < T")
     _integer("replicas", replicas, 1)
-    if N < _MIN_POPULATION:
-        raise ValueError(f"boundary check needs N >= {_MIN_POPULATION}")
+    _integer("N", N, _MIN_POPULATION)
     limit = sampler.limit_profile()
     if limit is None:
         raise ValueError("sampler has no solver-compatible limit profile")
@@ -279,8 +277,7 @@ def selection_report(N: int, d: int, t: float, K: float, c: float, sampler,
     """Long-time statistics against the stationary state (U, R_inf, V);
     ``window_excess`` reads the unit window after t every ``window_dt``."""
     _integer("replicas", replicas, 1)
-    if N < _MIN_POPULATION:
-        raise ValueError(f"selection check needs N >= {_MIN_POPULATION}")
+    _integer("N", N, _MIN_POPULATION)
     n_window = whole_steps(1.0, window_dt, "window", "window_dt")
     state = stationary_state(d)
     res = _run_replicas(_selection_replica, replicas, workers,
@@ -323,11 +320,8 @@ def stationarity_report(N: int, d: int, burn_in: float, window: float,
     against V."""
     _positive("burn_in", burn_in)
     _positive("window", window)
-    if n_windows < 2:
-        raise ValueError(f"n_windows must be >= 2 to compare windows pairwise, "
-                         f"got {n_windows}")
-    if N < _MIN_POPULATION:
-        raise ValueError(f"stationarity check needs N >= {_MIN_POPULATION}")
+    _integer("n_windows", n_windows, 2)  # windows are compared pairwise
+    _integer("N", N, _MIN_POPULATION)
     per_window = whole_steps(window, snapshot_dt, "window", "snapshot_dt")
     state = stationary_state(d)
     _, log = advance_nbbm(ParticleEnsemble(d, np.zeros((N, d))),

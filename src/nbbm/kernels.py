@@ -20,12 +20,13 @@ noncentrality shifts the degrees of freedom by two, giving
     g(y, r, t) = (r/t) * f_ncx2(r^2/2t; d,   y^2/2t)
     G(y, r, t) = (y/t) * f_ncx2(r^2/2t; d+2, y^2/2t),
 
-evaluated in every d through scipy's ``ive``, with no booked error.  The
-lattice engine ``mixture_node_values``, which the solver's sandwich step
-calls once for both branches, evaluates G_t of step profiles with jumps
-c_j at lattice points a_j as the finite mixtures sum_j c_j w(a_j, r, t) on
-the lattice nodes, and every apply costs the kernel's support, not the
-domain:
+evaluated in every d through scipy's ``ive``, with no booked error.  Every
+kernel takes only integer d in 1..12 (``core._MAX_DIM``), the range the
+anchored route's 21 Taylor terms are sized for.  The lattice engine
+``mixture_node_values``, which the solver's sandwich step calls once for
+both branches, evaluates G_t of step profiles with jumps c_j at lattice
+points a_j as the finite mixtures sum_j c_j w(a_j, r, t) on the lattice
+nodes, and every apply costs the kernel's support, not the domain:
 
 * image route (d = 1, 3): the saturated parts of the image kernels are
   prefix sums of the jump sizes, and the remainders, cut to a band of B
@@ -67,7 +68,7 @@ import numpy as np
 from scipy import fft
 from scipy.special import erf, erfc, gammainc, gammaincc, gammaln, ive
 
-from .core import _nonnegative, _positive
+from .core import _MAX_DIM, _integer, _nonnegative, _positive
 
 __all__ = [
     "EvaluationError",
@@ -257,8 +258,7 @@ def _ncx2_pdf(x, dim: int, lam: float):
 
 def _check_point(dim: int, y: float, r, t: float) -> np.ndarray:
     """Check the arguments of a pointwise kernel; returns r as an array."""
-    if dim < 1:
-        raise ValueError("dim must be >= 1")
+    _integer("dim", dim, 1, _MAX_DIM)
     _positive("t", t)
     _nonnegative("y", y)
     r_arr = np.asarray(r, dtype=float)
@@ -338,7 +338,7 @@ def _cached(key: tuple, build):
     return entry
 
 
-_TAYLOR_TERMS = 21  # terms about each anchor: 2^6 / 21! < 2^-56 for every d <= 12
+_TAYLOR_TERMS = 21  # terms about each anchor: 2^(d/2) / 21! < _TAIL for every d <= _MAX_DIM
 _WEIGHT_ULPS = 256  # relative error of a _gamma_weight value in units of 2^-53 (196 seen)
 _SPAN = 64          # anchor values per table block
 _BLOCK = 4096       # nodes per block of Taylor sums: scratch below 1 MB
@@ -351,15 +351,6 @@ def _gamma(n: int) -> float:
     Lemma 3.1, Sec. 3.1 for sums and dot products, Sec. 5.1 for Horner)."""
     nu = n * 2.0 ** -53
     return nu / (1.0 - nu)
-
-
-def _taylor_terms(lift: float) -> int:
-    """Terms N + 1 about each anchor: _TAYLOR_TERMS, or more when d > 12
-    would put the node remainder lift / (N+1)! above _TAIL."""
-    n = _TAYLOR_TERMS
-    while lift / math.factorial(n) > _TAIL:
-        n += 1
-    return n
 
 
 def _anchored(x: np.ndarray):
@@ -432,7 +423,7 @@ class _AnchoredLattice:
     def __init__(self, dim: int, mu: np.ndarray, z: np.ndarray):
         a = 0.5 * dim
         self.a, self.n, self.lift, self.scratch = a, z.size, max(1.0, 2.0 ** a), 0
-        self.terms = _taylor_terms(self.lift)
+        self.terms = _TAYLOR_TERMS
         self.factorials = np.array([math.factorial(k) for k in range(self.terms)], float)
         anchors, self.first, _, self.jump_delta = _anchored(mu)
         self.jumps = _Table(0.0, anchors, *_window_edges(anchors, 0.0, 1.0, _TAIL / 4.0))
@@ -762,8 +753,7 @@ def mixture_node_values(dim: int, t: float, locs: np.ndarray, sizes: np.ndarray,
     row alone returns, and neither a node's value nor the error depends on
     how many nodes follow it.
     """
-    if dim < 1:
-        raise ValueError("dim must be >= 1")
+    _integer("dim", dim, 1, _MAX_DIM)
     _positive("t", t)
     h = _positive("lattice_h", lattice_h)
     locs = np.asarray(locs, dtype=float)

@@ -39,8 +39,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammaln, jv
 
-from .core import (RadialProfile, SandwichPair, StationaryState, _integer, _max_excess,
-                   _positive, default_domain_cap, whole_steps)
+from .core import (_MAX_DIM, RadialProfile, SandwichPair, StationaryState, _integer,
+                   _max_excess, _positive, default_domain_cap, whole_steps)
 from .kernels import mixture_node_values, support_band
 
 __all__ = [
@@ -244,8 +244,8 @@ def _sandwich_step(dim: int, delta: float, h: float, p_up: np.ndarray, p_lo: np.
 class SandwichSolver:
     """Incremental sandwich iteration on one shared uniform grid.
 
-    Time moves only through ``advance_to(t)``, to a time t on the lattice
-    of whole steps of ``delta``.
+    ``dim`` is an integer in [1, _MAX_DIM] (12).  Time moves only through
+    ``advance_to(t)``, to a time t on the lattice of whole steps of ``delta``.
     ``horizon_hint`` is the latest time the caller will ask for; it sizes
     the default grid (:func:`default_grid_step`).  ``initial`` may not jump
     at radius 0; ``initial_upper``, if given, starts the upper branch and
@@ -263,7 +263,7 @@ class SandwichSolver:
                  horizon_hint: float):
         self.delta = _positive("delta", delta)
         _check_initial(initial)
-        self.dim = _integer("dim", dim, 1)
+        self.dim = _integer("dim", dim, 1, _MAX_DIM)
         if initial_upper is not None and (worst := _max_excess(initial, initial_upper)) > 0.0:
             raise ValueError(f"initial_upper lies below initial by {worst:.3e}")
         r_scale = max(1.0, initial.locations[-1] if initial.locations.size else 1.0)
@@ -442,9 +442,9 @@ def stationary_state(d: int) -> StationaryState:
     with eigenvalue 1 on the ball of radius R_inf, normalized to unit mass.
     The identity d/dr[r^{nu+1} J_{nu+1}(r)] = r^{nu+1} J_nu(r) collapses the
     mass integral, so V(r) = (r/R_inf)^{d/2} J_{d/2}(r) / J_{d/2}(R_inf) in
-    closed form with V(R_inf) = 1 exactly, for integer d in [1, 12].
+    closed form with V(R_inf) = 1 exactly, for integer d in [1, _MAX_DIM] (12).
     """
-    d = _integer("d", d, 1, 12)
+    d = _integer("d", d, 1, _MAX_DIM)
     nu = 0.5 * d - 1.0
     r_inf = _first_bessel_zero(nu)
     sphere = 2.0 * math.pi ** (0.5 * d) / math.exp(gammaln(0.5 * d))

@@ -31,7 +31,6 @@ Red particles are never selected, so the skipped positions enter no output.
 from __future__ import annotations
 
 import math
-import operator
 from array import array
 from bisect import bisect_right
 from dataclasses import dataclass, field
@@ -75,13 +74,9 @@ def replica_rng(seed: int, replica: int = 0) -> np.random.Generator:
     Distinct replicas get statistically independent streams and the mapping
     is reproducible regardless of how replicas are scheduled across workers.
     """
-    for name, value in (("seed", seed), ("replica", replica)):
-        try:  # refuses a float, which the uint64 cast would truncate onto another key
-            ok = 0 <= operator.index(value) < 2**64
-        except TypeError:
-            ok = False
-        if not ok:
-            raise ValueError(f"{name} must be an integer in [0, 2^64), got {value!r}")
+    # a float is refused: the uint64 cast would truncate it onto another key
+    _integer("seed", seed, 0, 2**64 - 1)
+    _integer("replica", replica, 0, 2**64 - 1)
     key = np.array([seed, replica], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
@@ -210,6 +205,11 @@ class _Swarm:
     stays Markov), when it branches, when it leaves its box, and when the
     internal window ends.  At an event where no candidate reaches g every
     particle is read, and a new internal window opens there.
+
+    The removed particle is always a candidate: the furthest candidate, or
+    after a read-all the furthest particle, which the new window does not
+    box (it boxes only particles closer than g).  So the child always takes
+    a candidate row, and a boxed particle keeps no row until its box ends.
     """
 
     def __init__(self, pos: np.ndarray, rng: np.random.Generator):
@@ -274,17 +274,8 @@ class _Swarm:
             f = self._read_all(t, count)
         rk = self.row[k]
         z = self.cpos[rk] if rk >= 0 else self._read_one(k, t)
-        rf = self.row[f]
-        if rf < 0:
-            rf = self._add(f)
-        self.cpos[rf] = z
+        self.cpos[self.row[f]] = z
         return f
-
-    def _add(self, i: int) -> int:
-        r = self.m
-        self.m += 1
-        self.row[i], self.cslot[r] = r, i
-        return r
 
     def _diffuse(self, t: float):
         m = self.m
@@ -354,8 +345,6 @@ class _Swarm:
         self.ei = bisect_right(self.exit_t, t, lo)
         for q in range(lo, self.ei):
             i, tau = self.exits[q], self.exit_t[q]
-            if self.row[i] >= 0:   # removed, and its slot refilled, before it left
-                continue
             if self.d == 1:
                 x = [self.exit_x[q]]
             else:   # the other coordinates only had to stay until tau
@@ -366,7 +355,9 @@ class _Swarm:
                     elif dt > 0.0:
                         x[j] = _Interval.read_one(x[j], float(self.half[i, j]), dt, 0.0, 0.0,
                                                   self.rng)
-            s, z, r = math.sqrt(2.0 * (t - tau)), self.exit_z[q], self._add(i)
+            s, z, r = math.sqrt(2.0 * (t - tau)), self.exit_z[q], self.m
+            self.m += 1
+            self.row[i], self.cslot[r] = r, i
             for j in range(self.d):
                 self.cpos[r, j] = x[j] + s * z[j]
 

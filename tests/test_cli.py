@@ -88,6 +88,13 @@ class TestConfig:
         with pytest.raises(ValueError, match="'n' expects int"):
             parse_text("[hydro]\nn = soup\n", "hydro")
 
+    @pytest.mark.parametrize("key, value", [("seed", 1.5), ("seed", -1), ("seed", 2**64),
+                                            ("workers", 1.5), ("workers", 0)])
+    def test_top_level_counts_named(self, key, value):
+        # seed = 1.5 and workers = 1.5 used to be accepted
+        with pytest.raises(ValueError, match=f"{key} must be an integer in"):
+            RunConfig("stationary", **{key: value})
+
     def test_constraint_violations(self, parse_text):
         with pytest.raises(ValueError, match="'n'"):
             parse_text("[hydro]\nn = 0\n", "hydro")
@@ -127,6 +134,8 @@ class TestConfig:
         ("selection", "window_dt", "0"), ("stationarity", "snapshot_dt", "0"),
         ("selection", "k", "0"), ("selection", "c", "-0.1"), ("selection", "c", "1.5"),
         ("stationary", "profile_nodes", "0"), ("stationary", "profile_nodes", "1"),
+        ("simulate", "n", "0"), ("hydro", "replicas", "0"), ("solve", "d", "13"),
+        ("kernel-dump", "d", "0"),
         ("kernel-dump", "t_values", "-1"), ("kernel-dump", "t_values", "0.1,0"),
         ("kernel-dump", "y_values", "-0.5"), ("kernel-dump", "r_values", "-1")])
     def test_nonpositive_value_exit_two_before_output(self, tmp_path, sub, key, value,

@@ -105,11 +105,12 @@ class TestDiscretizeCdf:
     @pytest.mark.parametrize("mode", ["upper", "lower", "nearest"])
     @pytest.mark.parametrize("name, r_max, n_nodes", [
         *(("r_max", r, 5) for r in (0.0, math.nan, math.inf)),
-        *(("n_nodes", 2.0, n) for n in (1, 0))])
+        *(("n_nodes", 2.0, n) for n in (1, 0, 2.5))])
     def test_degenerate_grid_rejected(self, mode, name, r_max, n_nodes):
         # 'upper' and 'lower' used to return the zero profile, so that
         # stationary_state(1).as_profile(1, "upper") was an empty "upper
-        # bracket" of V, and 'nearest' raised an IndexError
+        # bracket" of V, and 'nearest' raised an IndexError; n_nodes = 2.5
+        # raised a TypeError inside numpy
         with pytest.raises(ValueError, match=name):
             discretize_cdf(self.cdf, r_max, n_nodes, mode)
 

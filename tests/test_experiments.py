@@ -57,21 +57,41 @@ class TestDistances:
             == pytest.approx(1.0)
 
 
-@pytest.mark.parametrize("replicas", [0, -1, 2.5])
-@pytest.mark.parametrize("driver", ["hydro", "boundary", "selection"])
-def test_replica_count_named(driver, replicas, monkeypatch):
-    # replicas = 0 used to raise IndexError in hydrodynamic_report and give
-    # NaN rows marked failed in the other two; 2.5 failed inside range
+@pytest.fixture
+def no_runs(monkeypatch):
+    """Any solve or particle run started by a driver fails the test."""
     def ran(*args, **kwargs):
         raise AssertionError("a solve or particle run started")
 
     for name in ("SandwichSolver", "solve_sandwich", "advance_nbbm", "_run_replicas"):
         monkeypatch.setattr(experiments, name, ran)
+
+
+@pytest.mark.parametrize("replicas", [0, -1, 2.5])
+@pytest.mark.parametrize("driver", ["hydro", "boundary", "selection"])
+def test_replica_count_named(driver, replicas, no_runs):
+    # replicas = 0 used to raise IndexError in hydrodynamic_report and give
+    # NaN rows marked failed in the other two; 2.5 failed inside range
     kw = dict(N=200, d=1, sampler=UniformBallSampler(1), replicas=replicas, seed=0)
     call = {"hydro": lambda: hydrodynamic_report(t=0.1, **kw),
             "boundary": lambda: boundary_report(T=0.2, eta=0.1, **kw),
             "selection": lambda: selection_report(t=0.1, K=1.0, c=0.5, **kw)}[driver]
     with pytest.raises(ValueError, match=r"replicas must be an integer in \[1, inf\]"):
+        call()
+
+
+@pytest.mark.parametrize("N", [99, 2000.5])
+@pytest.mark.parametrize("driver", ["hydro", "boundary", "selection", "stationarity"])
+def test_population_named(driver, N, no_runs):
+    # N = 2000.5 used to pass the check and raise a TypeError inside numpy
+    kw = dict(N=N, d=1, seed=0)
+    ens = dict(sampler=UniformBallSampler(1), replicas=2)
+    call = {"hydro": lambda: hydrodynamic_report(t=0.1, **kw, **ens),
+            "boundary": lambda: boundary_report(T=0.2, eta=0.1, **kw, **ens),
+            "selection": lambda: selection_report(t=0.1, K=1.0, c=0.5, **kw, **ens),
+            "stationarity": lambda: stationarity_report(burn_in=0.2, window=1.0,
+                                                        n_windows=2, **kw)}[driver]
+    with pytest.raises(ValueError, match=r"N must be an integer in \[100, inf\]"):
         call()
 
 
@@ -230,10 +250,10 @@ class TestStationarityReport:
         # recorded, not asserted per-seed: larger N should not be wildly worse
         assert vals[1000] < vals[250] + 0.05
 
-    @pytest.mark.parametrize("n_windows", [0, 1])
+    @pytest.mark.parametrize("n_windows", [0, 1, 2.5])
     def test_needs_two_windows(self, n_windows):
         # one window has no pair to compare: max_pairwise_window_distance
-        # used to read 0.0 and pass
+        # used to read 0.0 and pass; 2.5 raised a TypeError inside the run
         with pytest.raises(ValueError, match="n_windows"):
             stationarity_report(N=100, d=1, burn_in=0.2, window=1.0,
                                 n_windows=n_windows, seed=1)

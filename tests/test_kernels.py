@@ -9,6 +9,7 @@ from scipy.special import chndtr, erf
 from mp_exact import exact_series
 from nbbm import kernels, obstacle
 from nbbm.cli import main
+from nbbm.core import _MAX_DIM
 from nbbm.kernels import bessel_density, kernel_G, mixture_node_values, radial_cdf
 from nbbm.obstacle import SolveRequest, solve_sandwich, stationary_state
 from nbbm.sim import replica_rng
@@ -318,12 +319,17 @@ class TestLatticeMixture:
         with pytest.raises(ValueError, match="t must be positive and finite"):
             one_mixture(d, t, [10], [1.0], r, self.H)
 
-    @pytest.mark.parametrize("dim", [0, -1])
+    @pytest.mark.parametrize("dim", [0, -1, 1.5, 13])
     def test_dim_below_one_rejected(self, dim):
-        # dim 0 used to take the series route and return NaN at node 0
+        # dim 0 used to take the series route and return NaN at node 0, and
+        # dim 1.5 and 13, outside the range the Taylor terms are sized for,
+        # returned values (radial_cdf(1.5, 0.5, 1.0, 0.1) was 0.8284)
         r = np.arange(50) * self.H
-        with pytest.raises(ValueError, match="dim must be >= 1"):
+        with pytest.raises(ValueError, match=r"dim must be an integer in \[1, 12\]"):
             one_mixture(dim, 0.1, [10], [1.0], r, self.H)
+        for kernel in (radial_cdf, bessel_density, kernel_G):
+            with pytest.raises(ValueError, match=r"dim must be an integer in \[1, 12\]"):
+                kernel(dim, 0.5, 1.0, 0.1)
 
     @pytest.mark.parametrize("d", [1, 2, 3])
     @pytest.mark.parametrize("t", [0.01, 0.3])
@@ -483,6 +489,11 @@ def _random_lattice(rng, h, n):
 class TestAnchoredRoute:
     H, N = 0.01, 400
 
+    def test_taylor_terms_cover_the_dimension_range(self):
+        # the node remainder lift / terms!, lift = 2^(d/2), stays below the
+        # tail cap at every supported d: widening the range needs more terms
+        assert 2.0 ** (_MAX_DIM / 2) / math.factorial(kernels._TAYLOR_TERMS) <= kernels._TAIL
+
     @pytest.mark.parametrize("d", [2, 4, 5, 12])
     @pytest.mark.parametrize("t", [0.01, 0.3])
     def test_matches_pointwise_sweep(self, d, t):
@@ -528,7 +539,7 @@ class TestAnchoredRoute:
         idx, sizes, r = _random_lattice(rng, self.H, self.N)
         out = {}
         for n_terms in (terms, terms + 8):
-            monkeypatch.setattr(kernels, "_taylor_terms", lambda lift, n=n_terms: n)
+            monkeypatch.setattr(kernels, "_TAYLOR_TERMS", n_terms)
             kernels._IMAGE_CACHE.clear()
             out[n_terms] = one_mixture(d, 0.05, idx, sizes, r, self.H)
         (short, err_short), (long, err_long) = out[terms], out[terms + 8]

@@ -485,11 +485,12 @@ class TestSandwichSolver:
         with pytest.raises(ValueError, match=f"{name} must be positive and finite"):
             SandwichSolver(1, RadialProfile.from_jumps([1.0], [1.0]), **kw)
 
-    @pytest.mark.parametrize("dim", [1.5, 2.0, 0, -1])
+    @pytest.mark.parametrize("dim", [1.5, 2.0, 0, -1, 13])
     def test_dim_named(self, dim):
         # dim = 1.5 used to step d = 1 kernels on the grid floor of the other
-        # dimensions, and dim = 0 raised "math domain error"
-        with pytest.raises(ValueError, match=r"dim must be an integer in \[1, inf\]"):
+        # dimensions, dim = 0 raised "math domain error", and dim = 13 built
+        # a solver outside the range the kernels are certified for
+        with pytest.raises(ValueError, match=r"dim must be an integer in \[1, 12\]"):
             SandwichSolver(dim, RadialProfile.from_jumps([1.0], [1.0]), 0.01, horizon_hint=0.1)
         solver = SandwichSolver(np.int64(2), RadialProfile.from_jumps([1.0], [1.0]), 0.01,
                                 1e-2, horizon_hint=0.1)

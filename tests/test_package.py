@@ -134,6 +134,35 @@ def test_one_call_shape_from_solver_to_kernel():
     assert _callers("_sandwich_step", sources) == ["obstacle:SandwichSolver._advance"]
 
 
+def _operator_index_sites(sources: dict[str, str]) -> list[str]:
+    """``module:function`` of each read of ``operator.index`` and of each
+    import from ``operator``, innermost function first, once per function."""
+    found = set()
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        funcs = [f for f in ast.walk(tree)
+                 if isinstance(f, (ast.FunctionDef, ast.AsyncFunctionDef))]
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Attribute) and node.attr == "index"
+                    and getattr(node.value, "id", None) == "operator") or (
+                    isinstance(node, ast.ImportFrom) and node.module == "operator"):
+                where = [f for f in funcs if f.lineno <= node.lineno <= f.end_lineno]
+                name = max(where, key=lambda f: f.lineno).name if where else "<module>"
+                found.add(f"{module}:{name}")
+    return sorted(found)
+
+
+def test_operator_index_only_in_the_integer_check():
+    # every integer from outside goes through core._integer, which refuses a
+    # float through operator.index; a second hand-rolled check cannot come back
+    assert _operator_index_sites({"a": "import operator\nfrom operator import index\n"
+                                       "def f(x):\n    def g():\n        operator.index(x)\n"
+                                       "    return operator.index(x)\n"}) == \
+        ["a:<module>", "a:f", "a:g"]
+    sources = {path.stem: path.read_text() for path in sorted(_SRC.glob("*.py"))}
+    assert _operator_index_sites(sources) == ["core:_integer"]
+
+
 def _unused_imports(source: str) -> list[str]:
     """``line:name`` of each name the module imports and never reads; a name
     listed in ``__all__`` is a re-export and counts as read."""
