@@ -3,7 +3,7 @@
 Subpackages:
 
 * ``core``        shared value types and empirical statistics
-* ``kernels``     radial Brownian kernels w, g, G and their lattice mixtures
+* ``kernels``     radial Brownian kernel w and its lattice mixtures
 * ``obstacle``    certified sandwich solver, free boundary, stationary state
 * ``sim``         event-driven particle simulation and couplings
 * ``experiments`` desk-scale reproductions with machine-readable reports
@@ -12,7 +12,7 @@ Subpackages:
 
 from .core import (ParticleEnsemble, RadialProfile, SandwichPair, StationaryState,
                    empirical_cdf, in_gamma, max_radius, measure_of_set)
-from .kernels import bessel_density, kernel_G, radial_cdf
+from .kernels import radial_cdf
 from .obstacle import (SandwichSolver, SolveRequest, analytic_gap, free_boundary_radius,
                        solve_sandwich, stationary_state)
 from .sim import (BbmForest, SimParams, advance_nbbm, coupled_run, replica_rng,

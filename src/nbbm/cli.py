@@ -26,7 +26,7 @@ from .core import ParticleEnsemble, RadialProfile
 from .experiments import (PointMassSampler, StationarySampler, UniformBallSampler,
                           hydrodynamic_report, rows_to_csv, selection_report,
                           stationarity_report)
-from .kernels import bessel_density, kernel_G, radial_cdf
+from .kernels import radial_cdf
 from .obstacle import SolveRequest, free_boundary_radius, solve_sandwich, stationary_state
 from .sim import advance_nbbm, replica_rng
 
@@ -222,14 +222,11 @@ def _run_stationarity(cfg: RunConfig, w: _ArtifactWriter) -> int:
 def _run_kernel_dump(cfg: RunConfig, w: _ArtifactWriter) -> int:
     p = cfg.params
     d = p["d"]
-    lines = ["d,y,r,t,w,g,G"]
+    lines = ["d,y,r,t,w"]
     for y in p["y_values"]:
         for r in p["r_values"]:
             for t in p["t_values"]:
-                lines.append(f"{d},{y!r},{r!r},{t!r},"
-                             f"{radial_cdf(d, y, r, t)!r},"
-                             f"{bessel_density(d, y, r, t)!r},"
-                             f"{kernel_G(d, y, r, t)!r}")
+                lines.append(f"{d},{y!r},{r!r},{t!r},{radial_cdf(d, y, r, t)!r}")
     w.write("kernel_table.csv", "\n".join(lines) + "\n")
     return 0
 

@@ -157,7 +157,7 @@ def sup_distance_to_fn(f: RadialProfile, fn, r_hi: float) -> float:
 
 def _run_replicas(fn, n_replicas: int, workers: int, args: tuple) -> list:
     """Execute fn(rep, *args) for each replica, deterministically ordered."""
-    if workers <= 1:
+    if _integer("workers", workers, 1) == 1:
         return [fn(rep, *args) for rep in range(n_replicas)]
     with ProcessPoolExecutor(max_workers=workers) as pool:
         futures = [pool.submit(fn, rep, *args) for rep in range(n_replicas)]

@@ -1,11 +1,8 @@
 """Radial transition kernels of d-dimensional Brownian motion (diffusivity sqrt 2).
 
-Objects implemented here, all conditional on the starting radius y:
+The one pointwise kernel, conditional on the starting radius y:
 
 * ``radial_cdf``  w(y, r, t) = P(||B_t|| < r | ||B_0|| = y)
-* ``bessel_density``  g = dw/dr, the Bessel transition density
-* ``kernel_G``  G = -dw/dy, the fundamental solution of
-  dG/dt = d^2G/dr^2 - ((d-1)/r) dG/dr with G(y, 0, t) = 0
 
 The computational route: ||B_t||^2 / (2t) follows a noncentral chi-squared
 law with d degrees of freedom and noncentrality y^2 / (2t), so
@@ -14,17 +11,11 @@ law with d degrees of freedom and noncentrality y^2 / (2t), so
 
 with P the regularized lower incomplete gamma function; in d = 1 and 3, w
 has Gaussian image forms.  The Poisson tail bounds the truncation, so every
-evaluation of w carries a certified absolute error.  Differentiating in the
-noncentrality shifts the degrees of freedom by two, giving
-
-    g(y, r, t) = (r/t) * f_ncx2(r^2/2t; d,   y^2/2t)
-    G(y, r, t) = (y/t) * f_ncx2(r^2/2t; d+2, y^2/2t),
-
-evaluated in every d through scipy's ``ive``, with no booked error.  Every
-kernel takes only integer d in 1..12 (``core._MAX_DIM``), the range the
-anchored route's 21 Taylor terms are sized for.  The lattice engine
-``mixture_node_values``, which the solver's sandwich step calls once for
-both branches, evaluates G_t of step profiles with jumps c_j at lattice
+evaluation of w carries a certified absolute error.  ``radial_cdf`` and
+``mixture_node_values`` take only integer d in 1..12 (``core._MAX_DIM``),
+the range the anchored route's 21 Taylor terms are sized for.  The lattice
+engine ``mixture_node_values``, which the solver's sandwich step calls once
+for both branches, evaluates G_t of step profiles with jumps c_j at lattice
 points a_j as the finite mixtures sum_j c_j w(a_j, r, t) on the lattice
 nodes, and every apply costs the kernel's support, not the domain:
 
@@ -45,7 +36,7 @@ nodes, and every apply costs the kernel's support, not the domain:
   Q_k against a second table, and each node from a Taylor sum in
   delta = z - A.  The tables come in blocks of anchors built by a ratio
   recurrence, kept per (dim, t, h) within the cache budget and streamed
-  past it.  The pointwise kernels run one unit jump through the same route.
+  past it.  ``radial_cdf`` runs one unit jump through the same route.
 
 The returned ``eval_err`` books, per unit of mixture mass:
 
@@ -66,15 +57,13 @@ import math
 
 import numpy as np
 from scipy import fft
-from scipy.special import erf, erfc, gammainc, gammaincc, gammaln, ive
+from scipy.special import erf, erfc, gammainc, gammaincc, gammaln
 
 from .core import _MAX_DIM, _integer, _nonnegative, _positive
 
 __all__ = [
     "EvaluationError",
     "radial_cdf",
-    "bessel_density",
-    "kernel_G",
     "mixture_node_values",
 ]
 
@@ -216,60 +205,18 @@ def _window_edges(x: np.ndarray, s_lo: float, s_hi: float, eps: float, shift: fl
     return np.minimum(first_bad - 1, hi), hi
 
 
-def _ncx2_cdf(x: np.ndarray, dim: int, lam: float) -> np.ndarray:
-    """Noncentral chi-squared CDF within the booked error of one unit jump of
-    mean lam/2 through the anchored series (:class:`_AnchoredLattice`)."""
-    x = np.asarray(x, dtype=float)
-    mu = 0.5 * lam
-    if mu == 0.0 or x.size == 0:
-        return gammainc(0.5 * dim, 0.5 * x)
-    z = 0.5 * x.ravel()
-    order = np.argsort(z, kind="stable")
-    vals, _ = _AnchoredLattice(dim, np.array([mu]), z[order]).apply([np.ones(1)], z.size)
-    return vals[0][np.argsort(order)].reshape(x.shape)  # within [0, 1]
-
-
-def _ncx2_pdf(x, dim: int, lam: float):
-    """Noncentral chi-squared density (Bessel form, overflow-safe)."""
-    x = np.asarray(x, dtype=float)
-    if lam == 0.0:
-        a = 0.5 * dim
-        with np.errstate(divide="ignore", invalid="ignore"):
-            out = np.where(x > 0.0,
-                           np.exp((a - 1.0) * np.log(np.maximum(x, 1e-300))
-                                  - 0.5 * x - a * math.log(2.0) - gammaln(a)),
-                           0.0)
-        return out
-    nu = 0.5 * dim - 1.0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        sq = np.sqrt(x * lam)
-        out = np.where(
-            x > 0.0,
-            0.5 * np.exp(-0.5 * (np.sqrt(x) - math.sqrt(lam)) ** 2)
-            * np.where(x > 0, (x / lam), 1.0) ** (0.5 * nu) * ive(nu, sq),
-            0.0,
-        )
-    return out
-
-
 # ---------------------------------------------------------------------------
-# Pointwise kernels
+# Pointwise kernel
 # ---------------------------------------------------------------------------
 
-def _check_point(dim: int, y: float, r, t: float) -> np.ndarray:
-    """Check the arguments of a pointwise kernel; returns r as an array."""
+def radial_cdf(dim: int, y: float, r, t: float):
+    """w(y, r, t) = P(||B_t|| < r | ||B_0|| = y); vectorized in r."""
     _integer("dim", dim, 1, _MAX_DIM)
     _positive("t", t)
     _nonnegative("y", y)
     r_arr = np.asarray(r, dtype=float)
     if not np.all((r_arr >= 0.0) & (r_arr < math.inf)):
         raise ValueError("r must be finite and nonnegative")
-    return r_arr
-
-
-def radial_cdf(dim: int, y: float, r, t: float):
-    """w(y, r, t) = P(||B_t|| < r | ||B_0|| = y); vectorized in r."""
-    r_arr = _check_point(dim, y, r, t)
     s2 = 2.0 * math.sqrt(t)
     if dim == 1:
         out = 0.5 * (erf((r_arr - y) / s2) + erf((r_arr + y) / s2))
@@ -279,32 +226,18 @@ def radial_cdf(dim: int, y: float, r, t: float):
         out = (0.5 * (erf((r_arr - y) / s2) + erf((r_arr + y) / s2))
                - math.sqrt(t / math.pi) / y * (expm - expp))
     else:
-        out = _ncx2_cdf(r_arr * r_arr / (2.0 * t), dim, y * y / (2.0 * t))
+        # one unit jump of mean mu through the anchored series, within its booked error
+        z = r_arr * r_arr / (4.0 * t)
+        mu = y * y / (4.0 * t)
+        if mu == 0.0 or z.size == 0:
+            out = gammainc(0.5 * dim, z)
+        else:
+            flat = z.ravel()
+            order = np.argsort(flat, kind="stable")
+            vals, _ = _AnchoredLattice(dim, np.array([mu]), flat[order]).apply(
+                [np.ones(1)], flat.size)
+            out = vals[0][np.argsort(order)].reshape(z.shape)
     out = np.clip(out, 0.0, 1.0)
-    return float(out) if r_arr.ndim == 0 else out
-
-
-def bessel_density(dim: int, y: float, r, t: float):
-    """g(y, r, t) = dw/dr, the radial transition density.
-
-    Evaluated through scipy's ``ive`` in every d, with no booked error.
-    The y = 0 case is the continuity limit: the chi distribution with d
-    degrees of freedom scaled by sqrt(2t).
-    """
-    r_arr = _check_point(dim, y, r, t)
-    out = (r_arr / t) * _ncx2_pdf(r_arr * r_arr / (2.0 * t), dim, y * y / (2.0 * t))
-    return float(out) if r_arr.ndim == 0 else out
-
-
-def kernel_G(dim: int, y: float, r, t: float):
-    """G(y, r, t) = -dw/dy >= 0.
-
-    Differentiating the noncentral series in its noncentrality shifts the
-    degrees of freedom by two: G = (y/t) * f_ncx2(r^2/2t; d+2, y^2/2t),
-    evaluated through scipy's ``ive`` in every d, with no booked error.
-    """
-    r_arr = _check_point(dim, y, r, t)
-    out = (y / t) * _ncx2_pdf(r_arr * r_arr / (2.0 * t), dim + 2, y * y / (2.0 * t))
     return float(out) if r_arr.ndim == 0 else out
 
 

@@ -212,7 +212,7 @@ class TestRun:
         cfg = parse_config(None, "kernel-dump", {"out": str(tmp_path / "kd")})
         assert run(cfg) == 0
         lines = (tmp_path / "kd" / "kernel_table.csv").read_text().splitlines()
-        assert lines[0] == "d,y,r,t,w,g,G"
+        assert lines[0] == "d,y,r,t,w"
         assert len(lines) == 1 + 3 * 3 * 2
 
     def test_simulate_writes_schema(self, tmp_path):

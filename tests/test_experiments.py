@@ -80,6 +80,26 @@ def test_replica_count_named(driver, replicas, no_runs):
         call()
 
 
+@pytest.mark.parametrize("workers", [-2, 0, 0.5, 2.0])
+@pytest.mark.parametrize("driver", ["hydro", "boundary", "selection"])
+def test_worker_count_named(driver, workers, monkeypatch):
+    # workers <= 1 used to run serially whatever its value, and a float
+    # above 1 reached ProcessPoolExecutor unchecked
+    def ran(*args, **kwargs):
+        raise AssertionError("a replica started")
+
+    for name in ("_hydro_replica", "_boundary_replica", "_selection_replica",
+                 "ProcessPoolExecutor"):
+        monkeypatch.setattr(experiments, name, ran)
+    kw = dict(N=200, d=1, sampler=UniformBallSampler(1), replicas=2, seed=0,
+              workers=workers)
+    call = {"hydro": lambda: hydrodynamic_report(t=0.1, **kw),
+            "boundary": lambda: boundary_report(T=0.2, eta=0.1, **kw),
+            "selection": lambda: selection_report(t=0.1, K=1.0, c=0.5, **kw)}[driver]
+    with pytest.raises(ValueError, match=r"workers must be an integer in \[1, inf\]"):
+        call()
+
+
 @pytest.mark.parametrize("N", [99, 2000.5])
 @pytest.mark.parametrize("driver", ["hydro", "boundary", "selection", "stationarity"])
 def test_population_named(driver, N, no_runs):

@@ -3,14 +3,14 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
-from scipy import integrate, stats
+from scipy import stats
 from scipy.special import chndtr, erf
 
 from mp_exact import exact_series
 from nbbm import kernels, obstacle
 from nbbm.cli import main
 from nbbm.core import _MAX_DIM
-from nbbm.kernels import bessel_density, kernel_G, mixture_node_values, radial_cdf
+from nbbm.kernels import mixture_node_values, radial_cdf
 from nbbm.obstacle import SolveRequest, solve_sandwich, stationary_state
 from nbbm.sim import replica_rng
 
@@ -88,26 +88,23 @@ class TestRadialCdf:
             radial_cdf(d, 0.5, 1.0, -1.0)
         with pytest.raises(ValueError):
             radial_cdf(d, -0.5, 1.0, 1.0)
-        for kernel in (radial_cdf, bessel_density, kernel_G):
-            with pytest.raises(ValueError, match="dim"):
-                kernel(0, 0.5, 1.0, 1.0)
+        with pytest.raises(ValueError, match="dim"):
+            radial_cdf(0, 0.5, 1.0, 1.0)
 
     @pytest.mark.parametrize("name, y, t", [
         *(("t", 0.5, t) for t in (0.0, -1.0, math.nan, math.inf, -math.inf)),
         *(("y", y, 1.0) for y in (-0.5, math.nan, math.inf, -math.inf))])
     def test_scalar_arguments_named(self, d, name, y, t):
-        for kernel in (radial_cdf, bessel_density, kernel_G):
-            with pytest.raises(ValueError, match=f"{name} must be"):
-                kernel(d, y, 1.0, t)
+        with pytest.raises(ValueError, match=f"{name} must be"):
+            radial_cdf(d, y, 1.0, t)
 
     @pytest.mark.parametrize("dim", [1, 2, 3])
     @pytest.mark.parametrize("y, r", [(math.nan, 1.0), (0.5, math.nan), (math.inf, 1.0),
                                       (0.5, math.inf), (0.5, [0.5, math.nan])])
     def test_nonfinite_arguments_rejected(self, dim, y, r):
         # radial_cdf(3, nan, 1, 1) and radial_cdf(2, 0.5, nan, 1) never returned
-        for kernel in (radial_cdf, bessel_density, kernel_G):
-            with pytest.raises(ValueError, match="finite"):
-                kernel(dim, y, r, 1.0)
+        with pytest.raises(ValueError, match="finite"):
+            radial_cdf(dim, y, r, 1.0)
 
     def test_nan_series_mean_rejected(self):
         # a NaN mean used to keep the window search looping forever
@@ -123,76 +120,6 @@ class TestRadialCdf:
         # huge noncentrality with a manageable mode window must evaluate
         assert radial_cdf(2, 1.0, 0.5, 1e-8) == pytest.approx(0.0, abs=1e-9)
         assert radial_cdf(2, 1.0, 1.5, 1e-8) == pytest.approx(1.0, abs=1e-9)
-
-
-# ---------------------------------------------------------------------------
-# bessel_density
-# ---------------------------------------------------------------------------
-
-class TestBesselDensity:
-    @pytest.mark.parametrize("d", [1, 2, 3])
-    @pytest.mark.parametrize("y", [0.5, 2.0])
-    @pytest.mark.parametrize("t", [0.1, 1.0])
-    def test_normalization(self, d, y, t):
-        val, err = integrate.quad(lambda r: bessel_density(d, y, r, t),
-                                  0.0, y + 12 * math.sqrt(2 * t), limit=200)
-        assert abs(val - 1.0) < 1e-8
-
-    def test_matches_dw_dr(self, d):
-        h = 1e-5
-        for y, r, t in [(0.5, 1.0, 0.3), (2.0, 1.5, 1.0)]:
-            fd = (radial_cdf(d, y, r + h, t) - radial_cdf(d, y, r - h, t)) / (2 * h)
-            assert fd == pytest.approx(bessel_density(d, y, r, t), abs=1e-6)
-
-    def test_maxwell_limit_d3(self):
-        for r, t in [(0.5, 0.25), (2.0, 1.0)]:
-            expected = r * r * math.exp(-r * r / (4 * t)) / (2 * math.sqrt(math.pi) * t ** 1.5)
-            assert bessel_density(3, 0.0, r, t) == pytest.approx(expected, rel=1e-10)
-
-    def test_y0_matches_small_y(self, d):
-        r = np.linspace(0.05, 4.0, 50)
-        g0 = bessel_density(d, 0.0, r, 0.5)
-        g_eps = bessel_density(d, 1e-7, r, 0.5)
-        assert np.abs(g0 - g_eps).max() < 1e-6
-
-
-# ---------------------------------------------------------------------------
-# kernel_G
-# ---------------------------------------------------------------------------
-
-class TestKernelG:
-    def test_matches_minus_dw_dy(self, d):
-        h = 1e-5
-        for y, r, t in [(0.5, 1.0, 0.3), (2.0, 1.5, 1.0), (1.0, 2.5, 0.2)]:
-            fd = -(radial_cdf(d, y + h, r, t) - radial_cdf(d, y - h, r, t)) / (2 * h)
-            assert fd == pytest.approx(kernel_G(d, y, r, t), abs=1e-6)
-
-    def test_vanishes_at_r0(self, d):
-        for y, t in [(0.5, 0.3), (2.0, 1.0)]:
-            assert kernel_G(d, y, 0.0, t) == 0.0
-
-    def test_nonnegative(self, d):
-        r = np.linspace(0.0, 6.0, 100)
-        assert np.all(kernel_G(d, 1.0, r, 0.5) >= 0.0)
-
-    def test_integral_over_y_is_w_from_origin(self, d):
-        # int_0^inf G(y, r, t) dy telescopes -dw/dy down to w(0, r, t)
-        for r, t in [(1.0, 0.5), (2.0, 1.0)]:
-            val, _ = integrate.quad(lambda y: kernel_G(d, y, r, t),
-                                    0.0, r + 12 * math.sqrt(2 * t), limit=200)
-            assert val == pytest.approx(radial_cdf(d, 0.0, r, t), abs=1e-8)
-            assert val <= 1.0 + 1e-10
-
-    def test_cross_relation_dr_G_eq_minus_dy_g(self, d):
-        # dG/dr = -dg/dy on a grid of (y, r, t)
-        h = 1e-4
-        for y in (0.7, 1.5):
-            for r in (0.6, 1.8):
-                for t in (0.3, 1.0):
-                    dG = (kernel_G(d, y, r + h, t) - kernel_G(d, y, r - h, t)) / (2 * h)
-                    dg = (bessel_density(d, y + h, r, t)
-                          - bessel_density(d, y - h, r, t)) / (2 * h)
-                    assert dG == pytest.approx(-dg, abs=5e-6)
 
 
 # ---------------------------------------------------------------------------
@@ -327,9 +254,8 @@ class TestLatticeMixture:
         r = np.arange(50) * self.H
         with pytest.raises(ValueError, match=r"dim must be an integer in \[1, 12\]"):
             one_mixture(dim, 0.1, [10], [1.0], r, self.H)
-        for kernel in (radial_cdf, bessel_density, kernel_G):
-            with pytest.raises(ValueError, match=r"dim must be an integer in \[1, 12\]"):
-                kernel(dim, 0.5, 1.0, 0.1)
+        with pytest.raises(ValueError, match=r"dim must be an integer in \[1, 12\]"):
+            radial_cdf(dim, 0.5, 1.0, 0.1)
 
     @pytest.mark.parametrize("d", [1, 2, 3])
     @pytest.mark.parametrize("t", [0.01, 0.3])
