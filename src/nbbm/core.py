@@ -14,7 +14,6 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
-import io
 import math
 import operator
 from dataclasses import dataclass
@@ -34,19 +33,9 @@ __all__ = [
     "whole_steps",
 ]
 
-# Padding used for the default constant-extension radius of a profile: beyond
-# max jump + 12*sqrt(2*t_horizon) a Gaussian tail over one unit of time
-# contributes < 1e-15.  Horizon 1 is assumed when the caller gives no cap.
-_DEFAULT_CAP_HORIZON = 1.0
-
-
 # The numerics (kernels, solver, stationary state) are certified for integer
 # d in 1.._MAX_DIM, the range the anchored series' Taylor terms are sized for.
 _MAX_DIM = 12
-
-
-def default_domain_cap(max_jump: float, t_horizon: float = _DEFAULT_CAP_HORIZON) -> float:
-    return float(max_jump) + 12.0 * math.sqrt(2.0 * float(t_horizon))
 
 
 def _positive(name: str, value) -> float:
@@ -92,7 +81,7 @@ def whole_steps(span: float, step: float, what: str, step_name: str) -> int:
 
 @dataclass(frozen=True)
 class RadialProfile:
-    """Nondecreasing step function [0, inf) -> [0, 1].
+    """Nondecreasing step function [0, inf) -> [0, 1], given by its jumps.
 
     ``locations`` are strictly increasing jump radii; ``values[i]`` is the
     cumulative value just *after* the jump at ``locations[i]``.  The profile
@@ -101,7 +90,6 @@ class RadialProfile:
 
     locations: np.ndarray
     values: np.ndarray
-    domain_cap: float
 
     def __post_init__(self):
         loc = np.array(self.locations, dtype=float)
@@ -123,19 +111,6 @@ class RadialProfile:
                 raise ValueError("profile values must be nondecreasing")
             if val[0] < -1e-12 or np.any(val > 1.0 + 1e-9):
                 raise ValueError("profile values must lie in [0, 1]")
-        _positive("domain_cap", self.domain_cap)
-        if loc.size and loc[-1] > self.domain_cap:
-            raise ValueError("jump locations must not exceed domain_cap")
-
-    # -- construction -----------------------------------------------------
-
-    @staticmethod
-    def from_jumps(locations, values, domain_cap: float | None = None) -> "RadialProfile":
-        loc = np.asarray(locations, dtype=float)
-        val = np.asarray(values, dtype=float)
-        if domain_cap is None:
-            domain_cap = default_domain_cap(loc[-1] if loc.size else 0.0)
-        return RadialProfile(loc, val, float(domain_cap))
 
     # -- evaluation --------------------------------------------------------
 
@@ -169,29 +144,24 @@ class RadialProfile:
     # -- serialization -----------------------------------------------------
 
     def to_csv(self) -> str:
-        buf = io.StringIO()
-        buf.write("r,value\n")
-        for r, v in zip(self.locations, self.values):
-            buf.write(f"{float(r)!r},{float(v)!r}\n")
-        buf.write(f"{float(self.domain_cap)!r},{self.final_value!r}\n")
-        return buf.getvalue()
+        """Header ``r,value``, then one ``r,value`` row per jump."""
+        return "r,value\n" + "".join(f"{float(r)!r},{float(v)!r}\n"
+                                     for r, v in zip(self.locations, self.values))
 
     @staticmethod
     def from_csv(text: str) -> "RadialProfile":
-        lines = [ln for ln in text.strip().splitlines() if ln.strip()]
-        if not lines or lines[0].strip() != "r,value":
+        """Inverse of ``to_csv``; ``ValueError`` names any row not two numbers."""
+        lines = [(n, ln) for n, ln in enumerate(text.splitlines(), 1) if ln.strip()]
+        if not lines or lines[0][1].strip() != "r,value":
             raise ValueError("profile CSV must start with header 'r,value'")
-        rows = [tuple(float(tok) for tok in ln.split(",")) for ln in lines[1:]]
-        if not rows:
-            raise ValueError("profile CSV has no rows")
-        cap = rows[-1][0]
-        jumps = rows[:-1]
-        # terminal row repeats the final value at domain_cap
-        if jumps and not jumps[-1][1] == rows[-1][1]:
-            raise ValueError("terminal CSV row must repeat the final value")
-        loc = np.array([r for r, _ in jumps])
-        val = np.array([v for _, v in jumps])
-        return RadialProfile(loc, val, cap)
+        rows = []
+        for n, ln in lines[1:]:
+            try:
+                r, v = (float(tok) for tok in ln.split(","))
+            except ValueError:
+                raise ValueError(f"profile CSV line {n} is not 'r,value': {ln!r}") from None
+            rows.append((r, v))
+        return RadialProfile([r for r, _ in rows], [v for _, v in rows])
 
 
 @dataclass(frozen=True)
@@ -323,7 +293,7 @@ def discretize_cdf(cdf, r_max: float, n_nodes: int, mode: str) -> RadialProfile:
     else:
         raise ValueError(f"unknown mode {mode!r}")
     keep = np.diff(val, prepend=0.0) > 0.0
-    return RadialProfile(loc[keep], val[keep], default_domain_cap(r_max))
+    return RadialProfile(loc[keep], val[keep])
 
 
 # ---------------------------------------------------------------------------
@@ -335,7 +305,7 @@ def empirical_cdf(ensemble: ParticleEnsemble) -> RadialProfile:
     norms = ensemble.norms()
     loc, counts = np.unique(norms, return_counts=True)
     val = np.cumsum(counts) / norms.size
-    return RadialProfile(loc, val, default_domain_cap(loc[-1]))
+    return RadialProfile(loc, val)
 
 
 def max_radius(ensemble: ParticleEnsemble) -> float:

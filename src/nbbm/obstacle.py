@@ -40,7 +40,7 @@ import numpy as np
 from scipy.special import gammaln, jv
 
 from .core import (_MAX_DIM, RadialProfile, SandwichPair, StationaryState, _integer,
-                   _max_excess, _positive, default_domain_cap, whole_steps)
+                   _max_excess, _positive, whole_steps)
 from .kernels import mixture_node_values, support_band
 
 __all__ = [
@@ -254,7 +254,7 @@ class SandwichSolver:
     Branch state arrays hold node-sampled step functions: ``p[i]`` is the
     branch value on the half-open cell (g_i, g_{i+1}].  The grid extends
     and the active window truncates dynamically as mass spreads, so cost
-    follows the live part of the profile rather than the domain cap.
+    follows the live part of the profile.
     """
 
     def __init__(self, dim: int, initial: RadialProfile, delta: float,
@@ -353,8 +353,7 @@ class SandwichSolver:
         loc = self.grid[:n_act]
         val = np.clip(p[:n_act], 0.0, 1.0)
         keep = np.diff(val, prepend=0.0) > 0.0
-        cap = default_domain_cap(self.grid[n_act - 1], max(self.steps * self.delta, 1.0))
-        return RadialProfile(loc[keep], val[keep], cap)
+        return RadialProfile(loc[keep], val[keep])
 
     def pair(self) -> SandwichPair:
         return SandwichPair(

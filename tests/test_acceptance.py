@@ -40,7 +40,7 @@ def random_cdf_profile(rng):
     locs = np.unique(rng.uniform(0.05, 3.0, nj))
     vals = np.sort(rng.uniform(0.0, 1.0, locs.size))
     vals[-1] = 1.0
-    return RadialProfile.from_jumps(locs, vals)
+    return RadialProfile(locs, vals)
 
 
 # ---------------------------------------------------------------------------

@@ -241,6 +241,13 @@ class TestRun:
                            {"out": str(tmp_path / "bad"), "initial": "missing.csv"})
         assert run(cfg) == 2
         assert (tmp_path / "bad" / "error.json").exists()
+        # a short profile row used to reach error.json as "tuple index out of range"
+        (tmp_path / "short.csv").write_text("r,value\n0.5\n1.0,1.0\n")
+        cfg = parse_config(None, "solve", {"out": str(tmp_path / "short"),
+                                           "initial": str(tmp_path / "short.csv")})
+        assert run(cfg) == 2
+        error = json.loads((tmp_path / "short" / "error.json").read_text())["error"]
+        assert error == "profile CSV line 2 is not 'r,value': '0.5'"
 
 
 class TestDeterminism:

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from nbbm.core import (ParticleEnsemble, RadialProfile, SandwichPair, discretize_cdf,
                        empirical_cdf, in_gamma, max_radius, measure_of_set, whole_steps)
 from nbbm.experiments import StationarySampler
+from nbbm.obstacle import SolveRequest, solve_sandwich, stationary_state
 from nbbm.sim import replica_rng
 
 
@@ -22,53 +23,81 @@ def ens(points, dim=None):
 
 class TestRadialProfile:
     def test_step_convention_pre_jump(self):
-        f = RadialProfile.from_jumps([0.5, 1.5], [0.5, 1.0])
+        f = RadialProfile([0.5, 1.5], [0.5, 1.0])
         assert f(0.5) == 0.0          # value at the jump is the pre-jump value
         assert f(0.5000001) == 0.5
         assert f(1.5) == 0.5
         assert f(2.0) == 1.0
         assert f(0.0) == 0.0
 
-    def test_constant_beyond_domain_cap(self):
-        f = RadialProfile.from_jumps([1.0], [0.7], domain_cap=5.0)
+    def test_constant_beyond_last_jump(self):
+        f = RadialProfile([1.0], [0.7])
         assert f(4.9) == 0.7
         assert f(1e9) == 0.7
 
     def test_jump_at_zero_allowed_with_pre_value_zero(self):
-        f = RadialProfile.from_jumps([0.0], [1.0])
+        f = RadialProfile([0.0], [1.0])
         assert f(0.0) == 0.0
         assert f(1e-12) == 1.0
 
     def test_rejects_bad_jumps(self):
         with pytest.raises(ValueError):
-            RadialProfile.from_jumps([1.0, 1.0], [0.2, 0.4])
+            RadialProfile([1.0, 1.0], [0.2, 0.4])
         with pytest.raises(ValueError):
-            RadialProfile.from_jumps([1.0, 2.0], [0.5, 0.3])
+            RadialProfile([1.0, 2.0], [0.5, 0.3])
         with pytest.raises(ValueError):
-            RadialProfile.from_jumps([1.0], [1.5])
+            RadialProfile([1.0], [1.5])
         with pytest.raises(ValueError):
-            RadialProfile.from_jumps([-0.1], [0.5])
-        # a jump past the cap used to load, and read as no boundary at all
-        with pytest.raises(ValueError, match="domain_cap"):
+            RadialProfile([-0.1], [0.5])
+        # rows out of order are refused, not read as a profile with no boundary
+        with pytest.raises(ValueError, match="strictly increasing"):
             RadialProfile.from_csv("r,value\n5.0,1.0\n1.0,1.0\n")
 
     def test_sup_distance_exact_on_steps(self):
-        f = RadialProfile.from_jumps([1.0], [1.0])
-        g = RadialProfile.from_jumps([2.0], [1.0])
+        f = RadialProfile([1.0], [1.0])
+        g = RadialProfile([2.0], [1.0])
         assert f.sup_distance(g) == 1.0
         assert f.sup_distance(f) == 0.0
 
-    @pytest.mark.parametrize("cap", [0.0, -1.0, math.nan, math.inf, -math.inf])
-    def test_domain_cap_must_be_positive(self, cap):
-        with pytest.raises(ValueError, match="domain_cap must be positive and finite"):
-            RadialProfile.from_jumps([], [], cap)
-
     def test_csv_round_trip(self):
-        f = RadialProfile.from_jumps([0.25, 1.5], [0.5, 1.0], domain_cap=9.0)
-        g = RadialProfile.from_csv(f.to_csv())
-        assert np.array_equal(f.locations, g.locations)
-        assert np.array_equal(f.values, g.values)
-        assert g.domain_cap == 9.0
+        # every kind of profile the package writes comes back bit-equal
+        pair = solve_sandwich(SolveRequest(dim=1, initial=RadialProfile([0.5, 1.0], [0.5, 1.0]),
+                                           horizon=0.05, step_size=0.01))
+        st1 = stationary_state(1)
+        profiles = [RadialProfile([0.25, 1.5], [0.5, 1.0]), pair.lower, pair.upper,
+                    *(st1.as_profile(401, mode) for mode in ("lower", "upper", "nearest")),
+                    empirical_cdf(ens([[0.3, 0.4], [-1.0, 0.0], [0.0, 0.5], [2.0, 1.0]])),
+                    RadialProfile([], [])]
+        for f in profiles:
+            g = RadialProfile.from_csv(f.to_csv())
+            assert g.locations.tobytes() == f.locations.tobytes()
+            assert g.values.tobytes() == f.values.tobytes()
+        # older files end in a row repeating the final value at a larger
+        # radius; it loads as a zero-size jump, so the step function is the same
+        old = RadialProfile.from_csv("r,value\n0.25,0.5\n1.5,1.0\n18.470562748477143,1.0\n")
+        assert old.sup_distance(profiles[0]) == 0.0
+        assert RadialProfile.from_csv("r,value\n16.970562748477143,0.0\n").sup_distance(
+            RadialProfile([], [])) == 0.0
+        # a file's only row used to be taken for the terminal row: the zero profile
+        one = RadialProfile.from_csv("r,value\n0.5,0.2\n")
+        assert one.locations.tolist() == [0.5] and one.values.tolist() == [0.2]
+
+    @pytest.mark.parametrize("text, line", [
+        ("r,value\n", None),
+        ("r,value\n0.5\n1.0,1.0\n", 2),
+        ("r,value\n0.5,0.2,0.3\n1.0,0.2\n", 2),
+        ("r,value\n0.5,0.2\n\n1.0,one\n", 4),
+    ])
+    def test_from_csv_names_bad_rows(self, text, line):
+        # these rows used to fail with "tuple index out of range", "too many
+        # values to unpack" or float()'s message, none naming the line, and a
+        # header-only file did not load
+        if line is None:
+            f = RadialProfile.from_csv(text)
+            assert f.locations.size == f.values.size == 0
+        else:
+            with pytest.raises(ValueError, match=f"line {line} is not 'r,value'"):
+                RadialProfile.from_csv(text)
 
 
 # ---------------------------------------------------------------------------
@@ -89,7 +118,6 @@ class TestDiscretizeCdf:
         assert np.all(lo(rr) <= exact + 1e-15) and np.all(exact <= up(rr) + 1e-15)
         assert np.all(lo(rr) <= mid(rr)) and np.all(mid(rr) <= up(rr))
         assert lo.final_value == up.final_value == mid.final_value == 1.0
-        assert lo.domain_cap == up.domain_cap == mid.domain_cap
 
     def test_nearest_is_the_cell_midpoint_rule(self):
         mid = discretize_cdf(self.cdf, 2.0, 5, "nearest")
@@ -208,7 +236,7 @@ def test_ensemble_dim_must_be_an_integer(dim):
 @pytest.mark.parametrize("gap", [-1.0, math.nan, math.inf])
 def test_sandwich_pair_gaps_must_be_finite(name, gap):
     # a NaN gap used to be accepted
-    f = RadialProfile.from_jumps([1.0], [1.0])
+    f = RadialProfile([1.0], [1.0])
     kw = {"analytic_gap": 0.1, "grid_gap": 0.0, name: gap}
     with pytest.raises(ValueError, match=f"{name} must be finite and nonnegative"):
         SandwichPair(f, f, steps_taken=1, step_size=0.1, **kw)
@@ -216,9 +244,9 @@ def test_sandwich_pair_gaps_must_be_finite(name, gap):
 
 def test_sandwich_pair_ordering_is_exact():
     # lower used to be allowed up to 1e-9 above upper
-    upper = RadialProfile.from_jumps([1.0], [0.5])
+    upper = RadialProfile([1.0], [0.5])
     with pytest.raises(ValueError, match="lower exceeds upper"):
-        SandwichPair(RadialProfile.from_jumps([1.0], [0.5 + 1e-12]), upper, 0.1, 0.0, 1, 0.1)
+        SandwichPair(RadialProfile([1.0], [0.5 + 1e-12]), upper, 0.1, 0.0, 1, 0.1)
     assert SandwichPair(upper, upper, 0.1, 0.0, 1, 0.1).measured_gap == 0.0
 
 

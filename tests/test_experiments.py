@@ -41,17 +41,17 @@ class TestSamplers:
 
 class TestDistances:
     def test_bracket_distance_zero_inside(self):
-        lower = RadialProfile.from_jumps([1.0], [0.8])
-        upper = RadialProfile.from_jumps([0.5], [1.0])
+        lower = RadialProfile([1.0], [0.8])
+        upper = RadialProfile([0.5], [1.0])
         from nbbm.core import SandwichPair
         pair = SandwichPair(lower, upper, 0.1, 0.0, 1, 0.1)
-        inside = RadialProfile.from_jumps([0.75], [0.9])
+        inside = RadialProfile([0.75], [0.9])
         assert bracket_distance(inside, pair) == 0.0
-        outside = RadialProfile.from_jumps([0.25], [1.0])  # jumps above upper early
+        outside = RadialProfile([0.25], [1.0])  # jumps above upper early
         assert bracket_distance(outside, pair) == pytest.approx(1.0)
 
     def test_sup_distance_to_fn(self):
-        f = RadialProfile.from_jumps([1.0], [1.0])
+        f = RadialProfile([1.0], [1.0])
         # |step at 1 - straight line r| peaks at the jump: value 1 just after it
         assert sup_distance_to_fn(f, lambda r: np.clip(r, 0, 1) / 1.0, 1.0) \
             == pytest.approx(1.0)

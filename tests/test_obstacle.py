@@ -27,7 +27,7 @@ def random_cdf_profile(rng, max_r=3.0) -> RadialProfile:
     locs = np.unique(rng.uniform(0.05, max_r, nj))
     vals = np.sort(rng.uniform(0.0, 1.0, locs.size))
     vals[-1] = 1.0
-    return RadialProfile.from_jumps(locs, vals)
+    return RadialProfile(locs, vals)
 
 
 # ---------------------------------------------------------------------------
@@ -131,7 +131,7 @@ class TestSteps:
         # the step takes delta and h as given: the solver checks them once
         for delta in (0.0, -0.1):
             with pytest.raises(ValueError):
-                SandwichSolver(1, RadialProfile.from_jumps([1.0], [1.0]), delta, 1e-3,
+                SandwichSolver(1, RadialProfile([1.0], [1.0]), delta, 1e-3,
                                horizon_hint=0.1)
 
     @pytest.mark.parametrize("name, delta, h", [*(("delta", v, 1e-3) for v in _NOT_POSITIVE),
@@ -141,7 +141,7 @@ class TestSteps:
         # ZeroDivisionError; the solver names the step's h its grid_step
         name = {"h": "grid_step"}.get(name, name)
         with pytest.raises(ValueError, match=f"{name} must be positive and finite"):
-            SandwichSolver(1, RadialProfile.from_jumps([1.0], [1.0]), delta, h,
+            SandwichSolver(1, RadialProfile([1.0], [1.0]), delta, h,
                            horizon_hint=0.1)
 
     @pytest.mark.parametrize("d", [1, 2, 3, 5])
@@ -321,7 +321,7 @@ class TestSolveSandwich:
         assert analytic_gap(100, 0.01) == pytest.approx(0.03737, abs=5e-5)
 
     def test_zero_initial(self):
-        pair = solve_sandwich(SolveRequest(dim=1, initial=RadialProfile.from_jumps([], []),
+        pair = solve_sandwich(SolveRequest(dim=1, initial=RadialProfile([], []),
                                            horizon=0.5, step_size=0.05))
         assert pair.upper.final_value == 0.0
         assert pair.lower.final_value == 0.0
@@ -429,13 +429,13 @@ class TestSolveSandwich:
     def test_rejects_jump_at_zero_and_bad_steps(self):
         # the solver checks the initial profile, once
         with pytest.raises(ValueError, match="radius 0"):
-            solve_sandwich(SolveRequest(dim=1, initial=RadialProfile.from_jumps([0.0], [1.0]),
+            solve_sandwich(SolveRequest(dim=1, initial=RadialProfile([0.0], [1.0]),
                                         horizon=1.0, step_size=0.01))
         with pytest.raises(TypeError):
-            SolveRequest(dim=1, initial=RadialProfile.from_jumps([1.0], [1.0]), horizon=1.0)
+            SolveRequest(dim=1, initial=RadialProfile([1.0], [1.0]), horizon=1.0)
         for step in (0.0, -0.01):
             with pytest.raises(ValueError):
-                SolveRequest(dim=1, initial=RadialProfile.from_jumps([1.0], [1.0]), horizon=1.0,
+                SolveRequest(dim=1, initial=RadialProfile([1.0], [1.0]), horizon=1.0,
                              step_size=step)
 
     @pytest.mark.parametrize("field, value", [
@@ -446,19 +446,19 @@ class TestSolveSandwich:
         # NaN to integer" or an OverflowError
         kw = {"horizon": 1.0, "step_size": 0.01, field: value}
         with pytest.raises(ValueError, match=f"{field} must be positive and finite"):
-            SolveRequest(dim=1, initial=RadialProfile.from_jumps([1.0], [1.0]), **kw)
+            SolveRequest(dim=1, initial=RadialProfile([1.0], [1.0]), **kw)
 
     @pytest.mark.parametrize("grid_step", _NOT_POSITIVE)
     def test_rejects_bad_grid_step(self, grid_step):
         # the solve used to accept any grid_step: 0 failed with an
         # OverflowError, -1e-3 with an IndexError; the solver checks it once
-        req = SolveRequest(dim=1, initial=RadialProfile.from_jumps([1.0], [1.0]), horizon=1.0,
+        req = SolveRequest(dim=1, initial=RadialProfile([1.0], [1.0]), horizon=1.0,
                            step_size=0.01, grid_step=grid_step)
         with pytest.raises(ValueError, match="grid_step must be positive and finite"):
             solve_sandwich(req)
 
     def test_step_divides_horizon(self):
-        req = SolveRequest(dim=1, initial=RadialProfile.from_jumps([1.0], [1.0]), horizon=0.27,
+        req = SolveRequest(dim=1, initial=RadialProfile([1.0], [1.0]), horizon=0.27,
                            step_size=0.02, grid_step=2e-3)
         pair = solve_sandwich(req)
         assert pair.steps_taken == 14 and pair.step_size == 0.27 / 14
@@ -467,10 +467,10 @@ class TestSolveSandwich:
 class TestSandwichSolver:
     def test_rejects_initial_jump_at_zero(self):
         with pytest.raises(ValueError):
-            SandwichSolver(1, RadialProfile.from_jumps([0.0], [1.0]), 0.01, horizon_hint=0.1)
+            SandwichSolver(1, RadialProfile([0.0], [1.0]), 0.01, horizon_hint=0.1)
         # an upper-branch start is a majorant and may jump at 0
-        solver = SandwichSolver(1, RadialProfile.from_jumps([0.5], [1.0]), 0.01, 1e-2,
-                                initial_upper=RadialProfile.from_jumps([0.0], [1.0]),
+        solver = SandwichSolver(1, RadialProfile([0.5], [1.0]), 0.01, 1e-2,
+                                initial_upper=RadialProfile([0.0], [1.0]),
                                 horizon_hint=0.1)
         solver.advance_to(0.01)
         assert solver.steps == 1
@@ -483,7 +483,7 @@ class TestSandwichSolver:
         # not checked
         kw = {"delta": 0.01, "horizon_hint": 0.1, name: value}
         with pytest.raises(ValueError, match=f"{name} must be positive and finite"):
-            SandwichSolver(1, RadialProfile.from_jumps([1.0], [1.0]), **kw)
+            SandwichSolver(1, RadialProfile([1.0], [1.0]), **kw)
 
     @pytest.mark.parametrize("dim", [1.5, 2.0, 0, -1, 13])
     def test_dim_named(self, dim):
@@ -491,8 +491,8 @@ class TestSandwichSolver:
         # dimensions, dim = 0 raised "math domain error", and dim = 13 built
         # a solver outside the range the kernels are certified for
         with pytest.raises(ValueError, match=r"dim must be an integer in \[1, 12\]"):
-            SandwichSolver(dim, RadialProfile.from_jumps([1.0], [1.0]), 0.01, horizon_hint=0.1)
-        solver = SandwichSolver(np.int64(2), RadialProfile.from_jumps([1.0], [1.0]), 0.01,
+            SandwichSolver(dim, RadialProfile([1.0], [1.0]), 0.01, horizon_hint=0.1)
+        solver = SandwichSolver(np.int64(2), RadialProfile([1.0], [1.0]), 0.01,
                                 1e-2, horizon_hint=0.1)
         assert type(solver.dim) is int and solver.dim == 2
 
@@ -500,9 +500,9 @@ class TestSandwichSolver:
     def test_crossing_start_rejected(self, upper_value):
         # an upper start below the lower one used to give a measured width
         # of 0.0 at step 0 and, at step 1, an AssertionError blaming the solver
-        lower = RadialProfile.from_jumps([0.5], [1.0])
-        upper = RadialProfile.from_jumps([0.25, 0.5], [upper_value, 1.0])
-        upper_low = RadialProfile.from_jumps([0.5, 1.0], [upper_value, 1.0])
+        lower = RadialProfile([0.5], [1.0])
+        upper = RadialProfile([0.25, 0.5], [upper_value, 1.0])
+        upper_low = RadialProfile([0.5, 1.0], [upper_value, 1.0])
         SandwichSolver(1, lower, 0.01, 1e-2, initial_upper=upper, horizon_hint=0.1)
         with pytest.raises(ValueError, match="initial_upper lies below initial"):
             SandwichSolver(1, lower, 0.01, 1e-2, initial_upper=upper_low, horizon_hint=0.1)
@@ -519,7 +519,7 @@ class TestSandwichSolver:
             p_lo[i] = np.nextafter(p_up[i], 2.0)
             return [(p_up, eps_up), (p_lo, eps_lo)]
 
-        solver = SandwichSolver(1, RadialProfile.from_jumps([0.5, 1.0], [0.5, 1.0]), 0.01,
+        solver = SandwichSolver(1, RadialProfile([0.5, 1.0], [0.5, 1.0]), 0.01,
                                 1e-2, horizon_hint=0.1)
         solver.advance_to(0.01)
         monkeypatch.setattr(obstacle, "_sandwich_step", crossing)
@@ -529,7 +529,7 @@ class TestSandwichSolver:
     @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
     def test_advance_to_nonfinite_time_rejected(self, t):
         # t = inf used to raise OverflowError
-        solver = SandwichSolver(1, RadialProfile.from_jumps([1.0], [1.0]), 0.01, 1e-2,
+        solver = SandwichSolver(1, RadialProfile([1.0], [1.0]), 0.01, 1e-2,
                                 horizon_hint=0.1)
         with pytest.raises(ValueError, match="time must be finite"):
             solver.advance_to(t)
@@ -537,10 +537,10 @@ class TestSandwichSolver:
 
     def test_horizon_hint_is_required(self):
         with pytest.raises(TypeError):
-            SandwichSolver(1, RadialProfile.from_jumps([1.0], [1.0]), 0.01, 1e-2)
+            SandwichSolver(1, RadialProfile([1.0], [1.0]), 0.01, 1e-2)
 
     def test_advance_to_step_lattice(self):
-        solver = SandwichSolver(1, RadialProfile.from_jumps([1.0], [1.0]), 0.01, 5e-3,
+        solver = SandwichSolver(1, RadialProfile([1.0], [1.0]), 0.01, 5e-3,
                                 horizon_hint=2.0)
         for t in np.arange(0.2, 2.0 + 1e-9, 0.05):
             solver.advance_to(t)
@@ -567,7 +567,7 @@ class TestFreeBoundary:
         assert abs(r - math.pi / 2) < math.sqrt(2e-6) + 1e-3
 
     def test_constant_profile_sentinel(self):
-        v = RadialProfile.from_jumps([1.0], [0.5])
+        v = RadialProfile([1.0], [0.5])
         assert free_boundary_radius(v) == math.inf
 
     def test_pair_interval_brackets_stationary_radius(self):
@@ -689,7 +689,7 @@ def cut_at(f: RadialProfile, m: float) -> RadialProfile:
     """min(f, m) as a step profile, for m in (0, 1]."""
     val = np.minimum(f.values, m)
     keep = np.diff(val, prepend=0.0) > 0.0
-    return RadialProfile(f.locations[keep], val[keep], f.domain_cap)
+    return RadialProfile(f.locations[keep], val[keep])
 
 
 def midpoint_contraction(v0, w0, t, delta, grid_step=None):
@@ -727,8 +727,8 @@ class TestContraction:
     def test_compares_by_radius_across_grids(self):
         # default grids differ (h = 2.5e-3 and 1e-3); the midpoints are
         # compared at equal radius, checked here on a fine radius grid
-        v0 = RadialProfile.from_jumps([0.5, 2.5], [0.5, 1.0])
-        w0 = RadialProfile.from_jumps([0.3, 0.8], [0.5, 1.0])
+        v0 = RadialProfile([0.5, 2.5], [0.5, 1.0])
+        w0 = RadialProfile([0.3, 0.8], [0.5, 1.0])
         _, lhs, rhs = midpoint_contraction(v0, w0, t=0.5, delta=0.1)
         pairs = [solve_sandwich(SolveRequest(dim=1, initial=f, horizon=0.5,
                                              step_size=0.1)) for f in (v0, w0)]
@@ -777,7 +777,7 @@ class TestConvergeToV:
         assert convergence_values(rows, 6.0)["sup_mid_to_V"] <= 0.05
 
     def test_point_mass_far_out(self):
-        rows = convergence_report(1, RadialProfile.from_jumps([3.0], [1.0]), [10.0],
+        rows = convergence_report(1, RadialProfile([3.0], [1.0]), [10.0],
                                   K=3.5, c=0.5, delta=0.01, grid_step=1e-3)
         row = convergence_values(rows, 10.0)
         lo, hi = row["boundary_lo"], row["boundary_hi"]
@@ -786,22 +786,22 @@ class TestConvergeToV:
 
     def test_precondition_checked(self):
         with pytest.raises(ValueError):
-            convergence_report(1, RadialProfile.from_jumps([5.0], [1.0]), [1.0], K=3.0, c=0.5)
+            convergence_report(1, RadialProfile([5.0], [1.0]), [1.0], K=3.0, c=0.5)
 
     def test_off_lattice_time_rejected(self):
         with pytest.raises(ValueError, match="not a multiple"):
-            convergence_report(1, RadialProfile.from_jumps([0.5], [1.0]), [0.255], K=1.0, c=0.5,
+            convergence_report(1, RadialProfile([0.5], [1.0]), [0.255], K=1.0, c=0.5,
                                delta=0.01, grid_step=2e-3)
 
     def test_empty_schedule_rejected(self):
         # used to die in max() with "arg is an empty sequence"
         with pytest.raises(ValueError, match="schedule"):
-            convergence_report(1, RadialProfile.from_jumps([0.5], [1.0]), [], K=1.0, c=0.5)
+            convergence_report(1, RadialProfile([0.5], [1.0]), [], K=1.0, c=0.5)
 
     def test_rows_go_through_the_report_writer(self, tmp_path):
         # mass 0.9 grows like e^t, so the lower branch stays short of full
         # mass and the boundary interval is open above
-        rows = convergence_report(1, RadialProfile.from_jumps([0.5], [0.9]), [0.05, 0.02],
+        rows = convergence_report(1, RadialProfile([0.5], [0.9]), [0.05, 0.02],
                                   K=1.0, c=0.5, delta=0.01, grid_step=2e-3)
         names = ["sup_mid_to_V", "boundary_lo", "boundary_hi", "boundary_to_R_inf",
                  "combined_gap"]
