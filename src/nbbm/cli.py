@@ -177,38 +177,20 @@ def _write_report(w: _ArtifactWriter, rows) -> int:
     return len(failed)
 
 
-def _write_replica_snapshots(w: _ArtifactWriter, snaps, t: float):
-    for rep, pos in enumerate(snaps):
-        w.write(f"rep{rep}/final.csv", _snapshot_csv([(t, pos)]))
-
-
 def _run_hydro(cfg: RunConfig, w: _ArtifactWriter) -> int:
     p = cfg.params
     sampler = _sampler(p["sampler"], p["d"], p["sampler_radius"])
-    out = hydrodynamic_report(p["n"], p["d"], p["t"], sampler, p["replicas"],
-                              cfg.seed, p["delta"], p["grid_step"],
-                              p["tolerance_q90"], workers=cfg.workers,
-                              return_snapshots=p["keep_snapshots"])
-    rows = out
-    if p["keep_snapshots"]:
-        rows, snaps = out
-        _write_replica_snapshots(w, snaps, p["t"])
-    return _write_report(w, rows)
+    return _write_report(w, hydrodynamic_report(
+        p["n"], p["d"], p["t"], sampler, p["replicas"], cfg.seed, p["delta"],
+        p["grid_step"], p["tolerance_q90"], workers=cfg.workers))
 
 
 def _run_selection(cfg: RunConfig, w: _ArtifactWriter) -> int:
     p = cfg.params
     sampler = _sampler(p["sampler"], p["d"], p["sampler_radius"])
-    out = selection_report(p["n"], p["d"], p["t"], p["k"], p["c"], sampler,
-                           p["replicas"], cfg.seed, p["window_dt"],
-                           p["sup_tol"], p["m_tol"], p["mass_tol"],
-                           workers=cfg.workers,
-                           return_snapshots=p["keep_snapshots"])
-    rows = out
-    if p["keep_snapshots"]:
-        rows, snaps = out
-        _write_replica_snapshots(w, snaps, p["t"])
-    return _write_report(w, rows)
+    return _write_report(w, selection_report(
+        p["n"], p["d"], p["t"], p["k"], p["c"], sampler, p["replicas"], cfg.seed,
+        p["window_dt"], p["sup_tol"], p["m_tol"], p["mass_tol"], workers=cfg.workers))
 
 
 def _run_stationarity(cfg: RunConfig, w: _ArtifactWriter) -> int:

@@ -83,7 +83,6 @@ SCHEMAS: dict[str, dict[str, tuple[str, object]]] = {
         "sampler": ("str", "uniform-ball"),
         "sampler_radius": ("float", 1.0),
         "tolerance_q90": ("float", 0.05),
-        "keep_snapshots": ("bool", False),
     },
     "selection": {
         "n": ("int", 2000),
@@ -98,7 +97,6 @@ SCHEMAS: dict[str, dict[str, tuple[str, object]]] = {
         "sup_tol": ("float", 0.07),
         "m_tol": ("float", 0.15),
         "mass_tol": ("float", 0.05),
-        "keep_snapshots": ("bool", False),
     },
     "stationarity": {
         "n": ("int", 1000),

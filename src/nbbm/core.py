@@ -150,7 +150,9 @@ class RadialProfile:
 
     @staticmethod
     def from_csv(text: str) -> "RadialProfile":
-        """Inverse of ``to_csv``; ``ValueError`` names any row not two numbers."""
+        """Inverse of ``to_csv``; ``ValueError`` names any row not two numbers.
+        Zero-size jumps (as an older file's terminal row) are dropped: the
+        solver sizes its grid from the last jump."""
         lines = [(n, ln) for n, ln in enumerate(text.splitlines(), 1) if ln.strip()]
         if not lines or lines[0][1].strip() != "r,value":
             raise ValueError("profile CSV must start with header 'r,value'")
@@ -161,7 +163,9 @@ class RadialProfile:
             except ValueError:
                 raise ValueError(f"profile CSV line {n} is not 'r,value': {ln!r}") from None
             rows.append((r, v))
-        return RadialProfile([r for r, _ in rows], [v for _, v in rows])
+        f = RadialProfile([r for r, _ in rows], [v for _, v in rows])
+        keep = np.diff(f.values, prepend=0.0) != 0.0
+        return RadialProfile(f.locations[keep], f.values[keep])
 
 
 @dataclass(frozen=True)

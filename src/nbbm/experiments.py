@@ -173,15 +173,14 @@ def _hydro_replica(rep: int, seed: int, N: int, d: int, t: float, sampler,
                                        step_size=delta, grid_step=grid_step))
     final, _ = advance_nbbm(ens, t, rng)
     f1 = empirical_cdf(final)
-    return bracket_distance(f1, pair), pair.analytic_gap + pair.grid_gap, \
-        pair.measured_gap, final.positions
+    return bracket_distance(f1, pair), pair.analytic_gap + pair.grid_gap, pair.measured_gap
 
 
 def hydrodynamic_report(N: int, d: int, t: float, sampler, replicas: int,
                         seed: int, delta: float = 0.01,
                         grid_step: float | None = None,
                         tolerance_q90: float = 0.05,
-                        workers: int = 1, return_snapshots: bool = False):
+                        workers: int = 1) -> list[ReportRow]:
     """Distance from the realized empirical CDF at time t to the certified
     bracket solved from the realized initial CDF, per replica.
 
@@ -206,8 +205,6 @@ def hydrodynamic_report(N: int, d: int, t: float, sampler, replicas: int,
                                float(widths.mean()), math.inf, N, d, t, replicas, seed))
     rows.append(ReportRow.make("hydro", "mean_measured_width",
                                float(measured.mean()), math.inf, N, d, t, replicas, seed))
-    if return_snapshots:
-        return rows, [r[3] for r in res]
     return rows
 
 
@@ -376,7 +373,7 @@ def convergence_report(dim: int, v0: RadialProfile, schedule, K: float = 3.0,
                   "boundary_lo": lo, "boundary_hi": hi,
                   "boundary_to_R_inf": max(abs(lo - state.r_infinity),
                                            abs(hi - state.r_infinity)),
-                  "combined_gap": solver.combined_gap}
+                  "combined_gap": solver.analytic_gap + solver.grid_gap}
         rows.extend(ReportRow.make("convergence", name, value, math.inf, 0, dim, t, 0, 0)
                     for name, value in values.items())
     return rows

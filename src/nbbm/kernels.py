@@ -36,7 +36,8 @@ nodes, and every apply costs the kernel's support, not the domain:
   Q_k against a second table, and each node from a Taylor sum in
   delta = z - A.  The tables come in blocks of anchors built by a ratio
   recurrence, kept per (dim, t, h) within the cache budget and streamed
-  past it.  ``radial_cdf`` runs one unit jump through the same route.
+  past it.  ``radial_cdf`` runs one unit jump through the same route at
+  every d but 1 (the erf image form) and at every y but 0 (P(d/2, r^2/(4t))).
 
 The returned ``eval_err`` books, per unit of mixture mass:
 
@@ -220,11 +221,6 @@ def radial_cdf(dim: int, y: float, r, t: float):
     s2 = 2.0 * math.sqrt(t)
     if dim == 1:
         out = 0.5 * (erf((r_arr - y) / s2) + erf((r_arr + y) / s2))
-    elif dim == 3 and y > 0.0:
-        expm = np.exp(-((r_arr - y) ** 2) / (4.0 * t))
-        expp = np.exp(-((r_arr + y) ** 2) / (4.0 * t))
-        out = (0.5 * (erf((r_arr - y) / s2) + erf((r_arr + y) / s2))
-               - math.sqrt(t / math.pi) / y * (expm - expp))
     else:
         # one unit jump of mean mu through the anchored series, within its booked error
         z = r_arr * r_arr / (4.0 * t)

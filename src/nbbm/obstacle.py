@@ -344,10 +344,6 @@ class SandwichSolver:
     def grid_gap(self) -> float:
         return self.d_up + self.d_lo
 
-    @property
-    def combined_gap(self) -> float:
-        return self.analytic_gap + self.grid_gap
-
     def _profile(self, p: np.ndarray) -> RadialProfile:
         n_act = _active_len(p)
         loc = self.grid[:n_act]
@@ -368,9 +364,8 @@ class SandwichSolver:
     def boundary_interval(self) -> tuple[float, float]:
         """The radius band where the pair comes within 1e-6 of full mass, not
         R_t itself: :func:`free_boundary_radius` of the current pair."""
-        gap_lo = min(self.trace.max_gap[-1] + _BOUNDARY_LEVEL, 0.999)
-        return (_level_radius(self.grid, self.p_up, gap_lo),
-                _level_radius(self.grid, self.p_lo, _BOUNDARY_LEVEL))
+        return _boundary_band((self.grid, self.p_up), (self.grid, self.p_lo),
+                              self.trace.max_gap[-1])
 
 
 def solve_sandwich(req: SolveRequest) -> SandwichPair:
@@ -393,20 +388,23 @@ def _level_radius(radii: np.ndarray, values: np.ndarray, gap: float) -> float:
     return float(radii[idx]) if idx < values.size else math.inf
 
 
-def free_boundary_radius(v):
-    """The radius where v comes within 1e-6 of full mass, not R_t itself.
+def _boundary_band(upper, lower, width: float) -> tuple[float, float]:
+    """The band of the branches ``upper`` and ``lower``, each (radii, values):
+    from the upper one at level 1 - min(width + 1e-6, 0.999) to the lower one
+    at 1 - 1e-6, ``width`` being the branches' measured width."""
+    return (_level_radius(*upper, min(width + _BOUNDARY_LEVEL, 0.999)),
+            _level_radius(*lower, _BOUNDARY_LEVEL))
 
-    On a profile: inf{r : v(r) >= 1 - 1e-6}, or +inf if never reached.  On a
-    SandwichPair: the radius band where the pair comes within 1e-6 of full
-    mass, from the upper profile at level 1 - (measured width + 1e-6) to the
-    lower one at 1 - 1e-6.  Where 1 - v vanishes to second order (as V does
-    at R_inf) the band is wide even when the pair is narrow.
+
+def free_boundary_radius(pair: SandwichPair) -> tuple[float, float]:
+    """The radius band where the pair comes within 1e-6 of full mass, not R_t
+    itself: from the upper profile at level 1 - (measured width + 1e-6), but
+    no lower than 1e-3, to the lower one at 1 - 1e-6.  A branch that never
+    reaches its level gives +inf.  Where 1 - v vanishes to second order (as
+    V does at R_inf) the band is wide even when the pair is narrow.
     """
-    if isinstance(v, SandwichPair):
-        gap_lo = min(v.measured_gap + _BOUNDARY_LEVEL, 0.999)
-        return (_level_radius(v.upper.locations, v.upper.values, gap_lo),
-                _level_radius(v.lower.locations, v.lower.values, _BOUNDARY_LEVEL))
-    return _level_radius(v.locations, v.values, _BOUNDARY_LEVEL)
+    return _boundary_band((pair.upper.locations, pair.upper.values),
+                          (pair.lower.locations, pair.lower.values), pair.measured_gap)
 
 
 def _first_bessel_zero(nu: float) -> float:

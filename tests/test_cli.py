@@ -1,3 +1,4 @@
+import inspect
 import json
 import math
 import subprocess
@@ -7,6 +8,7 @@ import pytest
 
 from nbbm.config import SCHEMAS, RunConfig, parse_config, serialize_config
 from nbbm.cli import main, run
+from nbbm.experiments import hydrodynamic_report, selection_report, stationarity_report
 from nbbm.sim import replica_rng
 
 
@@ -77,6 +79,20 @@ class TestConfig:
         cfg = parse_config(None, "stationary")
         assert cfg.params["d"] == 1
         assert cfg.workers == 1
+
+    def test_driver_defaults_are_the_schema_defaults(self):
+        # the nine defaults written both in SCHEMAS and in a driver signature
+        drivers = {"hydro": hydrodynamic_report, "selection": selection_report,
+                   "stationarity": stationarity_report}
+        shared = []
+        for sub, driver in drivers.items():
+            for name, param in inspect.signature(driver).parameters.items():
+                if name in SCHEMAS[sub] and param.default is not param.empty:
+                    assert param.default == SCHEMAS[sub][name][1], (sub, name)
+                    shared.append(name)
+        assert sorted(shared) == sorted(["delta", "grid_step", "tolerance_q90", "window_dt",
+                                         "sup_tol", "m_tol", "mass_tol", "snapshot_dt",
+                                         "pairwise_tol"])
 
     def test_unknown_key_named(self, parse_text):
         with pytest.raises(ValueError, match="frobnicate"):
@@ -235,6 +251,25 @@ class TestRun:
         rows = (tmp_path / "sim" / "snapshots.csv").read_text().splitlines()[1:]
         stamps = [row.split(",")[0] for row in rows]
         assert stamps == [s for s in times for _ in range(3)]
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_solve_from_profile_file(self, tmp_path, d):
+        # v_profile.csv is the profile a one-sided stationary solve starts
+        # from, so solving from the file writes the same bytes; so does the
+        # file with the terminal row that older versions wrote
+        def solve(out, *sets):
+            argv = ["solve", "--out", str(tmp_path / out), "--set", f"d={d}"]
+            assert main(argv + [a for kv in sets for a in ("--set", kv)]) == 0
+            return [(tmp_path / out / name).read_bytes()
+                    for name in ("lower.csv", "upper.csv", "summary.json")]
+
+        assert main(["stationary", "--out", str(tmp_path / "st"), "--set", f"d={d}"]) == 0
+        text = (tmp_path / "st" / "v_profile.csv").read_text()
+        old = tmp_path / "old.csv"
+        old.write_text(text + f"30.0,{text.splitlines()[-1].split(',')[1]}\n")
+        expected = solve("one_sided", "two_sided=false")
+        assert solve("file", f"initial={tmp_path / 'st' / 'v_profile.csv'}") == expected
+        assert solve("old_file", f"initial={old}") == expected
 
     def test_runtime_error_exit_two(self, tmp_path):
         cfg = parse_config(None, "solve",

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from nbbm.core import (ParticleEnsemble, RadialProfile, SandwichPair, discretize_cdf,
                        empirical_cdf, in_gamma, max_radius, measure_of_set, whole_steps)
 from nbbm.experiments import StationarySampler
-from nbbm.obstacle import SolveRequest, solve_sandwich, stationary_state
+from nbbm.obstacle import SandwichSolver, SolveRequest, solve_sandwich, stationary_state
 from nbbm.sim import replica_rng
 
 
@@ -72,15 +72,27 @@ class TestRadialProfile:
             g = RadialProfile.from_csv(f.to_csv())
             assert g.locations.tobytes() == f.locations.tobytes()
             assert g.values.tobytes() == f.values.tobytes()
-        # older files end in a row repeating the final value at a larger
-        # radius; it loads as a zero-size jump, so the step function is the same
-        old = RadialProfile.from_csv("r,value\n0.25,0.5\n1.5,1.0\n18.470562748477143,1.0\n")
-        assert old.sup_distance(profiles[0]) == 0.0
-        assert RadialProfile.from_csv("r,value\n16.970562748477143,0.0\n").sup_distance(
-            RadialProfile([], [])) == 0.0
         # a file's only row used to be taken for the terminal row: the zero profile
         one = RadialProfile.from_csv("r,value\n0.5,0.2\n")
         assert one.locations.tolist() == [0.5] and one.values.tolist() == [0.2]
+
+    def test_old_terminal_row_dropped(self):
+        # older files end in a row repeating the final value at a larger
+        # radius; it used to load as a zero-size jump there, and the solver,
+        # which sizes its first grid from the last jump, built 113,668 nodes
+        # from this text with its terminal row at r = 10 in place of 37,550
+        new = stationary_state(1).as_profile(4001, "nearest").to_csv()
+        loaded = [(RadialProfile.from_csv(text), RadialProfile.from_csv(old)) for text, old in (
+            (new, new + "10.0,1.0\n"),
+            ("r,value\n0.25,0.5\n1.5,1.0\n",
+             "r,value\n0.25,0.5\n1.5,1.0\n18.470562748477143,1.0\n"),
+            ("r,value\n", "r,value\n16.970562748477143,0.0\n"))]
+        for f, g in loaded:
+            assert g.locations.tobytes() == f.locations.tobytes()
+            assert g.values.tobytes() == f.values.tobytes()
+        f, g = loaded[0]
+        assert SandwichSolver(1, g, 0.01, horizon_hint=1.0).grid.size == \
+            SandwichSolver(1, f, 0.01, horizon_hint=1.0).grid.size
 
     @pytest.mark.parametrize("text, line", [
         ("r,value\n", None),

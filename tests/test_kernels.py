@@ -66,6 +66,18 @@ class TestRadialCdf:
         ref = chndtr(r * r / (2 * t), d, y * y / (2 * t))
         assert np.abs(ours - ref).max() < 5e-9
 
+    @pytest.mark.parametrize("y", [1e-12, 1e-8, 1e-4])
+    @pytest.mark.parametrize("r, t", [(1.0, 1.0), (0.5, 0.1)])
+    def test_d3_small_y_against_mpmath(self, y, r, t):
+        # the d = 3 image form erf(...) - sqrt(t/pi)/y (e^-(r-y)^2/4t -
+        # e^-(r+y)^2/4t) cancels when y/sqrt(t) is small: it was off by
+        # 1.2e-5 at y = 1e-12, r = t = 1
+        with mp.workdps(40):
+            mu, z = mp.mpf(y) ** 2 / (4 * t), mp.mpf(r) ** 2 / (4 * t)
+            exact = sum(mp.exp(-mu) * mu ** m / mp.factorial(m)
+                        * mp.gammainc(1.5 + m, 0, z, regularized=True) for m in range(30))
+        assert abs(radial_cdf(3, y, r, t) - float(exact)) <= 1e-14
+
     def test_monte_carlo_identity(self, d):
         # the norm-process law must match simulation; light version of the
         # full acceptance matrix

@@ -11,7 +11,7 @@ from scipy import integrate, stats
 
 from nbbm import obstacle
 from nbbm.cli import _ArtifactWriter, _write_report
-from nbbm.core import RadialProfile
+from nbbm.core import RadialProfile, SandwichPair
 from nbbm.kernels import radial_cdf
 from nbbm.experiments import UniformBallSampler, convergence_report
 from nbbm.obstacle import (SandwichSolver, SolveRequest, analytic_gap, default_grid_step,
@@ -559,16 +559,11 @@ class TestSandwichSolver:
 # ---------------------------------------------------------------------------
 
 class TestFreeBoundary:
-    def test_stationary_profile_level(self):
-        st = stationary_state(1)
-        v = st.as_profile(20001, "nearest")
-        r = free_boundary_radius(v)
-        # V is quadratically flat at its edge: 1 - V ~ (pi/2 - r)^2 / 2
-        assert abs(r - math.pi / 2) < math.sqrt(2e-6) + 1e-3
-
     def test_constant_profile_sentinel(self):
-        v = RadialProfile([1.0], [0.5])
-        assert free_boundary_radius(v) == math.inf
+        # branches that stay below 1 reach neither level
+        pair = SandwichPair(lower=RadialProfile([1.0], [0.4]), upper=RadialProfile([1.0], [0.5]),
+                            analytic_gap=0.0, grid_gap=0.0, steps_taken=0, step_size=0.01)
+        assert free_boundary_radius(pair) == (math.inf, math.inf)
 
     def test_pair_interval_brackets_stationary_radius(self):
         st = stationary_state(1)

@@ -11,7 +11,8 @@ It traces, with ``sys.settrace`` limited to frames whose file lies in
   checked, hashed and observed as the benchmark does;
 * the seven CLI subcommands at their defaults and seed 1, with ``solve`` and
   ``kernel-dump`` at d = 1, 2, 3 and ``hydro`` and ``selection`` at
-  ``replicas=2``;
+  ``replicas=2``, and ``solve`` once more from the ``v_profile.csv`` that the
+  ``stationary`` run wrote (``--set initial=<path>``);
 * ``tests/test_acceptance.py``.
 
 Then it prints, grouped by module and function, each statement line that
@@ -147,11 +148,12 @@ def _run_workloads():
 
 def _run_cli(out_root: str):
     from nbbm.cli import main
-    runs = [("simulate",), ("stationary",), ("stationarity",),
+    profile = os.path.join(out_root, "stationary", "v_profile.csv")
+    runs = [("simulate",), ("stationary",), ("solve", f"initial={profile}"), ("stationarity",),
             ("hydro", "replicas=2"), ("selection", "replicas=2")]
     runs += [(sub, f"d={d}") for sub in ("solve", "kernel-dump") for d in (1, 2, 3)]
     for sub, *sets in runs:
-        label = "-".join((sub, *sets)).replace("=", "")
+        label = "-".join((sub, *map(os.path.basename, sets))).replace("=", "")
         argv = [sub, "--seed", "1", "--out", os.path.join(out_root, label)]
         for kv in sets:
             argv += ["--set", kv]
