@@ -10,11 +10,11 @@ Subpackages:
 * ``cli``         command-line orchestration and serialization
 """
 
-from .core import (ParticleEnsemble, RadialProfile, SandwichPair, StationaryState,
-                   empirical_cdf, in_gamma, max_radius, measure_of_set)
+from .core import (ParticleEnsemble, RadialProfile, SandwichPair, empirical_cdf, in_gamma,
+                   max_radius, measure_of_set)
 from .kernels import radial_cdf
-from .obstacle import (SandwichSolver, SolveRequest, analytic_gap, free_boundary_radius,
-                       solve_sandwich, stationary_state)
+from .obstacle import (SandwichSolver, SolveRequest, StationaryState, analytic_gap,
+                       free_boundary_radius, solve_sandwich, stationary_state)
 from .sim import (BbmForest, SimParams, advance_nbbm, coupled_run, replica_rng,
                   spherically_ordered_pairs, survival_curve)
 

@@ -178,12 +178,12 @@ class RunConfig:
         return os.path.join(root, self.subcommand)
 
 
-def parse_config(path: str | None = None, subcommand: str | None = None,
+def parse_config(path: str | None, subcommand: str,
                  overrides: dict | None = None) -> RunConfig:
-    """Build a RunConfig from an optional config file plus CLI-style overrides.
-
-    Unknown keys are rejected with the offending key named; type errors
-    name the key and expected type.
+    """Build the RunConfig of ``subcommand`` from a config file (or None) and
+    CLI-style overrides.  Unknown keys, a top-level ``subcommand`` among them,
+    are rejected by name, as is a section other than ``[subcommand]``; type
+    errors name the key and expected type.
     """
     top: dict[str, str] = {}
     section: str | None = None
@@ -206,13 +206,8 @@ def parse_config(path: str | None = None, subcommand: str | None = None,
                 raise ValueError(f"line {lineno}: expected 'key = value', got {raw!r}")
             key, val = (s.strip() for s in line.split("=", 1))
             (section_kv if section is not None else top)[key] = val
-    if subcommand is None:
-        subcommand = section or top.pop("subcommand", None)
-        if subcommand is None:
-            raise ValueError("no subcommand given (CLI or [section] in the config)")
-    elif section is not None and section != subcommand:
+    if section is not None and section != subcommand:
         raise ValueError(f"config section [{section}] does not match subcommand {subcommand}")
-    top.pop("subcommand", None)
     if subcommand not in SCHEMAS:
         raise ValueError(f"unknown subcommand {subcommand!r}")
 

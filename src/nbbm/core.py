@@ -24,7 +24,6 @@ __all__ = [
     "ParticleEnsemble",
     "RadialProfile",
     "SandwichPair",
-    "StationaryState",
     "discretize_cdf",
     "empirical_cdf",
     "max_radius",
@@ -243,37 +242,6 @@ def _max_excess(a: RadialProfile, b: RadialProfile) -> float:
     pre = a(pts) - b(pts)
     post = a.value_right(pts) - b.value_right(pts)
     return float(max(0.0, pre.max(), post.max()))
-
-
-class StationaryState:
-    """Long-time attractor (U, R_infinity, V) for a given dimension.
-
-    U is the principal Dirichlet eigenfunction of -Laplacian on the centred
-    ball whose radius makes the eigenvalue exactly 1, normalized to total
-    mass 1; V(r) is the mass of U inside radius r.
-    """
-
-    def __init__(self, dim: int, r_infinity: float, normalizer: float,
-                 radial_density, cumulative):
-        self.dim = int(dim)
-        self.r_infinity = float(r_infinity)
-        self.normalizer = float(normalizer)
-        self._density = radial_density      # U as a function of ||x||
-        self._cumulative = cumulative       # V(r)
-
-    def U(self, r) -> np.ndarray | float:
-        """Density at radius (or radii) r."""
-        return self._density(r)
-
-    def V(self, r) -> np.ndarray | float:
-        return self._cumulative(r)
-
-    def as_profile(self, n_nodes: int = 4001, mode: str = "nearest") -> RadialProfile:
-        """Discretize V on [0, R_inf] as a step profile (see ``discretize_cdf``)."""
-        return discretize_cdf(self._cumulative, self.r_infinity, n_nodes, mode)
-
-    def __repr__(self):
-        return f"StationaryState(dim={self.dim}, r_infinity={self.r_infinity:.12g})"
 
 
 def discretize_cdf(cdf, r_max: float, n_nodes: int, mode: str) -> RadialProfile:

@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -155,21 +155,29 @@ def sup_distance_to_fn(f: RadialProfile, fn, r_hi: float) -> float:
 # Replica plumbing
 # ---------------------------------------------------------------------------
 
-def _run_replicas(fn, n_replicas: int, workers: int, args: tuple) -> list:
-    """Execute fn(rep, *args) for each replica, deterministically ordered."""
+def _replica(fn, rep: int, seed: int, N: int, d: int, sampler, args: tuple):
+    """fn(rep, ens, rng, *args) on replica rep's stream rng = replica_rng(seed,
+    rep), whose first draws place the N particles of ens in R^d."""
+    rng = replica_rng(seed, rep)
+    return fn(rep, ParticleEnsemble(d, sampler.sample(N, rng)), rng, *args)
+
+
+def _run_replicas(fn, n_replicas: int, workers: int, seed: int, N: int, d: int, sampler,
+                  args: tuple) -> list:
+    """Execute fn(rep, ens, rng, *args) for each replica (:func:`_replica`),
+    deterministically ordered."""
     if _integer("workers", workers, 1) == 1:
-        return [fn(rep, *args) for rep in range(n_replicas)]
+        return [_replica(fn, rep, seed, N, d, sampler, args) for rep in range(n_replicas)]
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(fn, rep, *args) for rep in range(n_replicas)]
+        futures = [pool.submit(_replica, fn, rep, seed, N, d, sampler, args)
+                   for rep in range(n_replicas)]
         return [f.result() for f in futures]
 
 
-def _hydro_replica(rep: int, seed: int, N: int, d: int, t: float, sampler,
+def _hydro_replica(rep: int, ens: ParticleEnsemble, rng: np.random.Generator, t: float,
                    delta: float, grid_step: float | None):
-    rng = replica_rng(seed, rep)
-    ens = ParticleEnsemble(d, sampler.sample(N, rng))
     f0 = empirical_cdf(ens)
-    pair = solve_sandwich(SolveRequest(dim=d, initial=f0, horizon=t,
+    pair = solve_sandwich(SolveRequest(dim=ens.dim, initial=f0, horizon=t,
                                        step_size=delta, grid_step=grid_step))
     final, _ = advance_nbbm(ens, t, rng)
     f1 = empirical_cdf(final)
@@ -190,28 +198,21 @@ def hydrodynamic_report(N: int, d: int, t: float, sampler, replicas: int,
     _positive("t", t)
     _integer("replicas", replicas, 1)
     _integer("N", N, _MIN_POPULATION)
-    res = _run_replicas(_hydro_replica, replicas, workers,
-                        (seed, N, d, t, sampler, delta, grid_step))
+    res = _run_replicas(_hydro_replica, replicas, workers, seed, N, d, sampler,
+                        (t, delta, grid_step))
     dists = np.array([r[0] for r in res])
     widths = np.array([r[1] for r in res])
     measured = np.array([r[2] for r in res])
-    rows = [ReportRow.make("hydro", f"bracket_distance_rep{i}", dist, math.inf,
-                           N, d, t, replicas, seed)
-            for i, dist in enumerate(dists)]
-    rows.append(ReportRow.make("hydro", "bracket_distance_q90",
-                               float(np.percentile(dists, 90.0)), tolerance_q90,
-                               N, d, t, replicas, seed))
-    rows.append(ReportRow.make("hydro", "mean_bracket_width",
-                               float(widths.mean()), math.inf, N, d, t, replicas, seed))
-    rows.append(ReportRow.make("hydro", "mean_measured_width",
-                               float(measured.mean()), math.inf, N, d, t, replicas, seed))
+    row = partial(ReportRow.make, "hydro", N=N, d=d, t=t, replicas=replicas, seed=seed)
+    rows = [row(f"bracket_distance_rep{i}", dist, math.inf) for i, dist in enumerate(dists)]
+    rows.append(row("bracket_distance_q90", float(np.percentile(dists, 90.0)), tolerance_q90))
+    rows.append(row("mean_bracket_width", float(widths.mean()), math.inf))
+    rows.append(row("mean_measured_width", float(measured.mean()), math.inf))
     return rows
 
 
-def _boundary_replica(rep: int, seed: int, N: int, d: int, eta: float,
-                      sampler, snap_times: tuple, r_upper: tuple):
-    rng = replica_rng(seed, rep)
-    ens = ParticleEnsemble(d, sampler.sample(N, rng))
+def _boundary_replica(rep: int, ens: ParticleEnsemble, rng: np.random.Generator, eta: float,
+                      snap_times: tuple, r_upper: tuple):
     _, log = advance_nbbm(ens, np.diff([0.0, *snap_times]), rng)
     return any(max_radius(r) > r_t + eta for r, r_t in zip(log.reads, r_upper))
 
@@ -241,22 +242,20 @@ def boundary_report(N: int, d: int, T: float, eta: float, sampler,
     for s in snap_times:
         solver.advance_to(s)
         r_upper.append(solver.boundary_interval()[1])
-    flags = _run_replicas(_boundary_replica, replicas, workers,
-                          (seed, N, d, eta, sampler, snap_times, tuple(r_upper)))
+    flags = _run_replicas(_boundary_replica, replicas, workers, seed, N, d, sampler,
+                          (eta, snap_times, tuple(r_upper)))
     frac = float(np.mean(flags))
     return [ReportRow.make("boundary", "exceedance_fraction", frac, tolerance,
                            N, d, T, replicas, seed)]
 
 
-def _selection_replica(rep: int, seed: int, N: int, d: int, t: float, K: float,
-                       c: float, sampler, window_dt: float, n_window: int):
-    rng = replica_rng(seed, rep)
-    ens = ParticleEnsemble(d, sampler.sample(N, rng))
+def _selection_replica(rep: int, ens: ParticleEnsemble, rng: np.random.Generator, t: float,
+                       K: float, c: float, window_dt: float, n_window: int):
     if not in_gamma(ens, K, c):
         raise ValueError(f"replica {rep}: initial configuration not in Gamma({K}, {c})")
     _, log = advance_nbbm(ens, (t,) + (window_dt,) * n_window, rng)
     ens = log.reads[0]
-    state = stationary_state(d)
+    state = stationary_state(ens.dim)
     f = empirical_cdf(ens)
     sup_v = sup_distance_to_fn(f, state.V, state.r_infinity)
     m_t = max_radius(ens)
@@ -277,33 +276,24 @@ def selection_report(N: int, d: int, t: float, K: float, c: float, sampler,
     _integer("N", N, _MIN_POPULATION)
     n_window = whole_steps(1.0, window_dt, "window", "window_dt")
     state = stationary_state(d)
-    res = _run_replicas(_selection_replica, replicas, workers,
-                        (seed, N, d, t, K, c, sampler, window_dt, n_window))
+    res = _run_replicas(_selection_replica, replicas, workers, seed, N, d, sampler,
+                        (t, K, c, window_dt, n_window))
     sup_v = np.array([r[0] for r in res])
     m_t = np.array([r[1] for r in res])
     run_max = np.array([r[2] for r in res])
     ball = np.array([r[3] for r in res])
     half = np.array([r[4] for r in res])
+    row = partial(ReportRow.make, "selection", N=N, d=d, t=t, replicas=replicas, seed=seed)
     rows = []
     for i in range(replicas):
-        rows.append(ReportRow.make("selection", f"sup_F_to_V_rep{i}", sup_v[i],
-                                   math.inf, N, d, t, replicas, seed))
-        rows.append(ReportRow.make("selection", f"abs_M_to_Rinf_rep{i}",
-                                   abs(m_t[i] - state.r_infinity), math.inf,
-                                   N, d, t, replicas, seed))
-        rows.append(ReportRow.make("selection", f"window_excess_rep{i}",
-                                   run_max[i] - state.r_infinity, math.inf,
-                                   N, d, t, replicas, seed))
+        rows.append(row(f"sup_F_to_V_rep{i}", sup_v[i], math.inf))
+        rows.append(row(f"abs_M_to_Rinf_rep{i}", abs(m_t[i] - state.r_infinity), math.inf))
+        rows.append(row(f"window_excess_rep{i}", run_max[i] - state.r_infinity, math.inf))
     good = (sup_v <= sup_tol) & (np.abs(m_t - state.r_infinity) <= m_tol)
-    rows.append(ReportRow.make("selection", "fraction_outside_tolerance",
-                               1.0 - float(good.mean()), 1.0 - _GOOD_FRACTION,
-                               N, d, t, replicas, seed))
-    rows.append(ReportRow.make("selection", "ball_mass_error",
-                               abs(float(ball.mean()) - 1.0), mass_tol,
-                               N, d, t, replicas, seed))
-    rows.append(ReportRow.make("selection", "half_space_mass_error",
-                               abs(float(half.mean()) - 0.5), mass_tol,
-                               N, d, t, replicas, seed))
+    rows.append(row("fraction_outside_tolerance", 1.0 - float(good.mean()),
+                    1.0 - _GOOD_FRACTION))
+    rows.append(row("ball_mass_error", abs(float(ball.mean()) - 1.0), mass_tol))
+    rows.append(row("half_space_mass_error", abs(float(half.mean()) - 0.5), mass_tol))
     if return_snapshots:
         return rows, [r[5] for r in res]
     return rows

@@ -17,7 +17,8 @@ the range the anchored route's 21 Taylor terms are sized for.  The lattice
 engine ``mixture_node_values``, which the solver's sandwich step calls once
 for both branches, evaluates G_t of step profiles with jumps c_j at lattice
 points a_j as the finite mixtures sum_j c_j w(a_j, r, t) on the lattice
-nodes, and every apply costs the kernel's support, not the domain:
+nodes.  Both routes take one jump row per call and return its values and
+certified error, and every apply costs the kernel's support, not the domain:
 
 * image route (d = 1, 3): the saturated parts of the image kernels are
   prefix sums of the jump sizes, and the remainders, cut to a band of B
@@ -231,8 +232,8 @@ def radial_cdf(dim: int, y: float, r, t: float):
             flat = z.ravel()
             order = np.argsort(flat, kind="stable")
             vals, _ = _AnchoredLattice(dim, np.array([mu]), flat[order]).apply(
-                [np.ones(1)], flat.size)
-            out = vals[0][np.argsort(order)].reshape(z.shape)
+                np.ones(1), flat.size)
+            out = vals[np.argsort(order)].reshape(z.shape)
     out = np.clip(out, 0.0, 1.0)
     return float(out) if r_arr.ndim == 0 else out
 
@@ -389,82 +390,67 @@ class _AnchoredLattice:
             yield b, block
         self.scratch = 0
 
-    def _jump_sums(self, cs: list[np.ndarray]) -> list[tuple[int, int, np.ndarray]]:
-        """Per row c: its blocks, the index m0 where its q starts and Q, the
-        prefix sums of q = sum_n (-grad)^n r_n (Horner), from the moments
+    def _jump_sums(self, c: np.ndarray) -> tuple[int, int, np.ndarray]:
+        """The blocks of the jumps c, the index m0 where their q starts and Q,
+        the prefix sums of q = sum_n (-grad)^n r_n (Horner), from the moments
         M_{A,n} = sum_j c_j delta_j^n / n! and r_n = sum_A M_{A,n} Poisson(A)."""
-        big_n, jumps, acc = self.terms - 1, self.jumps, []
-        for c in cs:
-            seg = self.first[:np.searchsorted(self.first, c.size)]
-            b_end = jumps.block_of(seg.size - 1) + 1
-            moments = np.zeros((self.terms, jumps.rows[b_end]))
-            x, dx = c.copy(), self.jump_delta[:c.size]
-            for n in range(self.terms):
-                if n:
-                    x *= dx
-                    x /= n
-                np.add.reduceat(x, seg, out=moments[n, :seg.size])
-            m0 = int(jumps.c0[:b_end].min())
-            r = np.zeros((self.terms, int(jumps.c1[:b_end].max()) - m0 + big_n))
-            acc.append((b_end, m0, moments, r))
-        for b, block in self._blocks(jumps, 0, max(u[0] for u in acc),
-                                     sum(m.nbytes + r.nbytes for _, _, m, r in acc)):
+        big_n, jumps = self.terms - 1, self.jumps
+        seg = self.first[:np.searchsorted(self.first, c.size)]
+        b_end = jumps.block_of(seg.size - 1) + 1
+        moments = np.zeros((self.terms, jumps.rows[b_end]))
+        x, dx = c.copy(), self.jump_delta[:c.size]
+        for n in range(self.terms):
+            if n:
+                x *= dx
+                x /= n
+            np.add.reduceat(x, seg, out=moments[n, :seg.size])
+        m0 = int(jumps.c0[:b_end].min())
+        r = np.zeros((self.terms, int(jumps.c1[:b_end].max()) - m0 + big_n))
+        for b, block in self._blocks(jumps, 0, b_end, moments.nbytes + r.nbytes):
             i0, i1 = jumps.rows[b], jumps.rows[b + 1]
-            for b_end, m0, moments, r in acc:
-                if b < b_end:
-                    r[:, jumps.c0[b] - m0:jumps.c1[b] - m0] += moments[:, i0:i1] @ block
-        out = []
-        for b_end, m0, _, r in acc:
-            q = r[big_n].copy()
-            for n in range(big_n - 1, -1, -1):
-                q, prev = r[n] - q, q
-                q[1:] += prev[:-1]
-            out.append((b_end, m0, np.cumsum(q)))
-        return out
+            r[:, jumps.c0[b] - m0:jumps.c1[b] - m0] += moments[:, i0:i1] @ block
+        q = r[big_n].copy()
+        for n in range(big_n - 1, -1, -1):
+            q, prev = r[n] - q, q
+            q[1:] += prev[:-1]
+        return b_end, m0, np.cumsum(q)
 
-    def apply(self, cs: list[np.ndarray], n_out: int) -> tuple[np.ndarray, np.ndarray]:
-        """Mixtures of the jump rows cs, sizes at the first cs[k].size means, on
-        the first n_out nodes, and their certified errors (:meth:`eval_err`).
+    def apply(self, c: np.ndarray, n_out: int) -> tuple[np.ndarray, float]:
+        """Mixture of the jumps c, sizes at the first c.size means, on the
+        first n_out nodes, and its certified error (:meth:`eval_err`).
 
-        One pass over the blocks serves every row, and each row gets the bits
-        of a call with that row alone.  A node whose window starts past q
-        (anchor n_t on) sees the total, one whose block ends below q nothing.
-        Between them: (L^n Q)_k, (L Q)_k = (k+1)/(a+k+1) Q_{k+1} - Q_k, with
-        Q held at the total past q; A^a h^(n)(A) = sum_k psi_k(A) (L^n Q)_k
-        over the block; at each node (z/A)^a sum_n A^a h^(n)(A) delta^n / n!
+        A node whose window starts past q (anchor n_t on) sees the total, one
+        whose block ends below q nothing.  Between them: (L^n Q)_k,
+        (L Q)_k = (k+1)/(a+k+1) Q_{k+1} - Q_k, with Q held at the total past
+        q; A^a h^(n)(A) = sum_k psi_k(A) (L^n Q)_k over the block; at each
+        node (z/A)^a sum_n A^a h^(n)(A) delta^n / n!
         """
         big_n, nodes = self.terms - 1, self.nodes
-        vals, errs, used = np.empty((len(cs), n_out)), np.empty(len(cs)), []
-        for k, (c, (b_end, m0, cum)) in enumerate(zip(cs, self._jump_sums(cs))):
-            n_t = int(np.argmax(np.append(nodes.lo, np.inf) > m0 + cum.size - 1))
-            b_lo = int(np.argmax(np.append(nodes.c1, np.inf) > m0))
-            i_lo, i_hi = np.searchsorted(self.row[:n_out], [nodes.rows[b_lo], n_t])
-            vals[k, :i_lo], vals[k, i_lo:] = 0.0, cum[-1]
-            errs[k] = self.eval_err(c, b_end, cum.size, b_lo, n_t)
-            if i_hi > i_lo:
-                b_hi = nodes.block_of(self.row[i_hi - 1]) + 1
-                k0, k1 = int(nodes.c0[b_lo:b_hi].min()), int(nodes.c1[b_lo:b_hi].max())
-                kk = np.arange(k0, k1 + big_n, dtype=float)
-                d = np.where(kk < m0, 0.0, cum[np.clip(kk - m0, 0, cum.size - 1).astype(int)])
-                w = (kk[:-1] + 1.0) / (self.a + kk[:-1] + 1.0)
-                deriv = np.empty((self.terms, k1 - k0))
-                deriv[0] = d[:k1 - k0]
-                for n in range(1, self.terms):
-                    d = w[:d.size - 1] * d[1:] - d[:-1]
-                    deriv[n] = d[:k1 - k0]
-                coef = np.empty((self.terms, nodes.rows[b_hi] - nodes.rows[b_lo]))
-                used.append((k, b_lo, b_hi, k0, deriv, coef, i_lo, i_hi))
-        for b, block in self._blocks(nodes, min((u[1] for u in used), default=0),
-                                     max((u[2] for u in used), default=0),
-                                     sum(u[4].nbytes + u[5].nbytes for u in used)):
-            for _, b_lo, b_hi, k0, deriv, coef, _, _ in used:
-                if b_lo <= b < b_hi:
-                    i0 = nodes.rows[b] - nodes.rows[b_lo]
-                    coef[:, i0:i0 + block.shape[0]] = (
-                        deriv[:, nodes.c0[b] - k0:nodes.c1[b] - k0] @ block.T)
-        for k, b_lo, _, _, _, coef, i_lo, i_hi in used:
-            coef /= self.factorials[:, None]
+        b_end, m0, cum = self._jump_sums(c)
+        n_t = int(np.argmax(np.append(nodes.lo, np.inf) > m0 + cum.size - 1))
+        b_lo = int(np.argmax(np.append(nodes.c1, np.inf) > m0))
+        i_lo, i_hi = np.searchsorted(self.row[:n_out], [nodes.rows[b_lo], n_t])
+        vals = np.full(n_out, cum[-1])
+        vals[:i_lo] = 0.0
+        err = self.eval_err(c, b_end, cum.size, b_lo, n_t)
+        if i_hi > i_lo:
+            b_hi = nodes.block_of(self.row[i_hi - 1]) + 1
+            k0, k1 = int(nodes.c0[b_lo:b_hi].min()), int(nodes.c1[b_lo:b_hi].max())
+            kk = np.arange(k0, k1 + big_n, dtype=float)
+            d = np.where(kk < m0, 0.0, cum[np.clip(kk - m0, 0, cum.size - 1).astype(int)])
+            w = (kk[:-1] + 1.0) / (self.a + kk[:-1] + 1.0)
+            deriv = np.empty((self.terms, k1 - k0))
+            deriv[0] = d[:k1 - k0]
+            for n in range(1, self.terms):
+                d = w[:d.size - 1] * d[1:] - d[:-1]
+                deriv[n] = d[:k1 - k0]
             base = nodes.rows[b_lo]
+            coef = np.empty((self.terms, nodes.rows[b_hi] - base))
+            for b, block in self._blocks(nodes, b_lo, b_hi, deriv.nbytes + coef.nbytes):
+                i0 = nodes.rows[b] - base
+                coef[:, i0:i0 + block.shape[0]] = (
+                    deriv[:, nodes.c0[b] - k0:nodes.c1[b] - k0] @ block.T)
+            coef /= self.factorials[:, None]
             for s in range(i_lo, i_hi, _BLOCK):
                 e = min(s + _BLOCK, i_hi)
                 # each anchor's coefficients, repeated over its run of nodes
@@ -474,10 +460,8 @@ class _AnchoredLattice:
                 for n in range(big_n - 1, -1, -1):
                     horner *= self.delta[s:e]
                     horner += block[n]
-                vals[k, s:e] = horner * self.scale[s:e]
-        for v, c in zip(vals, cs):
-            np.clip(v, 0.0, max(c.sum(), 0.0), out=v)
-        return vals, errs
+                vals[s:e] = horner * self.scale[s:e]
+        return np.clip(vals, 0.0, max(c.sum(), 0.0), out=vals), err
 
     def eval_err(self, c: np.ndarray, b_end: int, n_q: int, b_lo: int, n_t: int) -> float:
         """Certified error of :meth:`apply` for jumps c, ||c||_1 times the sum of
@@ -526,13 +510,13 @@ class _AnchoredLattice:
         return 1.01 * float(np.abs(c).sum()) * per_mass
 
 
-def _lattice_anchored(dim: int, t: float, cs: list[np.ndarray], h: float, n_out: int
-                      ) -> tuple[np.ndarray, np.ndarray]:
-    """Mixtures of the nonempty lattice jump rows cs on the nodes i*h,
-    i < n_out, for every d but 1 and 3, on tables cached per (dim, t, h).
-    The lattice runs to the end of the anchor block of node n_out - 1, so a
-    longer one has the same blocks and a node's bits do not depend on
-    n_out; one shorter than n_out is built afresh."""
+def _lattice_anchored(dim: int, t: float, c: np.ndarray, h: float, n_out: int
+                      ) -> tuple[np.ndarray, float]:
+    """Mixture of lattice jumps c on the nodes i*h, i < n_out, and its error,
+    as in ``_lattice_images``, for every d but 1 and 3, on tables cached per
+    (dim, t, h).  The lattice runs to the end of the anchor block of node
+    n_out - 1, so a longer one has the same blocks and a node's bits do not
+    depend on n_out; one shorter than n_out is built afresh."""
     key = ("series", dim, t, h)
     lattice = _IMAGE_CACHE.pop(key, None)
     if lattice is None or lattice.n < n_out:
@@ -541,7 +525,7 @@ def _lattice_anchored(dim: int, t: float, cs: list[np.ndarray], h: float, n_out:
         x = (np.arange(math.ceil(math.sqrt(4.0 * t * (top + 1.0)) / h) + 2) * h) ** 2 / (4.0 * t)
         x = x[:np.count_nonzero(np.rint(x) < top)]
         lattice = _AnchoredLattice(dim, x, x)
-    return _cached(key, lambda: lattice).apply(cs, n_out)
+    return _cached(key, lambda: lattice).apply(c, n_out)
 
 
 def _image_tail(dim: int, t: float, x: float, mass: float, w_mass: float,
@@ -700,11 +684,9 @@ def mixture_node_values(dim: int, t: float, locs: np.ndarray, sizes: np.ndarray,
     if not np.all(np.isfinite(sizes)):
         raise ValueError("sizes must be finite")
     cs = [_trimmed(c) for c in sizes + 0.0]  # each row is its jump array; -0.0 becomes 0.0
+    route = _lattice_images if dim in (1, 3) else _lattice_anchored
     vals, errs = np.zeros((len(cs), n)), np.zeros(len(cs))
-    live = [k for k, c in enumerate(cs) if c.size]
-    if dim in (1, 3):
-        for k in live:
-            vals[k], errs[k] = _lattice_images(dim, float(t), cs[k], h, n)
-    elif live:
-        vals[live], errs[live] = _lattice_anchored(dim, float(t), [cs[k] for k in live], h, n)
+    for k, c in enumerate(cs):
+        if c.size:
+            vals[k], errs[k] = route(dim, float(t), c, h, n)
     return vals, errs

@@ -39,8 +39,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammaln, jv
 
-from .core import (_MAX_DIM, RadialProfile, SandwichPair, StationaryState, _integer,
-                   _max_excess, _positive, whole_steps)
+from .core import (_MAX_DIM, RadialProfile, SandwichPair, _integer, _max_excess,
+                   _positive, discretize_cdf, whole_steps)
 from .kernels import mixture_node_values, support_band
 
 __all__ = [
@@ -52,6 +52,7 @@ __all__ = [
     "solve_sandwich",
     "free_boundary_radius",
     "stationary_state",
+    "StationaryState",
 ]
 
 _TRUNC_TOL = 1e-12  # per-step allowance for freezing the numerically flat tail
@@ -431,6 +432,46 @@ def _first_bessel_zero(nu: float) -> float:
     return 0.5 * (lo + hi)
 
 
+@dataclass(frozen=True)
+class StationaryState:
+    """Long-time attractor (U, R_infinity, V) for a given dimension.
+
+    U is the principal Dirichlet eigenfunction of -Laplacian on the centred
+    ball whose radius makes the eigenvalue exactly 1, normalized to total
+    mass 1 by the amplitude ``normalizer``; V(r) is the mass of U inside r.
+    """
+
+    dim: int
+    r_infinity: float
+    normalizer: float
+
+    def U(self, r) -> np.ndarray | float:
+        """Density at radius (or radii) r."""
+        nu, small = 0.5 * self.dim - 1.0, 1e-6
+        limit0 = 0.5 ** nu / math.exp(gammaln(nu + 1.0))  # r^{-nu} J_nu(r) at r -> 0
+        r_arr = np.asarray(r, dtype=float)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            shape = np.where(r_arr > small,
+                             jv(nu, r_arr) * np.maximum(r_arr, small) ** (-nu),
+                             limit0)
+        out = np.where(r_arr < self.r_infinity, np.maximum(self.normalizer * shape, 0.0), 0.0)
+        return float(out) if np.isscalar(r) else out
+
+    def V(self, r) -> np.ndarray | float:
+        """Mass of U inside radius (or radii) r."""
+        nu, r_inf = 0.5 * self.dim - 1.0, self.r_infinity
+        r_arr = np.asarray(r, dtype=float)
+        rc = np.clip(r_arr, 0.0, r_inf)
+        out = np.clip((rc / r_inf) ** (nu + 1.0) * jv(nu + 1.0, rc)
+                      / float(jv(nu + 1.0, r_inf)), 0.0, 1.0)
+        out = np.where(r_arr >= r_inf, 1.0, out)
+        return float(out) if np.isscalar(r) else out
+
+    def as_profile(self, n_nodes: int = 4001, mode: str = "nearest") -> RadialProfile:
+        """Discretize V on [0, R_inf] as a step profile (see ``discretize_cdf``)."""
+        return discretize_cdf(self.V, self.r_infinity, n_nodes, mode)
+
+
 def stationary_state(d: int) -> StationaryState:
     """Long-time attractor (U, R_inf, V) of the obstacle flow in dimension d.
 
@@ -445,27 +486,5 @@ def stationary_state(d: int) -> StationaryState:
     nu = 0.5 * d - 1.0
     r_inf = _first_bessel_zero(nu)
     sphere = 2.0 * math.pi ** (0.5 * d) / math.exp(gammaln(0.5 * d))
-    j_edge = float(jv(nu + 1.0, r_inf))
-    amp = 1.0 / (sphere * r_inf ** (nu + 1.0) * j_edge)
-
-    small = 1e-6
-    limit0 = 0.5 ** nu / math.exp(gammaln(nu + 1.0))  # r^{-nu} J_nu(r) at r -> 0
-
-    def radial_density(r):
-        r_arr = np.asarray(r, dtype=float)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            shape = np.where(r_arr > small,
-                             jv(nu, r_arr) * np.maximum(r_arr, small) ** (-nu),
-                             limit0)
-        out = np.where(r_arr < r_inf, np.maximum(amp * shape, 0.0), 0.0)
-        return float(out) if np.isscalar(r) else out
-
-    def cumulative(r):
-        r_arr = np.asarray(r, dtype=float)
-        rc = np.clip(r_arr, 0.0, r_inf)
-        out = np.clip((rc / r_inf) ** (nu + 1.0) * jv(nu + 1.0, rc) / j_edge, 0.0, 1.0)
-        out = np.where(r_arr >= r_inf, 1.0, out)
-        return float(out) if np.isscalar(r) else out
-
-    return StationaryState(d, r_inf, amp, radial_density, cumulative)
-
+    amp = 1.0 / (sphere * r_inf ** (nu + 1.0) * float(jv(nu + 1.0, r_inf)))
+    return StationaryState(d, r_inf, amp)

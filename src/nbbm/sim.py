@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import ndtr, ndtri
 
-from .core import ParticleEnsemble, _integer, _nonnegative, _positive
+from .core import ParticleEnsemble, _integer, _nonnegative, _positive, whole_steps
 from .kernels import _TAIL   # every dropped series tail is below this
 
 __all__ = [
@@ -977,16 +977,15 @@ def _radius_at(boundary, s: float) -> float:
 
 
 def survival_curve(dim: int, x: np.ndarray, boundary, t_grid: np.ndarray,
-                   n_samples: int, rng: np.random.Generator,
-                   dt: float | None = None) -> np.ndarray:
+                   n_samples: int, rng: np.random.Generator, dt: float) -> np.ndarray:
     """Fraction of Brownian paths from x never leaving the moving ball
     ||B|| < R(s), where ``boundary`` is R (a callable of time) or a constant.
 
-    Killing is checked at grid times only, so survival is overestimated by
-    a one-sided O(sqrt(dt)) discretization bias.  ``t_grid`` must round to
-    strictly increasing positive multiples of dt.  A NaN or nonpositive
-    radius raises ``ValueError``, a constant one before any path runs.
-    Paths run in chunks of at most 100k.
+    Killing is checked at steps of dt only, so survival is overestimated by
+    a one-sided O(sqrt(dt)) discretization bias.  ``t_grid`` must be strictly
+    increasing positive whole multiples of dt (``core.whole_steps``).  A NaN
+    or nonpositive radius raises ``ValueError``, a constant one before any
+    path runs.  Paths run in chunks of at most 100k.
     """
     if np.shape(x) != (dim,):
         raise ValueError(f"x must have shape ({dim},), got {np.shape(x)}")
@@ -998,14 +997,10 @@ def survival_curve(dim: int, x: np.ndarray, boundary, t_grid: np.ndarray,
             or t_grid[-1] <= 0.0):
         raise ValueError("t_grid must be a nonempty 1-d sequence of finite times "
                          "ending after 0")
-    if dt is None:
-        dt = 1e-3 * float(t_grid[-1])
-    else:
-        _positive("dt", dt)
-    at = [int(round(t / dt)) for t in t_grid]
+    _positive("dt", dt)
+    at = [whole_steps(float(t), dt, "t_grid time", "dt") for t in t_grid]
     if at[0] < 1 or any(b <= a for a, b in zip(at, at[1:])):
-        raise ValueError(f"t_grid must round to strictly increasing positive "
-                         f"multiples of dt = {dt:g}")
+        raise ValueError(f"t_grid must be strictly increasing positive multiples of dt = {dt:g}")
     if not callable(boundary):
         _radius_at(boundary, 0.0)
     steps = at[-1]

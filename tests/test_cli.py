@@ -347,3 +347,12 @@ class TestCliEntry:
     def test_bad_key_exit_two(self, tmp_path):
         assert main(["stationary", "--out", str(tmp_path / "x"),
                      "--set", "zzz=1"]) == 2
+
+    def test_subcommand_key_refused(self, tmp_path, capsys):
+        # a top-level subcommand key used to be dropped silently: this ran solve
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("subcommand = hydro\n\n[solve]\n")
+        out = tmp_path / "x"
+        assert main(["solve", "--config", str(cfg), "--out", str(out)]) == 2
+        assert "unknown top-level config key 'subcommand'" in capsys.readouterr().err
+        assert not out.exists()

@@ -375,15 +375,16 @@ class TestLatticeMixture:
         rows = [rng.uniform(size=m) * (rng.uniform(size=m) < 0.4) for m in (150, 900)]
         key = ("series", d, t, self.H)
         kernels._IMAGE_CACHE.clear()
-        kernels._lattice_anchored(d, t, rows[:1], self.H, 300)
+        kernels._lattice_anchored(d, t, rows[0], self.H, 300)
         small = kernels._IMAGE_CACHE[key]
-        grown = [kernels._lattice_anchored(d, t, rows, self.H, n_out) for n_out in (1200, 3000)]
+        grown = [[kernels._lattice_anchored(d, t, c, self.H, n_out) for c in rows]
+                 for n_out in (1200, 3000)]
         assert kernels._IMAGE_CACHE[key].n > small.n
-        for n_out, (vals, errs) in zip((1200, 3000), grown):
+        for n_out, applies in zip((1200, 3000), grown):
             kernels._IMAGE_CACHE.clear()
-            fresh_vals, fresh_errs = kernels._lattice_anchored(d, t, rows, self.H, n_out)
-            assert vals.tobytes() == fresh_vals.tobytes()
-            assert errs.tobytes() == fresh_errs.tobytes()
+            for c, (vals, err) in zip(rows, applies):
+                fresh_vals, fresh_err = kernels._lattice_anchored(d, t, c, self.H, n_out)
+                assert vals.tobytes() == fresh_vals.tobytes() and err == fresh_err
 
     def test_cache_stays_under_byte_budget(self, monkeypatch):
         kernels._IMAGE_CACHE.clear()

@@ -8,7 +8,7 @@ from hypothesis import example, given, strategies as st
 from scipy import stats
 
 from nbbm.core import ParticleEnsemble
-from nbbm.experiments import PointMassSampler, _selection_replica
+from nbbm.experiments import PointMassSampler, _replica, _selection_replica
 from nbbm import sim
 from nbbm.sim import (BbmForest, CoupledObservation, CoupledRunResult, EventLog,
                       ResourceError, SimParams, SimulationError, _dominated, _Interval,
@@ -527,7 +527,8 @@ class TestAdvanceNbbm:
         # as typed arrays of 8 B an entry it is 1.2 MB
         tracemalloc.start()
         try:
-            _selection_replica(0, 0, 2000, 1, 15.0, 1.0, 1.0, PointMassSampler(1), 0.05, 20)
+            _replica(_selection_replica, 0, 0, 2000, 1, PointMassSampler(1),
+                     (15.0, 1.0, 1.0, 0.05, 20))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -1016,7 +1017,13 @@ class TestKilledSurvival:
         # an empty grid used to raise a bare IndexError, and [0.0] a bare
         # NaN-to-integer error after a divide-by-zero warning
         with pytest.raises(ValueError, match="t_grid"):
-            survival_curve(1, [0.0], math.pi / 2, t_grid, 10, replica_rng(28, 0))
+            survival_curve(1, [0.0], math.pi / 2, t_grid, 10, replica_rng(28, 0), dt=1e-2)
+
+    def test_off_lattice_time_rejected(self):
+        # t = 0.55 at dt = 0.1 used to be read at the nearest step, silently:
+        # it returned the survival at t = 0.6
+        with pytest.raises(ValueError, match="t_grid time 0.55 is not a multiple of dt"):
+            survival_curve(1, [0.0], 1.0, [0.5, 0.55], 10, replica_rng(5, 0), dt=0.1)
 
     @pytest.mark.parametrize("dt", [0.0, -1e-3, math.nan, math.inf, -math.inf])
     def test_bad_dt_rejected(self, dt):

@@ -15,9 +15,10 @@ It traces, with ``sys.settrace`` limited to frames whose file lies in
   ``stationary`` run wrote (``--set initial=<path>``);
 * ``tests/test_acceptance.py``.
 
-Then it prints, grouped by module and function, each statement line that
-carries bytecode and never ran.  A function none of whose lines ran is
-marked "never called".  A listed line is a path that neither the benchmark
+The same traffic (:func:`run_traffic`) is what ``tools/identity.py`` runs on
+two trees to compare their outputs.  Then it prints, grouped by module and
+function, each statement line that carries bytecode and never ran.  A
+function none of whose lines ran is marked "never called".  A listed line is a path that neither the benchmark
 nor the acceptance criteria take: it wants a test or a workload, or, if no
 supported input reaches it, deletion.  Raise branches for bad input are
 expected in the list.  Worker processes (``workers > 1``) are not traced.
@@ -26,6 +27,7 @@ expected in the list.  Worker processes (``workers > 1``) are not traced.
 from __future__ import annotations
 
 import ast
+import json
 import os
 import sys
 import tempfile
@@ -129,9 +131,12 @@ def report(root: Path, hits: set[tuple[str, int]]) -> str:
     return "\n".join(out)
 
 
-def _run_workloads():
-    sys.path.insert(0, str(ROOT / "bench"))
+def _run_workloads(root: Path) -> dict[str, dict]:
+    """One cycle of each workload of ``root``'s ``bench/workloads.py`` at seed 1;
+    per op, its digest and its oracle's problems."""
+    sys.path.insert(0, str(root / "bench"))
     from workloads import WORKLOADS
+    ops = {}
     for cls in WORKLOADS.values():
         wl = cls(1)
         wl.prepare()
@@ -140,44 +145,67 @@ def _run_workloads():
             inp = wl.input(i)
             out = wl.run(i, inp)
             problems = wl.check(i, inp, out)
-            wl.digest(out)
+            label = f"{wl.name}/{wl.kind(i)}"
+            ops[label] = {"digest": wl.digest(out), "problems": problems}
             wl.observe(out)
-            print(f"workload {wl.name}/{wl.kind(i)}: "
-                  f"{'; '.join(problems) if problems else 'ok'}", flush=True)
+            print(f"workload {label}: {'; '.join(problems) if problems else 'ok'}", flush=True)
+    return ops
 
 
-def _run_cli(out_root: str):
+def _run_cli(out_root: str) -> dict[str, dict | None]:
+    """The CLI runs at seed 1; per run, its ``manifest.json`` (None if absent)."""
     from nbbm.cli import main
     profile = os.path.join(out_root, "stationary", "v_profile.csv")
     runs = [("simulate",), ("stationary",), ("solve", f"initial={profile}"), ("stationarity",),
             ("hydro", "replicas=2"), ("selection", "replicas=2")]
     runs += [(sub, f"d={d}") for sub in ("solve", "kernel-dump") for d in (1, 2, 3)]
+    manifests = {}
     for sub, *sets in runs:
         label = "-".join((sub, *map(os.path.basename, sets))).replace("=", "")
         argv = [sub, "--seed", "1", "--out", os.path.join(out_root, label)]
         for kv in sets:
             argv += ["--set", kv]
         print(f"cli {label}: exit {main(argv)}", flush=True)
+        manifest = Path(out_root, label, "manifest.json")
+        manifests[label] = json.loads(manifest.read_text()) if manifest.exists() else None
+    return manifests
 
 
-def _run_acceptance():
+def _run_acceptance(root: Path) -> list[str]:
+    """``root``'s ``tests/test_acceptance.py``; its acceptance lines."""
     import pytest
-    status = pytest.main(["-q", "-p", "no:cacheprovider", "--rootdir", str(ROOT),
-                          str(ROOT / "tests" / "test_acceptance.py")])
+    status = pytest.main(["-q", "-p", "no:cacheprovider", "--rootdir", str(root),
+                          str(root / "tests" / "test_acceptance.py")])
     print(f"acceptance: pytest exit {int(status)}", flush=True)
+    return list(getattr(sys.modules.get("test_acceptance"), "ACCEPTANCE_LINES", []))
+
+
+def run_traffic(root: Path, out_root: str) -> dict:
+    """The traffic of this module on the tree at ``root``, with ``nbbm``
+    imported from its ``src/`` (see :func:`import_package`) and CLI output
+    under ``out_root``: the op digests and problems, the CLI manifests and
+    the acceptance lines."""
+    return {"ops": _run_workloads(root), "manifests": _run_cli(out_root),
+            "acceptance": _run_acceptance(root)}
+
+
+def import_package(root: Path) -> str | None:
+    """Import ``nbbm`` from ``root/src``; an error message if it came from elsewhere."""
+    sys.dont_write_bytecode = True  # leave the tree as it is
+    sys.path.insert(0, str(root / "src"))
+    import nbbm
+    if not Path(nbbm.__file__).resolve().is_relative_to(root / "src" / "nbbm"):
+        return f"error: nbbm imported from {nbbm.__file__}, not {root / 'src' / 'nbbm'}"
+    return None
 
 
 def main() -> int:
-    sys.dont_write_bytecode = True  # leave bench/ as it is
-    sys.path.insert(0, str(ROOT / "src"))
-    import nbbm
-    if not Path(nbbm.__file__).resolve().is_relative_to(PACKAGE):
-        print(f"error: nbbm imported from {nbbm.__file__}, not {PACKAGE}", file=sys.stderr)
+    error = import_package(ROOT)
+    if error:
+        print(error, file=sys.stderr)
         return 2
     with LineCollector(PACKAGE) as collector, tempfile.TemporaryDirectory() as tmp:
-        _run_workloads()
-        _run_cli(tmp)
-        _run_acceptance()
+        run_traffic(ROOT, tmp)
     print(report(PACKAGE, collector.hits))
     return 0
 
