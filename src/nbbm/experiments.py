@@ -103,6 +103,9 @@ class UniformBallSampler:
     dim: int
     radius: float = 1.0
 
+    def __post_init__(self):
+        _positive("radius", self.radius)
+
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
         r = self.radius * rng.random(n) ** (1.0 / self.dim)
         return _unit_directions(n, self.dim, rng) * r[:, None]
@@ -196,6 +199,7 @@ def hydrodynamic_report(N: int, d: int, t: float, sampler, replicas: int,
     and ``mean_measured_width`` the mean measured width sup(upper - lower),
     the certificate itself."""
     _positive("t", t)
+    _positive("tolerance_q90", tolerance_q90)
     _integer("replicas", replicas, 1)
     _integer("N", N, _MIN_POPULATION)
     res = _run_replicas(_hydro_replica, replicas, workers, seed, N, d, sampler,
@@ -272,6 +276,8 @@ def selection_report(N: int, d: int, t: float, K: float, c: float, sampler,
                      return_snapshots: bool = False):
     """Long-time statistics against the stationary state (U, R_inf, V);
     ``window_excess`` reads the unit window after t every ``window_dt``."""
+    for name, tol in (("sup_tol", sup_tol), ("m_tol", m_tol), ("mass_tol", mass_tol)):
+        _positive(name, tol)
     _integer("replicas", replicas, 1)
     _integer("N", N, _MIN_POPULATION)
     n_window = whole_steps(1.0, window_dt, "window", "window_dt")
@@ -307,6 +313,7 @@ def stationarity_report(N: int, d: int, burn_in: float, window: float,
     against V."""
     _positive("burn_in", burn_in)
     _positive("window", window)
+    _positive("pairwise_tol", pairwise_tol)
     _integer("n_windows", n_windows, 2)  # windows are compared pairwise
     _integer("N", N, _MIN_POPULATION)
     per_window = whole_steps(window, snapshot_dt, "window", "snapshot_dt")

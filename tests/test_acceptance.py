@@ -13,9 +13,8 @@ import numpy as np
 import pytest
 from scipy import integrate, stats
 
+from nbbm.cli import parse_config, run as cli_run
 from nbbm.core import ParticleEnsemble, RadialProfile
-from nbbm.config import parse_config
-from nbbm.cli import run as cli_run
 from nbbm.experiments import UniformBallSampler, hydrodynamic_report
 from nbbm.kernels import radial_cdf
 from nbbm.obstacle import SandwichSolver, stationary_state

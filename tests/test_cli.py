@@ -6,37 +6,38 @@ import sys
 
 import pytest
 
-from nbbm.config import SCHEMAS, RunConfig, parse_config, serialize_config
-from nbbm.cli import main, run
+from nbbm.cli import SUBCOMMANDS, RunConfig, main, parse_config, run, serialize_config
 from nbbm.experiments import hydrodynamic_report, selection_report, stationarity_report
 from nbbm.sim import replica_rng
 
 
+def schema(sub) -> dict:
+    """{key: (kind, default)} of a subcommand, read from the keyword-only
+    parameters of its function; a kind is the annotation's text."""
+    params = inspect.signature(SUBCOMMANDS[sub]).parameters.values()
+    return {p.name: (p.annotation, p.default) for p in params if p.kind is p.KEYWORD_ONLY}
+
+
 def random_config(rng) -> RunConfig:
-    sub = list(SCHEMAS)[int(rng.integers(len(SCHEMAS)))]
-    params = {}
-    for key, (kind, default) in SCHEMAS[sub].items():
-        if rng.random() < 0.4:
-            continue  # leave at default
-        if kind == "int":
-            params[key] = int(rng.integers(1, 5000))
-        elif kind == "float":
-            params[key] = float(rng.uniform(0.01, 20.0))
-        elif kind == "optfloat":
-            params[key] = None if rng.random() < 0.5 else float(rng.uniform(1e-4, 1e-2))
-        elif kind == "bool":
-            params[key] = bool(rng.random() < 0.5)
-        elif kind == "floatlist":
-            params[key] = tuple(sorted(rng.uniform(0.1, 5.0, int(rng.integers(1, 5)))))
-        elif key == "sampler":
-            params[key] = ["origin", "uniform-ball", "stationary"][int(rng.integers(3))]
-        elif key == "initial":
-            params[key] = ["stationary", "uniform"][int(rng.integers(2))]
-    try:
-        return RunConfig(sub, seed=int(rng.integers(2 ** 31)), out="x/y",
-                         workers=int(rng.integers(1, 4)), params=params)
-    except ValueError:
-        return RunConfig(sub, seed=int(rng.integers(2 ** 31)))
+    sub = list(SUBCOMMANDS)[int(rng.integers(len(SUBCOMMANDS)))]
+    floats = lambda: tuple(sorted(rng.uniform(0.1, 5.0, int(rng.integers(1, 5)))))
+    draw = {
+        "int": lambda: int(rng.integers(1, 5000)),
+        "Dim": lambda: int(rng.integers(1, 13)),
+        "Pairs": lambda: int(rng.integers(2, 5000)),
+        "float": lambda: float(rng.uniform(0.01, 20.0)),
+        "float | None": lambda: None if rng.random() < 0.5 else float(rng.uniform(1e-4, 1e-2)),
+        "Fraction": lambda: float(rng.uniform(0.0, 1.0)),
+        "bool": lambda: bool(rng.random() < 0.5),
+        "str": lambda: ["stationary", "uniform"][int(rng.integers(2))],  # initial
+        "Sampler": lambda: ["origin", "uniform-ball", "stationary"][int(rng.integers(3))],
+        "Times": floats, "Positives": floats, "Nonnegatives": floats,
+    }
+    # each key is left at its default with probability 0.4
+    params = {key: draw[kind]() for key, (kind, _) in schema(sub).items()
+              if rng.random() >= 0.4}
+    return RunConfig(sub, seed=int(rng.integers(2 ** 31)), out="x/y",
+                     workers=int(rng.integers(1, 4)), params=params)
 
 
 @pytest.fixture
@@ -50,16 +51,16 @@ def parse_text(tmp_path):
 
 
 class TestConfig:
-    @pytest.mark.parametrize("sub", list(SCHEMAS))
+    @pytest.mark.parametrize("sub", list(SUBCOMMANDS))
     def test_round_trip_every_key(self, sub, parse_text):
         # every float written to the run directory parses back to the same
         # bits; a NaN float used to be written as "none", which no float key
         # parses
         params = {}
-        for key, (kind, default) in SCHEMAS[sub].items():
-            if kind in ("float", "optfloat"):
+        for key, (kind, default) in schema(sub).items():
+            if kind in ("float", "float | None", "Fraction"):
                 params[key] = math.nextafter(1.0 if key == "c" else 0.7, 0.0)
-            elif kind == "floatlist":
+            elif kind in ("Times", "Positives", "Nonnegatives"):
                 params[key] = (1 / 3, 2 / 3)
         cfg = RunConfig(sub, seed=7, out="x", workers=2, params=params)
         text = serialize_config(cfg)
@@ -81,14 +82,15 @@ class TestConfig:
         assert cfg.workers == 1
 
     def test_driver_defaults_are_the_schema_defaults(self):
-        # the nine defaults written both in SCHEMAS and in a driver signature
+        # the nine defaults written both in a subcommand's and in a driver's signature
         drivers = {"hydro": hydrodynamic_report, "selection": selection_report,
                    "stationarity": stationarity_report}
         shared = []
         for sub, driver in drivers.items():
+            keys = schema(sub)
             for name, param in inspect.signature(driver).parameters.items():
-                if name in SCHEMAS[sub] and param.default is not param.empty:
-                    assert param.default == SCHEMAS[sub][name][1], (sub, name)
+                if name in keys and param.default is not param.empty:
+                    assert param.default == keys[name][1], (sub, name)
                     shared.append(name)
         assert sorted(shared) == sorted(["delta", "grid_step", "tolerance_q90", "window_dt",
                                          "sup_tol", "m_tol", "mass_tol", "snapshot_dt",
@@ -99,6 +101,9 @@ class TestConfig:
             parse_text("[solve]\nfrobnicate = 3\n", "solve")
         with pytest.raises(ValueError, match="bogus_top"):
             parse_text("bogus_top = 1\n[solve]\n", "solve")
+        # a top-level key is not a key of the section
+        with pytest.raises(ValueError, match=r"unknown config key 'seed' for \[solve\]"):
+            parse_text("[solve]\nseed = 3\n", "solve")
 
     def test_type_error_names_key(self, parse_text):
         with pytest.raises(ValueError, match="'n' expects int"):

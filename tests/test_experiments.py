@@ -33,6 +33,12 @@ class TestSamplers:
             assert norms.max() < state.r_infinity
             assert stats.kstest(norms, state.V).pvalue > 0.001
 
+    @pytest.mark.parametrize("radius", [0.0, -1.0, math.nan, math.inf])
+    def test_uniform_ball_radius_must_be_positive(self, radius):
+        # a negative radius used to sample points
+        with pytest.raises(ValueError, match="radius must be positive and finite"):
+            UniformBallSampler(1, radius)
+
     def test_point_mass(self):
         pts = PointMassSampler(3).sample(7, replica_rng(3, 0))
         assert np.all(pts == 0.0)
@@ -112,6 +118,18 @@ def test_population_named(driver, N, no_runs):
             "stationarity": lambda: stationarity_report(burn_in=0.2, window=1.0,
                                                         n_windows=2, **kw)}[driver]
     with pytest.raises(ValueError, match=r"N must be an integer in \[100, inf\]"):
+        call()
+
+
+@pytest.mark.parametrize("value", [0.0, -1.0, math.nan, math.inf])
+@pytest.mark.parametrize("driver, name", [("hydro", "tolerance_q90"), ("selection", "sup_tol"),
+                                          ("selection", "m_tol"), ("selection", "mass_tol")])
+def test_tolerance_must_be_positive(driver, name, value, no_runs):
+    # tolerance_q90 = nan used to run every replica and report a failed row
+    kw = dict(N=200, d=1, sampler=UniformBallSampler(1), replicas=2, seed=0, **{name: value})
+    call = {"hydro": lambda: hydrodynamic_report(t=0.1, **kw),
+            "selection": lambda: selection_report(t=0.1, K=1.0, c=0.5, **kw)}[driver]
+    with pytest.raises(ValueError, match=f"{name} must be positive and finite"):
         call()
 
 
@@ -278,10 +296,11 @@ class TestStationarityReport:
             stationarity_report(N=100, d=1, burn_in=0.2, window=1.0,
                                 n_windows=n_windows, seed=1)
 
-    @pytest.mark.parametrize("name", ["burn_in", "window"])
+    @pytest.mark.parametrize("name", ["burn_in", "window", "pairwise_tol"])
     @pytest.mark.parametrize("value", [0.0, -1.0, math.nan, math.inf, -math.inf])
     def test_spans_must_be_positive(self, name, value):
-        # burn_in = inf used to reach advance_nbbm, which named its windows
+        # burn_in = inf used to reach advance_nbbm, which named its windows;
+        # pairwise_tol = nan used to run and report a failed row
         kw = {"burn_in": 0.2, "window": 1.0, name: value}
         with pytest.raises(ValueError, match=f"{name} must be positive and finite"):
             stationarity_report(N=100, d=1, n_windows=2, seed=1, **kw)

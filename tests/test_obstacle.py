@@ -9,8 +9,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy import integrate, stats
 
-from nbbm import obstacle
-from nbbm.cli import _ArtifactWriter, _write_report
+from nbbm import cli, obstacle
 from nbbm.core import RadialProfile, SandwichPair
 from nbbm.kernels import radial_cdf
 from nbbm.experiments import UniformBallSampler, convergence_report
@@ -793,7 +792,7 @@ class TestConvergeToV:
         with pytest.raises(ValueError, match="schedule"):
             convergence_report(1, RadialProfile([0.5], [1.0]), [], K=1.0, c=0.5)
 
-    def test_rows_go_through_the_report_writer(self, tmp_path):
+    def test_rows_go_through_the_report_writer(self, tmp_path, monkeypatch):
         # mass 0.9 grows like e^t, so the lower branch stays short of full
         # mass and the boundary interval is open above
         rows = convergence_report(1, RadialProfile([0.5], [0.9]), [0.05, 0.02],
@@ -805,8 +804,9 @@ class TestConvergeToV:
         assert all((r.experiment, r.N, r.d, r.replicas, r.seed) == ("convergence", 0, 1, 0, 0)
                    and r.tolerance == math.inf and r.passed for r in rows)
         assert convergence_values(rows, 0.05)["boundary_hi"] == math.inf
-        w = _ArtifactWriter(str(tmp_path))
-        assert _write_report(w, rows) == 0
+        # run writes the rows a report subcommand returns
+        monkeypatch.setitem(cli.SUBCOMMANDS, "convergence", lambda w, seed, workers: rows)
+        assert cli.run(cli.RunConfig("convergence", out=str(tmp_path))) == 0
         lines = (tmp_path / "report.csv").read_text().splitlines()
         assert lines[0] == "experiment,statistic,value,tolerance,passed,N,d,t,replicas,seed"
         back = [line.split(",") for line in lines[1:]]

@@ -30,8 +30,8 @@ def test_import_is_light_and_exports_resolve():
     proc = subprocess.run([sys.executable, "-c", _PROBE], capture_output=True,
                           text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert set(proc.stdout.split()) >= {"cli", "config", "core", "experiments",
-                                        "kernels", "obstacle", "sim"}
+    assert set(proc.stdout.split()) >= {"cli", "core", "experiments", "kernels",
+                                        "obstacle", "sim"}
 
 
 _SRC = Path(__file__).resolve().parents[1] / "src" / "nbbm"
@@ -76,7 +76,7 @@ def test_no_module_outside_sim_loops_over_advance_nbbm():
 
 
 @pytest.mark.parametrize("module, function", [
-    ("cli", "_run_simulate"), ("experiments", "_hydro_replica"),
+    ("cli", "simulate"), ("experiments", "_hydro_replica"),
     ("experiments", "_boundary_replica"), ("experiments", "_selection_replica"),
     ("experiments", "stationarity_report")])
 def test_each_particle_run_is_one_engine_call(module, function):

@@ -11,8 +11,10 @@ It traces, with ``sys.settrace`` limited to frames whose file lies in
   checked, hashed and observed as the benchmark does;
 * the seven CLI subcommands at their defaults and seed 1, with ``solve`` and
   ``kernel-dump`` at d = 1, 2, 3 and ``hydro`` and ``selection`` at
-  ``replicas=2``, and ``solve`` once more from the ``v_profile.csv`` that the
-  ``stationary`` run wrote (``--set initial=<path>``);
+  ``replicas=2``; ``solve`` once more from the ``v_profile.csv`` that the
+  ``stationary`` run wrote (``--set initial=<path>``), from a ``--config``
+  file with a ``[solve]`` section, with ``initial=uniform`` and with
+  ``two_sided=false``; and ``hydro`` with ``sampler=stationary``;
 * ``tests/test_acceptance.py``.
 
 The same traffic (:func:`run_traffic`) is what ``tools/identity.py`` runs on
@@ -156,15 +158,22 @@ def _run_cli(out_root: str) -> dict[str, dict | None]:
     """The CLI runs at seed 1; per run, its ``manifest.json`` (None if absent)."""
     from nbbm.cli import main
     profile = os.path.join(out_root, "stationary", "v_profile.csv")
+    config = os.path.join(out_root, "solve.cfg")
+    os.makedirs(out_root, exist_ok=True)
+    Path(config).write_text("# top-level keys, then the one section\nworkers = 1\n\n"
+                            "[solve]\nd = 2\nt = 0.5  # a shorter horizon\n")
+    # each run's --set values, or a config file read with --config
     runs = [("simulate",), ("stationary",), ("solve", f"initial={profile}"), ("stationarity",),
-            ("hydro", "replicas=2"), ("selection", "replicas=2")]
+            ("hydro", "replicas=2"), ("selection", "replicas=2"), ("solve", config),
+            ("solve", "initial=uniform"), ("solve", "two_sided=false"),
+            ("hydro", "sampler=stationary", "replicas=2")]
     runs += [(sub, f"d={d}") for sub in ("solve", "kernel-dump") for d in (1, 2, 3)]
     manifests = {}
-    for sub, *sets in runs:
-        label = "-".join((sub, *map(os.path.basename, sets))).replace("=", "")
+    for sub, *args in runs:
+        label = "-".join((sub, *map(os.path.basename, args))).replace("=", "")
         argv = [sub, "--seed", "1", "--out", os.path.join(out_root, label)]
-        for kv in sets:
-            argv += ["--set", kv]
+        for arg in args:
+            argv += ["--set", arg] if "=" in arg else ["--config", arg]
         print(f"cli {label}: exit {main(argv)}", flush=True)
         manifest = Path(out_root, label, "manifest.json")
         manifests[label] = json.loads(manifest.read_text()) if manifest.exists() else None
