@@ -11,7 +11,7 @@ Subpackages:
 """
 
 from .core import (ParticleEnsemble, RadialProfile, SandwichPair, empirical_cdf, in_gamma,
-                   max_radius, measure_of_set)
+                   max_radius)
 from .kernels import radial_cdf
 from .obstacle import (SandwichSolver, SolveRequest, StationaryState, analytic_gap,
                        free_boundary_radius, solve_sandwich, stationary_state)

@@ -28,7 +28,6 @@ __all__ = [
     "empirical_cdf",
     "max_radius",
     "in_gamma",
-    "measure_of_set",
     "whole_steps",
 ]
 
@@ -64,6 +63,11 @@ def _integer(name: str, value, lo: int, hi: float = math.inf) -> int:
     except TypeError:
         pass
     raise ValueError(f"{name} must be an integer in [{lo}, {hi}], got {value!r}")
+
+
+def _norms(a: np.ndarray) -> np.ndarray:
+    """Row norms of a 2-d array, by plain double accumulation (fine for d <= 12)."""
+    return np.sqrt(np.einsum("ij,ij->i", a, a))
 
 
 def whole_steps(span: float, step: float, what: str, step_name: str) -> int:
@@ -193,11 +197,7 @@ class ParticleEnsemble:
         return self.positions.shape[0]
 
     def norms(self) -> np.ndarray:
-        # plain double accumulation: fine for d <= 12, no compensated summation
-        return np.sqrt(np.einsum("ij,ij->i", self.positions, self.positions))
-
-    def with_positions(self, positions: np.ndarray, clock: float | None = None) -> "ParticleEnsemble":
-        return ParticleEnsemble(self.dim, positions, self.clock if clock is None else clock)
+        return _norms(self.positions)
 
 
 @dataclass(frozen=True)
@@ -291,14 +291,3 @@ def in_gamma(ensemble: ParticleEnsemble, K: float, c: float) -> bool:
     frac = float((ensemble.norms() < K).mean())
     return frac >= c
 
-
-def measure_of_set(ensemble: ParticleEnsemble, indicator) -> float:
-    """Fraction of particles x with indicator(x) true.
-
-    ``indicator`` takes an (N, d) array and returns a boolean array of
-    length N (a total predicate on R^d applied row-wise).
-    """
-    flags = np.asarray(indicator(ensemble.positions), dtype=bool)
-    if flags.shape != (ensemble.population,):
-        raise ValueError("indicator must return one boolean per particle")
-    return float(flags.mean())

@@ -20,7 +20,7 @@ from functools import cached_property, partial
 import numpy as np
 
 from .core import ParticleEnsemble, RadialProfile, SandwichPair, _integer, _max_excess, \
-    _positive, discretize_cdf, empirical_cdf, in_gamma, max_radius, measure_of_set, whole_steps
+    _norms, _positive, discretize_cdf, empirical_cdf, in_gamma, max_radius, whole_steps
 from .obstacle import SandwichSolver, SolveRequest, solve_sandwich, stationary_state
 from .sim import advance_nbbm, replica_rng
 
@@ -78,7 +78,7 @@ def rows_to_csv(rows: list[ReportRow]) -> str:
 
 def _unit_directions(n: int, dim: int, rng: np.random.Generator) -> np.ndarray:
     v = rng.standard_normal((n, dim))
-    nv = np.sqrt(np.einsum("ij,ij->i", v, v))
+    nv = _norms(v)
     nv[nv == 0.0] = 1.0
     return v / nv[:, None]
 
@@ -230,6 +230,7 @@ def boundary_report(N: int, d: int, T: float, eta: float, sampler,
     snapshot_dt, ..., T (``snapshot_dt`` must divide T - eta)."""
     if not (0.0 < eta < T):
         raise ValueError("need 0 < eta < T")
+    _positive("tolerance", tolerance)
     _integer("replicas", replicas, 1)
     _integer("N", N, _MIN_POPULATION)
     limit = sampler.limit_profile()
@@ -265,7 +266,7 @@ def _selection_replica(rep: int, ens: ParticleEnsemble, rng: np.random.Generator
     m_t = max_radius(ens)
     running_max = max(max_radius(r) for r in log.reads)
     ball = float((ens.norms() < state.r_infinity).mean())
-    half = measure_of_set(ens, lambda x: x[:, 0] > 0.0)
+    half = float((ens.positions[:, 0] > 0.0).mean())
     return sup_v, m_t, running_max, ball, half, ens.positions
 
 
@@ -357,6 +358,9 @@ def convergence_report(dim: int, v0: RadialProfile, schedule, K: float = 3.0,
     schedule = sorted(float(t) for t in schedule)
     if not schedule:
         raise ValueError("schedule must name at least one time")
+    _positive("K", K)
+    if not 0.0 < c <= 1.0:
+        raise ValueError(f"c must lie in (0, 1], got {c!r}")
     if v0(K) < c:
         raise ValueError(f"initial profile has v0({K}) = {v0(K):.4f} < c = {c}")
     state = stationary_state(dim)

@@ -44,7 +44,7 @@ The returned ``eval_err`` books, per unit of mixture mass:
 
 * image route: the erfc and Gaussian image terms beyond the band (the
   bounds of ``_image_tail``) and a margin of 64 eps n_fft for FFT and
-  prefix-sum roundoff;
+  prefix-sum roundoff (recursive sums err by gamma_{n-1}, Higham 2002 §4.2);
 * anchored route (``_AnchoredLattice.eval_err``): the Taylor remainders,
   the four window tails, roundoff after Higham (Accuracy and Stability of
   Numerical Algorithms, 2nd ed., 2002) and the rounding of the arguments.
@@ -582,7 +582,7 @@ class _ImageEngine:
             spec += np.multiply(images, self.e_hat, out=images)
         u = fft.irfft(spec, n_fft)  # u[p mod n_fft] for p in [-band, n_act + band)
         half = np.full(n_out, 0.5 * c.sum())  # half the prefix sums: 0.5 scales exactly
-        np.multiply(_prefix_sums(c)[:n_out], 0.5, out=half[:min(n_act, n_out)])
+        np.multiply(np.cumsum(c)[:n_out], 0.5, out=half[:min(n_act, n_out)])
         vals = half.copy()
         vals[1:] += half[:-1]
         k = min(n_out, n_act + band)
@@ -594,18 +594,6 @@ class _ImageEngine:
             vals[:k] += c[0] * self.maxwell_origin[:k]
         vals[0] = 0.0  # w(a, 0, t) = 0
         return vals
-
-
-def _prefix_sums(c: np.ndarray) -> np.ndarray:
-    """cumsum(c) with rounding error of order (n/256 + 256) ulps, not n:
-    sums within blocks of 256, then one running sum over the block totals."""
-    n, block = c.size, 256
-    within = np.zeros((-(-n // block), block))
-    within.ravel()[:n] = c
-    np.cumsum(within, axis=1, out=within)
-    offsets = np.concatenate(([0.0], np.cumsum(within[:-1, -1])))
-    within += offsets[:, None]
-    return within.ravel()[:n]
 
 
 _BAND_STEP = 256  # bands and FFT lengths are bucketed so engines get reused

@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import ndtr, ndtri
 
-from .core import ParticleEnsemble, _integer, _nonnegative, _positive, whole_steps
+from .core import ParticleEnsemble, _integer, _nonnegative, _norms, _positive, whole_steps
 from .kernels import _TAIL   # every dropped series tail is below this
 
 __all__ = [
@@ -164,7 +164,7 @@ def advance_nbbm(state: ParticleEnsemble, windows,
             log.branching.append(k)
             log.removed.append(removed)
         clock = end
-        log.reads.append(state.with_positions(swarm.finish(), clock))
+        log.reads.append(ParticleEnsemble(state.dim, swarm.finish(), clock))
     return log.reads[-1], log
 
 
@@ -264,11 +264,9 @@ class _Swarm:
             if not math.isfinite(top):
                 raise SimulationError(f"nonfinite position at event {count} (t={t:.6g})")
             if top >= self.gate:
-                # equal rows come only from a copy not yet diffused; ties go
-                # to the lowest label
-                if not moved and np.count_nonzero(sq == top) > 1:
-                    tied = np.flatnonzero(sq == top)
-                    r = int(tied[self.cslot[tied].argmin()])
+                # equal rows come only from a copy not yet diffused
+                if not moved:
+                    r = _furthest(sq, self.cslot[:m])
                 f = int(self.cslot[r])
         if f < 0:
             f = self._read_all(t, count)
@@ -365,8 +363,8 @@ class _Swarm:
         """Read every particle at t; return the furthest (lowest label on
         ties).  Every position is then known, so an internal window opens
         at t and g is recomputed."""
-        self._read(np.flatnonzero(self.row < 0), t)
-        self.pos[self.cslot[:self.m]] = self.cpos[:self.m]
+        self.s1 = t   # the window ends here: nothing is left to diffuse or exit
+        self._close()
         sq = np.einsum("ij,ij->i", self.pos, self.pos)
         f = int(sq.argmax())
         if not math.isfinite(sq[f]):
@@ -611,7 +609,7 @@ class _Interval:
                 a, span = cj - sj * yt[j], dj + uj
                 g = rng.standard_normal((j.size, 3)) * np.sqrt(2.0 * dj * uj / span)[:, None]
                 g[:, 0] += a * uj / span
-                eta = np.minimum(np.sqrt(np.einsum("ij,ij->i", g, g)), 2.0 * cj)
+                eta = np.minimum(_norms(g), 2.0 * cj)
                 prop[j] = sj * (cj - eta)
                 p[j] = np.where(eta < 2.0 * cj,
                                 cls.bridge_stay(a, eta, 2.0 * cj, dj, near=True)
@@ -712,8 +710,7 @@ def _replay_rounds(parents: np.ndarray, children: np.ndarray) -> np.ndarray:
 
 
 def _furthest(norms: np.ndarray, ids: np.ndarray) -> int:
-    """The row of the blue that turns red: the first max of ``norms``, or on
-    exact ties the tied row with the lowest forest index ``ids``."""
+    """The row of the first max of ``norms``; on exact ties, of the lowest label ``ids``."""
     k = int(norms.argmax())
     same = norms == norms[k]
     if np.count_nonzero(same) > 1:
@@ -821,7 +818,7 @@ def coupled_run(params: SimParams, initial: ParticleEnsemble, duration: float,
 
     def observe(at: float):
         nonlocal domination_ok
-        all_norms = np.sqrt(np.einsum("ij,ij->i", pos[:m], pos[:m]))
+        all_norms = _norms(pos[:m])
         blue_norms = np.sort(all_norms[blue])
         all_norms.sort()
         ok = _dominated(blue_norms, all_norms, n)
@@ -946,10 +943,6 @@ def spherically_ordered_pairs(x: np.ndarray, x_plus: np.ndarray,
         w[sel] = _mirror_normals(b[sel], bp[sel])
         path[:, i], path_p[:, i] = b, bp
     return path, path_p, coupled
-
-
-def _norms(a: np.ndarray) -> np.ndarray:
-    return np.sqrt(np.einsum("...i,...i->...", a, a))
 
 
 def _mirror_normals(b: np.ndarray, bp: np.ndarray) -> np.ndarray:

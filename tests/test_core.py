@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nbbm.core import (ParticleEnsemble, RadialProfile, SandwichPair, discretize_cdf,
-                       empirical_cdf, in_gamma, max_radius, measure_of_set, whole_steps)
+                       empirical_cdf, in_gamma, max_radius, whole_steps)
 from nbbm.experiments import StationarySampler
 from nbbm.obstacle import SandwichSolver, SolveRequest, solve_sandwich, stationary_state
 from nbbm.sim import replica_rng
@@ -226,7 +226,7 @@ class TestEmpiricalCdf:
 
 
 # ---------------------------------------------------------------------------
-# ParticleEnsemble / max_radius / in_gamma / measure_of_set
+# ParticleEnsemble / max_radius / in_gamma / half-space measure
 # ---------------------------------------------------------------------------
 
 @pytest.mark.parametrize("clock", [-1.0, math.nan, math.inf, -math.inf])
@@ -307,22 +307,7 @@ def test_in_gamma_stationary_support():
 
 
 class TestMeasureOfSet:
-    def test_full_space(self):
-        e = ens(np.random.default_rng(0).standard_normal((20, 2)))
-        assert measure_of_set(e, lambda x: np.ones(len(x), dtype=bool)) == 1.0
-
-    def test_ball_matches_cdf(self):
-        e = ens(np.random.default_rng(1).standard_normal((50, 3)))
-        f = empirical_cdf(e)
-        for r in (0.5, 1.0, 2.0):
-            ball = measure_of_set(e, lambda x, r=r: np.einsum("ij,ij->i", x, x) < r * r)
-            assert ball == pytest.approx(f(r))
-
-    def test_additive_over_disjoint(self):
-        e = ens(np.random.default_rng(2).standard_normal((64, 2)))
-        left = measure_of_set(e, lambda x: x[:, 0] > 0.0)
-        right = measure_of_set(e, lambda x: x[:, 0] <= 0.0)
-        assert left + right == pytest.approx(1.0)
+    """The half-space fraction that ``_selection_replica`` reports."""
 
     def test_half_space_of_stationary_cloud(self):
         # U is spherically symmetric, so half-space mass pools to 1/2

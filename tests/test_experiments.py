@@ -123,11 +123,13 @@ def test_population_named(driver, N, no_runs):
 
 @pytest.mark.parametrize("value", [0.0, -1.0, math.nan, math.inf])
 @pytest.mark.parametrize("driver, name", [("hydro", "tolerance_q90"), ("selection", "sup_tol"),
-                                          ("selection", "m_tol"), ("selection", "mass_tol")])
+                                          ("selection", "m_tol"), ("selection", "mass_tol"),
+                                          ("boundary", "tolerance")])
 def test_tolerance_must_be_positive(driver, name, value, no_runs):
     # tolerance_q90 = nan used to run every replica and report a failed row
     kw = dict(N=200, d=1, sampler=UniformBallSampler(1), replicas=2, seed=0, **{name: value})
     call = {"hydro": lambda: hydrodynamic_report(t=0.1, **kw),
+            "boundary": lambda: boundary_report(T=0.2, eta=0.1, **kw),
             "selection": lambda: selection_report(t=0.1, K=1.0, c=0.5, **kw)}[driver]
     with pytest.raises(ValueError, match=f"{name} must be positive and finite"):
         call()

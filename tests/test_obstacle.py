@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy import integrate, stats
 
-from nbbm import cli, obstacle
+from nbbm import cli, experiments, obstacle
 from nbbm.core import RadialProfile, SandwichPair
 from nbbm.kernels import radial_cdf
 from nbbm.experiments import UniformBallSampler, convergence_report
@@ -781,6 +781,21 @@ class TestConvergeToV:
     def test_precondition_checked(self):
         with pytest.raises(ValueError):
             convergence_report(1, RadialProfile([5.0], [1.0]), [1.0], K=3.0, c=0.5)
+
+    @pytest.mark.parametrize("K, c, name", [(math.nan, 0.5, "K"), (-1.0, 0.5, "K"),
+                                            (math.inf, 0.5, "K"), (1.0, math.nan, "c"),
+                                            (1.0, 2.0, "c"), (1.0, 0.0, "c")])
+    def test_K_and_c_named(self, K, c, name, monkeypatch):
+        # K = nan or c = nan used to skip the v0(K) >= c check and solve;
+        # K = -1 and c = 2 failed it with a message about v0
+        def ran(*args, **kwargs):
+            raise AssertionError("a solve started")
+
+        for attr in ("SandwichSolver", "stationary_state"):
+            monkeypatch.setattr(experiments, attr, ran)
+        with pytest.raises(ValueError, match=rf"^{name} must"):
+            convergence_report(1, RadialProfile([0.5], [1.0]), [0.02], K=K, c=c, delta=0.01,
+                               grid_step=2e-3)
 
     def test_off_lattice_time_rejected(self):
         with pytest.raises(ValueError, match="not a multiple"):

@@ -83,7 +83,7 @@ def reference_advance_nbbm(state, duration, rng):
         diffuse(pos, gap)
         t_done += gap
         apply_event(pos, state.clock + t_done, log)
-    return state.with_positions(pos, state.clock + duration), log
+    return ParticleEnsemble(state.dim, pos, state.clock + duration), log
 
 
 def reference_coupled_run(params, initial, duration, rng, population_cap=10_000_000):
@@ -466,6 +466,23 @@ class TestAdvanceNbbm:
         moved = swarm.cpos[swarm.row[left], jl] - swarm.half[left, jl] * swarm.xside[left]
         assert left.size > 100 and np.all(swarm.row[left] >= 0)
         assert stats.kstest(moved[lag > 0] / np.sqrt(2.0 * lag[lag > 0]), "norm").pvalue > 1e-3
+
+    def test_exact_tie_goes_to_the_lowest_label(self):
+        # two events at one time: the first copies the runner-up into the
+        # furthest particle's row, so the second sees two equal rows at the
+        # top and must remove the lower of their labels
+        orders = set()
+        for seed in range(40):
+            swarm = sim._Swarm(np.linspace(0.1, 0.5, 5)[:, None], replica_rng(48, seed))
+            swarm.reset(0.0, 1.0)
+            swarm._open(0.0, 1.0)
+            assert swarm.m == 5   # all candidates
+            swarm._diffuse(0.5)
+            first, second, third = np.argsort(-np.abs(swarm.cpos[:5, 0]))[:3]
+            assert swarm.event(0.5, second, 0) == first
+            assert swarm.event(0.5, third, 1) == min(first, second)
+            orders.add(bool(first < second))
+        assert orders == {True, False}
 
     def test_read_all_not_repeated_within_a_window(self, monkeypatch):
         # after an event that reads every particle an internal window opens

@@ -10,11 +10,12 @@ It traces, with ``sys.settrace`` limited to frames whose file lies in
 * one cycle of each workload of ``bench/workloads.py`` at seed 1, each op
   checked, hashed and observed as the benchmark does;
 * the seven CLI subcommands at their defaults and seed 1, with ``solve`` and
-  ``kernel-dump`` at d = 1, 2, 3 and ``hydro`` and ``selection`` at
-  ``replicas=2``; ``solve`` once more from the ``v_profile.csv`` that the
-  ``stationary`` run wrote (``--set initial=<path>``), from a ``--config``
-  file with a ``[solve]`` section, with ``initial=uniform`` and with
-  ``two_sided=false``; and ``hydro`` with ``sampler=stationary``;
+  ``kernel-dump`` at d = 1, 2, 3, ``simulate`` also at d = 2 and 3, and
+  ``hydro`` and ``selection`` at ``replicas=2``; ``solve`` once more from
+  the ``v_profile.csv`` that the ``stationary`` run wrote (``--set
+  initial=<path>``), from a ``--config`` file with a ``[solve]`` section,
+  with ``initial=uniform`` and with ``two_sided=false``; and ``hydro`` with
+  ``sampler=stationary``;
 * ``tests/test_acceptance.py``.
 
 The same traffic (:func:`run_traffic`) is what ``tools/identity.py`` runs on
@@ -168,6 +169,7 @@ def _run_cli(out_root: str) -> dict[str, dict | None]:
             ("solve", "initial=uniform"), ("solve", "two_sided=false"),
             ("hydro", "sampler=stationary", "replicas=2")]
     runs += [(sub, f"d={d}") for sub in ("solve", "kernel-dump") for d in (1, 2, 3)]
+    runs += [("simulate", "d=2"), ("simulate", "d=3")]
     manifests = {}
     for sub, *args in runs:
         label = "-".join((sub, *map(os.path.basename, args))).replace("=", "")
