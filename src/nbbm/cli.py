@@ -16,6 +16,8 @@ checked before the output directory exists.
 Every run writes its artifacts atomically (temp file, then rename) into the
 output directory together with a manifest.json listing each artifact's
 SHA-256, so reruns of an unchanged config can be compared byte-for-byte.
+An input file (``solve``'s ``initial=<path>``) enters the manifest's config
+as the SHA-256 of its bytes, not as its path.
 A report subcommand returns its rows, which the run writes as report.csv
 and summary.json.  Exit status: 0 on success, 1 if any report row failed
 its tolerance, 2 on usage or runtime errors.
@@ -239,7 +241,16 @@ class _ArtifactWriter:
     def __init__(self, out_dir: str):
         self.out_dir = out_dir
         self.hashes: dict[str, str] = {}
+        self.inputs: dict[str, str] = {}  # config key: content hash of the file it names
         os.makedirs(out_dir, exist_ok=True)
+
+    def read(self, key: str, path: str) -> str:
+        """The text of the input file that config key ``key`` names; the
+        manifest records the SHA-256 of its bytes in place of the path."""
+        with open(path, "rb") as fh:
+            payload = fh.read()
+        self.inputs[key] = "sha256:" + hashlib.sha256(payload).hexdigest()
+        return payload.decode()
 
     def write(self, name: str, data: str | bytes):
         payload = data.encode() if isinstance(data, str) else data
@@ -256,10 +267,11 @@ class _ArtifactWriter:
         self.hashes[name] = hashlib.sha256(payload).hexdigest()
 
     def manifest(self, cfg: RunConfig, exit_status: int):
-        # worker count and output location affect wall time and placement,
-        # never results: scrub both so manifests are byte-identical across
-        # pool sizes and target directories
-        scrubbed = replace(cfg, workers=1, out="")
+        # worker count, output location and input paths affect wall time and
+        # placement, never results: scrub them, an input file standing for its
+        # content, so manifests are byte-identical across pool sizes, target
+        # directories and copies of an input
+        scrubbed = replace(cfg, workers=1, out="", params={**cfg.params, **self.inputs})
         self.write("manifest.json", _json_dumps({
             "artifacts": dict(sorted(self.hashes.items())),
             "config": serialize_config(scrubbed), "exit_status": exit_status}))
@@ -311,8 +323,7 @@ def solve(w: _ArtifactWriter, seed: int, workers: int, *, d: Dim = 1, t: float =
     elif initial == "uniform":
         lower = UniformBallSampler(d, initial_radius).limit_profile()
     else:
-        with open(initial) as fh:
-            lower = RadialProfile.from_csv(fh.read())
+        lower = RadialProfile.from_csv(w.read("initial", initial))
     pair = solve_sandwich(SolveRequest(dim=d, initial=lower, horizon=t, step_size=delta,
                                        grid_step=grid_step, initial_upper=upper))
     lo, hi = free_boundary_radius(pair)

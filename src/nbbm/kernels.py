@@ -29,16 +29,23 @@ certified error, and every apply costs the kernel's support, not the domain:
   the series are entire in their continuous argument, so they are Taylor
   expanded about the anchors with N + 1 = 21 terms, the anchor-and-Taylor
   idea of the fast Gauss transform (Greengard & Strain, SIAM J. Sci. Stat.
-  Comput. 12, 1991).  Jumps: moments M_{A,n} = sum_j c_j delta_j^n / n!
-  against a table of Poisson(m; A), folded as q = sum_n (-grad)^n r_n since
-  d/dmu Poisson(m) = Poisson(m-1) - Poisson(m).  Nodes: the mixture is
+  Comput. 12, 1991).  Jumps: since d/dmu Poisson(m) = Poisson(m-1) -
+  Poisson(m), the Taylor term (-grad)^n / n! is a sum of shifts by j with
+  weights (-1)^(n-j) / (j! (n-j)!), so the moments S_{A,n} = sum_j c_j
+  delta_j^n fold per anchor into one row per shift, against a table of
+  Poisson(m; A), and q sums the shifted rows.  Nodes: the mixture is
   z^a h(z), a = d/2, with h(z) = sum_k Q_k z^k e^-z / Gamma(a+k+1) over the
   prefix sums Q of q; h^(n)(A) comes from (LQ)_k = (k+1)/(a+k+1) Q_{k+1} -
   Q_k against a second table, and each node from a Taylor sum in
-  delta = z - A.  The tables come in blocks of anchors built by a ratio
-  recurrence, kept per (dim, t, h) within the cache budget and streamed
-  past it.  ``radial_cdf`` runs one unit jump through the same route at
-  every d but 1 (the erf image form) and at every y but 0 (P(d/2, r^2/(4t))).
+  delta = z - A by Horner's rule, a block of node anchors taking fewer terms
+  where the computed derivatives certify a smaller remainder.  Per Taylor
+  term, a pass over the jumps or the nodes is a few numpy calls on whole
+  arrays, and the per-node data is the offsets, which jumps and nodes share
+  on the solver's lattice, and the factors (z/A)^a.  The tables come in
+  blocks of anchors built by a ratio recurrence, kept per (dim, t, h) within
+  the cache budget and streamed past it.  ``radial_cdf`` runs one unit jump
+  through the same route at every d but 1 (the erf image form) and at every
+  y but 0 (P(d/2, r^2/(4t))).
 
 The returned ``eval_err`` books, per unit of mixture mass:
 
@@ -131,7 +138,8 @@ def _stirlerr(k: np.ndarray) -> np.ndarray:
     big = k >= 15.0
     kb = k[big]
     kb2 = kb * kb
-    out[big] = (1 / 12 - (1 / 360 - (1 / 1260 - 1 / (1680 * kb2)) / kb2) / kb2) / kb
+    out[big] = (1 / 12 - (1 / 360 - (1 / 1260 - (1 / 1680 - 1 / (1188 * kb2)) / kb2) / kb2)
+                / kb2) / kb
     ks = k[~big]
     out[~big] = gammaln(ks + 1.0) - (ks + 0.5) * np.log(ks) + ks - _LOG_SQRT_2PI
     return out
@@ -269,9 +277,8 @@ def _cached(key: tuple, build):
 
 
 _TAYLOR_TERMS = 21  # terms about each anchor: 2^(d/2) / 21! < _TAIL for every d <= _MAX_DIM
-_WEIGHT_ULPS = 256  # relative error of a _gamma_weight value in units of 2^-53 (196 seen)
+_WEIGHT_ULPS = 96   # relative error of a _gamma_weight value in units of 2^-53 (66 seen)
 _SPAN = 64          # anchor values per table block
-_BLOCK = 4096       # nodes per block of Taylor sums: scratch below 1 MB
 
 
 def _gamma(n: int) -> float:
@@ -284,11 +291,11 @@ def _gamma(n: int) -> float:
 
 
 def _anchored(x: np.ndarray):
-    """Anchors A = rint(x) of sorted x: the distinct anchors, the first index
-    of each, the anchor of each entry and the offsets x - A."""
+    """Anchors A = rint(x) of sorted x: the distinct anchors, the index of
+    each one's first entry with x.size appended, and the offsets x - A."""
     anchor = np.rint(x)
-    new = np.diff(anchor, prepend=-1.0) != 0.0
-    return anchor[new], np.flatnonzero(new), np.cumsum(new) - 1, x - anchor
+    first = np.flatnonzero(np.diff(anchor, prepend=-1.0))
+    return anchor[first], np.append(first, x.size), x - anchor
 
 
 class _Table:
@@ -310,6 +317,9 @@ class _Table:
         self.rows = np.append(first, anchors.size)  # block b holds rows[b]:rows[b+1]
         self.c0 = np.minimum.reduceat(lo, first)
         self.c1 = np.maximum.reduceat(hi, first) + 1
+        self.width = self.c1 - self.c0
+        self.lo_max = np.maximum.accumulate(lo)
+        self.c1_max = np.maximum.accumulate(self.c1)
         block = np.repeat(np.arange(first.size), np.diff(self.rows))
         self.mode = np.clip(np.floor(anchors - s), self.c0[block], self.c1[block] - 1)
         self.start = np.where(anchors > 0.0, _gamma_weight(s + self.mode, anchors),
@@ -322,7 +332,7 @@ class _Table:
 
     def build(self, b: int) -> np.ndarray:
         i0, i1 = self.rows[b], self.rows[b + 1]
-        c0, width = int(self.c0[b]), int(self.c1[b] - self.c0[b])
+        c0, width = int(self.c0[b]), int(self.width[b])
         out = np.empty((i1 - i0, width))
         out[:, 0] = 1.0
         np.divide(self.anchors[i0:i1, None], self.s + np.arange(c0 + 1.0, c0 + width),
@@ -338,16 +348,17 @@ class _AnchoredLattice:
     arguments z_i, both sorted, by Taylor series about integer anchors.
 
     Every mean and argument x gets the anchor A = rint(x) and the offset
-    delta = x - A, exact by Sterbenz's lemma, with |delta| <= 1/2.  Table
-    ``jumps`` holds Poisson(m; A) over each jump anchor's window in m,
-    verified at A.  Table ``nodes`` holds psi_k(A) = A^(a+k) e^-A /
-    Gamma(a+k+1) over a window in k whose upper edge is verified at A and
-    lower edge at A - 1/2, so both hold over the anchor's cell; a node
-    carries the factor (z/A)^a, or z^a at A = 0.  A table block is kept
-    while this entry, the running apply's scratch, the block and an eighth
-    of the budget (the apply's other arrays) fit in _CACHE_BYTES, else built,
-    used and dropped.  Sums run over whole blocks, so no value depends on
-    how far the tables reach or on what is kept.
+    delta = x - A, exact by Sterbenz's lemma, with |delta| <= 1/2; when mu is
+    z, jumps and nodes share these arrays.  Table ``jumps`` holds
+    Poisson(m; A) over each jump anchor's window in m, verified at A.  Table
+    ``nodes`` holds psi_k(A) = A^(a+k) e^-A / Gamma(a+k+1) over a window in
+    k whose upper edge is verified at A and lower edge at A - 1/2, so both
+    hold over the anchor's cell; a node carries the factor (z/A)^a, or z^a
+    at A = 0.  A table block is kept while this entry, the running apply's
+    scratch, the block and an eighth of the budget (the apply's other
+    arrays) fit in _CACHE_BYTES, else built, used and dropped.  Sums run over
+    whole blocks, so no value depends on how far the tables reach or on
+    what is kept.
     """
 
     def __init__(self, dim: int, mu: np.ndarray, z: np.ndarray):
@@ -355,14 +366,23 @@ class _AnchoredLattice:
         self.a, self.n, self.lift, self.scratch = a, z.size, max(1.0, 2.0 ** a), 0
         self.terms = _TAYLOR_TERMS
         self.factorials = np.array([math.factorial(k) for k in range(self.terms)], float)
-        anchors, self.first, _, self.jump_delta = _anchored(mu)
-        self.jumps = _Table(0.0, anchors, *_window_edges(anchors, 0.0, 1.0, _TAIL / 4.0))
-        anchors, _, self.row, self.delta = _anchored(z)
-        node_anchor = anchors[self.row]
+        # fold[j, n] = (-1)^(n-j) / (j! (n-j)!), correctly rounded: the binomial
+        # expansion of (-grad)^n / n! into shifts by j
+        self.fold = np.array([[(-1) ** (n - j) / (math.factorial(j) * math.factorial(n - j))
+                               if n >= j else 0.0 for n in range(self.terms)]
+                              for j in range(self.terms)])
+        jumps = _anchored(mu)
+        anchors, self.first, self.delta = jumps if mu is z else _anchored(z)
+        self.jump_first, self.jump_delta = jumps[1:]
+        self.jumps = _Table(0.0, jumps[0], *_window_edges(jumps[0], 0.0, 1.0, _TAIL / 4.0))
+        node_anchor = np.rint(z)
         self.scale = np.where(node_anchor > 0.0, z / np.maximum(node_anchor, 1.0), z) ** a
         eps = _TAIL / (4.0 * self.lift)  # the node tails are lifted by up to lift
         self.nodes = _Table(a, anchors, *_window_edges(anchors, a, a + 1.0, eps, 0.5))
-        self.arrays = sum(v.nbytes for v in vars(self).values() if isinstance(v, np.ndarray))
+        k = np.arange(float(self.nodes.c1.max()) + self.terms)
+        self.w = (k + 1.0) / (a + k + 1.0)  # the weights of L, (k+1)/(a+k+1)
+        arrays = {id(v): v.nbytes for v in vars(self).values() if isinstance(v, np.ndarray)}
+        self.arrays = sum(arrays.values())  # shared arrays once
 
     @property
     def nbytes(self) -> int:
@@ -390,30 +410,48 @@ class _AnchoredLattice:
             yield b, block
         self.scratch = 0
 
-    def _jump_sums(self, c: np.ndarray) -> tuple[int, int, np.ndarray]:
-        """The blocks of the jumps c, the index m0 where their q starts and Q,
-        the prefix sums of q = sum_n (-grad)^n r_n (Horner), from the moments
-        M_{A,n} = sum_j c_j delta_j^n / n! and r_n = sum_A M_{A,n} Poisson(A)."""
+    def _jump_sums(self, c: np.ndarray) -> tuple[np.ndarray, int, int, np.ndarray]:
+        """The first jump of each anchor of the jumps c, their blocks, the
+        index m0 where their q starts and Q, the prefix sums of q[m] =
+        sum_j c_j Poisson(m; mu_j) to N + 1 Taylor terms: the moments S_{A,n}
+        = sum_j c_j delta_j^n fold into R_{A,j} = sum_n S_{A,n} (-1)^(n-j) /
+        (j! (n-j)!), as (-grad)^n / n! = sum_j shift^j (-1)^(n-j) / (j!
+        (n-j)!), and q[m] = sum_j r_j[m - j], r_j = sum_A R_{A,j} Poisson(A),
+        row j of a buffer read with rows one entry shorter landing j right."""
         big_n, jumps = self.terms - 1, self.jumps
-        seg = self.first[:np.searchsorted(self.first, c.size)]
+        seg = self.jump_first[:np.searchsorted(self.jump_first, c.size)]
         b_end = jumps.block_of(seg.size - 1) + 1
-        moments = np.zeros((self.terms, jumps.rows[b_end]))
+        moments = np.empty((self.terms, seg.size))
         x, dx = c.copy(), self.jump_delta[:c.size]
-        for n in range(self.terms):
-            if n:
-                x *= dx
-                x /= n
-            np.add.reduceat(x, seg, out=moments[n, :seg.size])
+        np.add.reduceat(x, seg, out=moments[0])
+        for n in range(1, self.terms):
+            x *= dx
+            np.add.reduceat(x, seg, out=moments[n])
+        folded = self.fold @ moments
         m0 = int(jumps.c0[:b_end].min())
-        r = np.zeros((self.terms, int(jumps.c1[:b_end].max()) - m0 + big_n))
-        for b, block in self._blocks(jumps, 0, b_end, moments.nbytes + r.nbytes):
-            i0, i1 = jumps.rows[b], jumps.rows[b + 1]
-            r[:, jumps.c0[b] - m0:jumps.c1[b] - m0] += moments[:, i0:i1] @ block
-        q = r[big_n].copy()
-        for n in range(big_n - 1, -1, -1):
-            q, prev = r[n] - q, q
-            q[1:] += prev[:-1]
-        return b_end, m0, np.cumsum(q)
+        span = int(jumps.c1[:b_end].max()) - m0 + big_n  # the length of q
+        skew = np.zeros(self.terms * (span + 1))
+        r = skew.reshape(self.terms, span + 1)
+        for b, block in self._blocks(jumps, 0, b_end, folded.nbytes + skew.nbytes):
+            i0, i1 = jumps.rows[b], min(jumps.rows[b + 1], seg.size)
+            r[:, jumps.c0[b] - m0:jumps.c1[b] - m0] += folded[:, i0:i1] @ block[:i1 - i0]
+        q = skew[:self.terms * span].reshape(self.terms, span).sum(axis=0)
+        return seg, b_end, m0, np.cumsum(q)
+
+    def _node_terms(self, deriv: np.ndarray, k0: int, cum: np.ndarray, b_lo: int,
+                    b_hi: int) -> list[int]:
+        """Taylor terms per node block b_lo..b_hi-1, deriv[n] holding L^n Q
+        from column k0: the fewest M whose remainder, bounded through the
+        computed |L^M Q| on the block's columns, is at most half the booked
+        one (:meth:`eval_err`), else N + 1."""
+        nodes, m = self.nodes, np.arange(1, self.terms)
+        q_max = float(np.abs(cum).max())
+        slack = 2.0 ** m * q_max * (_gamma(cum.size + 3 * self.terms) + _TAIL)
+        limit = q_max * 2.0 ** m * self.factorials[1:] / (2.0 * math.factorial(self.terms))
+        height = np.abs(deriv[1:])
+        fits = np.array([height[:, nodes.c0[b] - k0:nodes.c1[b] - k0].max(axis=1)
+                         for b in range(b_lo, b_hi)]) + slack <= limit
+        return np.where(fits.any(axis=1), fits.argmax(axis=1) + 1, self.terms).tolist()
 
     def apply(self, c: np.ndarray, n_out: int) -> tuple[np.ndarray, float]:
         """Mixture of the jumps c, sizes at the first c.size means, on the
@@ -423,55 +461,72 @@ class _AnchoredLattice:
         whose block ends below q nothing.  Between them: (L^n Q)_k,
         (L Q)_k = (k+1)/(a+k+1) Q_{k+1} - Q_k, with Q held at the total past
         q; A^a h^(n)(A) = sum_k psi_k(A) (L^n Q)_k over the block; at each
-        node (z/A)^a sum_n A^a h^(n)(A) delta^n / n!
+        node (z/A)^a sum_n A^a h^(n)(A) delta^n / n! by Horner's rule.
         """
         big_n, nodes = self.terms - 1, self.nodes
-        b_end, m0, cum = self._jump_sums(c)
-        n_t = int(np.argmax(np.append(nodes.lo, np.inf) > m0 + cum.size - 1))
-        b_lo = int(np.argmax(np.append(nodes.c1, np.inf) > m0))
-        i_lo, i_hi = np.searchsorted(self.row[:n_out], [nodes.rows[b_lo], n_t])
+        seg, b_end, m0, cum = self._jump_sums(c)
+        n_t = int(np.searchsorted(nodes.lo_max, m0 + cum.size - 1, side="right"))
+        b_lo = int(np.searchsorted(nodes.c1_max, m0, side="right"))
+        base = nodes.rows[b_lo]
+        i_lo, i_hi = np.minimum(self.first[[base, n_t]], n_out)
         vals = np.full(n_out, cum[-1])
         vals[:i_lo] = 0.0
-        err = self.eval_err(c, b_end, cum.size, b_lo, n_t)
+        err = self.eval_err(c, seg, b_end, cum.size, b_lo, n_t)
         if i_hi > i_lo:
-            b_hi = nodes.block_of(self.row[i_hi - 1]) + 1
+            a_hi = int(np.searchsorted(self.first, i_hi - 1, side="right"))  # past node i_hi - 1
+            b_hi = nodes.block_of(a_hi - 1) + 1
             k0, k1 = int(nodes.c0[b_lo:b_hi].min()), int(nodes.c1[b_lo:b_hi].max())
-            kk = np.arange(k0, k1 + big_n, dtype=float)
-            d = np.where(kk < m0, 0.0, cum[np.clip(kk - m0, 0, cum.size - 1).astype(int)])
-            w = (kk[:-1] + 1.0) / (self.a + kk[:-1] + 1.0)
-            deriv = np.empty((self.terms, k1 - k0))
-            deriv[0] = d[:k1 - k0]
+            size = k1 - k0 + big_n
+            deriv = np.empty((self.terms, size))
+            # Q on columns k0 .. k1 + N - 1: 0 before q, the total past it
+            s, e = np.clip([m0 - k0, m0 - k0 + cum.size], 0, size)
+            deriv[0, :s] = 0.0
+            deriv[0, s:e] = cum[k0 - m0 + s:k0 - m0 + e]
+            deriv[0, e:] = cum[-1]
+            w = self.w[k0:]
             for n in range(1, self.terms):
-                d = w[:d.size - 1] * d[1:] - d[:-1]
-                deriv[n] = d[:k1 - k0]
-            base = nodes.rows[b_lo]
-            coef = np.empty((self.terms, nodes.rows[b_hi] - base))
+                m = size - n
+                np.multiply(w[:m], deriv[n - 1, 1:m + 1], out=deriv[n, :m])
+                deriv[n, :m] -= deriv[n - 1, :m]
+            need = self._node_terms(deriv, k0, cum, b_lo, b_hi)
+            coef = np.zeros((max(need), nodes.rows[b_hi] - base))
             for b, block in self._blocks(nodes, b_lo, b_hi, deriv.nbytes + coef.nbytes):
-                i0 = nodes.rows[b] - base
-                coef[:, i0:i0 + block.shape[0]] = (
-                    deriv[:, nodes.c0[b] - k0:nodes.c1[b] - k0] @ block.T)
-            coef /= self.factorials[:, None]
-            for s in range(i_lo, i_hi, _BLOCK):
-                e = min(s + _BLOCK, i_hi)
-                # each anchor's coefficients, repeated over its run of nodes
-                block = np.repeat(coef[:, self.row[s] - base:self.row[e - 1] - base + 1],
-                                  np.bincount(self.row[s:e] - self.row[s]), axis=1)
-                horner = block[big_n].copy()
-                for n in range(big_n - 1, -1, -1):
-                    horner *= self.delta[s:e]
-                    horner += block[n]
-                vals[s:e] = horner * self.scale[s:e]
+                i0, t = nodes.rows[b] - base, need[b - b_lo]
+                coef[:t, i0:i0 + block.shape[0]] = (
+                    deriv[:t, nodes.c0[b] - k0:nodes.c1[b] - k0] @ block.T)
+            coef /= self.factorials[:coef.shape[0], None]
+            # Horner's rule from 0, each anchor's coefficient repeated over its
+            # nodes; term n runs from the first to the last block taking it, a
+            # block's rows past its own terms being 0
+            rows = (nodes.rows[b_lo:b_hi + 1] - base).tolist()
+            ends = (np.minimum(self.first[nodes.rows[b_lo:b_hi + 1]], i_hi) - i_lo).tolist()
+            runs = np.diff(np.minimum(self.first[base:nodes.rows[b_hi] + 1], i_hi))
+            out, delta = vals[i_lo:i_hi], self.delta[i_lo:i_hi]
+            out[:] = 0.0
+            for n in range(coef.shape[0] - 1, -1, -1):
+                taking = [i for i, t in enumerate(need) if t > n]
+                b0, b1 = taking[0], taking[-1] + 1
+                s, e, a0, a1 = ends[b0], ends[b1], rows[b0], rows[b1]
+                out[s:e] *= delta[s:e]
+                out[s:e] += np.repeat(coef[n, a0:a1], runs[a0:a1])
+            out *= self.scale[i_lo:i_hi]
         return np.clip(vals, 0.0, max(c.sum(), 0.0), out=vals), err
 
-    def eval_err(self, c: np.ndarray, b_end: int, n_q: int, b_lo: int, n_t: int) -> float:
-        """Certified error of :meth:`apply` for jumps c, ||c||_1 times the sum of
+    def eval_err(self, c: np.ndarray, seg: np.ndarray, b_end: int, n_q: int, b_lo: int,
+                 n_t: int) -> float:
+        """Certified error of :meth:`apply` for jumps c, whose anchors' first
+        jumps are seg, ||c||_1 times the sum of
 
         * the Taylor remainders, with |delta| <= 1/2 and N + 1 terms.  Jumps:
           ||q - q_N||_1 <= sup ||d^(N+1)/dmu^(N+1) Poisson||_1 / (N+1)!
           <= 2^(N+1) (1/2)^(N+1) / (N+1)!, since ||grad^n||_1 <= 2^n.  Nodes:
           x^a |h^(N+1)(s)| <= 2^(N+1) ||Q||_inf max(1, 2^a) for s between
           the anchor and x, since ||L||_inf <= 2 and x^a sum_k phi_k(s) <=
-          max(1, 2^a).  Together (1 + max(1, 2^a)) / (N+1)!.
+          max(1, 2^a).  Together (1 + max(1, 2^a)) / (N+1)!.  A node block
+          takes fewer terms, M, where x^a |h^(M)(s)| <= max(1, 2^a) (the
+          computed max |L^M Q| over the block's columns plus its roundoff,
+          gamma_(n_q + 3N) 2^M ||Q||_inf) plus 2^M ||Q||_inf _TAIL for the
+          columns outside keeps its remainder within half its part of this.
         * the window tails.  Each of the four is verified below _TAIL/4 per
           unit mass (over max(1, 2^a) for the nodes) and lifted by
           sum_n (2 |delta|)^n / n! <= e (and (x/A)^a <= max(1, 2^a)), so
@@ -479,15 +534,19 @@ class _AnchoredLattice:
           only add terms past the windows; a node set to the total or to 0
           drops one node tail alone).
         * roundoff, gamma_K times the same computation on absolute values,
-          which the same lifts bound by e ||c||_1 on the jump side and by
-          e max(1, 2^a) ||c||_1 on the node side.  K counts the roundings on
-          the longest path, _WEIGHT_ULPS + 2w + 2 for an entry of a block w
-          columns wide (:class:`_Table`).  Jumps: 2N for c delta^n / n!, the
-          anchor's jump sum, the table, one per anchor and per block for the
-          sum over anchors, 2N for the fold.  Nodes: the prefix sum, 3N for
-          L^n, the table, the sum over a block row, one for 1/n!, 2N for
-          Horner's rule, 4 for the factor (x/A)^a (a quotient and a power
-          within one ulp) and its product.
+          which the same lifts bound by e ||c||_1 on the jump side (the fold
+          has |(-1)^(n-j) / (j! (n-j)!)| summing to 2^n / n! over j, as
+          |grad|^n does) and by e max(1, 2^a) ||c||_1 on the node side.  K
+          counts the roundings on the longest path, _WEIGHT_ULPS + 2w + 2
+          for an entry of a block w columns wide (:class:`_Table`), fewer
+          Taylor terms only taking roundings away.  Jumps: N for c delta^n,
+          the anchor's jump sum, N + 2 for the fold (its rounded entry, the
+          product and a sum of N + 1 terms), the table, one per anchor and
+          per block for the sum over anchors, N for the sum of the N + 1
+          shifted rows.  Nodes: the prefix sum, 3N for L^n, the table, the
+          sum over a block row, one for 1/n!, 2N for Horner's rule, 4 for
+          the factor (x/A)^a (a quotient and a power within one ulp) and its
+          product.
         * argument rounding: x carries a relative error gamma_3, and
           |dF/dx| x <= ||c||_1 (sqrt(x) + 1) on each side (Stirling's bound
           on the densities), x below the last anchor before n_t.
@@ -496,11 +555,10 @@ class _AnchoredLattice:
         covers the second-order terms.  Every term depends on c alone.
         """
         big_n, table, nodes = self.terms - 1, _WEIGHT_ULPS + 2, self.nodes
-        seg = self.first[:np.searchsorted(self.first, c.size)]
-        w_jump = int((self.jumps.c1 - self.jumps.c0)[:b_end].max())
-        w_node = int((nodes.c1 - nodes.c0)[b_lo:nodes.block_of(n_t - 1) + 1].max(initial=0))
-        k_jump = (4 * big_n + int(np.diff(seg, append=c.size).max()) + table + 2 * w_jump
-                  + seg.size + b_end)
+        w_jump = int(self.jumps.width[:b_end].max())
+        w_node = int(nodes.width[b_lo:nodes.block_of(n_t - 1) + 1].max(initial=0))
+        k_jump = (3 * big_n + 2 + int(np.diff(seg, append=c.size).max()) + table
+                  + 2 * w_jump + seg.size + b_end)
         k_node = n_q + 5 * big_n + table + 3 * w_node + 5
         x_max = float(nodes.anchors[max(n_t, 1) - 1]) + 0.5
         per_mass = ((1.0 + self.lift) / math.factorial(self.terms)

@@ -4,6 +4,7 @@ import math
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from nbbm.cli import SUBCOMMANDS, RunConfig, main, parse_config, run, serialize_config
@@ -275,6 +276,30 @@ class TestRun:
         expected = solve("one_sided", "two_sided=false")
         assert solve("file", f"initial={tmp_path / 'st' / 'v_profile.csv'}") == expected
         assert solve("old_file", f"initial={old}") == expected
+
+    def test_manifest_names_the_input_file_by_content(self, tmp_path):
+        # one profile at two paths gives one manifest, and a one-ulp edit of
+        # one of its values at the same path gives another; no path enters it
+        def manifest(path, out):
+            argv = ["solve", "--out", str(tmp_path / out), "--set", f"initial={path}",
+                    "--set", "t=0.05"]
+            assert main(argv) == 0
+            return (tmp_path / out / "manifest.json").read_text()
+
+        assert main(["stationary", "--out", str(tmp_path / "st")]) == 0
+        text = (tmp_path / "st" / "v_profile.csv").read_text()
+        here, there = tmp_path / "a.csv", tmp_path / "copy" / "b.csv"
+        there.parent.mkdir()
+        here.write_text(text)
+        there.write_text(text)
+        first = manifest(here, "here")
+        assert manifest(there, "there") == first
+        assert str(tmp_path) not in first and "initial = sha256:" in first
+        lines = text.splitlines()
+        r, v = lines[100].split(",")
+        lines[100] = f"{r},{float(np.nextafter(float(v), 2.0))!r}"
+        here.write_text("\n".join(lines) + "\n")
+        assert manifest(here, "edited") != first
 
     def test_runtime_error_exit_two(self, tmp_path):
         cfg = parse_config(None, "solve",

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import mpmath as mp
 import numpy as np
@@ -489,3 +490,71 @@ class TestAnchoredRoute:
         assert err_short >= remainder
         if terms == 6:  # the remainder is what moves the values
             assert change > 1e-9
+
+    @staticmethod
+    def _first_rows(monkeypatch, d, grid_step, horizon):
+        """The kernel call of the first step of a solve from the two-sided
+        stationary start at 4001 points, delta = 0.01: (t, jump rows, nodes, h)."""
+        calls, kernel = [], obstacle.mixture_node_values
+
+        def recording(dim, t, locs, sizes, r_nodes, *, lattice_h):
+            calls.append((t, sizes, r_nodes, lattice_h))
+            return kernel(dim, t, locs, sizes, r_nodes, lattice_h=lattice_h)
+
+        monkeypatch.setattr(obstacle, "mixture_node_values", recording)
+        st = stationary_state(d)
+        solver = obstacle.SandwichSolver(d, st.as_profile(4001, "lower"), 0.01,
+                                         grid_step=grid_step,
+                                         initial_upper=st.as_profile(4001, "upper"),
+                                         horizon_hint=horizon)
+        solver.advance_to(0.01)
+        return calls[0]
+
+    @pytest.mark.parametrize("d", [1, 3])
+    def test_matches_image_route(self, d, monkeypatch):
+        # the two routes on one solver row at a coarse lattice agree at every
+        # node within the sum of their booked errors
+        t, sizes, r_nodes, h = self._first_rows(monkeypatch, d, 1e-3, 0.01)
+        c = sizes[0][:np.flatnonzero(sizes[0])[-1] + 1]
+        kernels._IMAGE_CACHE.clear()
+        images, err_images = kernels._lattice_images(d, t, c, h, r_nodes.size)
+        anchored, err_anchored = kernels._lattice_anchored(d, t, c, h, r_nodes.size)
+        assert c.size > 1000 and r_nodes.size > c.size + 1000
+        assert np.all(np.abs(images - anchored) <= err_images + err_anchored)
+
+    def test_bench_grid_apply_memory(self, monkeypatch):
+        # one steady-state d = 2 apply on the bench's grid (h = 1.5e-4, about
+        # 26,000 nodes and 16,000 jumps): its tracemalloc peak, the values
+        # returned included, and the cached lattice's bytes, 0.57 and 1.68 MB
+        # as measured, with about 10% added
+        t, sizes, r_nodes, h = self._first_rows(monkeypatch, 2, None, 1.0)
+        assert h == pytest.approx(1.5e-4) and r_nodes.size > 25_000
+        c = sizes[0][:np.flatnonzero(sizes[0])[-1] + 1]
+        kernels._lattice_anchored(2, t, c, h, r_nodes.size)
+        tracemalloc.start()
+        try:
+            kernels._lattice_anchored(2, t, c, h, r_nodes.size)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 0.65e6
+        assert kernels._IMAGE_CACHE[("series", 2, t, h)].nbytes <= 1.85e6
+
+    def test_gamma_weight_within_booked_ulps(self):
+        # every table row starts from _gamma_weight at its mode k = s +
+        # floor(A - s): at the anchors A = 1..60 for s = 0 (jumps) and s =
+        # d/2, d = 1..12 (nodes), against mpmath, the relative error is within
+        # _WEIGHT_ULPS (66 ulps seen, from the gammaln branch at k < 15), and
+        # within 4 ulps on Stirling's series at k >= 15 (196 with four terms)
+        worst = {False: 0.0, True: 0.0}
+        anchors = np.arange(1.0, 61.0)
+        with mp.workdps(30):
+            for s in np.arange(0.0, 6.5, 0.5):
+                k = s + np.floor(anchors - s)
+                keep = k > 0.0
+                for kk, x, got in zip(k[keep], anchors[keep],
+                                      kernels._gamma_weight(k[keep], anchors[keep])):
+                    exact = mp.exp(kk * mp.log(x) - x - mp.loggamma(kk + 1))
+                    ulps = float(abs(mp.mpf(float(got)) / exact - 1) * 2 ** 53)
+                    worst[kk >= 15.0] = max(worst[kk >= 15.0], ulps)
+        assert worst[False] <= kernels._WEIGHT_ULPS and worst[True] <= 4.0

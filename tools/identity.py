@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import json
 import re
-import shutil
 import subprocess
 import sys
 import tempfile
@@ -108,10 +107,7 @@ def main(argv: list[str]) -> int:
     collected = []
     with tempfile.TemporaryDirectory() as tmp:
         for i, tree in enumerate(argv):
-            # both trees write under one root: the solve from the stationary
-            # run's profile names its path in the config of its manifest
-            runs, out = Path(tmp, "runs"), Path(tmp, f"tree{i}.json")
-            shutil.rmtree(runs, ignore_errors=True)
+            runs, out = Path(tmp, f"runs{i}"), Path(tmp, f"tree{i}.json")
             status = subprocess.run([sys.executable, __file__, "--collect", tree, str(runs),
                                      str(out)], stdout=sys.stderr).returncode
             if status:
