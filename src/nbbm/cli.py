@@ -37,7 +37,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .core import _MAX_DIM, ParticleEnsemble, RadialProfile, _integer, _positive
+from .core import _MAX_DIM, ParticleEnsemble, RadialProfile, _integer, _positive, max_radius
 from .experiments import (PointMassSampler, ReportRow, StationarySampler, UniformBallSampler,
                           hydrodynamic_report, rows_to_csv, selection_report,
                           stationarity_report)
@@ -307,7 +307,7 @@ def simulate(w: _ArtifactWriter, seed: int, workers: int, *, n: int = 1000, d: D
     w.write("events.csv", "\n".join(ev_lines) + "\n")
     w.write("summary.json", _json_dumps({
         "n": n, "d": d, "t": t, "events": len(log),
-        "final_max_radius": float(np.max(np.linalg.norm(final.positions, axis=1))),
+        "final_max_radius": max_radius(final),
     }))
 
 

@@ -9,22 +9,23 @@ law with d degrees of freedom and noncentrality y^2 / (2t), so
 
     w(y, r, t) = sum_m  Poisson(m; y^2/(4t)) * P(d/2 + m, r^2/(4t))
 
-with P the regularized lower incomplete gamma function; in d = 1 and 3, w
-has Gaussian image forms.  The Poisson tail bounds the truncation, so every
-evaluation of w carries a certified absolute error.  ``radial_cdf`` and
-``mixture_node_values`` take only integer d in 1..12 (``core._MAX_DIM``),
-the range the anchored route's 21 Taylor terms are sized for.  The lattice
-engine ``mixture_node_values``, which the solver's sandwich step calls once
-for both branches, evaluates G_t of step profiles with jumps c_j at lattice
-points a_j as the finite mixtures sum_j c_j w(a_j, r, t) on the lattice
-nodes.  Both routes take one jump row per call and return its values and
-certified error, and every apply costs the kernel's support, not the domain:
+with P the regularized lower incomplete gamma function; in d = 1, w is
+0.5 [erf((r - y)/2 sqrt t) + erf((r + y)/2 sqrt t)].  The Poisson tail
+bounds the truncation, so every evaluation of w carries a certified
+absolute error.  ``radial_cdf`` and ``mixture_node_values`` take only
+integer d in 1..12 (``core._MAX_DIM``), the range the anchored route's 21
+Taylor terms are sized for.  The lattice engine ``mixture_node_values``,
+which the solver's sandwich step calls once for both branches, evaluates
+G_t of step profiles with jumps c_j at lattice points a_j as the finite
+mixtures sum_j c_j w(a_j, r, t) on the lattice nodes.  Both routes take one
+jump row per call and return its values and certified error, and every
+apply costs the kernel's support, not the domain:
 
-* image route (d = 1, 3): the saturated parts of the image kernels are
-  prefix sums of the jump sizes, and the remainders, cut to a band of B
-  cells, are one FFT convolution of length about n_act + 2B (n_act = cells
-  carrying jumps);
-* anchored route (any other d): each jump mean and node argument
+* image route (d = 1): the saturated parts of the erf image kernel are
+  prefix sums of the jump sizes, and the erfc remainders, cut to a band of
+  B cells, are one FFT convolution of length about n_act + 2B (n_act =
+  cells carrying jumps);
+* anchored route (every other d): each jump mean and node argument
   x = (ih)^2/(4t) lies within 1/2 of an integer anchor A, and both sides of
   the series are entire in their continuous argument, so they are Taylor
   expanded about the anchors with N + 1 = 21 terms, the anchor-and-Taylor
@@ -44,17 +45,20 @@ certified error, and every apply costs the kernel's support, not the domain:
   on the solver's lattice, and the factors (z/A)^a.  The tables come in
   blocks of anchors built by a ratio recurrence, kept per (dim, t, h) within
   the cache budget and streamed past it.  ``radial_cdf`` runs one unit jump
-  through the same route at every d but 1 (the erf image form) and at every
-  y but 0 (P(d/2, r^2/(4t))).
+  through the same route at every d but 1 (the erf form) and at every y but
+  0 (P(d/2, r^2/(4t))), so at d >= 2 the pointwise kernel and the lattice
+  share one engine.
 
 The returned ``eval_err`` books, per unit of mixture mass:
 
-* image route: the erfc and Gaussian image terms beyond the band (the
-  bounds of ``_image_tail``) and a margin of 64 eps n_fft for FFT and
-  prefix-sum roundoff (recursive sums err by gamma_{n-1}, Higham 2002 §4.2);
+* image route: the erfc terms beyond the band (erfc at the band edge) and a
+  margin of 64 eps n_fft for FFT and prefix-sum roundoff (recursive sums err
+  by gamma_{n-1}, Higham 2002 §4.2);
 * anchored route (``_AnchoredLattice.eval_err``): the Taylor remainders,
   the four window tails, roundoff after Higham (Accuracy and Stability of
   Numerical Algorithms, 2nd ed., 2002) and the rounding of the arguments.
+  On the lattice it is a function of (dim, t, h, c) alone: it depends
+  neither on n_out nor on what the kernel cache held before the call.
 
 Bands and windows are sized so that every dropped tail stays below 2^-56
 per unit mass; no quadrature is involved.
@@ -75,9 +79,6 @@ __all__ = [
     "radial_cdf",
     "mixture_node_values",
 ]
-
-_SQRT_PI = math.sqrt(math.pi)
-
 
 class EvaluationError(RuntimeError):
     """A noncentral series window, of a jump or of a node, would need more
@@ -250,12 +251,6 @@ def radial_cdf(dim: int, y: float, r, t: float):
 # Grid engine: G_t applied to a step profile
 # ---------------------------------------------------------------------------
 
-def _maxwell_cdf(r: np.ndarray, t: float) -> np.ndarray:
-    """w(0, r, t) in d = 3 (Maxwell law of ||N(0, 2t I_3)||)."""
-    q = r / (2.0 * math.sqrt(t))
-    return erf(q) - (2.0 / _SQRT_PI) * q * np.exp(-q * q)
-
-
 _CACHE_BYTES = 64 << 20  # byte budget of the cross-call kernel cache
 
 # Cross-call kernel data keyed by lattice: image engines and anchored series
@@ -358,10 +353,15 @@ class _AnchoredLattice:
     scratch, the block and an eighth of the budget (the apply's other
     arrays) fit in _CACHE_BYTES, else built, used and dropped.  Sums run over
     whole blocks, so no value depends on how far the tables reach or on
-    what is kept.
+    what is kept.  ``more(lo, hi)``, given on a lattice, returns the anchors
+    in [lo, hi) that a longer lattice would have past the last node: table
+    ``nodes`` takes their window edges, a block at a time, until a window
+    starts past the last index that q can reach, and never builds their
+    blocks.  So n_t in :meth:`apply`, and with it the error, does not depend
+    on where the lattice ends.
     """
 
-    def __init__(self, dim: int, mu: np.ndarray, z: np.ndarray):
+    def __init__(self, dim: int, mu: np.ndarray, z: np.ndarray, more=None):
         a = 0.5 * dim
         self.a, self.n, self.lift, self.scratch = a, z.size, max(1.0, 2.0 ** a), 0
         self.terms = _TAYLOR_TERMS
@@ -378,7 +378,16 @@ class _AnchoredLattice:
         node_anchor = np.rint(z)
         self.scale = np.where(node_anchor > 0.0, z / np.maximum(node_anchor, 1.0), z) ** a
         eps = _TAIL / (4.0 * self.lift)  # the node tails are lifted by up to lift
-        self.nodes = _Table(a, anchors, *_window_edges(anchors, a, a + 1.0, eps, 0.5))
+        lo, hi = _window_edges(anchors, a, a + 1.0, eps, 0.5)
+        reach = int(self.jumps.c1.max()) + self.terms - 2  # q's last index, at most
+        top = (anchors[-1] // _SPAN + 1) * _SPAN
+        while more is not None and lo.max() <= reach:
+            past = more(top, top + _SPAN)
+            lo_past, hi_past = _window_edges(past, a, a + 1.0, eps, 0.5)
+            anchors = np.append(anchors, past)
+            lo, hi = np.append(lo, lo_past), np.append(hi, hi_past)
+            top += _SPAN
+        self.nodes = _Table(a, anchors, lo, hi)
         k = np.arange(float(self.nodes.c1.max()) + self.terms)
         self.w = (k + 1.0) / (a + k + 1.0)  # the weights of L, (k+1)/(a+k+1)
         arrays = {id(v): v.nbytes for v in vars(self).values() if isinstance(v, np.ndarray)}
@@ -468,7 +477,7 @@ class _AnchoredLattice:
         n_t = int(np.searchsorted(nodes.lo_max, m0 + cum.size - 1, side="right"))
         b_lo = int(np.searchsorted(nodes.c1_max, m0, side="right"))
         base = nodes.rows[b_lo]
-        i_lo, i_hi = np.minimum(self.first[[base, n_t]], n_out)
+        i_lo, i_hi = np.minimum(self.first[[base, min(n_t, self.first.size - 1)]], n_out)
         vals = np.full(n_out, cum[-1])
         vals[:i_lo] = 0.0
         err = self.eval_err(c, seg, b_end, cum.size, b_lo, n_t)
@@ -568,76 +577,64 @@ class _AnchoredLattice:
         return 1.01 * float(np.abs(c).sum()) * per_mass
 
 
+def _arguments(t: float, h: float, i0: int, top: float) -> np.ndarray:
+    """x_i = (ih)^2/(4t) of the lattice nodes i*h from i0 on with rint(x_i) < top."""
+    i = np.arange(i0, math.ceil(math.sqrt(4.0 * t * (top + 1.0)) / h) + 2)
+    x = (i * h) ** 2 / (4.0 * t)
+    return x[:np.count_nonzero(np.rint(x) < top)]
+
+
 def _lattice_anchored(dim: int, t: float, c: np.ndarray, h: float, n_out: int
                       ) -> tuple[np.ndarray, float]:
     """Mixture of lattice jumps c on the nodes i*h, i < n_out, and its error,
-    as in ``_lattice_images``, for every d but 1 and 3, on tables cached per
-    (dim, t, h).  The lattice runs to the end of the anchor block of node
-    n_out - 1, so a longer one has the same blocks and a node's bits do not
-    depend on n_out; one shorter than n_out is built afresh."""
+    for every d but 1, on tables cached per (dim, t, h).  The lattice runs to
+    the end of the anchor block of its last node, so a longer one has the
+    same blocks, and its node windows run on past its end until they start
+    past every q: neither a node's bits nor the error depend on n_out or on
+    the lattice cached.  A lattice shorter than n_out is rebuilt with an
+    eighth more nodes, the solver's own growth rule."""
     key = ("series", dim, t, h)
     lattice = _IMAGE_CACHE.pop(key, None)
     if lattice is None or lattice.n < n_out:
-        x = (np.arange(n_out, dtype=float) * h) ** 2 / (4.0 * t)
-        top = (np.rint(x[-1]) // _SPAN + 1) * _SPAN  # the next block's first anchor
-        x = (np.arange(math.ceil(math.sqrt(4.0 * t * (top + 1.0)) / h) + 2) * h) ** 2 / (4.0 * t)
-        x = x[:np.count_nonzero(np.rint(x) < top)]
-        lattice = _AnchoredLattice(dim, x, x)
+        n = n_out if lattice is None else n_out + n_out // 8
+        last = (np.array([n - 1.0]) * h) ** 2 / (4.0 * t)
+        x = _arguments(t, h, 0, (np.rint(last[0]) // _SPAN + 1) * _SPAN)
+
+        def more(lo: float, hi: float) -> np.ndarray:  # the anchors in [lo, hi) past x
+            anchors = np.unique(np.rint(_arguments(t, h, x.size, hi)))
+            return anchors[anchors >= lo]
+
+        lattice = _AnchoredLattice(dim, x, x, more)
     return _cached(key, lambda: lattice).apply(c, n_out)
 
 
-def _image_tail(dim: int, t: float, x: float, mass: float, w_mass: float,
-                c0: float) -> float:
-    """Bound on the image terms dropped beyond a band edge at x = (B+1)h/(2 sqrt t)."""
-    tail = math.erfc(x) * mass
-    if dim == 3:
-        gauss = math.exp(-x * x)
-        # Gaussian image terms, and the Maxwell origin table (q e^-q^2 falls for q >= 1)
-        tail += 2.0 * math.sqrt(t / math.pi) * gauss * w_mass
-        tail += c0 * (2.0 / _SQRT_PI) * x * gauss
-    return tail
-
-
 class _ImageEngine:
-    """Band-limited image kernels for lattice mixtures in d = 1 or 3.
+    """Band-limited image kernel for lattice mixtures in d = 1.
 
-    For jumps c_j at j*h and nodes i*h the image formulas give
+    For jumps c_j at j*h and nodes i*h the image formula gives
     sum_j c_j w(jh, ih, t) = 0.5 sum_j c_j [K(i-j) + K(i+j)] with
-    K(m) = erf(mh / 2 sqrt t) (d = 1).  Split K = sgn - k with
+    K(m) = erf(mh / 2 sqrt t).  Split K = sgn - k with
     k(m) = sgn(m) erfc(|m| h / 2 sqrt t): the sgn part and the constant
     limit of the reflection are prefix sums of c, and k, cut to |m| <= band,
     is one linear convolution u = c * k over m in [-band, n_act + band).
     Its negative half gives the reflection remainder, since
-    sum_j c_j erfc((i+j) h / 2 sqrt t) = -u[-i] (+ c_0 at i = 0).  In d = 3
-    the Gaussian image terms with weights c_j / (jh) ride in the same
-    spectral sum, and a jump at the origin adds the Maxwell correction.
-    One apply costs one forward FFT per weight vector and one inverse, of
-    length about n_act + 2 band.
+    sum_j c_j erfc((i+j) h / 2 sqrt t) = -u[-i] (+ c_0 at i = 0).  One apply
+    costs one forward FFT and one inverse, of length about n_act + 2 band.
     """
 
-    def __init__(self, dim: int, t: float, h: float, band: int, n_fft: int):
-        self.dim, self.t, self.h, self.band, self.n_fft = dim, t, h, band, n_fft
+    def __init__(self, t: float, h: float, band: int, n_fft: int):
+        self.band, self.n_fft = band, n_fft
         m = np.arange(-band, band + 1)
-        x = np.abs(m) * (h / (2.0 * math.sqrt(t)))
         kern = np.zeros(n_fft)
-        kern[m % n_fft] = 0.5 * np.sign(m) * erfc(x)
+        kern[m % n_fft] = 0.5 * np.sign(m) * erfc(np.abs(m) * (h / (2.0 * math.sqrt(t))))
         self.k_hat = fft.rfft(kern)
         self.nbytes = self.k_hat.nbytes
-        if dim == 3:
-            kern[m % n_fft] = math.sqrt(t / math.pi) * np.exp(-x * x)
-            self.e_hat = fft.rfft(kern)
-            lat = np.arange(band + 1) * h
-            self.maxwell_origin = _maxwell_cdf(lat, t) - erf(lat / (2.0 * math.sqrt(t)))
-            self.nbytes += self.e_hat.nbytes + self.maxwell_origin.nbytes
 
-    def apply(self, c: np.ndarray, w2: np.ndarray | None, n_out: int) -> np.ndarray:
-        """Node values from jump sizes c and, in d = 3, weights w2 = c_j / (jh)."""
+    def apply(self, c: np.ndarray, n_out: int) -> np.ndarray:
+        """Node values from the jump sizes c."""
         n_act, band, n_fft = c.size, self.band, self.n_fft
         spec = fft.rfft(c, n_fft)
         spec *= self.k_hat
-        if self.dim == 3:
-            images = fft.rfft(w2, n_fft)
-            spec += np.multiply(images, self.e_hat, out=images)
         u = fft.irfft(spec, n_fft)  # u[p mod n_fft] for p in [-band, n_act + band)
         half = np.full(n_out, 0.5 * c.sum())  # half the prefix sums: 0.5 scales exactly
         np.multiply(np.cumsum(c)[:n_out], 0.5, out=half[:min(n_act, n_out)])
@@ -647,9 +644,6 @@ class _ImageEngine:
         vals[:k] -= u[:k]
         k = min(n_out - 1, band)
         vals[1:k + 1] += u[::-1][:k]
-        if self.dim == 3 and c[0] != 0.0:
-            k = min(n_out, band + 1)
-            vals[:k] += c[0] * self.maxwell_origin[:k]
         vals[0] = 0.0  # w(a, 0, t) = 0
         return vals
 
@@ -657,31 +651,26 @@ class _ImageEngine:
 _BAND_STEP = 256  # bands and FFT lengths are bucketed so engines get reused
 
 
-def _lattice_images(dim: int, t: float, c: np.ndarray, h: float, n_out: int
+def _lattice_images(t: float, c: np.ndarray, h: float, n_out: int
                     ) -> tuple[np.ndarray, float]:
-    """Mixture of lattice jumps c on the nodes i*h, i < n_out, for d in {1, 3}."""
+    """Mixture of lattice jumps c on the nodes i*h, i < n_out, in d = 1, and
+    its error: the erfc terms beyond the band and the FFT roundoff margin."""
     mass = float(np.abs(c).sum())
-    w2, w_mass = None, 0.0
-    if dim == 3:
-        w2 = np.zeros(c.size)
-        w2[1:] = c[1:] / (np.arange(1, c.size, dtype=float) * h)
-        w_mass = float(np.abs(w2).sum())
-    c0 = abs(float(c[0]))
     budget = _TAIL * mass
     # start near the edge (each tail term is about its weight times e^-x^2);
     # the scan only moves outwards, so the edge it stops at always passes
-    x = max(1.0, math.sqrt(math.log((mass + w_mass + c0) / budget)) - 1.0)
-    while _image_tail(dim, t, x, mass, w_mass, c0) > budget:
+    x = max(1.0, math.sqrt(math.log((mass + abs(float(c[0]))) / budget)) - 1.0)
+    while math.erfc(x) * mass > budget:
         x += 0.02
     scale = h / (2.0 * math.sqrt(t))
     band = -(-int(math.ceil(x / scale)) // _BAND_STEP) * _BAND_STEP
     # neither the band nor the booked tail depends on n_out, so the values
     # at a node do not depend on how many nodes are asked for
-    tail = _image_tail(dim, t, (band + 1) * scale, mass, w_mass, c0)
+    tail = math.erfc((band + 1) * scale) * mass
     need = -(-(c.size + 2 * band) // _BAND_STEP) * _BAND_STEP
-    key = ("image", dim, t, h, band, fft.next_fast_len(need, real=True))
-    engine = _cached(key, lambda: _ImageEngine(dim, t, h, band, key[-1]))
-    vals = engine.apply(c, w2, n_out)
+    key = ("image", t, h, band, fft.next_fast_len(need, real=True))
+    engine = _cached(key, lambda: _ImageEngine(t, h, band, key[-1]))
+    vals = engine.apply(c, n_out)
     eval_err = tail + 64.0 * np.finfo(float).eps * engine.n_fft * mass
     return np.clip(vals, 0.0, c.sum(), out=vals), eval_err
 
@@ -704,13 +693,13 @@ def mixture_node_values(dim: int, t: float, locs: np.ndarray, sizes: np.ndarray,
     ``r_nodes`` must be the lattice i*lattice_h for i = 0..n-1 (to 1e-9 *
     lattice_h), ``locs`` its prefix r_nodes[:m] and ``sizes`` of shape
     (k, m): one jump per node from the origin, as the solver's step passes
-    them.  Any other shape raises ``ValueError``.  d in {1, 3} takes the
+    them.  Any other shape raises ``ValueError``.  d = 1 takes the
     band-limited image route and every other d the anchored Taylor route on
     tables cached per lattice.  Every dropped tail is at most 2^-56 per unit
     mass.  Returns (k, n) values and k certified absolute evaluation errors.
     Each row is evaluated on its own: it gets the bits that a call with that
     row alone returns, and neither a node's value nor the error depends on
-    how many nodes follow it.
+    how many nodes follow it or on what the kernel cache held before.
     """
     _integer("dim", dim, 1, _MAX_DIM)
     _positive("t", t)
@@ -730,9 +719,9 @@ def mixture_node_values(dim: int, t: float, locs: np.ndarray, sizes: np.ndarray,
     if not np.all(np.isfinite(sizes)):
         raise ValueError("sizes must be finite")
     cs = [_trimmed(c) for c in sizes + 0.0]  # each row is its jump array; -0.0 becomes 0.0
-    route = _lattice_images if dim in (1, 3) else _lattice_anchored
     vals, errs = np.zeros((len(cs), n)), np.zeros(len(cs))
     for k, c in enumerate(cs):
         if c.size:
-            vals[k], errs[k] = route(dim, float(t), c, h, n)
+            vals[k], errs[k] = (_lattice_images(float(t), c, h, n) if dim == 1
+                                else _lattice_anchored(dim, float(t), c, h, n))
     return vals, errs

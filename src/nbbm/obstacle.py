@@ -78,8 +78,9 @@ def default_grid_step(dim: int, horizon: float, delta: float,
     calibrated on solves to T = 1 at delta = 0.01 (h = 1.1e-4: widths
     1.07-1.09x those at h = 3.6e-5 for d = 1 and 6.3e-5 for d = 3, from the
     stationary and the empirical starts).
-    Dimensions without the Gaussian-image fast path (everything but 1 and 3)
-    keep a cost floor.  Once the a priori bound is vacuous (analytic gap
+    d = 2 and d >= 4 keep a cost floor of 1.5e-4: at d = 2 the rule's grid
+    costs about 1.35x the time for a 9% narrower width (ROADMAP item 12).
+    Once the a priori bound is vacuous (analytic gap
     above 0.5) h grows with it up to the scale cap, so long horizons cost
     what a coarse grid costs; their measured width still certifies.
     """

@@ -20,6 +20,6 @@ def test_tiny_sweep_prints_each_route():
     assert lines[0].startswith("| d | route | 200 nodes | 400 nodes | fixed | per node |")
     rows = [line.split(" | ") for line in lines[2:]]
     assert [(row[0], row[1]) for row in rows] == [("| 1", "image"), ("| 2", "anchored"),
-                                                  ("| 3", "image")]
+                                                  ("| 3", "anchored")]
     for row in rows:
         assert all(cell.endswith(" ms") and float(cell[:-3]) > 0.0 for cell in row[2:4])

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from nbbm import experiments
+from nbbm import experiments, kernels
 from nbbm.core import ParticleEnsemble, RadialProfile, empirical_cdf, max_radius
 from nbbm.experiments import (PointMassSampler, StationarySampler, UniformBallSampler,
                               bracket_distance, boundary_report, hydrodynamic_report,
@@ -179,6 +179,18 @@ class TestHydrodynamicReport:
         a = hydrodynamic_report(**kw)
         b = hydrodynamic_report(**kw)
         assert [(r.statistic, r.value) for r in a] == [(r.statistic, r.value) for r in b]
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_rows_identical_across_workers(self, d):
+        # the anchored kernel's booked error once followed the longest lattice
+        # its process had cached, so at d = 2 a serial run's second replica
+        # differed in its last bits from the same replica in a fresh worker
+        rows = []
+        for workers in (1, 2):
+            kernels._IMAGE_CACHE.clear()
+            rows.append(hydrodynamic_report(N=200, d=d, t=0.2, sampler=UniformBallSampler(d),
+                                            replicas=2, seed=1, workers=workers))
+        assert rows[0] == rows[1]
 
 
 class TestBoundaryReport:

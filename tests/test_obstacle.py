@@ -384,7 +384,7 @@ class TestSolveSandwich:
         assert pair.measured_gap <= 1.10 * fine_width
 
     def test_default_grid_step_rule(self):
-        # h ~ delta^2 / (1 - e^-T), a cost floor off the image route, and the
+        # h ~ delta^2 / (1 - e^-T), a cost floor at d = 2 and d >= 4, and the
         # scale cap once the a priori bound is vacuous
         h1 = default_grid_step(1, 1.0, 0.01)
         assert 1e-4 <= h1 <= 1.2e-4

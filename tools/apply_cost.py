@@ -14,8 +14,8 @@ and only the nodes per anchor grow with n.  The row carries the jumps of the
 uniform-ball profile (r / R_0)^d, R_0 = 0.6 R, on the first 0.6 n nodes.  The
 first call builds the cached lattice data; the time given is the median of
 the next ``--repeats`` calls, as in a solve's steady state.  A least-squares
-line through (n, time) gives the fixed part and the cost per node.  d = 1 and
-3 take the image route and d = 2 the anchored route (``mixture_node_values``).
+line through (n, time) gives the fixed part and the cost per node.  d = 1 takes
+the image route and d = 2 and 3 the anchored route (``mixture_node_values``).
 """
 
 from __future__ import annotations
@@ -62,7 +62,7 @@ def table(kernels, sizes, repeats: int) -> str:
     for dim in (1, 2, 3):
         seconds = [apply_seconds(kernels, dim, n, repeats) for n in sizes]
         fixed, slope = fit(sizes, seconds)
-        route = "image" if dim in (1, 3) else "anchored"
+        route = "image" if dim == 1 else "anchored"
         lines.append(f"| {dim} | {route} | "
                      + " | ".join(f"{1e3 * s:.3f} ms" for s in seconds)
                      + f" | {1e3 * fixed:.3f} ms | {1e9 * slope:.1f} ns |")

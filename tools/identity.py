@@ -7,7 +7,7 @@ Run from the repository root (takes a few minutes):
 Each tree runs, in a fresh process with that tree's ``src/`` and
 ``bench/workloads.py``, the traffic that ``tools/paths.py`` traces
 (:func:`paths.run_traffic`): one cycle of each bench workload at seed 1, the
-eighteen CLI runs and the tree's ``tests/test_acceptance.py``.  Then it prints,
+nineteen CLI runs and the tree's ``tests/test_acceptance.py``.  Then it prints,
 per output, ``equal`` or the first difference:
 
 * each bench op's digest and its oracle's problems;

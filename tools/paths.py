@@ -14,8 +14,10 @@ It traces, with ``sys.settrace`` limited to frames whose file lies in
   ``hydro`` and ``selection`` at ``replicas=2``; ``solve`` once more from
   the ``v_profile.csv`` that the ``stationary`` run wrote (``--set
   initial=<path>``), from a ``--config`` file with a ``[solve]`` section,
-  with ``initial=uniform`` and with ``two_sided=false``; and ``hydro`` with
-  ``sampler=stationary``;
+  with ``initial=uniform`` and with ``two_sided=false``, and at d = 3 from
+  a profile file with one jump of 0.1 at r = 0.5, whose mass is small enough
+  that the solver's grid and the anchored lattice grow; and ``hydro`` with
+  ``sampler=stationary``: nineteen CLI runs;
 * ``tests/test_acceptance.py``.
 
 The same traffic (:func:`run_traffic`) is what ``tools/identity.py`` runs on
@@ -160,16 +162,18 @@ def _run_cli(out_root: str) -> dict[str, dict | None]:
     from nbbm.cli import main
     profile = os.path.join(out_root, "stationary", "v_profile.csv")
     config = os.path.join(out_root, "solve.cfg")
+    jump = os.path.join(out_root, "jump.csv")
     os.makedirs(out_root, exist_ok=True)
     Path(config).write_text("# top-level keys, then the one section\nworkers = 1\n\n"
                             "[solve]\nd = 2\nt = 0.5  # a shorter horizon\n")
+    Path(jump).write_text("r,value\n0.5,0.1\n")  # mass 0.1: the solver's grid grows
     # each run's --set values, or a config file read with --config
     runs = [("simulate",), ("stationary",), ("solve", f"initial={profile}"), ("stationarity",),
             ("hydro", "replicas=2"), ("selection", "replicas=2"), ("solve", config),
             ("solve", "initial=uniform"), ("solve", "two_sided=false"),
             ("hydro", "sampler=stationary", "replicas=2")]
     runs += [(sub, f"d={d}") for sub in ("solve", "kernel-dump") for d in (1, 2, 3)]
-    runs += [("simulate", "d=2"), ("simulate", "d=3")]
+    runs += [("simulate", "d=2"), ("simulate", "d=3"), ("solve", "d=3", f"initial={jump}")]
     manifests = {}
     for sub, *args in runs:
         label = "-".join((sub, *map(os.path.basename, args))).replace("=", "")
