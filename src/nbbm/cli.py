@@ -42,7 +42,8 @@ from .experiments import (PointMassSampler, ReportRow, StationarySampler, Unifor
                           hydrodynamic_report, rows_to_csv, selection_report,
                           stationarity_report)
 from .kernels import radial_cdf
-from .obstacle import SolveRequest, free_boundary_radius, solve_sandwich, stationary_state
+from .obstacle import (SolveRequest, default_grid_step, free_boundary_radius, solve_sandwich,
+                       stationary_state)
 from .sim import advance_nbbm, replica_rng
 
 __all__ = ["RunConfig", "parse_config", "serialize_config", "main", "run"]
@@ -335,8 +336,8 @@ def solve(w: _ArtifactWriter, seed: int, workers: int, *, d: Dim = 1, t: float =
         "measured_gap": pair.measured_gap,
         "boundary_interval": [lo, hi if math.isfinite(hi) else None],
         "steps": pair.steps_taken, "delta": pair.step_size,
-        # the grid, not the splitting, dominates the certified width
-        "grid_too_coarse": bool(pair.measured_gap > pair.analytic_gap),
+        "grid_too_coarse": grid_step is not None and grid_step > default_grid_step(
+            t, pair.step_size, lower.last_jump),
     }))
 
 

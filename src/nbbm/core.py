@@ -140,6 +140,10 @@ class RadialProfile:
     def final_value(self) -> float:
         return float(self.values[-1]) if self.values.size else 0.0
 
+    @property
+    def last_jump(self) -> float:
+        return float(self.locations[-1]) if self.locations.size else 0.0
+
     def sup_distance(self, other: "RadialProfile") -> float:
         """sup_r |self(r) - other(r)|, exact for step functions."""
         return max(_max_excess(self, other), _max_excess(other, self))

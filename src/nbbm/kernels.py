@@ -276,6 +276,17 @@ _WEIGHT_ULPS = 96   # relative error of a _gamma_weight value in units of 2^-53 
 _SPAN = 64          # anchor values per table block
 
 
+def _taylor_constants(terms: int) -> tuple[np.ndarray, np.ndarray]:
+    """n! for n < terms, and fold[j, n] = (-1)^(n-j) / (j! (n-j)!), correctly
+    rounded: the binomial expansion of (-grad)^n / n! into shifts by j."""
+    f = [math.factorial(k) for k in range(terms)]
+    return np.array(f, float), np.array([[(-1) ** (n - j) / (f[j] * f[n - j]) if n >= j else 0.0
+                                         for n in range(terms)] for j in range(terms)])
+
+
+_FACTORIALS, _FOLD = _taylor_constants(_TAYLOR_TERMS)
+
+
 def _gamma(n: int) -> float:
     """Higham's gamma_n = n u / (1 - n u), u = 2^-53: a result of n roundings,
     in any order, is within gamma_n times the same computation on absolute
@@ -364,13 +375,6 @@ class _AnchoredLattice:
     def __init__(self, dim: int, mu: np.ndarray, z: np.ndarray, more=None):
         a = 0.5 * dim
         self.a, self.n, self.lift, self.scratch = a, z.size, max(1.0, 2.0 ** a), 0
-        self.terms = _TAYLOR_TERMS
-        self.factorials = np.array([math.factorial(k) for k in range(self.terms)], float)
-        # fold[j, n] = (-1)^(n-j) / (j! (n-j)!), correctly rounded: the binomial
-        # expansion of (-grad)^n / n! into shifts by j
-        self.fold = np.array([[(-1) ** (n - j) / (math.factorial(j) * math.factorial(n - j))
-                               if n >= j else 0.0 for n in range(self.terms)]
-                              for j in range(self.terms)])
         jumps = _anchored(mu)
         anchors, self.first, self.delta = jumps if mu is z else _anchored(z)
         self.jump_first, self.jump_delta = jumps[1:]
@@ -379,7 +383,7 @@ class _AnchoredLattice:
         self.scale = np.where(node_anchor > 0.0, z / np.maximum(node_anchor, 1.0), z) ** a
         eps = _TAIL / (4.0 * self.lift)  # the node tails are lifted by up to lift
         lo, hi = _window_edges(anchors, a, a + 1.0, eps, 0.5)
-        reach = int(self.jumps.c1.max()) + self.terms - 2  # q's last index, at most
+        reach = int(self.jumps.c1.max()) + _TAYLOR_TERMS - 2  # q's last index, at most
         top = (anchors[-1] // _SPAN + 1) * _SPAN
         while more is not None and lo.max() <= reach:
             past = more(top, top + _SPAN)
@@ -388,7 +392,7 @@ class _AnchoredLattice:
             lo, hi = np.append(lo, lo_past), np.append(hi, hi_past)
             top += _SPAN
         self.nodes = _Table(a, anchors, lo, hi)
-        k = np.arange(float(self.nodes.c1.max()) + self.terms)
+        k = np.arange(float(self.nodes.c1.max()) + _TAYLOR_TERMS)
         self.w = (k + 1.0) / (a + k + 1.0)  # the weights of L, (k+1)/(a+k+1)
         arrays = {id(v): v.nbytes for v in vars(self).values() if isinstance(v, np.ndarray)}
         self.arrays = sum(arrays.values())  # shared arrays once
@@ -427,24 +431,24 @@ class _AnchoredLattice:
         (j! (n-j)!), as (-grad)^n / n! = sum_j shift^j (-1)^(n-j) / (j!
         (n-j)!), and q[m] = sum_j r_j[m - j], r_j = sum_A R_{A,j} Poisson(A),
         row j of a buffer read with rows one entry shorter landing j right."""
-        big_n, jumps = self.terms - 1, self.jumps
+        big_n, jumps = _TAYLOR_TERMS - 1, self.jumps
         seg = self.jump_first[:np.searchsorted(self.jump_first, c.size)]
         b_end = jumps.block_of(seg.size - 1) + 1
-        moments = np.empty((self.terms, seg.size))
+        moments = np.empty((_TAYLOR_TERMS, seg.size))
         x, dx = c.copy(), self.jump_delta[:c.size]
         np.add.reduceat(x, seg, out=moments[0])
-        for n in range(1, self.terms):
+        for n in range(1, _TAYLOR_TERMS):
             x *= dx
             np.add.reduceat(x, seg, out=moments[n])
-        folded = self.fold @ moments
+        folded = _FOLD @ moments
         m0 = int(jumps.c0[:b_end].min())
         span = int(jumps.c1[:b_end].max()) - m0 + big_n  # the length of q
-        skew = np.zeros(self.terms * (span + 1))
-        r = skew.reshape(self.terms, span + 1)
+        skew = np.zeros(_TAYLOR_TERMS * (span + 1))
+        r = skew.reshape(_TAYLOR_TERMS, span + 1)
         for b, block in self._blocks(jumps, 0, b_end, folded.nbytes + skew.nbytes):
             i0, i1 = jumps.rows[b], min(jumps.rows[b + 1], seg.size)
             r[:, jumps.c0[b] - m0:jumps.c1[b] - m0] += folded[:, i0:i1] @ block[:i1 - i0]
-        q = skew[:self.terms * span].reshape(self.terms, span).sum(axis=0)
+        q = skew[:_TAYLOR_TERMS * span].reshape(_TAYLOR_TERMS, span).sum(axis=0)
         return seg, b_end, m0, np.cumsum(q)
 
     def _node_terms(self, deriv: np.ndarray, k0: int, cum: np.ndarray, b_lo: int,
@@ -453,14 +457,14 @@ class _AnchoredLattice:
         from column k0: the fewest M whose remainder, bounded through the
         computed |L^M Q| on the block's columns, is at most half the booked
         one (:meth:`eval_err`), else N + 1."""
-        nodes, m = self.nodes, np.arange(1, self.terms)
+        nodes, m = self.nodes, np.arange(1, _TAYLOR_TERMS)
         q_max = float(np.abs(cum).max())
-        slack = 2.0 ** m * q_max * (_gamma(cum.size + 3 * self.terms) + _TAIL)
-        limit = q_max * 2.0 ** m * self.factorials[1:] / (2.0 * math.factorial(self.terms))
+        slack = 2.0 ** m * q_max * (_gamma(cum.size + 3 * _TAYLOR_TERMS) + _TAIL)
+        limit = q_max * 2.0 ** m * _FACTORIALS[1:] / (2.0 * math.factorial(_TAYLOR_TERMS))
         height = np.abs(deriv[1:])
         fits = np.array([height[:, nodes.c0[b] - k0:nodes.c1[b] - k0].max(axis=1)
                          for b in range(b_lo, b_hi)]) + slack <= limit
-        return np.where(fits.any(axis=1), fits.argmax(axis=1) + 1, self.terms).tolist()
+        return np.where(fits.any(axis=1), fits.argmax(axis=1) + 1, _TAYLOR_TERMS).tolist()
 
     def apply(self, c: np.ndarray, n_out: int) -> tuple[np.ndarray, float]:
         """Mixture of the jumps c, sizes at the first c.size means, on the
@@ -472,7 +476,7 @@ class _AnchoredLattice:
         q; A^a h^(n)(A) = sum_k psi_k(A) (L^n Q)_k over the block; at each
         node (z/A)^a sum_n A^a h^(n)(A) delta^n / n! by Horner's rule.
         """
-        big_n, nodes = self.terms - 1, self.nodes
+        big_n, nodes = _TAYLOR_TERMS - 1, self.nodes
         seg, b_end, m0, cum = self._jump_sums(c)
         n_t = int(np.searchsorted(nodes.lo_max, m0 + cum.size - 1, side="right"))
         b_lo = int(np.searchsorted(nodes.c1_max, m0, side="right"))
@@ -486,14 +490,14 @@ class _AnchoredLattice:
             b_hi = nodes.block_of(a_hi - 1) + 1
             k0, k1 = int(nodes.c0[b_lo:b_hi].min()), int(nodes.c1[b_lo:b_hi].max())
             size = k1 - k0 + big_n
-            deriv = np.empty((self.terms, size))
+            deriv = np.empty((_TAYLOR_TERMS, size))
             # Q on columns k0 .. k1 + N - 1: 0 before q, the total past it
             s, e = np.clip([m0 - k0, m0 - k0 + cum.size], 0, size)
             deriv[0, :s] = 0.0
             deriv[0, s:e] = cum[k0 - m0 + s:k0 - m0 + e]
             deriv[0, e:] = cum[-1]
             w = self.w[k0:]
-            for n in range(1, self.terms):
+            for n in range(1, _TAYLOR_TERMS):
                 m = size - n
                 np.multiply(w[:m], deriv[n - 1, 1:m + 1], out=deriv[n, :m])
                 deriv[n, :m] -= deriv[n - 1, :m]
@@ -503,7 +507,7 @@ class _AnchoredLattice:
                 i0, t = nodes.rows[b] - base, need[b - b_lo]
                 coef[:t, i0:i0 + block.shape[0]] = (
                     deriv[:t, nodes.c0[b] - k0:nodes.c1[b] - k0] @ block.T)
-            coef /= self.factorials[:coef.shape[0], None]
+            coef /= _FACTORIALS[:coef.shape[0], None]
             # Horner's rule from 0, each anchor's coefficient repeated over its
             # nodes; term n runs from the first to the last block taking it, a
             # block's rows past its own terms being 0
@@ -563,14 +567,14 @@ class _AnchoredLattice:
         ||Q||_inf <= ||q||_1 is ||c||_1 to first order; the factor 1.01
         covers the second-order terms.  Every term depends on c alone.
         """
-        big_n, table, nodes = self.terms - 1, _WEIGHT_ULPS + 2, self.nodes
+        big_n, table, nodes = _TAYLOR_TERMS - 1, _WEIGHT_ULPS + 2, self.nodes
         w_jump = int(self.jumps.width[:b_end].max())
         w_node = int(nodes.width[b_lo:nodes.block_of(n_t - 1) + 1].max(initial=0))
         k_jump = (3 * big_n + 2 + int(np.diff(seg, append=c.size).max()) + table
                   + 2 * w_jump + seg.size + b_end)
         k_node = n_q + 5 * big_n + table + 3 * w_node + 5
         x_max = float(nodes.anchors[max(n_t, 1) - 1]) + 0.5
-        per_mass = ((1.0 + self.lift) / math.factorial(self.terms)
+        per_mass = ((1.0 + self.lift) / math.factorial(_TAYLOR_TERMS)
                     + math.e * _TAIL
                     + math.e * (_gamma(k_jump) + self.lift * _gamma(k_node))
                     + 3.0 * _gamma(3) * (math.sqrt(x_max) + 1.0))

@@ -22,10 +22,10 @@ Every cell oscillation, kernel-evaluation error, outward move and tail
 freeze is also booked (with the e^delta per-step growth) into ``grid_gap``;
 analytic_gap + grid_gap is reported as the a priori bound of the width.
 
-The default grid step (:func:`default_grid_step`) is sized by the measured
-width: cell rounding drifts each branch by up to a cell per step, which puts
-about (h / delta)(1 - e^-T) into the width on top of a floor of about delta
-from the splitting, so h grows like delta^2 / (1 - e^-T).
+The default grid step (:func:`default_grid_step`), one rule for every d, is
+sized by the measured width: cell rounding drifts each branch by up to a cell
+per step, which puts about (h / delta)(1 - e^-T) into the width on top of a
+floor of about delta from the splitting, so h grows like delta^2/(1 - e^-T).
 
 The module also gives the free boundary (:func:`free_boundary_radius`) and
 the flow's attractor (U, R_inf, V) in closed form (:func:`stationary_state`).
@@ -66,32 +66,28 @@ def analytic_gap(k: int, delta: float) -> float:
     return (math.exp(k * delta) + 1.0) * math.expm1(delta)
 
 
-def default_grid_step(dim: int, horizon: float, delta: float,
-                      r_scale: float = 1.0) -> float:
+def default_grid_step(horizon: float, delta: float, r_scale: float = 1.0) -> float:
     """Grid step sized so the measured width stays near its splitting floor.
 
     The splitting alone leaves a width of about delta.  Rounding to cells
     drifts each branch by up to one cell per step, a drift of order h/delta
     that the flow relaxes at about unit rate (measured at T = 0.5, 1, 2),
     so the grid adds about (h/delta)(1 - e^-T) to the width.  Keeping that
-    near a tenth of the floor gives h = c delta^2 / (1 - e^-T); c is
-    calibrated on solves to T = 1 at delta = 0.01 (h = 1.1e-4: widths
-    1.07-1.09x those at h = 3.6e-5 for d = 1 and 6.3e-5 for d = 3, from the
-    stationary and the empirical starts).
-    d = 2 and d >= 4 keep a cost floor of 1.5e-4: at d = 2 the rule's grid
-    costs about 1.35x the time for a 9% narrower width (ROADMAP item 12).
-    Once the a priori bound is vacuous (analytic gap
-    above 0.5) h grows with it up to the scale cap, so long horizons cost
-    what a coarse grid costs; their measured width still certifies.
+    near a tenth of the floor gives, for every d, h = c delta^2 / (1 - e^-T);
+    c is calibrated on solves to T = 1 at delta = 0.01 (h = 1.1e-4: widths
+    1.07-1.10x those on finer grids at d = 1, 2 and 3).  h is at least 2e-5,
+    a cost floor that binds below delta = 0.0043 at T = 1.  Once the a
+    priori bound is vacuous (analytic gap above 0.5) h grows with it up to
+    the scale cap 1e-3 max(1, r_scale), ``r_scale`` being the start's last
+    jump radius, so long horizons cost what a coarse grid costs; their
+    measured width still certifies.
     """
     k = max(1, round(horizon / delta))
     h = _GRID_WIDTH * delta * delta / -math.expm1(-horizon)
     gap = analytic_gap(k, delta)
     if gap > 0.5:
         h *= gap / 0.5
-    h_min = 2e-5 if dim in (1, 3) else 1.5e-4
-    h_max = 1e-3 * max(1.0, r_scale)
-    return float(min(max(h, h_min), h_max))
+    return float(min(max(h, 2e-5), 1e-3 * max(1.0, r_scale)))
 
 
 def _check_initial(initial: RadialProfile):
@@ -268,18 +264,13 @@ class SandwichSolver:
         self.dim = _integer("dim", dim, 1, _MAX_DIM)
         if initial_upper is not None and (worst := _max_excess(initial, initial_upper)) > 0.0:
             raise ValueError(f"initial_upper lies below initial by {worst:.3e}")
-        r_scale = max(1.0, initial.locations[-1] if initial.locations.size else 1.0)
         if grid_step is None:
-            grid_step = default_grid_step(self.dim, _positive("horizon_hint", horizon_hint),
-                                          delta, r_scale)
+            grid_step = default_grid_step(_positive("horizon_hint", horizon_hint), delta,
+                                          initial.last_jump)
         self.h = _positive("grid_step", grid_step)
         band = support_band(delta, self.dim)
         upper0 = initial if initial_upper is None else initial_upper
-        max_jump = max(
-            initial.locations[-1] if initial.locations.size else 0.0,
-            upper0.locations[-1] if upper0.locations.size else 0.0,
-        )
-        n0 = int(math.ceil((max_jump + band + 1.0) / self.h)) + 2
+        n0 = int(math.ceil((max(initial.last_jump, upper0.last_jump) + band + 1.0) / self.h)) + 2
         self.grid = np.arange(n0) * self.h
         self.p_lo = self._round_down(initial, self.grid)
         self.p_up = self._round_up(upper0, self.grid)

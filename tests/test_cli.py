@@ -216,7 +216,18 @@ class TestRun:
         assert summary["analytic_gap"] == pytest.approx(0.03737, abs=5e-5)
         # the grid widens the bracket but the splitting still dominates it
         assert summary["measured_gap"] <= summary["analytic_gap"]
-        assert summary["grid_too_coarse"] is False
+        # though the grid is 4.5x coarser than the default rule's
+        assert summary["grid_too_coarse"] is True
+
+    @pytest.mark.parametrize("sets, coarse", [
+        # the rule's h is 2.8e-5 here; this grid made the width 2.5x that of the rule's
+        ({"d": "2", "delta": "0.005", "grid_step": "1.5e-4"}, True),
+        ({"d": "1"}, False),  # a default solve is on the rule's grid
+    ])
+    def test_solve_grid_too_coarse_reads_the_rule(self, tmp_path, sets, coarse):
+        assert run(parse_config(None, "solve", {"out": str(tmp_path / "sv"), **sets})) == 0
+        summary = json.loads((tmp_path / "sv" / "summary.json").read_text())
+        assert summary["grid_too_coarse"] is coarse
 
     def test_selection_small_config_exit_zero(self, tmp_path):
         # mechanics check at reduced scale: loosen the desk tolerances so the

@@ -501,7 +501,9 @@ class TestAnchoredRoute:
         idx, sizes, r = _random_lattice(rng, self.H, self.N)
         out = {}
         for n_terms in (terms, terms + 8):
-            monkeypatch.setattr(kernels, "_TAYLOR_TERMS", n_terms)
+            for name, value in zip(("_TAYLOR_TERMS", "_FACTORIALS", "_FOLD"),
+                                   (n_terms, *kernels._taylor_constants(n_terms))):
+                monkeypatch.setattr(kernels, name, value)
             kernels._IMAGE_CACHE.clear()
             out[n_terms] = one_mixture(d, 0.05, idx, sizes, r, self.H)
         (short, err_short), (long, err_long) = out[terms], out[terms + 8]
@@ -545,11 +547,11 @@ class TestAnchoredRoute:
         assert np.all(np.abs(images - anchored) <= err_images + err_anchored)
 
     def test_bench_grid_apply_memory(self, monkeypatch):
-        # one steady-state d = 2 apply on the bench's grid (h = 1.5e-4, about
+        # one steady-state d = 2 apply on a bench-sized grid (h = 1.5e-4, about
         # 26,000 nodes and 16,000 jumps): its tracemalloc peak, the values
         # returned included, and the cached lattice's bytes, 0.57 and 1.68 MB
         # as measured, with about 10% added
-        t, sizes, r_nodes, h = self._first_rows(monkeypatch, 2, None, 1.0)
+        t, sizes, r_nodes, h = self._first_rows(monkeypatch, 2, 1.5e-4, 1.0)
         assert h == pytest.approx(1.5e-4) and r_nodes.size > 25_000
         c = sizes[0][:np.flatnonzero(sizes[0])[-1] + 1]
         kernels._lattice_anchored(2, t, c, h, r_nodes.size)

@@ -372,27 +372,36 @@ class TestSolveSandwich:
         assert np.all(v <= pair.upper(rr) + 1e-12)
         assert np.all(v >= pair.lower(rr) - 1e-12)
 
-    @pytest.mark.parametrize("d, fine_width", [(1, 0.010043), (3, 0.010027)])
-    def test_default_grid_width(self, d, fine_width):
-        # the `nbbm solve` defaults from the stationary start: the default
-        # grid keeps the measured width within 10% of the widths on the finer
-        # grids h = 3.6e-5 (d = 1) and 6.3e-5 (d = 3)
+    @staticmethod
+    def _default_width(d, delta):
+        # the `nbbm solve` defaults from the two-sided stationary start to T = 1
         st = stationary_state(d)
         pair = solve_sandwich(SolveRequest(dim=d, initial=st.as_profile(4001, "lower"),
-                                           horizon=1.0, step_size=0.01,
+                                           horizon=1.0, step_size=delta,
                                            initial_upper=st.as_profile(4001, "upper")))
-        assert pair.measured_gap <= 1.10 * fine_width
+        return pair.measured_gap
+
+    @pytest.mark.parametrize("d, fine_width", [(1, 0.010043), (2, 0.009922), (3, 0.010027)])
+    def test_default_grid_width(self, d, fine_width):
+        # the default grid keeps the measured width within 10% of the widths
+        # on the finer grids h = 3.6e-5 (d = 1 and 2) and 6.3e-5 (d = 3)
+        assert self._default_width(d, 0.01) <= 1.10 * fine_width
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_width_falls_as_delta_halves(self, d):
+        # one grid rule for every d, so a smaller delta never widens the certificate
+        widths = [self._default_width(d, delta) for delta in (0.04, 0.02, 0.01, 0.005)]
+        assert all(finer < coarser for coarser, finer in zip(widths, widths[1:])), widths
 
     def test_default_grid_step_rule(self):
-        # h ~ delta^2 / (1 - e^-T), a cost floor at d = 2 and d >= 4, and the
+        # h ~ delta^2 / (1 - e^-T) for every d, the cost floor 2e-5, and the
         # scale cap once the a priori bound is vacuous
-        h1 = default_grid_step(1, 1.0, 0.01)
+        h1 = default_grid_step(1.0, 0.01)
         assert 1e-4 <= h1 <= 1.2e-4
-        assert default_grid_step(3, 1.0, 0.01) == h1
-        assert default_grid_step(1, 1.0, 0.005) == pytest.approx(h1 / 4)
-        assert default_grid_step(2, 1.0, 0.01) == 1.5e-4
-        assert default_grid_step(1, 16.0, 0.01) == 1e-3
-        assert default_grid_step(1, 16.0, 0.01, r_scale=3.0) == pytest.approx(3e-3)
+        assert default_grid_step(1.0, 0.005) == pytest.approx(h1 / 4)
+        assert default_grid_step(1.0, 0.004) == 2e-5
+        assert default_grid_step(16.0, 0.01) == 1e-3
+        assert default_grid_step(16.0, 0.01, r_scale=3.0) == pytest.approx(3e-3)
 
     def test_generic_dimension_series_route(self):
         # dimensions without an image formula run through the series engine

@@ -7,6 +7,8 @@ Run from the repository root (takes about a minute):
 It traces, with ``sys.settrace`` limited to frames whose file lies in
 ``src/nbbm``:
 
+* the import of ``nbbm``, so functions that build module constants count
+  as reached;
 * one cycle of each workload of ``bench/workloads.py`` at seed 1, each op
   checked, hashed and observed as the benchmark does;
 * the seven CLI subcommands at their defaults and seed 1, with ``solve`` and
@@ -16,8 +18,9 @@ It traces, with ``sys.settrace`` limited to frames whose file lies in
   initial=<path>``), from a ``--config`` file with a ``[solve]`` section,
   with ``initial=uniform`` and with ``two_sided=false``, and at d = 3 from
   a profile file with one jump of 0.1 at r = 0.5, whose mass is small enough
-  that the solver's grid and the anchored lattice grow; and ``hydro`` with
-  ``sampler=stationary``: nineteen CLI runs;
+  that the solver's grid and the anchored lattice grow, and at ``t=4``,
+  whose analytic gap passes 0.5, so the default grid step grows with it;
+  and ``hydro`` with ``sampler=stationary``: twenty CLI runs;
 * ``tests/test_acceptance.py``.
 
 The same traffic (:func:`run_traffic`) is what ``tools/identity.py`` runs on
@@ -173,7 +176,8 @@ def _run_cli(out_root: str) -> dict[str, dict | None]:
             ("solve", "initial=uniform"), ("solve", "two_sided=false"),
             ("hydro", "sampler=stationary", "replicas=2")]
     runs += [(sub, f"d={d}") for sub in ("solve", "kernel-dump") for d in (1, 2, 3)]
-    runs += [("simulate", "d=2"), ("simulate", "d=3"), ("solve", "d=3", f"initial={jump}")]
+    runs += [("simulate", "d=2"), ("simulate", "d=3"), ("solve", "d=3", f"initial={jump}"),
+             ("solve", "t=4")]
     manifests = {}
     for sub, *args in runs:
         label = "-".join((sub, *map(os.path.basename, args))).replace("=", "")
@@ -215,11 +219,11 @@ def import_package(root: Path) -> str | None:
 
 
 def main() -> int:
-    error = import_package(ROOT)
-    if error:
-        print(error, file=sys.stderr)
-        return 2
     with LineCollector(PACKAGE) as collector, tempfile.TemporaryDirectory() as tmp:
+        error = import_package(ROOT)
+        if error:
+            print(error, file=sys.stderr)
+            return 2
         run_traffic(ROOT, tmp)
     print(report(PACKAGE, collector.hits))
     return 0
